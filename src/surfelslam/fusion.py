@@ -293,6 +293,12 @@ def fuse_colour(dst: DenseSurfel, src: DenseSurfel):
 # Minimum |n_s . n_d| for an ICP pair; sparse normals carry no sign.
 NORMAL_COMPATIBILITY = 0.9
 
+# Minimum smallest/largest eigenvalue ratio of the ICP's planarity-weighted
+# normal matrix sum(w n n^T) for a loop-closure trigger.  Below it the overlap
+# leaves a translation direction unconstrained (floor, ceiling and one wall
+# constrain nothing along the wall), so the recovered shift is arbitrary.
+MIN_NORMAL_EIGEN_RATIO = 1e-3
+
 
 @dataclass
 class IcpResult:
@@ -302,6 +308,7 @@ class IcpResult:
     mean_distance: float
     converged: bool
     pairs: list
+    normal_eigen_ratio: float = 0.0  # of sum(w n n^T) at the final association
 
 
 def _associate(rotation, translation, src_pts, src_normals, dst_pts, dst_normals,
@@ -336,8 +343,10 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     minimum surfel counts).
 
     Returns the transform mapping source centroids onto the destination map,
-    that inlier fraction, and the mean point-to-plane distance of the inlier
-    pairs before alignment.
+    that inlier fraction, the mean point-to-plane distance of the inlier
+    pairs before alignment, and the smallest/largest eigenvalue ratio of the
+    planarity-weighted normal matrix ``sum(w n n^T)`` of the final pairs,
+    which is near 0 when the pairs leave a translation direction free.
     """
     if not src_surfels or not dst_surfels:
         return IcpResult(np.eye(3), np.zeros(3), 0.0, 0.0, False, [])
@@ -378,6 +387,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         return IcpResult(rotation, translation, 0.0, 0.0, False, [])
     n = dst_normals[dst_idx]
     q = dst_pts[dst_idx]
+    eigenvalues = np.linalg.eigvalsh((n * weights_dst[dst_idx][:, None]).T @ n)
     plane_d = np.abs(np.sum(n * (p - q), axis=1))
     inliers = plane_d < inlier_distance
     inlier_fraction = float(np.mean(inliers))
@@ -389,7 +399,8 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         (src_pts[i].copy(), dst_pts[j].copy())
         for i, j in zip(src_idx[inliers], dst_idx[inliers])
     ]
-    return IcpResult(rotation, translation, inlier_fraction, mean_distance, True, pairs)
+    return IcpResult(rotation, translation, inlier_fraction, mean_distance, True, pairs,
+                     float(eigenvalues[0] / eigenvalues[-1]))
 
 
 # -- temporal fusion ----------------------------------------------------------
@@ -475,10 +486,12 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
     inactive set raises a deformation trigger when its inlier fraction
-    exceeds ``cfg.inlier_threshold`` and its translation exceeds
+    exceeds ``cfg.inlier_threshold``, its translation exceeds
     ``cfg.distance_threshold`` (see ``icp_point_to_plane`` for the inlier
-    definition); otherwise inactive surfels that overlap the active map may
-    be merged back.  Unstable surfels that were not re-observed within the
+    definition) and its pairs constrain every translation direction
+    (normal eigenvalue ratio at least ``MIN_NORMAL_EIGEN_RATIO``);
+    otherwise inactive surfels that overlap the active map may be merged
+    back.  Unstable surfels that were not re-observed within the
     cull age are deleted.
     """
     if cfg is None:
@@ -538,9 +551,16 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         icp = icp_point_to_plane(local.sparse, inactive_sparse)
         if not icp.converged:
             log.info("inactive-map ICP did not converge; trigger suppressed")
+        elif icp.normal_eigen_ratio < MIN_NORMAL_EIGEN_RATIO:
+            log.info(
+                "inactive-map overlap is degenerate (normal eigenvalue ratio %.2e); "
+                "trigger suppressed",
+                icp.normal_eigen_ratio,
+            )
     misalignment = float(np.linalg.norm(icp.translation))
     if (
         icp.converged
+        and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO
         and icp.inlier_fraction > cfg.inlier_threshold
         and misalignment > cfg.distance_threshold
     ):

@@ -198,44 +198,63 @@ def se3_log(pose: Pose):
     return np.concatenate([r, t])
 
 
-def _se3_q_matrix(r, t):
-    # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff terms).
-    theta = np.linalg.norm(r)
-    rx = hat(r)
-    tx = hat(t)
+# Below this angle the Q-matrix coefficients switch to their Taylor series.
+Q_SERIES_ANGLE = 0.1
+
+
+def _se3_q_coeffs(theta):
+    """Coefficients (c1, c2, c3) of the SE(3) Q matrix for angles ``theta``
+    (a scalar or an array)."""
+    theta = np.asarray(theta, dtype=float)
+    small = theta < Q_SERIES_ANGLE
+    t = np.where(small, 1.0, theta)
+    s, c = np.sin(t), np.cos(t)
+    t3 = t**3
+    a = (1.0 - t * t / 2.0 - c) / t**4
+    c1 = (t - s) / t3
+    c2 = -a
+    c3 = -0.5 * (a - 3.0 * (t - s - t3 / 6.0) / t**5)
+    if np.any(small):
+        t2 = theta * theta
+        c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, c1)
+        c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0, c2)
+        c3 = np.where(small, 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0, c3)
+    return c1, c2, c3
+
+
+def _q_from_hats(rx, tx, c1, c2, c3):
+    # Works on single (3, 3) hats with scalar coefficients and on (N, 3, 3)
+    # stacks with coefficients shaped (N, 1, 1).
     rxtx = rx @ tx
     txrx = tx @ rx
     rxtxrx = rxtx @ rx
-    if theta < 0.1:
-        t2 = theta * theta
-        c1 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        c2 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
-        c3 = 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        t3, t4, t5 = theta**3, theta**4, theta**5
-        c1 = (theta - s) / t3
-        c2 = -(1.0 - theta * theta / 2.0 - c) / t4
-        c3 = -0.5 * (
-            (1.0 - theta * theta / 2.0 - c) / t4 - 3.0 * (theta - s - t3 / 6.0) / t5
-        )
     q = 0.5 * tx
-    q += c1 * (rxtx + txrx + rxtxrx)
-    q += c2 * (rx @ rxtx + txrx @ rx - 3.0 * rxtxrx)
-    q += c3 * (rxtxrx @ rx + rx @ rxtxrx)
+    q = q + c1 * (rxtx + txrx + rxtxrx)
+    q = q + c2 * (rx @ rxtx + txrx @ rx - 3.0 * rxtxrx)
+    q = q + c3 * (rxtxrx @ rx + rx @ rxtxrx)
     return q
+
+
+def _se3_q_matrix(r, t):
+    # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff terms).
+    c1, c2, c3 = _se3_q_coeffs(np.linalg.norm(r))
+    return _q_from_hats(hat(r), hat(t), float(c1), float(c2), float(c3))
+
+
+def _se3_blocks(diagonal, lower):
+    """6x6 matrices (single or stacked) ``[[D, 0], [L, D]]``."""
+    out = np.zeros(diagonal.shape[:-2] + (6, 6))
+    out[..., :3, :3] = diagonal
+    out[..., 3:, 3:] = diagonal
+    out[..., 3:, :3] = lower
+    return out
 
 
 def se3_left_jacobian(xi):
     """6x6 left Jacobian of SE(3) in (rotational, translational) ordering."""
     xi = np.asarray(xi, dtype=float)
     r, t = xi[:3], xi[3:]
-    jl = so3_left_jacobian(r)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jl
-    out[3:, 3:] = jl
-    out[3:, :3] = _se3_q_matrix(r, t)
-    return out
+    return _se3_blocks(so3_left_jacobian(r), _se3_q_matrix(r, t))
 
 
 def se3_left_jacobian_inv(xi):
@@ -249,11 +268,7 @@ def se3_left_jacobian_inv(xi):
         raise InvalidArgumentError("twist must be finite")
     r, t = xi[:3], xi[3:]
     jl_inv = so3_left_jacobian_inv(r)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jl_inv
-    out[3:, 3:] = jl_inv
-    out[3:, :3] = -jl_inv @ _se3_q_matrix(r, t) @ jl_inv
-    return out
+    return _se3_blocks(jl_inv, -jl_inv @ _se3_q_matrix(r, t) @ jl_inv)
 
 
 def interp_pose(pose_a: Pose, pose_b: Pose, alpha: float) -> Pose:
@@ -352,16 +367,45 @@ def so3_left_jacobian_inv_batch(r):
     return np.eye(3) - 0.5 * k + e[:, None, None] * (k @ k)
 
 
+def _se3_q_batch(r, t):
+    c1, c2, c3 = (c[:, None, None] for c in _se3_q_coeffs(np.linalg.norm(r, axis=1)))
+    return _q_from_hats(hat_batch(r), hat_batch(t), c1, c2, c3)
+
+
+def se3_left_jacobian_batch(xi):
+    """(N, 6) twists -> (N, 6, 6) left Jacobians; see :func:`se3_left_jacobian`."""
+    r, t = xi[:, :3], xi[:, 3:]
+    return _se3_blocks(so3_left_jacobian_batch(r), _se3_q_batch(r, t))
+
+
+def se3_left_jacobian_inv_batch(xi):
+    """(N, 6) twists -> (N, 6, 6) inverse left Jacobians."""
+    r, t = xi[:, :3], xi[:, 3:]
+    jl_inv = so3_left_jacobian_inv_batch(r)
+    return _se3_blocks(jl_inv, -jl_inv @ _se3_q_batch(r, t) @ jl_inv)
+
+
+def se3_adjoint_batch(rotations, translations):
+    """(N, 6, 6) adjoints with ``T exp(xi) T^-1 = exp(Ad_T xi)``."""
+    return _se3_blocks(rotations, hat_batch(translations) @ rotations)
+
+
+def se3_relative_log_batch(rot_a, t_a, rot_b, t_b):
+    """Twists (rotational (N, 3), translational (N, 3)) of ``Ta^-1 Tb``."""
+    rot_rel = np.einsum("nji,njk->nik", rot_a, rot_b)
+    t_rel = np.einsum("nji,nj->ni", rot_a, t_b - t_a)
+    phi = so3_log_batch(rot_rel)
+    rho = np.einsum("nij,nj->ni", so3_left_jacobian_inv_batch(phi), t_rel)
+    return phi, rho
+
+
 def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha):
     """Vectorized ``Ta * exp(alpha * log(Ta^-1 Tb))`` for pose arrays.
 
     alpha is (N,) in [0, 1]; bracketing pairs are given as rotation stacks
     (N, 3, 3) and translation stacks (N, 3).
     """
-    rot_rel = np.einsum("nji,njk->nik", rot_a, rot_b)
-    t_rel = np.einsum("nji,nj->ni", rot_a, t_b - t_a)
-    phi = so3_log_batch(rot_rel)
-    rho = np.einsum("nij,nj->ni", so3_left_jacobian_inv_batch(phi), t_rel)
+    phi, rho = se3_relative_log_batch(rot_a, t_a, rot_b, t_b)
     phi_s = phi * alpha[:, None]
     rho_s = rho * alpha[:, None]
     rot_d = so3_exp_batch(phi_s)

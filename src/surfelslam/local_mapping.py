@@ -3,7 +3,11 @@
 Four residual families constrain the window: surfel-to-surfel point-to-plane
 errors, surfel-to-map-prior point-to-plane errors, and IMU acceleration and
 body-rate errors.  A damped Gauss-Newton solver estimates the spline control
-points together with the IMU biases and an optional time lag.
+points together with the IMU biases and an optional time lag.  Its Jacobian
+is analytic in the control points (chain rule through the SE(3) geodesic or
+Euclidean interpolation, in the manner of Sommer et al., CVPR 2020) and in
+the biases; ``OptimizerConfig.jacobian`` and ``fd_step`` govern only the
+finite-difference column of the time lag.
 
 Two optimization models are supported.  The composition model keeps the
 densely sampled trajectory and estimates spline *corrections* that are
@@ -27,7 +31,7 @@ from .errors import (
     NoProgressError,
     OutOfRangeError,
 )
-from .trajectory import ControlGrid, Trajectory, apply_correction
+from .trajectory import ControlGrid, Trajectory, apply_correction, brackets, interpolate
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +115,8 @@ class OptimizerConfig:
     cost_tol: float = 1e-10
     damping_init: float = 1e-6
     damping_retries: int = 5
+    # Finite differences of the time-lag column only; every other column
+    # is analytic.
     jacobian: str = "forward"  # or "central"
     fd_step: float = 1e-6
     model: str = "composition"  # or "spline_direct"
@@ -158,44 +164,6 @@ class OptimizationReport:
                 )
 
 
-def _interp_arrays(times, rotations, translations, taus, mode, rotvecs=None):
-    """Interpolate pose arrays at ``taus``; exact sample hits bypass the
-    geodesic machinery."""
-    n = times.shape[0]
-    dt = times[1] - times[0]
-    tol = 1e-9 * dt
-    if np.any(taus < times[0] - tol) or np.any(taus > times[-1] + tol):
-        raise OutOfRangeError("interpolation time outside trajectory support")
-    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, n - 2)
-    alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    snap_lo = alpha <= 1e-9
-    snap_hi = alpha >= 1.0 - 1e-9
-    gather = np.where(snap_hi, idx + 1, idx)
-    interior = ~(snap_lo | snap_hi)
-    rot = rotations[gather].copy()
-    t = translations[gather].copy()
-    if np.any(interior):
-        ii = np.flatnonzero(interior)
-        if mode == "se3":
-            rot_i, t_i = lie.se3_interp_batch(
-                rotations[idx[ii]],
-                translations[idx[ii]],
-                rotations[idx[ii] + 1],
-                translations[idx[ii] + 1],
-                alpha[ii],
-            )
-        else:
-            if rotvecs is None:
-                rotvecs = lie.so3_log_batch(rotations)
-            a = alpha[ii][:, None]
-            rv = rotvecs[idx[ii]] * (1.0 - a) + rotvecs[idx[ii] + 1] * a
-            rot_i = lie.so3_exp_batch(rv)
-            t_i = translations[idx[ii]] * (1.0 - a) + translations[idx[ii] + 1] * a
-        rot[ii] = rot_i
-        t[ii] = t_i
-    return rot, t
-
-
 def _corrected_pose_at(traj, grid, taus, update="se3", interpolation="se3"):
     corrected = apply_correction(traj, grid, update=update)
     return corrected.sample_batch(np.atleast_1d(taus), mode=interpolation)
@@ -239,8 +207,42 @@ def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
     return np.concatenate([accel_res, gyro_res])
 
 
+def _spline(c, idx, weights):
+    """Spline values (N, 3) of control points ``c`` at knot indices and
+    weights (N, 4)."""
+    return np.einsum("nk,nkj->nj", weights, c[idx])
+
+
+def _spline_maps(jl, s):
+    """(N, 6, 6) maps from a spline increment ``(du_t, du_r)`` to the left
+    perturbation ``(phi, rho)`` of the pose it moves:
+    ``phi = Jl du_r``, ``rho = du_t + [s]x phi``."""
+    out = np.zeros((jl.shape[0], 6, 6))
+    out[:, :3, 3:] = jl
+    out[:, 3:, :3] = np.eye(3)
+    out[:, 3:, 3:] = lie.hat_batch(s) @ jl
+    return out
+
+
 class _WindowSystem:
-    """Vectorized residual assembly with per-parameter influence masks."""
+    """Vectorized residuals over one window and their analytic Jacobian.
+
+    Every residual reads poses at query times, laid out as
+    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Pair and prior
+    queries are located once; only the IMU stencil moves with the time lag.
+
+    The Jacobian has two layers.  The residual layer differentiates each
+    whitened, robust-weighted row with respect to a world-frame left
+    perturbation ``(phi, rho)`` of every query pose it reads
+    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  The pose layer maps
+    the control points to those perturbations: each query reads the spline
+    through one slot (direct model) or two (the bracketing samples of the
+    composition model, blended by the interpolation).  A slot is a 6x6 map
+    from a spline increment to the query perturbation plus the four knot
+    indices and weights the increment is read from.  Biases enter as
+    constant columns; only the time-lag column is a finite difference
+    (``cfg.jacobian``, ``cfg.fd_step``).
+    """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state, cfg):
         self.cfg = cfg
@@ -285,8 +287,18 @@ class _WindowSystem:
         self.sl_gyro = slice(base + 3 * self.n_imu, base + 6 * self.n_imu)
         self.n_residuals = base + 6 * self.n_imu
 
+        p, m = self.n_pair, self.n_imu
+        first = 2 * p + self.n_prior
+        self.q_a = slice(0, p)
+        self.q_b = slice(p, 2 * p)
+        self.q_prior = slice(2 * p, first)
+        self.q_stencil = [slice(first + i * m, first + (i + 1) * m) for i in range(3)]
+
         self.w_samples = self.grid.weight_matrix(self.traj_times)
-        self._direct_cache = {}
+        self.sample_knots = self.grid.knot_indices_and_weights(self.traj_times)
+        self.fixed_where = self._locate(
+            np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
+        )
         if cfg.model == "spline_direct":
             # Least-squares fit of the initial trajectory by the spline.
             rotvecs = lie.so3_log_batch(self.base_rot)
@@ -295,7 +307,6 @@ class _WindowSystem:
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
-        self._build_masks(lag_slack)
 
     # -- parameter vector layout: [c_t (3K), c_r (3K), b_a?, b_g?, d?] --
 
@@ -337,82 +348,61 @@ class _WindowSystem:
             t = self.base_t + corr_t
         return rot, t
 
-    def _direct_weights(self, taus, key):
-        cached = self._direct_cache.get(key)
-        if cached is None:
-            cached = self.grid.weight_matrix(taus)
-            self._direct_cache[key] = cached
-        return cached
+    # -- query poses --------------------------------------------------------
+
+    def _locate(self, taus):
+        """Where queries read the model: sample brackets ``(idx, alpha)`` for
+        the composition model, knot indices and weights for the direct one."""
+        if self.cfg.model == "composition":
+            return brackets(self.traj_times, taus, 1e-9 * self.h)
+        return self.grid.knot_indices_and_weights(taus)
+
+    def _where(self, d):
+        """Where every query reads the model at time lag ``d``."""
+        taus = self.imu_taus + d
+        idx, w = self._locate(np.concatenate([taus - self.h, taus, taus + self.h]))
+        return (
+            np.concatenate([self.fixed_where[0], idx]),
+            np.concatenate([self.fixed_where[1], w]),
+        )
+
+    def _query_poses(self, c_t, c_r, where):
+        idx, w = where
+        if self.cfg.model == "composition":
+            rot_s, t_s = self._corrected_samples(c_t, c_r)
+            return interpolate(rot_s, t_s, idx, w, self.cfg.interpolation)
+        return lie.so3_exp_batch(_spline(c_r, idx, w)), _spline(c_t, idx, w)
 
     def residuals(self, x, state):
         """Whitened residual vector (no robust weighting)."""
         cfg = self.cfg
         c_t, c_r, b_a, b_g, d = self.split_params(x, state)
+        rot, t = self._query_poses(c_t, c_r, self._where(d))
         out = np.empty(self.n_residuals)
-
-        stencil = np.concatenate(
-            [self.imu_taus + d - self.h, self.imu_taus + d, self.imu_taus + d + self.h]
-        )
-        if cfg.model == "composition":
-            rot_s, t_s = self._corrected_samples(c_t, c_r)
-            rotvecs = (
-                lie.so3_log_batch(rot_s) if cfg.interpolation == "euclidean" else None
+        if self.n_pair:
+            qa, qb = self.q_a, self.q_b
+            world_a = np.einsum("nij,nj->ni", rot[qa], self.pair_u_a) + t[qa]
+            world_b = np.einsum("nij,nj->ni", rot[qb], self.pair_u_b) + t[qb]
+            out[self.sl_pair] = (
+                np.sum(self.pair_n * (world_a - world_b), axis=1) / cfg.sigma_surfel
             )
-
-            def at(taus):
-                return _interp_arrays(
-                    self.traj_times, rot_s, t_s, taus, cfg.interpolation, rotvecs
-                )
-
-            if self.n_pair:
-                rot, t = at(self.pair_taus.reshape(-1))
-                rot = rot.reshape(-1, 2, 3, 3)
-                t = t.reshape(-1, 2, 3)
-                world_a = np.einsum("nij,nj->ni", rot[:, 0], self.pair_u_a) + t[:, 0]
-                world_b = np.einsum("nij,nj->ni", rot[:, 1], self.pair_u_b) + t[:, 1]
-                out[self.sl_pair] = np.sum(self.pair_n * (world_a - world_b), axis=1)
-            if self.n_prior:
-                rot, t = at(self.prior_taus)
-                world = np.einsum("nij,nj->ni", rot, self.prior_u_c) + t
-                out[self.sl_prior] = np.sum(self.prior_n * (self.prior_u_m - world), axis=1)
-            if self.n_imu:
-                rot_all, t_all = at(stencil)
-        else:
-            key_shift = round(float(d), 12)
-
-            def direct(taus, key):
-                w = self._direct_weights(taus, key)
-                return lie.so3_exp_batch(w @ c_r), w @ c_t
-
-            if self.n_pair:
-                rot, t = direct(self.pair_taus.reshape(-1), key=("pair",))
-                rot = rot.reshape(-1, 2, 3, 3)
-                t = t.reshape(-1, 2, 3)
-                world_a = np.einsum("nij,nj->ni", rot[:, 0], self.pair_u_a) + t[:, 0]
-                world_b = np.einsum("nij,nj->ni", rot[:, 1], self.pair_u_b) + t[:, 1]
-                out[self.sl_pair] = np.sum(self.pair_n * (world_a - world_b), axis=1)
-            if self.n_prior:
-                rot, t = direct(self.prior_taus, key=("prior",))
-                world = np.einsum("nij,nj->ni", rot, self.prior_u_c) + t
-                out[self.sl_prior] = np.sum(self.prior_n * (self.prior_u_m - world), axis=1)
-            if self.n_imu:
-                rot_all, t_all = direct(stencil, key=("imu", key_shift))
-
+        if self.n_prior:
+            q = self.q_prior
+            world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
+            out[self.sl_prior] = (
+                np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / cfg.sigma_prior
+            )
         if self.n_imu:
-            m = self.n_imu
-            t_minus, t_mid, t_plus = t_all[:m], t_all[m : 2 * m], t_all[2 * m :]
-            rot_mid, rot_plus = rot_all[m : 2 * m], rot_all[2 * m :]
-            accel_world = (t_plus - 2.0 * t_mid + t_minus) / (self.h * self.h)
+            q_minus, q_mid, q_plus = self.q_stencil
+            rot_mid, rot_plus = rot[q_mid], rot[q_plus]
+            accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
             body = np.einsum("nji,nj->ni", rot_mid, accel_world - GRAVITY)
             accel_res = self.imu_accel - body + b_a
             rel = np.einsum("nji,njk->nik", rot_mid, rot_plus)
             omega = lie.so3_log_batch(rel) / self.h
             gyro_res = self.imu_gyro - omega + b_g
-            out[self.sl_accel] = accel_res.reshape(-1) / self.cfg.sigma_accel
-            out[self.sl_gyro] = gyro_res.reshape(-1) / self.cfg.sigma_gyro
-
-        out[self.sl_pair] /= cfg.sigma_surfel
-        out[self.sl_prior] /= cfg.sigma_prior
+            out[self.sl_accel] = accel_res.reshape(-1) / cfg.sigma_accel
+            out[self.sl_gyro] = gyro_res.reshape(-1) / cfg.sigma_gyro
         return out
 
     # -- robust kernel ----------------------------------------------------
@@ -461,94 +451,176 @@ class _WindowSystem:
             rms(self.sl_gyro, self.cfg.sigma_gyro),
         )
 
-    # -- influence masks and Jacobian grouping ----------------------------
+    # -- analytic Jacobian --------------------------------------------------
 
-    def _build_masks(self, lag_slack):
-        k = self.n_knots
-        step = self.grid.step
-        dt = self.h
-        knot_lo = self.grid.times - 2.0 * step
-        knot_hi = self.grid.times + 2.0 * step
-        # Clamped boundary padding widens the first/last knots' support.
-        knot_lo[0] = -np.inf
-        knot_hi[-1] = np.inf
+    def _pose_layer(self, c_t, c_r, where):
+        """Query poses and the slots through which each query reads the
+        control points: ``[(maps (Q, 6, 6), knot idx (Q, 4), weights (Q, 4))]``."""
+        cfg = self.cfg
+        idx, w = where
+        if cfg.model == "spline_direct":
+            v, t = _spline(c_r, idx, w), _spline(c_t, idx, w)
+            maps = _spline_maps(lie.so3_left_jacobian_batch(v), t)
+            return lie.so3_exp_batch(v), t, [(maps, idx, w)]
 
-        lo = np.empty(self.n_residuals)
-        hi = np.empty(self.n_residuals)
-        bracket = dt if self.cfg.model == "composition" else 0.0
+        # Composition: a sample n moves by phi = Jl(W c_r)_n W dc_r and
+        # rho = W dc_t + [s_n]x phi, with s the correction's translation (se3
+        # update) or the corrected sample translation (so3_r3 update).
+        rot_s, t_s = self._corrected_samples(c_t, c_r)
+        corr_t = self.w_samples @ c_t
+        jl = lie.so3_left_jacobian_batch(self.w_samples @ c_r)
+        sample_maps = _spline_maps(jl, corr_t if cfg.update_method == "se3" else t_s)
+        rot, t = interpolate(rot_s, t_s, idx, w, cfg.interpolation)
+
+        # Blend of the bracketing samples' perturbations; snapped queries take
+        # their sample's perturbation unchanged.
+        lo, hi, alpha = idx, idx + 1, w
+        blend_lo = np.zeros((idx.size, 6, 6))
+        blend_hi = np.zeros((idx.size, 6, 6))
+        blend_lo[alpha == 0.0] = np.eye(6)
+        blend_hi[alpha == 1.0] = np.eye(6)
+        ii = np.flatnonzero((alpha > 0.0) & (alpha < 1.0))
+        if ii.size:
+            blend_lo[ii], blend_hi[ii] = self._blend(
+                rot_s, t_s, lo[ii], hi[ii], alpha[ii], t[ii]
+            )
+        k_idx, k_w = self.sample_knots
+        return rot, t, [
+            (blend_lo @ sample_maps[lo], k_idx[lo], k_w[lo]),
+            (blend_hi @ sample_maps[hi], k_idx[hi], k_w[hi]),
+        ]
+
+    def _blend(self, rot_s, t_s, lo, hi, alpha, t_q):
+        """Maps from the perturbations of samples ``lo`` and ``hi`` to the
+        perturbation of the pose interpolated between them at ``alpha``."""
+        a = alpha[:, None, None]
+        if self.cfg.interpolation == "se3":
+            # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
+            # delta = (I - M) delta_lo + M delta_hi with
+            # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1.
+            xi = np.concatenate(
+                lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[hi], t_s[hi]), axis=1
+            )
+            rot_inv = rot_s[lo].transpose(0, 2, 1)
+            t_inv = -np.einsum("nij,nj->ni", rot_inv, t_s[lo])
+            m = (
+                a
+                * lie.se3_adjoint_batch(rot_s[lo], t_s[lo])
+                @ lie.se3_left_jacobian_batch(alpha[:, None] * xi)
+                @ lie.se3_left_jacobian_inv_batch(xi)
+                @ lie.se3_adjoint_batch(rot_inv, t_inv)
+            )
+            return np.eye(6) - m, m
+        # Euclidean: the rotation vectors r_n = log R_n blend linearly, so
+        # phi = Jl(v) sum_n c_n Jl^-1(r_n) phi_n at the blended vector v, and
+        # the translation blends linearly.
+        rotvecs = lie.so3_log_batch(rot_s)
+        v = rotvecs[lo] * (1.0 - alpha[:, None]) + rotvecs[hi] * alpha[:, None]
+        jl_v = lie.so3_left_jacobian_batch(v)
+        hat_t = lie.hat_batch(t_q)
+        out = []
+        for n, c in ((lo, 1.0 - a), (hi, a)):
+            rot_map = c * jl_v @ lie.so3_left_jacobian_inv_batch(rotvecs[n])
+            blend = np.zeros((n.size, 6, 6))
+            blend[:, :3, :3] = rot_map
+            blend[:, 3:, :3] = hat_t @ rot_map - c * lie.hat_batch(t_s[n])
+            blend[:, 3:, 3:] = c * np.eye(3)
+            out.append(blend)
+        return out
+
+    def _residual_layer(self, rot, t):
+        """Derivatives of the whitened, robust-weighted rows with respect to a
+        left perturbation of each query pose they read, one entry per family
+        and query: ``(rows (m, a), queries (m,), grad (m, a, 6))``."""
+        cfg = self.cfg
+        entries = []
+
+        def plane(rows, q, u, normal, coef):
+            # n . (R u + t) moves by (w x n) . phi + n . rho at w = R u + t.
+            world = np.einsum("nij,nj->ni", rot[q], u) + t[q]
+            grad = np.concatenate([np.cross(world, normal), normal], axis=1)
+            entries.append((rows[:, None], q, (coef[:, None] * grad)[:, None]))
+
         if self.n_pair:
-            lo[self.sl_pair] = self.pair_taus.min(axis=1) - bracket
-            hi[self.sl_pair] = self.pair_taus.max(axis=1) + bracket
+            rows = np.arange(self.sl_pair.start, self.sl_pair.stop)
+            coef = self.robust_weights[self.sl_pair] / cfg.sigma_surfel
+            plane(rows, self.q_a, self.pair_u_a, self.pair_n, coef)
+            plane(rows, self.q_b, self.pair_u_b, self.pair_n, -coef)
         if self.n_prior:
-            lo[self.sl_prior] = self.prior_taus - bracket
-            hi[self.sl_prior] = self.prior_taus + bracket
+            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)
+            coef = self.robust_weights[self.sl_prior] / cfg.sigma_prior
+            plane(rows, self.q_prior, self.prior_u_c, self.prior_n, -coef)
         if self.n_imu:
-            imu_lo = np.repeat(self.imu_taus - self.h - lag_slack - bracket, 3)
-            imu_hi = np.repeat(self.imu_taus + self.h + lag_slack + bracket, 3)
-            lo[self.sl_accel] = imu_lo
-            hi[self.sl_accel] = imu_hi
-            lo[self.sl_gyro] = imu_lo
-            hi[self.sl_gyro] = imu_hi
-
-        knot_mask = (lo[:, None] <= knot_hi[None, :]) & (hi[:, None] >= knot_lo[None, :])
-        masks = []
-        for j in range(k):
-            for _ in range(3):
-                masks.append(("c_t", knot_mask[:, j]))
-        for j in range(k):
-            for _ in range(3):
-                masks.append(("c_r", knot_mask[:, j]))
-        if self.cfg.estimate_biases:
-            for comp in range(3):
-                m = np.zeros(self.n_residuals, dtype=bool)
-                m[self.sl_accel] = (np.arange(3 * self.n_imu) % 3) == comp
-                masks.append(("b_a", m))
-            for comp in range(3):
-                m = np.zeros(self.n_residuals, dtype=bool)
-                m[self.sl_gyro] = (np.arange(3 * self.n_imu) % 3) == comp
-                masks.append(("b_g", m))
-        if self.cfg.estimate_time_lag:
-            m = np.zeros(self.n_residuals, dtype=bool)
-            m[self.sl_accel] = True
-            m[self.sl_gyro] = True
-            masks.append(("d", m))
-        self.param_masks = [m for _, m in masks]
-        self._group_params()
-
-    def _group_params(self):
-        groups = []
-        unions = []
-        for p, mask in enumerate(self.param_masks):
-            placed = False
-            for g, union in zip(groups, unions):
-                if not np.any(union & mask):
-                    g.append(p)
-                    union |= mask
-                    placed = True
-                    break
-            if not placed:
-                groups.append([p])
-                unions.append(mask.copy())
-        self.groups = groups
+            m = self.n_imu
+            q_minus, q_mid, q_plus = self.q_stencil
+            rot_mid_t = rot[q_mid].transpose(0, 2, 1)
+            # Acceleration: a = (t+ - 2 t0 + t-) / h^2 in the body frame of R0.
+            rows = self.sl_accel.start + np.arange(3 * m).reshape(m, 3)
+            accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
+            for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
+                c /= self.h * self.h * cfg.sigma_accel
+                grad = np.zeros((m, 3, 6))
+                grad[:, :, :3] = c * rot_mid_t @ lie.hat_batch(t[q])
+                grad[:, :, 3:] = -c * rot_mid_t
+                if q is q_mid:
+                    grad[:, :, :3] -= (
+                        rot_mid_t @ lie.hat_batch(accel_world - GRAVITY) / cfg.sigma_accel
+                    )
+                entries.append((rows, q, grad))
+            # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h.
+            rows = self.sl_gyro.start + np.arange(3 * m).reshape(m, 3)
+            rel = rot_mid_t @ rot[q_plus]
+            rate = (
+                lie.so3_left_jacobian_inv_batch(lie.so3_log_batch(rel))
+                @ rot_mid_t
+                / (self.h * cfg.sigma_gyro)
+            )
+            for q, sign in ((q_mid, 1.0), (q_plus, -1.0)):
+                grad = np.zeros((m, 3, 6))
+                grad[:, :, :3] = sign * rate
+                entries.append((rows, q, grad))
+        return entries
 
     def jacobian(self, x, state, base_weighted):
-        """Grouped finite-difference Jacobian of the robust-weighted residuals."""
+        """Jacobian of the robust-weighted residuals.
+
+        Analytic in the control points and biases, with the robust weights
+        held fixed; the time-lag column alone is a forward or central
+        difference (``cfg.jacobian``) of step ``cfg.fd_step`` around
+        ``base_weighted``, the weighted residuals at ``x``.
+        """
         cfg = self.cfg
-        eps = cfg.fd_step
+        c_t, c_r, _, _, d = self.split_params(x, state)
+        rot, t, slots = self._pose_layer(c_t, c_r, self._where(d))
         jac = np.zeros((self.n_residuals, self.n_params()))
-        for group in self.groups:
+        flat_jac = jac.reshape(-1)
+        k3 = 3 * self.n_knots
+        # Parameter column of each map output (du_t, du_r) at knot offset 0.
+        columns = np.array([0, 1, 2, k3, k3 + 1, k3 + 2])
+        for rows, queries, grad in self._residual_layer(rot, t):
+            flat_rows = rows[:, :, None, None] * jac.shape[1]
+            for maps, k_idx, k_w in slots:
+                coef = grad @ maps[queries]
+                flat = flat_rows + (3 * k_idx[queries])[:, None, :, None] + columns
+                vals = coef[:, :, None, :] * k_w[queries][:, None, :, None]
+                # Clamped boundary knots repeat an index: accumulate.
+                np.add.at(flat_jac, flat.reshape(-1), vals.reshape(-1))
+
+        col = 6 * self.n_knots
+        if cfg.estimate_biases:
+            comp = np.arange(3 * self.n_imu)
+            jac[self.sl_accel.start + comp, col + comp % 3] = 1.0 / cfg.sigma_accel
+            jac[self.sl_gyro.start + comp, col + 3 + comp % 3] = 1.0 / cfg.sigma_gyro
+            col += 6
+        if cfg.estimate_time_lag:
             step = np.zeros(self.n_params())
-            for p in group:
-                step[p] = eps
+            step[col] = cfg.fd_step
             plus = self.weighted(self.residuals(x + step, state))
             if cfg.jacobian == "central":
                 minus = self.weighted(self.residuals(x - step, state))
-                diff = (plus - minus) / (2.0 * eps)
+                jac[:, col] = (plus - minus) / (2.0 * cfg.fd_step)
             else:
-                diff = (plus - base_weighted) / eps
-            for p in group:
-                mask = self.param_masks[p]
-                jac[mask, p] = diff[mask]
+                jac[:, col] = (plus - base_weighted) / cfg.fd_step
         return jac
 
 

@@ -41,6 +41,61 @@ def spline_weights(u):
     return powers @ SPLINE_MATRIX
 
 
+def brackets(times, taus, tol):
+    """Bracketing sample index ``idx`` and ratio ``alpha`` per query time.
+
+    A query within ``tol`` of a sample snaps to it (``alpha`` exactly 0 or
+    1), so it returns the stored pose; one more than ``tol`` outside
+    ``[times[0], times[-1]]`` raises :class:`OutOfRangeError`.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if np.any(taus < times[0] - tol) or np.any(taus > times[-1] + tol):
+        raise OutOfRangeError("query time outside the trajectory span")
+    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, len(times) - 2)
+    alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    alpha[np.abs(taus - times[idx]) <= tol] = 0.0
+    alpha[np.abs(times[idx + 1] - taus) <= tol] = 1.0
+    return idx, alpha
+
+
+def interpolate(rotations, translations, idx, alpha, mode="se3", rotvecs=None):
+    """Poses at the brackets ``(idx, alpha)`` of sample arrays.
+
+    Snapped queries copy the stored sample; the rest follow the SE(3)
+    geodesic, or with ``mode="euclidean"`` interpolate the translation and
+    the samples' rotation vectors ``rotvecs`` (computed when not given)
+    componentwise.
+    """
+    if mode not in ("se3", "euclidean"):
+        raise InvalidArgumentError(f"unknown interpolation mode {mode!r}")
+    interior = (alpha > 0.0) & (alpha < 1.0)
+    if interior.all():
+        return _between(rotations, translations, idx, alpha, mode, rotvecs)
+    gather = np.where(alpha == 1.0, idx + 1, idx)
+    rot, t = rotations[gather], translations[gather]
+    if interior.any():
+        rot[interior], t[interior] = _between(
+            rotations, translations, idx[interior], alpha[interior], mode, rotvecs
+        )
+    return rot, t
+
+
+def _between(rotations, translations, lo, alpha, mode, rotvecs):
+    # Interpolation between samples lo and lo + 1 at 0 < alpha < 1.
+    hi = lo + 1
+    if mode == "se3":
+        return lie.se3_interp_batch(
+            rotations[lo], translations[lo], rotations[hi], translations[hi], alpha
+        )
+    if rotvecs is None:
+        rotvecs = lie.so3_log_batch(rotations)
+    a = alpha[:, None]
+    return (
+        lie.so3_exp_batch(rotvecs[lo] * (1.0 - a) + rotvecs[hi] * a),
+        translations[lo] * (1.0 - a) + translations[hi] * a,
+    )
+
+
 @dataclass
 class Trajectory:
     """Timestamped pose sequence; treated as an immutable value."""
@@ -91,21 +146,6 @@ class Trajectory:
     def end(self):
         return float(self.times[-1])
 
-    def _brackets(self, taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        tol = 1e-9 / self.nominal_rate
-        if np.any(taus < self.times[0] - tol) or np.any(taus > self.times[-1] + tol):
-            raise OutOfRangeError("query time outside the trajectory span")
-        idx = np.clip(np.searchsorted(self.times, taus, side="right") - 1, 0, len(self) - 2)
-        dt = self.times[idx + 1] - self.times[idx]
-        alpha = np.clip((taus - self.times[idx]) / dt, 0.0, 1.0)
-        # Snap to exact samples so knot queries return the stored pose.
-        exact = np.abs(taus - self.times[idx]) <= tol
-        alpha = np.where(exact, 0.0, alpha)
-        exact_next = np.abs(self.times[idx + 1] - taus) <= tol
-        alpha = np.where(exact_next, 1.0, alpha)
-        return idx, alpha
-
     def _rotvecs(self):
         if self._rotvec_cache is None:
             self._rotvec_cache = lie.so3_log_batch(self.rotations)
@@ -118,24 +158,9 @@ class Trajectory:
         ``mode="euclidean"`` interpolates translation and the absolute
         rotation-vector chart componentwise (the cost-function variant).
         """
-        idx, alpha = self._brackets(taus)
-        if mode == "se3":
-            return lie.se3_interp_batch(
-                self.rotations[idx],
-                self.translations[idx],
-                self.rotations[idx + 1],
-                self.translations[idx + 1],
-                alpha,
-            )
-        if mode == "euclidean":
-            rv = self._rotvecs()
-            r = rv[idx] * (1.0 - alpha[:, None]) + rv[idx + 1] * alpha[:, None]
-            t = (
-                self.translations[idx] * (1.0 - alpha[:, None])
-                + self.translations[idx + 1] * alpha[:, None]
-            )
-            return lie.so3_exp_batch(r), t
-        raise InvalidArgumentError(f"unknown interpolation mode {mode!r}")
+        idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
+        rotvecs = self._rotvecs() if mode == "euclidean" else None
+        return interpolate(self.rotations, self.translations, idx, alpha, mode, rotvecs)
 
     def sample(self, tau, mode="se3") -> lie.Pose:
         """Pose at time ``tau`` (exact sample when ``tau`` hits a knot)."""

@@ -432,3 +432,40 @@ def test_icp_recovers_synthetic_shift(rng):
     assert out.converged
     assert np.allclose(out.translation, [0.15, 0.05, 0.0], atol=0.01)
     assert out.inlier_fraction > 0.8
+
+
+def floor_ceiling_wall_points(rng, n=4500, noise=0.003):
+    """Floor, ceiling and the wall x = 0: no plane constrains y."""
+    per = n // 3
+    a, b, c = rng.uniform(0.0, 2.0, size=(3, per, 2))
+    pts = np.vstack([
+        np.column_stack([a, np.zeros(per)]),
+        np.column_stack([b, np.full(per, 2.0)]),
+        np.column_stack([np.zeros(per), c]),
+    ])
+    return pts + rng.normal(scale=noise, size=pts.shape)
+
+
+def test_temporal_fusion_shift_along_wall_raises_no_trigger():
+    # The revisit is shifted along the wall, which the overlap cannot
+    # measure; without the degeneracy gate the ICP reported arbitrary shifts
+    # of 0.07-0.19 m with every pair an inlier and triggered at three of
+    # these four seeds.
+    cfg = TemporalFusionConfig(active_window=30.0)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        global_maps = GlobalMaps()
+        base = floor_ceiling_wall_points(rng)
+        temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps, cfg, step=0)
+        inactive = list(global_maps.sparse.all())
+        subset = base[rng.uniform(size=len(base)) < 0.8]
+        local = make_local_maps(rng, subset - np.array([0.0, 0.3, 0.0]), timestamp=100.0)
+        icp = icp_point_to_plane(local.sparse, inactive)
+        assert icp.converged and icp.inlier_fraction > 0.9
+        assert icp.normal_eigen_ratio < fusion.MIN_NORMAL_EIGEN_RATIO
+        r = temporal_fusion_step(local, global_maps, cfg, step=1)
+        assert r.trigger is None
+    corner = corner_scene_points(np.random.default_rng(0))
+    src = voxelize_sparse(corner - np.array([0.15, 0.05, 0.0]), np.zeros(len(corner)), [0.5])
+    dst = voxelize_sparse(corner, np.zeros(len(corner)), [0.5])
+    assert icp_point_to_plane(src, dst).normal_eigen_ratio > 0.1

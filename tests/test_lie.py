@@ -179,6 +179,26 @@ def test_batch_helpers_match_scalar(rng):
         assert np.allclose(jli[i], lie.so3_left_jacobian_inv(rotvecs[i]), atol=1e-12)
 
 
+def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
+    # Rotation angles on both sides of the Q-matrix series switch.
+    switch = lie.Q_SERIES_ANGLE
+    angles = np.concatenate([
+        [0.0, 1e-6],
+        rng.uniform(0.01, switch, 6),
+        [switch - 1e-7, switch, switch + 1e-7],
+        rng.uniform(switch, 2.5, 6),
+    ])
+    xi = rng.normal(size=(angles.size, 6))
+    xi[:, :3] *= (angles / np.linalg.norm(xi[:, :3], axis=1))[:, None]
+    jl = lie.se3_left_jacobian_batch(xi)
+    jl_inv = lie.se3_left_jacobian_inv_batch(xi)
+    for i in range(angles.size):
+        assert np.allclose(jl[i], lie.se3_left_jacobian(xi[i]), atol=1e-12)
+        assert np.allclose(jl_inv[i], lie.se3_left_jacobian_inv(xi[i]), atol=1e-12)
+        assert np.allclose(jl[i], oracles.numeric_left_jacobian(xi[i]), atol=1e-8)
+        assert np.linalg.norm(jl_inv[i] @ jl[i] - np.eye(6)) < 1e-12
+
+
 def test_se3_interp_batch_matches_interp_pose(rng):
     poses_a = [random_pose(rng, max_angle=1.5) for _ in range(32)]
     poses_b = [random_pose(rng, max_angle=1.5) for _ in range(32)]

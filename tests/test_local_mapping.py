@@ -4,6 +4,7 @@ import pytest
 from surfelslam import lie, local_mapping as lm
 from surfelslam.errors import DegenerateGeometryError, InvalidArgumentError, OutOfRangeError
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu
+from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory
 
 
@@ -246,6 +247,52 @@ def test_grouped_jacobian_matches_dense_central_fd():
         dense[:, p] = (plus - minus) / (2.0 * eps)
     scale = np.max(np.abs(dense)) + 1e-12
     assert np.max(np.abs(grouped - dense)) / scale < 1e-5
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"update_method": "se3", "interpolation": "se3"},
+        {"update_method": "so3_r3", "interpolation": "se3"},
+        {"update_method": "se3", "interpolation": "euclidean"},
+        {"update_method": "so3_r3", "interpolation": "euclidean"},
+        {"model": "spline_direct"},
+    ],
+    ids=["se3-se3", "so3_r3-se3", "se3-euclidean", "so3_r3-euclidean", "spline_direct"],
+)
+def test_analytic_jacobian_matches_dense_central_fd(model):
+    # Every model at a random non-zero x, with surfel pairs, map priors, IMU,
+    # biases, non-trivial robust weights and a time lag between samples.
+    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
+    pairs = pair_constraints_from_scene(cfg, truth, 40)
+    opt_cfg = lm.OptimizerConfig(
+        estimate_biases=True, estimate_time_lag=True, jacobian="central", **model
+    )
+    grid = ControlGrid.zeros(init.start, init.end, 0.25)
+    state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
+                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=0.0037)
+    system = lm._WindowSystem(pairs, scene.map_prior_constraints(), imu, init, state, opt_cfg)
+    assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
+    k = system.n_knots
+    x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
+    x[-1] = 0.0  # keep the lag at 3.7 ms, off the 10 ms sample grid
+    if opt_cfg.model == "spline_direct":
+        x[: 3 * k] += system.c_t0.reshape(-1)
+        x[3 * k : 6 * k] += system.c_r0.reshape(-1)
+    system.update_robust_weights(system.residuals(x, state))
+    assert np.min(system.robust_weights) < 1.0
+    base = system.weighted(system.residuals(x, state))
+    analytic = system.jacobian(x, state, base)
+    eps = 1e-6
+    dense = np.zeros_like(analytic)
+    for p in range(system.n_params()):
+        step = np.zeros(system.n_params())
+        step[p] = eps
+        plus = system.weighted(system.residuals(x + step, state))
+        minus = system.weighted(system.residuals(x - step, state))
+        dense[:, p] = (plus - minus) / (2.0 * eps)
+    scale = np.max(np.abs(dense)) + 1e-12
+    assert np.max(np.abs(analytic - dense)) / scale < 1e-5
 
 
 def test_batch_residuals_match_single_evaluators(rng):

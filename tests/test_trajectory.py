@@ -22,6 +22,15 @@ def test_sample_at_knot_returns_stored_pose(rng):
     assert np.allclose(pose.translation, traj.translations[17])
 
 
+@pytest.mark.parametrize("mode", ["se3", "euclidean"])
+def test_exact_sample_queries_copy_stored_pose(rng, mode):
+    traj = make_trajectory(rng)
+    picks = np.array([0, 17, 18, len(traj) - 1])
+    rot, t = traj.sample_batch(traj.times[picks] + 1e-13, mode=mode)
+    assert np.array_equal(rot, traj.rotations[picks])
+    assert np.array_equal(t, traj.translations[picks])
+
+
 def test_two_sample_translation():
     traj = Trajectory(
         np.array([0.0, 1.0]),
