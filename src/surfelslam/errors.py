@@ -41,19 +41,3 @@ class NoProgressError(SurfelSlamError):
         self.best_state = best_state
         self.best_trajectory = best_trajectory
         self.report = report
-
-
-class InsufficientOverlapError(SurfelSlamError):
-    """Too few correspondences to attempt a registration."""
-
-
-class DegenerateFusionError(SurfelSlamError):
-    """Pose fusion normal matrix is singular."""
-
-
-class PlyParseError(SurfelSlamError):
-    """Malformed PLY input; ``byte_offset`` points at the offending position."""
-
-    def __init__(self, message, byte_offset):
-        super().__init__(f"{message} (byte offset {byte_offset})")
-        self.byte_offset = byte_offset

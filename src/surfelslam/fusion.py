@@ -455,19 +455,6 @@ class FusionStepMetrics:
     triggered: bool
 
 
-METRICS_HEADER = "step,n_active,n_inactive,n_new,n_fused,n_culled,icp_inlier,icp_dist,triggered"
-
-
-def write_metrics_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(METRICS_HEADER + "\n")
-        for r in rows:
-            f.write(
-                f"{r.step},{r.n_active},{r.n_inactive},{r.n_new},{r.n_fused},"
-                f"{r.n_culled},{r.icp_inlier!r},{r.icp_dist!r},{int(r.triggered)}\n"
-            )
-
-
 @dataclass
 class TemporalFusionResult:
     metrics: FusionStepMetrics

@@ -1,23 +1,9 @@
 """Deterministic generators and brute-force oracles for the synthetic studies."""
 
-from .generators import (
-    EASY_PROTOCOL,
-    HARD_PROTOCOL,
-    MEDIUM_PROTOCOL,
-    MisalignProtocol,
-    SimConfig,
-    gen_misalignment,
-    gen_surfel_scene,
-    gen_trajectory_and_imu,
-)
+from .generators import SimConfig, gen_surfel_scene, gen_trajectory_and_imu
 
 __all__ = [
     "SimConfig",
-    "MisalignProtocol",
-    "EASY_PROTOCOL",
-    "MEDIUM_PROTOCOL",
-    "HARD_PROTOCOL",
     "gen_trajectory_and_imu",
     "gen_surfel_scene",
-    "gen_misalignment",
 ]

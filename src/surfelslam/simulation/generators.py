@@ -1,12 +1,11 @@
-"""Deterministic scenario generators: trajectories, IMU streams, surfel
-feature scenes, and misalignment draws.
+"""Deterministic scenario generators: trajectories, IMU streams and surfel
+feature scenes.
 
 Every generator is a pure function of (config, seed).  Randomness comes from
 ``numpy.random.Generator(PCG64)`` seeded through ``SeedSequence(seed)``; the
 sequence is split into one child stream per subsystem (trajectory motion,
-scene layout, IMU noise, feature noise, pair sampling, misalignment draws,
-localization sessions), so adding draws to one subsystem never perturbs
-another.
+scene layout, IMU noise, feature noise, pair sampling), so adding draws to
+one subsystem never perturbs another.
 """
 
 from __future__ import annotations
@@ -20,19 +19,12 @@ from ..errors import InvalidArgumentError
 from ..local_mapping import GRAVITY, ImuSample, MapPriorConstraint, SurfelPairConstraint
 from ..trajectory import Trajectory
 
-# Std of the x/y translation components relative to the z component; the
-# misalignment protocols put most translation drift along gravity.
-TRANSLATION_XY_RATIO = 0.2
-
-
 _STREAM_NAMES = (
     "trajectory",
     "scene",
     "imu_noise",
     "feature_noise",
     "pairs",
-    "misalignment",
-    "session",
 )
 
 
@@ -262,48 +254,4 @@ def pair_constraints_from_scene(cfg: SimConfig, truth: Trajectory, count):
                 scene.points_sensor[j], sensor_b[i], scene.times[j], tau_b[i], scene.normals[j]
             )
         )
-    return out
-
-
-@dataclass
-class MisalignProtocol:
-    """Initial-pose noise protocol for the localization robustness study."""
-
-    sigma_theta_z_deg: float
-    sigma_theta_xy_deg: float
-    sigma_t: float
-    n_places: int = 10
-    n_repeats: int = 50
-
-    def __post_init__(self):
-        if min(self.sigma_theta_z_deg, self.sigma_theta_xy_deg, self.sigma_t) < 0:
-            raise InvalidArgumentError("protocol sigmas must be non-negative")
-
-
-EASY_PROTOCOL = MisalignProtocol(10.0, 1.0, 0.5)
-MEDIUM_PROTOCOL = MisalignProtocol(50.0, 5.0, 5.0)
-HARD_PROTOCOL = MisalignProtocol(100.0, 20.0, 50.0)
-
-
-def gen_misalignment(protocol: MisalignProtocol, seed, count=None):
-    """Random poses drawn per the protocol: yaw-heavy rotations, z-heavy
-    translations (both in the gravity direction)."""
-    rng = subsystem_streams(seed)["misalignment"]
-    if count is None:
-        count = protocol.n_places
-    sz = np.deg2rad(protocol.sigma_theta_z_deg)
-    sxy = np.deg2rad(protocol.sigma_theta_xy_deg)
-    out = []
-    for _ in range(count):
-        rotvec = np.array(
-            [rng.normal(scale=sxy), rng.normal(scale=sxy), rng.normal(scale=sz)]
-        )
-        t = np.array(
-            [
-                rng.normal(scale=TRANSLATION_XY_RATIO * protocol.sigma_t),
-                rng.normal(scale=TRANSLATION_XY_RATIO * protocol.sigma_t),
-                rng.normal(scale=protocol.sigma_t),
-            ]
-        )
-        out.append(lie.Pose(lie.so3_exp(rotvec), t))
     return out

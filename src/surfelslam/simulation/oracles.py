@@ -1,9 +1,9 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here is correctness-first and O(n^2) or worse: truncated-series
-matrix exponentials, linear-scan spatial queries, exhaustive matching, joint
-batch pose fusion, hash-grouped voxel moments, closed-form 3x3 eigen solves,
-and dense plane fits.  None of it is used on the fast paths.
+matrix exponentials, linear-scan spatial queries, exhaustive matching,
+hash-grouped voxel moments, closed-form 3x3 eigen solves, and dense plane
+fits.  None of it is used on the fast paths.
 """
 
 from __future__ import annotations
@@ -81,31 +81,6 @@ def match_surfels_exhaustive(src, surfels_by_id, theta_r, theta_d):
         if abs(along) / np.sqrt(sigma_sq) < theta_d:
             matched.append(key)
     return sorted(matched)
-
-
-def batch_pose_fusion(poses, covariances, max_iterations=100, tol=1e-14):
-    """Jointly minimize the summed squared pose errors over all estimates.
-
-    Gauss-Newton on ``0.5 * sum_n log(T T_n^-1)^T Sigma_n^-1 log(T T_n^-1)``
-    with the inverse left Jacobian as the exact derivative of the residual
-    under a left perturbation of ``T``.
-    """
-    estimate = poses[0]
-    infos = [np.linalg.inv(c) for c in covariances]
-    normal = np.zeros((6, 6))
-    for _ in range(max_iterations):
-        normal = np.zeros((6, 6))
-        rhs = np.zeros(6)
-        for pose, info in zip(poses, infos):
-            eps_n = lie.se3_log(estimate @ pose.inverse())
-            jac = lie.se3_left_jacobian_inv(eps_n)
-            normal += jac.T @ info @ jac
-            rhs += jac.T @ info @ eps_n
-        delta = -np.linalg.solve(normal, rhs)
-        estimate = lie.se3_exp(delta) @ estimate
-        if np.linalg.norm(delta) < tol:
-            break
-    return estimate, np.linalg.inv(normal)
 
 
 def voxel_moments_bruteforce(points, times, resolution):

@@ -1,5 +1,5 @@
 """Surfel map structures: multi-resolution sparse ellipsoid surfels, dense
-disc surfels with Wishart state, an octree spatial index, and the global
+disc surfels with Wishart state, a grid-hash spatial index, and the global
 sparse/dense map pair.
 
 Covariances are symmetrized on write and validated to be positive
@@ -9,13 +9,18 @@ updates replace entries rather than mutating them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 DEFAULT_SURFEL_RADIUS = 0.02
+# Cell edge of the dense map's spatial index, in meters; a match query
+# probes at most 8 cells while its radius stays under half a cell.
+INDEX_CELL = 0.05
 PSD_TOLERANCE = -1e-12
 
 
@@ -110,132 +115,90 @@ class DenseSurfel:
         object.__setattr__(self, "colour", np.asarray(self.colour, dtype=float))
 
 
-class _Node:
-    __slots__ = ("center", "half", "children", "items")
-
-    def __init__(self, center, half):
-        self.center = center
-        self.half = half
-        self.children = None
-        self.items = {}
-
-    def octant(self, point):
-        code = 0
-        if point[0] >= self.center[0]:
-            code |= 4
-        if point[1] >= self.center[1]:
-            code |= 2
-        if point[2] >= self.center[2]:
-            code |= 1
-        return code
-
-    def child_center(self, code):
-        offset = self.half / 2.0
-        return self.center + offset * np.array(
-            [1.0 if code & 4 else -1.0, 1.0 if code & 2 else -1.0, 1.0 if code & 1 else -1.0]
-        )
-
-
 class SurfelIndex:
-    """Dynamic octree over surfel centroids.
+    """Uniform grid hash over points for exact fixed-radius queries
+    (Teschner et al., Optimized Spatial Hashing, VMV 2003).
 
-    The root grows by re-rooting when points fall outside the current world
-    bounds, so callers do not need to size the bounds up front.
+    One dict maps each occupied integer cell to the keys it holds, another
+    maps each key to its point; a cell is deleted when its last key leaves.
+    ``cell`` is the cell edge in meters.
     """
 
-    def __init__(self, center=(0.0, 0.0, 0.0), half_size=32.0, leaf_capacity=16):
-        if leaf_capacity < 1:
-            raise InvalidArgumentError("leaf capacity must be at least 1")
-        self.leaf_capacity = leaf_capacity
-        self.root = _Node(np.asarray(center, dtype=float), float(half_size))
+    def __init__(self, cell=INDEX_CELL):
+        if not cell > 0.0:
+            raise InvalidArgumentError("cell edge must be positive")
+        self.cell = float(cell)
+        self._cells = {}
         self._points = {}
 
     def __len__(self):
         return len(self._points)
 
-    def __contains__(self, key):
-        return key in self._points
-
-    def point_of(self, key):
-        return self._points[key]
-
-    def _contains_point(self, node, point):
-        return bool(np.all(np.abs(point - node.center) <= node.half))
-
-    def _grow(self, point):
-        while not self._contains_point(self.root, point):
-            direction = np.where(point >= self.root.center, 1.0, -1.0)
-            new_center = self.root.center + direction * self.root.half
-            new_root = _Node(new_center, self.root.half * 2.0)
-            new_root.children = [None] * 8
-            code = new_root.octant(self.root.center)
-            new_root.children[code] = self.root
-            self.root = new_root
+    def _cell_of(self, x, y, z):
+        cell = self.cell
+        return (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
 
     def insert(self, key, point):
         point = np.asarray(point, dtype=float)
         if key in self._points:
             raise InvalidArgumentError(f"key {key} already indexed")
-        self._grow(point)
         self._points[key] = point
-        node = self.root
-        while node.children is not None:
-            code = node.octant(point)
-            if node.children[code] is None:
-                node.children[code] = _Node(node.child_center(code), node.half / 2.0)
-            node = node.children[code]
-        node.items[key] = point
-        if len(node.items) > self.leaf_capacity and node.half > 1e-6:
-            items = node.items
-            node.items = {}
-            node.children = [None] * 8
-            for k, p in items.items():
-                code = node.octant(p)
-                if node.children[code] is None:
-                    node.children[code] = _Node(node.child_center(code), node.half / 2.0)
-                node.children[code].items[k] = p
+        self._cells.setdefault(self._cell_of(*point.tolist()), []).append(key)
 
     def remove(self, key):
-        point = self._points.pop(key)
-        node = self.root
-        while node.children is not None:
-            node = node.children[node.octant(point)]
-        del node.items[key]
+        cell = self._cell_of(*self._points.pop(key).tolist())
+        keys = self._cells[cell]
+        keys.remove(key)
+        if not keys:
+            del self._cells[cell]
 
     def move(self, key, point):
         self.remove(key)
         self.insert(key, point)
 
     def query_radius(self, center, radius):
-        """Exactly the keys whose stored point lies within ``radius``."""
+        """Exactly the keys whose stored point lies within ``radius``, sorted.
+
+        Visits the cells of the query's bounding box, or the occupied cells
+        inside it when the box spans more cells than are occupied.
+        """
         if radius < 0:
             raise InvalidArgumentError("radius must be non-negative")
         center = np.asarray(center, dtype=float)
-        out = []
-        stack = [self.root]
-        r_sq = radius * radius
-        while stack:
-            node = stack.pop()
-            gap = np.abs(center - node.center) - node.half
-            gap[gap < 0.0] = 0.0
-            if gap @ gap > r_sq:
-                continue
-            if node.children is not None:
-                stack.extend(c for c in node.children if c is not None)
-            elif node.items:
-                keys = list(node.items.keys())
-                pts = np.array([node.items[k] for k in keys])
-                d_sq = np.sum((pts - center) ** 2, axis=1)
-                out.extend(k for k, d in zip(keys, d_sq) if d <= r_sq)
-        return sorted(out)
+        # Padded so that no point the rounded distance test below accepts
+        # lies in a cell outside the box.
+        reach = radius * (1.0 + 1e-12)
+        x, y, z = center.tolist()
+        lx, ly, lz = self._cell_of(x - reach, y - reach, z - reach)
+        hx, hy, hz = self._cell_of(x + reach, y + reach, z + reach)
+        if (hx - lx + 1) * (hy - ly + 1) * (hz - lz + 1) <= len(self._cells):
+            keys = [
+                k
+                for cell in itertools.product(
+                    range(lx, hx + 1), range(ly, hy + 1), range(lz, hz + 1)
+                )
+                for k in self._cells.get(cell, ())
+            ]
+        else:
+            keys = [
+                k
+                for (cx, cy, cz), held in self._cells.items()
+                if lx <= cx <= hx and ly <= cy <= hy and lz <= cz <= hz
+                for k in held
+            ]
+        if not keys:
+            return []
+        pts = np.array([self._points[k] for k in keys])
+        d_sq = ((pts - center) ** 2).sum(axis=1)
+        return sorted(k for k, inside in zip(keys, d_sq <= radius * radius) if inside)
 
 
 class DenseSurfelMap:
     """Dense surfel store with a spatial index; single writer, many readers."""
 
-    def __init__(self, leaf_capacity=16):
+    def __init__(self):
         self.surfels = {}
-        self.index = SurfelIndex(leaf_capacity=leaf_capacity)
+        self.index = SurfelIndex()
         self._next_id = 0
         self._max_centroid_var = 0.0
 
@@ -328,10 +291,6 @@ class SparseSurfelMap:
                 mean, cov, n, s.resolution, max(existing.timestamp, s.timestamp)
             )
 
-    def rebuild(self, surfels):
-        self.by_voxel = {}
-        self.fuse(surfels)
-
 
 @dataclass
 class GlobalMaps:
@@ -388,33 +347,6 @@ class DenseExtractionConfig:
     beam_sigma: float = 0.003
 
 
-class _GridHash:
-    """Uniform grid over points for fixed-radius neighbor lookups."""
-
-    def __init__(self, points, cell):
-        self.cell = cell
-        self.points = points
-        self.cells = {}
-        keys = np.floor(points / cell).astype(np.int64)
-        for i, key in enumerate(map(tuple, keys)):
-            self.cells.setdefault(key, []).append(i)
-
-    def neighbors(self, point, radius):
-        base = np.floor(point / self.cell).astype(np.int64)
-        idx = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    idx.extend(
-                        self.cells.get((base[0] + dx, base[1] + dy, base[2] + dz), ())
-                    )
-        if not idx:
-            return np.array([], dtype=int)
-        idx = np.array(idx, dtype=int)
-        d_sq = np.sum((self.points[idx] - point) ** 2, axis=1)
-        return idx[d_sq <= radius * radius]
-
-
 def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = None,
                   colours=None):
     """Dense disc surfels from deskewed points.
@@ -438,34 +370,24 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
         world = points
         origins = np.zeros_like(points)
 
-    grid = _GridHash(world, cfg.radius)
-    seed_grid = {}
+    neighborhoods = SurfelIndex(cfg.radius)
+    for i, p in enumerate(world):
+        neighborhoods.insert(i, p)
+    seed_index = SurfelIndex(cfg.radius)
     seeds = []
-    inv_cell = 1.0 / cfg.radius
-    for i in range(world.shape[0]):
-        p = world[i]
-        base = tuple(np.floor(p * inv_cell).astype(np.int64))
-        clear = True
-        for dx in (-1, 0, 1):
-            if not clear:
-                break
-            for dy in (-1, 0, 1):
-                if not clear:
-                    break
-                for dz in (-1, 0, 1):
-                    for j in seed_grid.get((base[0] + dx, base[1] + dy, base[2] + dz), ()):
-                        if np.sum((world[j] - p) ** 2) < cfg.radius * cfg.radius:
-                            clear = False
-                            break
-                    if not clear:
-                        break
-        if clear:
-            seed_grid.setdefault(base, []).append(i)
+    r_sq = cfg.radius * cfg.radius
+    for i, p in enumerate(world):
+        # Only a seed strictly closer than the radius rejects a point.
+        if all(
+            ((world[j] - p) ** 2).sum() >= r_sq
+            for j in seed_index.query_radius(p, cfg.radius)
+        ):
+            seed_index.insert(i, p)
             seeds.append(i)
 
     out = []
     for i in seeds:
-        neighbor_idx = grid.neighbors(world[i], cfg.radius)
+        neighbor_idx = np.array(neighborhoods.query_radius(world[i], cfg.radius))
         if neighbor_idx.size < cfg.min_points:
             continue
         pts = world[neighbor_idx]

@@ -111,6 +111,22 @@ def test_extract_dense_matches_greedy_seed_oracle(rng):
     assert np.allclose(np.array(got), np.array(want), atol=1e-12)
 
 
+def test_extract_dense_tie_rules_on_exact_lattice():
+    # 9x9 lattice at the surfel radius: every spacing and distance is exact.
+    # A seed rejects only seeds strictly closer than the radius, so every
+    # point seeds; a neighborhood includes points at exactly the radius, so
+    # each of the 7x7 interior points gathers itself and its four neighbors.
+    coords = -1.0 + 0.25 * np.arange(9)
+    pts = np.array([[x, y, -1.0] for x in coords for y in coords])
+    cfg = DenseExtractionConfig(radius=0.25, min_points=5)
+    surfels = extract_dense(pts, np.zeros(len(pts)), cfg=cfg)
+    assert len(surfels) == 49
+    assert all(s.dof == 5 for s in surfels)
+    got = sorted(tuple(s.centroid) for s in surfels)
+    want = sorted((x, y, -1.0) for x in coords[1:-1] for y in coords[1:-1])
+    assert got == want
+
+
 def test_extract_dense_reduces_plane_noise(rng):
     noise = 0.005
     pts = plane_points(rng, n=8000, noise=noise)
@@ -162,7 +178,7 @@ def test_index_exact_hit():
 
 
 def test_index_matches_linear_scan_bulk(rng):
-    index = SurfelIndex(leaf_capacity=8)
+    index = SurfelIndex()
     shadow = oracles.LinearScanIndex()
     pts = rng.uniform(-20.0, 20.0, size=(10_000, 3))
     for i, p in enumerate(pts):
@@ -175,7 +191,7 @@ def test_index_matches_linear_scan_bulk(rng):
 
 
 def test_index_randomized_insert_remove_query(rng):
-    index = SurfelIndex(leaf_capacity=4)
+    index = SurfelIndex()
     shadow = oracles.LinearScanIndex()
     alive = []
     next_key = 0
@@ -201,10 +217,59 @@ def test_index_randomized_insert_remove_query(rng):
 
 
 def test_index_grows_beyond_initial_bounds():
-    index = SurfelIndex(half_size=1.0)
+    index = SurfelIndex()
     index.insert(0, [100.0, -250.0, 3.0])
     index.insert(1, [0.1, 0.1, 0.1])
     assert index.query_radius([100.0, -250.0, 3.0], 0.5) == [0]
+
+
+def test_index_matches_linear_scan_on_cell_faces(rng):
+    # Dyadic lattice points on the faces of 0.25 m cells, negative
+    # coordinates included; the radii are distances the lattice realizes
+    # exactly (0.625 from the 0.375/0.5/0.625 triple), so spheres touch points.
+    index = SurfelIndex(cell=0.25)
+    shadow = oracles.LinearScanIndex()
+    coords = -0.5 + 0.125 * np.arange(9)
+    pts = np.array([[x, y, z] for x in coords for y in coords for z in coords])
+    for key, p in enumerate(pts):
+        index.insert(key, p)
+        shadow.insert(key, p)
+
+    def check():
+        centers = [pts[i] for i in rng.choice(len(pts), 12)]
+        centers += [[0.0, 0.0, 0.0], [-0.25, 0.25, -0.5], [0.0625, -0.1875, 0.3125]]
+        # Boxes of radius 0.125 and 0.25 span at most 64 cells, fewer than
+        # the 124-126 occupied; those of 0.625 and 2.0 span at least 216.
+        for radius in (0.0, 0.125, 0.25, 0.625, 2.0):
+            for center in centers:
+                assert index.query_radius(center, radius) == shadow.query_radius(
+                    center, radius
+                )
+
+    check()
+    # Empty the cell [0.5, 0.75)^3, which holds only the corner point, by a
+    # move, then refill it by an insert and empty it again by a removal.
+    corner = len(pts) - 1
+    index.move(corner, [-0.625, -0.625, -0.625])
+    shadow.remove(corner)
+    shadow.insert(corner, [-0.625, -0.625, -0.625])
+    assert index.query_radius([0.5, 0.5, 0.5], 0.1) == []
+    check()
+    index.insert(len(pts), [0.625, 0.5, 0.75])
+    shadow.insert(len(pts), [0.625, 0.5, 0.75])
+    check()
+    index.remove(len(pts))
+    shadow.remove(len(pts))
+    # Empty a whole interior cell, [0, 0.25)^3, whose eight points sit on
+    # its lower faces.
+    inner = [k for k, p in enumerate(pts) if np.all((p >= 0.0) & (p < 0.25))]
+    assert len(inner) == 8
+    for k in inner:
+        index.remove(k)
+        shadow.remove(k)
+    assert index.query_radius([0.1, 0.1, 0.1], 0.1) == []
+    check()
+    assert len(index) == len(shadow.points)
 
 
 def test_dense_map_replace_moves_index(rng):
