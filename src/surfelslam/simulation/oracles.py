@@ -2,8 +2,9 @@
 
 Everything here is correctness-first and O(n^2) or worse: truncated-series
 matrix exponentials, linear-scan spatial queries, exhaustive matching,
-hash-grouped voxel moments, closed-form 3x3 eigen solves, and dense plane
-fits.  None of it is used on the fast paths.
+hash-grouped voxel moments, dense-surfel seeding by linear scans,
+closed-form 3x3 eigen solves, and dense plane fits.  None of it is used on
+the fast paths.
 """
 
 from __future__ import annotations
@@ -99,6 +100,53 @@ def voxel_moments_bruteforce(points, times, resolution):
         else:
             cov = np.zeros((3, 3))
         out[key] = (mean, cov, len(pts), ts.mean())
+    return out
+
+
+def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma,
+                             traj=None, colours=None):
+    """Dense surfel fields by plain scans: each point deskewed through
+    ``traj.sample``, greedy seeding in input order (a seed rejects points
+    strictly closer than ``radius``), neighborhoods within ``radius``
+    inclusive, and each kept seed's moments, as one dict per surfel."""
+    world = np.asarray(points, dtype=float).reshape(-1, 3)
+    times = np.asarray(times, dtype=float)
+    origins = np.zeros_like(world)
+    if traj is not None:
+        poses = [traj.sample(t) for t in times]
+        world = np.array([q.rotation @ p + q.translation for q, p in zip(poses, world)])
+        origins = np.array([q.translation for q in poses])
+    seeds = []
+    for i, p in enumerate(world):
+        if np.all(((world[seeds] - p) ** 2).sum(axis=1) >= radius**2):
+            seeds.append(i)
+    out = []
+    for i in seeds:
+        nbrs = np.flatnonzero(((world - world[i]) ** 2).sum(axis=1) <= radius**2)
+        n = nbrs.size
+        if n < min_points:
+            continue
+        mean = world[nbrs].mean(axis=0)
+        centered = world[nbrs] - mean
+        scatter = centered.T @ centered
+        normal = np.linalg.eigh(scatter)[1][:, 0]
+        if normal @ (origins[nbrs].mean(axis=0) - mean) < 0:
+            normal = -normal
+        out.append(
+            {
+                "centroid": mean,
+                "normal": normal,
+                "centroid_cov": scatter / (n * (n - 1)) + beam_sigma**2 * np.eye(3),
+                "scatter": scatter,
+                "dof": float(n),
+                "timestamp": times[nbrs].mean(),
+                "colour": (
+                    np.full(3, 0.5)
+                    if colours is None
+                    else np.asarray(colours, dtype=float)[nbrs].mean(axis=0)
+                ),
+            }
+        )
     return out
 
 

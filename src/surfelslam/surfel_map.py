@@ -2,6 +2,13 @@
 disc surfels with Wishart state, a grid-hash spatial index, and the global
 sparse/dense map pair.
 
+The grid hash serves the mutable dense map's queries.  Dense extraction
+works on a whole scan at once: a bulk radius-pair kernel sorts the points by
+cell key and expands every point pair of each occupied cell and its 13
+half-neighbours, seeding takes the lexicographically-first maximal
+independent set of the pairs closer than the radius, and each seed's
+moments are segment sums over its pairs.
+
 Covariances are symmetrized on write and validated to be positive
 semidefinite within tolerance; surfel values are treated as immutable, so
 updates replace entries rather than mutating them.
@@ -26,7 +33,7 @@ PSD_TOLERANCE = -1e-12
 
 def _symmetrize(m):
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def _check_psd(m, what):
@@ -37,12 +44,17 @@ def _check_psd(m, what):
 
 
 def clamp_psd(m):
-    """Symmetrize and clamp negative eigenvalues at zero."""
+    """Symmetrize and clamp negative eigenvalues at zero, for one matrix or a
+    stack of them."""
     sym = _symmetrize(m)
     eigenvalues, vectors = np.linalg.eigh(sym)
-    if eigenvalues[0] >= 0.0:
+    psd = eigenvalues[..., 0] >= 0.0
+    if np.all(psd):
         return sym
-    return (vectors * np.maximum(eigenvalues, 0.0)) @ vectors.T
+    clamped = (vectors * np.maximum(eigenvalues, 0.0)[..., None, :]) @ np.swapaxes(
+        vectors, -1, -2
+    )
+    return np.where(psd[..., None, None], sym, clamped)
 
 
 @dataclass(frozen=True)
@@ -347,21 +359,142 @@ class DenseExtractionConfig:
     beam_sigma: float = 0.003
 
 
+# The neighbouring cell offsets that follow (0, 0, 0) in lexicographic
+# order, with (0, 0, 0) itself: each pair of occupied cells is visited once.
+_HALF_NEIGHBOURHOOD = np.array(
+    [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)]
+)
+
+
+def _radius_pairs(points, radius):
+    """Every unordered pair of ``points`` within ``radius``: index arrays
+    ``i < j`` and the squared distances, in no particular order.
+
+    The points are sorted by a linearized cell key, with cells of edge
+    ``radius`` padded so that no pair the rounded distance test accepts lies
+    more than one cell apart.  Each occupied cell is paired with itself and
+    with the occupied cells among its 13 half-neighbours, and every point
+    pair of every cell pair is expanded and tested; d² is summed as
+    ``dx*dx + dy*dy + dz*dz``, the rounding ``SurfelIndex.query_radius`` uses.
+    """
+    cell = radius * (1.0 + 1e-12)
+    ijk = np.floor(points / cell)
+    ijk -= ijk.min(axis=0) - 1.0
+    # One empty layer on either side keeps every neighbour key in range.
+    dims = ijk.max(axis=0) + 2.0
+    if float(np.prod(dims)) >= 2.0**62:
+        raise InvalidArgumentError("point extent spans too many cells of the radius")
+    ijk = ijk.astype(np.int64)
+    dims = dims.astype(np.int64)
+    keys = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+    order = np.argsort(keys, kind="stable")
+    cells, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+
+    di, dj, dk = _HALF_NEIGHBOURHOOD.T
+    steps = (di * dims[1] + dj) * dims[2] + dk
+    targets = (cells[:, None] + steps).ravel()
+    found = np.minimum(np.searchsorted(cells, targets), len(cells) - 1)
+    hit = cells[found] == targets
+    a_cell = np.repeat(np.arange(len(cells)), len(steps))[hit]
+    b_cell = found[hit]
+
+    # Expand each cell pair into its point pairs, in sorted positions.
+    width = counts[b_cell]
+    sizes = counts[a_cell] * width
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = np.repeat(width, sizes)
+    a = np.repeat(starts[a_cell], sizes) + local // width
+    b = np.repeat(starts[b_cell], sizes) + local % width
+    # A later cell's positions all follow an earlier one's, so this keeps
+    # each same-cell pair once and every cross-cell pair.
+    keep = a < b
+    i, j = order[a[keep]], order[b[keep]]
+    d = points[j] - points[i]
+    d_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    inside = d_sq <= radius * radius
+    i, j = i[inside], j[inside]
+    return np.minimum(i, j), np.maximum(i, j), d_sq[inside]
+
+
+def _first_independent_set(n, lo, hi):
+    """Mask of the vertices that a greedy pass in index order accepts into an
+    independent set of the graph with edges ``lo < hi``: the
+    lexicographically-first maximal independent set, computed in parallel
+    rounds with linear work (Blelloch, Fineman & Shun, SPAA 2012).
+
+    A vertex is decided once all its earlier neighbours are: it is accepted
+    when none of them was.  Each round accepts the vertices whose earlier
+    neighbours have all been rejected, rejects their later neighbours, and
+    counts those rejections off the later neighbours of the newly rejected,
+    so each edge is visited a bounded number of times however many rounds
+    the input order needs.
+    """
+    by_lo = np.argsort(lo, kind="stable")
+    lo, hi = lo[by_lo], hi[by_lo]
+    first = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lo, minlength=n), out=first[1:])
+    slot = np.empty(n, dtype=np.intp)
+
+    def later(vertices):
+        starts, sizes = first[vertices], first[vertices + 1] - first[vertices]
+        offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        return hi[offsets + np.arange(offsets.size)]
+
+    waiting = np.bincount(hi, minlength=n)  # undecided earlier neighbours
+    accepted = np.zeros(n, dtype=bool)
+    rejected = np.zeros(n, dtype=bool)
+    roots = np.flatnonzero(waiting == 0)
+    while roots.size:
+        accepted[roots] = True
+        beaten = later(roots)
+        beaten = beaten[~rejected[beaten]]
+        # Of repeated vertices, exactly one entry keeps its position in slot.
+        slot[beaten] = np.arange(beaten.size)
+        beaten = beaten[slot[beaten] == np.arange(beaten.size)]
+        rejected[beaten] = True
+        freed = later(beaten)
+        # A rejected vertex still counts its accepted earlier neighbour, so
+        # it never comes back as a root.
+        np.subtract.at(waiting, freed, 1)
+        roots = freed[waiting[freed] == 0]
+    return accepted
+
+
 def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = None,
                   colours=None):
     """Dense disc surfels from deskewed points.
 
     Points are deskewed through ``traj`` when given (world point =
-    ``T(t_i) p_i``); seeds are accepted greedily so no two seeds lie within
-    one surfel radius, and each seed's fixed-radius neighborhood provides the
-    centroid, the accrued scatter, the centroid uncertainty (scatter over
-    ``n (n-1)`` plus the beam noise floor), and the initial Wishart count.
+    ``T(t_i) p_i``).  Seeds are accepted greedily in input order, each
+    rejected only by an earlier seed strictly closer than one surfel radius,
+    and each seed's neighborhood (the points within the radius, itself
+    included, in input order) provides the centroid, the accrued scatter,
+    the centroid uncertainty (scatter over ``n (n-1)`` plus the beam noise
+    floor), and the initial Wishart count.  Seeds with fewer than
+    ``min_points`` neighbors yield no surfel; surfels follow seed order.
     Normals point toward the observing sensor.
     """
     if cfg is None:
         cfg = DenseExtractionConfig()
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
+    n = len(points)
+    if colours is not None:
+        colours = np.asarray(colours, dtype=float)
+    if times.shape != (n,) or (colours is not None and colours.shape != (n, 3)):
+        raise InvalidArgumentError("need one time and one RGB colour per point")
+    if not (
+        np.isfinite(points).all()
+        and np.isfinite(times).all()
+        and (colours is None or np.isfinite(colours).all())
+    ):
+        raise InvalidArgumentError("points, times and colours must be finite")
+    if not (math.isfinite(cfg.radius) and cfg.radius > 0.0):
+        raise InvalidArgumentError("surfel radius must be positive and finite")
+    if cfg.min_points < 2:
+        raise InvalidArgumentError("a neighborhood needs at least two points")
+    if n == 0:
+        return []
     if traj is not None:
         rot, trans = traj.sample_batch(times)
         world = np.einsum("nij,nj->ni", rot, points) + trans
@@ -370,53 +503,50 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
         world = points
         origins = np.zeros_like(points)
 
-    neighborhoods = SurfelIndex(cfg.radius)
-    for i, p in enumerate(world):
-        neighborhoods.insert(i, p)
-    seed_index = SurfelIndex(cfg.radius)
-    seeds = []
-    r_sq = cfg.radius * cfg.radius
-    for i, p in enumerate(world):
-        # Only a seed strictly closer than the radius rejects a point.
-        if all(
-            ((world[j] - p) ** 2).sum() >= r_sq
-            for j in seed_index.query_radius(p, cfg.radius)
-        ):
-            seed_index.insert(i, p)
-            seeds.append(i)
+    i, j, d_sq = _radius_pairs(world, cfg.radius)
+    conflict = d_sq < cfg.radius * cfg.radius
+    seed = _first_independent_set(n, i[conflict], j[conflict])
+    # Neighborhood size of every seed: itself and its pairs within the radius.
+    gathered = 1 + np.bincount(i[seed[i]], minlength=n) + np.bincount(j[seed[j]], minlength=n)
+    keep = seed & (gathered >= cfg.min_points)
+    owners = np.flatnonzero(keep)
+    if owners.size == 0:
+        return []
+    from_i, from_j = keep[i], keep[j]
+    owner = np.concatenate([i[from_i], j[from_j], owners])
+    member = np.concatenate([j[from_i], i[from_j], owners])
+    # Grouped by seed, each neighborhood in input order.
+    member = member[np.argsort(owner * n + member)]
+    sizes = gathered[owners]
+    starts = np.cumsum(sizes) - sizes
+    count = sizes.astype(float)
 
-    out = []
-    for i in seeds:
-        neighbor_idx = np.array(neighborhoods.query_radius(world[i], cfg.radius))
-        if neighbor_idx.size < cfg.min_points:
-            continue
-        pts = world[neighbor_idx]
-        mean = pts.mean(axis=0)
-        centered = pts - mean
-        scatter = centered.T @ centered
-        n = neighbor_idx.size
-        centroid_cov = scatter / (n * (n - 1)) + cfg.beam_sigma**2 * np.eye(3)
-        eigenvalues, vectors = np.linalg.eigh(scatter)
-        normal = vectors[:, 0]
-        toward_sensor = origins[neighbor_idx].mean(axis=0) - mean
-        if normal @ toward_sensor < 0:
-            normal = -normal
-        colour = (
-            np.asarray(colours, dtype=float)[neighbor_idx].mean(axis=0)
-            if colours is not None
-            else np.full(3, 0.5)
+    def segment_mean(values):
+        total = np.add.reduceat(values[member], starts, axis=0)
+        return total / count.reshape((-1,) + (1,) * (total.ndim - 1))
+
+    mean = segment_mean(world)
+    centered = world[member] - np.repeat(mean, sizes, axis=0)
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + cfg.beam_sigma**2 * np.eye(3)
+    normal = np.linalg.eigh(scatter)[1][:, :, 0]
+    toward_sensor = segment_mean(origins) - mean
+    normal[(normal * toward_sensor).sum(axis=1) < 0] *= -1.0
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    scatter = clamp_psd(scatter)
+    timestamp = segment_mean(times)
+    colour = segment_mean(colours) if colours is not None else np.full((len(owners), 3), 0.5)
+    return [
+        DenseSurfel(
+            centroid=mean[k],
+            normal=normal[k],
+            centroid_cov=centroid_cov[k],
+            scatter=scatter[k],
+            dof=float(sizes[k]),
+            obs_count=1,
+            timestamp=float(timestamp[k]),
+            radius=cfg.radius,
+            colour=colour[k],
         )
-        out.append(
-            DenseSurfel(
-                centroid=mean,
-                normal=normal / np.linalg.norm(normal),
-                centroid_cov=centroid_cov,
-                scatter=clamp_psd(scatter),
-                dof=float(n),
-                obs_count=1,
-                timestamp=float(times[neighbor_idx].mean()),
-                radius=cfg.radius,
-                colour=colour,
-            )
-        )
-    return out
+        for k in range(len(owners))
+    ]

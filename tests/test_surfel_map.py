@@ -146,21 +146,128 @@ def test_extract_dense_initializes_wishart_state(rng):
         assert eigenvalues[0] > 0.0
 
 
-def test_extract_dense_deskews_with_trajectory(rng):
-    # Identity rotation, constant velocity along x.
+def constant_velocity_trajectory():
+    """Identity rotation, constant velocity along x."""
     n = 51
     times = np.arange(n) / 100.0
-    traj = Trajectory(
+    return Trajectory(
         times,
         np.stack([np.eye(3)] * n),
         np.outer(times, np.array([1.0, 0.0, 0.0])),
     )
+
+
+def test_extract_dense_deskews_with_trajectory(rng):
+    traj = constant_velocity_trajectory()
     pts = plane_points(rng, n=2000, noise=0.0)
     t_obs = rng.uniform(0.0, 0.5, size=len(pts))
     sensor = pts - np.outer(t_obs, np.array([1.0, 0.0, 0.0]))
     surfels = extract_dense(sensor, t_obs, traj=traj)
     for s in surfels:
         assert abs(s.centroid @ np.array([0.0, 0.0, 1.0])) < 1e-9
+
+
+def test_extract_dense_matches_bruteforce_oracle(rng):
+    plane = plane_points(rng, n=3000, extent=0.3, noise=0.001, normal=(1.0, 2.0, 2.0))
+    plane += np.array([0.0, 0.0, -1.0])
+    azimuth = plane[np.argsort(np.arctan2(plane[:, 1], plane[:, 0]))]
+    repeated = plane[rng.permutation(np.r_[np.arange(2000), rng.choice(2000, 800)])]
+    # Spacing half the radius on 0.125 m cells: seeds sit exactly one radius
+    # apart and each neighborhood includes the points at exactly the radius.
+    # At -1e-17 in place of 0 a point lies one radius (after rounding) from
+    # the points at 0.125, which are two unpadded cells away.
+    coords = -0.5 + 0.0625 * np.arange(17)
+    coords[8] = -1e-17
+    lattice = np.array([[x, y, -0.25] for x in coords for y in coords])
+    deskewed = plane_points(rng, n=2000, extent=0.3, noise=0.001) + np.array([0.0, 0.0, -1.0])
+    t_obs = rng.uniform(0.0, 0.5, size=len(deskewed))
+    sensor = deskewed - np.outer(t_obs, np.array([1.0, 0.0, 0.0]))
+    cases = [
+        (plane, None, None, 0.02),
+        (azimuth, None, None, 0.02),
+        (repeated, None, None, 0.02),
+        (lattice, None, None, 0.125),
+        (sensor, constant_velocity_trajectory(), rng.uniform(size=(len(sensor), 3)), 0.02),
+    ]
+    for points, traj, colours, radius in cases:
+        times = t_obs if traj is not None else rng.uniform(0.0, 1.0, size=len(points))
+        cfg = DenseExtractionConfig(radius=radius)
+        got = extract_dense(points, times, traj=traj, cfg=cfg, colours=colours)
+        want = oracles.dense_surfels_bruteforce(
+            points, times, radius, cfg.min_points, cfg.beam_sigma, traj=traj, colours=colours
+        )
+        assert len(got) == len(want) > 10
+        assert [s.dof for s in got] == [w["dof"] for w in want]
+        assert all(s.obs_count == 1 and s.radius == radius for s in got)
+        for field in ("centroid", "normal", "centroid_cov", "scatter", "timestamp", "colour"):
+            g = np.array([getattr(s, field) for s in got])
+            w = np.array([s[field] for s in want])
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), field
+
+
+def test_extract_dense_empty_input():
+    assert extract_dense(np.zeros((0, 3)), np.zeros(0)) == []
+
+
+def test_extract_dense_sparse_input_yields_nothing(rng):
+    # Every point sits alone in its 0.1 m lattice site, ten radii apart.
+    pts = 0.1 * np.array([[x, y, 0.0] for x in range(10) for y in range(10)])
+    assert extract_dense(pts, np.zeros(len(pts))) == []
+
+
+def test_extract_dense_coincident_cluster():
+    # Every pair in one cell: the pair kernel's quadratic worst case.
+    pts = np.tile([0.3, -0.2, 1.0], (500, 1))
+    surfels = extract_dense(pts, np.linspace(0.0, 1.0, 500))
+    assert len(surfels) == 1
+    assert surfels[0].dof == 500
+    assert np.allclose(surfels[0].centroid, [0.3, -0.2, 1.0], atol=1e-15)
+    assert surfels[0].timestamp == pytest.approx(0.5)
+
+
+def test_extract_dense_rejects_non_finite_input(rng):
+    pts = plane_points(rng, n=200)
+    times = np.zeros(200)
+    colours = np.full((200, 3), 0.5)
+    for which, value in enumerate((np.nan, np.inf, np.nan)):
+        args = [pts, times, colours]
+        args[which] = args[which].copy()
+        args[which].flat[7] = value
+        with pytest.raises(InvalidArgumentError):
+            extract_dense(args[0], args[1], colours=args[2])
+
+
+def test_extract_dense_rejects_length_mismatch(rng):
+    pts = plane_points(rng, n=200)
+    for times, colours in (
+        (np.zeros(199), None),
+        (np.zeros(201), None),
+        (np.zeros(200), np.full((199, 3), 0.5)),
+        (np.zeros(200), np.full(200, 0.5)),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            extract_dense(pts, times, colours=colours)
+
+
+def test_extract_dense_rejects_non_positive_radius(rng):
+    pts = plane_points(rng, n=200)
+    for radius in (0.0, -0.02, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(radius=radius))
+
+
+def test_extract_dense_rejects_min_points_below_two(rng):
+    pts = plane_points(rng, n=200)
+    for min_points in (1, 0):
+        with pytest.raises(InvalidArgumentError):
+            extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(min_points=min_points))
+
+
+def test_extract_dense_rejects_extent_beyond_cell_keys():
+    # 1e7 m apart at a 1 mm radius: 1e30 cells, past the int64 cell keys.
+    pts = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+    with pytest.raises(InvalidArgumentError):
+        extract_dense(pts, np.zeros(2), cfg=DenseExtractionConfig(radius=1e-3))
 
 
 # -- spatial index ------------------------------------------------------------
