@@ -29,6 +29,10 @@ DEFAULT_SURFEL_RADIUS = 0.02
 # probes at most 8 cells while its radius stays under half a cell.
 INDEX_CELL = 0.05
 PSD_TOLERANCE = -1e-12
+# Every grid search pads its radius by this factor (the query box of
+# SurfelIndex.query_radius, the cell edge of _radius_pairs), so that no point
+# the rounded test d² ≤ r² accepts lies in a cell the search skips.
+CELL_REACH = 1.0 + 1e-12
 
 
 def _symmetrize(m):
@@ -177,9 +181,7 @@ class SurfelIndex:
         if radius < 0:
             raise InvalidArgumentError("radius must be non-negative")
         center = np.asarray(center, dtype=float)
-        # Padded so that no point the rounded distance test below accepts
-        # lies in a cell outside the box.
-        reach = radius * (1.0 + 1e-12)
+        reach = radius * CELL_REACH
         x, y, z = center.tolist()
         lx, ly, lz = self._cell_of(x - reach, y - reach, z - reach)
         hx, hy, hz = self._cell_of(x + reach, y + reach, z + reach)
@@ -377,7 +379,7 @@ def _radius_pairs(points, radius):
     pair of every cell pair is expanded and tested; d² is summed as
     ``dx*dx + dy*dy + dz*dz``, the rounding ``SurfelIndex.query_radius`` uses.
     """
-    cell = radius * (1.0 + 1e-12)
+    cell = radius * CELL_REACH
     ijk = np.floor(points / cell)
     ijk -= ijk.min(axis=0) - 1.0
     # One empty layer on either side keeps every neighbour key in range.
@@ -420,43 +422,23 @@ def _first_independent_set(n, lo, hi):
     """Mask of the vertices that a greedy pass in index order accepts into an
     independent set of the graph with edges ``lo < hi``: the
     lexicographically-first maximal independent set, computed in parallel
-    rounds with linear work (Blelloch, Fineman & Shun, SPAA 2012).
+    rounds (Blelloch, Fineman & Shun, SPAA 2012).
 
-    A vertex is decided once all its earlier neighbours are: it is accepted
-    when none of them was.  Each round accepts the vertices whose earlier
-    neighbours have all been rejected, rejects their later neighbours, and
-    counts those rejections off the later neighbours of the newly rejected,
-    so each edge is visited a bounded number of times however many rounds
-    the input order needs.
+    Each round accepts the undecided vertices with no undecided earlier
+    neighbour and rejects their later neighbours.  Edges with a decided end
+    are dropped, so a rejected vertex holds back no later one.  The lowest
+    undecided vertex is always accepted, so the rounds end.
     """
-    by_lo = np.argsort(lo, kind="stable")
-    lo, hi = lo[by_lo], hi[by_lo]
-    first = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(lo, minlength=n), out=first[1:])
-    slot = np.empty(n, dtype=np.intp)
-
-    def later(vertices):
-        starts, sizes = first[vertices], first[vertices + 1] - first[vertices]
-        offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        return hi[offsets + np.arange(offsets.size)]
-
-    waiting = np.bincount(hi, minlength=n)  # undecided earlier neighbours
     accepted = np.zeros(n, dtype=bool)
-    rejected = np.zeros(n, dtype=bool)
-    roots = np.flatnonzero(waiting == 0)
-    while roots.size:
-        accepted[roots] = True
-        beaten = later(roots)
-        beaten = beaten[~rejected[beaten]]
-        # Of repeated vertices, exactly one entry keeps its position in slot.
-        slot[beaten] = np.arange(beaten.size)
-        beaten = beaten[slot[beaten] == np.arange(beaten.size)]
-        rejected[beaten] = True
-        freed = later(beaten)
-        # A rejected vertex still counts its accepted earlier neighbour, so
-        # it never comes back as a root.
-        np.subtract.at(waiting, freed, 1)
-        roots = freed[waiting[freed] == 0]
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        live = undecided[lo] & undecided[hi]
+        lo, hi = lo[live], hi[live]
+        roots = undecided.copy()
+        roots[hi] = False
+        accepted |= roots
+        undecided &= ~roots
+        undecided[hi[roots[lo]]] = False
     return accepted
 
 

@@ -210,7 +210,7 @@ def test_extract_dense_empty_input():
 
 
 def test_extract_dense_sparse_input_yields_nothing(rng):
-    # Every point sits alone in its 0.1 m lattice site, ten radii apart.
+    # Every point sits alone in its 0.1 m lattice site, five radii apart.
     pts = 0.1 * np.array([[x, y, 0.0] for x in range(10) for y in range(10)])
     assert extract_dense(pts, np.zeros(len(pts))) == []
 
