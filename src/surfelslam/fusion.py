@@ -243,9 +243,7 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
         obs_count=dst.obs_count + 1,
         timestamp=timestamp,
     )
-    normal = extract_normal(updated)
-    stable = updated.obs_count >= 3
-    return replace(updated, normal=normal, stable=stable)
+    return replace(updated, normal=extract_normal(updated))
 
 
 # -- colour -------------------------------------------------------------------
@@ -305,7 +303,6 @@ class IcpResult:
     rotation: np.ndarray
     translation: np.ndarray
     inlier_fraction: float
-    mean_distance: float
     converged: bool
     pairs: list
     normal_eigen_ratio: float = 0.0  # of sum(w n n^T) at the final association
@@ -343,13 +340,13 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     minimum surfel counts).
 
     Returns the transform mapping source centroids onto the destination map,
-    that inlier fraction, the mean point-to-plane distance of the inlier
-    pairs before alignment, and the smallest/largest eigenvalue ratio of the
-    planarity-weighted normal matrix ``sum(w n n^T)`` of the final pairs,
-    which is near 0 when the pairs leave a translation direction free.
+    that inlier fraction, the inlier pairs, and the smallest/largest
+    eigenvalue ratio of the planarity-weighted normal matrix ``sum(w n n^T)``
+    of the final pairs, which is near 0 when the pairs leave a translation
+    direction free.
     """
     if not src_surfels or not dst_surfels:
-        return IcpResult(np.eye(3), np.zeros(3), 0.0, 0.0, False, [])
+        return IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
     src_pts = np.array([s.centroid for s in src_surfels])
     src_normals = np.array([s.normal for s in src_surfels])
     dst_pts = np.array([s.centroid for s in dst_surfels])
@@ -362,7 +359,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                          dst_pts, dst_normals, max_pair_distance)
         if src_idx.size < 6:
-            return IcpResult(rotation, translation, 0.0, 0.0, False, [])
+            return IcpResult(rotation, translation, 0.0, False, [])
         q = dst_pts[dst_idx]
         n = dst_normals[dst_idx]
         w = weights_dst[dst_idx]
@@ -374,7 +371,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         try:
             delta = np.linalg.solve(hess + 1e-12 * np.eye(6), -grad)
         except np.linalg.LinAlgError:
-            return IcpResult(rotation, translation, 0.0, 0.0, False, [])
+            return IcpResult(rotation, translation, 0.0, False, [])
         step = lie.se3_exp(np.concatenate([delta[:3], delta[3:]]))
         rotation = step.rotation @ rotation
         translation = step.rotation @ translation + step.translation
@@ -384,22 +381,18 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                      dst_pts, dst_normals, max_pair_distance)
     if src_idx.size < 6:
-        return IcpResult(rotation, translation, 0.0, 0.0, False, [])
+        return IcpResult(rotation, translation, 0.0, False, [])
     n = dst_normals[dst_idx]
     q = dst_pts[dst_idx]
     eigenvalues = np.linalg.eigvalsh((n * weights_dst[dst_idx][:, None]).T @ n)
     plane_d = np.abs(np.sum(n * (p - q), axis=1))
     inliers = plane_d < inlier_distance
     inlier_fraction = float(np.mean(inliers))
-    # Misalignment of the original (pre-alignment) source against the map,
-    # measured at the pairs the alignment established.
-    pre_d = np.abs(np.sum(n * (src_pts[src_idx] - q), axis=1))
-    mean_distance = float(np.mean(pre_d[inliers])) if inliers.any() else 0.0
     pairs = [
         (src_pts[i].copy(), dst_pts[j].copy())
         for i, j in zip(src_idx[inliers], dst_idx[inliers])
     ]
-    return IcpResult(rotation, translation, inlier_fraction, mean_distance, True, pairs,
+    return IcpResult(rotation, translation, inlier_fraction, True, pairs,
                      float(eigenvalues[0] / eigenvalues[-1]))
 
 
@@ -468,7 +461,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
 
     New surfels fuse only into the active partition (by timestamp age) as it
     stood before the step, so a local map never fuses into itself; unmatched
-    ones are inserted as unstable and count as active.  The inactive sparse
+    ones are inserted as they are and count as active.  The inactive sparse
     set is taken before the local sparse surfels are pooled into the global
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
@@ -478,8 +471,8 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     definition) and its pairs constrain every translation direction
     (normal eigenvalue ratio at least ``MIN_NORMAL_EIGEN_RATIO``);
     otherwise inactive surfels that overlap the active map may be merged
-    back.  Unstable surfels that were not re-observed within the
-    cull age are deleted.
+    back.  Surfels observed fewer than ``cfg.stable_obs`` times whose last
+    observation is older than ``cfg.cull_age`` are deleted.
     """
     if cfg is None:
         cfg = TemporalFusionConfig()
@@ -520,7 +513,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
             dense.replace(best, fused)
             n_fused += 1
         else:
-            key = dense.add(replace(surfel, stable=False))
+            key = dense.add(surfel)
             active_ids.add(key)
             n_new += 1
 
@@ -530,7 +523,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     global_maps.sparse.fuse(local.sparse)
 
     trigger = None
-    icp = IcpResult(np.eye(3), np.zeros(3), 0.0, 0.0, False, [])
+    icp = IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
     if (
         len(local.sparse) >= cfg.icp_min_surfels
         and len(inactive_sparse) >= cfg.icp_min_surfels
@@ -554,26 +547,20 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         trigger = DeformationTrigger(icp.rotation, icp.translation, icp.pairs)
     elif inactive_ids:
         # Map coherency: re-activate inactive surfels that already overlap
-        # the active map, unless too many gaps remain.
+        # the active map, unless too many gaps remain.  An inactive surfel
+        # overlaps when an active one lies within theta_r, and is a gap when
+        # the nearest active ones lie between theta_r and 3 theta_r; the
+        # distance test rounds as SurfelIndex.query_radius does.
+        theta_r = cfg.match.resolution_threshold
         overlapping = []
         gaps = 0
         for key in sorted(inactive_ids):
             s = dense.get(key)
-            near = [
-                k
-                for k in dense.query_radius(
-                    s.centroid, 3.0 * cfg.match.resolution_threshold
-                )
-                if k in active_ids
-            ]
+            near = [k for k in dense.query_radius(s.centroid, 3.0 * theta_r) if k in active_ids]
             if not near:
                 continue
-            close = [
-                k
-                for k in dense.query_radius(s.centroid, cfg.match.resolution_threshold)
-                if k in active_ids
-            ]
-            if close:
+            centroids = np.array([dense.get(k).centroid for k in near])
+            if np.any(((centroids - s.centroid) ** 2).sum(axis=1) <= theta_r * theta_r):
                 overlapping.append(key)
             else:
                 gaps += 1

@@ -13,6 +13,7 @@ accumulated drift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,40 +36,54 @@ def hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(m):
-    """Inverse of :func:`hat` for an exactly antisymmetric matrix."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+def _series_below(threshold, series):
+    """Decorate the closed form of a coefficient of the rotation angle so
+    that angles below ``threshold`` take ``series(theta)`` instead.
+
+    The coefficient takes a scalar angle or an array of them.  A scalar takes
+    a plain branch, so it does not pay for a batch of one; an array evaluates
+    the closed form only at the angles it is valid for.
+    """
+
+    def decorate(closed):
+        @functools.wraps(closed)
+        def coeff(theta):
+            if isinstance(theta, float):
+                return series(theta) if theta < threshold else closed(theta)
+            small = theta < threshold
+            out = closed(np.where(small, 1.0, theta))
+            if np.any(small):
+                out = np.where(small, series(theta), out)
+            return out
+
+        return coeff
+
+    return decorate
 
 
-def _sinc(theta):
-    # sin(theta)/theta
-    if theta < SMALL_ANGLE:
-        return 1.0 - theta * theta / 6.0
-    return np.sin(theta) / theta
+@_series_below(SMALL_ANGLE, lambda t: 1.0 - t * t / 6.0)
+def _sinc(t):
+    # sin(t) / t
+    return np.sin(t) / t
 
 
-def _cos_coeff(theta):
-    # (1 - cos(theta)) / theta^2, via 2 sin^2(theta/2) to avoid cancellation
-    if theta < SMALL_ANGLE:
-        return 0.5 - theta * theta / 24.0
-    s = np.sin(0.5 * theta)
-    return 2.0 * s * s / (theta * theta)
+@_series_below(SMALL_ANGLE, lambda t: 0.5 - t * t / 24.0)
+def _cos_coeff(t):
+    # (1 - cos(t)) / t^2, via 2 sin^2(t/2) to avoid cancellation
+    s = np.sin(0.5 * t)
+    return 2.0 * s * s / (t * t)
 
 
-def _one_minus_sinc_coeff(theta):
-    # (theta - sin(theta)) / theta^3
-    if theta < SERIES_ANGLE:
-        t2 = theta * theta
-        return 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    return (theta - np.sin(theta)) / theta**3
+@_series_below(SERIES_ANGLE, lambda t: 1.0 / 6.0 - t * t / 120.0 + (t * t) ** 2 / 5040.0)
+def _one_minus_sinc_coeff(t):
+    # (t - sin(t)) / t^3
+    return (t - np.sin(t)) / t**3
 
 
-def _jl_inv_coeff(theta):
-    # 1/theta^2 - (1 + cos(theta)) / (2 theta sin(theta))
-    if theta < SERIES_ANGLE:
-        t2 = theta * theta
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    return 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+@_series_below(SERIES_ANGLE, lambda t: 1.0 / 12.0 + t * t / 720.0 + (t * t) ** 2 / 30240.0)
+def _jl_inv_coeff(t):
+    # 1/t^2 - (1 + cos(t)) / (2 t sin(t))
+    return 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
 
 
 def so3_exp(r):
@@ -300,26 +315,12 @@ def hat_batch(v):
     return out
 
 
-def _coeff_batch(theta, closed, series, threshold):
-    small = theta < threshold
-    safe = np.where(small, 1.0, theta)
-    out = closed(safe)
-    if np.any(small):
-        out = np.where(small, series(theta), out)
-    return out
-
-
 def so3_exp_batch(r):
     """Rodrigues formula over (N, 3) rotation vectors."""
     theta = np.linalg.norm(r, axis=1)
-    a = _coeff_batch(
-        theta, lambda t: np.sin(t) / t, lambda t: 1.0 - t * t / 6.0, SMALL_ANGLE
-    )
-    half = np.sin(0.5 * theta)
-    b = np.where(theta < SMALL_ANGLE, 0.5, 2.0 * half * half / np.where(theta == 0, 1.0, theta) ** 2)
     k = hat_batch(r)
     kk = k @ k
-    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * kk
+    return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
 
 
 def so3_log_batch(rotations):
@@ -343,28 +344,16 @@ def so3_log_batch(rotations):
 
 def so3_left_jacobian_batch(r):
     theta = np.linalg.norm(r, axis=1)
-    half = np.sin(0.5 * theta)
-    b = np.where(theta < SMALL_ANGLE, 0.5, 2.0 * half * half / np.where(theta == 0, 1.0, theta) ** 2)
-    c = _coeff_batch(
-        theta,
-        lambda t: (t - np.sin(t)) / t**3,
-        lambda t: 1.0 / 6.0 - t * t / 120.0 + (t * t) ** 2 / 5040.0,
-        SERIES_ANGLE,
-    )
     k = hat_batch(r)
-    return np.eye(3) + b[:, None, None] * k + c[:, None, None] * (k @ k)
+    b = _cos_coeff(theta)[:, None, None]
+    c = _one_minus_sinc_coeff(theta)[:, None, None]
+    return np.eye(3) + b * k + c * (k @ k)
 
 
 def so3_left_jacobian_inv_batch(r):
     theta = np.linalg.norm(r, axis=1)
-    e = _coeff_batch(
-        theta,
-        lambda t: 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),
-        lambda t: 1.0 / 12.0 + t * t / 720.0 + (t * t) ** 2 / 30240.0,
-        SERIES_ANGLE,
-    )
     k = hat_batch(r)
-    return np.eye(3) - 0.5 * k + e[:, None, None] * (k @ k)
+    return np.eye(3) - 0.5 * k + _jl_inv_coeff(theta)[:, None, None] * (k @ k)
 
 
 def _se3_q_batch(r, t):

@@ -2,18 +2,22 @@
 
 Four residual families constrain the window: surfel-to-surfel point-to-plane
 errors, surfel-to-map-prior point-to-plane errors, and IMU acceleration and
-body-rate errors.  A damped Gauss-Newton solver estimates the spline control
-points together with the IMU biases and an optional time lag.  Its Jacobian
-is analytic in the control points (chain rule through the SE(3) geodesic or
-Euclidean interpolation, in the manner of Sommer et al., CVPR 2020) and in
-the biases; ``OptimizerConfig.jacobian`` and ``fd_step`` govern only the
-finite-difference column of the time lag.
+body-rate errors.  They are evaluated as arrays over the whole window; the
+scalar per-constraint evaluators that pin them are test oracles in
+``simulation.oracles``.  A damped Gauss-Newton solver estimates the spline
+control points together with the IMU biases and an optional time lag.  Its
+Jacobian is analytic in the control points (chain rule through the SE(3)
+geodesic or Euclidean interpolation, in the manner of Sommer et al., CVPR
+2020) and in the biases; ``OptimizerConfig.jacobian`` and ``fd_step`` govern
+only the finite-difference column of the time lag.
 
 Two optimization models are supported.  The composition model keeps the
 densely sampled trajectory and estimates spline *corrections* that are
 composed onto it; the control points restart from zero at every iteration.
 The direct model represents the trajectory itself as the spline and estimates
-absolute control points (kept only for the model comparison study).
+absolute control points (kept only for the model comparison study).  An
+unknown model, update method, interpolation or Jacobian option is rejected
+with ``InvalidArgumentError`` when a window is set up.
 """
 
 from __future__ import annotations
@@ -29,9 +33,15 @@ from .errors import (
     InvalidArgumentError,
     MissingSupportError,
     NoProgressError,
-    OutOfRangeError,
 )
-from .trajectory import ControlGrid, Trajectory, apply_correction, brackets, interpolate
+from .trajectory import (
+    ControlGrid,
+    Trajectory,
+    brackets,
+    compose_correction,
+    interpolate,
+    spline_values,
+)
 
 log = logging.getLogger(__name__)
 
@@ -116,12 +126,12 @@ class OptimizerConfig:
     damping_init: float = 1e-6
     damping_retries: int = 5
     # Finite differences of the time-lag column only; every other column
-    # is analytic.
-    jacobian: str = "forward"  # or "central"
+    # is analytic.  The string options take the values in OPTION_CHOICES.
+    jacobian: str = "forward"
     fd_step: float = 1e-6
-    model: str = "composition"  # or "spline_direct"
-    update_method: str = "se3"  # or "so3_r3"
-    interpolation: str = "se3"  # or "euclidean"
+    model: str = "composition"
+    update_method: str = "se3"
+    interpolation: str = "se3"
     estimate_biases: bool = True
     estimate_time_lag: bool = False
     max_time_lag: float = 0.05
@@ -131,6 +141,15 @@ class OptimizerConfig:
     sigma_accel: float = 0.05
     sigma_gyro: float = 0.005
     cauchy_scale: float = 3.0  # in whitened units, i.e. 3 sigma
+
+
+# Accepted values of the string options of OptimizerConfig, default first.
+OPTION_CHOICES = {
+    "jacobian": ("forward", "central"),
+    "model": ("composition", "spline_direct"),
+    "update_method": ("se3", "so3_r3"),
+    "interpolation": ("se3", "euclidean"),
+}
 
 
 @dataclass
@@ -162,55 +181,6 @@ class OptimizationReport:
                     f"{r.iteration},{r.cost!r},{r.rms_surfel!r},{r.rms_prior!r},"
                     f"{r.rms_accel!r},{r.rms_gyro!r},{r.step_norm!r}\n"
                 )
-
-
-def _corrected_pose_at(traj, grid, taus, update="se3", interpolation="se3"):
-    corrected = apply_correction(traj, grid, update=update)
-    return corrected.sample_batch(np.atleast_1d(taus), mode=interpolation)
-
-
-def residual_surfel_pair(constraint, traj, grid, update="se3", interpolation="se3"):
-    """Point-to-plane residual between two timed observations (meters)."""
-    rot, t = _corrected_pose_at(
-        traj, grid, [constraint.tau_a, constraint.tau_b], update, interpolation
-    )
-    world_a = rot[0] @ constraint.u_a + t[0]
-    world_b = rot[1] @ constraint.u_b + t[1]
-    return float(constraint.n_ab @ (world_a - world_b))
-
-
-def residual_map_prior(constraint, traj, grid, update="se3", interpolation="se3"):
-    """Point-to-plane residual against a fixed world-frame map point (meters)."""
-    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_c], update, interpolation)
-    world = rot[0] @ constraint.u_c + t[0]
-    return float(constraint.n_mc @ (constraint.u_m - world))
-
-
-def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
-    """Six IMU residuals (accel m/s^2, gyro rad/s) at the lag-shifted time.
-
-    The acceleration uses central differences of the interpolated translation
-    at the trajectory sample interval; the body rate uses the forward
-    difference of the interpolated rotation.
-    """
-    h = 1.0 / traj.nominal_rate
-    tau = sample.tau + state.time_lag
-    corrected = apply_correction(traj, grid, update=update)
-    taus = np.array([tau - h, tau, tau + h])
-    if np.any(taus < corrected.start) or np.any(taus > corrected.end):
-        raise OutOfRangeError("IMU finite-difference stencil outside support")
-    rot, t = corrected.sample_batch(taus, mode=interpolation)
-    accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
-    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + state.accel_bias
-    omega = lie.so3_log(rot[1].T @ rot[2]) / h
-    gyro_res = sample.gyro - omega + state.gyro_bias
-    return np.concatenate([accel_res, gyro_res])
-
-
-def _spline(c, idx, weights):
-    """Spline values (N, 3) of control points ``c`` at knot indices and
-    weights (N, 4)."""
-    return np.einsum("nk,nkj->nj", weights, c[idx])
 
 
 def _spline_maps(jl, s):
@@ -245,6 +215,12 @@ class _WindowSystem:
     """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state, cfg):
+        for name, choices in OPTION_CHOICES.items():
+            value = getattr(cfg, name)
+            if value not in choices:
+                raise InvalidArgumentError(
+                    f"unknown {name} {value!r}; expected one of {choices}"
+                )
         self.cfg = cfg
         self.grid = state.grid
         self.n_knots = len(state.grid)
@@ -338,15 +314,10 @@ class _WindowSystem:
         return c_t, c_r, b_a, b_g, d
 
     def _corrected_samples(self, c_t, c_r):
-        corr_t = self.w_samples @ c_t
-        corr_r = self.w_samples @ c_r
-        rot_c = lie.so3_exp_batch(corr_r)
-        rot = np.einsum("nij,njk->nik", rot_c, self.base_rot)
-        if self.cfg.update_method == "se3":
-            t = np.einsum("nij,nj->ni", rot_c, self.base_t) + corr_t
-        else:
-            t = self.base_t + corr_t
-        return rot, t
+        rot_c = lie.so3_exp_batch(self.w_samples @ c_r)
+        return compose_correction(
+            rot_c, self.w_samples @ c_t, self.base_rot, self.base_t, self.cfg.update_method
+        )
 
     # -- query poses --------------------------------------------------------
 
@@ -371,7 +342,7 @@ class _WindowSystem:
         if self.cfg.model == "composition":
             rot_s, t_s = self._corrected_samples(c_t, c_r)
             return interpolate(rot_s, t_s, idx, w, self.cfg.interpolation)
-        return lie.so3_exp_batch(_spline(c_r, idx, w)), _spline(c_t, idx, w)
+        return lie.so3_exp_batch(spline_values(c_r, idx, w)), spline_values(c_t, idx, w)
 
     def residuals(self, x, state):
         """Whitened residual vector (no robust weighting)."""
@@ -459,7 +430,7 @@ class _WindowSystem:
         cfg = self.cfg
         idx, w = where
         if cfg.model == "spline_direct":
-            v, t = _spline(c_r, idx, w), _spline(c_t, idx, w)
+            v, t = spline_values(c_r, idx, w), spline_values(c_t, idx, w)
             maps = _spline_maps(lie.so3_left_jacobian_batch(v), t)
             return lie.so3_exp_batch(v), t, [(maps, idx, w)]
 

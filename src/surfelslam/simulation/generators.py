@@ -102,30 +102,9 @@ def _sinusoid_motion(cfg: SimConfig, rng):
     return translation, rotvec
 
 
-def _random_walk_motion(cfg: SimConfig, rng):
-    # Smoothed random increments; used for robustness checks, not calibration.
-    n_ctrl = max(int(cfg.window) * 2 + 4, 6)
-    ctrl_times = np.linspace(-1.0, cfg.window + 1.0, n_ctrl)
-    ctrl_t = np.cumsum(rng.normal(scale=0.3, size=(n_ctrl, 3)), axis=0)
-    ctrl_r = np.cumsum(rng.normal(scale=0.15, size=(n_ctrl, 3)), axis=0)
-
-    def smooth(ctrl):
-        def fn(taus):
-            return np.stack(
-                [np.interp(taus, ctrl_times, ctrl[:, i]) for i in range(3)], axis=1
-            )
-
-        return fn
-
-    t_fn, r_fn = smooth(ctrl_t), smooth(ctrl_r)
-    return (lambda taus: cfg.motion_center + t_fn(taus)), r_fn
-
-
 def _motion_functions(cfg: SimConfig, rng):
     if cfg.motion_profile == "sinusoid":
         return _sinusoid_motion(cfg, rng)
-    if cfg.motion_profile == "random_walk":
-        return _random_walk_motion(cfg, rng)
     if cfg.motion_profile == "scripted":
         if cfg.scripted_motion is None:
             raise InvalidArgumentError("scripted profile needs cfg.scripted_motion")

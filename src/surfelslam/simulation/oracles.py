@@ -1,10 +1,10 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here is correctness-first and O(n^2) or worse: truncated-series
-matrix exponentials, linear-scan spatial queries, exhaustive matching,
-hash-grouped voxel moments, dense-surfel seeding by linear scans,
-closed-form 3x3 eigen solves, and dense plane fits.  None of it is used on
-the fast paths.
+matrix exponentials, window residuals evaluated one constraint at a time on
+a freshly corrected trajectory, linear-scan spatial queries, exhaustive
+matching, hash-grouped voxel moments, dense-surfel seeding by linear scans,
+and closed-form 3x3 eigen solves.  None of it is used on the fast paths.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import lie
+from ..errors import OutOfRangeError
+from ..local_mapping import GRAVITY
+from ..trajectory import apply_correction
 
 
 def se3_exp_series(xi, terms=20):
@@ -45,6 +48,49 @@ def numeric_left_jacobian(xi, eps=1e-5):
         minus = lie.se3_log(lie.se3_exp(xi - step) @ inv)
         out[:, i] = (plus - minus) / (2.0 * eps)
     return out
+
+
+def _corrected_pose_at(traj, grid, taus, update="se3", interpolation="se3"):
+    corrected = apply_correction(traj, grid, update=update)
+    return corrected.sample_batch(np.atleast_1d(taus), mode=interpolation)
+
+
+def residual_surfel_pair(constraint, traj, grid, update="se3", interpolation="se3"):
+    """Point-to-plane residual between two timed observations (meters)."""
+    rot, t = _corrected_pose_at(
+        traj, grid, [constraint.tau_a, constraint.tau_b], update, interpolation
+    )
+    world_a = rot[0] @ constraint.u_a + t[0]
+    world_b = rot[1] @ constraint.u_b + t[1]
+    return float(constraint.n_ab @ (world_a - world_b))
+
+
+def residual_map_prior(constraint, traj, grid, update="se3", interpolation="se3"):
+    """Point-to-plane residual against a fixed world-frame map point (meters)."""
+    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_c], update, interpolation)
+    world = rot[0] @ constraint.u_c + t[0]
+    return float(constraint.n_mc @ (constraint.u_m - world))
+
+
+def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
+    """Six IMU residuals (accel m/s^2, gyro rad/s) at the lag-shifted time.
+
+    The acceleration uses central differences of the interpolated translation
+    at the trajectory sample interval; the body rate uses the forward
+    difference of the interpolated rotation.
+    """
+    h = 1.0 / traj.nominal_rate
+    tau = sample.tau + state.time_lag
+    corrected = apply_correction(traj, grid, update=update)
+    taus = np.array([tau - h, tau, tau + h])
+    if np.any(taus < corrected.start) or np.any(taus > corrected.end):
+        raise OutOfRangeError("IMU finite-difference stencil outside support")
+    rot, t = corrected.sample_batch(taus, mode=interpolation)
+    accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
+    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + state.accel_bias
+    omega = lie.so3_log(rot[1].T @ rot[2]) / h
+    gyro_res = sample.gyro - omega + state.gyro_bias
+    return np.concatenate([accel_res, gyro_res])
 
 
 class LinearScanIndex:
@@ -148,16 +194,6 @@ def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma,
             }
         )
     return out
-
-
-def plane_fit_residuals(points):
-    """Unsigned distances of points from their own total-least-squares plane."""
-    points = np.asarray(points, dtype=float)
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[-1]
-    return np.abs(centered @ normal)
 
 
 def eig3_symmetric_closed_form(matrix):

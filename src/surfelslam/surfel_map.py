@@ -72,7 +72,6 @@ class SparseSurfel:
     timestamp: float
     normal: np.ndarray = None
     planarity: float = 0.0
-    degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float))
@@ -84,9 +83,6 @@ class SparseSurfel:
             object.__setattr__(self, "normal", vectors[:, 0].copy())
             object.__setattr__(
                 self, "planarity", float((eigenvalues[1] - eigenvalues[0]) / scale)
-            )
-            object.__setattr__(
-                self, "degenerate", bool(eigenvalues[1] - eigenvalues[0] < 1e-9 * scale)
             )
         else:
             object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
@@ -112,7 +108,6 @@ class DenseSurfel:
     radius: float = DEFAULT_SURFEL_RADIUS
     colour: np.ndarray = field(default_factory=lambda: np.full(3, 0.5))
     colour_sigma: float = 0.5
-    stable: bool = False
 
     def __post_init__(self):
         normal = np.asarray(self.normal, dtype=float)
@@ -219,9 +214,6 @@ class DenseSurfelMap:
     def __len__(self):
         return len(self.surfels)
 
-    def ids(self):
-        return list(self.surfels.keys())
-
     def get(self, key) -> DenseSurfel:
         return self.surfels[key]
 
@@ -319,7 +311,7 @@ def voxelize_sparse(points, times, resolutions, min_points=5):
 
     One surfel per occupied voxel per resolution when the voxel holds at
     least ``min_points`` points: centroid is the mean, covariance the sample
-    covariance.  Near-degenerate planar scatter is kept but flagged.
+    covariance.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)

@@ -41,6 +41,28 @@ def spline_weights(u):
     return powers @ SPLINE_MATRIX
 
 
+def spline_values(c, idx, weights):
+    """Spline values (N, 3) of control points ``c`` at the knot indices and
+    weights (N, 4) of :meth:`ControlGrid.knot_indices_and_weights`."""
+    return np.einsum("nk,nkj->nj", weights, c[idx])
+
+
+def compose_correction(rot_c, t_c, rotations, translations, update):
+    """Poses corrected by the transforms ``(rot_c, t_c)``, all stacked.
+
+    ``update="se3"`` left-multiplies the correction transform,
+    ``T' = dT T``; ``update="so3_r3"`` applies the rotation the same way but
+    adds the translation correction instead of composing it.
+    """
+    if update == "se3":
+        t = np.einsum("nij,nj->ni", rot_c, translations) + t_c
+    elif update == "so3_r3":
+        t = translations + t_c
+    else:
+        raise InvalidArgumentError(f"unknown update method {update!r}")
+    return np.einsum("nij,njk->nik", rot_c, rotations), t
+
+
 def brackets(times, taus, tol):
     """Bracketing sample index ``idx`` and ratio ``alpha`` per query time.
 
@@ -123,14 +145,6 @@ class Trajectory:
                 "sample spacing deviates more than 1% from the nominal rate"
             )
         self._rotvec_cache = None
-
-    @staticmethod
-    def from_poses(samples, nominal_rate=100.0) -> "Trajectory":
-        """Build from a list of ``(timestamp, Pose)`` pairs."""
-        times = np.array([t for t, _ in samples], dtype=float)
-        rotations = np.stack([p.rotation for _, p in samples])
-        translations = np.stack([p.translation for _, p in samples])
-        return Trajectory(times, rotations, translations, nominal_rate)
 
     def __len__(self):
         return self.times.shape[0]
@@ -276,9 +290,8 @@ class ControlGrid:
     def correction_batch(self, taus):
         """Correction rotations (N, 3, 3) and translations (N, 3) at ``taus``."""
         idx, weights = self.knot_indices_and_weights(taus)
-        t = np.einsum("nk,nkj->nj", weights, self.c_t[idx])
-        r = np.einsum("nk,nkj->nj", weights, self.c_r[idx])
-        return lie.so3_exp_batch(r), t
+        r = spline_values(self.c_r, idx, weights)
+        return lie.so3_exp_batch(r), spline_values(self.c_t, idx, weights)
 
     def correction_at(self, tau) -> lie.Pose:
         """Correction pose at ``tau`` (Pose(exp(spline(c_r)), spline(c_t)))."""
@@ -287,23 +300,16 @@ class ControlGrid:
 
 
 def apply_correction(traj: Trajectory, grid: ControlGrid, update="se3") -> Trajectory:
-    """Compose the spline correction onto every trajectory sample.
-
-    ``update="se3"`` left-multiplies the correction transform,
-    ``T'_k = dT(tau_k) T_k``; ``update="so3_r3"`` applies the rotation the
-    same way but adds the translation correction instead of composing it.
-    """
+    """Compose the spline correction onto every trajectory sample,
+    ``T'_k = dT(tau_k) T_k`` as :func:`compose_correction` defines it for
+    ``update``."""
     inside = grid.covers(traj.times)
     if not np.all(inside):
         raise MissingSupportError(
             "grid does not span the trajectory", traj.times[~inside]
         )
     rot_c, t_c = grid.correction_batch(traj.times)
-    rotations = np.einsum("nij,njk->nik", rot_c, traj.rotations)
-    if update == "se3":
-        translations = np.einsum("nij,nj->ni", rot_c, traj.translations) + t_c
-    elif update == "so3_r3":
-        translations = traj.translations + t_c
-    else:
-        raise InvalidArgumentError(f"unknown update method {update!r}")
+    rotations, translations = compose_correction(
+        rot_c, t_c, traj.rotations, traj.translations, update
+    )
     return Trajectory(traj.times.copy(), rotations, translations, traj.nominal_rate)

@@ -423,6 +423,34 @@ def test_temporal_fusion_shifted_inactive_triggers(rng):
     assert np.linalg.norm(r.trigger.rotation - np.eye(3)) < 0.02
 
 
+@pytest.mark.parametrize("gap_threshold, reactivated", [(20, [0]), (1, [])])
+def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold, reactivated):
+    # theta_r = 0.25 and a dyadic lattice make every distance exact.  Inactive
+    # surfel 0 has active ones at exactly theta_r and at 2 theta_r (it
+    # overlaps), surfel 1 its nearest active one at 1.5 theta_r (a gap),
+    # surfel 2 no active one within 3 theta_r, and surfels 3 and 4 only each
+    # other.  Overlapping surfels come back unless gap_threshold or more gaps
+    # remain.
+    cfg = TemporalFusionConfig(
+        active_window=30.0, cull_age=1e9, gap_threshold=gap_threshold,
+        match=MatchParams(resolution_threshold=0.25),
+    )
+    global_maps = GlobalMaps()
+    inactive = [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (10.0, 0.0, 0.0),
+                (15.0, 0.0, 0.0), (15.125, 0.0, 0.0)]
+    active = [(0.25, 0.0, 0.0), (0.0, -0.5, 0.0), (5.0, 0.375, 0.0)]
+    for c in inactive:
+        global_maps.dense.add(make_surfel(c, timestamp=0.0))
+    for c in active:
+        global_maps.dense.add(make_surfel(c, timestamp=90.0))
+    r = temporal_fusion_step(LocalMaps([], [], timestamp=100.0), global_maps, cfg)
+    now = [k for k in range(len(inactive)) if global_maps.dense.get(k).timestamp == 100.0]
+    assert now == reactivated
+    assert r.metrics.n_inactive == len(inactive) - len(reactivated)
+    assert r.metrics.n_active == len(active) + len(reactivated)
+    assert r.trigger is None
+
+
 def test_icp_recovers_synthetic_shift(rng):
     pts = corner_scene_points(rng)
     src_sparse = voxelize_sparse(pts - np.array([0.15, 0.05, 0.0]),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from surfelslam.errors import (
 from surfelslam.simulation import oracles
 
 from conftest import random_pose
+
+# 0, 1e-9 and both sides of each SO(3) series switch.
+SWITCH_ANGLES = [0.0, 1e-9] + [
+    a * f for a in (lie.SMALL_ANGLE, lie.SERIES_ANGLE) for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
+]
 
 
 def test_exp_zero_twist_is_identity():
@@ -164,19 +171,60 @@ def test_pose_rejects_bad_rotation():
         lie.Pose(np.eye(3) * 2.0, np.zeros(3))
 
 
+def test_series_coefficients_match_taylor_reference():
+    # Each coefficient of the rotation angle against its Taylor series summed
+    # to more terms than it uses: a closed form evaluated too close to 0
+    # loses its digits to cancellation.
+    def alternating(t, first):
+        return sum((-1) ** k * t ** (2 * k) / math.factorial(2 * k + first) for k in range(8))
+
+    references = {
+        lie._sinc: lambda t: alternating(t, 1),
+        lie._cos_coeff: lambda t: alternating(t, 2),
+        lie._one_minus_sinc_coeff: lambda t: alternating(t, 3),
+        lie._jl_inv_coeff: lambda t: (
+            1 / 12 + t**2 / 720 + t**4 / 30240 + t**6 / 1209600 + t**8 / 47900160
+        ),
+    }
+    for angle in SWITCH_ANGLES:
+        for coeff, reference in references.items():
+            assert abs(coeff(angle) - reference(angle)) < 1e-10 * reference(angle)
+
+
 def test_batch_helpers_match_scalar(rng):
-    rotvecs = rng.normal(size=(64, 3))
-    rotvecs *= (rng.uniform(0.0, 3.0, size=64) / np.linalg.norm(rotvecs, axis=1))[:, None]
+    angles = np.concatenate([SWITCH_ANGLES, rng.uniform(0.0, 3.0, size=64)])
+    n = angles.size
+    rotvecs = rng.normal(size=(n, 3))
+    rotvecs *= (angles / np.linalg.norm(rotvecs, axis=1))[:, None]
     rots = lie.so3_exp_batch(rotvecs)
-    for i in range(64):
+    for i in range(n):
         assert np.allclose(rots[i], lie.so3_exp(rotvecs[i]), atol=1e-12)
     back = lie.so3_log_batch(rots)
     assert np.allclose(back, rotvecs, atol=1e-9)
     jl = lie.so3_left_jacobian_batch(rotvecs)
     jli = lie.so3_left_jacobian_inv_batch(rotvecs)
-    for i in range(64):
+    for i in range(n):
         assert np.allclose(jl[i], lie.so3_left_jacobian(rotvecs[i]), atol=1e-12)
         assert np.allclose(jli[i], lie.so3_left_jacobian_inv(rotvecs[i]), atol=1e-12)
+
+    # Along a coordinate axis the scalar and the batch norm are both exact, so
+    # both paths see the same angle and evaluate the same series and closed
+    # forms.  They agree exactly, except that numpy rounds the closed forms'
+    # t**2 and t**3 differently for a scalar and an array, by up to an ulp.
+    axial = np.zeros((n, 3))
+    axial[:, 1] = -angles
+    for scalar, batch in (
+        (lie.so3_exp, lie.so3_exp_batch),
+        (lie.so3_left_jacobian, lie.so3_left_jacobian_batch),
+        (lie.so3_left_jacobian_inv, lie.so3_left_jacobian_inv_batch),
+    ):
+        out = batch(axial)
+        for i in range(n):
+            expected = scalar(axial[i])
+            if scalar is lie.so3_exp or angles[i] < lie.SERIES_ANGLE:
+                assert np.array_equal(out[i], expected)
+            else:
+                assert np.allclose(out[i], expected, rtol=0.0, atol=1e-15)
 
 
 def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):

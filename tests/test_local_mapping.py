@@ -3,7 +3,7 @@ import pytest
 
 from surfelslam import lie, local_mapping as lm
 from surfelslam.errors import DegenerateGeometryError, InvalidArgumentError, OutOfRangeError
-from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu
+from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
 from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory
 
@@ -35,7 +35,7 @@ def test_pair_residual_same_world_point():
         u_a=[1.0, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(lm.residual_surfel_pair(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj, grid)) < 1e-12
 
 
 def test_pair_residual_offset_along_normal():
@@ -45,7 +45,7 @@ def test_pair_residual_offset_along_normal():
         u_a=[1.0, 2.0, 3.001], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(lm.residual_surfel_pair(c, traj, grid) - 0.001) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj, grid) - 0.001) < 1e-12
 
 
 def test_pair_residual_orthogonal_offset():
@@ -55,7 +55,7 @@ def test_pair_residual_orthogonal_offset():
         u_a=[1.5, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(lm.residual_surfel_pair(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj, grid)) < 1e-12
 
 
 def test_map_prior_residual_zero_when_consistent():
@@ -64,7 +64,7 @@ def test_map_prior_residual_zero_when_consistent():
     c = lm.MapPriorConstraint(
         u_m=[0.3, -0.2, 1.0], u_c=[0.3, -0.2, 1.0], tau_c=0.4, n_mc=[1.0, 0.0, 0.0]
     )
-    assert abs(lm.residual_map_prior(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_map_prior(c, traj, grid)) < 1e-12
 
 
 def test_map_prior_residual_sign():
@@ -79,7 +79,7 @@ def test_map_prior_residual_sign():
     c = lm.MapPriorConstraint(
         u_m=[0.3, -0.2, 1.0], u_c=[0.3, -0.2, 1.0], tau_c=0.4, n_mc=[1.0, 0.0, 0.0]
     )
-    assert abs(lm.residual_map_prior(c, traj, grid) + delta) < 1e-12
+    assert abs(oracles.residual_map_prior(c, traj, grid) + delta) < 1e-12
 
 
 def test_map_prior_residual_matches_direct_formula(rng):
@@ -88,7 +88,7 @@ def test_map_prior_residual_matches_direct_formula(rng):
     for c in scene.map_prior_constraints()[:10]:
         rot, t = truth.sample_batch(np.array([c.tau_c]))
         expected = float(c.n_mc @ (c.u_m - (rot[0] @ c.u_c + t[0])))
-        assert abs(lm.residual_map_prior(c, truth, grid) - expected) < 1e-12
+        assert abs(oracles.residual_map_prior(c, truth, grid) - expected) < 1e-12
 
 
 def test_imu_residual_gravity_at_rest():
@@ -96,7 +96,7 @@ def test_imu_residual_gravity_at_rest():
     grid = zero_grid(traj)
     state = lm.OptState(grid)
     sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    res = lm.residual_imu(sample, traj, grid, state)
+    res = oracles.residual_imu(sample, traj, grid, state)
     assert np.max(np.abs(res)) < 1e-9
 
 
@@ -105,7 +105,7 @@ def test_imu_residual_reports_gyro_bias():
     grid = zero_grid(traj)
     state = lm.OptState(grid, gyro_bias=np.array([0.01, 0.0, 0.0]))
     sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    res = lm.residual_imu(sample, traj, grid, state)
+    res = oracles.residual_imu(sample, traj, grid, state)
     assert np.allclose(res[3:], [0.01, 0.0, 0.0], atol=1e-12)
     assert np.max(np.abs(res[:3])) < 1e-9
 
@@ -116,7 +116,7 @@ def test_imu_residual_stencil_out_of_support():
     state = lm.OptState(grid)
     sample = lm.ImuSample(0.0, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
     with pytest.raises(OutOfRangeError):
-        lm.residual_imu(sample, traj, grid, state)
+        oracles.residual_imu(sample, traj, grid, state)
 
 
 def test_imu_residuals_self_consistent_on_simulated_truth():
@@ -127,7 +127,7 @@ def test_imu_residuals_self_consistent_on_simulated_truth():
     state = lm.OptState(grid)
     worst = 0.0
     for sample in imu[:: len(imu) // 40]:
-        res = lm.residual_imu(sample, truth, grid, state)
+        res = oracles.residual_imu(sample, truth, grid, state)
         worst = max(worst, float(np.max(np.abs(res))))
     assert worst < 1e-3
 
@@ -187,6 +187,22 @@ def test_observability_guard():
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"model": "direct"},
+        {"update_method": "so3r3"},
+        {"interpolation": "linear"},
+        {"jacobian": "centre"},
+    ],
+    ids=lambda option: next(iter(option)),
+)
+def test_unknown_string_option_is_rejected(option):
+    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
+    with pytest.raises(InvalidArgumentError, match=next(iter(option))):
+        run_window(truth, imu, init, scene, option)
+
+
 def test_degenerate_geometry_reports_null_space():
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
@@ -221,10 +237,12 @@ def test_cost_non_increasing():
     assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
-def test_grouped_jacobian_matches_dense_central_fd():
-    # The grouped evaluation must attribute columns exactly like dense
-    # differencing; the lag sits off the sample grid where residuals are
-    # smooth in every parameter.
+def test_analytic_jacobian_at_zero_correction_priors_only():
+    # The analytic Jacobian at x = 0 (zero correction, zero biases), with map
+    # priors and IMU but no surfel pairs and unit robust weights, must match
+    # dense central differencing; the parametrized test below covers random
+    # non-zero x with pairs.  The lag sits off the sample grid, where the
+    # residuals are smooth in every parameter.
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     opt_cfg = lm.OptimizerConfig(
         estimate_biases=True, estimate_time_lag=True, jacobian="central"
@@ -236,9 +254,9 @@ def test_grouped_jacobian_matches_dense_central_fd():
     system = lm._WindowSystem(pairs, priors, imu, init, state, opt_cfg)
     x = np.zeros(system.n_params())
     base = system.weighted(system.residuals(x, state))
-    grouped = system.jacobian(x, state, base)
+    analytic = system.jacobian(x, state, base)
     eps = 1e-6
-    dense = np.zeros_like(grouped)
+    dense = np.zeros_like(analytic)
     for p in range(system.n_params()):
         step = np.zeros(system.n_params())
         step[p] = eps
@@ -246,7 +264,7 @@ def test_grouped_jacobian_matches_dense_central_fd():
         minus = system.weighted(system.residuals(x - step, state))
         dense[:, p] = (plus - minus) / (2.0 * eps)
     scale = np.max(np.abs(dense)) + 1e-12
-    assert np.max(np.abs(grouped - dense)) / scale < 1e-5
+    assert np.max(np.abs(analytic - dense)) / scale < 1e-5
 
 
 @pytest.mark.parametrize(
@@ -306,12 +324,12 @@ def test_batch_residuals_match_single_evaluators(rng):
     system = lm._WindowSystem([], priors, usable_imu, init, state, opt_cfg)
     res = system.residuals(np.zeros(system.n_params()), state)
     for i, c in enumerate(priors[:8]):
-        single = lm.residual_map_prior(c, init, grid)
+        single = oracles.residual_map_prior(c, init, grid)
         assert abs(res[system.sl_prior][i] * opt_cfg.sigma_prior - single) < 1e-10
     accel = res[system.sl_accel].reshape(-1, 3) * opt_cfg.sigma_accel
     gyro = res[system.sl_gyro].reshape(-1, 3) * opt_cfg.sigma_gyro
     for i, s in enumerate(usable_imu[:6]):
-        single = lm.residual_imu(s, init, grid, state)
+        single = oracles.residual_imu(s, init, grid, state)
         assert np.max(np.abs(accel[i] - single[:3])) < 1e-9
         assert np.max(np.abs(gyro[i] - single[3:])) < 1e-9
 
