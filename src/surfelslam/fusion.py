@@ -22,6 +22,7 @@ from .surfel_map import (
     DenseSurfelMap,
     GlobalMaps,
     clamp_psd,
+    radius_join,
 )
 
 log = logging.getLogger(__name__)
@@ -127,41 +128,64 @@ class MatchParams:
     depth_threshold: float = 3.0  # theta_d, Mahalanobis
 
 
-def match_gates(src: DenseSurfel, dst: DenseSurfel, params: MatchParams):
-    """Both matching gates for one candidate pair."""
-    delta = src.centroid - dst.centroid
-    along = float(dst.normal @ delta)
-    in_plane = float(np.linalg.norm(delta - along * dst.normal))
-    if in_plane >= params.resolution_threshold:
-        return False
-    sigma_sq = float(
-        src.normal @ src.centroid_cov @ src.normal
-        + dst.normal @ dst.centroid_cov @ dst.normal
-    )
-    return abs(along) / np.sqrt(sigma_sq) < params.depth_threshold
+def _dot(a, b):
+    """Row-wise dot products of two stacks of vectors, through ``matmul`` so
+    each rounds as the scalar ``a @ b`` does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
-                 params: MatchParams | None = None, candidate_ids=None):
-    """IDs of map surfels passing the resolution and depth gates.
+def _gate_arrays(surfels):
+    """Stacked centroids, normals, normal variances ``n^T C n`` of the
+    centroid covariances, and covariance traces."""
+    centroid = np.array([s.centroid for s in surfels]).reshape(-1, 3)
+    normal = np.array([s.normal for s in surfels]).reshape(-1, 3)
+    cov = np.array([s.centroid_cov for s in surfels]).reshape(-1, 3, 3)
+    normal_var = _dot((normal[:, None, :] @ cov)[:, 0], normal)
+    return centroid, normal, normal_var, np.trace(cov, axis1=1, axis2=2)
 
-    The candidate radius bounds the farthest centroid that could pass both
-    gates given the source uncertainty and the largest centroid uncertainty
-    in the map, so the result is identical to exhaustive evaluation.
+
+def match_pairs(sources, targets, params: MatchParams | None = None):
+    """Every (source, target) pair of dense surfels passing both matching
+    gates: index arrays into ``sources`` and ``targets`` and the source
+    centroid's signed distance along the target normal, in no particular
+    order.
+
+    A pair passes when the source centroid lies within ``theta_r`` of the
+    target's normal line and within ``theta_d`` standard deviations of its
+    plane, the variance being the sum of both centroid covariances along
+    their normals.  One radius join gathers the candidates.  Its radius
+    bounds the farthest centroid that could pass both gates, since a
+    covariance's trace bounds its largest eigenvalue, so the result equals
+    exhaustive evaluation.
     """
     if params is None:
         params = MatchParams()
-    if candidate_ids is None:
-        lam_src = float(np.linalg.eigvalsh(src.centroid_cov)[-1])
-        lam_map = dense_map.max_centroid_variance()
-        radius = np.sqrt(
-            params.resolution_threshold**2
-            + params.depth_threshold**2 * (lam_src + lam_map)
-        )
-        candidate_ids = dense_map.query_radius(src.centroid, radius)
-    return sorted(
-        key for key in candidate_ids if match_gates(src, dense_map.get(key), params)
+    src_c, _, src_var, src_trace = _gate_arrays(sources)
+    dst_c, dst_n, dst_var, dst_trace = _gate_arrays(targets)
+    radius = np.sqrt(
+        params.resolution_threshold**2
+        + params.depth_threshold**2 * (src_trace.max(initial=0.0) + dst_trace.max(initial=0.0))
     )
+    i, j, _ = radius_join(src_c, dst_c, radius)
+    delta = src_c[i] - dst_c[j]
+    normal = dst_n[j]
+    along = _dot(normal, delta)
+    off_normal = delta - along[:, None] * normal
+    in_plane = np.sqrt(_dot(off_normal, off_normal))
+    sigma = np.sqrt(src_var[i] + dst_var[j])
+    passed = (in_plane < params.resolution_threshold) & (
+        np.abs(along) / sigma < params.depth_threshold
+    )
+    return i[passed], j[passed], along[passed]
+
+
+def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
+                 params: MatchParams | None = None):
+    """Keys of the map surfels that ``src`` matches (see ``match_pairs``),
+    sorted."""
+    keys = sorted(dense_map.surfels)
+    _, found, _ = match_pairs([src], [dense_map.get(k) for k in keys], params)
+    return [keys[f] for f in np.sort(found)]
 
 
 # -- Wishart fusion -----------------------------------------------------------
@@ -461,7 +485,11 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
 
     New surfels fuse only into the active partition (by timestamp age) as it
     stood before the step, so a local map never fuses into itself; unmatched
-    ones are inserted as they are and count as active.  The inactive sparse
+    ones are inserted as they are and count as active.  Matching sees that
+    snapshot too: every local surfel's gates and best match are evaluated
+    against the active surfels before any of them is updated, and the
+    matched surfels are then fused in input order, each into its
+    destination's current state.  The inactive sparse
     set is taken before the local sparse surfels are pooled into the global
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
@@ -482,24 +510,25 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     inactive_ids = set()
     for key, s in dense.surfels.items():
         (active_ids if now - s.timestamp <= cfg.active_window else inactive_ids).add(key)
-    fusable_ids = frozenset(active_ids)
+
+    # Each local surfel's best match in the active set from before the step:
+    # the smallest |n . delta|, then the lowest key.
+    targets = sorted(active_ids)
+    src_idx, dst_idx, along = match_pairs(
+        local.dense, [dense.get(k) for k in targets], cfg.match
+    )
+    order = np.lexsort((dst_idx, np.abs(along), src_idx))
+    src_idx, dst_idx = src_idx[order], dst_idx[order]
+    first = np.diff(src_idx, prepend=-1) != 0
+    best = np.full(len(local.dense), -1)
+    best[src_idx[first]] = dst_idx[first]
 
     n_new = 0
     n_fused = 0
-    for surfel in local.dense:
-        matches = [
-            k
-            for k in match_surfel(surfel, dense, cfg.match)
-            if k in fusable_ids
-        ]
-        if matches:
-            best = min(
-                matches,
-                key=lambda k: abs(
-                    float(dense.get(k).normal @ (surfel.centroid - dense.get(k).centroid))
-                ),
-            )
-            dst = dense.get(best)
+    for surfel, target in zip(local.dense, best.tolist()):
+        if target >= 0:
+            key = targets[target]
+            dst = dense.get(key)
             noise = beam_noise_for_return(
                 local.sensor_origin, surfel.centroid, surfel.normal, cfg.beam
             )
@@ -510,7 +539,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
             fused = fuse_surfel(dst, meas)
             colour, sigma = fuse_colour(dst, surfel)
             fused = replace(fused, colour=colour, colour_sigma=sigma)
-            dense.replace(best, fused)
+            dense.replace(key, fused)
             n_fused += 1
         else:
             key = dense.add(surfel)
@@ -549,23 +578,18 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         # Map coherency: re-activate inactive surfels that already overlap
         # the active map, unless too many gaps remain.  An inactive surfel
         # overlaps when an active one lies within theta_r, and is a gap when
-        # the nearest active ones lie between theta_r and 3 theta_r; the
-        # distance test rounds as SurfelIndex.query_radius does.
+        # the nearest active ones lie between theta_r and 3 theta_r.
         theta_r = cfg.match.resolution_threshold
-        overlapping = []
-        gaps = 0
-        for key in sorted(inactive_ids):
-            s = dense.get(key)
-            near = [k for k in dense.query_radius(s.centroid, 3.0 * theta_r) if k in active_ids]
-            if not near:
-                continue
-            centroids = np.array([dense.get(k).centroid for k in near])
-            if np.any(((centroids - s.centroid) ** 2).sum(axis=1) <= theta_r * theta_r):
-                overlapping.append(key)
-            else:
-                gaps += 1
-        if overlapping and gaps < cfg.gap_threshold:
-            for key in overlapping:
+        inactive = sorted(inactive_ids)
+        near, _, d_sq = radius_join(
+            [dense.get(k).centroid for k in inactive],
+            [dense.get(k).centroid for k in active_ids],
+            3.0 * theta_r,
+        )
+        overlapping = np.unique(near[d_sq <= theta_r * theta_r])
+        gaps = len(np.unique(near)) - len(overlapping)
+        if len(overlapping) and gaps < cfg.gap_threshold:
+            for key in (inactive[k] for k in overlapping):
                 s = dense.get(key)
                 dense.replace(key, replace(s, timestamp=now))
                 inactive_ids.discard(key)

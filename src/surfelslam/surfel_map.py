@@ -1,13 +1,15 @@
 """Surfel map structures: multi-resolution sparse ellipsoid surfels, dense
-disc surfels with Wishart state, a grid-hash spatial index, and the global
-sparse/dense map pair.
+disc surfels with Wishart state, the global sparse/dense map pair, and the
+one fixed-radius lookup every caller shares.
 
-The grid hash serves the mutable dense map's queries.  Dense extraction
-works on a whole scan at once: a bulk radius-pair kernel sorts the points by
-cell key and expands every point pair of each occupied cell and its 13
-half-neighbours, seeding takes the lexicographically-first maximal
-independent set of the pairs closer than the radius, and each seed's
-moments are segment sums over its pairs.
+That lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
+al., Optimized Spatial Hashing, VMV 2003): it sorts the points by cell key
+and expands every point pair of each occupied cell and its 13
+half-neighbours.  ``radius_join`` runs it over two point sets at once, which
+serves the dense map's queries and fusion's matching.  Dense extraction
+works on a whole scan at once: seeding takes the lexicographically-first
+maximal independent set of the pairs closer than the radius, and each
+seed's moments are segment sums over its pairs.
 
 Covariances are symmetrized on write and validated to be positive
 semidefinite within tolerance; surfel values are treated as immutable, so
@@ -25,13 +27,10 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 DEFAULT_SURFEL_RADIUS = 0.02
-# Cell edge of the dense map's spatial index, in meters; a match query
-# probes at most 8 cells while its radius stays under half a cell.
-INDEX_CELL = 0.05
 PSD_TOLERANCE = -1e-12
-# Every grid search pads its radius by this factor (the query box of
-# SurfelIndex.query_radius, the cell edge of _radius_pairs), so that no point
-# the rounded test d² ≤ r² accepts lies in a cell the search skips.
+# Every grid search pads its radius by this factor (the cell edge of
+# _radius_pairs, the box radius_join crops to), so that no point the rounded
+# test d² ≤ r² accepts lies in a cell or outside a box the search skips.
 CELL_REACH = 1.0 + 1e-12
 
 
@@ -126,90 +125,13 @@ class DenseSurfel:
         object.__setattr__(self, "colour", np.asarray(self.colour, dtype=float))
 
 
-class SurfelIndex:
-    """Uniform grid hash over points for exact fixed-radius queries
-    (Teschner et al., Optimized Spatial Hashing, VMV 2003).
-
-    One dict maps each occupied integer cell to the keys it holds, another
-    maps each key to its point; a cell is deleted when its last key leaves.
-    ``cell`` is the cell edge in meters.
-    """
-
-    def __init__(self, cell=INDEX_CELL):
-        if not cell > 0.0:
-            raise InvalidArgumentError("cell edge must be positive")
-        self.cell = float(cell)
-        self._cells = {}
-        self._points = {}
-
-    def __len__(self):
-        return len(self._points)
-
-    def _cell_of(self, x, y, z):
-        cell = self.cell
-        return (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
-
-    def insert(self, key, point):
-        point = np.asarray(point, dtype=float)
-        if key in self._points:
-            raise InvalidArgumentError(f"key {key} already indexed")
-        self._points[key] = point
-        self._cells.setdefault(self._cell_of(*point.tolist()), []).append(key)
-
-    def remove(self, key):
-        cell = self._cell_of(*self._points.pop(key).tolist())
-        keys = self._cells[cell]
-        keys.remove(key)
-        if not keys:
-            del self._cells[cell]
-
-    def move(self, key, point):
-        self.remove(key)
-        self.insert(key, point)
-
-    def query_radius(self, center, radius):
-        """Exactly the keys whose stored point lies within ``radius``, sorted.
-
-        Visits the cells of the query's bounding box, or the occupied cells
-        inside it when the box spans more cells than are occupied.
-        """
-        if radius < 0:
-            raise InvalidArgumentError("radius must be non-negative")
-        center = np.asarray(center, dtype=float)
-        reach = radius * CELL_REACH
-        x, y, z = center.tolist()
-        lx, ly, lz = self._cell_of(x - reach, y - reach, z - reach)
-        hx, hy, hz = self._cell_of(x + reach, y + reach, z + reach)
-        if (hx - lx + 1) * (hy - ly + 1) * (hz - lz + 1) <= len(self._cells):
-            keys = [
-                k
-                for cell in itertools.product(
-                    range(lx, hx + 1), range(ly, hy + 1), range(lz, hz + 1)
-                )
-                for k in self._cells.get(cell, ())
-            ]
-        else:
-            keys = [
-                k
-                for (cx, cy, cz), held in self._cells.items()
-                if lx <= cx <= hx and ly <= cy <= hy and lz <= cz <= hz
-                for k in held
-            ]
-        if not keys:
-            return []
-        pts = np.array([self._points[k] for k in keys])
-        d_sq = ((pts - center) ** 2).sum(axis=1)
-        return sorted(k for k, inside in zip(keys, d_sq <= radius * radius) if inside)
-
-
 class DenseSurfelMap:
-    """Dense surfel store with a spatial index; single writer, many readers."""
+    """Dense surfel store keyed by insertion order; single writer, many
+    readers."""
 
     def __init__(self):
         self.surfels = {}
-        self.index = SurfelIndex()
         self._next_id = 0
-        self._max_centroid_var = 0.0
 
     def __len__(self):
         return len(self.surfels)
@@ -217,37 +139,27 @@ class DenseSurfelMap:
     def get(self, key) -> DenseSurfel:
         return self.surfels[key]
 
-    def max_centroid_variance(self):
-        """Upper bound on the largest centroid-covariance eigenvalue in the
-        map (never decreases; used to size match queries safely)."""
-        return self._max_centroid_var
-
-    def _track_variance(self, surfel):
-        bound = float(np.trace(surfel.centroid_cov))
-        if bound > self._max_centroid_var:
-            self._max_centroid_var = bound
-
     def add(self, surfel: DenseSurfel) -> int:
         key = self._next_id
         self._next_id += 1
         self.surfels[key] = surfel
-        self.index.insert(key, surfel.centroid)
-        self._track_variance(surfel)
         return key
 
     def replace(self, key, surfel: DenseSurfel):
-        old = self.surfels[key]
+        if key not in self.surfels:
+            raise KeyError(key)
         self.surfels[key] = surfel
-        if not np.array_equal(old.centroid, surfel.centroid):
-            self.index.move(key, surfel.centroid)
-        self._track_variance(surfel)
 
     def remove(self, key):
         del self.surfels[key]
-        self.index.remove(key)
 
     def query_radius(self, center, radius):
-        return self.index.query_radius(center, radius)
+        """Keys of the surfels whose centroid lies within ``radius`` of
+        ``center``, sorted."""
+        keys = list(self.surfels)
+        centroids = np.array([self.surfels[k].centroid for k in keys]).reshape(-1, 3)
+        _, found, _ = radius_join(center, centroids, radius)
+        return sorted(keys[f] for f in found)
 
 
 def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
@@ -310,13 +222,24 @@ def voxelize_sparse(points, times, resolutions, min_points=5):
     """Sparse ellipsoid surfels from multi-resolution voxels.
 
     One surfel per occupied voxel per resolution when the voxel holds at
-    least ``min_points`` points: centroid is the mean, covariance the sample
-    covariance.
+    least ``min_points`` points (two or more): centroid is the mean,
+    covariance the sample covariance.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
     if len(resolutions) < 1:
         raise InvalidArgumentError("need at least one voxel resolution")
+    if times.shape != (len(points),):
+        raise InvalidArgumentError("need one time per point")
+    if not (np.isfinite(points).all() and np.isfinite(times).all()):
+        raise InvalidArgumentError("points and times must be finite")
+    extent = float(np.abs(points).max(initial=0.0))
+    if not all(math.isfinite(r) and r > 0.0 and extent < 2.0**62 * r for r in resolutions):
+        raise InvalidArgumentError(
+            "voxel resolutions must be positive, finite and large enough for int64 voxel keys"
+        )
+    if min_points < 2:
+        raise InvalidArgumentError("a voxel covariance needs at least two points")
     out = []
     for resolution in resolutions:
         if points.shape[0] == 0:
@@ -366,12 +289,12 @@ def _radius_pairs(points, radius):
 
     The points are sorted by a linearized cell key, with cells of edge
     ``radius`` padded so that no pair the rounded distance test accepts lies
-    more than one cell apart.  Each occupied cell is paired with itself and
-    with the occupied cells among its 13 half-neighbours, and every point
-    pair of every cell pair is expanded and tested; d² is summed as
-    ``dx*dx + dy*dy + dz*dz``, the rounding ``SurfelIndex.query_radius`` uses.
+    more than one cell apart; at radius 0 any edge is exact, and 1 is used.
+    Each occupied cell is paired with itself and with the occupied cells
+    among its 13 half-neighbours, and every point pair of every cell pair is
+    expanded and tested; d² is summed as ``dx*dx + dy*dy + dz*dz``.
     """
-    cell = radius * CELL_REACH
+    cell = radius * CELL_REACH or 1.0
     ijk = np.floor(points / cell)
     ijk -= ijk.min(axis=0) - 1.0
     # One empty layer on either side keeps every neighbour key in range.
@@ -408,6 +331,31 @@ def _radius_pairs(points, radius):
     inside = d_sq <= radius * radius
     i, j = i[inside], j[inside]
     return np.minimum(i, j), np.maximum(i, j), d_sq[inside]
+
+
+def radius_join(a, b, radius):
+    """Every pair of a point of ``a`` and a point of ``b`` within ``radius``:
+    index arrays into ``a`` and ``b`` and the squared distances, in no
+    particular order.
+
+    The pairs are those ``_radius_pairs`` finds over both sets together that
+    join ``a`` to ``b``.  Only the points of ``b`` inside ``a``'s bounding
+    box, padded by the radius, take part, so a small ``a`` over a wide ``b``
+    spans few cells.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    if not radius >= 0.0:
+        raise InvalidArgumentError("radius must be non-negative")
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    reach = radius * CELL_REACH
+    inside = np.all((b >= a.min(axis=0) - reach) & (b <= a.max(axis=0) + reach), axis=1)
+    near = np.flatnonzero(inside)
+    i, j, d_sq = _radius_pairs(np.concatenate([a, b[near]]), radius)
+    # Pairs come as i < j, so a pair joins the sets when i is in a, j in b.
+    cross = (i < len(a)) & (j >= len(a))
+    return i[cross], near[j[cross] - len(a)], d_sq[cross]
 
 
 def _first_independent_set(n, lo, hi):

@@ -4,15 +4,10 @@ import pytest
 from surfelslam import fusion, lie
 from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
-from surfelslam.surfel_map import (
-    DenseSurfel,
-    DenseSurfelMap,
-    GlobalMaps as _unused,  # noqa: F401  (import guard below)
-)
+from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap
 
 from conftest import random_rotation, random_spd
 
-# GlobalMaps lives in fusion; drop the accidental import above if reorganized.
 from surfelslam.fusion import (
     BeamModel,
     BeamNoise,
@@ -116,6 +111,16 @@ def test_match_rejects_in_plane_offset():
     m.add(make_surfel([0.0, 0.0, 0.0]))
     src = make_surfel([1.5 * params.resolution_threshold, 0.0, 0.0])
     assert match_surfel(src, m, params) == []
+
+
+def test_match_reaches_past_theta_r_along_an_uncertain_normal():
+    # 2.5 standard deviations of the map surfel's centroid off its plane,
+    # beyond theta_r = 0.02 of it: the candidate radius must include the map
+    # side's uncertainty, not only the source's.
+    m = DenseSurfelMap()
+    key = m.add(make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4))
+    src = make_surfel([0.0, 0.0, 0.025], cov_scale=1e-8)
+    assert match_surfel(src, m) == [key]
 
 
 def test_match_equals_bruteforce(rng):
@@ -421,6 +426,37 @@ def test_temporal_fusion_shifted_inactive_triggers(rng):
     assert abs(r.trigger.translation[0] - 0.2) < 0.01
     assert np.linalg.norm(r.trigger.translation[1:]) < 0.01
     assert np.linalg.norm(r.trigger.rotation - np.eye(3)) < 0.02
+
+
+def test_temporal_fusion_matches_against_the_active_map_before_the_step():
+    # Both local surfels pass the gates against the active surfel as it
+    # stood before the step: the one at z = 0.02 lies two standard
+    # deviations off its plane.  Fusing the first shrinks the active
+    # surfel's centroid covariance far enough that the second would fail
+    # against the updated state; it still fuses, into that updated state.
+    global_maps = GlobalMaps()
+    key = global_maps.dense.add(make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4))
+    local = [make_surfel([0.0, 0.0, z], cov_scale=1e-8, timestamp=1.0) for z in (0.0, 0.02)]
+    r = temporal_fusion_step(LocalMaps([], local), global_maps)
+    assert (r.metrics.n_fused, r.metrics.n_new) == (2, 0)
+    assert len(global_maps.dense) == 1
+    assert global_maps.dense.get(key).obs_count == 3
+
+
+def test_temporal_fusion_picks_the_nearest_plane_then_the_lowest_key():
+    # All three map surfels pass both gates for each local surfel.  The first
+    # lies nearest key 2 along the shared normal and fuses into it; the
+    # second lies on the plane of keys 0 and 1, which coincide, and fuses
+    # into the lower key.
+    global_maps = GlobalMaps()
+    for c in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.004]):
+        global_maps.dense.add(make_surfel(c, cov_scale=1e-4))
+    local = [make_surfel(c, timestamp=1.0) for c in ([0.0, 0.0, 0.003], [0.015, 0.0, 0.0])]
+    m = global_maps.dense
+    temporal_fusion_step(LocalMaps([], local[:1]), global_maps)
+    assert [m.get(k).obs_count for k in range(3)] == [1, 1, 2]
+    temporal_fusion_step(LocalMaps([], local[1:]), global_maps)
+    assert [m.get(k).obs_count for k in range(3)] == [2, 1, 2]
 
 
 @pytest.mark.parametrize("gap_threshold, reactivated", [(20, [0]), (1, [])])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from surfelslam.surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
     SparseSurfelMap,
-    SurfelIndex,
     extract_dense,
     merge_moments,
+    radius_join,
     voxelize_sparse,
 )
 from surfelslam.trajectory import Trajectory
@@ -64,6 +66,34 @@ def test_voxelize_matches_bruteforce_moments(rng):
 def test_voxelize_requires_resolution():
     with pytest.raises(InvalidArgumentError):
         voxelize_sparse(np.zeros((4, 3)), np.zeros(4), [])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {"resolutions": [0.0]},
+        {"resolutions": [-1.0]},
+        {"resolutions": [np.nan]},
+        {"resolutions": [np.inf]},
+        {"resolutions": [1.0, 1e-300]},
+        {"min_points": 1},
+        {"min_points": 0},
+        {"times": np.zeros(7)},
+        {"times": np.zeros(9)},
+        {"times": np.r_[np.zeros(7), np.nan]},
+        {"points": np.r_[np.ones((7, 3)), [[np.nan, 0.0, 0.0]]]},
+        {"points": np.r_[np.ones((7, 3)), [[np.inf, 0.0, 0.0]]]},
+    ],
+)
+def test_voxelize_rejects_invalid_input(case):
+    # Each case alone: a zero, NaN or tiny resolution warned on division or
+    # cast, a negative or infinite one and mismatched or NaN times passed
+    # silently, and a one-point voxel gave a 0/0 covariance.
+    args = {"points": np.ones((8, 3)), "times": np.zeros(8), "resolutions": [1.0],
+            "min_points": 5}
+    args.update(case)
+    with pytest.raises(InvalidArgumentError):
+        voxelize_sparse(**args)
 
 
 def plane_points(rng, n=4000, extent=0.5, noise=0.0, normal=(0.0, 0.0, 1.0)):
@@ -270,129 +300,160 @@ def test_extract_dense_rejects_extent_beyond_cell_keys():
         extract_dense(pts, np.zeros(2), cfg=DenseExtractionConfig(radius=1e-3))
 
 
-# -- spatial index ------------------------------------------------------------
+# -- spatial lookup -----------------------------------------------------------
+
+
+def _surfel_at(point):
+    return DenseSurfel(
+        centroid=point, normal=[0.0, 0.0, 1.0],
+        centroid_cov=np.eye(3) * 1e-6, scatter=np.eye(3) * 1e-4,
+        dof=6.0, obs_count=1, timestamp=0.0,
+    )
+
+
+def _mapped(points):
+    """A dense map with one surfel at each point, keyed in order, and the
+    linear-scan shadow of its centroids."""
+    m = DenseSurfelMap()
+    shadow = oracles.LinearScanIndex()
+    proto = _surfel_at(np.zeros(3))
+    for p in points:
+        shadow.insert(m.add(replace(proto, centroid=p)), p)
+    return m, shadow
 
 
 def test_index_empty_query():
-    index = SurfelIndex()
-    assert index.query_radius([0.0, 0.0, 0.0], 1.0) == []
+    assert DenseSurfelMap().query_radius([0.0, 0.0, 0.0], 1.0) == []
 
 
 def test_index_exact_hit():
-    index = SurfelIndex()
-    index.insert(7, [1.0, 2.0, 3.0])
-    assert index.query_radius([1.0, 2.0, 3.0], 1e-12) == [7]
+    m, _ = _mapped([[5.0, 5.0, 5.0]] * 7 + [[1.0, 2.0, 3.0]])
+    assert m.query_radius([1.0, 2.0, 3.0], 1e-12) == [7]
 
 
 def test_index_matches_linear_scan_bulk(rng):
-    index = SurfelIndex()
-    shadow = oracles.LinearScanIndex()
-    pts = rng.uniform(-20.0, 20.0, size=(10_000, 3))
-    for i, p in enumerate(pts):
-        index.insert(i, p)
-        shadow.insert(i, p)
+    m, shadow = _mapped(rng.uniform(-20.0, 20.0, size=(10_000, 3)))
     for _ in range(100):
         center = rng.uniform(-22.0, 22.0, size=3)
         radius = rng.uniform(0.1, 5.0)
-        assert index.query_radius(center, radius) == shadow.query_radius(center, radius)
+        assert m.query_radius(center, radius) == shadow.query_radius(center, radius)
 
 
 def test_index_randomized_insert_remove_query(rng):
-    index = SurfelIndex()
+    m = DenseSurfelMap()
     shadow = oracles.LinearScanIndex()
+    proto = _surfel_at(np.zeros(3))
     alive = []
-    next_key = 0
     for _ in range(10_000):
         op = rng.uniform()
         if op < 0.5 or not alive:
             p = rng.uniform(-50.0, 50.0, size=3)
-            index.insert(next_key, p)
-            shadow.insert(next_key, p)
-            alive.append(next_key)
-            next_key += 1
+            key = m.add(replace(proto, centroid=p))
+            shadow.insert(key, p)
+            alive.append(key)
         elif op < 0.8:
             key = alive.pop(rng.integers(0, len(alive)))
-            index.remove(key)
+            m.remove(key)
             shadow.remove(key)
         else:
             center = rng.uniform(-55.0, 55.0, size=3)
             radius = rng.uniform(0.5, 10.0)
-            assert index.query_radius(center, radius) == shadow.query_radius(
-                center, radius
-            )
-    assert len(index) == len(shadow.points)
+            assert m.query_radius(center, radius) == shadow.query_radius(center, radius)
+    assert sorted(m.surfels) == sorted(shadow.points)
 
 
 def test_index_grows_beyond_initial_bounds():
-    index = SurfelIndex()
-    index.insert(0, [100.0, -250.0, 3.0])
-    index.insert(1, [0.1, 0.1, 0.1])
-    assert index.query_radius([100.0, -250.0, 3.0], 0.5) == [0]
+    m, _ = _mapped([[100.0, -250.0, 3.0], [0.1, 0.1, 0.1]])
+    assert m.query_radius([100.0, -250.0, 3.0], 0.5) == [0]
+    assert m.query_radius([0.1, 0.1, 0.1], 0.0) == [1]
 
 
 def test_index_matches_linear_scan_on_cell_faces(rng):
-    # Dyadic lattice points on the faces of 0.25 m cells, negative
-    # coordinates included; the radii are distances the lattice realizes
-    # exactly (0.625 from the 0.375/0.5/0.625 triple), so spheres touch points.
-    index = SurfelIndex(cell=0.25)
-    shadow = oracles.LinearScanIndex()
+    # Dyadic lattice points on the faces of the join's cells, whose edge is
+    # the padded radius, negative coordinates included; the radii are
+    # distances the lattice realizes exactly (0.625 from the 0.375/0.5/0.625
+    # triple), so spheres touch points, and radius 0 finds only coincident
+    # points.
     coords = -0.5 + 0.125 * np.arange(9)
     pts = np.array([[x, y, z] for x in coords for y in coords for z in coords])
-    for key, p in enumerate(pts):
-        index.insert(key, p)
-        shadow.insert(key, p)
+    m, shadow = _mapped(pts)
 
     def check():
         centers = [pts[i] for i in rng.choice(len(pts), 12)]
         centers += [[0.0, 0.0, 0.0], [-0.25, 0.25, -0.5], [0.0625, -0.1875, 0.3125]]
-        # Boxes of radius 0.125 and 0.25 span at most 64 cells, fewer than
-        # the 124-126 occupied; those of 0.625 and 2.0 span at least 216.
         for radius in (0.0, 0.125, 0.25, 0.625, 2.0):
             for center in centers:
-                assert index.query_radius(center, radius) == shadow.query_radius(
-                    center, radius
-                )
+                assert m.query_radius(center, radius) == shadow.query_radius(center, radius)
 
     check()
-    # Empty the cell [0.5, 0.75)^3, which holds only the corner point, by a
-    # move, then refill it by an insert and empty it again by a removal.
+    # Empty the 0.25 m cell [0.5, 0.75)^3, which holds only the corner
+    # point, by a move, then refill it by an insert and empty it again by a
+    # removal.
     corner = len(pts) - 1
-    index.move(corner, [-0.625, -0.625, -0.625])
+    m.replace(corner, _surfel_at([-0.625, -0.625, -0.625]))
     shadow.remove(corner)
     shadow.insert(corner, [-0.625, -0.625, -0.625])
-    assert index.query_radius([0.5, 0.5, 0.5], 0.1) == []
+    assert m.query_radius([0.5, 0.5, 0.5], 0.1) == []
     check()
-    index.insert(len(pts), [0.625, 0.5, 0.75])
-    shadow.insert(len(pts), [0.625, 0.5, 0.75])
+    key = m.add(_surfel_at([0.625, 0.5, 0.75]))
+    shadow.insert(key, [0.625, 0.5, 0.75])
     check()
-    index.remove(len(pts))
-    shadow.remove(len(pts))
+    m.remove(key)
+    shadow.remove(key)
     # Empty a whole interior cell, [0, 0.25)^3, whose eight points sit on
     # its lower faces.
     inner = [k for k, p in enumerate(pts) if np.all((p >= 0.0) & (p < 0.25))]
     assert len(inner) == 8
     for k in inner:
-        index.remove(k)
+        m.remove(k)
         shadow.remove(k)
-    assert index.query_radius([0.1, 0.1, 0.1], 0.1) == []
+    assert m.query_radius([0.1, 0.1, 0.1], 0.1) == []
     check()
-    assert len(index) == len(shadow.points)
+    assert sorted(m.surfels) == sorted(shadow.points)
+
+
+def _join_bruteforce(a, b, radius):
+    d_sq = ((b[None, :, :] - a[:, None, :]) ** 2).sum(axis=2)
+    i, j = np.nonzero(d_sq <= radius * radius)
+    return i, j, d_sq[i, j]
+
+
+def test_radius_join_matches_bruteforce(rng):
+    # ``wide`` holds copies of 40 cluster points, so radius 0 finds pairs,
+    # and most of its points lie outside the cluster's box.
+    cluster = rng.uniform(-1.0, 1.0, size=(200, 3))
+    wide = np.r_[rng.uniform(-20.0, 20.0, size=(3000, 3)), cluster[::5]]
+    lattice = -0.5 + 0.125 * np.array([[x, y, z] for x in range(9) for y in range(9) for z in range(9)])
+    cases = [
+        (cluster, wide, 0.0),
+        (cluster, wide, 0.3),
+        (cluster, wide, 3.0),
+        (wide[:500], wide, 1.5),
+        (lattice, lattice[::7], 0.25),
+        (lattice[::5], lattice, 0.0),
+        (wide[17:18], wide, 1e-12),
+        (np.zeros((0, 3)), wide, 1.0),
+        (cluster, np.zeros((0, 3)), 1.0),
+    ]
+    for a, b, radius in cases:
+        i, j, d_sq = radius_join(a, b, radius)
+        order = np.lexsort((j, i))
+        want = _join_bruteforce(a, b, radius)
+        assert np.array_equal(i[order], want[0])
+        assert np.array_equal(j[order], want[1])
+        assert np.array_equal(d_sq[order], want[2])
+    # A 1e-12 radius over the 40 m extent of ``wide`` spans 4e13 cells an
+    # axis, too many to key; only ``a``'s padded box is keyed.
+    i, j, _ = radius_join(wide[17:18], wide, 1e-12)
+    assert i.tolist() == [0] and j.tolist() == [17]
+    with pytest.raises(InvalidArgumentError):
+        radius_join(cluster, wide, -1.0)
 
 
 def test_dense_map_replace_moves_index(rng):
     m = DenseSurfelMap()
-    s = DenseSurfel(
-        centroid=[0.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0],
-        centroid_cov=np.eye(3) * 1e-6, scatter=np.eye(3) * 1e-4,
-        dof=6.0, obs_count=1, timestamp=0.0,
-    )
-    key = m.add(s)
-    moved = DenseSurfel(
-        centroid=[5.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0],
-        centroid_cov=np.eye(3) * 1e-6, scatter=np.eye(3) * 1e-4,
-        dof=6.0, obs_count=2, timestamp=1.0,
-    )
-    m.replace(key, moved)
+    key = m.add(_surfel_at([0.0, 0.0, 0.0]))
+    m.replace(key, replace(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0))
     assert m.query_radius([5.0, 0.0, 0.0], 0.1) == [key]
     assert m.query_radius([0.0, 0.0, 0.0], 0.1) == []
 
