@@ -2,6 +2,15 @@
 two-stage matching, normal-inverse-Wishart centroid/extent updates, colour
 fusion, and the temporal active/inactive map step.
 
+Each stage works on stacks: the beam noise of every return, the gates of
+every candidate pair, and the Wishart, colour and normal updates of every
+destination are whole-array operations over ``DenseSurfels`` batches.  The
+single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
+``fuse_surfel``, ``extract_normal``) are the batch functions on a batch of
+one.  A fusion step folds its measurements into their destinations in
+rounds, each round fusing the next pending measurement of every
+destination, and checks the fused rows once.
+
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
 matrix square roots are lower Cholesky factors throughout.
@@ -20,7 +29,11 @@ from .errors import InvalidArgumentError
 from .surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
+    DenseSurfels,
     GlobalMaps,
+    _put,
+    _row_dot,
+    check_dense,
     clamp_psd,
     radius_join,
 )
@@ -30,9 +43,14 @@ log = logging.getLogger(__name__)
 MEASUREMENT_DIM = 3
 
 
+def _transpose(m):
+    return np.swapaxes(m, -1, -2)
+
+
 @dataclass
 class BeamNoise:
-    """Per-return noise in beam coordinates plus the beam-to-world rotations."""
+    """Per-return noise in beam coordinates plus the beam-to-world rotations,
+    for one return or, with arrays, a stack of them."""
 
     sigma_r_sq: float
     sigma_d_sq: float
@@ -41,22 +59,25 @@ class BeamNoise:
     rot_laser_beam: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        if min(self.sigma_r_sq, self.sigma_d_sq, self.sigma_i_sq) < 0.0:
+        variances = (self.sigma_r_sq, self.sigma_d_sq, self.sigma_i_sq)
+        if any(np.any(np.asarray(v) < 0.0) for v in variances):
             raise InvalidArgumentError("beam noise variances must be non-negative")
         self.rot_world_laser = np.asarray(self.rot_world_laser, dtype=float)
         self.rot_laser_beam = np.asarray(self.rot_laser_beam, dtype=float)
 
     def beam_covariance(self):
-        return np.diag(
-            [self.sigma_r_sq, self.sigma_r_sq, self.sigma_i_sq + self.sigma_d_sq]
-        )
+        along = np.asarray(self.sigma_i_sq + self.sigma_d_sq)
+        cov = np.zeros(along.shape + (3, 3))
+        cov[..., 0, 0] = cov[..., 1, 1] = self.sigma_r_sq
+        cov[..., 2, 2] = along
+        return cov
 
 
 def beam_noise_world(noise: BeamNoise):
     """Rotate the beam-frame covariance into world coordinates."""
     rot = noise.rot_world_laser @ noise.rot_laser_beam
-    q = rot @ noise.beam_covariance() @ rot.T
-    return 0.5 * (q + q.T)
+    q = rot @ noise.beam_covariance() @ _transpose(rot)
+    return 0.5 * (q + _transpose(q))
 
 
 @dataclass
@@ -76,47 +97,59 @@ class IncidenceVariance(NamedTuple):
 
 
 def incidence_variance(angle, range_m, cfg: BeamModel | None = None):
-    """Extra depth variance from the beam footprint at oblique incidence."""
+    """Extra depth variance from the beam footprint at oblique incidence, for
+    one angle and range or elementwise over arrays; angles at or past the
+    grazing cutoff are clamped to it."""
     if cfg is None:
         cfg = BeamModel()
-    if angle < 0.0:
+    angle = np.asarray(angle, dtype=float)
+    if np.any(angle < 0.0):
         raise InvalidArgumentError("incidence angle must be non-negative")
-    if angle >= cfg.grazing_cutoff:
-        worst = (range_m * np.tan(cfg.grazing_cutoff) * cfg.beam_divergence) ** 2
-        return IncidenceVariance(float(worst), True)
-    return IncidenceVariance(
-        float((range_m * np.tan(angle) * cfg.beam_divergence) ** 2), False
-    )
+    clamped = angle >= cfg.grazing_cutoff
+    value = (range_m * np.tan(np.minimum(angle, cfg.grazing_cutoff)) * cfg.beam_divergence) ** 2
+    if angle.ndim == 0:
+        return IncidenceVariance(float(value), bool(clamped))
+    return IncidenceVariance(value, clamped)
 
 
 def _align_z_to(direction):
-    z = direction / np.linalg.norm(direction)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    """Rotations whose third columns are the unit rows of ``direction``."""
+    z = direction / np.sqrt(_row_dot(direction, direction))[:, None]
+    seed = np.where((np.abs(z[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     x = np.cross(seed, z)
-    x /= np.linalg.norm(x)
+    x /= np.sqrt(_row_dot(x, x))[:, None]
     y = np.cross(z, x)
-    return np.stack([x, y, z], axis=1)
+    return np.stack([x, y, z], axis=2)
+
+
+def beam_noise_batch(sensor_origin, points, surface_normals=None,
+                     cfg: BeamModel | None = None):
+    """World-frame measurement noise of each return in ``points`` seen from
+    ``sensor_origin``, given the surface normals when known."""
+    if cfg is None:
+        cfg = BeamModel()
+    beam = np.asarray(points, dtype=float).reshape(-1, 3) - np.asarray(sensor_origin, dtype=float)
+    range_m = np.sqrt(_row_dot(beam, beam))
+    # A return at the sensor has no beam direction: isotropic range noise.
+    at_sensor = range_m < 1e-9
+    beam[at_sensor] = [0.0, 0.0, 1.0]
+    range_m[at_sensor] = 1.0
+    sigma_d = cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m
+    sigma_i_sq = np.zeros(len(beam))
+    if surface_normals is not None:
+        normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
+        cos_i = np.abs(_row_dot(normals, beam / range_m[:, None]))
+        angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
+        sigma_i_sq = incidence_variance(angle, range_m, cfg).value
+    noise = BeamNoise(cfg.sigma_r**2, sigma_d**2, sigma_i_sq, _align_z_to(beam), np.eye(3))
+    return np.where(at_sensor[:, None, None], cfg.sigma_r**2 * np.eye(3), beam_noise_world(noise))
 
 
 def beam_noise_for_return(sensor_origin, point, surface_normal=None,
                           cfg: BeamModel | None = None):
     """World-frame measurement noise for one return given the scan geometry."""
-    if cfg is None:
-        cfg = BeamModel()
-    beam = np.asarray(point, dtype=float) - np.asarray(sensor_origin, dtype=float)
-    range_m = float(np.linalg.norm(beam))
-    if range_m < 1e-9:
-        return cfg.sigma_r**2 * np.eye(3)
-    rot = _align_z_to(beam)
-    sigma_d = cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m
-    if surface_normal is not None:
-        cos_i = abs(float(surface_normal @ (beam / range_m)))
-        angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
-        sigma_i_sq = incidence_variance(angle, range_m, cfg).value
-    else:
-        sigma_i_sq = 0.0
-    noise = BeamNoise(cfg.sigma_r**2, sigma_d**2, sigma_i_sq, rot, np.eye(3))
-    return beam_noise_world(noise)
+    normals = None if surface_normal is None else [surface_normal]
+    return beam_noise_batch(sensor_origin, [point], normals, cfg)[0]
 
 
 # -- matching ---------------------------------------------------------------
@@ -128,27 +161,19 @@ class MatchParams:
     depth_threshold: float = 3.0  # theta_d, Mahalanobis
 
 
-def _dot(a, b):
-    """Row-wise dot products of two stacks of vectors, through ``matmul`` so
-    each rounds as the scalar ``a @ b`` does."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _gate_arrays(surfels):
-    """Stacked centroids, normals, normal variances ``n^T C n`` of the
-    centroid covariances, and covariance traces."""
-    centroid = np.array([s.centroid for s in surfels]).reshape(-1, 3)
-    normal = np.array([s.normal for s in surfels]).reshape(-1, 3)
-    cov = np.array([s.centroid_cov for s in surfels]).reshape(-1, 3, 3)
-    normal_var = _dot((normal[:, None, :] @ cov)[:, 0], normal)
-    return centroid, normal, normal_var, np.trace(cov, axis1=1, axis2=2)
+def _gate_arrays(surfels: DenseSurfels):
+    """Centroids, normals, normal variances ``n^T C n`` of the centroid
+    covariances, and covariance traces."""
+    normal, cov = surfels.normal, surfels.centroid_cov
+    normal_var = _row_dot((normal[:, None, :] @ cov)[:, 0], normal)
+    return surfels.centroid, normal, normal_var, np.trace(cov, axis1=1, axis2=2)
 
 
 def match_pairs(sources, targets, params: MatchParams | None = None):
     """Every (source, target) pair of dense surfels passing both matching
-    gates: index arrays into ``sources`` and ``targets`` and the source
-    centroid's signed distance along the target normal, in no particular
-    order.
+    gates: index arrays into ``sources`` and ``targets`` (batches or lists
+    of surfels) and the source centroid's signed distance along the target
+    normal, in no particular order.
 
     A pair passes when the source centroid lies within ``theta_r`` of the
     target's normal line and within ``theta_d`` standard deviations of its
@@ -160,8 +185,8 @@ def match_pairs(sources, targets, params: MatchParams | None = None):
     """
     if params is None:
         params = MatchParams()
-    src_c, _, src_var, src_trace = _gate_arrays(sources)
-    dst_c, dst_n, dst_var, dst_trace = _gate_arrays(targets)
+    src_c, _, src_var, src_trace = _gate_arrays(DenseSurfels.of(sources))
+    dst_c, dst_n, dst_var, dst_trace = _gate_arrays(DenseSurfels.of(targets))
     radius = np.sqrt(
         params.resolution_threshold**2
         + params.depth_threshold**2 * (src_trace.max(initial=0.0) + dst_trace.max(initial=0.0))
@@ -169,9 +194,9 @@ def match_pairs(sources, targets, params: MatchParams | None = None):
     i, j, _ = radius_join(src_c, dst_c, radius)
     delta = src_c[i] - dst_c[j]
     normal = dst_n[j]
-    along = _dot(normal, delta)
+    along = _row_dot(normal, delta)
     off_normal = delta - along[:, None] * normal
-    in_plane = np.sqrt(_dot(off_normal, off_normal))
+    in_plane = np.sqrt(_row_dot(off_normal, off_normal))
     sigma = np.sqrt(src_var[i] + dst_var[j])
     passed = (in_plane < params.resolution_threshold) & (
         np.abs(along) / sigma < params.depth_threshold
@@ -183,9 +208,9 @@ def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
                  params: MatchParams | None = None):
     """Keys of the map surfels that ``src`` matches (see ``match_pairs``),
     sorted."""
-    keys = sorted(dense_map.surfels)
-    _, found, _ = match_pairs([src], [dense_map.get(k) for k in keys], params)
-    return [keys[f] for f in np.sort(found)]
+    keys = dense_map.keys()
+    _, found, _ = match_pairs([src], dense_map.rows(keys), params)
+    return sorted(keys[found].tolist())
 
 
 # -- Wishart fusion -----------------------------------------------------------
@@ -193,7 +218,8 @@ def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
 
 @dataclass(frozen=True)
 class SurfelMeasurement:
-    """Batch summary of the points backing one incoming surfel."""
+    """Batch summary of the points backing one incoming surfel, or, with a
+    leading axis on every field, of a stack of them."""
 
     mean: np.ndarray
     scatter: np.ndarray
@@ -205,69 +231,95 @@ class SurfelMeasurement:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "scatter", np.asarray(self.scatter, dtype=float))
         object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
-        if self.count < 1:
+        if np.any(np.asarray(self.count) < 1):
             raise InvalidArgumentError("measurement needs at least one point")
 
 
 def _chol_or_regularize(m, what):
+    """Lower Cholesky factors of a stack; a matrix whose factorization fails
+    is factored again with 1e-12 I added, and logged."""
     try:
-        return np.linalg.cholesky(m), False
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        log.warning("%s singular during fusion; regularizing", what)
-        return np.linalg.cholesky(m + 1e-12 * np.eye(3)), True
+        pass
+    out = np.empty_like(m)
+    for k, matrix in enumerate(m):
+        try:
+            out[k] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            log.warning("%s singular during fusion; regularizing", what)
+            out[k] = np.linalg.cholesky(matrix + 1e-12 * np.eye(3))
+    return out
+
+
+def extract_normal_batch(scatter, previous):
+    """Smallest-eigenvalue eigenvector of each scatter, sign-continuous with
+    its previous normal; the previous normal is kept where the two smallest
+    eigenvalues are indistinguishable."""
+    eigenvalues, vectors = np.linalg.eigh(scatter)
+    scale = np.maximum(np.abs(eigenvalues[:, 2]), 1e-30)
+    ambiguous = eigenvalues[:, 1] - eigenvalues[:, 0] < 1e-9 * scale
+    if log.isEnabledFor(logging.DEBUG):
+        for _ in range(np.count_nonzero(ambiguous)):
+            log.debug("ambiguous surfel normal; keeping previous")
+    normal = np.ascontiguousarray(vectors[:, :, 0])
+    normal[_row_dot(normal, previous) < 0.0] *= -1.0
+    normal /= np.sqrt(_row_dot(normal, normal))[:, None]
+    return np.where(ambiguous[:, None], previous, normal)
 
 
 def extract_normal(surfel: DenseSurfel):
-    """Smallest-eigenvalue eigenvector of the scatter, sign-continuous with
-    the previous normal; retains the previous normal if the two smallest
-    eigenvalues are indistinguishable."""
-    eigenvalues, vectors = np.linalg.eigh(surfel.scatter)
-    scale = max(abs(eigenvalues[2]), 1e-30)
-    if eigenvalues[1] - eigenvalues[0] < 1e-9 * scale:
-        log.debug("ambiguous surfel normal; keeping previous")
-        return surfel.normal
-    normal = vectors[:, 0]
-    if normal @ surfel.normal < 0.0:
-        normal = -normal
-    return normal / np.linalg.norm(normal)
+    """``extract_normal_batch`` for one surfel."""
+    return extract_normal_batch(surfel.scatter[None], surfel.normal[None])[0]
 
 
-def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
-    """Normal-inverse-Wishart update of centroid, covariance, and extent."""
-    if dst.dof <= MEASUREMENT_DIM + 1:
+def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement) -> DenseSurfels:
+    """Normal-inverse-Wishart update of centroid, covariance, and extent of
+    each destination row by the measurement in the same row of a stacked
+    ``meas``.  The result is not checked; see ``check_dense``."""
+    if np.any(dst.dof <= MEASUREMENT_DIM + 1):
         raise InvalidArgumentError("surfel extent state not yet well defined")
-    extent = dst.scatter / (dst.dof - MEASUREMENT_DIM - 1)
+    count = np.asarray(meas.count, dtype=float)
+    extent = dst.scatter / (dst.dof - MEASUREMENT_DIM - 1)[:, None, None]
     y = extent + meas.noise
-    s = dst.centroid_cov + y / meas.count
-    sqrt_y, _ = _chol_or_regularize(y, "innovation scale Y")
-    sqrt_s, _ = _chol_or_regularize(s, "innovation covariance S")
+    s = dst.centroid_cov + y / count[:, None, None]
+    sqrt_y = _chol_or_regularize(y, "innovation scale Y")
+    sqrt_s = _chol_or_regularize(s, "innovation covariance S")
     gain = dst.centroid_cov @ np.linalg.inv(s)
-    mean = dst.centroid + gain @ (meas.mean - dst.centroid)
+    delta = meas.mean - dst.centroid
+    mean = dst.centroid + (gain @ delta[:, :, None])[:, :, 0]
     centroid_cov = dst.centroid_cov - gain @ dst.centroid_cov
 
     sqrt_x = np.linalg.cholesky(clamp_psd(extent) + 1e-18 * np.eye(3))
-    innovation = np.outer(meas.mean - dst.centroid, meas.mean - dst.centroid)
+    innovation = delta[:, :, None] * delta[:, None, :]
     left_s = sqrt_x @ np.linalg.inv(sqrt_s)
     left_y = sqrt_x @ np.linalg.inv(sqrt_y)
-    n_bar = left_s @ innovation @ left_s.T
-    y_bar = left_y @ meas.scatter @ left_y.T
-    scatter = dst.scatter + n_bar + y_bar
+    n_bar = left_s @ innovation @ _transpose(left_s)
+    y_bar = left_y @ meas.scatter @ _transpose(left_y)
+    scatter = clamp_psd(dst.scatter + n_bar + y_bar)
 
-    centroid_cov = clamp_psd(centroid_cov)
-    scatter = clamp_psd(scatter)
     timestamp = dst.timestamp
     if meas.timestamp is not None:
-        timestamp = max(timestamp, float(meas.timestamp))
-    updated = replace(
+        timestamp = np.maximum(timestamp, meas.timestamp)
+    return replace(
         dst,
         centroid=mean,
-        centroid_cov=centroid_cov,
+        normal=extract_normal_batch(scatter, dst.normal),
+        centroid_cov=clamp_psd(centroid_cov),
         scatter=scatter,
-        dof=dst.dof + meas.count,
+        dof=dst.dof + count,
         obs_count=dst.obs_count + 1,
         timestamp=timestamp,
     )
-    return replace(updated, normal=extract_normal(updated))
+
+
+def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
+    """``fuse_batch`` for one surfel, checked."""
+    one = SurfelMeasurement(
+        meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None],
+        None if meas.timestamp is None else [meas.timestamp],
+    )
+    return check_dense(fuse_batch(DenseSurfels.of([dst]), one))[0]
 
 
 # -- colour -------------------------------------------------------------------
@@ -299,15 +351,18 @@ def colour_uncertainty(cue: ColourCue):
     return float(1.0 / (1.0 + np.exp(-cue.sharpness * (alpha_r + alpha_v + alpha_d))))
 
 
-def fuse_colour(dst: DenseSurfel, src: DenseSurfel):
-    """Precision-weighted colour mean and harmonically combined sigma."""
-    if dst.colour_sigma <= 0 or src.colour_sigma <= 0:
+def fuse_colour(dst, src):
+    """Precision-weighted colour mean and harmonically combined sigma of two
+    surfels, or row by row of two equal-length batches."""
+    sigma_d = np.asarray(dst.colour_sigma, dtype=float)
+    sigma_s = np.asarray(src.colour_sigma, dtype=float)
+    if np.any(sigma_d <= 0) or np.any(sigma_s <= 0):
         raise InvalidArgumentError("colour sigmas must be positive")
-    w_d = 1.0 / dst.colour_sigma
-    w_s = 1.0 / src.colour_sigma
-    colour = (w_d * dst.colour + w_s * src.colour) / (w_d + w_s)
+    w_d = 1.0 / sigma_d
+    w_s = 1.0 / sigma_s
+    colour = (w_d[..., None] * dst.colour + w_s[..., None] * src.colour) / (w_d + w_s)[..., None]
     sigma = 1.0 / (w_d + w_s)
-    return colour, float(sigma)
+    return colour, sigma if sigma.ndim else float(sigma)
 
 
 # -- point-to-plane ICP on sparse surfels -------------------------------------
@@ -425,18 +480,22 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
 
 @dataclass
 class LocalMaps:
-    """One window's output: local sparse/dense maps plus the sensor origin."""
+    """One window's output: local sparse/dense maps plus the sensor origin.
+
+    ``dense`` is a ``DenseSurfels`` batch; a list of ``DenseSurfel`` values
+    is converted to one.
+    """
 
     sparse: list
-    dense: list
+    dense: DenseSurfels
     sensor_origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     timestamp: float = None
 
     def __post_init__(self):
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float)
+        self.dense = DenseSurfels.of(self.dense)
         if self.timestamp is None:
-            stamps = [s.timestamp for s in self.dense] or [0.0]
-            self.timestamp = float(max(stamps))
+            self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
 
 
 @dataclass
@@ -478,6 +537,28 @@ class TemporalFusionResult:
     trigger: DeformationTrigger | None
 
 
+def _fold(state: DenseSurfels, slot, sources: DenseSurfels, noise):
+    """Fuse each local surfel ``sources[m]``, with beam noise ``noise[m]``,
+    into row ``slot[m]`` of ``state``, in place.
+
+    A row's measurements are fused in input order, so the rows are folded
+    in rounds: round ``r`` fuses the ``r``-th measurement of every row that
+    has one, all at once.
+    """
+    order = np.argsort(slot, kind="stable")
+    starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
+    for r in range(rank.max(initial=-1) + 1):
+        pending = np.flatnonzero(rank == r)
+        rows, src = slot[pending], sources[pending]
+        dst = state[rows]
+        meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[pending],
+                                 src.timestamp)
+        colour, sigma = fuse_colour(dst, src)
+        _put(state, rows, replace(fuse_batch(dst, meas), colour=colour, colour_sigma=sigma))
+
+
 def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
                          cfg: TemporalFusionConfig | None = None,
                          step=0) -> TemporalFusionResult:
@@ -485,11 +566,12 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
 
     New surfels fuse only into the active partition (by timestamp age) as it
     stood before the step, so a local map never fuses into itself; unmatched
-    ones are inserted as they are and count as active.  Matching sees that
-    snapshot too: every local surfel's gates and best match are evaluated
-    against the active surfels before any of them is updated, and the
-    matched surfels are then fused in input order, each into its
-    destination's current state.  The inactive sparse
+    ones are inserted as they are, in input order, and count as active.
+    Matching sees that snapshot too: every local surfel's gates and best
+    match are evaluated against the active surfels before any of them is
+    updated.  The matched surfels are then fused in input order, each into
+    its destination's current state; this is folded in rounds (see
+    ``_fold``), and the fused rows are checked once.  The inactive sparse
     set is taken before the local sparse surfels are pooled into the global
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
@@ -506,45 +588,28 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         cfg = TemporalFusionConfig()
     dense = global_maps.dense
     now = local.timestamp
-    active_ids = set()
-    inactive_ids = set()
-    for key, s in dense.surfels.items():
-        (active_ids if now - s.timestamp <= cfg.active_window else inactive_ids).add(key)
+    keys = dense.keys()
+    before = dense.rows(keys)
+    inactive = now - before.timestamp > cfg.active_window
+    targets = keys[~inactive]
 
     # Each local surfel's best match in the active set from before the step:
     # the smallest |n . delta|, then the lowest key.
-    targets = sorted(active_ids)
-    src_idx, dst_idx, along = match_pairs(
-        local.dense, [dense.get(k) for k in targets], cfg.match
-    )
+    src_idx, dst_idx, along = match_pairs(local.dense, before[~inactive], cfg.match)
     order = np.lexsort((dst_idx, np.abs(along), src_idx))
     src_idx, dst_idx = src_idx[order], dst_idx[order]
     first = np.diff(src_idx, prepend=-1) != 0
-    best = np.full(len(local.dense), -1)
-    best[src_idx[first]] = dst_idx[first]
-
-    n_new = 0
-    n_fused = 0
-    for surfel, target in zip(local.dense, best.tolist()):
-        if target >= 0:
-            key = targets[target]
-            dst = dense.get(key)
-            noise = beam_noise_for_return(
-                local.sensor_origin, surfel.centroid, surfel.normal, cfg.beam
-            )
-            meas = SurfelMeasurement(
-                surfel.centroid, surfel.scatter, surfel.dof, noise,
-                timestamp=surfel.timestamp,
-            )
-            fused = fuse_surfel(dst, meas)
-            colour, sigma = fuse_colour(dst, surfel)
-            fused = replace(fused, colour=colour, colour_sigma=sigma)
-            dense.replace(key, fused)
-            n_fused += 1
-        else:
-            key = dense.add(surfel)
-            active_ids.add(key)
-            n_new += 1
+    matched = src_idx[first]
+    if matched.size:
+        fused_keys, slot = np.unique(targets[dst_idx[first]], return_inverse=True)
+        state = dense.rows(fused_keys)
+        sources = local.dense[matched]
+        noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal, cfg.beam)
+        _fold(state, slot, sources, noise)
+        dense.write(fused_keys, check_dense(state))
+    unmatched = np.ones(len(local.dense), dtype=bool)
+    unmatched[matched] = False
+    new_keys = dense.extend(local.dense[unmatched])
 
     inactive_sparse = [
         s for s in global_maps.sparse.all() if now - s.timestamp > cfg.active_window
@@ -574,43 +639,38 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         and misalignment > cfg.distance_threshold
     ):
         trigger = DeformationTrigger(icp.rotation, icp.translation, icp.pairs)
-    elif inactive_ids:
+    elif inactive.any():
         # Map coherency: re-activate inactive surfels that already overlap
         # the active map, unless too many gaps remain.  An inactive surfel
         # overlaps when an active one lies within theta_r, and is a gap when
         # the nearest active ones lie between theta_r and 3 theta_r.
         theta_r = cfg.match.resolution_threshold
-        inactive = sorted(inactive_ids)
+        asleep = np.flatnonzero(inactive)
         near, _, d_sq = radius_join(
-            [dense.get(k).centroid for k in inactive],
-            [dense.get(k).centroid for k in active_ids],
+            before.centroid[asleep],
+            dense.rows(np.concatenate([targets, new_keys])).centroid,
             3.0 * theta_r,
         )
         overlapping = np.unique(near[d_sq <= theta_r * theta_r])
         gaps = len(np.unique(near)) - len(overlapping)
         if len(overlapping) and gaps < cfg.gap_threshold:
-            for key in (inactive[k] for k in overlapping):
-                s = dense.get(key)
-                dense.replace(key, replace(s, timestamp=now))
-                inactive_ids.discard(key)
-                active_ids.add(key)
+            woken = asleep[overlapping]
+            dense.write(keys[woken], replace(before[woken], timestamp=np.full(len(woken), now)))
+            inactive[woken] = False
 
-    n_culled = 0
-    for key in sorted(dense.surfels.keys()):
-        s = dense.get(key)
-        if s.obs_count < cfg.stable_obs and now - s.timestamp > cfg.cull_age:
-            dense.remove(key)
-            active_ids.discard(key)
-            inactive_ids.discard(key)
-            n_culled += 1
+    keys = np.concatenate([keys, new_keys])
+    inactive = np.concatenate([inactive, np.zeros(len(new_keys), dtype=bool)])
+    state = dense.rows(keys)
+    culled = (state.obs_count < cfg.stable_obs) & (now - state.timestamp > cfg.cull_age)
+    dense.remove(keys[culled])
 
     metrics = FusionStepMetrics(
         step=step,
-        n_active=len(active_ids),
-        n_inactive=len(inactive_ids),
-        n_new=n_new,
-        n_fused=n_fused,
-        n_culled=n_culled,
+        n_active=int(np.count_nonzero(~inactive & ~culled)),
+        n_inactive=int(np.count_nonzero(inactive & ~culled)),
+        n_new=len(new_keys),
+        n_fused=len(matched),
+        n_culled=int(np.count_nonzero(culled)),
         icp_inlier=icp.inlier_fraction,
         icp_dist=misalignment,
         triggered=trigger is not None,

@@ -94,7 +94,11 @@ def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
 
 
 class LinearScanIndex:
-    """Shadow spatial index: a dict and a scan, nothing else."""
+    """Shadow spatial index: a dict and a scan, nothing else.
+
+    Each distance is the square root of a row-wise ``matmul`` dot product,
+    which rounds as ``np.linalg.norm`` of the one difference vector does.
+    """
 
     def __init__(self):
         self.points = {}
@@ -107,9 +111,10 @@ class LinearScanIndex:
 
     def query_radius(self, center, radius):
         center = np.asarray(center, dtype=float)
-        return sorted(
-            k for k, p in self.points.items() if np.linalg.norm(p - center) <= radius
-        )
+        keys = list(self.points)
+        d = np.array([self.points[k] for k in keys]).reshape(-1, 3) - center
+        inside = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= radius
+        return sorted(k for k, hit in zip(keys, inside.tolist()) if hit)
 
 
 def match_surfels_exhaustive(src, surfels_by_id, theta_r, theta_d):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from surfelslam import fusion, lie
 from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
-from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap
+from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap, DenseSurfels
 
 from conftest import random_rotation, random_spd
 
@@ -18,6 +20,8 @@ from surfelslam.fusion import (
     MatchParams,
     SurfelMeasurement,
     TemporalFusionConfig,
+    beam_noise_batch,
+    beam_noise_for_return,
     beam_noise_world,
     colour_uncertainty,
     extract_normal,
@@ -72,6 +76,33 @@ def test_beam_noise_eigenvalues_match_diagonal(rng):
         noise = BeamNoise(1e-6, 4e-6, 9e-6, random_rotation(rng), random_rotation(rng))
         eigenvalues = np.sort(np.linalg.eigvalsh(beam_noise_world(noise)))
         assert np.allclose(eigenvalues, [1e-6, 1e-6, 13e-6], atol=1e-18)
+
+
+def test_beam_noise_batch_is_the_beam_frame_covariance(rng):
+    # Each return's noise has the range variance across the beam and the
+    # depth plus incidence variance along it; a return at the sensor gets
+    # the isotropic range variance.
+    cfg = BeamModel()
+    origin = rng.normal(size=3)
+    points = origin + rng.normal(size=(300, 3)) * rng.uniform(0.2, 20.0, size=(300, 1))
+    points[7] = origin
+    normals = rng.normal(size=(300, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    noise = beam_noise_batch(origin, points, normals, cfg)
+    assert np.array_equal(noise[7], cfg.sigma_r**2 * np.eye(3))
+    for k in range(300):
+        assert np.array_equal(noise[k], beam_noise_for_return(origin, points[k], normals[k], cfg))
+        if k == 7:
+            continue
+        beam = points[k] - origin
+        range_m = np.linalg.norm(beam)
+        angle = np.arccos(abs(normals[k] @ beam) / range_m)
+        along = (cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m) ** 2 + (
+            incidence_variance(angle, range_m, cfg).value
+        )
+        eigenvalues, vectors = np.linalg.eigh(noise[k])
+        assert np.allclose(eigenvalues, [cfg.sigma_r**2, cfg.sigma_r**2, along], rtol=1e-9)
+        assert abs(abs(vectors[:, 2] @ beam) / range_m - 1.0) < 1e-9
 
 
 def test_incidence_variance_zero_angle():
@@ -238,6 +269,49 @@ def test_fuse_surfel_requires_defined_extent():
     meas = SurfelMeasurement(np.zeros(3), np.zeros((3, 3)), 1, np.eye(3) * 1e-6)
     with pytest.raises(InvalidArgumentError):
         fuse_surfel(dst, meas)
+
+
+def test_fold_matches_sequential_fuse_surfel(rng):
+    # Forty destinations with one to four measurements each, in shuffled
+    # input order.  The round fold must equal fusing one measurement at a
+    # time, in input order, with fuse_surfel and fuse_colour.
+    dests = [
+        make_surfel(rng.uniform(-1.0, 1.0, size=3), rng.normal(size=3),
+                    cov_scale=rng.uniform(1e-6, 1e-4), scatter=random_spd(rng, scale=1e-4),
+                    dof=rng.uniform(6.0, 40.0), timestamp=rng.uniform(0.0, 5.0),
+                    colour_sigma=rng.uniform(0.1, 1.0))
+        for _ in range(40)
+    ]
+    slot = rng.permutation(np.repeat(np.arange(40), rng.integers(1, 5, size=40)))
+    sources = DenseSurfels.of([
+        make_surfel(dests[k].centroid + rng.normal(scale=0.003, size=3), rng.normal(size=3),
+                    cov_scale=1e-6, scatter=random_spd(rng, scale=1e-5),
+                    dof=float(rng.integers(5, 30)), timestamp=rng.uniform(0.0, 10.0),
+                    colour_sigma=rng.uniform(0.1, 1.0))
+        for k in slot
+    ])
+    sources = replace(sources, colour=rng.uniform(size=(len(slot), 3)))
+    noise = np.array([random_spd(rng, scale=1e-6) for _ in slot])
+
+    state = DenseSurfels.of(dests)
+    fusion._fold(state, slot, sources, noise)
+
+    current = list(dests)
+    for m, k in enumerate(slot):
+        src = sources[m]
+        meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[m], src.timestamp)
+        colour, sigma = fuse_colour(current[k], src)
+        current[k] = replace(fuse_surfel(current[k], meas), colour=colour, colour_sigma=sigma)
+    assert [s.obs_count for s in current] == state.obs_count.tolist()
+    for k, dst in enumerate(dests):
+        mine = slot == k
+        assert state.obs_count[k] == dst.obs_count + mine.sum()
+        assert state.timestamp[k] == max(dst.timestamp, sources.timestamp[mine].max())
+    for name in ("centroid", "normal", "centroid_cov", "scatter", "dof", "timestamp",
+                 "colour", "colour_sigma"):
+        want = np.array([getattr(s, name) for s in current])
+        got = getattr(state, name)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max()), name
 
 
 # -- normal extraction ----------------------------------------------------------

@@ -10,7 +10,9 @@ from surfelslam.surfel_map import (
     DenseExtractionConfig,
     DenseSurfel,
     DenseSurfelMap,
+    DenseSurfels,
     SparseSurfelMap,
+    check_dense,
     extract_dense,
     merge_moments,
     radius_join,
@@ -235,14 +237,34 @@ def test_extract_dense_matches_bruteforce_oracle(rng):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), field
 
 
+def test_extract_dense_returns_a_batch_of_views(rng):
+    pts = plane_points(rng, n=2000, noise=0.001)
+    batch = extract_dense(pts, rng.uniform(0.0, 1.0, size=len(pts)))
+    assert isinstance(batch, DenseSurfels) and len(batch) > 10
+    views = list(batch)
+    assert len(views) == len(batch)
+    for k in (0, np.int64(len(batch) - 1), -1):
+        view = batch[k]
+        assert isinstance(view, DenseSurfel)
+        assert np.array_equal(view.centroid, batch.centroid[k])
+        assert np.array_equal(view.scatter, batch.scatter[k])
+        assert view.dof == batch.dof[k] and view.timestamp == batch.timestamp[k]
+    # A view holds copies: writing into one leaves the batch as it was.
+    views[0].centroid[:] = 99.0
+    assert not np.any(batch.centroid[0] == 99.0)
+    sub = batch[np.array([2, 0])]
+    assert isinstance(sub, DenseSurfels)
+    assert np.array_equal(sub.normal, batch.normal[[2, 0]])
+
+
 def test_extract_dense_empty_input():
-    assert extract_dense(np.zeros((0, 3)), np.zeros(0)) == []
+    assert len(extract_dense(np.zeros((0, 3)), np.zeros(0))) == 0
 
 
 def test_extract_dense_sparse_input_yields_nothing(rng):
     # Every point sits alone in its 0.1 m lattice site, five radii apart.
     pts = 0.1 * np.array([[x, y, 0.0] for x in range(10) for y in range(10)])
-    assert extract_dense(pts, np.zeros(len(pts))) == []
+    assert len(extract_dense(pts, np.zeros(len(pts)))) == 0
 
 
 def test_extract_dense_coincident_cluster():
@@ -298,6 +320,144 @@ def test_extract_dense_rejects_extent_beyond_cell_keys():
     pts = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
     with pytest.raises(InvalidArgumentError):
         extract_dense(pts, np.zeros(2), cfg=DenseExtractionConfig(radius=1e-3))
+
+
+# -- dense surfel check and store ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("centroid", [np.nan, 0.0, 0.0]),
+        ("centroid", [0.0, -np.inf, 0.0]),
+        ("centroid", [0.0, 0.0, 0.0, 1.0]),
+        ("centroid", 0.0),
+        ("normal", [0.0, np.nan, 1.0]),
+        ("normal", [0.0, 0.0, 2.0]),
+        ("normal", [0.0, 1.0]),
+        ("centroid_cov", np.full((3, 3), np.nan)),
+        ("centroid_cov", -1e-3 * np.eye(3)),
+        ("centroid_cov", 1e-6 * np.eye(4)),
+        ("scatter", np.diag([np.inf, 1e-4, 1e-4])),
+        ("scatter", np.diag([1e-4, 1e-4, -1e-3])),
+        ("scatter", np.eye(3)[:2]),
+        ("dof", np.nan),
+        ("dof", -3.0),
+        ("dof", 0.5),
+        ("dof", [6.0, 6.0]),
+        ("timestamp", np.nan),
+        ("timestamp", np.inf),
+        ("obs_count", [1, 2]),
+        ("radius", np.nan),
+        ("colour", [0.5, 0.5]),
+        ("colour_sigma", np.inf),
+    ],
+)
+def test_dense_surfel_check_rejects_invalid_fields(name, value):
+    # The parent accepted a NaN centroid (it warned later inside the radius
+    # join), a NaN timestamp (fused silently), dof = -3 (it failed only in
+    # SurfelMeasurement) and a 4-vector centroid (a ValueError deep in
+    # matching).  One check serves a single surfel and a batch.
+    proto = _surfel_at(np.zeros(3))
+    with pytest.raises(InvalidArgumentError):
+        replace(proto, **{name: value})
+    batch = DenseSurfels.of([proto, proto])
+    if np.shape(value) == np.shape(getattr(proto, name)):
+        # One bad row among good ones.
+        values = getattr(batch, name).astype(float)
+        values[1] = value
+    else:
+        values = np.array([value, value])
+    with pytest.raises(InvalidArgumentError):
+        check_dense(replace(batch, **{name: values}))
+    good = check_dense(batch)
+    assert len(good) == 2 and np.array_equal(good.scatter, batch.scatter)
+
+
+def _random_surfel(rng):
+    normal = rng.normal(size=3)
+    a, b = rng.normal(size=(2, 3, 3))
+    return DenseSurfel(
+        centroid=rng.uniform(-5.0, 5.0, size=3),
+        normal=normal / np.linalg.norm(normal),
+        centroid_cov=1e-4 * a @ a.T,
+        scatter=1e-3 * b @ b.T,
+        dof=rng.uniform(5.0, 50.0),
+        obs_count=int(rng.integers(1, 9)),
+        timestamp=rng.uniform(0.0, 100.0),
+        radius=rng.uniform(0.01, 0.3),
+        colour=rng.uniform(size=3),
+        colour_sigma=rng.uniform(0.1, 1.0),
+    )
+
+
+def test_dense_map_matches_a_dict_shadow(rng):
+    # Random adds, replaces and removes against a dict of the same values,
+    # through several capacity doublings, then every surfel removed.
+    names = ("centroid", "normal", "centroid_cov", "scatter", "dof", "obs_count",
+             "timestamp", "radius", "colour", "colour_sigma")
+    m = DenseSurfelMap()
+    shadow = {}
+
+    def check():
+        assert len(m) == len(shadow)
+        assert list(m.surfels) == sorted(shadow) == m.keys().tolist()
+        keys = sorted(shadow)
+        rows = m.rows(keys)
+        for k, key in enumerate(keys):
+            got = m.get(key)
+            for name in names:
+                want = getattr(shadow[key], name)
+                assert np.array_equal(getattr(got, name), want), name
+                assert np.array_equal(getattr(rows, name)[k], want), name
+                assert type(getattr(got, name)) is type(want), name
+
+    issued = 0
+    for step in range(1500):
+        op = rng.uniform()
+        if op < 0.5 or not shadow:
+            surfel = _random_surfel(rng)
+            assert m.add(surfel) == issued
+            shadow[issued] = surfel
+            issued += 1
+        elif op < 0.75:
+            key = int(rng.choice(sorted(shadow)))
+            shadow[key] = _random_surfel(rng)
+            m.replace(key, shadow[key])
+        else:
+            key = int(rng.choice(sorted(shadow)))
+            del shadow[key]
+            m.remove(key)
+            for call in (m.get, m.remove, lambda k: m.replace(k, _random_surfel(rng))):
+                with pytest.raises(KeyError):
+                    call(key)
+        if step % 250 == 0:
+            check()
+    check()
+    # A view is a copy: writing into it leaves the map as it was.
+    key = sorted(shadow)[0]
+    m.get(key).centroid[:] = 1e9
+    assert np.array_equal(m.get(key).centroid, shadow[key].centroid)
+    for key in (-1, issued, 2.0, "0"):
+        with pytest.raises(KeyError):
+            m.get(key)
+        assert key not in m.surfels
+    m.remove(np.array(sorted(shadow)))
+    shadow.clear()
+    check()
+    assert m.query_radius([0.0, 0.0, 0.0], 100.0) == []
+    assert m.add(_surfel_at([1.0, 0.0, 0.0])) == issued
+    assert m.query_radius([0.0, 0.0, 0.0], 1.0) == [issued]
+
+
+def test_linear_scan_distance_rounds_as_norm(rng):
+    # oracles.LinearScanIndex takes each distance as the square root of a
+    # row-wise matmul dot product; it must round exactly as the scalar
+    # np.linalg.norm of each difference vector.
+    d = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(20_000, 1))
+    d[:1000] = np.round(d[:1000] * 8.0) / 8.0
+    batch = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    assert np.array_equal(batch, [np.linalg.norm(v) for v in d])
 
 
 # -- spatial lookup -----------------------------------------------------------
