@@ -166,10 +166,6 @@ class Pose:
     def identity():
         return Pose(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m):
-        return Pose(np.array(m[:3, :3]), np.array(m[:3, 3]))
-
     def matrix(self):
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -374,31 +370,29 @@ def se3_left_jacobian_inv_batch(xi):
     return _se3_blocks(jl_inv, -jl_inv @ _se3_q_batch(r, t) @ jl_inv)
 
 
-def se3_adjoint_batch(rotations, translations):
-    """(N, 6, 6) adjoints with ``T exp(xi) T^-1 = exp(Ad_T xi)``."""
-    return _se3_blocks(rotations, hat_batch(translations) @ rotations)
-
-
 def se3_relative_log_batch(rot_a, t_a, rot_b, t_b):
     """Twists (rotational (N, 3), translational (N, 3)) of ``Ta^-1 Tb``."""
-    rot_rel = np.einsum("nji,njk->nik", rot_a, rot_b)
+    rot_rel = rot_a.transpose(0, 2, 1) @ rot_b
     t_rel = np.einsum("nji,nj->ni", rot_a, t_b - t_a)
     phi = so3_log_batch(rot_rel)
     rho = np.einsum("nij,nj->ni", so3_left_jacobian_inv_batch(phi), t_rel)
     return phi, rho
 
 
-def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha):
+def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha, twist=None):
     """Vectorized ``Ta * exp(alpha * log(Ta^-1 Tb))`` for pose arrays.
 
     alpha is (N,) in [0, 1]; bracketing pairs are given as rotation stacks
-    (N, 3, 3) and translation stacks (N, 3).
+    (N, 3, 3) and translation stacks (N, 3).  ``twist`` is the pairs'
+    :func:`se3_relative_log_batch`, computed when not given.
     """
-    phi, rho = se3_relative_log_batch(rot_a, t_a, rot_b, t_b)
+    if twist is None:
+        twist = se3_relative_log_batch(rot_a, t_a, rot_b, t_b)
+    phi, rho = twist
     phi_s = phi * alpha[:, None]
     rho_s = rho * alpha[:, None]
     rot_d = so3_exp_batch(phi_s)
     t_d = np.einsum("nij,nj->ni", so3_left_jacobian_batch(phi_s), rho_s)
-    rot = np.einsum("nij,njk->nik", rot_a, rot_d)
+    rot = rot_a @ rot_d
     t = np.einsum("nij,nj->ni", rot_a, t_d) + t_a
     return rot, t

@@ -11,6 +11,12 @@ geodesic or Euclidean interpolation, in the manner of Sommer et al., CVPR
 2020) and in the biases; ``OptimizerConfig.jacobian`` and ``fd_step`` govern
 only the finite-difference column of the time lag.
 
+A cubic B-spline value reads four consecutive knots, so every residual row
+depends on a short run of knots, its band.  Each iteration builds the normal
+equations ``H = J^T J`` and ``g = J^T r`` from these bands, one small block per
+first knot, and never forms the dense Jacobian; only the tests build it, from
+the same bands, to pin them against finite differences.
+
 Two optimization models are supported.  The composition model keeps the
 densely sampled trajectory and estimates spline *corrections* that are
 composed onto it; the control points restart from zero at every iteration.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,24 +201,109 @@ def _spline_maps(jl, s):
     return out
 
 
+def _knot_band(idx, weights):
+    """First knot (N,) and weights (N, 4) on four consecutive knots from it,
+    of clamped knot indices and weights (N, 4).  A clamped boundary knot
+    repeats the index of the knot next to it, so its weight folds onto that
+    knot and the band's last weight may be zero."""
+    first = idx[:, 0]
+    band = np.zeros(idx.shape)
+    rows = np.arange(idx.shape[0])
+    for j in range(idx.shape[1]):
+        band[rows, idx[:, j] - first] += weights[:, j]
+    return first, band
+
+
+class _Iterate(NamedTuple):
+    """An evaluated iterate: the query poses it reads and its residuals.
+
+    ``where`` locates the queries (see ``_WindowSystem._locate``);
+    ``samples`` are the corrected samples of the composition model, None in
+    the direct model; ``chart`` is what the poses were interpolated in (see
+    ``_WindowSystem._interpolate``), or the spline's rotation vectors in the
+    direct model.
+    """
+
+    x: np.ndarray
+    state: OptState
+    where: tuple
+    samples: tuple
+    rot: np.ndarray
+    t: np.ndarray
+    chart: object
+    residuals: np.ndarray
+
+
+def _row_band(reads, first, maps, weights, blended):
+    """First knot (m,) and band (m, a, W, 6) of the rows that read the query
+    poses of ``reads``, ``[(queries (m,), grad (m, a, 6)), ...]``.
+
+    A query's band is a sum over slots of a 6x6 map read through knot
+    weights from the query's first knot (see ``_WindowSystem._pose_layer``).
+    The row's band is the sum over its reads and their slots of the row's
+    gradient times the slot's map, spread over the knots by the slot's
+    weights shifted to the query's offset from the row's first knot.
+    """
+    q_firsts = [first[q] for q, _ in reads]
+    row_first = np.minimum.reduce(q_firsts)
+    width = weights.shape[2] + max(int((f - row_first).max()) for f in q_firsts)
+    coefs, spread = [], []
+    for (q, grad), q_first in zip(reads, q_firsts):
+        q_maps, q_weights = maps[q], weights[q]
+        if not blended[q].any():
+            # Every query of the read takes one sample's map: one slot.
+            q_maps, q_weights = q_maps[:, :1], q_weights[:, :1]
+        coefs.append(grad[:, None] @ q_maps)
+        at = (q_first - row_first)[:, None, None] + np.arange(q_weights.shape[2])
+        spread.append(np.zeros(q_weights.shape[:2] + (width,)))
+        np.put_along_axis(spread[-1], at, q_weights, axis=2)
+    spread = np.concatenate(spread, axis=1).transpose(0, 2, 1)
+    # Drop the trailing knots that no row reads.
+    width = np.flatnonzero(spread.any(axis=(0, 2)))[-1] + 1
+    coef = np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
+    return row_first, spread[:, None, :width] @ coef
+
+
 class _WindowSystem:
-    """Vectorized residuals over one window and their analytic Jacobian.
+    """Vectorized residuals over one window and their normal equations.
 
     Every residual reads poses at query times, laid out as
     ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Pair and prior
     queries are located once; only the IMU stencil moves with the time lag.
 
-    The Jacobian has two layers.  The residual layer differentiates each
-    whitened, robust-weighted row with respect to a world-frame left
+    The linearization has two layers.  The residual layer differentiates
+    each whitened, robust-weighted row with respect to a world-frame left
     perturbation ``(phi, rho)`` of every query pose it reads
-    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  The pose layer maps
-    the control points to those perturbations: each query reads the spline
-    through one slot (direct model) or two (the bracketing samples of the
-    composition model, blended by the interpolation).  A slot is a 6x6 map
-    from a spline increment to the query perturbation plus the four knot
-    indices and weights the increment is read from.  Biases enter as
-    constant columns; only the time-lag column is a finite difference
-    (``cfg.jacobian``, ``cfg.fd_step``).
+    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  The pose layer gives
+    each query's band map, from the increments ``(du_t, du_r)`` of the
+    knots it reads to its perturbation.  A band map starts at the query's
+    first knot and is kept factored, as slots: a 6x6 map read through spline
+    weights on consecutive knots.
+
+    - Direct model: one slot, the spline's map and the query's four knot
+      weights.
+    - Composition model: every sample has a band map, its 6x6 map read
+      through its four knot weights.  A query that snaps to a sample takes
+      its sample's map unchanged, in one slot; a query between two samples
+      takes both, each times its 6x6 blend of the interpolation.  The slots
+      of a query read the weights of its interval, on the knots from the
+      lower sample's first one.
+
+    Clamped boundary knots fold onto the knot they repeat.  A row's band is
+    the sum over its queries' slots of its gradient times the slot's map,
+    spread by the slot's weights at the query's knot offset from the row's
+    first knot.  :meth:`normal_equations` sorts the rows by first knot and
+    adds one ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot,
+    where the border is the bias columns and the time-lag column, the one
+    finite difference (``cfg.jacobian``, ``cfg.fd_step``).  :meth:`jacobian`
+    scatters the same row bands into a dense Jacobian, which only the tests
+    read.
+
+    :meth:`evaluate` returns an iterate that carries the poses it read and
+    the chart it read them in, and the linearization reuses both.  An
+    accepted candidate, folded into the samples in the composition model
+    (:meth:`fold`), is the next iterate as it stands, so no iterate is
+    evaluated twice.
     """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state, cfg):
@@ -271,7 +363,19 @@ class _WindowSystem:
         self.q_stencil = [slice(first + i * m, first + (i + 1) * m) for i in range(3)]
 
         self.w_samples = self.grid.weight_matrix(self.traj_times)
-        self.sample_knots = self.grid.knot_indices_and_weights(self.traj_times)
+        # Knot weights of the two samples of every interval between samples,
+        # on the knots from the lower sample's first one.
+        first, band = _knot_band(*self.grid.knot_indices_and_weights(self.traj_times))
+        shift = first[1:] - first[:-1]
+        lower = np.zeros((len(shift), 4 + int(shift.max())))
+        upper = np.zeros_like(lower)
+        lower[:, :4] = band[:-1]
+        upper[np.arange(len(shift))[:, None], shift[:, None] + np.arange(4)] = band[1:]
+        self.interval_bands = first[:-1], lower, upper
+        # Position of each parameter (c_t, then c_r) in the knot-major
+        # layout of the bands, where knot k holds (du_t, du_r) at 6k.
+        k3 = np.arange(3 * self.n_knots)
+        self.knot_major = np.concatenate([6 * (k3 // 3) + k3 % 3, 6 * (k3 // 3) + 3 + k3 % 3])
         self.fixed_where = self._locate(
             np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
         )
@@ -319,6 +423,15 @@ class _WindowSystem:
             rot_c, self.w_samples @ c_t, self.base_rot, self.base_t, self.cfg.update_method
         )
 
+    def fold(self, it):
+        """Compose the correction of iterate ``it`` into the samples
+        (composition model).  The returned iterate is ``x = 0`` of a state
+        with ``it``'s biases and lag, which reads ``it``'s poses, so its
+        residuals are ``it``'s."""
+        _, _, b_a, b_g, d = self.split_params(it.x, it.state)
+        self.base_rot, self.base_t = it.samples
+        return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g, d))
+
     # -- query poses --------------------------------------------------------
 
     def _locate(self, taus):
@@ -337,18 +450,43 @@ class _WindowSystem:
             np.concatenate([self.fixed_where[1], w]),
         )
 
-    def _query_poses(self, c_t, c_r, where):
+    def _interpolate(self, rot_s, t_s, idx, w):
+        """Poses at the sample brackets ``(idx, w)`` and the chart they were
+        read in.  For se3 the chart is the distinct brackets of the interior
+        queries, each query's bracket among them, and the brackets' twists
+        ``(lo, at, phi, rho)``; for euclidean it is the samples' rotation
+        vectors."""
+        if self.cfg.interpolation == "se3":
+            lo, at = np.unique(idx[(w > 0.0) & (w < 1.0)], return_inverse=True)
+            phi, rho = lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[lo + 1], t_s[lo + 1])
+            chart = lo, at, phi, rho
+            rot, t = interpolate(rot_s, t_s, idx, w, "se3", twists=(phi[at], rho[at]))
+        else:
+            chart = lie.so3_log_batch(rot_s)
+            rot, t = interpolate(rot_s, t_s, idx, w, "euclidean", rotvecs=chart)
+        return rot, t, chart
+
+    def evaluate(self, x, state):
+        """The iterate at ``x``: the query poses it reads and its whitened
+        residuals (no robust weighting)."""
+        c_t, c_r, b_a, b_g, d = self.split_params(x, state)
+        where = self._where(d)
         idx, w = where
         if self.cfg.model == "composition":
-            rot_s, t_s = self._corrected_samples(c_t, c_r)
-            return interpolate(rot_s, t_s, idx, w, self.cfg.interpolation)
-        return lie.so3_exp_batch(spline_values(c_r, idx, w)), spline_values(c_t, idx, w)
+            samples = self._corrected_samples(c_t, c_r)
+            rot, t, chart = self._interpolate(*samples, idx, w)
+        else:
+            samples, chart = None, spline_values(c_r, idx, w)
+            rot, t = lie.so3_exp_batch(chart), spline_values(c_t, idx, w)
+        residuals = self._residuals_at(rot, t, b_a, b_g)
+        return _Iterate(x, state, where, samples, rot, t, chart, residuals)
 
     def residuals(self, x, state):
         """Whitened residual vector (no robust weighting)."""
+        return self.evaluate(x, state).residuals
+
+    def _residuals_at(self, rot, t, b_a, b_g):
         cfg = self.cfg
-        c_t, c_r, b_a, b_g, d = self.split_params(x, state)
-        rot, t = self._query_poses(c_t, c_r, self._where(d))
         out = np.empty(self.n_residuals)
         if self.n_pair:
             qa, qb = self.q_a, self.q_b
@@ -369,7 +507,7 @@ class _WindowSystem:
             accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
             body = np.einsum("nji,nj->ni", rot_mid, accel_world - GRAVITY)
             accel_res = self.imu_accel - body + b_a
-            rel = np.einsum("nji,njk->nik", rot_mid, rot_plus)
+            rel = rot_mid.transpose(0, 2, 1) @ rot_plus
             omega = lie.so3_log_batch(rel) / self.h
             gyro_res = self.imu_gyro - omega + b_g
             out[self.sl_accel] = accel_res.reshape(-1) / cfg.sigma_accel
@@ -422,70 +560,74 @@ class _WindowSystem:
             rms(self.sl_gyro, self.cfg.sigma_gyro),
         )
 
-    # -- analytic Jacobian --------------------------------------------------
+    # -- linearization ------------------------------------------------------
 
-    def _pose_layer(self, c_t, c_r, where):
-        """Query poses and the slots through which each query reads the
-        control points: ``[(maps (Q, 6, 6), knot idx (Q, 4), weights (Q, 4))]``."""
+    def _pose_layer(self, it):
+        """Band maps of the queries of iterate ``it``: first knot (Q,), slot
+        maps (Q, S, 6, 6), slot weights (Q, S, W) on W knots from the first,
+        and whether the query reads its second slot (Q,)."""
         cfg = self.cfg
-        idx, w = where
+        idx, w = it.where
         if cfg.model == "spline_direct":
-            v, t = spline_values(c_r, idx, w), spline_values(c_t, idx, w)
-            maps = _spline_maps(lie.so3_left_jacobian_batch(v), t)
-            return lie.so3_exp_batch(v), t, [(maps, idx, w)]
+            first, band = _knot_band(idx, w)
+            maps = _spline_maps(lie.so3_left_jacobian_batch(it.chart), it.t)
+            return first, maps[:, None], band[:, None], np.zeros(idx.size, dtype=bool)
 
         # Composition: a sample n moves by phi = Jl(W c_r)_n W dc_r and
         # rho = W dc_t + [s_n]x phi, with s the correction's translation (se3
         # update) or the corrected sample translation (so3_r3 update).
-        rot_s, t_s = self._corrected_samples(c_t, c_r)
+        c_t, c_r, *_ = self.split_params(it.x, it.state)
+        rot_s, t_s = it.samples
         corr_t = self.w_samples @ c_t
         jl = lie.so3_left_jacobian_batch(self.w_samples @ c_r)
         sample_maps = _spline_maps(jl, corr_t if cfg.update_method == "se3" else t_s)
-        rot, t = interpolate(rot_s, t_s, idx, w, cfg.interpolation)
 
-        # Blend of the bracketing samples' perturbations; snapped queries take
-        # their sample's perturbation unchanged.
-        lo, hi, alpha = idx, idx + 1, w
-        blend_lo = np.zeros((idx.size, 6, 6))
-        blend_hi = np.zeros((idx.size, 6, 6))
-        blend_lo[alpha == 0.0] = np.eye(6)
-        blend_hi[alpha == 1.0] = np.eye(6)
-        ii = np.flatnonzero((alpha > 0.0) & (alpha < 1.0))
+        # A query that snaps to a sample reads the sample's map in its first
+        # slot; an interior one blends the maps of both samples, the lower in
+        # the first slot and the upper in the second.  Both read the
+        # weights of their interval, on the knots from the lower sample's
+        # first one.
+        first, lower, upper = self.interval_bands
+        snapped_up = w == 1.0
+        maps = np.zeros((idx.size, 2, 6, 6))
+        maps[:, 0] = sample_maps[idx + snapped_up]
+        weights = np.stack(
+            [np.where(snapped_up[:, None], upper[idx], lower[idx]), upper[idx]], axis=1
+        )
+        blended = (w > 0.0) & (w < 1.0)
+        ii = np.flatnonzero(blended)
         if ii.size:
-            blend_lo[ii], blend_hi[ii] = self._blend(
-                rot_s, t_s, lo[ii], hi[ii], alpha[ii], t[ii]
-            )
-        k_idx, k_w = self.sample_knots
-        return rot, t, [
-            (blend_lo @ sample_maps[lo], k_idx[lo], k_w[lo]),
-            (blend_hi @ sample_maps[hi], k_idx[hi], k_w[hi]),
-        ]
+            # The derivative reads the chart the interpolation read.
+            blend_lo, blend_hi = self._blend(rot_s, t_s, idx[ii], w[ii], it.t[ii], it.chart)
+            maps[ii, 0] = blend_lo @ sample_maps[idx[ii]]
+            maps[ii, 1] = blend_hi @ sample_maps[idx[ii] + 1]
+        return first[idx], maps, weights, blended
 
-    def _blend(self, rot_s, t_s, lo, hi, alpha, t_q):
-        """Maps from the perturbations of samples ``lo`` and ``hi`` to the
-        perturbation of the pose interpolated between them at ``alpha``."""
+    def _blend(self, rot_s, t_s, lo, alpha, t_q, chart):
+        """Maps from the perturbations of samples ``lo`` and ``lo + 1`` to
+        the perturbation of the pose interpolated between them at ``alpha``,
+        given the chart :meth:`_interpolate` read."""
         a = alpha[:, None, None]
         if self.cfg.interpolation == "se3":
             # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
             # delta = (I - M) delta_lo + M delta_hi with
-            # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1.
-            xi = np.concatenate(
-                lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[hi], t_s[hi]), axis=1
-            )
-            rot_inv = rot_s[lo].transpose(0, 2, 1)
-            t_inv = -np.einsum("nij,nj->ni", rot_inv, t_s[lo])
+            # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
+            #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
+            brackets, at, phi, rho = chart
+            rot_lo = rot_s[brackets]
+            phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
+            rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
+            xi_w = np.concatenate([phi_w, rho_w], axis=1)
             m = (
                 a
-                * lie.se3_adjoint_batch(rot_s[lo], t_s[lo])
-                @ lie.se3_left_jacobian_batch(alpha[:, None] * xi)
-                @ lie.se3_left_jacobian_inv_batch(xi)
-                @ lie.se3_adjoint_batch(rot_inv, t_inv)
+                * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at])
+                @ lie.se3_left_jacobian_inv_batch(xi_w)[at]
             )
             return np.eye(6) - m, m
         # Euclidean: the rotation vectors r_n = log R_n blend linearly, so
         # phi = Jl(v) sum_n c_n Jl^-1(r_n) phi_n at the blended vector v, and
         # the translation blends linearly.
-        rotvecs = lie.so3_log_batch(rot_s)
+        rotvecs, hi = chart, lo + 1
         v = rotvecs[lo] * (1.0 - alpha[:, None]) + rotvecs[hi] * alpha[:, None]
         jl_v = lie.so3_left_jacobian_batch(v)
         hat_t = lie.hat_batch(t_q)
@@ -501,26 +643,28 @@ class _WindowSystem:
 
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
-        left perturbation of each query pose they read, one entry per family
-        and query: ``(rows (m, a), queries (m,), grad (m, a, 6))``."""
+        left perturbation of each query pose they read, one entry per family:
+        ``(rows (m, a), [(queries (m,), grad (m, a, 6)), ...])``."""
         cfg = self.cfg
-        entries = []
+        families = []
 
-        def plane(rows, q, u, normal, coef):
+        def plane(q, u, normal, coef):
             # n . (R u + t) moves by (w x n) . phi + n . rho at w = R u + t.
             world = np.einsum("nij,nj->ni", rot[q], u) + t[q]
             grad = np.concatenate([np.cross(world, normal), normal], axis=1)
-            entries.append((rows[:, None], q, (coef[:, None] * grad)[:, None]))
+            return q, (coef[:, None] * grad)[:, None]
 
         if self.n_pair:
-            rows = np.arange(self.sl_pair.start, self.sl_pair.stop)
+            rows = np.arange(self.sl_pair.start, self.sl_pair.stop)[:, None]
             coef = self.robust_weights[self.sl_pair] / cfg.sigma_surfel
-            plane(rows, self.q_a, self.pair_u_a, self.pair_n, coef)
-            plane(rows, self.q_b, self.pair_u_b, self.pair_n, -coef)
+            families.append((rows, [
+                plane(self.q_a, self.pair_u_a, self.pair_n, coef),
+                plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
+            ]))
         if self.n_prior:
-            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)
+            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)[:, None]
             coef = self.robust_weights[self.sl_prior] / cfg.sigma_prior
-            plane(rows, self.q_prior, self.prior_u_c, self.prior_n, -coef)
+            families.append((rows, [plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)]))
         if self.n_imu:
             m = self.n_imu
             q_minus, q_mid, q_plus = self.q_stencil
@@ -528,6 +672,7 @@ class _WindowSystem:
             # Acceleration: a = (t+ - 2 t0 + t-) / h^2 in the body frame of R0.
             rows = self.sl_accel.start + np.arange(3 * m).reshape(m, 3)
             accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
+            reads = []
             for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
                 c /= self.h * self.h * cfg.sigma_accel
                 grad = np.zeros((m, 3, 6))
@@ -537,7 +682,8 @@ class _WindowSystem:
                     grad[:, :, :3] -= (
                         rot_mid_t @ lie.hat_batch(accel_world - GRAVITY) / cfg.sigma_accel
                     )
-                entries.append((rows, q, grad))
+                reads.append((q, grad))
+            families.append((rows, reads))
             # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h.
             rows = self.sl_gyro.start + np.arange(3 * m).reshape(m, 3)
             rel = rot_mid_t @ rot[q_plus]
@@ -546,53 +692,100 @@ class _WindowSystem:
                 @ rot_mid_t
                 / (self.h * cfg.sigma_gyro)
             )
+            reads = []
             for q, sign in ((q_mid, 1.0), (q_plus, -1.0)):
                 grad = np.zeros((m, 3, 6))
                 grad[:, :, :3] = sign * rate
-                entries.append((rows, q, grad))
-        return entries
+                reads.append((q, grad))
+            families.append((rows, reads))
+        return families
 
-    def jacobian(self, x, state, base_weighted):
-        """Jacobian of the robust-weighted residuals.
+    def _linearize(self, it, base_weighted):
+        """Row bands and border of the robust-weighted residuals at iterate
+        ``it``.
 
-        Analytic in the control points and biases, with the robust weights
-        held fixed; the time-lag column alone is a forward or central
-        difference (``cfg.jacobian``) of step ``cfg.fd_step`` around
-        ``base_weighted``, the weighted residuals at ``x``.
+        Returns ``[(rows (n,), first knot (n,), band (n, 6W))]``, one entry
+        per residual family, with the knots in the knot-major layout, and the
+        border (n_residuals, 0..7): the bias columns, then the time-lag
+        column, a forward or central difference (``cfg.jacobian``) of step
+        ``cfg.fd_step`` around ``base_weighted``, the weighted residuals at
+        ``it``.  The robust weights are held fixed.
         """
         cfg = self.cfg
-        c_t, c_r, _, _, d = self.split_params(x, state)
-        rot, t, slots = self._pose_layer(c_t, c_r, self._where(d))
-        jac = np.zeros((self.n_residuals, self.n_params()))
-        flat_jac = jac.reshape(-1)
-        k3 = 3 * self.n_knots
-        # Parameter column of each map output (du_t, du_r) at knot offset 0.
-        columns = np.array([0, 1, 2, k3, k3 + 1, k3 + 2])
-        for rows, queries, grad in self._residual_layer(rot, t):
-            flat_rows = rows[:, :, None, None] * jac.shape[1]
-            for maps, k_idx, k_w in slots:
-                coef = grad @ maps[queries]
-                flat = flat_rows + (3 * k_idx[queries])[:, None, :, None] + columns
-                vals = coef[:, :, None, :] * k_w[queries][:, None, :, None]
-                # Clamped boundary knots repeat an index: accumulate.
-                np.add.at(flat_jac, flat.reshape(-1), vals.reshape(-1))
+        q_bands = self._pose_layer(it)
+        bands = []
+        for rows, reads in self._residual_layer(it.rot, it.t):
+            first, band = _row_band(reads, *q_bands)
+            m, a = rows.shape
+            bands.append((rows.reshape(-1), np.repeat(first, a), band.reshape(m * a, -1)))
 
-        col = 6 * self.n_knots
+        columns = []
         if cfg.estimate_biases:
+            bias = np.zeros((self.n_residuals, 6))
             comp = np.arange(3 * self.n_imu)
-            jac[self.sl_accel.start + comp, col + comp % 3] = 1.0 / cfg.sigma_accel
-            jac[self.sl_gyro.start + comp, col + 3 + comp % 3] = 1.0 / cfg.sigma_gyro
-            col += 6
+            bias[self.sl_accel.start + comp, comp % 3] = 1.0 / cfg.sigma_accel
+            bias[self.sl_gyro.start + comp, 3 + comp % 3] = 1.0 / cfg.sigma_gyro
+            columns.append(bias)
         if cfg.estimate_time_lag:
             step = np.zeros(self.n_params())
-            step[col] = cfg.fd_step
-            plus = self.weighted(self.residuals(x + step, state))
+            step[-1] = cfg.fd_step
+            plus = self.weighted(self.residuals(it.x + step, it.state))
             if cfg.jacobian == "central":
-                minus = self.weighted(self.residuals(x - step, state))
-                jac[:, col] = (plus - minus) / (2.0 * cfg.fd_step)
+                minus = self.weighted(self.residuals(it.x - step, it.state))
+                lag = (plus - minus) / (2.0 * cfg.fd_step)
             else:
-                jac[:, col] = (plus - base_weighted) / cfg.fd_step
-        return jac
+                lag = (plus - base_weighted) / cfg.fd_step
+            columns.append(lag[:, None])
+        border = np.hstack(columns) if columns else np.zeros((self.n_residuals, 0))
+        return bands, border
+
+    def _knot_span(self, bands):
+        # Knots the bands reach; past the last knot only zero weights reach.
+        return max([self.n_knots] + [int(f.max()) + b.shape[1] // 6 for _, f, b in bands])
+
+    def normal_equations(self, it, weighted):
+        """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
+        residuals ``weighted`` at iterate ``it``, built from the row bands
+        grouped by first knot, without forming J."""
+        bands, border = self._linearize(it, weighted)
+        rhs = np.column_stack([weighted, border])
+        size = 6 * self._knot_span(bands)
+        h_kk = np.zeros((size, size))
+        h_kr = np.zeros((size, rhs.shape[1]))
+        # Rows of one band width are sorted together by first knot; each
+        # first knot adds one block.
+        for width in sorted({band.shape[1] for _, _, band in bands}):
+            same = [b for b in bands if b[2].shape[1] == width]
+            rows, first, band = (np.concatenate(part) for part in zip(*same))
+            order = np.argsort(first, kind="stable")
+            first, band, r = first[order], band[order], rhs[rows[order]]
+            bounds = np.flatnonzero(np.diff(first)) + 1
+            for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, first.size]):
+                block = band[lo:hi]
+                k = 6 * first[lo]
+                h_kk[k : k + width, k : k + width] += block.T @ block
+                h_kr[k : k + width] += block.T @ r[lo:hi]
+
+        km = self.knot_major
+        n = km.size
+        h_rr = rhs.T @ rhs
+        hess = np.empty((self.n_params(), self.n_params()))
+        hess[:n, :n] = h_kk[np.ix_(km, km)]
+        hess[:n, n:] = h_kr[km, 1:]
+        hess[n:, :n] = hess[:n, n:].T
+        hess[n:, n:] = h_rr[1:, 1:]
+        return hess, np.concatenate([h_kr[km, 0], h_rr[1:, 0]])
+
+    def jacobian(self, x, state, base_weighted):
+        """Dense Jacobian of the robust-weighted residuals, the row bands of
+        :meth:`normal_equations` scattered into their columns.  Analytic in
+        the control points and biases; see :meth:`_linearize` for the
+        time-lag column.  Only tests read it."""
+        bands, border = self._linearize(self.evaluate(x, state), base_weighted)
+        knots = np.zeros((self.n_residuals, 6 * self._knot_span(bands)))
+        for rows, first, band in bands:
+            knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
+        return np.hstack([knots[:, self.knot_major], border])
 
 
 def optimize_window(constraints, imu, traj, init, cfg=None):
@@ -628,10 +821,10 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         x[: 3 * system.n_knots] = system.c_t0.reshape(-1)
         x[3 * system.n_knots : 6 * system.n_knots] = system.c_r0.reshape(-1)
 
-    residuals = system.residuals(x, state)
-    system.update_robust_weights(residuals)
-    cost = system.cost(residuals)
-    records = [IterationRecord(0, cost, *system.family_rms(residuals), 0.0)]
+    it = system.evaluate(x, state)
+    system.update_robust_weights(it.residuals)
+    cost = system.cost(it.residuals)
+    records = [IterationRecord(0, cost, *system.family_rms(it.residuals), 0.0)]
 
     lam = cfg.damping_init
     converged = False
@@ -641,10 +834,8 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             converged = True
             reason = "zero_cost"
             break
-        weighted = system.weighted(residuals)
-        jac = system.jacobian(x, state, weighted)
-        hess = jac.T @ jac
-        grad = jac.T @ weighted
+        weighted = system.weighted(it.residuals)
+        hess, grad = system.normal_equations(it, weighted)
         if iteration == 1:
             eigvals = np.linalg.eigvalsh(hess)
             null_dim = int(np.sum(eigvals < max(eigvals[-1], 1e-30) * 1e-12))
@@ -664,9 +855,8 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            candidate_x = x + delta
-            candidate_res = system.residuals(candidate_x, state)
-            candidate_cost = system.cost(candidate_res)
+            candidate = system.evaluate(it.x + delta, it.state)
+            candidate_cost = system.cost(candidate.residuals)
             if candidate_cost < cost:
                 accepted = True
                 break
@@ -681,30 +871,22 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
                 break
             raise NoProgressError(
                 "cost failed to decrease after damping retries",
-                best_state=_state_from(system, x, state, cfg),
-                best_trajectory=_trajectory_from(system, x, state, cfg),
+                best_state=_state_from(system, it.x, it.state, cfg),
+                best_trajectory=_trajectory_from(system, it.x, it.state, cfg),
                 report=OptimizationReport(records, False, "no_progress"),
             )
 
         lam = max(lam / 3.0, 1e-12)
         step_norm = float(np.linalg.norm(delta))
         prev_cost = cost
-        if cfg.model == "composition":
-            # Fold the accepted correction into the trajectory; the grid
-            # restarts from zero for the next iteration.
-            c_t, c_r, b_a, b_g, d = system.split_params(candidate_x, state)
-            rot, t = system._corrected_samples(c_t, c_r)
-            system.base_rot, system.base_t = rot, t
-            state = OptState(state.grid, b_a, b_g, d)
-            x = np.zeros(system.n_params())
-            residuals = system.residuals(x, state)
-        else:
-            x = candidate_x
-            residuals = candidate_res
-        system.update_robust_weights(residuals)
-        cost = system.cost(residuals)
+        # The composition model folds the accepted correction into the
+        # trajectory and restarts the grid from zero; either way the next
+        # iteration linearizes at the candidate's poses.
+        it = system.fold(candidate) if cfg.model == "composition" else candidate
+        system.update_robust_weights(it.residuals)
+        cost = system.cost(it.residuals)
         records.append(
-            IterationRecord(iteration, cost, *system.family_rms(residuals), step_norm)
+            IterationRecord(iteration, cost, *system.family_rms(it.residuals), step_norm)
         )
         if step_norm < cfg.step_tol:
             converged = True
@@ -715,8 +897,8 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             reason = "cost_decrease"
             break
 
-    final_state = _state_from(system, x, state, cfg)
-    final_traj = _trajectory_from(system, x, state, cfg)
+    final_state = _state_from(system, it.x, it.state, cfg)
+    final_traj = _trajectory_from(system, it.x, it.state, cfg)
     report = OptimizationReport(records, converged, reason)
     return final_state, final_traj, report
 

@@ -60,7 +60,7 @@ def compose_correction(rot_c, t_c, rotations, translations, update):
         t = translations + t_c
     else:
         raise InvalidArgumentError(f"unknown update method {update!r}")
-    return np.einsum("nij,njk->nik", rot_c, rotations), t
+    return rot_c @ rotations, t
 
 
 def brackets(times, taus, tol):
@@ -80,34 +80,35 @@ def brackets(times, taus, tol):
     return idx, alpha
 
 
-def interpolate(rotations, translations, idx, alpha, mode="se3", rotvecs=None):
+def interpolate(rotations, translations, idx, alpha, mode="se3", rotvecs=None, twists=None):
     """Poses at the brackets ``(idx, alpha)`` of sample arrays.
 
     Snapped queries copy the stored sample; the rest follow the SE(3)
     geodesic, or with ``mode="euclidean"`` interpolate the translation and
-    the samples' rotation vectors ``rotvecs`` (computed when not given)
-    componentwise.
+    the samples' rotation vectors ``rotvecs`` componentwise.  The geodesic
+    takes the twists ``lie.se3_relative_log_batch`` of the interior queries'
+    brackets as ``twists``.  Either is computed when not given.
     """
     if mode not in ("se3", "euclidean"):
         raise InvalidArgumentError(f"unknown interpolation mode {mode!r}")
     interior = (alpha > 0.0) & (alpha < 1.0)
     if interior.all():
-        return _between(rotations, translations, idx, alpha, mode, rotvecs)
+        return _between(rotations, translations, idx, alpha, mode, rotvecs, twists)
     gather = np.where(alpha == 1.0, idx + 1, idx)
     rot, t = rotations[gather], translations[gather]
     if interior.any():
         rot[interior], t[interior] = _between(
-            rotations, translations, idx[interior], alpha[interior], mode, rotvecs
+            rotations, translations, idx[interior], alpha[interior], mode, rotvecs, twists
         )
     return rot, t
 
 
-def _between(rotations, translations, lo, alpha, mode, rotvecs):
+def _between(rotations, translations, lo, alpha, mode, rotvecs, twists):
     # Interpolation between samples lo and lo + 1 at 0 < alpha < 1.
     hi = lo + 1
     if mode == "se3":
         return lie.se3_interp_batch(
-            rotations[lo], translations[lo], rotations[hi], translations[hi], alpha
+            rotations[lo], translations[lo], rotations[hi], translations[hi], alpha, twists
         )
     if rotvecs is None:
         rotvecs = lie.so3_log_batch(rotations)

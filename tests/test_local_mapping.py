@@ -368,3 +368,93 @@ def test_mode_ordering_small():
     direct = np.median(medians["direct"])
     assert se3 < linear
     assert linear < direct
+
+
+MODELS = [
+    {"update_method": "se3", "interpolation": "se3"},
+    {"update_method": "so3_r3", "interpolation": "se3"},
+    {"update_method": "se3", "interpolation": "euclidean"},
+    {"update_method": "so3_r3", "interpolation": "euclidean"},
+    {"model": "spline_direct"},
+]
+MODEL_IDS = ["se3-se3", "so3_r3-se3", "se3-euclidean", "so3_r3-euclidean", "spline_direct"]
+
+
+def random_iterate(model, pairs=None, with_imu=True, knot_step=0.25):
+    """A window system at a random non-zero x with pairs, priors, IMU,
+    biases, robust weights below one and a 3.7 ms time lag, on a
+    ``ControlGrid.zeros`` grid whose end samples read clamped knots."""
+    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
+    if pairs is None:
+        pairs = pair_constraints_from_scene(cfg, truth, 40)
+    priors = scene.map_prior_constraints() if with_imu else []
+    opt_cfg = lm.OptimizerConfig(
+        estimate_biases=True, estimate_time_lag=True, jacobian="central", **model
+    )
+    grid = ControlGrid.zeros(init.start, init.end, knot_step)
+    state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
+                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=0.0037)
+    system = lm._WindowSystem(pairs, priors, imu if with_imu else [], init, state, opt_cfg)
+    k = system.n_knots
+    x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
+    x[-1] = 0.0  # keep the lag at 3.7 ms, off the 10 ms sample grid
+    if opt_cfg.model == "spline_direct":
+        x[: 3 * k] += system.c_t0.reshape(-1)
+        x[3 * k : 6 * k] += system.c_r0.reshape(-1)
+    system.update_robust_weights(system.residuals(x, state))
+    return system, x, state
+
+
+def assert_normal_equations_match_dense(system, x, state):
+    it = system.evaluate(x, state)
+    weighted = system.weighted(it.residuals)
+    hess, grad = system.normal_equations(it, weighted)
+    jac = system.jacobian(x, state, weighted)
+    dense_hess, dense_grad = jac.T @ jac, jac.T @ weighted
+    assert np.max(np.abs(hess - dense_hess)) <= 1e-12 * np.max(np.abs(dense_hess))
+    assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_normal_equations_match_dense_jacobian(model):
+    system, x, state = random_iterate(model)
+    assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
+    assert np.min(system.robust_weights) < 1.0
+    # The first and last samples read the clamped boundary knots.
+    first, last = system.grid.knot_indices_and_weights(system.traj_times[[0, -1]])[0]
+    assert first[0] == first[1] and last[2] == last[3]
+    assert_normal_equations_match_dense(system, x, state)
+
+
+@pytest.mark.parametrize("model", [MODELS[0], MODELS[-1]], ids=[MODEL_IDS[0], MODEL_IDS[-1]])
+def test_normal_equations_match_dense_jacobian_far_pairs(model):
+    # Pairs only, each tying two times at least four knots apart, so one
+    # row reads knots far from its first one.
+    rng = np.random.default_rng(3)
+    pairs = []
+    for tau_a in np.linspace(0.02, 0.3, 40):
+        normal = rng.normal(size=3)
+        pairs.append(lm.SurfelPairConstraint(
+            u_a=rng.normal(size=3), u_b=rng.normal(size=3), tau_a=tau_a,
+            tau_b=tau_a + 0.65, n_ab=normal / np.linalg.norm(normal),
+        ))
+    system, x, state = random_iterate(model, pairs=pairs, with_imu=False, knot_step=0.1)
+    assert system.n_prior == 0 and system.n_imu == 0
+    assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
+    assert_normal_equations_match_dense(system, x, state)
+
+
+@pytest.mark.parametrize("model", MODELS[:4], ids=MODEL_IDS[:4])
+def test_folded_iterate_reproduces_candidate_residuals(model):
+    # optimize_window reuses the candidate's poses and residuals after
+    # folding an accepted correction into the samples; evaluating x = 0
+    # afresh must read the same poses.
+    system, x, state = random_iterate(model)
+    x[-1] = 1e-4
+    candidate = system.evaluate(x, state)
+    folded = system.fold(candidate)
+    assert folded.state.time_lag == pytest.approx(0.0038)
+    fresh = system.evaluate(np.zeros(system.n_params()), folded.state)
+    assert np.array_equal(fresh.residuals, candidate.residuals)
+    assert np.array_equal(fresh.residuals, folded.residuals)
+    assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
