@@ -9,7 +9,9 @@ single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
 ``fuse_surfel``, ``extract_normal``) are the batch functions on a batch of
 one.  A fusion step folds its measurements into their destinations in
 rounds, each round fusing the next pending measurement of every
-destination, and checks the fused rows once.
+destination, and checks the fused rows once.  The sparse ICP reads the
+arrays of ``SparseSurfels`` batches and pairs its surfels through one
+``radius_join`` per iteration.
 
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
@@ -31,7 +33,9 @@ from .surfel_map import (
     DenseSurfelMap,
     DenseSurfels,
     GlobalMaps,
+    SparseSurfels,
     _put,
+    _rounds,
     _row_dot,
     check_dense,
     clamp_psd,
@@ -390,47 +394,59 @@ class IcpResult:
 def _associate(rotation, translation, src_pts, src_normals, dst_pts, dst_normals,
                max_pair_distance):
     """ICP pairs at one pose: each moved source centroid with its nearest
-    destination centroid within ``max_pair_distance`` whose normal is
-    compatible, ``|R n_s . n_d| > NORMAL_COMPATIBILITY``.
+    destination centroid closer than ``max_pair_distance`` whose normal is
+    compatible, ``|R n_s . n_d| > NORMAL_COMPATIBILITY``; of equally near
+    ones, the lowest index.
 
-    Returns the paired moved source centroids and the source and destination
-    index arrays.
+    One ``radius_join`` gathers the candidates.  Each distance is the square
+    root of the join's squared distance, which rounds as ``np.linalg.norm``
+    of the difference does, and one ``lexsort`` on (source, distance,
+    destination) picks each source's nearest compatible destination.
+    Returns the paired moved source centroids and the source and
+    destination index arrays, by source.
     """
     moved = src_pts @ rotation.T + translation
-    d = np.linalg.norm(moved[:, None, :] - dst_pts[None, :, :], axis=2)
-    d[np.abs(src_normals @ rotation.T @ dst_normals.T) <= NORMAL_COMPATIBILITY] = np.inf
-    nearest = np.argmin(d, axis=1)
-    src_idx = np.flatnonzero(d[np.arange(len(moved)), nearest] < max_pair_distance)
-    return moved[src_idx], src_idx, nearest[src_idx]
+    i, j, d_sq = radius_join(moved, dst_pts, max_pair_distance)
+    turned = src_normals @ rotation.T
+    compatible = np.abs(_row_dot(turned[i], dst_normals[j])) > NORMAL_COMPATIBILITY
+    i, j, d = i[compatible], j[compatible], np.sqrt(d_sq[compatible])
+    order = np.lexsort((j, d, i))
+    i, j, d = i[order], j[order], d[order]
+    paired = (np.diff(i, prepend=-1) != 0) & (d < max_pair_distance)
+    return moved[i[paired]], i[paired], j[paired]
 
 
 def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
                        max_pair_distance=0.5, inlier_distance=0.05):
     """Weighted point-to-plane alignment of sparse surfel centroids.
 
-    Each source surfel pairs with its nearest destination centroid within
-    ``max_pair_distance`` whose normal is compatible with the rotated source
-    normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on different
-    planes never pair.  The same association drives every solve and the
-    final count.  A pair is an inlier when the moved source centroid lies
-    within ``inlier_distance`` of the destination surfel's plane; the inlier
-    fraction is taken over the pairs formed at the final pose, since overlap
-    itself is required separately (at least six pairs, and the caller's
-    minimum surfel counts).
+    Each source surfel pairs with its nearest destination centroid closer
+    than ``max_pair_distance`` whose normal is compatible with the rotated
+    source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
+    different planes never pair; of equally near ones it takes the lowest
+    destination index.  Each association is one ``radius_join`` of the
+    moved source centroids with the destination centroids at
+    ``max_pair_distance``, not a full distance matrix.  The same
+    association drives every solve and the final count.  A pair is an
+    inlier when the moved source centroid lies within ``inlier_distance`` of
+    the destination surfel's plane; the inlier fraction is taken over the
+    pairs formed at the final pose, since overlap itself is required
+    separately (at least six pairs, and the caller's minimum surfel
+    counts).
 
     Returns the transform mapping source centroids onto the destination map,
     that inlier fraction, the inlier pairs, and the smallest/largest
     eigenvalue ratio of the planarity-weighted normal matrix ``sum(w n n^T)``
     of the final pairs, which is near 0 when the pairs leave a translation
-    direction free.
+    direction free.  Either set is a ``SparseSurfels`` batch or a list of
+    ``SparseSurfel`` values.
     """
-    if not src_surfels or not dst_surfels:
+    src, dst = SparseSurfels.of(src_surfels), SparseSurfels.of(dst_surfels)
+    if len(src) == 0 or len(dst) == 0:
         return IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
-    src_pts = np.array([s.centroid for s in src_surfels])
-    src_normals = np.array([s.normal for s in src_surfels])
-    dst_pts = np.array([s.centroid for s in dst_surfels])
-    dst_normals = np.array([s.normal for s in dst_surfels])
-    weights_dst = np.array([max(s.planarity, 0.05) for s in dst_surfels])
+    src_pts, src_normals = src.centroid, src.normal
+    dst_pts, dst_normals = dst.centroid, dst.normal
+    weights_dst = np.maximum(dst.planarity, 0.05)
 
     rotation = np.eye(3)
     translation = np.zeros(3)
@@ -482,17 +498,18 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
 class LocalMaps:
     """One window's output: local sparse/dense maps plus the sensor origin.
 
-    ``dense`` is a ``DenseSurfels`` batch; a list of ``DenseSurfel`` values
-    is converted to one.
+    ``sparse`` and ``dense`` are ``SparseSurfels`` and ``DenseSurfels``
+    batches; a list of surfel values is converted to one.
     """
 
-    sparse: list
+    sparse: SparseSurfels
     dense: DenseSurfels
     sensor_origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     timestamp: float = None
 
     def __post_init__(self):
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float)
+        self.sparse = SparseSurfels.of(self.sparse)
         self.dense = DenseSurfels.of(self.dense)
         if self.timestamp is None:
             self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
@@ -545,12 +562,7 @@ def _fold(state: DenseSurfels, slot, sources: DenseSurfels, noise):
     in rounds: round ``r`` fuses the ``r``-th measurement of every row that
     has one, all at once.
     """
-    order = np.argsort(slot, kind="stable")
-    starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
-    for r in range(rank.max(initial=-1) + 1):
-        pending = np.flatnonzero(rank == r)
+    for pending in _rounds(slot):
         rows, src = slot[pending], sources[pending]
         dst = state[rows]
         meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[pending],
@@ -611,9 +623,8 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     unmatched[matched] = False
     new_keys = dense.extend(local.dense[unmatched])
 
-    inactive_sparse = [
-        s for s in global_maps.sparse.all() if now - s.timestamp > cfg.active_window
-    ]
+    sparse = global_maps.sparse.all()
+    inactive_sparse = sparse[now - sparse.timestamp > cfg.active_window]
     global_maps.sparse.fuse(local.sparse)
 
     trigger = None

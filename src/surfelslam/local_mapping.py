@@ -379,6 +379,7 @@ class _WindowSystem:
         self.fixed_where = self._locate(
             np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
         )
+        self._where_at = None  # (time lag, where) of the last _where call
         if cfg.model == "spline_direct":
             # Least-squares fit of the initial trajectory by the spline.
             rotvecs = lie.so3_log_batch(self.base_rot)
@@ -442,13 +443,20 @@ class _WindowSystem:
         return self.grid.knot_indices_and_weights(taus)
 
     def _where(self, d):
-        """Where every query reads the model at time lag ``d``."""
-        taus = self.imu_taus + d
-        idx, w = self._locate(np.concatenate([taus - self.h, taus, taus + self.h]))
-        return (
-            np.concatenate([self.fixed_where[0], idx]),
-            np.concatenate([self.fixed_where[1], w]),
-        )
+        """Where every query reads the model at time lag ``d``.  Only the IMU
+        stencil moves with the lag, so the last result is reused while the
+        lag is unchanged."""
+        if self._where_at is None or self._where_at[0] != d:
+            taus = self.imu_taus + d
+            idx, w = self._locate(np.concatenate([taus - self.h, taus, taus + self.h]))
+            where = (
+                np.concatenate([self.fixed_where[0], idx]),
+                np.concatenate([self.fixed_where[1], w]),
+            )
+            for a in where:
+                a.flags.writeable = False  # shared by every iterate at this lag
+            self._where_at = d, where
+        return self._where_at[1]
 
     def _interpolate(self, rot_s, t_s, idx, w):
         """Poses at the sample brackets ``(idx, w)`` and the chart they were

@@ -3,8 +3,9 @@
 Everything here is correctness-first and O(n^2) or worse: truncated-series
 matrix exponentials, window residuals evaluated one constraint at a time on
 a freshly corrected trajectory, linear-scan spatial queries, exhaustive
-matching, hash-grouped voxel moments, dense-surfel seeding by linear scans,
-and closed-form 3x3 eigen solves.  None of it is used on the fast paths.
+matching, ICP association from the full distance matrix, hash-grouped voxel
+moments, dense-surfel seeding by linear scans, and closed-form 3x3 eigen
+solves.  None of it is used on the fast paths.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from .. import lie
 from ..errors import OutOfRangeError
+from ..fusion import NORMAL_COMPATIBILITY
 from ..local_mapping import GRAVITY
 from ..trajectory import apply_correction
 
@@ -133,6 +135,24 @@ def match_surfels_exhaustive(src, surfels_by_id, theta_r, theta_d):
         if abs(along) / np.sqrt(sigma_sq) < theta_d:
             matched.append(key)
     return sorted(matched)
+
+
+def icp_pairs_exhaustive(rotation, translation, src_pts, src_normals, dst_pts, dst_normals,
+                         max_pair_distance):
+    """ICP pairs at one pose from the full distance matrix: each moved source
+    centroid with its nearest destination centroid within
+    ``max_pair_distance`` whose normal is compatible,
+    ``|R n_s . n_d| > NORMAL_COMPATIBILITY``.
+
+    Returns the paired moved source centroids and the source and destination
+    index arrays.
+    """
+    moved = src_pts @ rotation.T + translation
+    d = np.linalg.norm(moved[:, None, :] - dst_pts[None, :, :], axis=2)
+    d[np.abs(src_normals @ rotation.T @ dst_normals.T) <= NORMAL_COMPATIBILITY] = np.inf
+    nearest = np.argmin(d, axis=1)
+    src_idx = np.flatnonzero(d[np.arange(len(moved)), nearest] < max_pair_distance)
+    return moved[src_idx], src_idx, nearest[src_idx]
 
 
 def voxel_moments_bruteforce(points, times, resolution):

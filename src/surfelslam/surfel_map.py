@@ -2,18 +2,25 @@
 disc surfels with Wishart state, the global sparse/dense map pair, and the
 one fixed-radius lookup every caller shares.
 
-Dense surfels are stored as arrays.  A ``DenseSurfels`` batch holds one
-array per ``DenseSurfel`` field with the surfels along the first axis, and
-``DenseSurfelMap`` keeps its surfels in one such batch whose row ``k`` is
-key ``k``, grown by doubling.  A ``DenseSurfel`` is a value: the map and a
-batch hand one out as a read view of a row, copied and not re-checked.
+Surfels are stored as arrays.  A ``DenseSurfels`` or ``SparseSurfels``
+batch holds one array per field of ``DenseSurfel`` or ``SparseSurfel`` with
+the surfels along the first axis.  ``DenseSurfelMap`` keeps its surfels in
+one such batch whose row ``k`` is key ``k``, grown by doubling.
+``SparseSurfelMap`` keeps one row per (resolution, voxel) key, where the
+voxel is the integer index ``voxelize_sparse`` computed, in the order the
+keys were first fused; a fuse matches the keys of a whole batch by one sort
+and pools every revisited voxel in stacked rounds of ``merge_moments``.  A
+surfel is a value: a batch hands one out as a read view of a row, copied
+and not re-checked.
 
-One function, ``check_dense``, validates dense surfel fields: finite values
-of the right shapes, symmetrized positive semidefinite covariances, unit
-normals and ``dof`` of at least one.  It runs once per batch where a batch
-is made (``extract_dense``, a fusion step's fused rows) and on a batch of
-one where a single ``DenseSurfel`` is built.  Sparse surfels have the same
-kind of batch check, ``_check_sparse``.
+One function per kind validates surfel fields over a whole batch.
+``check_dense`` requires finite values of the right shapes, symmetrized
+positive semidefinite covariances, unit normals and ``dof`` of at least
+one; ``_check_sparse`` requires finite values of the right shapes, positive
+resolutions and symmetrized positive semidefinite covariances, and derives
+each normal and planarity from the covariance.  Each runs once per batch
+where a batch is made (extraction, a fusion step's fused rows, a sparse
+fuse's pooled rows) and on a batch of one where a single surfel is built.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
 al., Optimized Spatial Hashing, VMV 2003): it sorts the points by cell key
@@ -21,10 +28,12 @@ and expands every point pair of each pair of neighbouring occupied cells.
 ``_radius_pairs`` joins one point set with itself over each cell's 13
 half-neighbours; ``radius_join`` joins two sets and expands only pairs of a
 cell of one set with a cell of the other, which serves the dense map's
-queries and fusion's matching.  Dense extraction works on a whole scan at
-once: seeding takes the lexicographically-first maximal independent set of
-the pairs closer than the radius, and each seed's moments are segment sums
-over its pairs.
+queries, fusion's matching and the ICP's association.  Extraction works on
+a whole scan at once.  Dense seeding takes the lexicographically-first
+maximal independent set of the pairs closer than the radius, and each
+seed's moments are segment sums over its pairs; sparse voxelization sorts
+the points once per resolution by a linearized voxel key, and each voxel's
+moments are segment sums over that order.
 """
 
 from __future__ import annotations
@@ -89,41 +98,163 @@ def _unchecked(cls, values):
     return surfel
 
 
-def _check_sparse(covariance):
-    """The sparse surfel check on a stack of covariances: each is
+# Per-surfel shape and dtype of each field of a surfel class, in field order.
+_SPARSE_LAYOUT = {
+    "centroid": ((3,), float),
+    "covariance": ((3, 3), float),
+    "count": ((), np.int64),
+    "resolution": ((), float),
+    "timestamp": ((), float),
+    "voxel": ((3,), np.int64),
+    "normal": ((3,), float),
+    "planarity": ((), float),
+}
+_DENSE_LAYOUT = {
+    "centroid": ((3,), float),
+    "normal": ((3,), float),
+    "centroid_cov": ((3, 3), float),
+    "scatter": ((3, 3), float),
+    "dof": ((), float),
+    "obs_count": ((), np.int64),
+    "timestamp": ((), float),
+    "radius": ((), float),
+    "colour": ((3,), float),
+    "colour_sigma": ((), float),
+}
+
+
+class _Batch:
+    """Rows of a surfel batch: ``_LAYOUT`` gives each field's per-surfel
+    shape and dtype, ``_VALUE`` the surfel class a row is viewed as.
+
+    An integer index (a numpy integer too) gives a view of that row, copied
+    and not re-checked, any other index the sub-batch it selects; iteration
+    yields views.
+    """
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _unchecked(self._VALUE, _row(self, index))
+        return type(self)(*(getattr(self, f)[index] for f in self._LAYOUT))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @classmethod
+    def empty(cls, n=0):
+        """``n`` zero rows, to be filled."""
+        return cls(*(np.zeros((n,) + shape, dtype) for shape, dtype in cls._LAYOUT.values()))
+
+    @classmethod
+    def of(cls, surfels):
+        """The batch of checked surfel values, or ``surfels`` itself when it
+        is a batch."""
+        if isinstance(surfels, cls):
+            return surfels
+        surfels = list(surfels)
+        n = len(surfels)
+        return cls(*(
+            np.array([getattr(s, f) for s in surfels], dtype=dtype).reshape((n,) + shape)
+            for f, (shape, dtype) in cls._LAYOUT.items()
+        ))
+
+
+def _row(batch, k):
+    """The fields of row ``k``: array fields copied, scalars as Python
+    numbers."""
+    return {
+        f: getattr(batch, f)[k].copy() if shape else getattr(batch, f).item(k)
+        for f, (shape, _) in batch._LAYOUT.items()
+    }
+
+
+def _put(batch, rows, values):
+    """Write the rows of ``values`` into ``batch`` at ``rows``."""
+    for f in batch._LAYOUT:
+        getattr(batch, f)[rows] = getattr(values, f)
+
+
+def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None):
+    """The one check of sparse surfel fields, over a stack of surfels.
+
+    Every field must have its per-surfel shape, with one common length, and
+    finite values, and resolutions must be positive.  Covariances are
     symmetrized and must be positive semidefinite within tolerance.  Returns
-    the symmetrized stack, each one's normal (smallest-eigenvalue
-    eigenvector) and planarity ``(l1 - l0) / l2``."""
-    cov = _symmetrize(covariance)
-    if cov.ndim != 3 or cov.shape[1:] != (3, 3) or not np.isfinite(cov).all():
-        raise InvalidArgumentError("sparse surfel covariance must be a finite 3x3 matrix")
-    eigenvalues, vectors = np.linalg.eigh(cov)
+    the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
+    eigenvector of its covariance and each planarity ``(l1 - l0) / l2``;
+    ``voxel`` defaults to the voxels of the centroids.
+    """
+    values = {"centroid": centroid, "covariance": covariance, "count": count,
+              "resolution": resolution, "timestamp": timestamp}
+    n = len(np.reshape(timestamp, -1))
+    for f, v in values.items():
+        shape, dtype = _SPARSE_LAYOUT[f]
+        v = np.asarray(v)
+        if v.shape != (n,) + shape or not np.isfinite(v).all():
+            raise InvalidArgumentError(f"sparse surfel {f} must be finite, of shape {shape}")
+        values[f] = v.astype(dtype, copy=False)
+    if (values["resolution"] <= 0.0).any():
+        raise InvalidArgumentError("sparse surfel resolution must be positive")
+    values["covariance"] = _symmetrize(values["covariance"])
+    eigenvalues, vectors = np.linalg.eigh(values["covariance"])
     _require_psd(eigenvalues, "sparse surfel covariance")
+    if voxel is None:
+        voxel = np.floor(values["centroid"] / values["resolution"][:, None])
     scale = np.maximum(eigenvalues[:, 2], 1e-30)
-    return cov, vectors[:, :, 0], (eigenvalues[:, 1] - eigenvalues[:, 0]) / scale
+    return SparseSurfels(
+        **values,
+        voxel=np.asarray(voxel).astype(np.int64),
+        normal=vectors[:, :, 0].copy(),
+        planarity=(eigenvalues[:, 1] - eigenvalues[:, 0]) / scale,
+    )
 
 
 @dataclass(frozen=True)
 class SparseSurfel:
-    """Ellipsoid surfel: voxel point statistics at one resolution."""
+    """Ellipsoid surfel: the point statistics of one voxel at one
+    resolution.
+
+    ``normal`` (the covariance's smallest-eigenvalue eigenvector) and
+    ``planarity`` are derived from the covariance, and ``voxel`` is the
+    voxel's integer index, by default the one that holds the centroid.
+    Building one runs ``_check_sparse`` on a batch of one.
+    """
 
     centroid: np.ndarray
     covariance: np.ndarray
     count: int
     resolution: float
     timestamp: float
-    normal: np.ndarray = None
-    planarity: float = 0.0
+    voxel: np.ndarray = None
+    normal: np.ndarray = field(default=None, init=False)
+    planarity: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "centroid", np.asarray(self.centroid, dtype=float))
-        cov, normal, planarity = _check_sparse(np.asarray(self.covariance, dtype=float)[None])
-        object.__setattr__(self, "covariance", cov[0])
-        if self.normal is None:
-            object.__setattr__(self, "normal", normal[0].copy())
-            object.__setattr__(self, "planarity", float(planarity[0]))
-        else:
-            object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+        fields = (self.centroid, self.covariance, self.count, self.resolution, self.timestamp)
+        voxel = None if self.voxel is None else np.asarray(self.voxel)[None]
+        self.__dict__.update(_row(_check_sparse(*(np.asarray(v)[None] for v in fields), voxel), 0))
+
+
+@dataclass(frozen=True, eq=False)
+class SparseSurfels(_Batch):
+    """A batch of sparse surfels: one array per ``SparseSurfel`` field, the
+    surfels along the first axis.  Batches come from ``_check_sparse``, from
+    ``SparseSurfels.of`` over checked surfels, or from rows of either."""
+
+    centroid: np.ndarray
+    covariance: np.ndarray
+    count: np.ndarray
+    resolution: np.ndarray
+    timestamp: np.ndarray
+    voxel: np.ndarray
+    normal: np.ndarray
+    planarity: np.ndarray
+
+    _LAYOUT = _SPARSE_LAYOUT
+    _VALUE = SparseSurfel
 
 
 @dataclass(frozen=True)
@@ -153,31 +284,11 @@ class DenseSurfel:
         self.__dict__.update(_row(check_dense(one), 0))
 
 
-# Per-surfel shape and dtype of each ``DenseSurfel`` field, in field order.
-_DENSE_LAYOUT = {
-    "centroid": ((3,), float),
-    "normal": ((3,), float),
-    "centroid_cov": ((3, 3), float),
-    "scatter": ((3, 3), float),
-    "dof": ((), float),
-    "obs_count": ((), np.int64),
-    "timestamp": ((), float),
-    "radius": ((), float),
-    "colour": ((3,), float),
-    "colour_sigma": ((), float),
-}
-
-
 @dataclass(frozen=True, eq=False)
-class DenseSurfels:
+class DenseSurfels(_Batch):
     """A batch of dense surfels: one array per ``DenseSurfel`` field, the
-    surfels along the first axis.
-
-    Batches come from ``check_dense``, from ``DenseSurfels.of`` over
-    checked surfels, or from rows of either.  An integer index (a numpy
-    integer too) gives a ``DenseSurfel`` view of that row, any other index
-    the sub-batch it selects; iteration yields views.
-    """
+    surfels along the first axis.  Batches come from ``check_dense``, from
+    ``DenseSurfels.of`` over checked surfels, or from rows of either."""
 
     centroid: np.ndarray
     normal: np.ndarray
@@ -190,49 +301,8 @@ class DenseSurfels:
     colour: np.ndarray
     colour_sigma: np.ndarray
 
-    def __len__(self):
-        return len(self.dof)
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return _unchecked(DenseSurfel, _row(self, index))
-        return DenseSurfels(*(getattr(self, f)[index] for f in _DENSE_LAYOUT))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    @classmethod
-    def empty(cls, n=0):
-        """``n`` zero rows; they fail the check, so only fill them."""
-        return cls(*(np.zeros((n,) + shape, dtype) for shape, dtype in _DENSE_LAYOUT.values()))
-
-    @classmethod
-    def of(cls, surfels):
-        """The batch of checked ``DenseSurfel`` values, or ``surfels`` itself
-        when it is a batch."""
-        if isinstance(surfels, DenseSurfels):
-            return surfels
-        surfels = list(surfels)
-        n = len(surfels)
-        return cls(*(
-            np.array([getattr(s, f) for s in surfels], dtype=dtype).reshape((n,) + shape)
-            for f, (shape, dtype) in _DENSE_LAYOUT.items()
-        ))
-
-
-def _row(batch, k):
-    """The fields of row ``k``: array fields copied, scalars as Python
-    numbers."""
-    return {
-        f: getattr(batch, f)[k].copy() if shape else getattr(batch, f).item(k)
-        for f, (shape, _) in _DENSE_LAYOUT.items()
-    }
-
-
-def _put(batch, rows, values):
-    """Write the rows of ``values`` into ``batch`` at ``rows``."""
-    for f in _DENSE_LAYOUT:
-        getattr(batch, f)[rows] = getattr(values, f)
+    _LAYOUT = _DENSE_LAYOUT
+    _VALUE = DenseSurfel
 
 
 def check_dense(batch: DenseSurfels) -> DenseSurfels:
@@ -383,51 +453,99 @@ class DenseSurfelMap:
 
 
 def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
-    """Pooled mean and sample covariance of two point groups."""
+    """Pooled mean, sample covariance and count of two point groups, or row
+    by row of two stacks of them; covariances are clamped PSD."""
+    n_a, n_b = np.asarray(n_a), np.asarray(n_b)
     n = n_a + n_b
-    mean = (n_a * mean_a + n_b * mean_b) / n
-    diff = np.outer(mean_a - mean_b, mean_a - mean_b)
-    scatter = (n_a - 1) * cov_a + (n_b - 1) * cov_b + (n_a * n_b / n) * diff
-    cov = scatter / max(n - 1, 1)
+    mean = (n_a[..., None] * mean_a + n_b[..., None] * mean_b) / n[..., None]
+    d = mean_a - mean_b
+    scatter = (
+        (n_a - 1)[..., None, None] * cov_a
+        + (n_b - 1)[..., None, None] * cov_b
+        + (n_a * n_b / n)[..., None, None] * (d[..., :, None] * d[..., None, :])
+    )
+    cov = scatter / np.maximum(n - 1, 1)[..., None, None]
     return mean, clamp_psd(cov), n
 
 
+def _rounds(slot):
+    """The positions of ``slot`` in rounds: round ``r`` holds the ``r``-th
+    position of every value, so folding the rounds in order visits each
+    value's positions in input order and no round holds a value twice."""
+    order = np.argsort(slot, kind="stable")
+    starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
+    return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
+
+
 class SparseSurfelMap:
-    """Sparse surfel store keyed by (resolution, voxel); fusing a surfel into
-    an occupied voxel pools the voxel moments."""
+    """Sparse surfel store: one ``SparseSurfels`` batch with a row per
+    (resolution, voxel) key, in the order the keys were first fused.
+
+    Fusing a surfel whose key is stored pools the voxel moments into that
+    row; any other surfel adds a row.  ``all`` hands out the stored batch,
+    which ``fuse`` never writes into: it builds a new one.
+    """
 
     def __init__(self):
-        self.by_voxel = {}
+        self._rows = SparseSurfels.empty()
 
     def __len__(self):
-        return len(self.by_voxel)
+        return len(self._rows)
 
-    def all(self):
-        return list(self.by_voxel.values())
-
-    @staticmethod
-    def _key(surfel: SparseSurfel):
-        voxel = tuple(np.floor(surfel.centroid / surfel.resolution).astype(int))
-        return (surfel.resolution, voxel)
+    def all(self) -> SparseSurfels:
+        """The stored surfels, in key insertion order; read only."""
+        return self._rows
 
     def fuse(self, surfels):
-        for s in surfels:
-            key = self._key(s)
-            existing = self.by_voxel.get(key)
-            if existing is None:
-                self.by_voxel[key] = s
-                continue
-            mean, cov, n = merge_moments(
-                existing.centroid,
-                existing.covariance,
-                existing.count,
-                s.centroid,
-                s.covariance,
-                s.count,
+        """Pool each of ``surfels`` (a batch or a list), in input order, into
+        the row of its key.
+
+        Equal to one ``merge_moments`` per surfel into its row's current
+        state, the row taking the later timestamp; a surfel with a new key
+        adds a row that later ones with its key pool into.  Keys are matched
+        by one sort of the stored and the new keys together, the merges are
+        stacked in rounds (round ``r`` pools the ``r``-th pending surfel of
+        every row), and the pooled rows are checked once.
+        """
+        batch = SparseSurfels.of(surfels)
+        stored = self._rows
+        n, m = len(stored), len(batch)
+        resolution = np.concatenate([stored.resolution, batch.resolution])
+        voxel = np.concatenate([stored.voxel, batch.voxel])
+        order = np.lexsort((voxel[:, 2], voxel[:, 1], voxel[:, 0], resolution))
+        step = np.ones(n + m, dtype=bool)
+        step[1:] = (np.diff(voxel[order], axis=0) != 0).any(axis=1)
+        step[1:] |= np.diff(resolution[order]) != 0
+        # The owner of each new surfel's key is the key's first holder in
+        # stored-then-input order: its stored row, or the first new surfel
+        # with that key, which adds a row.
+        owner = np.empty(n + m, dtype=np.intp)
+        owner[order] = order[np.flatnonzero(step)][np.cumsum(step) - 1]
+        owner = owner[n:]
+        first = owner == np.arange(n, n + m)
+        new = np.flatnonzero(first)
+        row = np.arange(n + m)
+        row[n + new] = n + np.arange(len(new))
+        rows = SparseSurfels(*(
+            np.concatenate([getattr(stored, f), getattr(batch, f)[new]]) for f in _SPARSE_LAYOUT
+        ))
+        slot, pending = row[owner[~first]], batch[~first]
+        for pick in _rounds(slot):
+            at, src = slot[pick], pending[pick]
+            mean, cov, count = merge_moments(
+                rows.centroid[at], rows.covariance[at], rows.count[at],
+                src.centroid, src.covariance, src.count,
             )
-            self.by_voxel[key] = SparseSurfel(
-                mean, cov, n, s.resolution, max(existing.timestamp, s.timestamp)
-            )
+            rows.centroid[at], rows.covariance[at], rows.count[at] = mean, cov, count
+            rows.timestamp[at] = np.maximum(rows.timestamp[at], src.timestamp)
+        pooled = np.unique(slot)
+        _put(rows, pooled, _check_sparse(*(
+            getattr(rows, f)[pooled]
+            for f in ("centroid", "covariance", "count", "resolution", "timestamp", "voxel")
+        )))
+        self._rows = rows
 
 
 @dataclass
@@ -438,13 +556,33 @@ class GlobalMaps:
     dense: DenseSurfelMap = field(default_factory=DenseSurfelMap)
 
 
-def voxelize_sparse(points, times, resolutions, min_points=5):
-    """Sparse ellipsoid surfels from multi-resolution voxels.
+def _segment_mean(values, member, sizes):
+    """Mean of ``values[member]`` over each run of ``sizes`` consecutive
+    entries, as a segment sum."""
+    total = np.add.reduceat(values[member], np.cumsum(sizes) - sizes, axis=0)
+    return total / sizes.reshape((-1,) + (1,) * (total.ndim - 1))
+
+
+def _segment_scatter(points, member, sizes, mean):
+    """Accrued scatter ``sum (p - m)(p - m)^T`` of ``points[member]`` over
+    each run of ``sizes`` consecutive entries, about its mean ``m``."""
+    centered = points[member] - np.repeat(mean, sizes, axis=0)
+    outer = centered[:, :, None] * centered[:, None, :]
+    return np.add.reduceat(outer, np.cumsum(sizes) - sizes, axis=0)
+
+
+def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
+    """Sparse ellipsoid surfels from multi-resolution voxels, as one checked
+    batch.
 
     One surfel per occupied voxel per resolution when the voxel holds at
     least ``min_points`` points (two or more): centroid is the mean,
-    covariance the sample covariance.  The moments are taken voxel by
-    voxel; clamping and the sparse check run once over the stack.
+    covariance the sample covariance, timestamp the mean time, and
+    ``voxel`` the voxel's integer index.  Surfels follow the resolutions and,
+    within one, the voxels in lexicographic order.  Per resolution, one
+    stable sort of a linearized voxel key groups the points, and the moments
+    are segment sums over that order; clamping and the sparse check run
+    once over the stack.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -461,37 +599,32 @@ def voxelize_sparse(points, times, resolutions, min_points=5):
         )
     if min_points < 2:
         raise InvalidArgumentError("a voxel covariance needs at least two points")
-    moments = []
+    if len(points) == 0:
+        return SparseSurfels.empty()
+    parts = []
     for resolution in resolutions:
-        if points.shape[0] == 0:
+        voxel = np.floor(points / resolution).astype(np.int64)
+        ijk = voxel - voxel.min(axis=0)
+        span = ijk.max(axis=0) + 1
+        if float(np.prod(span, dtype=float)) >= 2.0**62:
+            raise InvalidArgumentError("points span too many voxels of the resolution to key")
+        key = (ijk[:, 0] * span[1] + ijk[:, 1]) * span[2] + ijk[:, 2]
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        sizes = np.diff(starts, append=len(order))
+        kept = sizes >= min_points
+        if not kept.any():
             continue
-        keys = np.floor(points / resolution).astype(np.int64)
-        _, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(counts)[:-1]
-        for group in np.split(order, boundaries):
-            if group.size < min_points:
-                continue
-            pts = points[group]
-            mean = pts.mean(axis=0)
-            centered = pts - mean
-            cov = centered.T @ centered / (group.size - 1)
-            moments.append(
-                (mean, cov, int(group.size), float(resolution), float(times[group].mean()))
-            )
-    if not moments:
-        return []
-    cov, normal, planarity = _check_sparse(clamp_psd(np.array([m[1] for m in moments])))
-    return [
-        _unchecked(SparseSurfel, {
-            "centroid": mean, "covariance": cov[k], "count": count,
-            "resolution": resolution, "timestamp": timestamp,
-            "normal": normal[k].copy(), "planarity": float(planarity[k]),
-        })
-        for k, (mean, _, count, resolution, timestamp) in enumerate(moments)
-    ]
+        member = order[np.repeat(kept, sizes)]
+        first, sizes = order[starts[kept]], sizes[kept]
+        mean = _segment_mean(points, member, sizes)
+        cov = _segment_scatter(points, member, sizes, mean) / (sizes - 1.0)[:, None, None]
+        parts.append((mean, cov, sizes, np.full(len(sizes), resolution),
+                      _segment_mean(times, member, sizes), voxel[first]))
+    if not parts:
+        return SparseSurfels.empty()
+    centroid, cov, count, resolution, timestamp, voxel = (np.concatenate(f) for f in zip(*parts))
+    return _check_sparse(centroid, clamp_psd(cov), count, resolution, timestamp, voxel)
 
 
 @dataclass
@@ -699,19 +832,12 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
     # Grouped by seed, each neighborhood in input order.
     member = member[np.argsort(owner * n + member)]
     sizes = gathered[owners]
-    starts = np.cumsum(sizes) - sizes
     count = sizes.astype(float)
-
-    def segment_mean(values):
-        total = np.add.reduceat(values[member], starts, axis=0)
-        return total / count.reshape((-1,) + (1,) * (total.ndim - 1))
-
-    mean = segment_mean(world)
-    centered = world[member] - np.repeat(mean, sizes, axis=0)
-    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    mean = _segment_mean(world, member, sizes)
+    scatter = _segment_scatter(world, member, sizes, mean)
     centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + cfg.beam_sigma**2 * np.eye(3)
     normal = np.linalg.eigh(scatter)[1][:, :, 0]
-    toward_sensor = segment_mean(origins) - mean
+    toward_sensor = _segment_mean(origins, member, sizes) - mean
     normal[(normal * toward_sensor).sum(axis=1) < 0] *= -1.0
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     m = len(owners)
@@ -722,8 +848,9 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
         scatter=clamp_psd(scatter),
         dof=count,
         obs_count=np.ones(m, dtype=np.int64),
-        timestamp=segment_mean(times),
+        timestamp=_segment_mean(times, member, sizes),
         radius=np.full(m, cfg.radius),
-        colour=segment_mean(colours) if colours is not None else np.full((m, 3), 0.5),
+        colour=(_segment_mean(colours, member, sizes) if colours is not None
+                else np.full((m, 3), 0.5)),
         colour_sigma=np.full(m, 0.5),
     ))

@@ -32,7 +32,7 @@ from surfelslam.fusion import (
     match_surfel,
     temporal_fusion_step,
 )
-from surfelslam.surfel_map import SparseSurfelMap, voxelize_sparse
+from surfelslam.surfel_map import SparseSurfelMap, radius_join, voxelize_sparse
 
 
 def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
@@ -607,3 +607,78 @@ def test_temporal_fusion_shift_along_wall_raises_no_trigger():
     src = voxelize_sparse(corner - np.array([0.15, 0.05, 0.0]), np.zeros(len(corner)), [0.5])
     dst = voxelize_sparse(corner, np.zeros(len(corner)), [0.5])
     assert icp_point_to_plane(src, dst).normal_eigen_ratio > 0.1
+
+
+def icp_cloud(rng, n):
+    """Centroids in a 2 m box with normals near the three axes, as the
+    sparse surfels of a room's corner give."""
+    pts = rng.uniform(0.0, 2.0, size=(n, 3))
+    normals = np.eye(3)[rng.integers(0, 3, size=n)] + rng.normal(scale=0.2, size=(n, 3))
+    return pts, normals / np.linalg.norm(normals, axis=1)[:, None]
+
+
+def test_icp_association_matches_exhaustive_oracle(rng):
+    src, src_n = icp_cloud(rng, 150)
+    dst, dst_n = icp_cloud(rng, 200)
+    # Destinations 200-259 repeat 140-199: every such pair is an exact tie,
+    # which the lower index wins.
+    dst, dst_n = np.vstack([dst, dst[140:]]), np.vstack([dst_n, dst_n[140:]])
+    tied = 0
+    for _ in range(8):
+        rotation = random_rotation(rng, max_angle=0.3)
+        translation = rng.normal(scale=0.1, size=3)
+        for max_pair_distance in (0.5, 0.3):
+            args = (rotation, translation, src, src_n, dst, dst_n, max_pair_distance)
+            got = fusion._associate(*args)
+            want = oracles.icp_pairs_exhaustive(*args)
+            assert got[1].size > 20
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            tied += np.count_nonzero(got[2] >= 140)
+    assert tied > 0
+
+
+def test_icp_association_boundaries():
+    # Identity pose and exact coordinates and normal products.  Source 0
+    # lies exactly max_pair_distance from its only destination (excluded),
+    # source 1 one ulp closer (paired); source 2's near destination has
+    # |n_s . n_d| exactly NORMAL_COMPATIBILITY (excluded), source 3's one
+    # just above it (paired); source 4 is equally near destinations 6 and 5
+    # and pairs with the lower index.  Source 5 is 0.25 m from destination
+    # 8 and one ulp of the squared distance farther from destination 7,
+    # which rounds to the same distance, so it pairs with 7.
+    compat = fusion.NORMAL_COMPATIBILITY
+    src = np.array([[0.25, 0, 0], [0.0, 2, 0], [0.0, 4, 0], [0.0, 6, 0], [0.0, 8, 0],
+                    [0.0, 10, 0]])
+    src_n = np.tile([1.0, 0.0, 0.0], (6, 1))
+    dst = np.array([[0.75, 0, 0], [np.nextafter(0.5, 0.0), 2, 0], [0.125, 4, 0],
+                    [0.125, 6, 0], [3.0, 3, 3], [0.25, 8, 0], [-0.25, 8, 0],
+                    [-0.24268839711408885, 10.051918144315282, -0.030113920320208345],
+                    [0.25, 10, 0]])
+    dst_n = np.tile([1.0, 0.0, 0.0], (9, 1))
+    dst_n[2] = [compat, np.sqrt(1.0 - compat**2), 0.0]
+    dst_n[3] = [np.nextafter(compat, 1.0), np.sqrt(1.0 - compat**2), 0.0]
+    _, j, d_sq = radius_join(src[5], dst[7:], 0.5)
+    d_sq = d_sq[np.argsort(j)]
+    assert d_sq[0] > d_sq[1] and np.sqrt(d_sq[0]) == np.sqrt(d_sq[1]) == 0.25
+    args = (np.eye(3), np.zeros(3), src, src_n, dst, dst_n, 0.5)
+    for associate in (fusion._associate, oracles.icp_pairs_exhaustive):
+        _, src_idx, dst_idx = associate(*args)
+        assert src_idx.tolist() == [1, 3, 4, 5]
+        assert dst_idx.tolist() == [1, 3, 5, 7]
+
+
+def test_icp_takes_a_list_or_a_batch(rng):
+    pts = corner_scene_points(rng)
+    src = voxelize_sparse(pts - np.array([0.15, 0.05, 0.0]), np.zeros(len(pts)), [0.5])
+    dst = voxelize_sparse(pts, np.zeros(len(pts)), [0.5])
+    batch = icp_point_to_plane(src, dst)
+    listed = icp_point_to_plane(list(src), list(dst))
+    assert batch.converged and listed.converged
+    assert np.array_equal(batch.rotation, listed.rotation)
+    assert np.array_equal(batch.translation, listed.translation)
+    assert batch.inlier_fraction == listed.inlier_fraction
+    assert batch.normal_eigen_ratio == listed.normal_eigen_ratio
+    assert len(batch.pairs) == len(listed.pairs) > 0
+    for (a, b), (c, d) in zip(batch.pairs, listed.pairs):
+        assert np.array_equal(a, c) and np.array_equal(b, d)

@@ -458,3 +458,21 @@ def test_folded_iterate_reproduces_candidate_residuals(model):
     assert np.array_equal(fresh.residuals, candidate.residuals)
     assert np.array_equal(fresh.residuals, folded.residuals)
     assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
+
+
+@pytest.mark.parametrize("model", [MODELS[0], MODELS[-1]], ids=[MODEL_IDS[0], MODEL_IDS[-1]])
+def test_where_reuses_brackets_only_at_the_same_lag(model):
+    system, _, state = random_iterate(model)
+
+    def fresh(d):
+        taus = system.imu_taus + d
+        idx, w = system._locate(np.concatenate([taus - system.h, taus, taus + system.h]))
+        return (np.concatenate([system.fixed_where[0], idx]),
+                np.concatenate([system.fixed_where[1], w]))
+
+    cached = system._where(state.time_lag)
+    assert system._where(state.time_lag) is cached
+    for d in (0.0041, -0.002, state.time_lag):
+        got, want = system._where(d), fresh(d)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert not np.array_equal(system._where(0.0041)[1], cached[1])

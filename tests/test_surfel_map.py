@@ -42,7 +42,7 @@ def test_voxelize_coplanar_points(rng):
 
 
 def test_voxelize_empty_input():
-    assert voxelize_sparse(np.zeros((0, 3)), np.zeros(0), [1.0]) == []
+    assert len(voxelize_sparse(np.zeros((0, 3)), np.zeros(0), [1.0])) == 0
 
 
 def test_voxelize_matches_bruteforce_moments(rng):
@@ -644,3 +644,73 @@ def test_covariances_stay_psd_through_merges(rng):
         mean_a, cov_a, _ = merge_moments(mean_a, cov_a, 10, mean_b, cov_b, 7)
         assert np.allclose(cov_a, cov_a.T)
         assert np.linalg.eigvalsh(cov_a)[0] >= -1e-15
+
+
+def pool_sequentially(pooled, surfels):
+    """The sparse map's pooling rule one surfel at a time: one
+    ``merge_moments`` into the stored moments of the surfel's (resolution,
+    voxel) key, which keeps the later timestamp; ``pooled`` maps each key
+    to (centroid, covariance, count, timestamp) in insertion order."""
+    for s in surfels:
+        key = (s.resolution, tuple(s.voxel.tolist()))
+        if key not in pooled:
+            pooled[key] = (s.centroid, s.covariance, s.count, s.timestamp)
+            continue
+        mean, cov, count, t = pooled[key]
+        mean, cov, count = merge_moments(mean, cov, count, s.centroid, s.covariance, s.count)
+        pooled[key] = (mean, cov, int(count), max(t, s.timestamp))
+
+
+def test_sparse_map_fuse_matches_sequential_merges(rng):
+    resolutions = [0.5, 1.0]
+
+    def scan(shift, n, t):
+        pts = rng.uniform(-1.5, 1.5, size=(n, 3)) + shift
+        return voxelize_sparse(pts, rng.uniform(t, t + 0.1, size=n), resolutions)
+
+    # The second call revisits voxels of the first and adds new ones, each
+    # of them twice, the second time earlier.
+    first = scan(np.zeros(3), 3000, 0.0)
+    second = list(scan([1.0, -0.5, 0.0], 3000, 2.0)) + list(scan([1.0, -0.5, 0.0], 2000, 1.0))
+    m, want = SparseSurfelMap(), {}
+    for call in (first, second):
+        m.fuse(call)
+        pool_sequentially(want, call)
+    got = m.all()
+    assert len(m) == len(want) > len(first)
+    assert [(s.resolution, tuple(s.voxel.tolist())) for s in got] == list(want)
+    assert sum(s.count for s in got) == sum(s.count for s in first) + sum(s.count for s in second)
+    for s, (mean, cov, count, t) in zip(got, want.values()):
+        assert s.count == count and s.timestamp == t
+        assert np.max(np.abs(s.centroid - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(s.covariance - cov)) <= 1e-12 * np.max(np.abs(cov))
+        assert abs(abs(s.normal @ np.linalg.eigh(cov)[1][:, 0]) - 1.0) < 1e-9
+    revisited = {(s.resolution, tuple(s.voxel.tolist())) for s in first}
+    keys = [(s.resolution, tuple(s.voxel.tolist())) for s in second]
+    assert any(key in revisited for key in keys) and any(key not in revisited for key in keys)
+
+
+def test_sparse_map_keeps_the_latest_timestamp(rng):
+    pts = rng.normal(scale=0.1, size=(30, 3)) + 0.5
+    m = SparseSurfelMap()
+    for t, want in ((5.0, 5.0), (3.0, 5.0), (7.0, 7.0)):
+        m.fuse(voxelize_sparse(pts, np.full(30, t), [4.0]))
+        assert len(m) == 1 and m.all()[0].timestamp == want
+    assert m.all()[0].count == 90
+
+
+def test_voxelize_orders_by_resolution_then_voxel(rng):
+    # Lexicographic voxel order within each resolution, as grouping by the
+    # sorted voxel index gives, across negative and positive indices.
+    pts = rng.uniform(-2.0, 2.0, size=(4000, 3))
+    times = np.zeros(len(pts))
+    out = voxelize_sparse(pts, times, [1.0, 0.5])
+    want = [
+        (r, key)
+        for r in (1.0, 0.5)
+        for key in sorted(
+            k for k, v in oracles.voxel_moments_bruteforce(pts, times, r).items() if v[2] >= 5
+        )
+    ]
+    assert [(s.resolution, tuple(s.voxel.tolist())) for s in out] == want
+    assert np.array_equal(out.voxel, np.floor(out.centroid / out.resolution[:, None]))
