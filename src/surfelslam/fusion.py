@@ -6,12 +6,11 @@ Each stage works on stacks: the beam noise of every return, the gates of
 every candidate pair, and the Wishart, colour and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
-``fuse_surfel``, ``extract_normal``) are the batch functions on a batch of
-one.  A fusion step folds its measurements into their destinations in
-rounds, each round fusing the next pending measurement of every
-destination, and checks the fused rows once.  The sparse ICP reads the
-arrays of ``SparseSurfels`` batches and pairs its surfels through one
-``radius_join`` per iteration.
+``fuse_surfel``) are the batch functions on a batch of one.  A fusion step
+folds its measurements into their destinations in rounds, each round fusing
+the next pending measurement of every destination, and checks the fused rows
+once.  The sparse ICP reads the arrays of ``SparseSurfels`` batches and pairs
+its surfels through one ``radius_join`` per iteration.
 
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
@@ -272,11 +271,6 @@ def extract_normal_batch(scatter, previous):
     return np.where(ambiguous[:, None], previous, normal)
 
 
-def extract_normal(surfel: DenseSurfel):
-    """``extract_normal_batch`` for one surfel."""
-    return extract_normal_batch(surfel.scatter[None], surfel.normal[None])[0]
-
-
 def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement) -> DenseSurfels:
     """Normal-inverse-Wishart update of centroid, covariance, and extent of
     each destination row by the measurement in the same row of a stacked
@@ -327,32 +321,6 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
 
 
 # -- colour -------------------------------------------------------------------
-
-
-@dataclass
-class ColourCue:
-    """Factors degrading a rendered colour sample."""
-
-    radius_px: float
-    radius_threshold_px: float
-    depths: np.ndarray  # center, down, up, left, right (meters)
-    edge_gain: float = 1.0
-    variance_gain: float = 1.0
-    depth_gain: float = 1.0
-    sharpness: float = 4.0
-
-    def __post_init__(self):
-        self.depths = np.asarray(self.depths, dtype=float)
-        if self.radius_threshold_px <= 0 or np.any(self.depths <= 0):
-            raise InvalidArgumentError("colour cue needs positive depths and threshold")
-
-
-def colour_uncertainty(cue: ColourCue):
-    """Sigmoid combination of image-edge, depth-variance, and depth factors."""
-    alpha_r = cue.edge_gain * (cue.radius_px / cue.radius_threshold_px) - 0.5
-    alpha_v = cue.variance_gain * float(np.std(cue.depths)) - 0.5
-    alpha_d = cue.depth_gain * float(cue.depths[0]) - 0.5
-    return float(1.0 / (1.0 + np.exp(-cue.sharpness * (alpha_r + alpha_v + alpha_d))))
 
 
 def fuse_colour(dst, src):
@@ -544,7 +512,7 @@ class FusionStepMetrics:
     n_fused: int
     n_culled: int
     icp_inlier: float
-    icp_dist: float
+    icp_dist: float  # m; NaN when the ICP did not run or did not converge
     triggered: bool
 
 
@@ -642,7 +610,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
                 "trigger suppressed",
                 icp.normal_eigen_ratio,
             )
-    misalignment = float(np.linalg.norm(icp.translation))
+    misalignment = float(np.linalg.norm(icp.translation)) if icp.converged else np.nan
     if (
         icp.converged
         and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO

@@ -1,5 +1,5 @@
-"""SO(3)/SE(3) algebra: exponential and logarithm maps, pose interpolation,
-and the left Jacobian used by pose fusion.
+"""SO(3)/SE(3) algebra: exponential and logarithm maps, and the batched
+left Jacobians and geodesic interpolation of the window optimizer.
 
 Twist ordering is fixed as (rotational, translational): a twist is a 6-vector
 ``xi = [rx, ry, rz, tx, ty, tz]`` with the rotational part in radians
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousLogarithmError, InvalidArgumentError, OutOfRangeError
+from .errors import AmbiguousLogarithmError, InvalidArgumentError
 
 REORTHONORMALIZE_EVERY = 1000
 
@@ -215,7 +215,7 @@ Q_SERIES_ANGLE = 0.1
 
 def _se3_q_coeffs(theta):
     """Coefficients (c1, c2, c3) of the SE(3) Q matrix for angles ``theta``
-    (a scalar or an array)."""
+    (N,)."""
     theta = np.asarray(theta, dtype=float)
     small = theta < Q_SERIES_ANGLE
     t = np.where(small, 1.0, theta)
@@ -234,8 +234,8 @@ def _se3_q_coeffs(theta):
 
 
 def _q_from_hats(rx, tx, c1, c2, c3):
-    # Works on single (3, 3) hats with scalar coefficients and on (N, 3, 3)
-    # stacks with coefficients shaped (N, 1, 1).
+    # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff
+    # terms) from (N, 3, 3) hat stacks and coefficients shaped (N, 1, 1).
     rxtx = rx @ tx
     txrx = tx @ rx
     rxtxrx = rxtx @ rx
@@ -246,52 +246,13 @@ def _q_from_hats(rx, tx, c1, c2, c3):
     return q
 
 
-def _se3_q_matrix(r, t):
-    # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff terms).
-    c1, c2, c3 = _se3_q_coeffs(np.linalg.norm(r))
-    return _q_from_hats(hat(r), hat(t), float(c1), float(c2), float(c3))
-
-
 def _se3_blocks(diagonal, lower):
-    """6x6 matrices (single or stacked) ``[[D, 0], [L, D]]``."""
+    """Stacked 6x6 matrices ``[[D, 0], [L, D]]``."""
     out = np.zeros(diagonal.shape[:-2] + (6, 6))
     out[..., :3, :3] = diagonal
     out[..., 3:, 3:] = diagonal
     out[..., 3:, :3] = lower
     return out
-
-
-def se3_left_jacobian(xi):
-    """6x6 left Jacobian of SE(3) in (rotational, translational) ordering."""
-    xi = np.asarray(xi, dtype=float)
-    r, t = xi[:3], xi[3:]
-    return _se3_blocks(so3_left_jacobian(r), _se3_q_matrix(r, t))
-
-
-def se3_left_jacobian_inv(xi):
-    """Inverse left Jacobian; identity at xi = 0.
-
-    Satisfies ``se3_exp(se3_left_jacobian_inv(xi) @ d + xi) ~ se3_exp(d) * se3_exp(xi)``
-    to second order in ``d``.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise InvalidArgumentError("twist must be finite")
-    r, t = xi[:3], xi[3:]
-    jl_inv = so3_left_jacobian_inv(r)
-    return _se3_blocks(jl_inv, -jl_inv @ _se3_q_matrix(r, t) @ jl_inv)
-
-
-def interp_pose(pose_a: Pose, pose_b: Pose, alpha: float) -> Pose:
-    """On-manifold interpolation ``Ta * exp(alpha * log(Ta^-1 Tb))``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise OutOfRangeError(f"interpolation ratio {alpha} outside [0, 1]")
-    if alpha == 0.0:
-        return pose_a
-    if alpha == 1.0:
-        return pose_b
-    xi = se3_log(pose_a.inverse() @ pose_b)
-    return pose_a @ se3_exp(alpha * xi)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +319,15 @@ def _se3_q_batch(r, t):
 
 
 def se3_left_jacobian_batch(xi):
-    """(N, 6) twists -> (N, 6, 6) left Jacobians; see :func:`se3_left_jacobian`."""
+    """(N, 6) twists -> (N, 6, 6) left Jacobians of SE(3) in (rotational,
+    translational) ordering."""
     r, t = xi[:, :3], xi[:, 3:]
     return _se3_blocks(so3_left_jacobian_batch(r), _se3_q_batch(r, t))
 
 
 def se3_left_jacobian_inv_batch(xi):
-    """(N, 6) twists -> (N, 6, 6) inverse left Jacobians."""
+    """(N, 6) twists -> (N, 6, 6) inverse left Jacobians: to second order in
+    ``d``, ``exp(Jl^-1(xi) d + xi) = exp(d) exp(xi)``."""
     r, t = xi[:, :3], xi[:, 3:]
     jl_inv = so3_left_jacobian_inv_batch(r)
     return _se3_blocks(jl_inv, -jl_inv @ _se3_q_batch(r, t) @ jl_inv)

@@ -7,9 +7,9 @@ scalar per-constraint evaluators that pin them are test oracles in
 ``simulation.oracles``.  A damped Gauss-Newton solver estimates the spline
 control points together with the IMU biases and an optional time lag.  Its
 Jacobian is analytic in the control points (chain rule through the SE(3)
-geodesic or Euclidean interpolation, in the manner of Sommer et al., CVPR
-2020) and in the biases; ``OptimizerConfig.jacobian`` and ``fd_step`` govern
-only the finite-difference column of the time lag.
+geodesic interpolation, in the manner of Sommer et al., CVPR 2020) and in the
+biases; the time-lag column is a forward difference of step
+``OptimizerConfig.fd_step``.
 
 A cubic B-spline value reads four consecutive knots, so every residual row
 depends on a short run of knots, its band.  Each iteration builds the normal
@@ -17,13 +17,10 @@ equations ``H = J^T J`` and ``g = J^T r`` from these bands, one small block per
 first knot, and never forms the dense Jacobian; only the tests build it, from
 the same bands, to pin them against finite differences.
 
-Two optimization models are supported.  The composition model keeps the
-densely sampled trajectory and estimates spline *corrections* that are
-composed onto it; the control points restart from zero at every iteration.
-The direct model represents the trajectory itself as the spline and estimates
-absolute control points (kept only for the model comparison study).  An
-unknown model, update method, interpolation or Jacobian option is rejected
-with ``InvalidArgumentError`` when a window is set up.
+The trajectory stays densely sampled (Park et al., ICRA 2018): the optimizer
+estimates spline *corrections*, composes each accepted one onto the samples
+by left multiplication, ``T' = dT T``, and restarts the control points from
+zero at every iteration.  Queries between samples follow the SE(3) geodesic.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from .trajectory import (
     brackets,
     compose_correction,
     interpolate,
-    spline_values,
 )
 
 log = logging.getLogger(__name__)
@@ -132,13 +128,9 @@ class OptimizerConfig:
     cost_tol: float = 1e-10
     damping_init: float = 1e-6
     damping_retries: int = 5
-    # Finite differences of the time-lag column only; every other column
-    # is analytic.  The string options take the values in OPTION_CHOICES.
-    jacobian: str = "forward"
+    # Forward-difference step of the time-lag column, the one Jacobian
+    # column that is not analytic.
     fd_step: float = 1e-6
-    model: str = "composition"
-    update_method: str = "se3"
-    interpolation: str = "se3"
     estimate_biases: bool = True
     estimate_time_lag: bool = False
     max_time_lag: float = 0.05
@@ -148,15 +140,6 @@ class OptimizerConfig:
     sigma_accel: float = 0.05
     sigma_gyro: float = 0.005
     cauchy_scale: float = 3.0  # in whitened units, i.e. 3 sigma
-
-
-# Accepted values of the string options of OptimizerConfig, default first.
-OPTION_CHOICES = {
-    "jacobian": ("forward", "central"),
-    "model": ("composition", "spline_direct"),
-    "update_method": ("se3", "so3_r3"),
-    "interpolation": ("se3", "euclidean"),
-}
 
 
 @dataclass
@@ -217,11 +200,10 @@ def _knot_band(idx, weights):
 class _Iterate(NamedTuple):
     """An evaluated iterate: the query poses it reads and its residuals.
 
-    ``where`` locates the queries (see ``_WindowSystem._locate``);
-    ``samples`` are the corrected samples of the composition model, None in
-    the direct model; ``chart`` is what the poses were interpolated in (see
-    ``_WindowSystem._interpolate``), or the spline's rotation vectors in the
-    direct model.
+    ``where`` brackets the queries among the samples (see
+    ``_WindowSystem._where``); ``samples`` are the corrected samples;
+    ``chart`` is the brackets' twists the poses were interpolated with (see
+    ``_WindowSystem._interpolate``).
     """
 
     x: np.ndarray
@@ -278,16 +260,12 @@ class _WindowSystem:
     each query's band map, from the increments ``(du_t, du_r)`` of the
     knots it reads to its perturbation.  A band map starts at the query's
     first knot and is kept factored, as slots: a 6x6 map read through spline
-    weights on consecutive knots.
-
-    - Direct model: one slot, the spline's map and the query's four knot
-      weights.
-    - Composition model: every sample has a band map, its 6x6 map read
-      through its four knot weights.  A query that snaps to a sample takes
-      its sample's map unchanged, in one slot; a query between two samples
-      takes both, each times its 6x6 blend of the interpolation.  The slots
-      of a query read the weights of its interval, on the knots from the
-      lower sample's first one.
+    weights on consecutive knots.  Every sample has a band map, its 6x6 map
+    read through its four knot weights.  A query that snaps to a sample takes
+    its sample's map unchanged, in one slot; a query between two samples
+    takes both, each times its 6x6 blend of the interpolation.  The slots of
+    a query read the weights of its interval, on the knots from the lower
+    sample's first one.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
     the sum over its queries' slots of its gradient times the slot's map,
@@ -295,24 +273,17 @@ class _WindowSystem:
     first knot.  :meth:`normal_equations` sorts the rows by first knot and
     adds one ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot,
     where the border is the bias columns and the time-lag column, the one
-    finite difference (``cfg.jacobian``, ``cfg.fd_step``).  :meth:`jacobian`
+    finite difference (``cfg.fd_step``).  :meth:`jacobian`
     scatters the same row bands into a dense Jacobian, which only the tests
     read.
 
     :meth:`evaluate` returns an iterate that carries the poses it read and
     the chart it read them in, and the linearization reuses both.  An
-    accepted candidate, folded into the samples in the composition model
-    (:meth:`fold`), is the next iterate as it stands, so no iterate is
-    evaluated twice.
+    accepted candidate, folded into the samples (:meth:`fold`), is the next
+    iterate as it stands, so no iterate is evaluated twice.
     """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state, cfg):
-        for name, choices in OPTION_CHOICES.items():
-            value = getattr(cfg, name)
-            if value not in choices:
-                raise InvalidArgumentError(
-                    f"unknown {name} {value!r}; expected one of {choices}"
-                )
         self.cfg = cfg
         self.grid = state.grid
         self.n_knots = len(state.grid)
@@ -380,11 +351,6 @@ class _WindowSystem:
             np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
         )
         self._where_at = None  # (time lag, where) of the last _where call
-        if cfg.model == "spline_direct":
-            # Least-squares fit of the initial trajectory by the spline.
-            rotvecs = lie.so3_log_batch(self.base_rot)
-            self.c_t0 = np.linalg.lstsq(self.w_samples, self.base_t, rcond=None)[0]
-            self.c_r0 = np.linalg.lstsq(self.w_samples, rotvecs, rcond=None)[0]
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
@@ -420,15 +386,12 @@ class _WindowSystem:
 
     def _corrected_samples(self, c_t, c_r):
         rot_c = lie.so3_exp_batch(self.w_samples @ c_r)
-        return compose_correction(
-            rot_c, self.w_samples @ c_t, self.base_rot, self.base_t, self.cfg.update_method
-        )
+        return compose_correction(rot_c, self.w_samples @ c_t, self.base_rot, self.base_t)
 
     def fold(self, it):
-        """Compose the correction of iterate ``it`` into the samples
-        (composition model).  The returned iterate is ``x = 0`` of a state
-        with ``it``'s biases and lag, which reads ``it``'s poses, so its
-        residuals are ``it``'s."""
+        """Compose the correction of iterate ``it`` into the samples.  The
+        returned iterate is ``x = 0`` of a state with ``it``'s biases and
+        lag, which reads ``it``'s poses, so its residuals are ``it``'s."""
         _, _, b_a, b_g, d = self.split_params(it.x, it.state)
         self.base_rot, self.base_t = it.samples
         return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g, d))
@@ -436,14 +399,11 @@ class _WindowSystem:
     # -- query poses --------------------------------------------------------
 
     def _locate(self, taus):
-        """Where queries read the model: sample brackets ``(idx, alpha)`` for
-        the composition model, knot indices and weights for the direct one."""
-        if self.cfg.model == "composition":
-            return brackets(self.traj_times, taus, 1e-9 * self.h)
-        return self.grid.knot_indices_and_weights(taus)
+        """Sample brackets ``(idx, alpha)`` of query times ``taus``."""
+        return brackets(self.traj_times, taus, 1e-9 * self.h)
 
     def _where(self, d):
-        """Where every query reads the model at time lag ``d``.  Only the IMU
+        """Sample brackets of every query at time lag ``d``.  Only the IMU
         stencil moves with the lag, so the last result is reused while the
         lag is unchanged."""
         if self._where_at is None or self._where_at[0] != d:
@@ -460,32 +420,20 @@ class _WindowSystem:
 
     def _interpolate(self, rot_s, t_s, idx, w):
         """Poses at the sample brackets ``(idx, w)`` and the chart they were
-        read in.  For se3 the chart is the distinct brackets of the interior
-        queries, each query's bracket among them, and the brackets' twists
-        ``(lo, at, phi, rho)``; for euclidean it is the samples' rotation
-        vectors."""
-        if self.cfg.interpolation == "se3":
-            lo, at = np.unique(idx[(w > 0.0) & (w < 1.0)], return_inverse=True)
-            phi, rho = lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[lo + 1], t_s[lo + 1])
-            chart = lo, at, phi, rho
-            rot, t = interpolate(rot_s, t_s, idx, w, "se3", twists=(phi[at], rho[at]))
-        else:
-            chart = lie.so3_log_batch(rot_s)
-            rot, t = interpolate(rot_s, t_s, idx, w, "euclidean", rotvecs=chart)
-        return rot, t, chart
+        read in: the distinct brackets of the interior queries, each query's
+        bracket among them, and the brackets' twists ``(lo, at, phi, rho)``."""
+        lo, at = np.unique(idx[(w > 0.0) & (w < 1.0)], return_inverse=True)
+        phi, rho = lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[lo + 1], t_s[lo + 1])
+        rot, t = interpolate(rot_s, t_s, idx, w, twists=(phi[at], rho[at]))
+        return rot, t, (lo, at, phi, rho)
 
     def evaluate(self, x, state):
         """The iterate at ``x``: the query poses it reads and its whitened
         residuals (no robust weighting)."""
         c_t, c_r, b_a, b_g, d = self.split_params(x, state)
         where = self._where(d)
-        idx, w = where
-        if self.cfg.model == "composition":
-            samples = self._corrected_samples(c_t, c_r)
-            rot, t, chart = self._interpolate(*samples, idx, w)
-        else:
-            samples, chart = None, spline_values(c_r, idx, w)
-            rot, t = lie.so3_exp_batch(chart), spline_values(c_t, idx, w)
+        samples = self._corrected_samples(c_t, c_r)
+        rot, t, chart = self._interpolate(*samples, *where)
         residuals = self._residuals_at(rot, t, b_a, b_g)
         return _Iterate(x, state, where, samples, rot, t, chart, residuals)
 
@@ -574,21 +522,13 @@ class _WindowSystem:
         """Band maps of the queries of iterate ``it``: first knot (Q,), slot
         maps (Q, S, 6, 6), slot weights (Q, S, W) on W knots from the first,
         and whether the query reads its second slot (Q,)."""
-        cfg = self.cfg
         idx, w = it.where
-        if cfg.model == "spline_direct":
-            first, band = _knot_band(idx, w)
-            maps = _spline_maps(lie.so3_left_jacobian_batch(it.chart), it.t)
-            return first, maps[:, None], band[:, None], np.zeros(idx.size, dtype=bool)
-
-        # Composition: a sample n moves by phi = Jl(W c_r)_n W dc_r and
-        # rho = W dc_t + [s_n]x phi, with s the correction's translation (se3
-        # update) or the corrected sample translation (so3_r3 update).
+        # A sample n moves by phi = Jl(W c_r)_n W dc_r and
+        # rho = W dc_t + [s_n]x phi, with s the correction's translation.
         c_t, c_r, *_ = self.split_params(it.x, it.state)
         rot_s, t_s = it.samples
-        corr_t = self.w_samples @ c_t
         jl = lie.so3_left_jacobian_batch(self.w_samples @ c_r)
-        sample_maps = _spline_maps(jl, corr_t if cfg.update_method == "se3" else t_s)
+        sample_maps = _spline_maps(jl, self.w_samples @ c_t)
 
         # A query that snaps to a sample reads the sample's map in its first
         # slot; an interior one blends the maps of both samples, the lower in
@@ -606,48 +546,30 @@ class _WindowSystem:
         ii = np.flatnonzero(blended)
         if ii.size:
             # The derivative reads the chart the interpolation read.
-            blend_lo, blend_hi = self._blend(rot_s, t_s, idx[ii], w[ii], it.t[ii], it.chart)
+            blend_lo, blend_hi = self._blend(rot_s, t_s, w[ii], it.chart)
             maps[ii, 0] = blend_lo @ sample_maps[idx[ii]]
             maps[ii, 1] = blend_hi @ sample_maps[idx[ii] + 1]
         return first[idx], maps, weights, blended
 
-    def _blend(self, rot_s, t_s, lo, alpha, t_q, chart):
-        """Maps from the perturbations of samples ``lo`` and ``lo + 1`` to
-        the perturbation of the pose interpolated between them at ``alpha``,
-        given the chart :meth:`_interpolate` read."""
-        a = alpha[:, None, None]
-        if self.cfg.interpolation == "se3":
-            # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
-            # delta = (I - M) delta_lo + M delta_hi with
-            # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
-            #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
-            brackets, at, phi, rho = chart
-            rot_lo = rot_s[brackets]
-            phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
-            rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
-            xi_w = np.concatenate([phi_w, rho_w], axis=1)
-            m = (
-                a
-                * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at])
-                @ lie.se3_left_jacobian_inv_batch(xi_w)[at]
-            )
-            return np.eye(6) - m, m
-        # Euclidean: the rotation vectors r_n = log R_n blend linearly, so
-        # phi = Jl(v) sum_n c_n Jl^-1(r_n) phi_n at the blended vector v, and
-        # the translation blends linearly.
-        rotvecs, hi = chart, lo + 1
-        v = rotvecs[lo] * (1.0 - alpha[:, None]) + rotvecs[hi] * alpha[:, None]
-        jl_v = lie.so3_left_jacobian_batch(v)
-        hat_t = lie.hat_batch(t_q)
-        out = []
-        for n, c in ((lo, 1.0 - a), (hi, a)):
-            rot_map = c * jl_v @ lie.so3_left_jacobian_inv_batch(rotvecs[n])
-            blend = np.zeros((n.size, 6, 6))
-            blend[:, :3, :3] = rot_map
-            blend[:, 3:, :3] = hat_t @ rot_map - c * lie.hat_batch(t_s[n])
-            blend[:, 3:, 3:] = c * np.eye(3)
-            out.append(blend)
-        return out
+    def _blend(self, rot_s, t_s, alpha, chart):
+        """Maps from the perturbations of the two samples bracketing each
+        interior query to the perturbation of the pose interpolated between
+        them at ``alpha``, given the chart :meth:`_interpolate` read."""
+        # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
+        # delta = (I - M) delta_lo + M delta_hi with
+        # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
+        #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
+        brackets, at, phi, rho = chart
+        rot_lo = rot_s[brackets]
+        phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
+        rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
+        xi_w = np.concatenate([phi_w, rho_w], axis=1)
+        m = (
+            alpha[:, None, None]
+            * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at])
+            @ lie.se3_left_jacobian_inv_batch(xi_w)[at]
+        )
+        return np.eye(6) - m, m
 
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
@@ -715,9 +637,9 @@ class _WindowSystem:
         Returns ``[(rows (n,), first knot (n,), band (n, 6W))]``, one entry
         per residual family, with the knots in the knot-major layout, and the
         border (n_residuals, 0..7): the bias columns, then the time-lag
-        column, a forward or central difference (``cfg.jacobian``) of step
-        ``cfg.fd_step`` around ``base_weighted``, the weighted residuals at
-        ``it``.  The robust weights are held fixed.
+        column, a forward difference of step ``cfg.fd_step`` from
+        ``base_weighted``, the weighted residuals at ``it``.  The robust
+        weights are held fixed.
         """
         cfg = self.cfg
         q_bands = self._pose_layer(it)
@@ -738,12 +660,7 @@ class _WindowSystem:
             step = np.zeros(self.n_params())
             step[-1] = cfg.fd_step
             plus = self.weighted(self.residuals(it.x + step, it.state))
-            if cfg.jacobian == "central":
-                minus = self.weighted(self.residuals(it.x - step, it.state))
-                lag = (plus - minus) / (2.0 * cfg.fd_step)
-            else:
-                lag = (plus - base_weighted) / cfg.fd_step
-            columns.append(lag[:, None])
+            columns.append((plus - base_weighted)[:, None] / cfg.fd_step)
         border = np.hstack(columns) if columns else np.zeros((self.n_residuals, 0))
         return bands, border
 
@@ -824,12 +741,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         init.gyro_bias.copy(),
         init.time_lag,
     )
-    x = np.zeros(system.n_params())
-    if cfg.model == "spline_direct":
-        x[: 3 * system.n_knots] = system.c_t0.reshape(-1)
-        x[3 * system.n_knots : 6 * system.n_knots] = system.c_r0.reshape(-1)
-
-    it = system.evaluate(x, state)
+    it = system.evaluate(np.zeros(system.n_params()), state)
     system.update_robust_weights(it.residuals)
     cost = system.cost(it.residuals)
     records = [IterationRecord(0, cost, *system.family_rms(it.residuals), 0.0)]
@@ -879,18 +791,18 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
                 break
             raise NoProgressError(
                 "cost failed to decrease after damping retries",
-                best_state=_state_from(system, it.x, it.state, cfg),
-                best_trajectory=_trajectory_from(system, it.x, it.state, cfg),
+                best_state=_state_from(system, it.state),
+                best_trajectory=_trajectory_from(system),
                 report=OptimizationReport(records, False, "no_progress"),
             )
 
         lam = max(lam / 3.0, 1e-12)
         step_norm = float(np.linalg.norm(delta))
         prev_cost = cost
-        # The composition model folds the accepted correction into the
-        # trajectory and restarts the grid from zero; either way the next
-        # iteration linearizes at the candidate's poses.
-        it = system.fold(candidate) if cfg.model == "composition" else candidate
+        # Fold the accepted correction into the trajectory and restart the
+        # grid from zero; the next iteration linearizes at the candidate's
+        # poses.
+        it = system.fold(candidate)
         system.update_robust_weights(it.residuals)
         cost = system.cost(it.residuals)
         records.append(
@@ -905,34 +817,20 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             reason = "cost_decrease"
             break
 
-    final_state = _state_from(system, it.x, it.state, cfg)
-    final_traj = _trajectory_from(system, it.x, it.state, cfg)
+    final_state = _state_from(system, it.state)
+    final_traj = _trajectory_from(system)
     report = OptimizationReport(records, converged, reason)
     return final_state, final_traj, report
 
 
-def _state_from(system, x, state, cfg):
+def _state_from(system, state):
+    # Every accepted correction is folded into the samples: the grid is zero.
     k = system.n_knots
-    if cfg.model == "composition":
-        grid = ControlGrid(
-            system.grid.times.copy(), np.zeros((k, 3)), np.zeros((k, 3))
-        )
-        return OptState(grid, state.accel_bias, state.gyro_bias, state.time_lag)
-    c_t, c_r, b_a, b_g, d = system.split_params(x, state)
-    # Direct model: the grid holds the absolute spline, not a correction.
-    grid = ControlGrid(system.grid.times.copy(), c_t.copy(), c_r.copy())
-    return OptState(grid, b_a, b_g, d)
+    grid = ControlGrid(system.grid.times.copy(), np.zeros((k, 3)), np.zeros((k, 3)))
+    return OptState(grid, state.accel_bias, state.gyro_bias, state.time_lag)
 
 
-def _trajectory_from(system, x, state, cfg):
-    if cfg.model == "composition":
-        return Trajectory(
-            system.traj_times.copy(),
-            system.base_rot.copy(),
-            system.base_t.copy(),
-            system.rate,
-        )
-    c_t, c_r, *_ = system.split_params(x, state)
-    w = system.w_samples
-    rotations = lie.so3_exp_batch(w @ c_r)
-    return Trajectory(system.traj_times.copy(), rotations, w @ c_t, system.rate)
+def _trajectory_from(system):
+    return Trajectory(
+        system.traj_times.copy(), system.base_rot.copy(), system.base_t.copy(), system.rate
+    )

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here is correctness-first and O(n^2) or worse: truncated-series
-matrix exponentials, window residuals evaluated one constraint at a time on
-a freshly corrected trajectory, linear-scan spatial queries, exhaustive
+matrix exponentials, the spline correction evaluated from its knot weights,
+window residuals evaluated one constraint at a time on a freshly corrected
+trajectory, linear-scan spatial queries, exhaustive
 matching, ICP association from the full distance matrix, hash-grouped voxel
 moments, dense-surfel seeding by linear scans, and closed-form 3x3 eigen
 solves.  None of it is used on the fast paths.
@@ -13,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import lie
-from ..errors import OutOfRangeError
+from ..errors import MissingSupportError, OutOfRangeError
 from ..fusion import NORMAL_COMPATIBILITY
 from ..local_mapping import GRAVITY
-from ..trajectory import apply_correction
+from ..trajectory import Trajectory, compose_correction
 
 
 def se3_exp_series(xi, terms=20):
@@ -52,29 +53,47 @@ def numeric_left_jacobian(xi, eps=1e-5):
     return out
 
 
-def _corrected_pose_at(traj, grid, taus, update="se3", interpolation="se3"):
-    corrected = apply_correction(traj, grid, update=update)
-    return corrected.sample_batch(np.atleast_1d(taus), mode=interpolation)
+def correction_batch(grid, taus):
+    """Correction rotations (N, 3, 3) and translations (N, 3) of the spline
+    ``grid`` at ``taus``, each the knot weights times the control points."""
+    idx, weights = grid.knot_indices_and_weights(taus)
+    r = np.einsum("nk,nkj->nj", weights, grid.c_r[idx])
+    return lie.so3_exp_batch(r), np.einsum("nk,nkj->nj", weights, grid.c_t[idx])
 
 
-def residual_surfel_pair(constraint, traj, grid, update="se3", interpolation="se3"):
+def apply_correction(traj, grid):
+    """Compose the spline correction onto every trajectory sample,
+    ``T'_k = dT(tau_k) T_k``."""
+    inside = grid.covers(traj.times)
+    if not np.all(inside):
+        raise MissingSupportError(
+            "grid does not span the trajectory", traj.times[~inside]
+        )
+    rot_c, t_c = correction_batch(grid, traj.times)
+    rotations, translations = compose_correction(rot_c, t_c, traj.rotations, traj.translations)
+    return Trajectory(traj.times.copy(), rotations, translations, traj.nominal_rate)
+
+
+def _corrected_pose_at(traj, grid, taus):
+    return apply_correction(traj, grid).sample_batch(np.atleast_1d(taus))
+
+
+def residual_surfel_pair(constraint, traj, grid):
     """Point-to-plane residual between two timed observations (meters)."""
-    rot, t = _corrected_pose_at(
-        traj, grid, [constraint.tau_a, constraint.tau_b], update, interpolation
-    )
+    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_a, constraint.tau_b])
     world_a = rot[0] @ constraint.u_a + t[0]
     world_b = rot[1] @ constraint.u_b + t[1]
     return float(constraint.n_ab @ (world_a - world_b))
 
 
-def residual_map_prior(constraint, traj, grid, update="se3", interpolation="se3"):
+def residual_map_prior(constraint, traj, grid):
     """Point-to-plane residual against a fixed world-frame map point (meters)."""
-    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_c], update, interpolation)
+    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_c])
     world = rot[0] @ constraint.u_c + t[0]
     return float(constraint.n_mc @ (constraint.u_m - world))
 
 
-def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
+def residual_imu(sample, traj, grid, state):
     """Six IMU residuals (accel m/s^2, gyro rad/s) at the lag-shifted time.
 
     The acceleration uses central differences of the interpolated translation
@@ -83,11 +102,11 @@ def residual_imu(sample, traj, grid, state, update="se3", interpolation="se3"):
     """
     h = 1.0 / traj.nominal_rate
     tau = sample.tau + state.time_lag
-    corrected = apply_correction(traj, grid, update=update)
+    corrected = apply_correction(traj, grid)
     taus = np.array([tau - h, tau, tau + h])
     if np.any(taus < corrected.start) or np.any(taus > corrected.end):
         raise OutOfRangeError("IMU finite-difference stencil outside support")
-    rot, t = corrected.sample_batch(taus, mode=interpolation)
+    rot, t = corrected.sample_batch(taus)
     accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
     accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + state.accel_bias
     omega = lie.so3_log(rot[1].T @ rot[2]) / h

@@ -2,11 +2,12 @@
 interpolation, plus the cubic B-spline correction layer.
 
 The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
-default); querying between samples interpolates the bracketing pair.  The
-correction layer holds per-knot translation and rotation-vector control
-points; corrections always start from zero at the beginning of an optimizer
-iteration, so the spline evaluates small local updates that are composed onto
-the stored poses.
+default); querying between samples follows the SE(3) geodesic between the
+bracketing pair.  The correction layer holds per-knot translation and
+rotation-vector control points; corrections always start from zero at the
+beginning of an optimizer iteration, so the spline evaluates small local
+updates that :func:`compose_correction` composes onto the stored poses by
+left multiplication.
 """
 
 from __future__ import annotations
@@ -41,25 +42,10 @@ def spline_weights(u):
     return powers @ SPLINE_MATRIX
 
 
-def spline_values(c, idx, weights):
-    """Spline values (N, 3) of control points ``c`` at the knot indices and
-    weights (N, 4) of :meth:`ControlGrid.knot_indices_and_weights`."""
-    return np.einsum("nk,nkj->nj", weights, c[idx])
-
-
-def compose_correction(rot_c, t_c, rotations, translations, update):
-    """Poses corrected by the transforms ``(rot_c, t_c)``, all stacked.
-
-    ``update="se3"`` left-multiplies the correction transform,
-    ``T' = dT T``; ``update="so3_r3"`` applies the rotation the same way but
-    adds the translation correction instead of composing it.
-    """
-    if update == "se3":
-        t = np.einsum("nij,nj->ni", rot_c, translations) + t_c
-    elif update == "so3_r3":
-        t = translations + t_c
-    else:
-        raise InvalidArgumentError(f"unknown update method {update!r}")
+def compose_correction(rot_c, t_c, rotations, translations):
+    """Poses corrected by the transforms ``(rot_c, t_c)``, all stacked:
+    ``T' = dT T``."""
+    t = np.einsum("nij,nj->ni", rot_c, translations) + t_c
     return rot_c @ rotations, t
 
 
@@ -80,42 +66,30 @@ def brackets(times, taus, tol):
     return idx, alpha
 
 
-def interpolate(rotations, translations, idx, alpha, mode="se3", rotvecs=None, twists=None):
+def interpolate(rotations, translations, idx, alpha, twists=None):
     """Poses at the brackets ``(idx, alpha)`` of sample arrays.
 
     Snapped queries copy the stored sample; the rest follow the SE(3)
-    geodesic, or with ``mode="euclidean"`` interpolate the translation and
-    the samples' rotation vectors ``rotvecs`` componentwise.  The geodesic
-    takes the twists ``lie.se3_relative_log_batch`` of the interior queries'
-    brackets as ``twists``.  Either is computed when not given.
+    geodesic.  It takes the twists ``lie.se3_relative_log_batch`` of the
+    interior queries' brackets as ``twists``, computed when not given.
     """
-    if mode not in ("se3", "euclidean"):
-        raise InvalidArgumentError(f"unknown interpolation mode {mode!r}")
     interior = (alpha > 0.0) & (alpha < 1.0)
     if interior.all():
-        return _between(rotations, translations, idx, alpha, mode, rotvecs, twists)
+        return _between(rotations, translations, idx, alpha, twists)
     gather = np.where(alpha == 1.0, idx + 1, idx)
     rot, t = rotations[gather], translations[gather]
     if interior.any():
         rot[interior], t[interior] = _between(
-            rotations, translations, idx[interior], alpha[interior], mode, rotvecs, twists
+            rotations, translations, idx[interior], alpha[interior], twists
         )
     return rot, t
 
 
-def _between(rotations, translations, lo, alpha, mode, rotvecs, twists):
+def _between(rotations, translations, lo, alpha, twists):
     # Interpolation between samples lo and lo + 1 at 0 < alpha < 1.
     hi = lo + 1
-    if mode == "se3":
-        return lie.se3_interp_batch(
-            rotations[lo], translations[lo], rotations[hi], translations[hi], alpha, twists
-        )
-    if rotvecs is None:
-        rotvecs = lie.so3_log_batch(rotations)
-    a = alpha[:, None]
-    return (
-        lie.so3_exp_batch(rotvecs[lo] * (1.0 - a) + rotvecs[hi] * a),
-        translations[lo] * (1.0 - a) + translations[hi] * a,
+    return lie.se3_interp_batch(
+        rotations[lo], translations[lo], rotations[hi], translations[hi], alpha, twists
     )
 
 
@@ -145,7 +119,6 @@ class Trajectory:
             raise InvalidArgumentError(
                 "sample spacing deviates more than 1% from the nominal rate"
             )
-        self._rotvec_cache = None
 
     def __len__(self):
         return self.times.shape[0]
@@ -161,25 +134,15 @@ class Trajectory:
     def end(self):
         return float(self.times[-1])
 
-    def _rotvecs(self):
-        if self._rotvec_cache is None:
-            self._rotvec_cache = lie.so3_log_batch(self.rotations)
-        return self._rotvec_cache
-
-    def sample_batch(self, taus, mode="se3"):
-        """Interpolated rotations (N,3,3) and translations (N,3) at ``taus``.
-
-        ``mode="se3"`` follows the SE(3) geodesic between bracketing samples;
-        ``mode="euclidean"`` interpolates translation and the absolute
-        rotation-vector chart componentwise (the cost-function variant).
-        """
+    def sample_batch(self, taus):
+        """Rotations (N,3,3) and translations (N,3) at ``taus``, on the SE(3)
+        geodesic between the bracketing samples."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
-        rotvecs = self._rotvecs() if mode == "euclidean" else None
-        return interpolate(self.rotations, self.translations, idx, alpha, mode, rotvecs)
+        return interpolate(self.rotations, self.translations, idx, alpha)
 
-    def sample(self, tau, mode="se3") -> lie.Pose:
+    def sample(self, tau) -> lie.Pose:
         """Pose at time ``tau`` (exact sample when ``tau`` hits a knot)."""
-        rot, t = self.sample_batch(np.array([tau]), mode=mode)
+        rot, t = self.sample_batch(np.array([tau]))
         return lie.Pose(rot[0], t[0])
 
     def write_csv(self, path):
@@ -190,17 +153,6 @@ class Trajectory:
             for i in range(len(self)):
                 row = [self.times[i], *self.translations[i], *rv[i]]
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @staticmethod
-    def read_csv(path, nominal_rate=None) -> "Trajectory":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 7:
-            raise InvalidArgumentError("trajectory CSV needs 7 columns")
-        times = data[:, 0]
-        if nominal_rate is None:
-            nominal_rate = 1.0 / float(np.mean(np.diff(times)))
-        rotations = lie.so3_exp_batch(data[:, 4:7])
-        return Trajectory(times, rotations, data[:, 1:4], nominal_rate)
 
 
 @dataclass
@@ -287,30 +239,3 @@ class ControlGrid:
         out = np.zeros((idx.shape[0], len(self)))
         np.add.at(out, (np.arange(idx.shape[0])[:, None], idx), weights)
         return out
-
-    def correction_batch(self, taus):
-        """Correction rotations (N, 3, 3) and translations (N, 3) at ``taus``."""
-        idx, weights = self.knot_indices_and_weights(taus)
-        r = spline_values(self.c_r, idx, weights)
-        return lie.so3_exp_batch(r), spline_values(self.c_t, idx, weights)
-
-    def correction_at(self, tau) -> lie.Pose:
-        """Correction pose at ``tau`` (Pose(exp(spline(c_r)), spline(c_t)))."""
-        rot, t = self.correction_batch(np.array([tau]))
-        return lie.Pose(rot[0], t[0])
-
-
-def apply_correction(traj: Trajectory, grid: ControlGrid, update="se3") -> Trajectory:
-    """Compose the spline correction onto every trajectory sample,
-    ``T'_k = dT(tau_k) T_k`` as :func:`compose_correction` defines it for
-    ``update``."""
-    inside = grid.covers(traj.times)
-    if not np.all(inside):
-        raise MissingSupportError(
-            "grid does not span the trajectory", traj.times[~inside]
-        )
-    rot_c, t_c = grid.correction_batch(traj.times)
-    rotations, translations = compose_correction(
-        rot_c, t_c, traj.rotations, traj.translations, update
-    )
-    return Trajectory(traj.times.copy(), rotations, translations, traj.nominal_rate)

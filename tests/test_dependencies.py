@@ -1,13 +1,20 @@
-"""The package's runtime dependencies are the standard library and numpy.
+"""The package's runtime dependencies are the standard library and numpy,
+and every module-level function and class of the package has a reader.
 
 Other packages may be installed where the tests run, so an import of one
-would pass every other test; this reads the imports from the source."""
+would pass every other test; this reads the imports from the source.  Code
+that only the tests read would pass every test as well; this reads the
+references from the package's modules and the benchmark's.  The oracles and
+generators of ``simulation/`` exist for the tests, so they read but are not
+checked."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surfelslam"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "surfelslam"
+PERFBENCH = ROOT / "perfbench"
 ALLOWED = {"numpy", "surfelslam"}
 
 
@@ -51,3 +58,68 @@ def test_package_imports_only_the_standard_library_and_numpy():
         for line, name in outside_imports(path.read_text(), str(path))
     ]
     assert found == []
+
+
+def _names(node, skip=None):
+    """Names that ``node`` reads, imports or takes as an attribute, outside
+    the subtree ``skip``."""
+    found, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unreferenced(checked, readers):
+    """``(module, name)`` of each module-level function and class of the
+    ``checked`` modules that no other module of ``readers`` names, and its
+    own module names only inside its definition.  Both map module labels to
+    parsed trees; a string, a docstring too, names nothing."""
+    found = []
+    for label, tree in checked.items():
+        elsewhere = set().union(*(_names(t) for other, t in readers.items() if other != label))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name not in elsewhere and node.name not in _names(tree, skip=node):
+                    found.append((label, node.name))
+    return found
+
+
+def test_unreferenced_flags_what_only_its_own_definition_names():
+    readers = {
+        "a": ast.parse(
+            "def f():\n"
+            "    \"\"\"Not g().\"\"\"\n"
+            "    return f()\n"
+            "def g():\n"
+            "    pass\n"
+            "class C:\n"
+            "    pass\n"
+            "def _h(c: C):\n"
+            "    pass\n"
+        ),
+        "b": ast.parse("import a\nfrom a import _h\na.g()\n"),
+    }
+    assert unreferenced({"a": readers["a"]}, readers) == [("a", "f")]
+
+
+def test_every_module_level_function_and_class_has_a_reader():
+    package = {
+        path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    bench = {
+        f"perfbench/{path.name}": ast.parse(path.read_text(), str(path))
+        for path in sorted(PERFBENCH.glob("*.py"))
+    }
+    assert bench
+    checked = {k: tree for k, tree in package.items() if not k.startswith("simulation/")}
+    assert unreferenced(checked, {**package, **bench}) == []

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from conftest import random_rotation, random_spd
 from surfelslam.fusion import (
     BeamModel,
     BeamNoise,
-    ColourCue,
     DeformationTrigger,
     GlobalMaps,
     LocalMaps,
@@ -23,8 +23,7 @@ from surfelslam.fusion import (
     beam_noise_batch,
     beam_noise_for_return,
     beam_noise_world,
-    colour_uncertainty,
-    extract_normal,
+    extract_normal_batch,
     fuse_colour,
     fuse_surfel,
     icp_point_to_plane,
@@ -317,6 +316,11 @@ def test_fold_matches_sequential_fuse_surfel(rng):
 # -- normal extraction ----------------------------------------------------------
 
 
+def extract_normal(surfel):
+    """``extract_normal_batch`` on a batch of one surfel."""
+    return extract_normal_batch(surfel.scatter[None], surfel.normal[None])[0]
+
+
 def test_extract_normal_axis_aligned():
     s = make_surfel([0, 0, 0], normal=(0.0, 0.0, 1.0),
                     scatter=np.diag([1.0, 1.0, 1e-6]))
@@ -353,48 +357,6 @@ def test_extract_normal_ambiguous_keeps_previous():
 
 
 # -- colour -------------------------------------------------------------------
-
-
-def test_colour_uncertainty_balanced_cue_is_half():
-    cue = ColourCue(
-        radius_px=0.5 * 100.0, radius_threshold_px=100.0,
-        depths=np.array([0.5, 0.5, 0.5, 0.5, 0.5]),
-    )
-    # alpha_r = 0, alpha_v = -0.5, alpha_d = 0 -> sigmoid(-w/2), not 0.5;
-    # build an exactly balanced cue instead.
-    cue = ColourCue(
-        radius_px=50.0, radius_threshold_px=100.0,
-        depths=np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
-    )
-    # alpha_r = 0, alpha_v = -0.5, alpha_d = +0.5 -> sum 0 -> 0.5
-    assert abs(colour_uncertainty(cue) - 0.5) < 1e-12
-
-
-def test_colour_uncertainty_saturates():
-    cue = ColourCue(
-        radius_px=100.0, radius_threshold_px=10.0,
-        depths=np.array([5.0, 1.0, 9.0, 2.0, 7.0]),
-        sharpness=200.0,
-    )
-    assert colour_uncertainty(cue) > 1.0 - 1e-9
-
-
-def test_colour_uncertainty_matches_formula(rng):
-    for _ in range(20):
-        depths = rng.uniform(0.2, 8.0, size=5)
-        cue = ColourCue(
-            radius_px=rng.uniform(0.0, 200.0), radius_threshold_px=120.0,
-            depths=depths, edge_gain=1.3, variance_gain=0.7, depth_gain=0.4,
-            sharpness=2.5,
-        )
-        alpha = (
-            1.3 * cue.radius_px / 120.0 - 0.5
-            + 0.7 * np.std(depths) - 0.5
-            + 0.4 * depths[0] - 0.5
-        )
-        expected = 1.0 / (1.0 + np.exp(-2.5 * alpha))
-        assert abs(colour_uncertainty(cue) - expected) < 1e-12
-        assert 0.0 < colour_uncertainty(cue) < 1.0
 
 
 def test_fuse_colour_equal_sigmas():
@@ -497,9 +459,31 @@ def test_temporal_fusion_shifted_inactive_triggers(rng):
     local = make_local_maps(rng, local_pts, timestamp=100.0)
     r = temporal_fusion_step(local, global_maps, cfg, step=1)
     assert r.trigger is not None
+    assert r.metrics.icp_dist == np.linalg.norm(r.trigger.translation)
     assert abs(r.trigger.translation[0] - 0.2) < 0.01
     assert np.linalg.norm(r.trigger.translation[1:]) < 0.01
     assert np.linalg.norm(r.trigger.rotation - np.eye(3)) < 0.02
+
+
+def test_temporal_fusion_reports_no_distance_without_a_converged_icp(rng, caplog):
+    # The first step has no inactive map, so the ICP does not run.  The
+    # second lies 50 m from the inactive map: the ICP runs, forms fewer than
+    # six pairs and does not converge.  Neither step measures a misalignment,
+    # and neither triggers.
+    cfg = TemporalFusionConfig(active_window=30.0)
+    global_maps = GlobalMaps()
+    first = make_local_maps(rng, corner_scene_points(rng), timestamp=0.0)
+    r0 = temporal_fusion_step(first, global_maps, cfg, step=0)
+    assert np.isnan(r0.metrics.icp_dist) and not r0.metrics.triggered
+    far = make_local_maps(rng, corner_scene_points(rng, shift=np.array([50.0, 0.0, 0.0])),
+                          timestamp=100.0)
+    assert len(far.sparse) >= cfg.icp_min_surfels
+    assert len(global_maps.sparse.all()) >= cfg.icp_min_surfels
+    with caplog.at_level(logging.INFO, logger="surfelslam.fusion"):
+        r1 = temporal_fusion_step(far, global_maps, cfg, step=1)
+    assert "ICP did not converge" in caplog.text
+    assert np.isnan(r1.metrics.icp_dist) and r1.metrics.icp_inlier == 0.0
+    assert not r1.metrics.triggered and r1.trigger is None
 
 
 def test_temporal_fusion_matches_against_the_active_map_before_the_step():

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from surfelslam import lie
-from surfelslam.errors import (
-    AmbiguousLogarithmError,
-    InvalidArgumentError,
-    OutOfRangeError,
-)
+from surfelslam.errors import AmbiguousLogarithmError, InvalidArgumentError
 from surfelslam.simulation import oracles
 
 from conftest import random_pose
@@ -91,69 +87,77 @@ def test_log_rejects_angle_at_pi():
 
 
 def test_left_jacobian_inv_identity_at_zero():
-    assert np.allclose(lie.se3_left_jacobian_inv(np.zeros(6)), np.eye(6))
+    assert np.allclose(lie.se3_left_jacobian_inv_batch(np.zeros((1, 6)))[0], np.eye(6))
 
 
 def test_left_jacobian_composition_defect(rng):
-    for _ in range(50):
-        xi = rng.normal(scale=0.8, size=6)
-        small = rng.normal(size=6)
-        small *= 1e-4 / np.linalg.norm(small)
-        lhs = lie.se3_exp(lie.se3_left_jacobian_inv(xi) @ small + xi)
-        rhs = lie.se3_exp(small) @ lie.se3_exp(xi)
+    xi = rng.normal(scale=0.8, size=(50, 6))
+    small = rng.normal(size=(50, 6))
+    small *= (1e-4 / np.linalg.norm(small, axis=1))[:, None]
+    moved = (lie.se3_left_jacobian_inv_batch(xi) @ small[:, :, None])[:, :, 0] + xi
+    for i in range(50):
+        lhs = lie.se3_exp(moved[i])
+        rhs = lie.se3_exp(small[i]) @ lie.se3_exp(xi[i])
         assert np.linalg.norm(lhs.matrix() - rhs.matrix()) < 1e-7
 
 
 def test_left_jacobian_inverse_against_numeric(rng):
     for scale in (1e-6, 0.01, 0.5, 1.5):
-        for _ in range(10):
-            xi = rng.normal(size=6)
-            xi *= scale / np.linalg.norm(xi)
-            numeric = oracles.numeric_left_jacobian(xi)
-            product = lie.se3_left_jacobian_inv(xi) @ numeric
+        xi = rng.normal(size=(10, 6))
+        xi *= (scale / np.linalg.norm(xi, axis=1))[:, None]
+        jl_inv = lie.se3_left_jacobian_inv_batch(xi)
+        for i in range(10):
+            product = jl_inv[i] @ oracles.numeric_left_jacobian(xi[i])
             assert np.linalg.norm(product - np.eye(6)) < 1e-9
 
 
 def test_left_jacobian_pair_is_inverse(rng):
-    for _ in range(20):
-        xi = rng.normal(scale=1.0, size=6)
-        product = lie.se3_left_jacobian_inv(xi) @ lie.se3_left_jacobian(xi)
-        assert np.linalg.norm(product - np.eye(6)) < 1e-12
+    xi = rng.normal(scale=1.0, size=(20, 6))
+    product = lie.se3_left_jacobian_inv_batch(xi) @ lie.se3_left_jacobian_batch(xi)
+    assert np.max(np.linalg.norm(product - np.eye(6), axis=(1, 2))) < 1e-12
+
+
+def interp(poses_a, poses_b, alphas):
+    """``lie.se3_interp_batch`` over lists of poses, as a list of poses."""
+    rot, t = lie.se3_interp_batch(
+        np.stack([p.rotation for p in poses_a]),
+        np.stack([p.translation for p in poses_a]),
+        np.stack([p.rotation for p in poses_b]),
+        np.stack([p.translation for p in poses_b]),
+        np.asarray(alphas, dtype=float),
+    )
+    return [lie.Pose(r, v) for r, v in zip(rot, t)]
 
 
 def test_interp_endpoints(rng):
     a, b = random_pose(rng), random_pose(rng)
-    assert np.allclose(lie.interp_pose(a, b, 0.0).matrix(), a.matrix())
-    assert np.allclose(lie.interp_pose(a, b, 1.0).matrix(), b.matrix())
+    start, end = interp([a, a], [b, b], [0.0, 1.0])
+    assert np.allclose(start.matrix(), a.matrix())
+    assert np.allclose(end.matrix(), b.matrix())
 
 
 def test_interp_translation_midpoint():
     a = lie.Pose.identity()
     b = lie.Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-    mid = lie.interp_pose(a, b, 0.5)
+    mid = interp([a], [b], [0.5])[0]
     assert np.allclose(mid.translation, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_interp_rotation_scaling():
     b = lie.Pose(lie.so3_exp(np.array([0.0, 0.0, np.pi / 2])), np.zeros(3))
-    third = lie.interp_pose(lie.Pose.identity(), b, 1.0 / 3.0)
+    third = interp([lie.Pose.identity()], [b], [1.0 / 3.0])[0]
     expected = lie.so3_exp(np.array([0.0, 0.0, np.pi / 6]))
     assert np.allclose(third.rotation, expected, atol=1e-12)
 
 
-def test_interp_rejects_out_of_range(rng):
-    a, b = random_pose(rng), random_pose(rng)
-    with pytest.raises(OutOfRangeError):
-        lie.interp_pose(a, b, 1.5)
-
-
 def test_interp_symmetry(rng):
-    for _ in range(50):
-        a, b = random_pose(rng), random_pose(rng)
-        alpha = rng.uniform()
-        lhs = lie.interp_pose(a, b, alpha)
-        rhs = lie.interp_pose(b, a, 1.0 - alpha)
-        assert np.linalg.norm(lhs.matrix() - rhs.matrix()) < 1e-9
+    poses_a = [random_pose(rng) for _ in range(50)]
+    poses_b = [random_pose(rng) for _ in range(50)]
+    alphas = rng.uniform(size=50)
+    lhs = interp(poses_a, poses_b, alphas)
+    rhs = interp(poses_b, poses_a, 1.0 - alphas)
+    for left, right in zip(lhs, rhs):
+        assert np.linalg.norm(left.matrix() - right.matrix()) < 1e-9
 
 
 def test_composition_chain_stays_orthonormal(rng):
@@ -227,7 +231,7 @@ def test_batch_helpers_match_scalar(rng):
                 assert np.allclose(out[i], expected, rtol=0.0, atol=1e-15)
 
 
-def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
+def test_se3_left_jacobian_batch_matches_numeric(rng):
     # Rotation angles on both sides of the Q-matrix series switch.
     switch = lie.Q_SERIES_ANGLE
     angles = np.concatenate([
@@ -241,24 +245,17 @@ def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
     jl = lie.se3_left_jacobian_batch(xi)
     jl_inv = lie.se3_left_jacobian_inv_batch(xi)
     for i in range(angles.size):
-        assert np.allclose(jl[i], lie.se3_left_jacobian(xi[i]), atol=1e-12)
-        assert np.allclose(jl_inv[i], lie.se3_left_jacobian_inv(xi[i]), atol=1e-12)
-        assert np.allclose(jl[i], oracles.numeric_left_jacobian(xi[i]), atol=1e-8)
+        numeric = oracles.numeric_left_jacobian(xi[i])
+        assert np.allclose(jl[i], numeric, atol=1e-8)
+        assert np.allclose(jl_inv[i] @ numeric, np.eye(6), atol=1e-8)
         assert np.linalg.norm(jl_inv[i] @ jl[i] - np.eye(6)) < 1e-12
 
 
-def test_se3_interp_batch_matches_interp_pose(rng):
+def test_se3_interp_batch_matches_geodesic(rng):
     poses_a = [random_pose(rng, max_angle=1.5) for _ in range(32)]
     poses_b = [random_pose(rng, max_angle=1.5) for _ in range(32)]
     alphas = rng.uniform(size=32)
-    rot, t = lie.se3_interp_batch(
-        np.stack([p.rotation for p in poses_a]),
-        np.stack([p.translation for p in poses_a]),
-        np.stack([p.rotation for p in poses_b]),
-        np.stack([p.translation for p in poses_b]),
-        alphas,
-    )
-    for i in range(32):
-        expected = lie.interp_pose(poses_a[i], poses_b[i], alphas[i])
-        assert np.allclose(rot[i], expected.rotation, atol=1e-10)
-        assert np.allclose(t[i], expected.translation, atol=1e-10)
+    for a, b, alpha, got in zip(poses_a, poses_b, alphas, interp(poses_a, poses_b, alphas)):
+        expected = a @ lie.se3_exp(alpha * lie.se3_log(a.inverse() @ b))
+        assert np.allclose(got.rotation, expected.rotation, atol=1e-10)
+        assert np.allclose(got.translation, expected.translation, atol=1e-10)

@@ -187,22 +187,6 @@ def test_observability_guard():
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
 
 
-@pytest.mark.parametrize(
-    "option",
-    [
-        {"model": "direct"},
-        {"update_method": "so3r3"},
-        {"interpolation": "linear"},
-        {"jacobian": "centre"},
-    ],
-    ids=lambda option: next(iter(option)),
-)
-def test_unknown_string_option_is_rejected(option):
-    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
-    with pytest.raises(InvalidArgumentError, match=next(iter(option))):
-        run_window(truth, imu, init, scene, option)
-
-
 def test_degenerate_geometry_reports_null_space():
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
@@ -237,80 +221,44 @@ def test_cost_non_increasing():
     assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
+def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
+    base = system.weighted(system.residuals(x, state))
+    analytic = system.jacobian(x, state, base)
+    dense = np.zeros_like(analytic)
+    for p in range(system.n_params()):
+        step = np.zeros(system.n_params())
+        step[p] = eps
+        plus = system.weighted(system.residuals(x + step, state))
+        minus = system.weighted(system.residuals(x - step, state))
+        dense[:, p] = (plus - minus) / (2.0 * eps)
+    scale = np.max(np.abs(dense)) + 1e-12
+    assert np.max(np.abs(analytic - dense)) / scale < 1e-5
+
+
 def test_analytic_jacobian_at_zero_correction_priors_only():
     # The analytic Jacobian at x = 0 (zero correction, zero biases), with map
     # priors and IMU but no surfel pairs and unit robust weights, must match
-    # dense central differencing; the parametrized test below covers random
-    # non-zero x with pairs.  The lag sits off the sample grid, where the
-    # residuals are smooth in every parameter.
+    # dense central differencing; the test below covers random non-zero x
+    # with pairs.  The lag sits off the sample grid, where the residuals are
+    # smooth in every parameter.
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
-    opt_cfg = lm.OptimizerConfig(
-        estimate_biases=True, estimate_time_lag=True, jacobian="central"
-    )
+    opt_cfg = lm.OptimizerConfig(estimate_biases=True, estimate_time_lag=True)
     grid = ControlGrid.zeros(init.start, init.end, 0.25)
     state = lm.OptState(grid, time_lag=0.0037)
     pairs = []
     priors = scene.map_prior_constraints()
     system = lm._WindowSystem(pairs, priors, imu, init, state, opt_cfg)
     x = np.zeros(system.n_params())
-    base = system.weighted(system.residuals(x, state))
-    analytic = system.jacobian(x, state, base)
-    eps = 1e-6
-    dense = np.zeros_like(analytic)
-    for p in range(system.n_params()):
-        step = np.zeros(system.n_params())
-        step[p] = eps
-        plus = system.weighted(system.residuals(x + step, state))
-        minus = system.weighted(system.residuals(x - step, state))
-        dense[:, p] = (plus - minus) / (2.0 * eps)
-    scale = np.max(np.abs(dense)) + 1e-12
-    assert np.max(np.abs(analytic - dense)) / scale < 1e-5
+    assert_jacobian_matches_central_fd(system, x, state)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        {"update_method": "se3", "interpolation": "se3"},
-        {"update_method": "so3_r3", "interpolation": "se3"},
-        {"update_method": "se3", "interpolation": "euclidean"},
-        {"update_method": "so3_r3", "interpolation": "euclidean"},
-        {"model": "spline_direct"},
-    ],
-    ids=["se3-se3", "so3_r3-se3", "se3-euclidean", "so3_r3-euclidean", "spline_direct"],
-)
-def test_analytic_jacobian_matches_dense_central_fd(model):
-    # Every model at a random non-zero x, with surfel pairs, map priors, IMU,
-    # biases, non-trivial robust weights and a time lag between samples.
-    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
-    pairs = pair_constraints_from_scene(cfg, truth, 40)
-    opt_cfg = lm.OptimizerConfig(
-        estimate_biases=True, estimate_time_lag=True, jacobian="central", **model
-    )
-    grid = ControlGrid.zeros(init.start, init.end, 0.25)
-    state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
-                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=0.0037)
-    system = lm._WindowSystem(pairs, scene.map_prior_constraints(), imu, init, state, opt_cfg)
+def test_analytic_jacobian_matches_dense_central_fd():
+    # A random non-zero x, with surfel pairs, map priors, IMU, biases,
+    # non-trivial robust weights and a time lag between samples.
+    system, x, state = random_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
-    k = system.n_knots
-    x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
-    x[-1] = 0.0  # keep the lag at 3.7 ms, off the 10 ms sample grid
-    if opt_cfg.model == "spline_direct":
-        x[: 3 * k] += system.c_t0.reshape(-1)
-        x[3 * k : 6 * k] += system.c_r0.reshape(-1)
-    system.update_robust_weights(system.residuals(x, state))
     assert np.min(system.robust_weights) < 1.0
-    base = system.weighted(system.residuals(x, state))
-    analytic = system.jacobian(x, state, base)
-    eps = 1e-6
-    dense = np.zeros_like(analytic)
-    for p in range(system.n_params()):
-        step = np.zeros(system.n_params())
-        step[p] = eps
-        plus = system.weighted(system.residuals(x + step, state))
-        minus = system.weighted(system.residuals(x - step, state))
-        dense[:, p] = (plus - minus) / (2.0 * eps)
-    scale = np.max(np.abs(dense)) + 1e-12
-    assert np.max(np.abs(analytic - dense)) / scale < 1e-5
+    assert_jacobian_matches_central_fd(system, x, state)
 
 
 def test_batch_residuals_match_single_evaluators(rng):
@@ -344,43 +292,7 @@ def test_time_lag_estimation():
     assert abs(state.time_lag - 0.02) < 0.005
 
 
-def test_mode_ordering_small():
-    # Three seeds of the full-window study; the 20-seed run is in acceptance.
-    medians = {"se3": [], "linear": [], "direct": []}
-    for seed in range(3):
-        cfg = SimConfig(seed=seed)
-        truth, imu, init = gen_trajectory_and_imu(cfg)
-        scene = gen_surfel_scene(cfg, truth)
-        constraints = scene.map_prior_constraints()
-        for name, kwargs in (
-            ("se3", {"model": "composition", "update_method": "se3",
-                     "interpolation": "se3"}),
-            ("linear", {"model": "composition", "update_method": "so3_r3",
-                        "interpolation": "euclidean"}),
-            ("direct", {"model": "spline_direct"}),
-        ):
-            opt_cfg = lm.OptimizerConfig(**kwargs)
-            grid = ControlGrid.for_window(init.start, init.end, 11)
-            _, est, _ = lm.optimize_window(constraints, imu, init, lm.OptState(grid), opt_cfg)
-            medians[name].append(trajectory_errors(est, truth)[0])
-    se3 = np.median(medians["se3"])
-    linear = np.median(medians["linear"])
-    direct = np.median(medians["direct"])
-    assert se3 < linear
-    assert linear < direct
-
-
-MODELS = [
-    {"update_method": "se3", "interpolation": "se3"},
-    {"update_method": "so3_r3", "interpolation": "se3"},
-    {"update_method": "se3", "interpolation": "euclidean"},
-    {"update_method": "so3_r3", "interpolation": "euclidean"},
-    {"model": "spline_direct"},
-]
-MODEL_IDS = ["se3-se3", "so3_r3-se3", "se3-euclidean", "so3_r3-euclidean", "spline_direct"]
-
-
-def random_iterate(model, pairs=None, with_imu=True, knot_step=0.25):
+def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
     """A window system at a random non-zero x with pairs, priors, IMU,
     biases, robust weights below one and a 3.7 ms time lag, on a
     ``ControlGrid.zeros`` grid whose end samples read clamped knots."""
@@ -388,19 +300,13 @@ def random_iterate(model, pairs=None, with_imu=True, knot_step=0.25):
     if pairs is None:
         pairs = pair_constraints_from_scene(cfg, truth, 40)
     priors = scene.map_prior_constraints() if with_imu else []
-    opt_cfg = lm.OptimizerConfig(
-        estimate_biases=True, estimate_time_lag=True, jacobian="central", **model
-    )
+    opt_cfg = lm.OptimizerConfig(estimate_biases=True, estimate_time_lag=True)
     grid = ControlGrid.zeros(init.start, init.end, knot_step)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=0.0037)
     system = lm._WindowSystem(pairs, priors, imu if with_imu else [], init, state, opt_cfg)
-    k = system.n_knots
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
     x[-1] = 0.0  # keep the lag at 3.7 ms, off the 10 ms sample grid
-    if opt_cfg.model == "spline_direct":
-        x[: 3 * k] += system.c_t0.reshape(-1)
-        x[3 * k : 6 * k] += system.c_r0.reshape(-1)
     system.update_robust_weights(system.residuals(x, state))
     return system, x, state
 
@@ -415,9 +321,8 @@ def assert_normal_equations_match_dense(system, x, state):
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
 
 
-@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
-def test_normal_equations_match_dense_jacobian(model):
-    system, x, state = random_iterate(model)
+def test_normal_equations_match_dense_jacobian():
+    system, x, state = random_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
     # The first and last samples read the clamped boundary knots.
@@ -426,8 +331,7 @@ def test_normal_equations_match_dense_jacobian(model):
     assert_normal_equations_match_dense(system, x, state)
 
 
-@pytest.mark.parametrize("model", [MODELS[0], MODELS[-1]], ids=[MODEL_IDS[0], MODEL_IDS[-1]])
-def test_normal_equations_match_dense_jacobian_far_pairs(model):
+def test_normal_equations_match_dense_jacobian_far_pairs():
     # Pairs only, each tying two times at least four knots apart, so one
     # row reads knots far from its first one.
     rng = np.random.default_rng(3)
@@ -438,18 +342,17 @@ def test_normal_equations_match_dense_jacobian_far_pairs(model):
             u_a=rng.normal(size=3), u_b=rng.normal(size=3), tau_a=tau_a,
             tau_b=tau_a + 0.65, n_ab=normal / np.linalg.norm(normal),
         ))
-    system, x, state = random_iterate(model, pairs=pairs, with_imu=False, knot_step=0.1)
+    system, x, state = random_iterate(pairs=pairs, with_imu=False, knot_step=0.1)
     assert system.n_prior == 0 and system.n_imu == 0
     assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
     assert_normal_equations_match_dense(system, x, state)
 
 
-@pytest.mark.parametrize("model", MODELS[:4], ids=MODEL_IDS[:4])
-def test_folded_iterate_reproduces_candidate_residuals(model):
+def test_folded_iterate_reproduces_candidate_residuals():
     # optimize_window reuses the candidate's poses and residuals after
     # folding an accepted correction into the samples; evaluating x = 0
     # afresh must read the same poses.
-    system, x, state = random_iterate(model)
+    system, x, state = random_iterate()
     x[-1] = 1e-4
     candidate = system.evaluate(x, state)
     folded = system.fold(candidate)
@@ -460,9 +363,8 @@ def test_folded_iterate_reproduces_candidate_residuals(model):
     assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
 
 
-@pytest.mark.parametrize("model", [MODELS[0], MODELS[-1]], ids=[MODEL_IDS[0], MODEL_IDS[-1]])
-def test_where_reuses_brackets_only_at_the_same_lag(model):
-    system, _, state = random_iterate(model)
+def test_where_reuses_brackets_only_at_the_same_lag():
+    system, _, state = random_iterate()
 
     def fresh(d):
         taus = system.imu_taus + d

@@ -3,9 +3,8 @@ import pytest
 
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
-from surfelslam.trajectory import ControlGrid, Trajectory, apply_correction, spline_weights
-
-from conftest import random_pose
+from surfelslam.simulation.oracles import apply_correction, correction_batch
+from surfelslam.trajectory import ControlGrid, Trajectory, spline_weights
 
 
 def make_trajectory(rng, n=101, rate=100.0, rot_scale=0.2, t_scale=0.5):
@@ -22,11 +21,10 @@ def test_sample_at_knot_returns_stored_pose(rng):
     assert np.allclose(pose.translation, traj.translations[17])
 
 
-@pytest.mark.parametrize("mode", ["se3", "euclidean"])
-def test_exact_sample_queries_copy_stored_pose(rng, mode):
+def test_exact_sample_queries_copy_stored_pose(rng):
     traj = make_trajectory(rng)
     picks = np.array([0, 17, 18, len(traj) - 1])
-    rot, t = traj.sample_batch(traj.times[picks] + 1e-13, mode=mode)
+    rot, t = traj.sample_batch(traj.times[picks] + 1e-13)
     assert np.array_equal(rot, traj.rotations[picks])
     assert np.array_equal(t, traj.translations[picks])
 
@@ -88,19 +86,17 @@ def test_spline_weights_at_zero():
 
 def test_zero_grid_identity_correction(rng):
     grid = ControlGrid.zeros(0.0, 1.0, 0.1)
-    for tau in rng.uniform(0.0, 1.0, size=20):
-        pose = grid.correction_at(tau)
-        assert np.allclose(pose.rotation, np.eye(3))
-        assert np.allclose(pose.translation, 0.0)
+    rot, t = correction_batch(grid, rng.uniform(0.0, 1.0, size=20))
+    assert np.allclose(rot, np.eye(3))
+    assert np.allclose(t, 0.0)
 
 
 def test_constant_translation_controls(rng):
     grid = ControlGrid.zeros(0.0, 1.0, 0.1)
     grid.c_t[:] = np.array([0.1, 0.0, 0.0])
-    for tau in rng.uniform(0.0, 1.0, size=20):
-        pose = grid.correction_at(tau)
-        assert np.allclose(pose.translation, [0.1, 0.0, 0.0], atol=1e-14)
-        assert np.allclose(pose.rotation, np.eye(3))
+    rot, t = correction_batch(grid, rng.uniform(0.0, 1.0, size=20))
+    assert np.allclose(t, [0.1, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(rot, np.eye(3))
 
 
 def test_single_knot_weight():
@@ -108,14 +104,14 @@ def test_single_knot_weight():
     grid = ControlGrid.zeros(0.0, 1.0, 0.1)
     k = 5
     grid.c_t[k] = np.array([1.0, 0.0, 0.0])
-    pose = grid.correction_at(grid.times[k])
-    assert np.allclose(pose.translation, [4.0 / 6.0, 0.0, 0.0], atol=1e-14)
+    _, t = correction_batch(grid, grid.times[[k]])
+    assert np.allclose(t[0], [4.0 / 6.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_correction_outside_support():
     grid = ControlGrid.zeros(0.0, 1.0, 0.1)
     with pytest.raises(MissingSupportError):
-        grid.correction_at(1.5)
+        correction_batch(grid, [1.5])
 
 
 def test_correction_is_c2_continuous(rng):
@@ -171,20 +167,11 @@ def test_apply_correction_matches_pointwise_composition(rng):
     grid.c_t[:] = rng.normal(scale=0.05, size=grid.c_t.shape)
     grid.c_r[:] = rng.normal(scale=0.02, size=grid.c_r.shape)
     out = apply_correction(traj, grid)
-    for k in rng.integers(0, len(traj), size=25):
-        expected = grid.correction_at(traj.times[k]) @ traj.pose(k)
+    picks = rng.integers(0, len(traj), size=25)
+    rot_c, t_c = correction_batch(grid, traj.times[picks])
+    for k, rot, t in zip(picks, rot_c, t_c):
+        expected = lie.Pose(rot, t) @ traj.pose(k)
         assert np.linalg.norm(out.pose(k).matrix() - expected.matrix()) < 1e-9
-
-
-def test_apply_correction_so3_r3_update(rng):
-    traj = make_trajectory(rng)
-    grid = ControlGrid.zeros(-0.1, traj.end + 0.1, 0.1)
-    grid.c_t[:] = rng.normal(scale=0.05, size=grid.c_t.shape)
-    grid.c_r[:] = rng.normal(scale=0.02, size=grid.c_r.shape)
-    out = apply_correction(traj, grid, update="so3_r3")
-    rot_c, t_c = grid.correction_batch(traj.times)
-    assert np.allclose(out.translations, traj.translations + t_c)
-    assert np.allclose(out.rotations, np.einsum("nij,njk->nik", rot_c, traj.rotations))
 
 
 def test_apply_correction_missing_support(rng):
@@ -195,24 +182,15 @@ def test_apply_correction_missing_support(rng):
     assert len(err.value.timestamps) > 0
 
 
-def test_euclidean_mode_lerps_translation(rng):
-    traj = make_trajectory(rng)
-    rot, t = traj.sample_batch(np.array([0.155]), mode="euclidean")
-    a = traj.translations[15]
-    b = traj.translations[16]
-    assert np.allclose(t[0], 0.5 * (a + b), atol=1e-12)
-
-
 def test_csv_round_trip(tmp_path, rng):
     traj = make_trajectory(rng)
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
-    again = Trajectory.read_csv(path)
-    assert np.allclose(again.times, traj.times)
-    assert np.allclose(again.rotations, traj.rotations, atol=1e-12)
-    assert np.allclose(again.translations, traj.translations)
-    # A rewrite of the parsed trajectory is byte-identical.
-    path2 = tmp_path / "traj2.csv"
-    again.write_csv(path2)
-    again.write_csv(tmp_path / "traj3.csv")
-    assert (tmp_path / "traj2.csv").read_bytes() == (tmp_path / "traj3.csv").read_bytes()
+    assert path.read_text().splitlines()[0] == "t,tx,ty,tz,rx,ry,rz"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (len(traj), 7)
+    # Every value is written with repr, so it parses back exactly.
+    assert np.array_equal(data[:, 0], traj.times)
+    assert np.array_equal(data[:, 1:4], traj.translations)
+    assert np.array_equal(data[:, 4:7], lie.so3_log_batch(traj.rotations))
+    assert np.allclose(lie.so3_exp_batch(data[:, 4:7]), traj.rotations, atol=1e-12)
