@@ -1,7 +1,7 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here is correctness-first and O(n^2) or worse: truncated-series
-matrix exponentials, the spline correction evaluated from its knot weights,
+matrix exponentials, the SE(3) geodesic of one pose pair, the spline correction evaluated from its knot weights,
 window residuals evaluated one constraint at a time on a freshly corrected
 trajectory, linear-scan spatial queries, exhaustive
 matching, ICP association from the full distance matrix, hash-grouped voxel
@@ -51,6 +51,11 @@ def numeric_left_jacobian(xi, eps=1e-5):
         minus = lie.se3_log(lie.se3_exp(xi - step) @ inv)
         out[:, i] = (plus - minus) / (2.0 * eps)
     return out
+
+
+def interp_pose(pose_a, pose_b, alpha):
+    """``Ta * exp(alpha * log(Ta^-1 Tb))`` for one pair of poses."""
+    return pose_a @ lie.se3_exp(alpha * lie.se3_log(pose_a.inverse() @ pose_b))
 
 
 def correction_batch(grid, taus):

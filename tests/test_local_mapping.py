@@ -187,6 +187,24 @@ def test_observability_guard():
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"model": "direct"},
+        {"update_method": "so3r3"},
+        {"interpolation": "linear"},
+        {"jacobian": "centre"},
+    ],
+    ids=lambda option: next(iter(option)),
+)
+def test_unknown_string_option_is_rejected(option):
+    # The window optimizer has one model, update, interpolation and Jacobian;
+    # a config that names any of them is refused, not silently ignored.
+    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
+    with pytest.raises(TypeError, match=next(iter(option))):
+        run_window(truth, imu, init, scene, option)
+
+
 def test_degenerate_geometry_reports_null_space():
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
@@ -252,6 +270,12 @@ def test_analytic_jacobian_at_zero_correction_priors_only():
     assert_jacobian_matches_central_fd(system, x, state)
 
 
+# The window optimizer's one path composes SE(3) corrections ("se3") onto
+# samples blended along the SE(3) geodesic ("se3"); its tests carry that id.
+SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
+
+
+@SE3_PATH
 def test_analytic_jacobian_matches_dense_central_fd():
     # A random non-zero x, with surfel pairs, map priors, IMU, biases,
     # non-trivial robust weights and a time lag between samples.
@@ -321,6 +345,7 @@ def assert_normal_equations_match_dense(system, x, state):
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
 
 
+@SE3_PATH
 def test_normal_equations_match_dense_jacobian():
     system, x, state = random_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
@@ -331,6 +356,7 @@ def test_normal_equations_match_dense_jacobian():
     assert_normal_equations_match_dense(system, x, state)
 
 
+@SE3_PATH
 def test_normal_equations_match_dense_jacobian_far_pairs():
     # Pairs only, each tying two times at least four knots apart, so one
     # row reads knots far from its first one.
@@ -348,6 +374,7 @@ def test_normal_equations_match_dense_jacobian_far_pairs():
     assert_normal_equations_match_dense(system, x, state)
 
 
+@SE3_PATH
 def test_folded_iterate_reproduces_candidate_residuals():
     # optimize_window reuses the candidate's poses and residuals after
     # folding an accepted correction into the samples; evaluating x = 0
@@ -363,6 +390,7 @@ def test_folded_iterate_reproduces_candidate_residuals():
     assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
 
 
+@SE3_PATH
 def test_where_reuses_brackets_only_at_the_same_lag():
     system, _, state = random_iterate()
 

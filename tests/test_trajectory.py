@@ -21,6 +21,8 @@ def test_sample_at_knot_returns_stored_pose(rng):
     assert np.allclose(pose.translation, traj.translations[17])
 
 
+# Sampling blends neighbouring poses along the SE(3) geodesic ("se3").
+@pytest.mark.parametrize((), [pytest.param(id="se3")])
 def test_exact_sample_queries_copy_stored_pose(rng):
     traj = make_trajectory(rng)
     picks = np.array([0, 17, 18, len(traj) - 1])
