@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,39 +50,6 @@ def _transpose(m):
 
 
 @dataclass
-class BeamNoise:
-    """Per-return noise in beam coordinates plus the beam-to-world rotations,
-    for one return or, with arrays, a stack of them."""
-
-    sigma_r_sq: float
-    sigma_d_sq: float
-    sigma_i_sq: float
-    rot_world_laser: np.ndarray = field(default_factory=lambda: np.eye(3))
-    rot_laser_beam: np.ndarray = field(default_factory=lambda: np.eye(3))
-
-    def __post_init__(self):
-        variances = (self.sigma_r_sq, self.sigma_d_sq, self.sigma_i_sq)
-        if any(np.any(np.asarray(v) < 0.0) for v in variances):
-            raise InvalidArgumentError("beam noise variances must be non-negative")
-        self.rot_world_laser = np.asarray(self.rot_world_laser, dtype=float)
-        self.rot_laser_beam = np.asarray(self.rot_laser_beam, dtype=float)
-
-    def beam_covariance(self):
-        along = np.asarray(self.sigma_i_sq + self.sigma_d_sq)
-        cov = np.zeros(along.shape + (3, 3))
-        cov[..., 0, 0] = cov[..., 1, 1] = self.sigma_r_sq
-        cov[..., 2, 2] = along
-        return cov
-
-
-def beam_noise_world(noise: BeamNoise):
-    """Rotate the beam-frame covariance into world coordinates."""
-    rot = noise.rot_world_laser @ noise.rot_laser_beam
-    q = rot @ noise.beam_covariance() @ _transpose(rot)
-    return 0.5 * (q + _transpose(q))
-
-
-@dataclass
 class BeamModel:
     """Range- and incidence-dependent beam noise defaults."""
 
@@ -92,11 +58,6 @@ class BeamModel:
     sigma_d_per_meter: float = 0.0005
     beam_divergence: float = 0.003
     grazing_cutoff: float = np.pi / 2 - 1e-3
-
-
-class IncidenceVariance(NamedTuple):
-    value: float
-    clamped: bool
 
 
 def incidence_variance(angle, range_m, cfg: BeamModel | None = None):
@@ -108,11 +69,7 @@ def incidence_variance(angle, range_m, cfg: BeamModel | None = None):
     angle = np.asarray(angle, dtype=float)
     if np.any(angle < 0.0):
         raise InvalidArgumentError("incidence angle must be non-negative")
-    clamped = angle >= cfg.grazing_cutoff
-    value = (range_m * np.tan(np.minimum(angle, cfg.grazing_cutoff)) * cfg.beam_divergence) ** 2
-    if angle.ndim == 0:
-        return IncidenceVariance(float(value), bool(clamped))
-    return IncidenceVariance(value, clamped)
+    return (range_m * np.tan(np.minimum(angle, cfg.grazing_cutoff)) * cfg.beam_divergence) ** 2
 
 
 def _align_z_to(direction):
@@ -143,9 +100,16 @@ def beam_noise_batch(sensor_origin, points, surface_normals=None,
         normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
         cos_i = np.abs(_row_dot(normals, beam / range_m[:, None]))
         angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
-        sigma_i_sq = incidence_variance(angle, range_m, cfg).value
-    noise = BeamNoise(cfg.sigma_r**2, sigma_d**2, sigma_i_sq, _align_z_to(beam), np.eye(3))
-    return np.where(at_sensor[:, None, None], cfg.sigma_r**2 * np.eye(3), beam_noise_world(noise))
+        sigma_i_sq = incidence_variance(angle, range_m, cfg)
+    # Range noise across the beam, depth plus incidence noise along it,
+    # rotated from the beam frame into the world.
+    cov = np.zeros((len(beam), 3, 3))
+    cov[:, 0, 0] = cov[:, 1, 1] = cfg.sigma_r**2
+    cov[:, 2, 2] = sigma_i_sq + sigma_d**2
+    rot = _align_z_to(beam)
+    q = rot @ cov @ _transpose(rot)
+    q = 0.5 * (q + _transpose(q))
+    return np.where(at_sensor[:, None, None], cfg.sigma_r**2 * np.eye(3), q)
 
 
 def beam_noise_for_return(sensor_origin, point, surface_normal=None,
@@ -435,9 +399,9 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
             delta = np.linalg.solve(hess + 1e-12 * np.eye(6), -grad)
         except np.linalg.LinAlgError:
             return IcpResult(rotation, translation, 0.0, False, [])
-        step = lie.se3_exp(np.concatenate([delta[:3], delta[3:]]))
-        rotation = step.rotation @ rotation
-        translation = step.rotation @ translation + step.translation
+        (step_rot,), (step_t,) = lie.se3_exp_batch(delta[None])
+        rotation = step_rot @ rotation
+        translation = step_rot @ translation + step_t
         if np.linalg.norm(delta) < 1e-10:
             break
 

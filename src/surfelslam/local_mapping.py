@@ -163,15 +163,6 @@ class OptimizationReport:
     def final_cost(self):
         return self.records[-1].cost
 
-    def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("iter,cost,rms_surfel,rms_prior,rms_accel,rms_gyro,step_norm\n")
-            for r in self.records:
-                f.write(
-                    f"{r.iteration},{r.cost!r},{r.rms_surfel!r},{r.rms_prior!r},"
-                    f"{r.rms_accel!r},{r.rms_gyro!r},{r.step_norm!r}\n"
-                )
-
 
 def _spline_maps(jl, s):
     """(N, 6, 6) maps from a spline increment ``(du_t, du_r)`` to the left

@@ -159,8 +159,9 @@ def gen_trajectory_and_imu(cfg: SimConfig):
     init_t = np.empty_like(translations)
     init_r[0], init_r[1] = rotations[0], rotations[1]
     init_t[0], init_t[1] = translations[0], translations[1]
+    gyro_steps = lie.so3_exp_batch(measured_gyro * h)
     for k in range(1, n - 1):
-        init_r[k + 1] = init_r[k] @ lie.so3_exp(measured_gyro[k] * h)
+        init_r[k + 1] = init_r[k] @ gyro_steps[k]
         init_t[k + 1] = (
             2.0 * init_t[k]
             - init_t[k - 1]

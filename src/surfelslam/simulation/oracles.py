@@ -1,12 +1,16 @@
 """Brute-force reference implementations used by the test suite.
 
-Everything here is correctness-first and O(n^2) or worse: truncated-series
-matrix exponentials, the SE(3) geodesic of one pose pair, the spline correction evaluated from its knot weights,
-window residuals evaluated one constraint at a time on a freshly corrected
-trajectory, linear-scan spatial queries, exhaustive
-matching, ICP association from the full distance matrix, hash-grouped voxel
-moments, dense-surfel seeding by linear scans, and closed-form 3x3 eigen
-solves.  None of it is used on the fast paths.
+Everything here is correctness-first and O(n^2) or worse: truncated power
+series of the SE(3) exponential and of the logarithm near the identity, the
+left Jacobian by central differences of those series, the SE(3) geodesic of
+one pose pair through the series exponential, the spline correction
+evaluated from its knot weights, window residuals evaluated one constraint at
+a time on a freshly corrected trajectory, linear-scan spatial queries,
+exhaustive matching, ICP association from the full distance matrix,
+hash-grouped voxel moments, dense-surfel seeding by linear scans, and
+closed-form 3x3 eigen solves.  None of it is used on the fast paths, and none
+of the Lie references evaluates the closed form of the map it checks.  A pose
+here is a 4x4 homogeneous matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ def se3_exp_series(xi, terms=20):
     """Truncated power series of the 4x4 matrix exponential of a twist."""
     xi = np.asarray(xi, dtype=float)
     m = np.zeros((4, 4))
-    m[:3, :3] = lie.hat(xi[:3])
+    m[:3, :3] = lie.hat_batch(xi[None, :3])[0]
     m[:3, 3] = xi[3:]
     out = np.eye(4)
     power = np.eye(4)
@@ -36,26 +40,43 @@ def se3_exp_series(xi, terms=20):
     return out
 
 
-def numeric_left_jacobian(xi, eps=1e-5):
+def _log_near_identity(transform, terms=8):
+    """Twist of a 4x4 transform near the identity, by the Mercator series of
+    ``log(I + A)``; the series needs ``|A| < 1`` and converges like ``|A|^k``."""
+    a = transform - np.eye(4)
+    out = np.zeros((4, 4))
+    power = np.eye(4)
+    for k in range(1, terms + 1):
+        power = power @ a
+        out = out + (-1) ** (k + 1) * power / k
+    return np.array([out[2, 1], out[0, 2], out[1, 0], *out[:3, 3]])
+
+
+def numeric_left_jacobian(xi, eps=1e-5, terms=40):
     """SE(3) left Jacobian built by central differences of the exponential.
 
-    Column i approximates d/de log(exp(xi + e e_i) exp(-xi)) at e = 0.
+    Column i approximates d/de log(exp(xi + e e_i) exp(-xi)) at e = 0, with
+    both maps as power series; ``terms`` must suffice for the norm of ``xi``.
     """
     xi = np.asarray(xi, dtype=float)
-    inv = lie.se3_exp(xi).inverse()
+    inv = se3_exp_series(-xi, terms)
     out = np.zeros((6, 6))
     for i in range(6):
         step = np.zeros(6)
         step[i] = eps
-        plus = lie.se3_log(lie.se3_exp(xi + step) @ inv)
-        minus = lie.se3_log(lie.se3_exp(xi - step) @ inv)
+        plus = _log_near_identity(se3_exp_series(xi + step, terms) @ inv)
+        minus = _log_near_identity(se3_exp_series(xi - step, terms) @ inv)
         out[:, i] = (plus - minus) / (2.0 * eps)
     return out
 
 
-def interp_pose(pose_a, pose_b, alpha):
-    """``Ta * exp(alpha * log(Ta^-1 Tb))`` for one pair of poses."""
-    return pose_a @ lie.se3_exp(alpha * lie.se3_log(pose_a.inverse() @ pose_b))
+def interp_pose(pose_a, pose_b, alpha, terms=40):
+    """``Ta * exp(alpha * log(Ta^-1 Tb))`` for one pair of 4x4 poses, the
+    exponential as its power series."""
+    phi, rho = lie.se3_relative_log_batch(
+        pose_a[None, :3, :3], pose_a[None, :3, 3], pose_b[None, :3, :3], pose_b[None, :3, 3]
+    )
+    return pose_a @ se3_exp_series(alpha * np.concatenate([phi[0], rho[0]]), terms)
 
 
 def correction_batch(grid, taus):
@@ -114,7 +135,7 @@ def residual_imu(sample, traj, grid, state):
     rot, t = corrected.sample_batch(taus)
     accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
     accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + state.accel_bias
-    omega = lie.so3_log(rot[1].T @ rot[2]) / h
+    omega = lie.so3_log_batch((rot[1].T @ rot[2])[None])[0] / h
     gyro_res = sample.gyro - omega + state.gyro_bias
     return np.concatenate([accel_res, gyro_res])
 
@@ -200,17 +221,18 @@ def voxel_moments_bruteforce(points, times, resolution):
 
 def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma,
                              traj=None, colours=None):
-    """Dense surfel fields by plain scans: each point deskewed through
-    ``traj.sample``, greedy seeding in input order (a seed rejects points
-    strictly closer than ``radius``), neighborhoods within ``radius``
-    inclusive, and each kept seed's moments, as one dict per surfel."""
+    """Dense surfel fields by plain scans: each point deskewed through its
+    own ``traj.sample_batch`` call, greedy seeding in input order (a seed
+    rejects points strictly closer than ``radius``), neighborhoods within
+    ``radius`` inclusive, and each kept seed's moments, as one dict per
+    surfel."""
     world = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float)
     origins = np.zeros_like(world)
     if traj is not None:
-        poses = [traj.sample(t) for t in times]
-        world = np.array([q.rotation @ p + q.translation for q, p in zip(poses, world)])
-        origins = np.array([q.translation for q in poses])
+        poses = [traj.sample_batch([tau]) for tau in times]
+        world = np.array([rot[0] @ p + trans[0] for (rot, trans), p in zip(poses, world)])
+        origins = np.array([trans[0] for _, trans in poses])
     seeds = []
     for i, p in enumerate(world):
         if np.all(((world[seeds] - p) ** 2).sum(axis=1) >= radius**2):

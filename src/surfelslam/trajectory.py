@@ -2,12 +2,14 @@
 interpolation, plus the cubic B-spline correction layer.
 
 The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
-default); querying between samples follows the SE(3) geodesic between the
-bracketing pair.  The correction layer holds per-knot translation and
-rotation-vector control points; corrections always start from zero at the
-beginning of an optimizer iteration, so the spline evaluates small local
-updates that :func:`compose_correction` composes onto the stored poses by
-left multiplication.
+default), stored as rotation and translation stacks.  Its one query,
+:meth:`Trajectory.sample_batch`, takes a stack of times; between samples it
+follows the SE(3) geodesic between the bracketing pair.  The correction
+layer holds per-knot translation and rotation-vector control points;
+corrections always start from zero at the beginning of an optimizer
+iteration, so the spline evaluates small local updates that
+:func:`compose_correction` composes onto the stored poses by left
+multiplication.
 """
 
 from __future__ import annotations
@@ -123,9 +125,6 @@ class Trajectory:
     def __len__(self):
         return self.times.shape[0]
 
-    def pose(self, index) -> lie.Pose:
-        return lie.Pose(self.rotations[index].copy(), self.translations[index].copy())
-
     @property
     def start(self):
         return float(self.times[0])
@@ -139,20 +138,6 @@ class Trajectory:
         geodesic between the bracketing samples."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
         return interpolate(self.rotations, self.translations, idx, alpha)
-
-    def sample(self, tau) -> lie.Pose:
-        """Pose at time ``tau`` (exact sample when ``tau`` hits a knot)."""
-        rot, t = self.sample_batch(np.array([tau]))
-        return lie.Pose(rot[0], t[0])
-
-    def write_csv(self, path):
-        """Rows ``t,tx,ty,tz,rx,ry,rz`` with the rotation as a rotation vector."""
-        rv = lie.so3_log_batch(self.rotations)
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("t,tx,ty,tz,rx,ry,rz\n")
-            for i in range(len(self)):
-                row = [self.times[i], *self.translations[i], *rv[i]]
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 @dataclass

@@ -12,11 +12,13 @@ def rng():
 def random_rotation(rng, max_angle=np.pi - 0.1):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return lie.so3_exp(axis * rng.uniform(0.0, max_angle))
+    return lie.so3_exp_batch((axis * rng.uniform(0.0, max_angle))[None])[0]
 
 
-def random_pose(rng, max_angle=np.pi - 0.1, t_scale=1.0):
-    return lie.Pose(random_rotation(rng, max_angle), rng.normal(scale=t_scale, size=3))
+def random_poses(rng, n, max_angle=np.pi - 0.1, t_scale=1.0):
+    """Rotation (n, 3, 3) and translation (n, 3) stacks."""
+    rot = np.stack([random_rotation(rng, max_angle) for _ in range(n)])
+    return rot, rng.normal(scale=t_scale, size=(n, 3))
 
 
 def random_spd(rng, dim=3, scale=1.0):

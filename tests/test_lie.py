@@ -6,84 +6,161 @@ import pytest
 from surfelslam import lie
 from surfelslam.errors import AmbiguousLogarithmError, InvalidArgumentError
 from surfelslam.simulation import oracles
+from surfelslam.trajectory import compose_correction
 
-from conftest import random_pose
+from conftest import random_poses
 
 # 0, 1e-9 and both sides of each SO(3) series switch.
 SWITCH_ANGLES = [0.0, 1e-9] + [
     a * f for a in (lie.SMALL_ANGLE, lie.SERIES_ANGLE) for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
 ]
+# The same and both sides of the SE(3) Q-matrix series switch.
+ALL_SWITCH_ANGLES = SWITCH_ANGLES + [
+    lie.Q_SERIES_ANGLE * f for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
+]
+
+
+def matrices(rot, t):
+    """4x4 homogeneous matrices of rotation and translation stacks."""
+    out = np.zeros(rot.shape[:-2] + (4, 4))
+    out[..., :3, :3] = rot
+    out[..., :3, 3] = t
+    out[..., 3, 3] = 1.0
+    return out
+
+
+def log_from_identity(rot, t):
+    """Twists (N, 6) of pose stacks: their logarithms relative to the identity."""
+    n = rot.shape[0]
+    phi, rho = lie.se3_relative_log_batch(
+        np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3)), rot, t
+    )
+    return np.concatenate([phi, rho], axis=1)
+
+
+def twists_at(rng, angles):
+    """Random twists whose rotation angles are ``angles``."""
+    angles = np.asarray(angles, dtype=float)
+    xi = rng.normal(size=(angles.size, 6))
+    xi[:, :3] *= (angles / np.linalg.norm(xi[:, :3], axis=1))[:, None]
+    return xi
+
+
+def rotation_about_x(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def test_exp_zero_twist_is_identity():
-    pose = lie.se3_exp(np.zeros(6))
-    assert np.allclose(pose.rotation, np.eye(3))
-    assert np.allclose(pose.translation, 0.0)
+    rot, t = lie.se3_exp_batch(np.zeros((1, 6)))
+    assert np.array_equal(rot[0], np.eye(3))
+    assert np.array_equal(t[0], np.zeros(3))
 
 
 def test_exp_pure_translation():
-    pose = lie.se3_exp(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]))
-    assert np.allclose(pose.rotation, np.eye(3))
-    assert np.allclose(pose.translation, [1.0, 2.0, 3.0])
+    rot, t = lie.se3_exp_batch(np.array([[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]]))
+    assert np.allclose(rot[0], np.eye(3))
+    assert np.allclose(t[0], [1.0, 2.0, 3.0])
 
 
 def test_exp_matches_series_oracle():
     xi = np.array([np.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0])
     expected = oracles.se3_exp_series(xi, terms=20)
-    pose = lie.se3_exp(xi)
-    assert np.allclose(pose.matrix(), expected, atol=1e-12)
+    rot, t = lie.se3_exp_batch(xi[None])
+    assert np.allclose(matrices(rot, t)[0], expected, atol=1e-12)
     # 90 degrees about x.
-    assert np.allclose(pose.rotation @ np.array([0.0, 1.0, 0.0]), [0.0, 0.0, 1.0])
+    assert np.allclose(rot[0] @ np.array([0.0, 1.0, 0.0]), [0.0, 0.0, 1.0])
 
 
 def test_exp_matches_series_oracle_random(rng):
-    for _ in range(50):
-        xi = rng.normal(scale=0.4, size=6)
-        assert np.allclose(
-            lie.se3_exp(xi).matrix(), oracles.se3_exp_series(xi), atol=1e-12
-        )
+    xi = rng.normal(scale=0.4, size=(50, 6))
+    got = matrices(*lie.se3_exp_batch(xi))
+    for i in range(50):
+        assert np.allclose(got[i], oracles.se3_exp_series(xi[i]), atol=1e-12)
+
+
+def test_se3_exp_batch_matches_series_at_the_switches(rng):
+    # Rotation angles on both sides of every series switch, with unit-scale
+    # translations; 30 terms sum the series past these twist norms.
+    xi = twists_at(rng, np.repeat(ALL_SWITCH_ANGLES, 4))
+    got = matrices(*lie.se3_exp_batch(xi))
+    for i in range(len(xi)):
+        assert np.allclose(got[i], oracles.se3_exp_series(xi[i], terms=30), rtol=0.0, atol=1e-14)
 
 
 def test_exp_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        xi = np.zeros((3, 6))
+        xi[1, 4] = bad
+        with pytest.raises(InvalidArgumentError):
+            lie.se3_exp_batch(xi)
     with pytest.raises(InvalidArgumentError):
-        lie.se3_exp(np.array([np.nan, 0, 0, 0, 0, 0]))
+        lie.se3_exp_batch(np.zeros(6))
 
 
 def test_log_identity_is_zero():
-    assert np.allclose(lie.se3_log(lie.Pose.identity()), 0.0)
+    assert np.array_equal(log_from_identity(np.eye(3)[None], np.zeros((1, 3))), np.zeros((1, 6)))
 
 
 def test_log_pure_translation():
-    xi = lie.se3_log(lie.Pose(np.eye(3), np.array([0.5, -1.0, 2.0])))
+    xi = log_from_identity(np.eye(3)[None], np.array([[0.5, -1.0, 2.0]]))[0]
     assert np.allclose(xi[:3], 0.0)
     assert np.allclose(xi[3:], [0.5, -1.0, 2.0])
 
 
 def test_exp_log_round_trip_1000(rng):
-    worst = 0.0
-    for _ in range(1000):
-        direction = rng.normal(size=6)
-        direction[:3] *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(direction[:3]), 1e-12)
-        xi = direction
-        back = lie.se3_log(lie.se3_exp(xi))
-        worst = max(worst, np.max(np.abs(back - xi)))
-    assert worst < 1e-9
+    # The logarithm inverts the series exponential, so it is pinned without
+    # the closed-form exponential.
+    xi = rng.normal(size=(1000, 6))
+    angles = rng.uniform(0.0, 3.0, 1000)
+    xi[:, :3] *= (angles / np.maximum(np.linalg.norm(xi[:, :3], axis=1), 1e-12))[:, None]
+    poses = np.stack([oracles.se3_exp_series(x, terms=60) for x in xi])
+    back = log_from_identity(poses[:, :3, :3], poses[:, :3, 3])
+    assert np.max(np.abs(back - xi)) < 1e-9
 
 
 def test_round_trip_near_pi(rng):
-    for _ in range(100):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        xi = np.concatenate([axis * (np.pi - 1e-3), rng.normal(size=3)])
-        pose = lie.se3_exp(xi)
-        again = lie.se3_exp(lie.se3_log(pose))
-        assert np.linalg.norm(again.matrix() - pose.matrix()) < 1e-9
+    axis = rng.normal(size=(100, 3))
+    axis /= np.linalg.norm(axis, axis=1)[:, None]
+    xi = np.concatenate([axis * (np.pi - 1e-3), rng.normal(size=(100, 3))], axis=1)
+    poses = np.stack([oracles.se3_exp_series(x, terms=60) for x in xi])
+    back = log_from_identity(poses[:, :3, :3], poses[:, :3, 3])
+    assert np.max(np.abs(back - xi)) < 1e-9
+    again = matrices(*lie.se3_exp_batch(back))
+    assert np.max(np.linalg.norm(again - poses, axis=(1, 2))) < 1e-9
 
 
 def test_log_rejects_angle_at_pi():
-    pose = lie.Pose(lie.so3_exp(np.array([np.pi - 1e-9, 0.0, 0.0])), np.zeros(3))
-    with pytest.raises(AmbiguousLogarithmError):
-        lie.se3_log(pose)
+    # Within 1e-6 of pi the logarithm is ambiguous; just outside it is not.
+    for gap in (0.0, 1e-9, 9e-7):
+        rot = rotation_about_x(np.pi - gap)
+        with pytest.raises(AmbiguousLogarithmError):
+            lie.so3_log_batch(np.stack([np.eye(3), rot]))
+        with pytest.raises(AmbiguousLogarithmError):
+            log_from_identity(rot[None], np.zeros((1, 3)))
+    rv = lie.so3_log_batch(rotation_about_x(np.pi - 2e-6)[None])
+    assert np.allclose(rv, [[np.pi - 2e-6, 0.0, 0.0]], rtol=0.0, atol=1e-9)
+
+
+def test_batch_helpers_match_scalar(rng):
+    # A single value is a batch of one.  Each row takes its own series
+    # branch, so a row's result does not depend on the other angles in its
+    # batch.  The SE(3) Jacobians are checked the same way below.
+    xi = twists_at(rng, np.concatenate([ALL_SWITCH_ANGLES, rng.uniform(0.0, 3.0, 16)]))
+    r = xi[:, :3]
+    for fn, batch in (
+        (lie.so3_exp_batch, r),
+        (lie.so3_log_batch, lie.so3_exp_batch(r)),
+        (lie.so3_left_jacobian_batch, r),
+        (lie.so3_left_jacobian_inv_batch, r),
+    ):
+        out = fn(batch)
+        for i in range(len(batch)):
+            assert np.array_equal(out[i], fn(batch[i : i + 1])[0]), fn.__name__
+    rot, t = lie.se3_exp_batch(xi)
+    for i in range(len(xi)):
+        (rot_i,), (t_i,) = lie.se3_exp_batch(xi[i : i + 1])
+        assert np.array_equal(rot[i], rot_i) and np.array_equal(t[i], t_i)
 
 
 def test_left_jacobian_inv_identity_at_zero():
@@ -96,9 +173,9 @@ def test_left_jacobian_composition_defect(rng):
     small *= (1e-4 / np.linalg.norm(small, axis=1))[:, None]
     moved = (lie.se3_left_jacobian_inv_batch(xi) @ small[:, :, None])[:, :, 0] + xi
     for i in range(50):
-        lhs = lie.se3_exp(moved[i])
-        rhs = lie.se3_exp(small[i]) @ lie.se3_exp(xi[i])
-        assert np.linalg.norm(lhs.matrix() - rhs.matrix()) < 1e-7
+        lhs = oracles.se3_exp_series(moved[i], terms=40)
+        rhs = oracles.se3_exp_series(small[i]) @ oracles.se3_exp_series(xi[i], terms=40)
+        assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
 def test_left_jacobian_inverse_against_numeric(rng):
@@ -117,62 +194,48 @@ def test_left_jacobian_pair_is_inverse(rng):
     assert np.max(np.linalg.norm(product - np.eye(6), axis=(1, 2))) < 1e-12
 
 
-def interp(poses_a, poses_b, alphas):
-    """``lie.se3_interp_batch`` over lists of poses, as a list of poses."""
-    rot, t = lie.se3_interp_batch(
-        np.stack([p.rotation for p in poses_a]),
-        np.stack([p.translation for p in poses_a]),
-        np.stack([p.rotation for p in poses_b]),
-        np.stack([p.translation for p in poses_b]),
-        np.asarray(alphas, dtype=float),
-    )
-    return [lie.Pose(r, v) for r, v in zip(rot, t)]
-
-
 def test_interp_endpoints(rng):
-    a, b = random_pose(rng), random_pose(rng)
-    start, end = interp([a, a], [b, b], [0.0, 1.0])
-    assert np.allclose(start.matrix(), a.matrix())
-    assert np.allclose(end.matrix(), b.matrix())
+    a = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]
+    b = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]
+    rot, t = lie.se3_interp_batch(*a, *b, np.array([0.0, 1.0]))
+    assert np.allclose(matrices(rot[0], t[0]), matrices(a[0][0], a[1][0]))
+    assert np.allclose(matrices(rot[1], t[1]), matrices(b[0][0], b[1][0]))
 
 
 def test_interp_translation_midpoint():
-    a = lie.Pose.identity()
-    b = lie.Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-    mid = interp([a], [b], [0.5])[0]
-    assert np.allclose(mid.translation, [1.0, 0.0, 0.0], atol=1e-12)
+    _, t = lie.se3_interp_batch(
+        np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None], np.array([[2.0, 0.0, 0.0]]),
+        np.array([0.5]),
+    )
+    assert np.allclose(t[0], [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_interp_rotation_scaling():
-    b = lie.Pose(lie.so3_exp(np.array([0.0, 0.0, np.pi / 2])), np.zeros(3))
-    third = interp([lie.Pose.identity()], [b], [1.0 / 3.0])[0]
-    expected = lie.so3_exp(np.array([0.0, 0.0, np.pi / 6]))
-    assert np.allclose(third.rotation, expected, atol=1e-12)
+    rot, _ = lie.se3_interp_batch(
+        np.eye(3)[None], np.zeros((1, 3)), rotation_about_x(np.pi / 2)[None], np.zeros((1, 3)),
+        np.array([1.0 / 3.0]),
+    )
+    assert np.allclose(rot[0], rotation_about_x(np.pi / 6), atol=1e-12)
 
 
 def test_interp_symmetry(rng):
-    poses_a = [random_pose(rng) for _ in range(50)]
-    poses_b = [random_pose(rng) for _ in range(50)]
+    a, b = random_poses(rng, 50), random_poses(rng, 50)
     alphas = rng.uniform(size=50)
-    lhs = interp(poses_a, poses_b, alphas)
-    rhs = interp(poses_b, poses_a, 1.0 - alphas)
-    for left, right in zip(lhs, rhs):
-        assert np.linalg.norm(left.matrix() - right.matrix()) < 1e-9
+    lhs = matrices(*lie.se3_interp_batch(*a, *b, alphas))
+    rhs = matrices(*lie.se3_interp_batch(*b, *a, 1.0 - alphas))
+    assert np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))) < 1e-9
 
 
-def test_composition_chain_stays_orthonormal(rng):
-    step = lie.se3_exp(np.array([1e-3, 2e-3, -1e-3, 0.01, 0.0, 0.02]))
-    pose = lie.Pose.identity()
+def test_composition_chain_stays_orthonormal():
+    # Poses are composed without re-orthonormalization; the rounding of
+    # 10,000 compositions stays far below what any consumer notices.
+    step_rot, step_t = lie.se3_exp_batch(np.array([[1e-3, 2e-3, -1e-3, 0.01, 0.0, 0.02]]))
+    rot, t = np.eye(3)[None], np.zeros((1, 3))
     for _ in range(10_000):
-        pose = pose @ step
-    defect = np.linalg.norm(pose.rotation.T @ pose.rotation - np.eye(3))
+        rot, t = compose_correction(rot, t, step_rot, step_t)
+    defect = np.linalg.norm(rot[0].T @ rot[0] - np.eye(3))
     assert defect < 1e-9
-    assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
-
-
-def test_pose_rejects_bad_rotation():
-    with pytest.raises(InvalidArgumentError):
-        lie.Pose(np.eye(3) * 2.0, np.zeros(3))
+    assert abs(np.linalg.det(rot[0]) - 1.0) < 1e-9
 
 
 def test_series_coefficients_match_taylor_reference():
@@ -190,58 +253,23 @@ def test_series_coefficients_match_taylor_reference():
             1 / 12 + t**2 / 720 + t**4 / 30240 + t**6 / 1209600 + t**8 / 47900160
         ),
     }
-    for angle in SWITCH_ANGLES:
-        for coeff, reference in references.items():
-            assert abs(coeff(angle) - reference(angle)) < 1e-10 * reference(angle)
-
-
-def test_batch_helpers_match_scalar(rng):
-    angles = np.concatenate([SWITCH_ANGLES, rng.uniform(0.0, 3.0, size=64)])
-    n = angles.size
-    rotvecs = rng.normal(size=(n, 3))
-    rotvecs *= (angles / np.linalg.norm(rotvecs, axis=1))[:, None]
-    rots = lie.so3_exp_batch(rotvecs)
-    for i in range(n):
-        assert np.allclose(rots[i], lie.so3_exp(rotvecs[i]), atol=1e-12)
-    back = lie.so3_log_batch(rots)
-    assert np.allclose(back, rotvecs, atol=1e-9)
-    jl = lie.so3_left_jacobian_batch(rotvecs)
-    jli = lie.so3_left_jacobian_inv_batch(rotvecs)
-    for i in range(n):
-        assert np.allclose(jl[i], lie.so3_left_jacobian(rotvecs[i]), atol=1e-12)
-        assert np.allclose(jli[i], lie.so3_left_jacobian_inv(rotvecs[i]), atol=1e-12)
-
-    # Along a coordinate axis the scalar and the batch norm are both exact, so
-    # both paths see the same angle and evaluate the same series and closed
-    # forms.  They agree exactly, except that numpy rounds the closed forms'
-    # t**2 and t**3 differently for a scalar and an array, by up to an ulp.
-    axial = np.zeros((n, 3))
-    axial[:, 1] = -angles
-    for scalar, batch in (
-        (lie.so3_exp, lie.so3_exp_batch),
-        (lie.so3_left_jacobian, lie.so3_left_jacobian_batch),
-        (lie.so3_left_jacobian_inv, lie.so3_left_jacobian_inv_batch),
-    ):
-        out = batch(axial)
-        for i in range(n):
-            expected = scalar(axial[i])
-            if scalar is lie.so3_exp or angles[i] < lie.SERIES_ANGLE:
-                assert np.array_equal(out[i], expected)
-            else:
-                assert np.allclose(out[i], expected, rtol=0.0, atol=1e-15)
+    angles = np.array(SWITCH_ANGLES)
+    for coeff, reference in references.items():
+        expected = np.array([reference(angle) for angle in SWITCH_ANGLES])
+        assert np.all(np.abs(coeff(angles) - expected) < 1e-10 * expected)
 
 
 def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
-    # Rotation angles on both sides of the Q-matrix series switch.
+    # Rotation angles on both sides of every series switch.
     switch = lie.Q_SERIES_ANGLE
     angles = np.concatenate([
-        [0.0, 1e-6],
+        ALL_SWITCH_ANGLES,
+        [1e-6],
         rng.uniform(0.01, switch, 6),
-        [switch - 1e-7, switch, switch + 1e-7],
+        [switch - 1e-7, switch + 1e-7],
         rng.uniform(switch, 2.5, 6),
     ])
-    xi = rng.normal(size=(angles.size, 6))
-    xi[:, :3] *= (angles / np.linalg.norm(xi[:, :3], axis=1))[:, None]
+    xi = twists_at(rng, angles)
     jl = lie.se3_left_jacobian_batch(xi)
     jl_inv = lie.se3_left_jacobian_inv_batch(xi)
     for i in range(angles.size):
@@ -255,10 +283,11 @@ def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
 
 
 def test_se3_interp_batch_matches_interp_pose(rng):
-    poses_a = [random_pose(rng, max_angle=1.5) for _ in range(32)]
-    poses_b = [random_pose(rng, max_angle=1.5) for _ in range(32)]
+    a = random_poses(rng, 32, max_angle=1.5)
+    b = random_poses(rng, 32, max_angle=1.5)
     alphas = rng.uniform(size=32)
-    for a, b, alpha, got in zip(poses_a, poses_b, alphas, interp(poses_a, poses_b, alphas)):
-        expected = oracles.interp_pose(a, b, alpha)
-        assert np.allclose(got.rotation, expected.rotation, atol=1e-10)
-        assert np.allclose(got.translation, expected.translation, atol=1e-10)
+    got = matrices(*lie.se3_interp_batch(*a, *b, alphas))
+    pose_a, pose_b = matrices(*a), matrices(*b)
+    for i in range(32):
+        expected = oracles.interp_pose(pose_a[i], pose_b[i], alphas[i])
+        assert np.allclose(got[i], expected, atol=1e-10)

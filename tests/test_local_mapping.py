@@ -222,16 +222,6 @@ def test_degenerate_geometry_reports_null_space():
     assert err.value.null_dimension >= 1
 
 
-def test_report_csv(tmp_path):
-    cfg, truth, imu, init, scene = small_sim(seed=9, n_features=150)
-    state, est, report = run_window(truth, imu, init, scene)
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,cost,rms_surfel,rms_prior,rms_accel,rms_gyro,step_norm"
-    assert len(lines) == len(report.records) + 1
-
-
 def test_cost_non_increasing():
     cfg, truth, imu, init, scene = small_sim(seed=10, n_features=200)
     state, est, report = run_window(truth, imu, init, scene)

@@ -14,11 +14,18 @@ def make_trajectory(rng, n=101, rate=100.0, rot_scale=0.2, t_scale=0.5):
     return Trajectory(times, lie.so3_exp_batch(rotvecs), translations, rate)
 
 
+def homogeneous(rot, t):
+    out = np.eye(4)
+    out[:3, :3] = rot
+    out[:3, 3] = t
+    return out
+
+
 def test_sample_at_knot_returns_stored_pose(rng):
     traj = make_trajectory(rng)
-    pose = traj.sample(traj.times[17])
-    assert np.allclose(pose.rotation, traj.rotations[17])
-    assert np.allclose(pose.translation, traj.translations[17])
+    rot, t = traj.sample_batch([traj.times[17]])
+    assert np.allclose(rot[0], traj.rotations[17])
+    assert np.allclose(t[0], traj.translations[17])
 
 
 # Sampling blends neighbouring poses along the SE(3) geodesic ("se3").
@@ -38,27 +45,28 @@ def test_two_sample_translation():
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
         nominal_rate=1.0,
     )
-    pose = traj.sample(0.25)
-    assert np.allclose(pose.translation, [0.25, 0.0, 0.0], atol=1e-12)
+    _, t = traj.sample_batch([0.25])
+    assert np.allclose(t[0], [0.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_sample_lies_on_geodesic(rng):
     traj = make_trajectory(rng)
-    for _ in range(50):
-        k = rng.integers(0, len(traj) - 1)
-        alpha = rng.uniform(0.05, 0.95)
-        tau = traj.times[k] + alpha * (traj.times[k + 1] - traj.times[k])
-        sample = traj.sample(tau)
-        pose_k = traj.pose(k)
-        rel_full = lie.se3_log(pose_k.inverse() @ traj.pose(k + 1))
-        rel_part = lie.se3_log(pose_k.inverse() @ sample)
-        assert np.linalg.norm(rel_part - alpha * rel_full) < 1e-9
+    k = rng.integers(0, len(traj) - 1, size=50)
+    alpha = rng.uniform(0.05, 0.95, size=50)
+    rot, t = traj.sample_batch(traj.times[k] + alpha * (traj.times[k + 1] - traj.times[k]))
+    rot_k, t_k = traj.rotations[k], traj.translations[k]
+    rel_full = lie.se3_relative_log_batch(
+        rot_k, t_k, traj.rotations[k + 1], traj.translations[k + 1]
+    )
+    rel_part = lie.se3_relative_log_batch(rot_k, t_k, rot, t)
+    for full, part in zip(rel_full, rel_part):
+        assert np.max(np.linalg.norm(part - alpha[:, None] * full, axis=1)) < 1e-9
 
 
 def test_sample_out_of_range(rng):
     traj = make_trajectory(rng)
     with pytest.raises(OutOfRangeError):
-        traj.sample(traj.end + 0.5)
+        traj.sample_batch([traj.end + 0.5])
 
 
 def test_rejects_non_increasing_times():
@@ -172,8 +180,8 @@ def test_apply_correction_matches_pointwise_composition(rng):
     picks = rng.integers(0, len(traj), size=25)
     rot_c, t_c = correction_batch(grid, traj.times[picks])
     for k, rot, t in zip(picks, rot_c, t_c):
-        expected = lie.Pose(rot, t) @ traj.pose(k)
-        assert np.linalg.norm(out.pose(k).matrix() - expected.matrix()) < 1e-9
+        expected = homogeneous(rot, t) @ homogeneous(traj.rotations[k], traj.translations[k])
+        assert np.linalg.norm(homogeneous(out.rotations[k], out.translations[k]) - expected) < 1e-9
 
 
 def test_apply_correction_missing_support(rng):
@@ -183,16 +191,3 @@ def test_apply_correction_missing_support(rng):
         apply_correction(traj, grid)
     assert len(err.value.timestamps) > 0
 
-
-def test_csv_round_trip(tmp_path, rng):
-    traj = make_trajectory(rng)
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    assert path.read_text().splitlines()[0] == "t,tx,ty,tz,rx,ry,rz"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (len(traj), 7)
-    # Every value is written with repr, so it parses back exactly.
-    assert np.array_equal(data[:, 0], traj.times)
-    assert np.array_equal(data[:, 1:4], traj.translations)
-    assert np.array_equal(data[:, 4:7], lie.so3_log_batch(traj.rotations))
-    assert np.allclose(lie.so3_exp_batch(data[:, 4:7]), traj.rotations, atol=1e-12)
