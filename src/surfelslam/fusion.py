@@ -9,8 +9,9 @@ single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
 ``fuse_surfel``) are the batch functions on a batch of one.  A fusion step
 folds its measurements into their destinations in rounds, each round fusing
 the next pending measurement of every destination, and checks the fused rows
-once.  The sparse ICP reads the arrays of ``SparseSurfels`` batches and pairs
-its surfels through one ``radius_join`` per iteration.
+once, with the eigenvalues of the update's PSD clamps.  The sparse ICP reads
+the arrays of ``SparseSurfels`` batches, keys its destinations once per call
+and pairs its surfels through one join with them per iteration.
 
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
@@ -31,12 +32,13 @@ from .surfel_map import (
     DenseSurfelMap,
     DenseSurfels,
     GlobalMaps,
+    KeyedPoints,
     SparseSurfels,
     _put,
     _rounds,
     _row_dot,
     check_dense,
-    clamp_psd,
+    psd_eigh,
     radius_join,
 )
 
@@ -219,11 +221,12 @@ def _chol_or_regularize(m, what):
     return out
 
 
-def extract_normal_batch(scatter, previous):
-    """Smallest-eigenvalue eigenvector of each scatter, sign-continuous with
-    its previous normal; the previous normal is kept where the two smallest
-    eigenvalues are indistinguishable."""
-    eigenvalues, vectors = np.linalg.eigh(scatter)
+def extract_normal_batch(eigh, previous):
+    """Smallest-eigenvalue eigenvector of each scatter, given the scatters'
+    ascending eigenpairs ``eigh``, sign-continuous with its previous normal;
+    the previous normal is kept where the two smallest eigenvalues are
+    indistinguishable."""
+    eigenvalues, vectors = eigh
     scale = np.maximum(np.abs(eigenvalues[:, 2]), 1e-30)
     ambiguous = eigenvalues[:, 1] - eigenvalues[:, 0] < 1e-9 * scale
     if log.isEnabledFor(logging.DEBUG):
@@ -235,10 +238,16 @@ def extract_normal_batch(scatter, previous):
     return np.where(ambiguous[:, None], previous, normal)
 
 
-def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement) -> DenseSurfels:
+def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     """Normal-inverse-Wishart update of centroid, covariance, and extent of
     each destination row by the measurement in the same row of a stacked
-    ``meas``.  The result is not checked; see ``check_dense``."""
+    ``meas``.
+
+    Returns the fused batch, not checked, and the eigenvalues of its
+    centroid covariances and scatters as ``check_dense`` takes them: the
+    PSD clamps (``psd_eigh``) give them, and the scatters' eigenpairs give
+    the normals too.
+    """
     if np.any(dst.dof <= MEASUREMENT_DIM + 1):
         raise InvalidArgumentError("surfel extent state not yet well defined")
     count = np.asarray(meas.count, dtype=float)
@@ -252,27 +261,29 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement) -> DenseSurfels:
     mean = dst.centroid + (gain @ delta[:, :, None])[:, :, 0]
     centroid_cov = dst.centroid_cov - gain @ dst.centroid_cov
 
-    sqrt_x = np.linalg.cholesky(clamp_psd(extent) + 1e-18 * np.eye(3))
+    sqrt_x = np.linalg.cholesky(psd_eigh(extent)[0] + 1e-18 * np.eye(3))
     innovation = delta[:, :, None] * delta[:, None, :]
     left_s = sqrt_x @ np.linalg.inv(sqrt_s)
     left_y = sqrt_x @ np.linalg.inv(sqrt_y)
     n_bar = left_s @ innovation @ _transpose(left_s)
     y_bar = left_y @ meas.scatter @ _transpose(left_y)
-    scatter = clamp_psd(dst.scatter + n_bar + y_bar)
+    scatter, scatter_eigh = psd_eigh(dst.scatter + n_bar + y_bar)
+    centroid_cov, (cov_eigenvalues, _) = psd_eigh(centroid_cov)
 
     timestamp = dst.timestamp
     if meas.timestamp is not None:
         timestamp = np.maximum(timestamp, meas.timestamp)
-    return replace(
+    fused = replace(
         dst,
         centroid=mean,
-        normal=extract_normal_batch(scatter, dst.normal),
-        centroid_cov=clamp_psd(centroid_cov),
+        normal=extract_normal_batch(scatter_eigh, dst.normal),
+        centroid_cov=centroid_cov,
         scatter=scatter,
         dof=dst.dof + count,
         obs_count=dst.obs_count + 1,
         timestamp=timestamp,
     )
+    return fused, {"centroid_cov": cov_eigenvalues, "scatter": scatter_eigh[0]}
 
 
 def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
@@ -281,7 +292,7 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
         meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None],
         None if meas.timestamp is None else [meas.timestamp],
     )
-    return check_dense(fuse_batch(DenseSurfels.of([dst]), one))[0]
+    return check_dense(*fuse_batch(DenseSurfels.of([dst]), one))[0]
 
 
 # -- colour -------------------------------------------------------------------
@@ -323,14 +334,14 @@ class IcpResult:
     normal_eigen_ratio: float = 0.0  # of sum(w n n^T) at the final association
 
 
-def _associate(rotation, translation, src_pts, src_normals, dst_pts, dst_normals,
-               max_pair_distance):
+def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, dst_normals):
     """ICP pairs at one pose: each moved source centroid with its nearest
-    destination centroid closer than ``max_pair_distance`` whose normal is
-    compatible, ``|R n_s . n_d| > NORMAL_COMPATIBILITY``; of equally near
-    ones, the lowest index.
+    destination centroid closer than ``max_pair_distance`` (the radius
+    ``dst`` is keyed at) whose normal is compatible,
+    ``|R n_s . n_d| > NORMAL_COMPATIBILITY``; of equally near ones, the
+    lowest index.
 
-    One ``radius_join`` gathers the candidates.  Each distance is the square
+    One join with the keyed destinations gathers the candidates.  Each distance is the square
     root of the join's squared distance, which rounds as ``np.linalg.norm``
     of the difference does, and one ``lexsort`` on (source, distance,
     destination) picks each source's nearest compatible destination.
@@ -338,13 +349,13 @@ def _associate(rotation, translation, src_pts, src_normals, dst_pts, dst_normals
     destination index arrays, by source.
     """
     moved = src_pts @ rotation.T + translation
-    i, j, d_sq = radius_join(moved, dst_pts, max_pair_distance)
+    i, j, d_sq = dst.join(moved)
     turned = src_normals @ rotation.T
     compatible = np.abs(_row_dot(turned[i], dst_normals[j])) > NORMAL_COMPATIBILITY
     i, j, d = i[compatible], j[compatible], np.sqrt(d_sq[compatible])
     order = np.lexsort((j, d, i))
     i, j, d = i[order], j[order], d[order]
-    paired = (np.diff(i, prepend=-1) != 0) & (d < max_pair_distance)
+    paired = (np.diff(i, prepend=-1) != 0) & (d < dst.radius)
     return moved[i[paired]], i[paired], j[paired]
 
 
@@ -356,9 +367,10 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     than ``max_pair_distance`` whose normal is compatible with the rotated
     source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
     different planes never pair; of equally near ones it takes the lowest
-    destination index.  Each association is one ``radius_join`` of the
-    moved source centroids with the destination centroids at
-    ``max_pair_distance``, not a full distance matrix.  The same
+    destination index.  The destination centroids are keyed once at
+    ``max_pair_distance`` (``KeyedPoints``), and each association is one
+    join of the moved source centroids with them, not a full distance
+    matrix.  The same
     association drives every solve and the final count.  A pair is an
     inlier when the moved source centroid lies within ``inlier_distance`` of
     the destination surfel's plane; the inlier fraction is taken over the
@@ -378,13 +390,14 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         return IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
     src_pts, src_normals = src.centroid, src.normal
     dst_pts, dst_normals = dst.centroid, dst.normal
+    keyed = KeyedPoints(dst_pts, max_pair_distance)
     weights_dst = np.maximum(dst.planarity, 0.05)
 
     rotation = np.eye(3)
     translation = np.zeros(3)
     for _ in range(max_iterations):
         p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
-                                         dst_pts, dst_normals, max_pair_distance)
+                                         keyed, dst_normals)
         if src_idx.size < 6:
             return IcpResult(rotation, translation, 0.0, False, [])
         q = dst_pts[dst_idx]
@@ -406,7 +419,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
             break
 
     p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
-                                     dst_pts, dst_normals, max_pair_distance)
+                                     keyed, dst_normals)
     if src_idx.size < 6:
         return IcpResult(rotation, translation, 0.0, False, [])
     n = dst_normals[dst_idx]
@@ -488,19 +501,26 @@ class TemporalFusionResult:
 
 def _fold(state: DenseSurfels, slot, sources: DenseSurfels, noise):
     """Fuse each local surfel ``sources[m]``, with beam noise ``noise[m]``,
-    into row ``slot[m]`` of ``state``, in place.
+    into row ``slot[m]`` of ``state``, in place; every row must have a
+    measurement.  Returns the eigenvalues of the fused covariance stacks, as
+    ``check_dense`` takes them.
 
     A row's measurements are fused in input order, so the rows are folded
     in rounds: round ``r`` fuses the ``r``-th measurement of every row that
     has one, all at once.
     """
+    eigenvalues = {f: np.empty((len(state), 3)) for f in ("centroid_cov", "scatter")}
     for pending in _rounds(slot):
         rows, src = slot[pending], sources[pending]
         dst = state[rows]
         meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[pending],
                                  src.timestamp)
         colour, sigma = fuse_colour(dst, src)
-        _put(state, rows, replace(fuse_batch(dst, meas), colour=colour, colour_sigma=sigma))
+        fused, fused_eigenvalues = fuse_batch(dst, meas)
+        _put(state, rows, replace(fused, colour=colour, colour_sigma=sigma))
+        for f, w in fused_eigenvalues.items():
+            eigenvalues[f][rows] = w
+    return eigenvalues
 
 
 def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
@@ -549,8 +569,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         state = dense.rows(fused_keys)
         sources = local.dense[matched]
         noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal, cfg.beam)
-        _fold(state, slot, sources, noise)
-        dense.write(fused_keys, check_dense(state))
+        dense.write(fused_keys, check_dense(state, _fold(state, slot, sources, noise)))
     unmatched = np.ones(len(local.dense), dtype=bool)
     unmatched[matched] = False
     new_keys = dense.extend(local.dense[unmatched])

@@ -103,13 +103,16 @@ def _se3_q_coeffs(theta):
 def _q_from_hats(rx, tx, c1, c2, c3):
     # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff
     # terms) from (N, 3, 3) hat stacks and coefficients shaped (N, 1, 1).
+    # Four products suffice: for skew-symmetric rx and tx, tx rx = (rx tx)^T,
+    # tx rx rx = -(rx rx tx)^T and rx rx tx rx = (rx tx rx rx)^T.
     rxtx = rx @ tx
-    txrx = tx @ rx
     rxtxrx = rxtx @ rx
+    rxrxtx = rx @ rxtx
+    rxtxrxrx = rxtxrx @ rx
     q = 0.5 * tx
-    q = q + c1 * (rxtx + txrx + rxtxrx)
-    q = q + c2 * (rx @ rxtx + txrx @ rx - 3.0 * rxtxrx)
-    q = q + c3 * (rxtxrx @ rx + rx @ rxtxrx)
+    q = q + c1 * (rxtx + rxtx.transpose(0, 2, 1) + rxtxrx)
+    q = q + c2 * (rxrxtx - rxrxtx.transpose(0, 2, 1) - 3.0 * rxtxrx)
+    q = q + c3 * (rxtxrxrx + rxtxrxrx.transpose(0, 2, 1))
     return q
 
 
@@ -135,12 +138,31 @@ def hat_batch(v):
     return out
 
 
+def _so3_hats(r):
+    """Angles (N,), hats (N, 3, 3) and squared hats of (N, 3) rotation
+    vectors: what the exponential, the left Jacobian, its inverse and the
+    SE(3) Q block share, computed once where a caller needs several."""
+    k = hat_batch(r)
+    return np.linalg.norm(r, axis=1), k, k @ k
+
+
+def _so3_exp(theta, k, kk):
+    return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
+
+
+def _so3_left_jacobian(theta, k, kk):
+    b = _cos_coeff(theta)[:, None, None]
+    c = _one_minus_sinc_coeff(theta)[:, None, None]
+    return np.eye(3) + b * k + c * kk
+
+
+def _so3_left_jacobian_inv(theta, k, kk):
+    return np.eye(3) - 0.5 * k + _jl_inv_coeff(theta)[:, None, None] * kk
+
+
 def so3_exp_batch(r):
     """Rodrigues formula over (N, 3) rotation vectors."""
-    theta = np.linalg.norm(r, axis=1)
-    k = hat_batch(r)
-    kk = k @ k
-    return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
+    return _so3_exp(*_so3_hats(r))
 
 
 def so3_log_batch(rotations):
@@ -163,37 +185,33 @@ def so3_log_batch(rotations):
 
 
 def so3_left_jacobian_batch(r):
-    theta = np.linalg.norm(r, axis=1)
-    k = hat_batch(r)
-    b = _cos_coeff(theta)[:, None, None]
-    c = _one_minus_sinc_coeff(theta)[:, None, None]
-    return np.eye(3) + b * k + c * (k @ k)
+    return _so3_left_jacobian(*_so3_hats(r))
 
 
 def so3_left_jacobian_inv_batch(r):
-    theta = np.linalg.norm(r, axis=1)
-    k = hat_batch(r)
-    return np.eye(3) - 0.5 * k + _jl_inv_coeff(theta)[:, None, None] * (k @ k)
+    return _so3_left_jacobian_inv(*_so3_hats(r))
 
 
-def _se3_q_batch(r, t):
-    c1, c2, c3 = (c[:, None, None] for c in _se3_q_coeffs(np.linalg.norm(r, axis=1)))
-    return _q_from_hats(hat_batch(r), hat_batch(t), c1, c2, c3)
+def _se3_q(theta, k, t):
+    # The Q block from the rotational part's angles and hats (see _so3_hats)
+    # and the translational parts (N, 3).
+    c1, c2, c3 = (c[:, None, None] for c in _se3_q_coeffs(theta))
+    return _q_from_hats(k, hat_batch(t), c1, c2, c3)
 
 
 def se3_left_jacobian_batch(xi):
     """(N, 6) twists -> (N, 6, 6) left Jacobians of SE(3) in (rotational,
     translational) ordering."""
-    r, t = xi[:, :3], xi[:, 3:]
-    return _se3_blocks(so3_left_jacobian_batch(r), _se3_q_batch(r, t))
+    theta, k, kk = _so3_hats(xi[:, :3])
+    return _se3_blocks(_so3_left_jacobian(theta, k, kk), _se3_q(theta, k, xi[:, 3:]))
 
 
 def se3_left_jacobian_inv_batch(xi):
     """(N, 6) twists -> (N, 6, 6) inverse left Jacobians: to second order in
     ``d``, ``exp(Jl^-1(xi) d + xi) = exp(d) exp(xi)``."""
-    r, t = xi[:, :3], xi[:, 3:]
-    jl_inv = so3_left_jacobian_inv_batch(r)
-    return _se3_blocks(jl_inv, -jl_inv @ _se3_q_batch(r, t) @ jl_inv)
+    theta, k, kk = _so3_hats(xi[:, :3])
+    jl_inv = _so3_left_jacobian_inv(theta, k, kk)
+    return _se3_blocks(jl_inv, -jl_inv @ _se3_q(theta, k, xi[:, 3:]) @ jl_inv)
 
 
 def se3_relative_log_batch(rot_a, t_a, rot_b, t_b):
@@ -212,7 +230,8 @@ def se3_exp_batch(xi):
     if xi.ndim != 2 or xi.shape[1] != 6 or not np.all(np.isfinite(xi)):
         raise InvalidArgumentError("twists must be finite and shaped (N, 6)")
     r, t = xi[:, :3], xi[:, 3:]
-    return so3_exp_batch(r), np.einsum("nij,nj->ni", so3_left_jacobian_batch(r), t)
+    hats = _so3_hats(r)
+    return _so3_exp(*hats), np.einsum("nij,nj->ni", _so3_left_jacobian(*hats), t)
 
 
 def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha, twist=None):

@@ -194,7 +194,7 @@ class _Iterate(NamedTuple):
     ``where`` brackets the queries among the samples (see
     ``_WindowSystem._where``); ``samples`` are the corrected samples;
     ``chart`` is the brackets' twists the poses were interpolated with (see
-    ``_WindowSystem._interpolate``).
+    ``trajectory.interpolate``).
     """
 
     x: np.ndarray
@@ -409,22 +409,13 @@ class _WindowSystem:
             self._where_at = d, where
         return self._where_at[1]
 
-    def _interpolate(self, rot_s, t_s, idx, w):
-        """Poses at the sample brackets ``(idx, w)`` and the chart they were
-        read in: the distinct brackets of the interior queries, each query's
-        bracket among them, and the brackets' twists ``(lo, at, phi, rho)``."""
-        lo, at = np.unique(idx[(w > 0.0) & (w < 1.0)], return_inverse=True)
-        phi, rho = lie.se3_relative_log_batch(rot_s[lo], t_s[lo], rot_s[lo + 1], t_s[lo + 1])
-        rot, t = interpolate(rot_s, t_s, idx, w, twists=(phi[at], rho[at]))
-        return rot, t, (lo, at, phi, rho)
-
     def evaluate(self, x, state):
         """The iterate at ``x``: the query poses it reads and its whitened
         residuals (no robust weighting)."""
         c_t, c_r, b_a, b_g, d = self.split_params(x, state)
         where = self._where(d)
         samples = self._corrected_samples(c_t, c_r)
-        rot, t, chart = self._interpolate(*samples, *where)
+        rot, t, chart = interpolate(*samples, *where)
         residuals = self._residuals_at(rot, t, b_a, b_g)
         return _Iterate(x, state, where, samples, rot, t, chart, residuals)
 
@@ -545,7 +536,7 @@ class _WindowSystem:
     def _blend(self, rot_s, t_s, alpha, chart):
         """Maps from the perturbations of the two samples bracketing each
         interior query to the perturbation of the pose interpolated between
-        them at ``alpha``, given the chart :meth:`_interpolate` read."""
+        them at ``alpha``, given the chart ``trajectory.interpolate`` read."""
         # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
         # delta = (I - M) delta_lo + M delta_hi with
         # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1

@@ -22,18 +22,30 @@ each normal and planarity from the covariance.  Each runs once per batch
 where a batch is made (extraction, a fusion step's fused rows, a sparse
 fuse's pooled rows) and on a batch of one where a single surfel is built.
 
+Each covariance stack the pipeline makes is eigendecomposed once, by the
+PSD clamp ``psd_eigh``, and its eigenpairs are shared: extraction takes its
+normals, its clamp and the scatter half of its check from one ``eigh`` of
+the scatters; voxelization and the sparse fuse hand the clamp's eigenpairs
+to ``_check_sparse`` for the normals, planarities and PSD check; and
+fusion's Wishart update (``fusion.fuse_batch``) hands them to the normal
+extraction and to ``check_dense``.  The checks decompose only what they are
+not given eigenvalues for: single surfels, direct calls and the centroid
+covariances of an extraction.
+
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
-al., Optimized Spatial Hashing, VMV 2003): it sorts the points by cell key
-and expands every point pair of each pair of neighbouring occupied cells.
-``_radius_pairs`` joins one point set with itself over each cell's 13
-half-neighbours; ``radius_join`` joins two sets and expands only pairs of a
-cell of one set with a cell of the other, which serves the dense map's
-queries, fusion's matching and the ICP's association.  Extraction works on
-a whole scan at once.  Dense seeding takes the lexicographically-first
-maximal independent set of the pairs closer than the radius, and each
-seed's moments are segment sums over its pairs; sparse voxelization sorts
-the points once per resolution by a linearized voxel key, and each voxel's
-moments are segment sums over that order.
+al., Optimized Spatial Hashing, VMV 2003): ``KeyedPoints`` sorts a point
+set by cell key once, and a join expands every point pair of each pair of
+neighbouring occupied cells.  ``_radius_pairs`` joins one point set with
+itself over each cell's 13 half-neighbours; ``KeyedPoints.join`` joins
+another set with the keyed one and expands only pairs of a cell of one set
+with a cell of the other.  ``radius_join`` is that join applied once, and
+serves the dense map's queries and fusion's matching; the ICP keys its
+fixed destinations once per call and joins every iterate with them.
+Extraction works on a whole scan at once.  Dense seeding takes the
+lexicographically-first maximal independent set of the pairs closer than
+the radius, and each seed's moments are segment sums over its pairs; sparse
+voxelization sorts the points once per resolution by a linearized voxel
+key, and each voxel's moments are segment sums over that order.
 """
 
 from __future__ import annotations
@@ -76,18 +88,32 @@ def _require_psd(eigenvalues, what):
         raise InvalidArgumentError(f"{what} is not positive semidefinite")
 
 
-def clamp_psd(m):
-    """Symmetrize and clamp negative eigenvalues at zero, for one matrix or a
-    stack of them; the result is exactly symmetric."""
+def psd_eigh(m, decomposed=None):
+    """Symmetrize one matrix or a stack and clamp negative eigenvalues at
+    zero.  Returns the result, exactly symmetric, and its ascending
+    eigenpairs ``(eigenvalues, vectors)``, equal to ``np.linalg.eigh`` of
+    it.
+
+    This is where a stack's eigendecomposition is shared.  One ``eigh`` of
+    the symmetrized input serves the rows that are positive semidefinite
+    already; only the rows the clamp changed, which are rare, are
+    decomposed again.  A caller that has decomposed the symmetrized input
+    passes that as ``decomposed``.  The eigenpairs returned serve the
+    caller's normals, planarities and PSD check (``_check_sparse``,
+    ``check_dense``, ``fusion.extract_normal_batch``).
+    """
     sym = _symmetrize(m)
-    eigenvalues, vectors = np.linalg.eigh(sym)
+    eigenvalues, vectors = np.linalg.eigh(sym) if decomposed is None else decomposed
     psd = eigenvalues[..., 0] >= 0.0
-    if np.all(psd):
-        return sym
-    clamped = (vectors * np.maximum(eigenvalues, 0.0)[..., None, :]) @ np.swapaxes(
-        vectors, -1, -2
-    )
-    return np.where(psd[..., None, None], sym, _symmetrize(clamped))
+    if psd.all():
+        return sym, (eigenvalues, vectors)
+    changed = ~psd
+    w, v = eigenvalues[changed], vectors[changed]
+    clamped = _symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2))
+    sym[changed] = clamped
+    eigenvalues, vectors = eigenvalues.copy(), vectors.copy()
+    eigenvalues[changed], vectors[changed] = np.linalg.eigh(clamped)
+    return sym, (eigenvalues, vectors)
 
 
 def _unchecked(cls, values):
@@ -177,7 +203,8 @@ def _put(batch, rows, values):
         getattr(batch, f)[rows] = getattr(values, f)
 
 
-def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None):
+def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None,
+                  eigh=None):
     """The one check of sparse surfel fields, over a stack of surfels.
 
     Every field must have its per-surfel shape, with one common length, and
@@ -185,7 +212,10 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None
     symmetrized and must be positive semidefinite within tolerance.  Returns
     the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
     eigenvector of its covariance and each planarity ``(l1 - l0) / l2``;
-    ``voxel`` defaults to the voxels of the centroids.
+    ``voxel`` defaults to the voxels of the centroids.  ``eigh`` is the
+    covariances' ascending eigenpairs when the caller has them (from
+    ``psd_eigh``, whose covariances are exactly symmetric); otherwise the
+    covariances are decomposed here.
     """
     values = {"centroid": centroid, "covariance": covariance, "count": count,
               "resolution": resolution, "timestamp": timestamp}
@@ -199,7 +229,7 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None
     if (values["resolution"] <= 0.0).any():
         raise InvalidArgumentError("sparse surfel resolution must be positive")
     values["covariance"] = _symmetrize(values["covariance"])
-    eigenvalues, vectors = np.linalg.eigh(values["covariance"])
+    eigenvalues, vectors = np.linalg.eigh(values["covariance"]) if eigh is None else eigh
     _require_psd(eigenvalues, "sparse surfel covariance")
     if voxel is None:
         voxel = np.floor(values["centroid"] / values["resolution"][:, None])
@@ -305,15 +335,18 @@ class DenseSurfels(_Batch):
     _VALUE = DenseSurfel
 
 
-def check_dense(batch: DenseSurfels) -> DenseSurfels:
+def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
     """The one check of dense surfel fields, over a whole batch.
 
     Every field must have its per-surfel shape, with one common length, and
     finite values; ``dof`` must be at least 1.  Both covariance stacks are
-    symmetrized and must be positive semidefinite within tolerance (one
-    ``eigvalsh`` over both), and normals must have unit length.  Returns the
-    batch with float fields, ``int64`` observation counts and the
-    symmetrized covariances.
+    symmetrized and must be positive semidefinite within tolerance, and
+    normals must have unit length.  ``eigenvalues`` maps ``"centroid_cov"``
+    or ``"scatter"`` to that stack's ascending eigenvalues when the caller
+    has them (from ``psd_eigh``, whose stacks are exactly symmetric); one
+    ``eigvalsh`` decomposes the stacks it does not name.  Returns the batch
+    with float fields, ``int64`` observation counts and the symmetrized
+    covariances.
     """
     values = {f: np.asarray(getattr(batch, f)) for f in _DENSE_LAYOUT}
     n = len(values["dof"].reshape(-1))
@@ -328,8 +361,12 @@ def check_dense(batch: DenseSurfels) -> DenseSurfels:
         raise InvalidArgumentError("dense surfel dof must be at least 1")
     for f in ("centroid_cov", "scatter"):
         values[f] = _symmetrize(values[f])
-    eigenvalues = np.linalg.eigvalsh(np.concatenate([values["centroid_cov"], values["scatter"]]))
-    _require_psd(eigenvalues, "dense surfel centroid covariance or scatter")
+    known = eigenvalues or {}
+    parts = list(known.values())
+    missing = [values[f] for f in ("centroid_cov", "scatter") if f not in known]
+    if missing:
+        parts.append(np.linalg.eigvalsh(np.concatenate(missing)))
+    _require_psd(np.concatenate(parts), "dense surfel centroid covariance or scatter")
     normal = values["normal"]
     if (np.abs(np.sqrt(_row_dot(normal, normal)) - 1.0) > UNIT_TOLERANCE).any():
         raise InvalidArgumentError("dense surfel normal must be unit length")
@@ -454,7 +491,8 @@ class DenseSurfelMap:
 
 def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
     """Pooled mean, sample covariance and count of two point groups, or row
-    by row of two stacks of them; covariances are clamped PSD."""
+    by row of two stacks of them, and the covariances' eigenpairs;
+    covariances are clamped PSD by ``psd_eigh``."""
     n_a, n_b = np.asarray(n_a), np.asarray(n_b)
     n = n_a + n_b
     mean = (n_a[..., None] * mean_a + n_b[..., None] * mean_b) / n[..., None]
@@ -464,8 +502,8 @@ def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
         + (n_b - 1)[..., None, None] * cov_b
         + (n_a * n_b / n)[..., None, None] * (d[..., :, None] * d[..., None, :])
     )
-    cov = scatter / np.maximum(n - 1, 1)[..., None, None]
-    return mean, clamp_psd(cov), n
+    cov, eigh = psd_eigh(scatter / np.maximum(n - 1, 1)[..., None, None])
+    return mean, cov, n, eigh
 
 
 def _rounds(slot):
@@ -507,7 +545,8 @@ class SparseSurfelMap:
         adds a row that later ones with its key pool into.  Keys are matched
         by one sort of the stored and the new keys together, the merges are
         stacked in rounds (round ``r`` pools the ``r``-th pending surfel of
-        every row), and the pooled rows are checked once.
+        every row), and the pooled rows are checked once, with the
+        eigenpairs of their last merge.
         """
         batch = SparseSurfels.of(surfels)
         stored = self._rows
@@ -532,19 +571,21 @@ class SparseSurfelMap:
             np.concatenate([getattr(stored, f), getattr(batch, f)[new]]) for f in _SPARSE_LAYOUT
         ))
         slot, pending = row[owner[~first]], batch[~first]
+        eigenvalues, vectors = np.empty((len(rows), 3)), np.empty((len(rows), 3, 3))
         for pick in _rounds(slot):
             at, src = slot[pick], pending[pick]
-            mean, cov, count = merge_moments(
+            mean, cov, count, (eigenvalues[at], vectors[at]) = merge_moments(
                 rows.centroid[at], rows.covariance[at], rows.count[at],
                 src.centroid, src.covariance, src.count,
             )
             rows.centroid[at], rows.covariance[at], rows.count[at] = mean, cov, count
             rows.timestamp[at] = np.maximum(rows.timestamp[at], src.timestamp)
         pooled = np.unique(slot)
-        _put(rows, pooled, _check_sparse(*(
-            getattr(rows, f)[pooled]
-            for f in ("centroid", "covariance", "count", "resolution", "timestamp", "voxel")
-        )))
+        _put(rows, pooled, _check_sparse(
+            *(getattr(rows, f)[pooled]
+              for f in ("centroid", "covariance", "count", "resolution", "timestamp", "voxel")),
+            eigh=(eigenvalues[pooled], vectors[pooled]),
+        ))
         self._rows = rows
 
 
@@ -581,8 +622,8 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
     ``voxel`` the voxel's integer index.  Surfels follow the resolutions and,
     within one, the voxels in lexicographic order.  Per resolution, one
     stable sort of a linearized voxel key groups the points, and the moments
-    are segment sums over that order; clamping and the sparse check run
-    once over the stack.
+    are segment sums over that order; the clamp and the sparse check run
+    once over the stack and share one eigendecomposition.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -624,7 +665,8 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
     if not parts:
         return SparseSurfels.empty()
     centroid, cov, count, resolution, timestamp, voxel = (np.concatenate(f) for f in zip(*parts))
-    return _check_sparse(centroid, clamp_psd(cov), count, resolution, timestamp, voxel)
+    cov, eigh = psd_eigh(cov)
+    return _check_sparse(centroid, cov, count, resolution, timestamp, voxel, eigh)
 
 
 @dataclass
@@ -638,28 +680,6 @@ _NEIGHBOURHOOD = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 # The neighbouring cell offsets that follow (0, 0, 0) in lexicographic
 # order, with (0, 0, 0) itself: each pair of occupied cells is visited once.
 _HALF_NEIGHBOURHOOD = np.array([o for o in _NEIGHBOURHOOD.tolist() if o >= [0, 0, 0]])
-
-
-def _cell_keys(points, radius, offsets):
-    """Linearized grid cell keys of ``points`` and the key steps of
-    ``offsets``.
-
-    Cells have edge ``radius`` padded by ``CELL_REACH``, so no pair the
-    rounded distance test accepts lies more than one cell apart; at radius 0
-    any edge is exact, and 1 is used.
-    """
-    cell = radius * CELL_REACH or 1.0
-    ijk = np.floor(points / cell)
-    ijk -= ijk.min(axis=0) - 1.0
-    # One empty layer on either side keeps every neighbour key in range.
-    dims = ijk.max(axis=0) + 2.0
-    if float(np.prod(dims)) >= 2.0**62:
-        raise InvalidArgumentError("point extent spans too many cells of the radius")
-    ijk = ijk.astype(np.int64)
-    dims = dims.astype(np.int64)
-    keys = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
-    steps = (offsets[:, 0] * dims[1] + offsets[:, 1]) * dims[2] + offsets[:, 2]
-    return keys, steps
 
 
 def _occupied(keys):
@@ -695,6 +715,69 @@ def _sq_dist(p, q):
     return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
+class KeyedPoints:
+    """A point set keyed once on a uniform grid, for any number of radius
+    joins with other sets (see :meth:`join`).
+
+    Cells have edge ``radius`` padded by ``CELL_REACH``, so no pair the
+    rounded distance test accepts lies more than one cell apart; at radius 0
+    any edge is exact, and 1 is used.  The grid spans the set's cells and
+    two empty layers on either side: a point of another set outside the
+    inner layer has no occupied cell among its neighbours, and every
+    neighbour of a cell inside it keys in range.  ``order`` is the stable
+    sort of the set by cell key; ``cells``, ``starts`` and ``counts`` give
+    each occupied cell's key and the start and count of its points in that
+    order.
+    """
+
+    def __init__(self, points, radius):
+        if not radius >= 0.0:
+            raise InvalidArgumentError("radius must be non-negative")
+        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
+        self.radius = radius
+        self._edge = radius * CELL_REACH or 1.0
+        ijk = np.floor(self.points / self._edge)
+        self._origin = ijk.min(axis=0) - 2.0 if len(ijk) else np.zeros(3)
+        ijk -= self._origin
+        dims = ijk.max(axis=0, initial=0.0) + 3.0
+        if float(np.prod(dims)) >= 2.0**62:
+            raise InvalidArgumentError("point extent spans too many cells of the radius")
+        self._inner = dims - 2.0
+        # Linearized key strides of the three cell coordinates.
+        dims = dims.astype(np.int64)
+        self._stride = np.array([dims[1] * dims[2], dims[2], 1])
+        self.order, self.cells, self.starts, self.counts = _occupied(
+            ijk.astype(np.int64) @ self._stride
+        )
+
+    def steps(self, offsets):
+        """The key steps of the cell offsets ``offsets`` (k, 3)."""
+        return offsets @ self._stride
+
+    def join(self, a):
+        """Every pair of a point of ``a`` and a point of the set within the
+        radius: index arrays into ``a`` and the set and the squared
+        distances, in no particular order.
+
+        Each occupied cell of ``a`` is paired with the occupied cells of the
+        set among its 27 neighbours, and only those cross-set point pairs
+        are expanded and tested.
+        """
+        a = np.asarray(a, dtype=float).reshape(-1, 3)
+        if len(a) == 0 or len(self.points) == 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        ijk = np.floor(a / self._edge) - self._origin
+        near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner)).all(axis=1))
+        order_a, cells_a, starts_a, counts_a = _occupied(ijk[near].astype(np.int64) @ self._stride)
+        a_cell, b_cell = _neighbour_cells(cells_a, self.cells, self.steps(_NEIGHBOURHOOD))
+        pa, pb = _expand(starts_a[a_cell], counts_a[a_cell],
+                         self.starts[b_cell], self.counts[b_cell])
+        i, j = near[order_a[pa]], self.order[pb]
+        d_sq = _sq_dist(a[i], self.points[j])
+        inside = d_sq <= self.radius * self.radius
+        return i[inside], j[inside], d_sq[inside]
+
+
 def _radius_pairs(points, radius):
     """Every unordered pair of ``points`` within ``radius``: index arrays
     ``i < j`` and the squared distances, in no particular order.
@@ -703,14 +786,14 @@ def _radius_pairs(points, radius):
     among its 13 half-neighbours, and every point pair of every cell pair is
     expanded and tested.
     """
-    keys, steps = _cell_keys(points, radius, _HALF_NEIGHBOURHOOD)
-    order, cells, starts, counts = _occupied(keys)
-    a_cell, b_cell = _neighbour_cells(cells, cells, steps)
+    grid = KeyedPoints(points, radius)
+    starts, counts = grid.starts, grid.counts
+    a_cell, b_cell = _neighbour_cells(grid.cells, grid.cells, grid.steps(_HALF_NEIGHBOURHOOD))
     a, b = _expand(starts[a_cell], counts[a_cell], starts[b_cell], counts[b_cell])
     # A later cell's positions all follow an earlier one's, so this keeps
     # each same-cell pair once and every cross-cell pair.
     keep = a < b
-    i, j = order[a[keep]], order[b[keep]]
+    i, j = grid.order[a[keep]], grid.order[b[keep]]
     d_sq = _sq_dist(points[i], points[j])
     inside = d_sq <= radius * radius
     i, j = i[inside], j[inside]
@@ -722,32 +805,20 @@ def radius_join(a, b, radius):
     index arrays into ``a`` and ``b`` and the squared distances, in no
     particular order.
 
-    Both sets are keyed on one grid.  Each occupied cell of ``a`` is paired
-    with the occupied cells of ``b`` among its 27 neighbours, and only those
-    cross-set point pairs are expanded and tested.  Only the points of ``b``
-    inside ``a``'s bounding box, padded by the radius, take part, so a small
-    ``a`` over a wide ``b`` spans few cells.
+    The one-shot form of :meth:`KeyedPoints.join`: only the points of ``b``
+    inside ``a``'s bounding box, padded by the radius, are keyed, so a small
+    ``a`` over a wide ``b`` spans few cells.  A caller that joins many sets
+    with one ``b`` keys ``b`` once instead.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 3)
     b = np.asarray(b, dtype=float).reshape(-1, 3)
-    if not radius >= 0.0:
-        raise InvalidArgumentError("radius must be non-negative")
-    reach = radius * CELL_REACH
+    near = np.zeros(0, dtype=np.intp)
     if len(a):
+        reach = radius * CELL_REACH
         inside = np.all((b >= a.min(axis=0) - reach) & (b <= a.max(axis=0) + reach), axis=1)
         near = np.flatnonzero(inside)
-        b = b[near]
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    keys, steps = _cell_keys(np.concatenate([a, b]), radius, _NEIGHBOURHOOD)
-    order_a, cells_a, starts_a, counts_a = _occupied(keys[: len(a)])
-    order_b, cells_b, starts_b, counts_b = _occupied(keys[len(a):])
-    a_cell, b_cell = _neighbour_cells(cells_a, cells_b, steps)
-    pa, pb = _expand(starts_a[a_cell], counts_a[a_cell], starts_b[b_cell], counts_b[b_cell])
-    i, j = order_a[pa], order_b[pb]
-    d_sq = _sq_dist(a[i], b[j])
-    inside = d_sq <= radius * radius
-    return i[inside], near[j[inside]], d_sq[inside]
+    i, j, d_sq = KeyedPoints(b[near], radius).join(a)
+    return i, near[j], d_sq
 
 
 def _first_independent_set(n, lo, hi):
@@ -786,7 +857,10 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
     the centroid uncertainty (scatter over ``n (n-1)`` plus the beam noise
     floor), and the initial Wishart count.  Seeds with fewer than
     ``min_points`` neighbors yield no surfel; surfels follow seed order.
-    Normals point toward the observing sensor.
+    Normals point toward the observing sensor.  One ``eigh`` of the
+    scatters gives the normals, the PSD clamp (``psd_eigh``) and the
+    scatter half of the check; a clamped row's normal still comes from its
+    unclamped scatter, whose eigenspace the clamp can make degenerate.
     """
     if cfg is None:
         cfg = DenseExtractionConfig()
@@ -836,16 +910,20 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
     mean = _segment_mean(world, member, sizes)
     scatter = _segment_scatter(world, member, sizes, mean)
     centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + cfg.beam_sigma**2 * np.eye(3)
-    normal = np.linalg.eigh(scatter)[1][:, :, 0]
+    decomposed = np.linalg.eigh(scatter)
+    normal = decomposed[1][:, :, 0].copy()
     toward_sensor = _segment_mean(origins, member, sizes) - mean
     normal[(normal * toward_sensor).sum(axis=1) < 0] *= -1.0
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     m = len(owners)
+    # The segment scatters are exactly symmetric, so ``decomposed`` is that
+    # of their symmetrization.
+    scatter, (scatter_eigenvalues, _) = psd_eigh(scatter, decomposed)
     return check_dense(DenseSurfels(
         centroid=mean,
         normal=normal,
         centroid_cov=centroid_cov,
-        scatter=clamp_psd(scatter),
+        scatter=scatter,
         dof=count,
         obs_count=np.ones(m, dtype=np.int64),
         timestamp=_segment_mean(times, member, sizes),
@@ -853,4 +931,4 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
         colour=(_segment_mean(colours, member, sizes) if colours is not None
                 else np.full((m, 3), 0.5)),
         colour_sigma=np.full(m, 0.5),
-    ))
+    ), {"scatter": scatter_eigenvalues})

@@ -4,7 +4,9 @@ interpolation, plus the cubic B-spline correction layer.
 The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
 default), stored as rotation and translation stacks.  Its one query,
 :meth:`Trajectory.sample_batch`, takes a stack of times; between samples it
-follows the SE(3) geodesic between the bracketing pair.  The correction
+follows the SE(3) geodesic between the bracketing pair.  :func:`interpolate`
+serves it and the window optimizer alike, and takes each bracket's twist
+once however many queries fall in it.  The correction
 layer holds per-knot translation and rotation-vector control points;
 corrections always start from zero at the beginning of an optimizer
 iteration, so the spline evaluates small local updates that
@@ -68,23 +70,33 @@ def brackets(times, taus, tol):
     return idx, alpha
 
 
-def interpolate(rotations, translations, idx, alpha, twists=None):
-    """Poses at the brackets ``(idx, alpha)`` of sample arrays.
+def interpolate(rotations, translations, idx, alpha):
+    """Poses at the brackets ``(idx, alpha)`` of sample arrays, and the chart
+    they were read in.
 
     Snapped queries copy the stored sample; the rest follow the SE(3)
-    geodesic.  It takes the twists ``lie.se3_relative_log_batch`` of the
-    interior queries' brackets as ``twists``, computed when not given.
+    geodesic.  One ``lie.se3_relative_log_batch`` twist is taken per
+    distinct bracket of the interior queries and shared by all of its
+    queries.  The chart is ``(lo, at, phi, rho)``: the lower samples of
+    those brackets, each interior query's bracket among them, and the
+    brackets' twists.
     """
     interior = (alpha > 0.0) & (alpha < 1.0)
+    lo, at = np.unique(idx[interior], return_inverse=True)
+    phi, rho = lie.se3_relative_log_batch(
+        rotations[lo], translations[lo], rotations[lo + 1], translations[lo + 1]
+    )
+    chart = lo, at, phi, rho
+    twists = phi[at], rho[at]
     if interior.all():
-        return _between(rotations, translations, idx, alpha, twists)
+        return (*_between(rotations, translations, idx, alpha, twists), chart)
     gather = np.where(alpha == 1.0, idx + 1, idx)
     rot, t = rotations[gather], translations[gather]
     if interior.any():
         rot[interior], t[interior] = _between(
             rotations, translations, idx[interior], alpha[interior], twists
         )
-    return rot, t
+    return rot, t, chart
 
 
 def _between(rotations, translations, lo, alpha, twists):
@@ -135,9 +147,10 @@ class Trajectory:
 
     def sample_batch(self, taus):
         """Rotations (N,3,3) and translations (N,3) at ``taus``, on the SE(3)
-        geodesic between the bracketing samples."""
+        geodesic between the bracketing samples; queries in one bracket share
+        its twist (see :func:`interpolate`)."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
-        return interpolate(self.rotations, self.translations, idx, alpha)
+        return interpolate(self.rotations, self.translations, idx, alpha)[:2]
 
 
 @dataclass

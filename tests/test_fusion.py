@@ -29,7 +29,7 @@ from surfelslam.fusion import (
     match_surfel,
     temporal_fusion_step,
 )
-from surfelslam.surfel_map import SparseSurfelMap, radius_join, voxelize_sparse
+from surfelslam.surfel_map import KeyedPoints, SparseSurfelMap, radius_join, voxelize_sparse
 
 
 def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
@@ -295,7 +295,7 @@ def test_fold_matches_sequential_fuse_surfel(rng):
 
 def extract_normal(surfel):
     """``extract_normal_batch`` on a batch of one surfel."""
-    return extract_normal_batch(surfel.scatter[None], surfel.normal[None])[0]
+    return extract_normal_batch(np.linalg.eigh(surfel.scatter[None]), surfel.normal[None])[0]
 
 
 def test_extract_normal_axis_aligned():
@@ -409,6 +409,32 @@ def test_temporal_fusion_identical_local_map(rng):
     assert r1.metrics.n_fused == len(second.dense)
     assert r1.metrics.n_new == 0
     assert r1.trigger is None
+
+
+def test_temporal_fusion_decomposes_each_covariance_stack_once(rng, monkeypatch):
+    # A regression guard: each fold round decomposes its extents, scatters
+    # and centroid covariances once, the scatters' eigenpairs give the
+    # normals, and the clamps' eigenvalues serve the check of the fused
+    # rows, so no eigvalsh runs; the sparse pooling decomposes each merge
+    # once.  Beyond that only the rows a clamp changed are decomposed
+    # again, a few here.  The ICP does not run: nothing is inactive.
+    pts = corner_scene_points(rng)
+    global_maps = GlobalMaps()
+    temporal_fusion_step(make_local_maps(rng, pts, timestamp=0.0), global_maps, step=0)
+    second = make_local_maps(rng, pts, timestamp=5.0)
+    rows = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        rows.append(len(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    r = temporal_fusion_step(second, global_maps, step=1)
+    assert r.metrics.n_fused == len(second.dense) and len(global_maps.sparse) == len(second.sparse)
+    once_each = 3 * r.metrics.n_fused + len(second.sparse)
+    assert once_each <= sum(rows) <= once_each + r.metrics.n_fused // 4
 
 
 def test_temporal_fusion_disjoint_region_inserts(rng):
@@ -578,6 +604,13 @@ def icp_cloud(rng, n):
     return pts, normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
+def associate(rotation, translation, src, src_n, dst, dst_n, max_pair_distance):
+    """``fusion._associate`` with the destinations keyed as the ICP keys
+    them, called as ``oracles.icp_pairs_exhaustive`` is."""
+    keyed = KeyedPoints(dst, max_pair_distance)
+    return fusion._associate(rotation, translation, src, src_n, keyed, dst_n)
+
+
 def test_icp_association_matches_exhaustive_oracle(rng):
     src, src_n = icp_cloud(rng, 150)
     dst, dst_n = icp_cloud(rng, 200)
@@ -590,7 +623,7 @@ def test_icp_association_matches_exhaustive_oracle(rng):
         translation = rng.normal(scale=0.1, size=3)
         for max_pair_distance in (0.5, 0.3):
             args = (rotation, translation, src, src_n, dst, dst_n, max_pair_distance)
-            got = fusion._associate(*args)
+            got = associate(*args)
             want = oracles.icp_pairs_exhaustive(*args)
             assert got[1].size > 20
             for a, b in zip(got, want):
@@ -623,8 +656,8 @@ def test_icp_association_boundaries():
     d_sq = d_sq[np.argsort(j)]
     assert d_sq[0] > d_sq[1] and np.sqrt(d_sq[0]) == np.sqrt(d_sq[1]) == 0.25
     args = (np.eye(3), np.zeros(3), src, src_n, dst, dst_n, 0.5)
-    for associate in (fusion._associate, oracles.icp_pairs_exhaustive):
-        _, src_idx, dst_idx = associate(*args)
+    for pairs in (associate, oracles.icp_pairs_exhaustive):
+        _, src_idx, dst_idx = pairs(*args)
         assert src_idx.tolist() == [1, 3, 4, 5]
         assert dst_idx.tolist() == [1, 3, 5, 7]
 

@@ -11,10 +11,14 @@ from surfelslam.surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
     DenseSurfels,
+    KeyedPoints,
+    SparseSurfel,
     SparseSurfelMap,
+    _check_sparse,
     check_dense,
     extract_dense,
     merge_moments,
+    psd_eigh,
     radius_join,
     voxelize_sparse,
 )
@@ -641,7 +645,7 @@ def test_covariances_stay_psd_through_merges(rng):
         amplitude = rng.uniform(1e-8, 1e-2)
         a = rng.normal(size=(3, 3)) * amplitude
         cov_b = a @ a.T
-        mean_a, cov_a, _ = merge_moments(mean_a, cov_a, 10, mean_b, cov_b, 7)
+        mean_a, cov_a, _, _ = merge_moments(mean_a, cov_a, 10, mean_b, cov_b, 7)
         assert np.allclose(cov_a, cov_a.T)
         assert np.linalg.eigvalsh(cov_a)[0] >= -1e-15
 
@@ -657,7 +661,7 @@ def pool_sequentially(pooled, surfels):
             pooled[key] = (s.centroid, s.covariance, s.count, s.timestamp)
             continue
         mean, cov, count, t = pooled[key]
-        mean, cov, count = merge_moments(mean, cov, count, s.centroid, s.covariance, s.count)
+        mean, cov, count, _ = merge_moments(mean, cov, count, s.centroid, s.covariance, s.count)
         pooled[key] = (mean, cov, int(count), max(t, s.timestamp))
 
 
@@ -714,3 +718,132 @@ def test_voxelize_orders_by_resolution_then_voxel(rng):
     ]
     assert [(s.resolution, tuple(s.voxel.tolist())) for s in out] == want
     assert np.array_equal(out.voxel, np.floor(out.centroid / out.resolution[:, None]))
+
+
+def test_keyed_points_join_matches_bruteforce(rng):
+    # One keyed set serves every join, as the ICP's destinations do: query
+    # sets inside it, straddling its grid's edge and far outside it.
+    b = rng.uniform(-1.0, 1.0, size=(400, 3))
+    for radius in (0.0, 0.2, 0.5):
+        keyed = KeyedPoints(b, radius)
+        for a in (
+            b[::7] + rng.normal(scale=0.05, size=(58, 3)),
+            rng.uniform(-1.6, 1.6, size=(300, 3)),
+            b[:40] + 50.0,
+            -1.0 - radius * np.abs(rng.uniform(size=(30, 3))),
+            np.zeros((0, 3)),
+        ):
+            i, j, d_sq = keyed.join(a)
+            order = np.lexsort((j, i))
+            want = _join_bruteforce(a, b, radius)
+            assert np.array_equal(i[order], want[0])
+            assert np.array_equal(j[order], want[1])
+            assert np.array_equal(d_sq[order], want[2])
+    i, j, d_sq = KeyedPoints(np.zeros((0, 3)), 0.5).join(b)
+    assert i.size == j.size == d_sq.size == 0
+
+
+def _mixed_psd_stack(rng):
+    """Nearly symmetric matrices: positive definite rows, rows with one or
+    more negative eigenvalues, a zero row and a repeated-eigenvalue row."""
+    a = rng.normal(size=(4, 3, 3))
+    spd = a @ np.swapaxes(a, 1, 2)
+    basis = np.linalg.qr(rng.normal(size=(3, 3, 3)))[0]
+    spectra = np.array([[-1e-3, 0.5, 2.0], [-1e-18, 1e-4, 1.0], [-0.2, -0.1, 0.3]])
+    negative = (basis * spectra[:, None, :]) @ np.swapaxes(basis, 1, 2)
+    rows = np.concatenate([spd[:2], negative[:2], np.zeros((1, 3, 3)), spd[2:],
+                           negative[2:], np.eye(3)[None]])
+    noise = 1e-17 * rng.normal(size=rows.shape)
+    noise[4] = 0.0
+    return rows + noise
+
+
+def test_psd_eigh_returns_the_eigenpairs_of_its_output(rng):
+    m = _mixed_psd_stack(rng)
+    sym = 0.5 * (m + np.swapaxes(m, 1, 2))
+    psd = np.linalg.eigvalsh(sym)[:, 0] >= 0.0
+    assert psd.any() and not psd.all()
+    out, (eigenvalues, vectors) = psd_eigh(m)
+    want_values, want_vectors = np.linalg.eigh(out)
+    assert np.array_equal(eigenvalues, want_values)
+    assert np.array_equal(vectors, want_vectors)
+    assert np.array_equal(out, np.swapaxes(out, 1, 2))
+    assert np.array_equal(out[psd], sym[psd])
+    assert np.array_equal(out[4], np.zeros((3, 3)))
+    scale = np.maximum(np.abs(eigenvalues[:, 2]), 1.0)
+    assert (eigenvalues[:, 0] >= -1e-15 * scale).all()
+    # A decomposition the caller already has gives the same result.
+    given, (given_values, given_vectors) = psd_eigh(m, np.linalg.eigh(sym))
+    assert np.array_equal(given, out)
+    assert np.array_equal(given_values, eigenvalues) and np.array_equal(given_vectors, vectors)
+    # One matrix is a stack of one.
+    for k in (0, 2):
+        one, (one_values, one_vectors) = psd_eigh(m[k])
+        assert np.array_equal(one, out[k]) and np.array_equal(one_values, eigenvalues[k])
+        assert np.array_equal(one_vectors, vectors[k])
+
+
+def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
+    # The checks decompose whatever stack they are not given eigenvalues
+    # for, and check the eigenvalues they are given.
+    bad = np.diag([1e-4, 1e-4, -1e-3])
+    proto = _surfel_at(np.zeros(3))
+    batch = DenseSurfels.of([proto, proto])
+    for name, other in (("centroid_cov", "scatter"), ("scatter", "centroid_cov")):
+        values = getattr(batch, name).copy()
+        values[1] = bad
+        broken = replace(batch, **{name: values})
+        known = {other: np.linalg.eigvalsh(getattr(batch, other))}
+        for eigenvalues in (None, known, {name: np.linalg.eigvalsh(values)}):
+            with pytest.raises(InvalidArgumentError):
+                check_dense(broken, eigenvalues)
+        fields = {f: getattr(proto, f) for f in ("centroid", "normal", "centroid_cov",
+                                                  "scatter", "dof", "obs_count", "timestamp")}
+        with pytest.raises(InvalidArgumentError):
+            DenseSurfel(**{**fields, name: bad})
+    sparse = voxelize_sparse(rng.normal(scale=0.1, size=(200, 3)), np.zeros(200), [0.5, 1.0])
+    covariance = sparse.covariance.copy()
+    covariance[1] = bad
+    fields = (sparse.centroid, covariance, sparse.count, sparse.resolution, sparse.timestamp)
+    for eigh in (None, np.linalg.eigh(covariance)):
+        with pytest.raises(InvalidArgumentError):
+            _check_sparse(*fields, eigh=eigh)
+    with pytest.raises(InvalidArgumentError):
+        SparseSurfel(sparse.centroid[1], bad, 20, 1.0, 0.0)
+
+
+def _count_decompositions(monkeypatch):
+    """Record the number of matrices of every ``eigh`` and ``eigvalsh``
+    call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, len(np.reshape(m, (-1, 3, 3)))))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_eigendecomposition_per_covariance_stack(rng, monkeypatch):
+    # A regression guard on a small batch whose stacks need no clamping:
+    # extraction decomposes its scatters once (normals, clamp and check)
+    # and its centroid covariances once (check); voxelization and a sparse
+    # fuse decompose each covariance stack once (clamp, normals and check).
+    points = 0.25 + rng.normal(scale=0.01, size=(400, 3))
+    times = np.zeros(len(points))
+    first = voxelize_sparse(points, times, [0.5, 1.0])
+    again = voxelize_sparse(points[::2], times[::2], [0.5, 1.0])
+    sparse_map = SparseSurfelMap()
+    sparse_map.fuse(first)
+    calls = _count_decompositions(monkeypatch)
+    dense = extract_dense(points, times)
+    assert len(dense) > 1 and sorted(calls) == [("eigh", len(dense)), ("eigvalsh", len(dense))]
+    calls.clear()
+    assert len(voxelize_sparse(points, times, [0.5, 1.0])) == 2
+    assert calls == [("eigh", 2)]
+    calls.clear()
+    sparse_map.fuse(again)
+    assert calls == [("eigh", 2)]

@@ -3,7 +3,7 @@ import pytest
 
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
-from surfelslam.simulation.oracles import apply_correction, correction_batch
+from surfelslam.simulation.oracles import apply_correction, correction_batch, interp_pose
 from surfelslam.trajectory import ControlGrid, Trajectory, spline_weights
 
 
@@ -61,6 +61,51 @@ def test_sample_lies_on_geodesic(rng):
     rel_part = lie.se3_relative_log_batch(rot_k, t_k, rot, t)
     for full, part in zip(rel_full, rel_part):
         assert np.max(np.linalg.norm(part - alpha[:, None] * full, axis=1)) < 1e-9
+
+
+def _shared_bracket_queries(rng, traj):
+    """Unsorted query times with many queries in a few brackets, each time
+    repeated, some snapped to either end of a bracket (within the snapping
+    tolerance) and the last sample time."""
+    k = rng.choice(len(traj) - 1, size=6, replace=False)
+    lo, hi = traj.times[k], traj.times[k + 1]
+    inside = (lo + rng.uniform(0.0, 1.0, size=(40, 6)) * (hi - lo)).ravel()
+    snapped = np.r_[lo + 1e-13, hi - 1e-13, lo, hi]
+    taus = np.r_[inside, inside[::3], snapped, traj.end]
+    return taus[rng.permutation(len(taus))]
+
+
+def test_sample_batch_shares_bracket_twists_exactly(rng):
+    # Queries that share a bracket share its twist, so each row equals the
+    # one-query call bit for bit and the power-series oracle to 1e-12.
+    traj = make_trajectory(rng)
+    taus = _shared_bracket_queries(rng, traj)
+    rot, t = traj.sample_batch(taus)
+    lo = np.clip(np.searchsorted(traj.times, taus, side="right") - 1, 0, len(traj) - 2)
+    for tau, k, r, tr in zip(taus, lo, rot, t):
+        rot_1, t_1 = traj.sample_batch([tau])
+        assert np.array_equal(r, rot_1[0]) and np.array_equal(tr, t_1[0])
+        alpha = np.clip((tau - traj.times[k]) / (traj.times[k + 1] - traj.times[k]), 0.0, 1.0)
+        want = interp_pose(homogeneous(traj.rotations[k], traj.translations[k]),
+                           homogeneous(traj.rotations[k + 1], traj.translations[k + 1]), alpha)
+        assert np.max(np.abs(homogeneous(r, tr) - want)) < 1e-12
+
+
+def test_sample_batch_takes_one_twist_per_bracket(rng, monkeypatch):
+    # A regression guard: the relative log runs over the distinct brackets
+    # of the interior queries, not once per query.
+    traj = make_trajectory(rng)
+    taus = _shared_bracket_queries(rng, traj)
+    rows = []
+    relative_log = lie.se3_relative_log_batch
+
+    def counted(rot_a, *rest):
+        rows.append(len(rot_a))
+        return relative_log(rot_a, *rest)
+
+    monkeypatch.setattr(lie, "se3_relative_log_batch", counted)
+    traj.sample_batch(taus)
+    assert len(rows) == 1 and rows[0] <= 6 < len(taus)
 
 
 def test_sample_out_of_range(rng):
