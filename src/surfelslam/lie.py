@@ -184,10 +184,6 @@ def so3_log_batch(rotations):
     return w * scale[:, None]
 
 
-def so3_left_jacobian_batch(r):
-    return _so3_left_jacobian(*_so3_hats(r))
-
-
 def so3_left_jacobian_inv_batch(r):
     return _so3_left_jacobian_inv(*_so3_hats(r))
 

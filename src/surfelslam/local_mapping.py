@@ -21,6 +21,8 @@ The trajectory stays densely sampled (Park et al., ICRA 2018): the optimizer
 estimates spline *corrections*, composes each accepted one onto the samples
 by left multiplication, ``T' = dT T``, and restarts the control points from
 zero at every iteration.  Queries between samples follow the SE(3) geodesic.
+So the window is linearized at the folded samples only, where a knot
+increment moves each sample by its spline weight alone.
 """
 
 from __future__ import annotations
@@ -164,17 +166,6 @@ class OptimizationReport:
         return self.records[-1].cost
 
 
-def _spline_maps(jl, s):
-    """(N, 6, 6) maps from a spline increment ``(du_t, du_r)`` to the left
-    perturbation ``(phi, rho)`` of the pose it moves:
-    ``phi = Jl du_r``, ``rho = du_t + [s]x phi``."""
-    out = np.zeros((jl.shape[0], 6, 6))
-    out[:, :3, 3:] = jl
-    out[:, 3:, :3] = np.eye(3)
-    out[:, 3:, 3:] = lie.hat_batch(s) @ jl
-    return out
-
-
 def _knot_band(idx, weights):
     """First knot (N,) and weights (N, 4) on four consecutive knots from it,
     of clamped knot indices and weights (N, 4).  A clamped boundary knot
@@ -207,34 +198,46 @@ class _Iterate(NamedTuple):
     residuals: np.ndarray
 
 
-def _row_band(reads, first, maps, weights, blended):
-    """First knot (m,) and band (m, a, W, 6) of the rows that read the query
-    poses of ``reads``, ``[(queries (m,), grad (m, a, 6)), ...]``.
-
-    A query's band is a sum over slots of a 6x6 map read through knot
-    weights from the query's first knot (see ``_WindowSystem._pose_layer``).
-    The row's band is the sum over its reads and their slots of the row's
-    gradient times the slot's map, spread over the knots by the slot's
-    weights shifted to the query's offset from the row's first knot.
-    """
-    q_firsts = [first[q] for q, _ in reads]
+def _row_spread(reads, first, weights, blended):
+    """First knot (m,) and spread (m, 1, W, S) of the rows that read the
+    query slices ``reads``, the slot weights of the pose layer's ``first``,
+    ``weights`` and ``blended`` shifted to the row's first knot, and per read
+    its blended queries and their range among all blended ones, or None."""
+    q_firsts = [first[q] for q in reads]
     row_first = np.minimum.reduce(q_firsts)
     width = weights.shape[2] + max(int((f - row_first).max()) for f in q_firsts)
-    coefs, spread = [], []
-    for (q, grad), q_first in zip(reads, q_firsts):
-        q_maps, q_weights = maps[q], weights[q]
-        if not blended[q].any():
-            # Every query of the read takes one sample's map: one slot.
-            q_maps, q_weights = q_maps[:, :1], q_weights[:, :1]
-        coefs.append(grad[:, None] @ q_maps)
+    spread, slots = [], []
+    for q, q_first in zip(reads, q_firsts):
+        inside, lo = np.flatnonzero(blended[q]), np.count_nonzero(blended[: q.start])
+        slots.append((inside, slice(lo, lo + inside.size)) if inside.size else None)
+        # A read of snapped queries only has one slot.
+        q_weights = weights[q] if inside.size else weights[q][:, :1]
         at = (q_first - row_first)[:, None, None] + np.arange(q_weights.shape[2])
         spread.append(np.zeros(q_weights.shape[:2] + (width,)))
         np.put_along_axis(spread[-1], at, q_weights, axis=2)
     spread = np.concatenate(spread, axis=1).transpose(0, 2, 1)
     # Drop the trailing knots that no row reads.
     width = np.flatnonzero(spread.any(axis=(0, 2)))[-1] + 1
-    coef = np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
-    return row_first, spread[:, None, :width] @ coef
+    return row_first, spread[:, None, :width], slots
+
+
+def _row_band(spread, reads, slots, blend):
+    """Band (m, a, W, 6) of the rows that read ``[(queries, grad (m, a, 6))]``
+    with ``spread`` and ``slots`` (see ``_row_spread``).  A snapped query's
+    slot takes the gradient g as it is; an interior query's two take
+    ``g - gM`` and ``gM``, with gM pulled through the factors of ``blend``
+    (see ``_WindowSystem._blend``), one vector-matrix product each."""
+    coefs = []
+    for (_, g), slot in zip(reads, slots):
+        if slot is None:
+            coefs.append(g[:, None])
+            continue
+        rows, at = slot
+        gm = np.zeros_like(g)
+        gm[rows] = g[rows] @ blend[0][at] @ blend[1][at]
+        coefs.append(np.stack([g - gm, gm], axis=1))
+    return spread @ np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
+
 
 
 class _WindowSystem:
@@ -244,29 +247,30 @@ class _WindowSystem:
     ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Pair and prior
     queries are located once; only the IMU stencil moves with the time lag.
 
-    The linearization has two layers.  The residual layer differentiates
-    each whitened, robust-weighted row with respect to a world-frame left
-    perturbation ``(phi, rho)`` of every query pose it reads
-    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  The pose layer gives
-    each query's band map, from the increments ``(du_t, du_r)`` of the
-    knots it reads to its perturbation.  A band map starts at the query's
-    first knot and is kept factored, as slots: a 6x6 map read through spline
-    weights on consecutive knots.  Every sample has a band map, its 6x6 map
-    read through its four knot weights.  A query that snaps to a sample takes
-    its sample's map unchanged, in one slot; a query between two samples
-    takes both, each times its 6x6 blend of the interpolation.  The slots of
-    a query read the weights of its interval, on the knots from the lower
-    sample's first one.
+    The window is linearized at the folded samples only, at zero correction
+    (:meth:`fold`); a non-zero correction is refused.  The residual layer
+    differentiates each whitened, robust-weighted row with respect to a
+    world-frame left perturbation ``(phi, rho)`` of every query pose it reads
+    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  At zero correction the
+    increment ``(du_r, du_t)`` of a knot moves a sample by
+    ``(phi, rho) = (du_r, du_t)`` times the sample's spline weight on it, so
+    the pose layer needs only the weights, kept as slots: spline weights on
+    consecutive knots from the query's first knot.  A query that snaps to a
+    sample reads its sample's weights, in one slot; a query between two
+    samples reads both, blended by the interpolation (:func:`_row_band`).
+    The slots of a query read the weights of its interval, on the knots from
+    the lower sample's first one.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
-    the sum over its queries' slots of its gradient times the slot's map,
-    spread by the slot's weights at the query's knot offset from the row's
-    first knot.  :meth:`normal_equations` sorts the rows by first knot and
-    adds one ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot,
-    where the border is the bias columns and the time-lag column, the one
-    finite difference (``cfg.fd_step``).  :meth:`jacobian`
-    scatters the same row bands into a dense Jacobian, which only the tests
-    read.
+    the sum over its queries' slots of the slot's coefficient, spread by the
+    slot's weights at the query's knot offset from the row's first knot.
+    :meth:`normal_equations` sorts the rows by first knot and adds one
+    ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
+    border is the bias columns and the time-lag column, the one finite
+    difference (``cfg.fd_step``).  The spreads and this order depend on the
+    brackets only and are built once per lag (:meth:`_rows`).
+    :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
+    only the tests read.
 
     :meth:`evaluate` returns an iterate that carries the poses it read and
     the chart it read them in, and the linearization reuses both.  An
@@ -297,13 +301,12 @@ class _WindowSystem:
         self.prior_taus = np.array([c.tau_c for c in prior_constraints])
 
         lag_slack = cfg.max_time_lag if cfg.estimate_time_lag else abs(state.time_lag)
-        usable = [
-            s
-            for s in imu
-            if s.tau + state.time_lag - self.h - lag_slack >= traj.start
-            and s.tau + state.time_lag + self.h + lag_slack <= traj.end
-        ]
-        self.imu_taus = np.array([s.tau for s in usable])
+        taus = np.array([s.tau for s in imu], dtype=float)
+        keep = (taus + state.time_lag - self.h - lag_slack >= traj.start) & (
+            taus + state.time_lag + self.h + lag_slack <= traj.end
+        )
+        usable = [s for s, k in zip(imu, keep) if k]
+        self.imu_taus = taus[keep]
         self.imu_accel = np.array([s.accel for s in usable]).reshape(-1, 3)
         self.imu_gyro = np.array([s.gyro for s in usable]).reshape(-1, 3)
 
@@ -335,13 +338,14 @@ class _WindowSystem:
         upper[np.arange(len(shift))[:, None], shift[:, None] + np.arange(4)] = band[1:]
         self.interval_bands = first[:-1], lower, upper
         # Position of each parameter (c_t, then c_r) in the knot-major
-        # layout of the bands, where knot k holds (du_t, du_r) at 6k.
+        # layout of the bands, where knot k holds (du_r, du_t) at 6k.
         k3 = np.arange(3 * self.n_knots)
-        self.knot_major = np.concatenate([6 * (k3 // 3) + k3 % 3, 6 * (k3 // 3) + 3 + k3 % 3])
+        self.knot_major = np.concatenate([6 * (k3 // 3) + 3 + k3 % 3, 6 * (k3 // 3) + k3 % 3])
         self.fixed_where = self._locate(
             np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
         )
         self._where_at = None  # (time lag, where) of the last _where call
+        self._rows_at = None  # (time lag, rows) of the last linearization
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
@@ -500,58 +504,39 @@ class _WindowSystem:
 
     # -- linearization ------------------------------------------------------
 
-    def _pose_layer(self, it):
-        """Band maps of the queries of iterate ``it``: first knot (Q,), slot
-        maps (Q, S, 6, 6), slot weights (Q, S, W) on W knots from the first,
-        and whether the query reads its second slot (Q,)."""
-        idx, w = it.where
-        # A sample n moves by phi = Jl(W c_r)_n W dc_r and
-        # rho = W dc_t + [s_n]x phi, with s the correction's translation.
-        c_t, c_r, *_ = self.split_params(it.x, it.state)
-        rot_s, t_s = it.samples
-        jl = lie.so3_left_jacobian_batch(self.w_samples @ c_r)
-        sample_maps = _spline_maps(jl, self.w_samples @ c_t)
-
-        # A query that snaps to a sample reads the sample's map in its first
-        # slot; an interior one blends the maps of both samples, the lower in
-        # the first slot and the upper in the second.  Both read the
-        # weights of their interval, on the knots from the lower sample's
-        # first one.
+    def _pose_layer(self, where):
+        """First knot (Q,), slot weights (Q, 2, W) on W knots from it, and
+        whether the query is blended (Q,), of the queries bracketed by
+        ``where``.  A snapped query reads its sample's weights in its first
+        slot; an interior one reads its lower sample's there and its upper
+        sample's in the second, both on the knots from the lower's first."""
+        idx, w = where
         first, lower, upper = self.interval_bands
         snapped_up = w == 1.0
-        maps = np.zeros((idx.size, 2, 6, 6))
-        maps[:, 0] = sample_maps[idx + snapped_up]
         weights = np.stack(
             [np.where(snapped_up[:, None], upper[idx], lower[idx]), upper[idx]], axis=1
         )
-        blended = (w > 0.0) & (w < 1.0)
-        ii = np.flatnonzero(blended)
-        if ii.size:
-            # The derivative reads the chart the interpolation read.
-            blend_lo, blend_hi = self._blend(rot_s, t_s, w[ii], it.chart)
-            maps[ii, 0] = blend_lo @ sample_maps[idx[ii]]
-            maps[ii, 1] = blend_hi @ sample_maps[idx[ii] + 1]
-        return first[idx], maps, weights, blended
+        return first[idx], weights, (w > 0.0) & (w < 1.0)
 
-    def _blend(self, rot_s, t_s, alpha, chart):
-        """Maps from the perturbations of the two samples bracketing each
-        interior query to the perturbation of the pose interpolated between
-        them at ``alpha``, given the chart ``trajectory.interpolate`` read."""
+    def _blend(self, rot_s, t_s, w, chart):
+        """Factors ``alpha Jl(alpha xi_w)`` and ``Jl^-1(xi_w)``, per interior
+        query, of the maps ``I - M`` and ``M`` from the perturbations of its
+        two samples to its own, given the chart ``trajectory.interpolate``
+        read."""
         # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
         # delta = (I - M) delta_lo + M delta_hi with
         # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
         #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
         brackets, at, phi, rho = chart
+        alpha = w[(w > 0.0) & (w < 1.0)]
         rot_lo = rot_s[brackets]
         phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
         rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
         xi_w = np.concatenate([phi_w, rho_w], axis=1)
-        m = (
-            alpha[:, None, None]
-            * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at])
-            @ lie.se3_left_jacobian_inv_batch(xi_w)[at]
+        return (
+            alpha[:, None, None] * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at]),
+            lie.se3_left_jacobian_inv_batch(xi_w)[at],
         )
-        return np.eye(6) - m, m
 
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
@@ -612,24 +597,60 @@ class _WindowSystem:
             families.append((rows, reads))
         return families
 
-    def _linearize(self, it, base_weighted):
-        """Row bands and border of the robust-weighted residuals at iterate
-        ``it``.
+    def _rows(self, it, families):
+        """Row structure of ``families`` at the lag of iterate ``it``, built
+        once per lag: per family its rows, first knots, spread and slots
+        (``_row_spread``); six times the knots the bands reach; and per band
+        width 6W the plan of :meth:`normal_equations`: the families, where
+        their rows go in stable first-knot order, a buffer for their bands
+        in that order, the rows in it and the first-knot spans."""
+        d = self.split_params(it.x, it.state)[4]
+        if self._rows_at is not None and self._rows_at[0] == d:
+            return self._rows_at[1]
+        layer = self._pose_layer(it.where)
+        fams = []
+        for rows, reads in families:
+            first, spread, slots = _row_spread([q for q, _ in reads], *layer)
+            fams.append((rows.reshape(-1), np.repeat(first, rows.shape[1]), spread, slots))
+        # Knots the bands reach; past the last knot only zero weights reach.
+        size = 6 * max([self.n_knots] + [int(f.max()) + s.shape[2] for _, f, s, _ in fams])
+        plan = []
+        for width in sorted({s.shape[2] for _, _, s, _ in fams}):
+            same = [i for i, f in enumerate(fams) if f[2].shape[2] == width]
+            rows, first = (np.concatenate([fams[i][j] for i in same]) for j in (0, 1))
+            order = np.argsort(first, kind="stable")
+            first = first[order]
+            bounds = np.flatnonzero(np.diff(first)) + 1
+            lo = np.r_[0, bounds]
+            spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
+            at = np.split(np.argsort(order), np.cumsum([fams[i][0].size for i in same])[:-1])
+            buffer = np.empty((order.size, 6 * width))  # refilled, not reallocated, per call
+            plan.append((6 * width, same, at, buffer, rows[order], spans))
+        self._rows_at = d, (fams, size, plan)
+        return self._rows_at[1]
 
-        Returns ``[(rows (n,), first knot (n,), band (n, 6W))]``, one entry
+    def _linearize(self, it, base_weighted):
+        """Row structure, row bands and border of the robust-weighted
+        residuals at iterate ``it``, which must have zero correction.
+
+        Returns the :meth:`_rows` structure, the bands ``[(n, 6W)]``, one
         per residual family, with the knots in the knot-major layout, and the
         border (n_residuals, 0..7): the bias columns, then the time-lag
         column, a forward difference of step ``cfg.fd_step`` from
         ``base_weighted``, the weighted residuals at ``it``.  The robust
         weights are held fixed.
         """
+        if np.any(it.x[: 6 * self.n_knots]):
+            raise InvalidArgumentError("linearized at zero correction only; fold it first")
         cfg = self.cfg
-        q_bands = self._pose_layer(it)
-        bands = []
-        for rows, reads in self._residual_layer(it.rot, it.t):
-            first, band = _row_band(reads, *q_bands)
-            m, a = rows.shape
-            bands.append((rows.reshape(-1), np.repeat(first, a), band.reshape(m * a, -1)))
+        families = self._residual_layer(it.rot, it.t)
+        structure = self._rows(it, families)
+        # The derivative reads the chart the interpolation read.
+        blend = self._blend(*it.samples, it.where[1], it.chart)
+        bands = [
+            _row_band(spread, reads, slots, blend).reshape(rows.size, -1)
+            for (_, reads), (rows, _, spread, slots) in zip(families, structure[0])
+        ]
 
         columns = []
         if cfg.estimate_biases:
@@ -644,32 +665,24 @@ class _WindowSystem:
             plus = self.weighted(self.residuals(it.x + step, it.state))
             columns.append((plus - base_weighted)[:, None] / cfg.fd_step)
         border = np.hstack(columns) if columns else np.zeros((self.n_residuals, 0))
-        return bands, border
-
-    def _knot_span(self, bands):
-        # Knots the bands reach; past the last knot only zero weights reach.
-        return max([self.n_knots] + [int(f.max()) + b.shape[1] // 6 for _, f, b in bands])
+        return structure, bands, border
 
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
-        residuals ``weighted`` at iterate ``it``, built from the row bands
-        grouped by first knot, without forming J."""
-        bands, border = self._linearize(it, weighted)
+        residuals ``weighted`` at iterate ``it`` of zero correction, built
+        from the row bands grouped by first knot, without forming J."""
+        (_, size, plan), bands, border = self._linearize(it, weighted)
         rhs = np.column_stack([weighted, border])
-        size = 6 * self._knot_span(bands)
         h_kk = np.zeros((size, size))
         h_kr = np.zeros((size, rhs.shape[1]))
         # Rows of one band width are sorted together by first knot; each
         # first knot adds one block.
-        for width in sorted({band.shape[1] for _, _, band in bands}):
-            same = [b for b in bands if b[2].shape[1] == width]
-            rows, first, band = (np.concatenate(part) for part in zip(*same))
-            order = np.argsort(first, kind="stable")
-            first, band, r = first[order], band[order], rhs[rows[order]]
-            bounds = np.flatnonzero(np.diff(first)) + 1
-            for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, first.size]):
+        for width, same, at, band, rows, spans in plan:
+            for i, a in zip(same, at):
+                band[a] = bands[i]
+            r = rhs[rows]
+            for lo, hi, k in spans:
                 block = band[lo:hi]
-                k = 6 * first[lo]
                 h_kk[k : k + width, k : k + width] += block.T @ block
                 h_kr[k : k + width] += block.T @ r[lo:hi]
 
@@ -685,12 +698,12 @@ class _WindowSystem:
 
     def jacobian(self, x, state, base_weighted):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
-        :meth:`normal_equations` scattered into their columns.  Analytic in
-        the control points and biases; see :meth:`_linearize` for the
-        time-lag column.  Only tests read it."""
-        bands, border = self._linearize(self.evaluate(x, state), base_weighted)
-        knots = np.zeros((self.n_residuals, 6 * self._knot_span(bands)))
-        for rows, first, band in bands:
+        :meth:`normal_equations` scattered into their columns, at an ``x`` of
+        zero correction.  Analytic in the control points and biases; see
+        :meth:`_linearize` for the time-lag column.  Only tests read it."""
+        (fams, size, _), bands, border = self._linearize(self.evaluate(x, state), base_weighted)
+        knots = np.zeros((self.n_residuals, size))
+        for (rows, first, _, _), band in zip(fams, bands):
             knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
         return np.hstack([knots[:, self.knot_major], border])
 

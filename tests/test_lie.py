@@ -151,7 +151,6 @@ def test_batch_helpers_match_scalar(rng):
     for fn, batch in (
         (lie.so3_exp_batch, r),
         (lie.so3_log_batch, lie.so3_exp_batch(r)),
-        (lie.so3_left_jacobian_batch, r),
         (lie.so3_left_jacobian_inv_batch, r),
     ):
         out = fn(batch)

@@ -267,9 +267,10 @@ SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
 
 @SE3_PATH
 def test_analytic_jacobian_matches_dense_central_fd():
-    # A random non-zero x, with surfel pairs, map priors, IMU, biases,
-    # non-trivial robust weights and a time lag between samples.
-    system, x, state = random_iterate()
+    # A random correction folded into the samples, with surfel pairs, map
+    # priors, IMU, biases, non-trivial robust weights and a time lag between
+    # samples.
+    system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
     assert_jacobian_matches_central_fd(system, x, state)
@@ -306,30 +307,48 @@ def test_time_lag_estimation():
     assert abs(state.time_lag - 0.02) < 0.005
 
 
-def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
-    """A window system at a random non-zero x with pairs, priors, IMU,
-    biases, robust weights below one and a 3.7 ms time lag, on a
-    ``ControlGrid.zeros`` grid whose end samples read clamped knots."""
+def window_inputs(pairs=None, with_imu=True):
+    """Pairs, priors, IMU samples and initial trajectory of a 1 s window."""
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     if pairs is None:
         pairs = pair_constraints_from_scene(cfg, truth, 40)
-    priors = scene.map_prior_constraints() if with_imu else []
+    if not with_imu:
+        return pairs, [], [], init
+    return pairs, scene.map_prior_constraints(), imu, init
+
+
+def random_iterate(pairs=None, with_imu=True, knot_step=0.25, time_lag=0.0037):
+    """A window system at a random non-zero x with pairs, priors, IMU,
+    biases, robust weights below one and a time lag, by default 3.7 ms, off
+    the 10 ms sample grid, on a ``ControlGrid.zeros`` grid whose end samples
+    read clamped knots."""
+    pairs, priors, imu, init = window_inputs(pairs, with_imu)
     opt_cfg = lm.OptimizerConfig(estimate_biases=True, estimate_time_lag=True)
     grid = ControlGrid.zeros(init.start, init.end, knot_step)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
-                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=0.0037)
-    system = lm._WindowSystem(pairs, priors, imu if with_imu else [], init, state, opt_cfg)
+                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=time_lag)
+    system = lm._WindowSystem(pairs, priors, imu, init, state, opt_cfg)
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
-    x[-1] = 0.0  # keep the lag at 3.7 ms, off the 10 ms sample grid
+    x[-1] = 0.0  # keep the lag where it is
     system.update_robust_weights(system.residuals(x, state))
     return system, x, state
 
 
-def assert_normal_equations_match_dense(system, x, state):
+def folded_iterate(**kwargs):
+    """``random_iterate`` with its random x folded into the samples, where
+    the window is linearized: the system, x = 0 and the folded state."""
+    system, x, state = random_iterate(**kwargs)
+    folded = system.fold(system.evaluate(x, state))
+    return system, folded.x, folded.state
+
+
+def assert_normal_equations_match_dense(system, x, state, dense=None):
+    # ``dense`` is the system whose dense Jacobian is the reference, by
+    # default ``system`` itself.
     it = system.evaluate(x, state)
     weighted = system.weighted(it.residuals)
     hess, grad = system.normal_equations(it, weighted)
-    jac = system.jacobian(x, state, weighted)
+    jac = (dense or system).jacobian(x, state, weighted)
     dense_hess, dense_grad = jac.T @ jac, jac.T @ weighted
     assert np.max(np.abs(hess - dense_hess)) <= 1e-12 * np.max(np.abs(dense_hess))
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
@@ -337,7 +356,7 @@ def assert_normal_equations_match_dense(system, x, state):
 
 @SE3_PATH
 def test_normal_equations_match_dense_jacobian():
-    system, x, state = random_iterate()
+    system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
     # The first and last samples read the clamped boundary knots.
@@ -358,10 +377,51 @@ def test_normal_equations_match_dense_jacobian_far_pairs():
             u_a=rng.normal(size=3), u_b=rng.normal(size=3), tau_a=tau_a,
             tau_b=tau_a + 0.65, n_ab=normal / np.linalg.norm(normal),
         ))
-    system, x, state = random_iterate(pairs=pairs, with_imu=False, knot_step=0.1)
+    system, x, state = folded_iterate(pairs=pairs, with_imu=False, knot_step=0.1)
     assert system.n_prior == 0 and system.n_imu == 0
     assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
     assert_normal_equations_match_dense(system, x, state)
+
+
+def test_linearization_refuses_a_non_zero_correction():
+    # The window is linearized at the folded samples only; a correction
+    # that was not folded would take bands that ignore it.
+    system, x, state = random_iterate()
+    weighted = system.weighted(system.residuals(x, state))
+    for p in (0, 6 * system.n_knots - 1):
+        one = np.zeros(system.n_params())
+        one[p] = 1e-6
+        with pytest.raises(InvalidArgumentError):
+            system.normal_equations(system.evaluate(one, state), weighted)
+        with pytest.raises(InvalidArgumentError):
+            system.jacobian(one, state, weighted)
+    # Bias and lag steps are not a correction.
+    x[: 6 * system.n_knots] = 0.0
+    assert_normal_equations_match_dense(system, x, state)
+
+
+def test_row_structure_follows_the_time_lag():
+    # At lag 0 every IMU stencil read snaps to a sample; a folded lag step
+    # of 3.7 ms moves them all between samples, so their rows take two
+    # slots.  The normal equations at each lag must match the dense
+    # Jacobian of a system built afresh on the same samples.
+    system, x, state = folded_iterate(time_lag=0.0)
+    pairs, priors, imu, _ = window_inputs()
+    stencil = slice(system.q_stencil[0].start, None)
+    lag = np.zeros(system.n_params())
+    lag[-1] = 0.0037
+    for blended in (False, True):
+        if blended:
+            state = system.fold(system.evaluate(lag, state)).state
+        w = system.evaluate(x, state).where[1][stencil]
+        assert np.all((w > 0.0) & (w < 1.0)) if blended else np.all((w == 0.0) | (w == 1.0))
+        # Built at lag 0, as the system was, so it keeps the same IMU samples.
+        fresh = lm._WindowSystem(
+            pairs, priors, imu, lm._trajectory_from(system),
+            lm.OptState(state.grid), system.cfg,
+        )
+        fresh.robust_weights = system.robust_weights
+        assert_normal_equations_match_dense(system, x, state, dense=fresh)
 
 
 @SE3_PATH
