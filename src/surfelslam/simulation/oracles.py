@@ -6,9 +6,9 @@ left Jacobian by central differences of those series, the SE(3) geodesic of
 one pose pair through the series exponential, the spline correction
 evaluated from its knot weights, window residuals evaluated one constraint at
 a time on a freshly corrected trajectory, linear-scan spatial queries,
-exhaustive matching, ICP association from the full distance matrix,
-hash-grouped voxel moments, dense-surfel seeding by linear scans, and
-closed-form 3x3 eigen solves.  None of it is used on the fast paths, and none
+radius joins and ICP association from the full distance matrix, exhaustive
+matching, hash-grouped voxel moments, dense-surfel seeding by linear scans,
+and closed-form 3x3 eigen solves.  None of it is used on the fast paths, and none
 of the Lie references evaluates the closed form of the map it checks.  A pose
 here is a 4x4 homogeneous matrix.
 """
@@ -162,6 +162,24 @@ class LinearScanIndex:
         d = np.array([self.points[k] for k in keys]).reshape(-1, 3) - center
         inside = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) <= radius
         return sorted(k for k, hit in zip(keys, inside.tolist()) if hit)
+
+
+def radius_join_bruteforce(a, b, radius):
+    """Every pair of a point of ``a`` and a point of ``b`` within ``radius``,
+    from the full distance matrix: index arrays into ``a`` and ``b``, sorted
+    by ``a`` then ``b``, and the squared distances."""
+    d_sq = ((b[None, :, :] - a[:, None, :]) ** 2).sum(axis=2)
+    i, j = np.nonzero(d_sq <= radius * radius)
+    return i, j, d_sq[i, j]
+
+
+def radius_pairs_bruteforce(points, radius):
+    """Every unordered pair of ``points`` within ``radius``, from the full
+    distance matrix: index arrays ``i < j``, sorted by ``i`` then ``j``, and
+    the squared distances."""
+    i, j, d_sq = radius_join_bruteforce(points, points, radius)
+    upper = i < j
+    return i[upper], j[upper], d_sq[upper]
 
 
 def match_surfels_exhaustive(src, surfels_by_id, theta_r, theta_d):

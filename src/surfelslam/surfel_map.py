@@ -33,12 +33,17 @@ not given eigenvalues for: single surfels, direct calls and the centroid
 covariances of an extraction.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
-al., Optimized Spatial Hashing, VMV 2003): ``KeyedPoints`` sorts a point
-set by cell key once, and a join expands every point pair of each pair of
-neighbouring occupied cells.  ``_radius_pairs`` joins one point set with
-itself over each cell's 13 half-neighbours; ``KeyedPoints.join`` joins
-another set with the keyed one and expands only pairs of a cell of one set
-with a cell of the other.  ``radius_join`` is that join applied once, and
+al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
+set by cell key once.  Keys are linearized with z fastest, so the three
+cells of one (x, y) column step are consecutive keys and their points one
+contiguous range of the sorted order: a cell's 27 neighbours are nine such
+column runs, found by two ``searchsorted`` calls over the sorted keys.
+``KeyedPoints.join`` tests each point of another set against its nine
+runs; ``_radius_pairs`` joins one set with itself, each point with the
+points after it in its own column run and with four half-neighbourhood
+runs, so every pair is tested once.  Both test squared distances on the
+cell-sorted coordinate columns and map only the pairs within the radius
+back to input order.  ``radius_join`` is that join applied once, and
 serves the dense map's queries and fusion's matching; the ICP keys its
 fixed destinations once per call and joins every iterate with them.
 Extraction works on a whole scan at once.  Dense seeding takes the
@@ -50,7 +55,6 @@ key, and each voxel's moments are segment sums over that order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Mapping
@@ -676,43 +680,13 @@ class DenseExtractionConfig:
     beam_sigma: float = 0.003
 
 
-_NEIGHBOURHOOD = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
-# The neighbouring cell offsets that follow (0, 0, 0) in lexicographic
-# order, with (0, 0, 0) itself: each pair of occupied cells is visited once.
-_HALF_NEIGHBOURHOOD = np.array([o for o in _NEIGHBOURHOOD.tolist() if o >= [0, 0, 0]])
-
-
-def _occupied(keys):
-    """The stable sort order of ``keys`` and, per occupied cell, its key and
-    the start and count of its points in that order."""
-    order = np.argsort(keys, kind="stable")
-    cells, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    return order, cells, starts, counts
-
-
-def _neighbour_cells(cells_a, cells_b, steps):
-    """Index pairs into ``cells_a`` and ``cells_b`` of the occupied cells one
-    of ``steps`` apart."""
-    targets = (cells_a[:, None] + steps).ravel()
-    found = np.minimum(np.searchsorted(cells_b, targets), len(cells_b) - 1)
-    hit = cells_b[found] == targets
-    return np.repeat(np.arange(len(cells_a)), len(steps))[hit], found[hit]
-
-
-def _expand(starts_a, counts_a, starts_b, counts_b):
-    """Every pair of sorted positions of each cell pair, given the two
-    cells' starts and counts."""
-    sizes = counts_a * counts_b
-    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = np.repeat(counts_b, sizes)
-    return (np.repeat(starts_a, sizes) + local // width,
-            np.repeat(starts_b, sizes) + local % width)
-
-
-def _sq_dist(p, q):
-    """Squared distances of paired rows, summed as ``dx*dx + dy*dy + dz*dz``."""
-    d = q - p
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+def _runs(owner, lo, hi):
+    """Each ``owner`` paired with every position of its run ``[lo, hi)``:
+    the owners and the positions, run after run, by one ``arange`` shifted
+    run by run."""
+    sizes = hi - lo
+    shift = lo - (np.cumsum(sizes) - sizes)
+    return np.repeat(owner, sizes), np.arange(sizes.sum()) + np.repeat(shift, sizes)
 
 
 class KeyedPoints:
@@ -723,20 +697,22 @@ class KeyedPoints:
     rounded distance test accepts lies more than one cell apart; at radius 0
     any edge is exact, and 1 is used.  The grid spans the set's cells and
     two empty layers on either side: a point of another set outside the
-    inner layer has no occupied cell among its neighbours, and every
-    neighbour of a cell inside it keys in range.  ``order`` is the stable
-    sort of the set by cell key; ``cells``, ``starts`` and ``counts`` give
-    each occupied cell's key and the start and count of its points in that
-    order.
+    inner layer has no point of the set among its neighbours, and every
+    neighbour of a cell inside it keys in range.  Keys are linearized with z
+    fastest, so the three cells of one (x, y) column step are consecutive
+    keys.  ``order`` is the stable sort of the set by cell key, ``keys``
+    the sorted keys and ``columns`` the (3, n) coordinates in that order:
+    the points of three consecutive cells are one contiguous range of
+    positions.
     """
 
     def __init__(self, points, radius):
         if not radius >= 0.0:
             raise InvalidArgumentError("radius must be non-negative")
-        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
         self.radius = radius
         self._edge = radius * CELL_REACH or 1.0
-        ijk = np.floor(self.points / self._edge)
+        ijk = np.floor(points / self._edge)
         self._origin = ijk.min(axis=0) - 2.0 if len(ijk) else np.zeros(3)
         ijk -= self._origin
         dims = ijk.max(axis=0, initial=0.0) + 3.0
@@ -746,57 +722,78 @@ class KeyedPoints:
         # Linearized key strides of the three cell coordinates.
         dims = dims.astype(np.int64)
         self._stride = np.array([dims[1] * dims[2], dims[2], 1])
-        self.order, self.cells, self.starts, self.counts = _occupied(
-            ijk.astype(np.int64) @ self._stride
-        )
+        keys = ijk.astype(np.int64) @ self._stride
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.columns = np.take(points.T, self.order, axis=1)
 
-    def steps(self, offsets):
-        """The key steps of the cell offsets ``offsets`` (k, 3)."""
-        return offsets @ self._stride
+    def _column_runs(self, keys, dx, dy):
+        """The sorted-position range ``[lo, hi)`` of the points in the three
+        cells ``key + step - 1``, ``key + step`` and ``key + step + 1`` of
+        each (x, y) column offset ``(dx, dy)`` and each cell key, offset by
+        offset, from two ``searchsorted`` calls.
+
+        Every key searched around is that of a cell inside the outer empty
+        padding layer (an occupied cell lies inside both, and ``join`` drops
+        query points outside it), so its cells one z step up and down lie in
+        the same column of the grid: a run never wraps from the top of one
+        column to the bottom of the next.  Each target is thus the key of a
+        cell of the grid, below 2^62, so no sum wraps int64.
+        """
+        steps = dx * self._stride[0] + dy * self._stride[1]
+        targets = (steps[:, None] + keys).ravel()
+        return (np.searchsorted(self.keys, targets - 1, side="left"),
+                np.searchsorted(self.keys, targets + 1, side="right"))
+
+    def _sq_dist(self, positions, p):
+        """Squared distances of the set's points at sorted ``positions`` from
+        the rows of the (3, m) columns ``p``, summed as
+        ``dx*dx + dy*dy + dz*dz``."""
+        x, y, z = self.columns
+        dx, dy, dz = x.take(positions) - p[0], y.take(positions) - p[1], z.take(positions) - p[2]
+        return dx * dx + dy * dy + dz * dz
 
     def join(self, a):
         """Every pair of a point of ``a`` and a point of the set within the
         radius: index arrays into ``a`` and the set and the squared
         distances, in no particular order.
 
-        Each occupied cell of ``a`` is paired with the occupied cells of the
-        set among its 27 neighbours, and only those cross-set point pairs
-        are expanded and tested.
+        Each point of ``a`` near the grid takes the nine column runs of its
+        27 neighbouring cells, and only those pairs are tested.
         """
         a = np.asarray(a, dtype=float).reshape(-1, 3)
-        if len(a) == 0 or len(self.points) == 0:
+        if len(a) == 0 or len(self.keys) == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
         ijk = np.floor(a / self._edge) - self._origin
         near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner)).all(axis=1))
-        order_a, cells_a, starts_a, counts_a = _occupied(ijk[near].astype(np.int64) @ self._stride)
-        a_cell, b_cell = _neighbour_cells(cells_a, self.cells, self.steps(_NEIGHBOURHOOD))
-        pa, pb = _expand(starts_a[a_cell], counts_a[a_cell],
-                         self.starts[b_cell], self.counts[b_cell])
-        i, j = near[order_a[pa]], self.order[pb]
-        d_sq = _sq_dist(a[i], self.points[j])
+        keys = ijk[near].astype(np.int64) @ self._stride
+        # Sorted keys search faster, each search starting from the last.
+        by_key = np.argsort(keys, kind="stable")
+        near = near[by_key]
+        lo, hi = self._column_runs(keys[by_key], np.repeat([-1, 0, 1], 3), np.array([-1, 0, 1] * 3))
+        i, pos = _runs(np.tile(near, 9), lo, hi)
+        d_sq = self._sq_dist(pos, a.T.take(i, axis=1))
         inside = d_sq <= self.radius * self.radius
-        return i[inside], j[inside], d_sq[inside]
+        return i[inside], self.order[pos[inside]], d_sq[inside]
 
 
 def _radius_pairs(points, radius):
     """Every unordered pair of ``points`` within ``radius``: index arrays
     ``i < j`` and the squared distances, in no particular order.
 
-    Each occupied cell is paired with itself and with the occupied cells
-    among its 13 half-neighbours, and every point pair of every cell pair is
-    expanded and tested.
+    Each point takes the positions after it in its own column run and the
+    four column runs of the (x, y) offsets that follow (0, 0) in
+    lexicographic order, (0, 1), (1, -1), (1, 0) and (1, 1): every pair of
+    points at most one cell apart is tested once.
     """
     grid = KeyedPoints(points, radius)
-    starts, counts = grid.starts, grid.counts
-    a_cell, b_cell = _neighbour_cells(grid.cells, grid.cells, grid.steps(_HALF_NEIGHBOURHOOD))
-    a, b = _expand(starts[a_cell], counts[a_cell], starts[b_cell], counts[b_cell])
-    # A later cell's positions all follow an earlier one's, so this keeps
-    # each same-cell pair once and every cross-cell pair.
-    keep = a < b
-    i, j = grid.order[a[keep]], grid.order[b[keep]]
-    d_sq = _sq_dist(points[i], points[j])
+    n = len(grid.keys)
+    lo, hi = grid._column_runs(grid.keys, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
+    lo[:n] = np.arange(1, n + 1)
+    a, b = _runs(np.tile(np.arange(n), 5), lo, hi)
+    d_sq = grid._sq_dist(b, grid.columns.take(a, axis=1))
     inside = d_sq <= radius * radius
-    i, j = i[inside], j[inside]
+    i, j = grid.order[a[inside]], grid.order[b[inside]]
     return np.minimum(i, j), np.maximum(i, j), d_sq[inside]
 
 

@@ -1,6 +1,6 @@
 """The package's runtime dependencies are the standard library and numpy,
-and every module-level function and class of the package, and every method
-of its classes, has a reader.
+and every module-level function, class, assigned name and import of the
+package, and every method of its classes, has a reader.
 
 Other packages may be installed where the tests run, so an import of one
 would pass every other test; this reads the imports from the source.  Code
@@ -9,7 +9,8 @@ references from the package's modules and the benchmark's.  The oracles and
 generators of ``simulation/`` exist for the tests, so they read but are not
 checked.  A reader is matched by name only, so a method whose name another
 reader also uses for something else (``add``, ``replace``, ``zeros``) still
-passes; dunder methods are called by the language and are not checked."""
+passes; dunder names and methods are read by the language and are not
+checked, nor is ``from __future__``."""
 
 import ast
 import sys
@@ -81,17 +82,31 @@ def _names(node, skip=None):
     return found
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """``(name, node)`` of each module-level function and class of ``tree``,
+    """``(name, node)`` of each module-level function, class, assigned
+    non-dunder name and imported name of ``tree`` (not ``from __future__``),
     and ``("Class.method", node)`` of each non-dunder method of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, node
+        elif isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
+                if isinstance(member, ast.FunctionDef) and not _dunder(member.name):
                     yield f"{node.name}.{member.name}", member
 
 
@@ -104,7 +119,8 @@ def unreferenced(checked, readers):
     for label, tree in checked.items():
         elsewhere = set().union(*(_names(t) for other, t in readers.items() if other != label))
         for name, node in _definitions(tree):
-            if node.name not in elsewhere and node.name not in _names(tree, skip=node):
+            bound = name.rpartition(".")[2]
+            if bound not in elsewhere and bound not in _names(tree, skip=node):
                 found.append((label, name))
     return found
 
@@ -112,6 +128,15 @@ def unreferenced(checked, readers):
 def test_unreferenced_flags_what_only_its_own_definition_names():
     readers = {
         "a": ast.parse(
+            "from __future__ import annotations\n"
+            "import itertools\n"
+            "import numpy as np\n"
+            "import os.path\n"
+            "from math import pi as PI\n"
+            "__version__ = '1'\n"
+            "TABLE = np.zeros(3)\n"
+            "USED, SPARE = 1, 2\n"
+            "ANNOTATED: int = USED + os.sep\n"
             "def f():\n"
             "    \"\"\"Not g().\"\"\"\n"
             "    return f()\n"
@@ -131,7 +156,10 @@ def test_unreferenced_flags_what_only_its_own_definition_names():
         ),
         "b": ast.parse("import a\nfrom a import _h\na.g()\nx.elsewhere\n"),
     }
-    assert unreferenced({"a": readers["a"]}, readers) == [("a", "f"), ("a", "C.unused")]
+    assert unreferenced({"a": readers["a"]}, readers) == [
+        ("a", "itertools"), ("a", "PI"), ("a", "TABLE"), ("a", "SPARE"), ("a", "ANNOTATED"),
+        ("a", "f"), ("a", "C.unused"),
+    ]
 
 
 def test_every_module_level_function_and_class_has_a_reader():

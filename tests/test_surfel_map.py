@@ -15,6 +15,7 @@ from surfelslam.surfel_map import (
     SparseSurfel,
     SparseSurfelMap,
     _check_sparse,
+    _radius_pairs,
     check_dense,
     extract_dense,
     merge_moments,
@@ -576,12 +577,6 @@ def test_index_matches_linear_scan_on_cell_faces(rng):
     assert sorted(m.surfels) == sorted(shadow.points)
 
 
-def _join_bruteforce(a, b, radius):
-    d_sq = ((b[None, :, :] - a[:, None, :]) ** 2).sum(axis=2)
-    i, j = np.nonzero(d_sq <= radius * radius)
-    return i, j, d_sq[i, j]
-
-
 def test_radius_join_matches_bruteforce(rng):
     # ``wide`` holds copies of 40 cluster points, so radius 0 finds pairs,
     # and most of its points lie outside the cluster's box.
@@ -602,7 +597,7 @@ def test_radius_join_matches_bruteforce(rng):
     for a, b, radius in cases:
         i, j, d_sq = radius_join(a, b, radius)
         order = np.lexsort((j, i))
-        want = _join_bruteforce(a, b, radius)
+        want = oracles.radius_join_bruteforce(a, b, radius)
         assert np.array_equal(i[order], want[0])
         assert np.array_equal(j[order], want[1])
         assert np.array_equal(d_sq[order], want[2])
@@ -735,12 +730,65 @@ def test_keyed_points_join_matches_bruteforce(rng):
         ):
             i, j, d_sq = keyed.join(a)
             order = np.lexsort((j, i))
-            want = _join_bruteforce(a, b, radius)
+            want = oracles.radius_join_bruteforce(a, b, radius)
             assert np.array_equal(i[order], want[0])
             assert np.array_equal(j[order], want[1])
             assert np.array_equal(d_sq[order], want[2])
     i, j, d_sq = KeyedPoints(np.zeros((0, 3)), 0.5).join(b)
     assert i.size == j.size == d_sq.size == 0
+
+
+# Two close pairs at opposite corners of a grid of radius-1 cells of
+# 1664509 cells an axis, padding included: 1664509^3 is just under the 2^62
+# cells the keys allow.
+_CORNERS = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
+                     [1664505.0, 1664505.0, 1664505.0], [1664504.5, 1664505.0, 1664504.5]])
+
+
+def _pair_sets(rng):
+    """Point sets and radii that stress the column runs of the grid kernel."""
+    lattice = -0.5 + 0.125 * np.array([[x, y, z] for x in range(9) for y in range(9) for z in range(9)])
+    repeated = np.repeat(rng.uniform(-1.0, 1.0, size=(60, 3)), [1, 2, 3] * 20, axis=0)
+    slab = rng.uniform(0.0, 1.0, size=(300, 3)) * [5.0, 0.04, 0.04]
+    return [
+        (lattice, 0.125),  # d² == r² on the cell faces
+        (repeated, 0.0),  # duplicates only
+        (slab, 0.05),  # one cell thick in y and z: every run reaches the padding
+        (rng.uniform(0.0, 0.3, size=(600, 3)), 0.1),  # tens of points a cell
+        (1e3 + rng.uniform(-1.0, 1.0, size=(400, 3)), 0.2),
+        (_CORNERS, 1.0),
+        (np.ones((1, 3)), 0.5),
+        (np.zeros((0, 3)), 0.5),
+    ]
+
+
+def _sorted_pairs(i, j, d_sq):
+    order = np.lexsort((j, i))
+    return i[order], j[order], d_sq[order]
+
+
+def test_radius_pairs_matches_bruteforce(rng):
+    for points, radius in _pair_sets(rng):
+        got = _sorted_pairs(*_radius_pairs(points, radius))
+        want = oracles.radius_pairs_bruteforce(points, radius)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    i, j, _ = _radius_pairs(_CORNERS, 1.0)
+    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (2, 3)]
+    # The corner set keys in range only just: a 1% wider extent does not.
+    with pytest.raises(InvalidArgumentError):
+        _radius_pairs(_CORNERS * 1.01, 1.0)
+
+
+def test_radius_pairs_is_the_upper_half_of_the_self_join(rng):
+    # Both forms of the kernel find the same pairs with bit-equal distances.
+    for points, radius in _pair_sets(rng):
+        i, j, d_sq = KeyedPoints(points, radius).join(points)
+        upper = i < j
+        want = _sorted_pairs(i[upper], j[upper], d_sq[upper])
+        got = _sorted_pairs(*_radius_pairs(points, radius))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def _mixed_psd_stack(rng):
