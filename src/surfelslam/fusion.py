@@ -1,9 +1,9 @@
 """Probabilistic surfel fusion: beam noise model, resolution-preserving
-two-stage matching, normal-inverse-Wishart centroid/extent updates, colour
-fusion, and the temporal active/inactive map step.
+two-stage matching, normal-inverse-Wishart centroid/extent updates, and the
+temporal active/inactive map step.
 
 Each stage works on stacks: the beam noise of every return, the gates of
-every candidate pair, and the Wishart, colour and normal updates of every
+every candidate pair, and the Wishart and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
 ``fuse_surfel``) are the batch functions on a batch of one.  A fusion step
@@ -295,23 +295,6 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
     return check_dense(*fuse_batch(DenseSurfels.of([dst]), one))[0]
 
 
-# -- colour -------------------------------------------------------------------
-
-
-def fuse_colour(dst, src):
-    """Precision-weighted colour mean and harmonically combined sigma of two
-    surfels, or row by row of two equal-length batches."""
-    sigma_d = np.asarray(dst.colour_sigma, dtype=float)
-    sigma_s = np.asarray(src.colour_sigma, dtype=float)
-    if np.any(sigma_d <= 0) or np.any(sigma_s <= 0):
-        raise InvalidArgumentError("colour sigmas must be positive")
-    w_d = 1.0 / sigma_d
-    w_s = 1.0 / sigma_s
-    colour = (w_d[..., None] * dst.colour + w_s[..., None] * src.colour) / (w_d + w_s)[..., None]
-    sigma = 1.0 / (w_d + w_s)
-    return colour, sigma if sigma.ndim else float(sigma)
-
-
 # -- point-to-plane ICP on sparse surfels -------------------------------------
 
 # Minimum |n_s . n_d| for an ICP pair; sparse normals carry no sign.
@@ -515,9 +498,8 @@ def _fold(state: DenseSurfels, slot, sources: DenseSurfels, noise):
         dst = state[rows]
         meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[pending],
                                  src.timestamp)
-        colour, sigma = fuse_colour(dst, src)
         fused, fused_eigenvalues = fuse_batch(dst, meas)
-        _put(state, rows, replace(fused, colour=colour, colour_sigma=sigma))
+        _put(state, rows, fused)
         for f, w in fused_eigenvalues.items():
             eigenvalues[f][rows] = w
     return eigenvalues

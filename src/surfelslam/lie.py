@@ -76,28 +76,22 @@ def _jl_inv_coeff(t):
     return 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
 
 
-# Below this angle the Q-matrix coefficients switch to their Taylor series.
+# Below this angle the Q-matrix coefficients c2 and c3 switch to their
+# Taylor series.
 Q_SERIES_ANGLE = 0.1
 
 
-def _se3_q_coeffs(theta):
-    """Coefficients (c1, c2, c3) of the SE(3) Q matrix for angles ``theta``
-    (N,)."""
-    theta = np.asarray(theta, dtype=float)
-    small = theta < Q_SERIES_ANGLE
-    t = np.where(small, 1.0, theta)
-    s, c = np.sin(t), np.cos(t)
-    t3 = t**3
-    a = (1.0 - t * t / 2.0 - c) / t**4
-    c1 = (t - s) / t3
-    c2 = -a
-    c3 = -0.5 * (a - 3.0 * (t - s - t3 / 6.0) / t**5)
-    if np.any(small):
-        t2 = theta * theta
-        c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0, c1)
-        c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0, c2)
-        c3 = np.where(small, 1.0 / 120.0 - t2 / 2520.0 + t2 * t2 / 120960.0, c3)
-    return c1, c2, c3
+@_series_below(Q_SERIES_ANGLE, lambda t: 1.0 / 24.0 - t * t / 720.0 + (t * t) ** 2 / 40320.0)
+def _q_c2(t):
+    # (t^2 / 2 - 1 + cos(t)) / t^4
+    return -(1.0 - t * t / 2.0 - np.cos(t)) / t**4
+
+
+@_series_below(Q_SERIES_ANGLE, lambda t: 1.0 / 120.0 - t * t / 2520.0 + (t * t) ** 2 / 120960.0)
+def _q_c3(t):
+    # (3 (t - sin(t) - t^3 / 6) / t^5 - a) / 2 with a = -c2
+    a = (1.0 - t * t / 2.0 - np.cos(t)) / t**4
+    return -0.5 * (a - 3.0 * (t - np.sin(t) - t**3 / 6.0) / t**5)
 
 
 def _q_from_hats(rx, tx, c1, c2, c3):
@@ -191,7 +185,7 @@ def so3_left_jacobian_inv_batch(r):
 def _se3_q(theta, k, t):
     # The Q block from the rotational part's angles and hats (see _so3_hats)
     # and the translational parts (N, 3).
-    c1, c2, c3 = (c[:, None, None] for c in _se3_q_coeffs(theta))
+    c1, c2, c3 = (c(theta)[:, None, None] for c in (_one_minus_sinc_coeff, _q_c2, _q_c3))
     return _q_from_hats(k, hat_batch(t), c1, c2, c3)
 
 

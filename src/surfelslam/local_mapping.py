@@ -4,12 +4,10 @@ Four residual families constrain the window: surfel-to-surfel point-to-plane
 errors, surfel-to-map-prior point-to-plane errors, and IMU acceleration and
 body-rate errors.  They are evaluated as arrays over the whole window; the
 scalar per-constraint evaluators that pin them are test oracles in
-``simulation.oracles``.  A damped Gauss-Newton solver estimates the spline
-control points together with the IMU biases and an optional time lag.  Its
-Jacobian is analytic in the control points (chain rule through the SE(3)
-geodesic interpolation, in the manner of Sommer et al., CVPR 2020) and in the
-biases; the time-lag column is a forward difference of step
-``OptimizerConfig.fd_step``.
+``simulation.oracles``.  A damped Gauss-Newton solver estimates a spline
+correction at the knots, and the IMU biases when the window has IMU samples.
+Its Jacobian is analytic (chain rule through the SE(3) geodesic
+interpolation, in the manner of Sommer et al., CVPR 2020).
 
 A cubic B-spline value reads four consecutive knots, so every residual row
 depends on a short run of knots, its band.  Each iteration builds the normal
@@ -19,8 +17,8 @@ the same bands, to pin them against finite differences.
 
 The trajectory stays densely sampled (Park et al., ICRA 2018): the optimizer
 estimates spline *corrections*, composes each accepted one onto the samples
-by left multiplication, ``T' = dT T``, and restarts the control points from
-zero at every iteration.  Queries between samples follow the SE(3) geodesic.
+by left multiplication, ``T' = dT T``, and restarts the correction from zero
+at every iteration.  Queries between samples follow the SE(3) geodesic.
 So the window is linearized at the folded samples only, where a knot
 increment moves each sample by its spline weight alone.
 """
@@ -110,12 +108,11 @@ class ImuSample:
 
 @dataclass
 class OptState:
-    """Optimization state: control grid, IMU biases, time lag."""
+    """Optimization state: knot grid and IMU biases."""
 
     grid: ControlGrid
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    time_lag: float = 0.0
 
     def __post_init__(self):
         self.accel_bias = np.asarray(self.accel_bias, dtype=float)
@@ -130,13 +127,6 @@ class OptimizerConfig:
     cost_tol: float = 1e-10
     damping_init: float = 1e-6
     damping_retries: int = 5
-    # Forward-difference step of the time-lag column, the one Jacobian
-    # column that is not analytic.
-    fd_step: float = 1e-6
-    estimate_biases: bool = True
-    estimate_time_lag: bool = False
-    max_time_lag: float = 0.05
-    max_bias: float = 1.0
     sigma_surfel: float = 0.02
     sigma_prior: float = 0.02
     sigma_accel: float = 0.05
@@ -182,15 +172,12 @@ def _knot_band(idx, weights):
 class _Iterate(NamedTuple):
     """An evaluated iterate: the query poses it reads and its residuals.
 
-    ``where`` brackets the queries among the samples (see
-    ``_WindowSystem._where``); ``samples`` are the corrected samples;
-    ``chart`` is the brackets' twists the poses were interpolated with (see
-    ``trajectory.interpolate``).
+    ``samples`` are the corrected samples; ``chart`` is the brackets' twists
+    the poses were interpolated with (see ``trajectory.interpolate``).
     """
 
     x: np.ndarray
     state: OptState
-    where: tuple
     samples: tuple
     rot: np.ndarray
     t: np.ndarray
@@ -221,14 +208,15 @@ def _row_spread(reads, first, weights, blended):
     return row_first, spread[:, None, :width], slots
 
 
-def _row_band(spread, reads, slots, blend):
-    """Band (m, a, W, 6) of the rows that read ``[(queries, grad (m, a, 6))]``
-    with ``spread`` and ``slots`` (see ``_row_spread``).  A snapped query's
-    slot takes the gradient g as it is; an interior query's two take
-    ``g - gM`` and ``gM``, with gM pulled through the factors of ``blend``
-    (see ``_WindowSystem._blend``), one vector-matrix product each."""
+def _row_band(spread, grads, slots, blend):
+    """Band (m, a, W, 6) of the rows whose queries take the gradients
+    ``grads`` [(m, a, 6)], with ``spread`` and ``slots`` (see
+    ``_row_spread``).  A snapped query's slot takes the gradient g as it is;
+    an interior query's two take ``g - gM`` and ``gM``, with gM pulled
+    through the factors of ``blend`` (see ``_WindowSystem._blend``), one
+    vector-matrix product each."""
     coefs = []
-    for (_, g), slot in zip(reads, slots):
+    for g, slot in zip(grads, slots):
         if slot is None:
             coefs.append(g[:, None])
             continue
@@ -239,13 +227,13 @@ def _row_band(spread, reads, slots, blend):
     return spread @ np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
 
 
-
 class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
     Every residual reads poses at query times, laid out as
-    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Pair and prior
-    queries are located once; only the IMU stencil moves with the time lag.
+    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  The corrections
+    move the samples, never the times, so the queries' sample brackets
+    (``where``) are located once per window.
 
     The window is linearized at the folded samples only, at zero correction
     (:meth:`fold`); a non-zero correction is refused.  The residual layer
@@ -266,9 +254,9 @@ class _WindowSystem:
     slot's weights at the query's knot offset from the row's first knot.
     :meth:`normal_equations` sorts the rows by first knot and adds one
     ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
-    border is the bias columns and the time-lag column, the one finite
-    difference (``cfg.fd_step``).  The spreads and this order depend on the
-    brackets only and are built once per lag (:meth:`_rows`).
+    border is the constant bias columns, present when the window has IMU
+    samples.  The spreads and this order depend on the brackets only and are
+    built once per window (:meth:`_rows`).
     :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
     only the tests read.
 
@@ -300,11 +288,8 @@ class _WindowSystem:
         self.prior_n = np.array([c.n_mc for c in prior_constraints]).reshape(-1, 3)
         self.prior_taus = np.array([c.tau_c for c in prior_constraints])
 
-        lag_slack = cfg.max_time_lag if cfg.estimate_time_lag else abs(state.time_lag)
         taus = np.array([s.tau for s in imu], dtype=float)
-        keep = (taus + state.time_lag - self.h - lag_slack >= traj.start) & (
-            taus + state.time_lag + self.h + lag_slack <= traj.end
-        )
+        keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
         usable = [s for s, k in zip(imu, keep) if k]
         self.imu_taus = taus[keep]
         self.imu_accel = np.array([s.accel for s in usable]).reshape(-1, 3)
@@ -326,6 +311,25 @@ class _WindowSystem:
         self.q_b = slice(p, 2 * p)
         self.q_prior = slice(2 * p, first)
         self.q_stencil = [slice(first + i * m, first + (i + 1) * m) for i in range(3)]
+        self.where = brackets(traj.times, np.concatenate([
+            self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus,
+            self.imu_taus - self.h, self.imu_taus, self.imu_taus + self.h,
+        ]), 1e-9 * self.h)
+        # Per residual family, its rows (n, a) and the queries they read.
+        self.families = []
+        if p:
+            self.families.append((np.arange(p)[:, None], [self.q_a, self.q_b]))
+        if self.n_prior:
+            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)[:, None]
+            self.families.append((rows, [self.q_prior]))
+        if m:
+            for sl, reads in ((self.sl_accel, self.q_stencil), (self.sl_gyro, self.q_stencil[1:])):
+                self.families.append((sl.start + np.arange(3 * m).reshape(m, 3), reads))
+        # The bias columns, one per bias component, when there are IMU rows.
+        comp = np.arange(3 * m)
+        self.border = np.zeros((self.n_residuals, 6 if m else 0))
+        self.border[self.sl_accel.start + comp, comp % 3] = 1.0 / cfg.sigma_accel
+        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = 1.0 / cfg.sigma_gyro
 
         self.w_samples = self.grid.weight_matrix(self.traj_times)
         # Knot weights of the two samples of every interval between samples,
@@ -341,43 +345,24 @@ class _WindowSystem:
         # layout of the bands, where knot k holds (du_r, du_t) at 6k.
         k3 = np.arange(3 * self.n_knots)
         self.knot_major = np.concatenate([6 * (k3 // 3) + 3 + k3 % 3, 6 * (k3 // 3) + k3 % 3])
-        self.fixed_where = self._locate(
-            np.concatenate([self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus])
-        )
-        self._where_at = None  # (time lag, where) of the last _where call
-        self._rows_at = None  # (time lag, rows) of the last linearization
+        self.structure = self._rows()
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
 
-    # -- parameter vector layout: [c_t (3K), c_r (3K), b_a?, b_g?, d?] --
+    # -- parameter vector layout: [c_t (3K), c_r (3K), b_a, b_g when IMU] --
 
     def n_params(self):
-        n = 6 * self.n_knots
-        if self.cfg.estimate_biases:
-            n += 6
-        if self.cfg.estimate_time_lag:
-            n += 1
-        return n
+        return 6 * self.n_knots + self.border.shape[1]
 
     def split_params(self, x, state):
         k = self.n_knots
         c_t = x[: 3 * k].reshape(k, 3)
         c_r = x[3 * k : 6 * k].reshape(k, 3)
-        i = 6 * k
-        if self.cfg.estimate_biases:
-            b_a = state.accel_bias + x[i : i + 3]
-            b_g = state.gyro_bias + x[i + 3 : i + 6]
-            i += 6
-        else:
-            b_a, b_g = state.accel_bias, state.gyro_bias
-        if self.cfg.estimate_time_lag:
-            d = np.clip(
-                state.time_lag + x[i], -self.cfg.max_time_lag, self.cfg.max_time_lag
-            )
-        else:
-            d = state.time_lag
-        return c_t, c_r, b_a, b_g, d
+        if self.n_imu:
+            b = x[6 * k :]
+            return c_t, c_r, state.accel_bias + b[:3], state.gyro_bias + b[3:]
+        return c_t, c_r, state.accel_bias, state.gyro_bias
 
     def _corrected_samples(self, c_t, c_r):
         rot_c = lie.so3_exp_batch(self.w_samples @ c_r)
@@ -385,43 +370,20 @@ class _WindowSystem:
 
     def fold(self, it):
         """Compose the correction of iterate ``it`` into the samples.  The
-        returned iterate is ``x = 0`` of a state with ``it``'s biases and
-        lag, which reads ``it``'s poses, so its residuals are ``it``'s."""
-        _, _, b_a, b_g, d = self.split_params(it.x, it.state)
+        returned iterate is ``x = 0`` of a state with ``it``'s biases, which
+        reads ``it``'s poses, so its residuals are ``it``'s."""
+        _, _, b_a, b_g = self.split_params(it.x, it.state)
         self.base_rot, self.base_t = it.samples
-        return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g, d))
-
-    # -- query poses --------------------------------------------------------
-
-    def _locate(self, taus):
-        """Sample brackets ``(idx, alpha)`` of query times ``taus``."""
-        return brackets(self.traj_times, taus, 1e-9 * self.h)
-
-    def _where(self, d):
-        """Sample brackets of every query at time lag ``d``.  Only the IMU
-        stencil moves with the lag, so the last result is reused while the
-        lag is unchanged."""
-        if self._where_at is None or self._where_at[0] != d:
-            taus = self.imu_taus + d
-            idx, w = self._locate(np.concatenate([taus - self.h, taus, taus + self.h]))
-            where = (
-                np.concatenate([self.fixed_where[0], idx]),
-                np.concatenate([self.fixed_where[1], w]),
-            )
-            for a in where:
-                a.flags.writeable = False  # shared by every iterate at this lag
-            self._where_at = d, where
-        return self._where_at[1]
+        return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g))
 
     def evaluate(self, x, state):
         """The iterate at ``x``: the query poses it reads and its whitened
         residuals (no robust weighting)."""
-        c_t, c_r, b_a, b_g, d = self.split_params(x, state)
-        where = self._where(d)
+        c_t, c_r, b_a, b_g = self.split_params(x, state)
         samples = self._corrected_samples(c_t, c_r)
-        rot, t, chart = interpolate(*samples, *where)
+        rot, t, chart = interpolate(*samples, *self.where)
         residuals = self._residuals_at(rot, t, b_a, b_g)
-        return _Iterate(x, state, where, samples, rot, t, chart, residuals)
+        return _Iterate(x, state, samples, rot, t, chart, residuals)
 
     def residuals(self, x, state):
         """Whitened residual vector (no robust weighting)."""
@@ -504,13 +466,13 @@ class _WindowSystem:
 
     # -- linearization ------------------------------------------------------
 
-    def _pose_layer(self, where):
+    def _pose_layer(self):
         """First knot (Q,), slot weights (Q, 2, W) on W knots from it, and
-        whether the query is blended (Q,), of the queries bracketed by
-        ``where``.  A snapped query reads its sample's weights in its first
-        slot; an interior one reads its lower sample's there and its upper
-        sample's in the second, both on the knots from the lower's first."""
-        idx, w = where
+        whether the query is blended (Q,), of every query.  A snapped query
+        reads its sample's weights in its first slot; an interior one reads
+        its lower sample's there and its upper sample's in the second, both
+        on the knots from the lower's first."""
+        idx, w = self.where
         first, lower, upper = self.interval_bands
         snapped_up = w == 1.0
         weights = np.stack(
@@ -540,8 +502,8 @@ class _WindowSystem:
 
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
-        left perturbation of each query pose they read, one entry per family:
-        ``(rows (m, a), [(queries (m,), grad (m, a, 6)), ...])``."""
+        left perturbation of each query pose they read: per entry of
+        ``families``, one gradient (n, a, 6) per query slice it reads."""
         cfg = self.cfg
         families = []
 
@@ -549,27 +511,24 @@ class _WindowSystem:
             # n . (R u + t) moves by (w x n) . phi + n . rho at w = R u + t.
             world = np.einsum("nij,nj->ni", rot[q], u) + t[q]
             grad = np.concatenate([np.cross(world, normal), normal], axis=1)
-            return q, (coef[:, None] * grad)[:, None]
+            return (coef[:, None] * grad)[:, None]
 
         if self.n_pair:
-            rows = np.arange(self.sl_pair.start, self.sl_pair.stop)[:, None]
             coef = self.robust_weights[self.sl_pair] / cfg.sigma_surfel
-            families.append((rows, [
+            families.append([
                 plane(self.q_a, self.pair_u_a, self.pair_n, coef),
                 plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
-            ]))
+            ])
         if self.n_prior:
-            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)[:, None]
             coef = self.robust_weights[self.sl_prior] / cfg.sigma_prior
-            families.append((rows, [plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)]))
+            families.append([plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)])
         if self.n_imu:
             m = self.n_imu
             q_minus, q_mid, q_plus = self.q_stencil
             rot_mid_t = rot[q_mid].transpose(0, 2, 1)
             # Acceleration: a = (t+ - 2 t0 + t-) / h^2 in the body frame of R0.
-            rows = self.sl_accel.start + np.arange(3 * m).reshape(m, 3)
             accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
-            reads = []
+            grads = []
             for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
                 c /= self.h * self.h * cfg.sigma_accel
                 grad = np.zeros((m, 3, 6))
@@ -579,38 +538,34 @@ class _WindowSystem:
                     grad[:, :, :3] -= (
                         rot_mid_t @ lie.hat_batch(accel_world - GRAVITY) / cfg.sigma_accel
                     )
-                reads.append((q, grad))
-            families.append((rows, reads))
+                grads.append(grad)
+            families.append(grads)
             # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h.
-            rows = self.sl_gyro.start + np.arange(3 * m).reshape(m, 3)
             rel = rot_mid_t @ rot[q_plus]
             rate = (
                 lie.so3_left_jacobian_inv_batch(lie.so3_log_batch(rel))
                 @ rot_mid_t
                 / (self.h * cfg.sigma_gyro)
             )
-            reads = []
-            for q, sign in ((q_mid, 1.0), (q_plus, -1.0)):
+            grads = []
+            for sign in (1.0, -1.0):
                 grad = np.zeros((m, 3, 6))
                 grad[:, :, :3] = sign * rate
-                reads.append((q, grad))
-            families.append((rows, reads))
+                grads.append(grad)
+            families.append(grads)
         return families
 
-    def _rows(self, it, families):
-        """Row structure of ``families`` at the lag of iterate ``it``, built
-        once per lag: per family its rows, first knots, spread and slots
-        (``_row_spread``); six times the knots the bands reach; and per band
-        width 6W the plan of :meth:`normal_equations`: the families, where
-        their rows go in stable first-knot order, a buffer for their bands
-        in that order, the rows in it and the first-knot spans."""
-        d = self.split_params(it.x, it.state)[4]
-        if self._rows_at is not None and self._rows_at[0] == d:
-            return self._rows_at[1]
-        layer = self._pose_layer(it.where)
+    def _rows(self):
+        """Row structure of ``families``, built once per window: per family
+        its rows, first knots, spread and slots (``_row_spread``); six times
+        the knots the bands reach; and per band width 6W the plan of
+        :meth:`normal_equations`: the families, where their rows go in stable
+        first-knot order, a buffer for their bands in that order, the rows in
+        it and the first-knot spans."""
+        layer = self._pose_layer()
         fams = []
-        for rows, reads in families:
-            first, spread, slots = _row_spread([q for q, _ in reads], *layer)
+        for rows, reads in self.families:
+            first, spread, slots = _row_spread(reads, *layer)
             fams.append((rows.reshape(-1), np.repeat(first, rows.shape[1]), spread, slots))
         # Knots the bands reach; past the last knot only zero weights reach.
         size = 6 * max([self.n_knots] + [int(f.max()) + s.shape[2] for _, f, s, _ in fams])
@@ -626,53 +581,31 @@ class _WindowSystem:
             at = np.split(np.argsort(order), np.cumsum([fams[i][0].size for i in same])[:-1])
             buffer = np.empty((order.size, 6 * width))  # refilled, not reallocated, per call
             plan.append((6 * width, same, at, buffer, rows[order], spans))
-        self._rows_at = d, (fams, size, plan)
-        return self._rows_at[1]
+        return fams, size, plan
 
-    def _linearize(self, it, base_weighted):
-        """Row structure, row bands and border of the robust-weighted
-        residuals at iterate ``it``, which must have zero correction.
-
-        Returns the :meth:`_rows` structure, the bands ``[(n, 6W)]``, one
-        per residual family, with the knots in the knot-major layout, and the
-        border (n_residuals, 0..7): the bias columns, then the time-lag
-        column, a forward difference of step ``cfg.fd_step`` from
-        ``base_weighted``, the weighted residuals at ``it``.  The robust
-        weights are held fixed.
-        """
+    def _linearize(self, it):
+        """Row bands ``[(n, 6W)]`` of the robust-weighted residuals at iterate
+        ``it``, which must have zero correction, one per residual family,
+        with the knots in the knot-major layout.  The robust weights are held
+        fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        cfg = self.cfg
-        families = self._residual_layer(it.rot, it.t)
-        structure = self._rows(it, families)
         # The derivative reads the chart the interpolation read.
-        blend = self._blend(*it.samples, it.where[1], it.chart)
-        bands = [
-            _row_band(spread, reads, slots, blend).reshape(rows.size, -1)
-            for (_, reads), (rows, _, spread, slots) in zip(families, structure[0])
+        blend = self._blend(*it.samples, self.where[1], it.chart)
+        return [
+            _row_band(spread, grads, slots, blend).reshape(rows.size, -1)
+            for grads, (rows, _, spread, slots) in zip(
+                self._residual_layer(it.rot, it.t), self.structure[0]
+            )
         ]
-
-        columns = []
-        if cfg.estimate_biases:
-            bias = np.zeros((self.n_residuals, 6))
-            comp = np.arange(3 * self.n_imu)
-            bias[self.sl_accel.start + comp, comp % 3] = 1.0 / cfg.sigma_accel
-            bias[self.sl_gyro.start + comp, 3 + comp % 3] = 1.0 / cfg.sigma_gyro
-            columns.append(bias)
-        if cfg.estimate_time_lag:
-            step = np.zeros(self.n_params())
-            step[-1] = cfg.fd_step
-            plus = self.weighted(self.residuals(it.x + step, it.state))
-            columns.append((plus - base_weighted)[:, None] / cfg.fd_step)
-        border = np.hstack(columns) if columns else np.zeros((self.n_residuals, 0))
-        return structure, bands, border
 
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
         residuals ``weighted`` at iterate ``it`` of zero correction, built
         from the row bands grouped by first knot, without forming J."""
-        (_, size, plan), bands, border = self._linearize(it, weighted)
-        rhs = np.column_stack([weighted, border])
+        _, size, plan = self.structure
+        bands = self._linearize(it)
+        rhs = np.column_stack([weighted, self.border])
         h_kk = np.zeros((size, size))
         h_kr = np.zeros((size, rhs.shape[1]))
         # Rows of one band width are sorted together by first knot; each
@@ -696,20 +629,21 @@ class _WindowSystem:
         hess[n:, n:] = h_rr[1:, 1:]
         return hess, np.concatenate([h_kr[km, 0], h_rr[1:, 0]])
 
-    def jacobian(self, x, state, base_weighted):
+    def jacobian(self, x, state):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
-        :meth:`normal_equations` scattered into their columns, at an ``x`` of
-        zero correction.  Analytic in the control points and biases; see
-        :meth:`_linearize` for the time-lag column.  Only tests read it."""
-        (fams, size, _), bands, border = self._linearize(self.evaluate(x, state), base_weighted)
+        :meth:`normal_equations` scattered into their columns and the bias
+        columns, at an ``x`` of zero correction.  Only tests read it."""
+        fams, size, _ = self.structure
+        bands = self._linearize(self.evaluate(x, state))
         knots = np.zeros((self.n_residuals, size))
         for (rows, first, _, _), band in zip(fams, bands):
             knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
-        return np.hstack([knots[:, self.knot_major], border])
+        return np.hstack([knots[:, self.knot_major], self.border])
 
 
 def optimize_window(constraints, imu, traj, init, cfg=None):
-    """Damped Gauss-Newton over control points, IMU biases, and time lag.
+    """Damped Gauss-Newton over the knot corrections, and the IMU biases
+    when the window has IMU samples.
 
     ``constraints`` mixes :class:`SurfelPairConstraint` and
     :class:`MapPriorConstraint` instances.  Returns the final state, the
@@ -730,12 +664,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             f"{system.n_residuals} residuals cannot observe {6 * system.n_knots} knot states"
         )
 
-    state = OptState(
-        init.grid,
-        init.accel_bias.copy(),
-        init.gyro_bias.copy(),
-        init.time_lag,
-    )
+    state = OptState(init.grid, init.accel_bias.copy(), init.gyro_bias.copy())
     it = system.evaluate(np.zeros(system.n_params()), state)
     system.update_robust_weights(it.residuals)
     cost = system.cost(it.residuals)
@@ -786,7 +715,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
                 break
             raise NoProgressError(
                 "cost failed to decrease after damping retries",
-                best_state=_state_from(system, it.state),
+                best_state=it.state,
                 best_trajectory=_trajectory_from(system),
                 report=OptimizationReport(records, False, "no_progress"),
             )
@@ -794,9 +723,8 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         lam = max(lam / 3.0, 1e-12)
         step_norm = float(np.linalg.norm(delta))
         prev_cost = cost
-        # Fold the accepted correction into the trajectory and restart the
-        # grid from zero; the next iteration linearizes at the candidate's
-        # poses.
+        # Fold the accepted correction into the trajectory and restart it
+        # from zero; the next iteration linearizes at the candidate's poses.
         it = system.fold(candidate)
         system.update_robust_weights(it.residuals)
         cost = system.cost(it.residuals)
@@ -812,17 +740,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             reason = "cost_decrease"
             break
 
-    final_state = _state_from(system, it.state)
-    final_traj = _trajectory_from(system)
-    report = OptimizationReport(records, converged, reason)
-    return final_state, final_traj, report
-
-
-def _state_from(system, state):
-    # Every accepted correction is folded into the samples: the grid is zero.
-    k = system.n_knots
-    grid = ControlGrid(system.grid.times.copy(), np.zeros((k, 3)), np.zeros((k, 3)))
-    return OptState(grid, state.accel_bias, state.gyro_bias, state.time_lag)
+    return it.state, _trajectory_from(system), OptimizationReport(records, converged, reason)
 
 
 def _trajectory_from(system):

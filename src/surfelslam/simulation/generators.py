@@ -59,7 +59,6 @@ class SimConfig:
     shake_rotation: float = 0.02
     scene_extent: float = 5.0
     n_planes: int = 24
-    time_lag: float = 0.0
     scripted_motion: object = None
 
     def __post_init__(self):
@@ -150,7 +149,7 @@ def gen_trajectory_and_imu(cfg: SimConfig):
     )
 
     imu = [
-        ImuSample(times[k] - cfg.time_lag, measured_accel[k - 1], measured_gyro[k])
+        ImuSample(times[k], measured_accel[k - 1], measured_gyro[k])
         for k in range(1, n - 1)
     ]
 

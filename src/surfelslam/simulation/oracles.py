@@ -4,13 +4,13 @@ Everything here is correctness-first and O(n^2) or worse: truncated power
 series of the SE(3) exponential and of the logarithm near the identity, the
 left Jacobian by central differences of those series, the SE(3) geodesic of
 one pose pair through the series exponential, the spline correction
-evaluated from its knot weights, window residuals evaluated one constraint at
-a time on a freshly corrected trajectory, linear-scan spatial queries,
-radius joins and ICP association from the full distance matrix, exhaustive
-matching, hash-grouped voxel moments, dense-surfel seeding by linear scans,
-and closed-form 3x3 eigen solves.  None of it is used on the fast paths, and none
-of the Lie references evaluates the closed form of the map it checks.  A pose
-here is a 4x4 homogeneous matrix.
+evaluated from its knot weights and control points, window residuals
+evaluated one constraint at a time on the trajectory they read, linear-scan
+spatial queries, radius joins and ICP association from the full distance
+matrix, exhaustive matching, hash-grouped voxel moments, dense-surfel seeding
+by linear scans, and closed-form 3x3 eigen solves.  None of it is used on the
+fast paths, and none of the Lie references evaluates the closed form of the
+map it checks.  A pose here is a 4x4 homogeneous matrix.
 """
 
 from __future__ import annotations
@@ -79,64 +79,62 @@ def interp_pose(pose_a, pose_b, alpha, terms=40):
     return pose_a @ se3_exp_series(alpha * np.concatenate([phi[0], rho[0]]), terms)
 
 
-def correction_batch(grid, taus):
-    """Correction rotations (N, 3, 3) and translations (N, 3) of the spline
-    ``grid`` at ``taus``, each the knot weights times the control points."""
+def correction_batch(grid, c_t, c_r, taus):
+    """Correction rotations (N, 3, 3) and translations (N, 3) at ``taus`` of
+    the spline on ``grid`` with translational and rotation-vector control
+    points ``c_t`` and ``c_r`` (K, 3), each the knot weights times the
+    control points."""
     idx, weights = grid.knot_indices_and_weights(taus)
-    r = np.einsum("nk,nkj->nj", weights, grid.c_r[idx])
-    return lie.so3_exp_batch(r), np.einsum("nk,nkj->nj", weights, grid.c_t[idx])
+    r = np.einsum("nk,nkj->nj", weights, c_r[idx])
+    return lie.so3_exp_batch(r), np.einsum("nk,nkj->nj", weights, c_t[idx])
 
 
-def apply_correction(traj, grid):
-    """Compose the spline correction onto every trajectory sample,
-    ``T'_k = dT(tau_k) T_k``."""
+def apply_correction(traj, grid, c_t, c_r):
+    """Compose the spline correction of control points ``c_t``, ``c_r`` on
+    ``grid`` onto every trajectory sample, ``T'_k = dT(tau_k) T_k``."""
     inside = grid.covers(traj.times)
     if not np.all(inside):
         raise MissingSupportError(
             "grid does not span the trajectory", traj.times[~inside]
         )
-    rot_c, t_c = correction_batch(grid, traj.times)
+    rot_c, t_c = correction_batch(grid, c_t, c_r, traj.times)
     rotations, translations = compose_correction(rot_c, t_c, traj.rotations, traj.translations)
     return Trajectory(traj.times.copy(), rotations, translations, traj.nominal_rate)
 
 
-def _corrected_pose_at(traj, grid, taus):
-    return apply_correction(traj, grid).sample_batch(np.atleast_1d(taus))
-
-
-def residual_surfel_pair(constraint, traj, grid):
-    """Point-to-plane residual between two timed observations (meters)."""
-    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_a, constraint.tau_b])
+def residual_surfel_pair(constraint, traj):
+    """Point-to-plane residual between two timed observations (meters) on
+    ``traj``."""
+    rot, t = traj.sample_batch([constraint.tau_a, constraint.tau_b])
     world_a = rot[0] @ constraint.u_a + t[0]
     world_b = rot[1] @ constraint.u_b + t[1]
     return float(constraint.n_ab @ (world_a - world_b))
 
 
-def residual_map_prior(constraint, traj, grid):
-    """Point-to-plane residual against a fixed world-frame map point (meters)."""
-    rot, t = _corrected_pose_at(traj, grid, [constraint.tau_c])
+def residual_map_prior(constraint, traj):
+    """Point-to-plane residual against a fixed world-frame map point (meters)
+    on ``traj``."""
+    rot, t = traj.sample_batch([constraint.tau_c])
     world = rot[0] @ constraint.u_c + t[0]
     return float(constraint.n_mc @ (constraint.u_m - world))
 
 
-def residual_imu(sample, traj, grid, state):
-    """Six IMU residuals (accel m/s^2, gyro rad/s) at the lag-shifted time.
+def residual_imu(sample, traj, accel_bias=0.0, gyro_bias=0.0):
+    """Six IMU residuals (accel m/s^2, gyro rad/s) of ``sample`` on ``traj``.
 
     The acceleration uses central differences of the interpolated translation
     at the trajectory sample interval; the body rate uses the forward
     difference of the interpolated rotation.
     """
     h = 1.0 / traj.nominal_rate
-    tau = sample.tau + state.time_lag
-    corrected = apply_correction(traj, grid)
-    taus = np.array([tau - h, tau, tau + h])
-    if np.any(taus < corrected.start) or np.any(taus > corrected.end):
+    taus = np.array([sample.tau - h, sample.tau, sample.tau + h])
+    if np.any(taus < traj.start) or np.any(taus > traj.end):
         raise OutOfRangeError("IMU finite-difference stencil outside support")
-    rot, t = corrected.sample_batch(taus)
+    rot, t = traj.sample_batch(taus)
     accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
-    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + state.accel_bias
+    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + accel_bias
     omega = lie.so3_log_batch((rot[1].T @ rot[2])[None])[0] / h
-    gyro_res = sample.gyro - omega + state.gyro_bias
+    gyro_res = sample.gyro - omega + gyro_bias
     return np.concatenate([accel_res, gyro_res])
 
 
@@ -237,8 +235,7 @@ def voxel_moments_bruteforce(points, times, resolution):
     return out
 
 
-def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma,
-                             traj=None, colours=None):
+def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma, traj=None):
     """Dense surfel fields by plain scans: each point deskewed through its
     own ``traj.sample_batch`` call, greedy seeding in input order (a seed
     rejects points strictly closer than ``radius``), neighborhoods within
@@ -275,11 +272,6 @@ def dense_surfels_bruteforce(points, times, radius, min_points, beam_sigma,
                 "scatter": scatter,
                 "dof": float(n),
                 "timestamp": times[nbrs].mean(),
-                "colour": (
-                    np.full(3, 0.5)
-                    if colours is None
-                    else np.asarray(colours, dtype=float)[nbrs].mean(axis=0)
-                ),
             }
         )
     return out

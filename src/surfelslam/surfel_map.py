@@ -148,8 +148,6 @@ _DENSE_LAYOUT = {
     "obs_count": ((), np.int64),
     "timestamp": ((), float),
     "radius": ((), float),
-    "colour": ((3,), float),
-    "colour_sigma": ((), float),
 }
 
 
@@ -310,8 +308,6 @@ class DenseSurfel:
     obs_count: int
     timestamp: float
     radius: float = DEFAULT_SURFEL_RADIUS
-    colour: np.ndarray = field(default_factory=lambda: np.full(3, 0.5))
-    colour_sigma: float = 0.5
 
     def __post_init__(self):
         one = DenseSurfels(*(np.asarray(getattr(self, f))[None] for f in _DENSE_LAYOUT))
@@ -332,8 +328,6 @@ class DenseSurfels(_Batch):
     obs_count: np.ndarray
     timestamp: np.ndarray
     radius: np.ndarray
-    colour: np.ndarray
-    colour_sigma: np.ndarray
 
     _LAYOUT = _DENSE_LAYOUT
     _VALUE = DenseSurfel
@@ -842,8 +836,8 @@ def _first_independent_set(n, lo, hi):
     return accepted
 
 
-def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = None,
-                  colours=None) -> DenseSurfels:
+def extract_dense(points, times, traj=None,
+                  cfg: DenseExtractionConfig | None = None) -> DenseSurfels:
     """Dense disc surfels from deskewed points, as one checked batch.
 
     Points are deskewed through ``traj`` when given (world point =
@@ -864,16 +858,10 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
     n = len(points)
-    if colours is not None:
-        colours = np.asarray(colours, dtype=float)
-    if times.shape != (n,) or (colours is not None and colours.shape != (n, 3)):
-        raise InvalidArgumentError("need one time and one RGB colour per point")
-    if not (
-        np.isfinite(points).all()
-        and np.isfinite(times).all()
-        and (colours is None or np.isfinite(colours).all())
-    ):
-        raise InvalidArgumentError("points, times and colours must be finite")
+    if times.shape != (n,):
+        raise InvalidArgumentError("need one time per point")
+    if not (np.isfinite(points).all() and np.isfinite(times).all()):
+        raise InvalidArgumentError("points and times must be finite")
     if not (math.isfinite(cfg.radius) and cfg.radius > 0.0):
         raise InvalidArgumentError("surfel radius must be positive and finite")
     if cfg.min_points < 2:
@@ -925,7 +913,4 @@ def extract_dense(points, times, traj=None, cfg: DenseExtractionConfig | None = 
         obs_count=np.ones(m, dtype=np.int64),
         timestamp=_segment_mean(times, member, sizes),
         radius=np.full(m, cfg.radius),
-        colour=(_segment_mean(colours, member, sizes) if colours is not None
-                else np.full((m, 3), 0.5)),
-        colour_sigma=np.full(m, 0.5),
     ), {"scatter": scatter_eigenvalues})

@@ -1,16 +1,15 @@
 """Continuous-time trajectory: densely sampled poses with on-manifold linear
-interpolation, plus the cubic B-spline correction layer.
+interpolation, plus the knot grid of the cubic B-spline correction.
 
 The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
 default), stored as rotation and translation stacks.  Its one query,
 :meth:`Trajectory.sample_batch`, takes a stack of times; between samples it
 follows the SE(3) geodesic between the bracketing pair.  :func:`interpolate`
 serves it and the window optimizer alike, and takes each bracket's twist
-once however many queries fall in it.  The correction
-layer holds per-knot translation and rotation-vector control points;
-corrections always start from zero at the beginning of an optimizer
-iteration, so the spline evaluates small local updates that
-:func:`compose_correction` composes onto the stored poses by left
+once however many queries fall in it.  :class:`ControlGrid` holds the knot
+times and gives each time its spline weights on the knots; the optimizer
+estimates small per-knot corrections from zero at every iteration and
+:func:`compose_correction` composes them onto the stored poses by left
 multiplication.
 """
 
@@ -155,43 +154,25 @@ class Trajectory:
 
 @dataclass
 class ControlGrid:
-    """Uniformly spaced control points for the B-spline correction.
+    """Uniformly spaced knot times of the B-spline correction.
 
-    ``c_t`` are translational and ``c_r`` rotational (rotation-vector) control
-    points.  Boundary access is index-clamped, which replicates the boundary
-    knots; with zero-valued knots this padding is invisible.
+    Boundary access is index-clamped, which replicates the boundary knots.
     """
 
     times: np.ndarray
-    c_t: np.ndarray
-    c_r: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.c_t = np.asarray(self.c_t, dtype=float)
-        self.c_r = np.asarray(self.c_r, dtype=float)
-        k = self.times.shape[0]
-        if k < 2:
+        if self.times.shape[0] < 2:
             raise InvalidArgumentError("control grid needs at least two knots")
-        if self.c_t.shape != (k, 3) or self.c_r.shape != (k, 3):
-            raise InvalidArgumentError("control point array shapes are inconsistent")
         dt = np.diff(self.times)
         if np.any(np.abs(dt - dt[0]) > 1e-9 * dt[0]):
             raise InvalidArgumentError("knot spacing must be uniform")
 
     @staticmethod
-    def zeros(start, stop, step) -> "ControlGrid":
-        """Zero-valued grid covering [start, stop] at the given knot spacing."""
-        n = int(round((stop - start) / step)) + 1
-        if n < 2:
-            raise InvalidArgumentError("grid span shorter than one knot step")
-        times = start + step * np.arange(n)
-        return ControlGrid(times, np.zeros((n, 3)), np.zeros((n, 3)))
-
-    @staticmethod
     def for_window(start, stop, knots) -> "ControlGrid":
-        """Zero grid with the given knot count, extending one knot step past
-        each window end.
+        """Grid with the given knot count, extending one knot step past each
+        window end.
 
         Knots clamped at the grid boundary leave the spline too stiff right at
         the ends of the data span; one step of margin restores full cubic
@@ -200,8 +181,7 @@ class ControlGrid:
         if knots < 4:
             raise InvalidArgumentError("window grid needs at least four knots")
         step = (stop - start) / (knots - 3)
-        times = (start - step) + step * np.arange(knots)
-        return ControlGrid(times, np.zeros((knots, 3)), np.zeros((knots, 3)))
+        return ControlGrid((start - step) + step * np.arange(knots))
 
     @property
     def step(self):
@@ -232,7 +212,7 @@ class ControlGrid:
         return idx, weights
 
     def weight_matrix(self, taus):
-        """Dense (N, K) matrix W with correction = W @ control_points."""
+        """Dense (N, K) matrix W with correction = W @ per-knot values."""
         idx, weights = self.knot_indices_and_weights(taus)
         out = np.zeros((idx.shape[0], len(self)))
         np.add.at(out, (np.arange(idx.shape[0])[:, None], idx), weights)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from surfelslam import lie
+from surfelslam.trajectory import ControlGrid
 
 
 @pytest.fixture
@@ -24,3 +25,8 @@ def random_poses(rng, n, max_angle=np.pi - 0.1, t_scale=1.0):
 def random_spd(rng, dim=3, scale=1.0):
     a = rng.normal(size=(dim, dim))
     return scale * (a @ a.T + 0.1 * np.eye(dim))
+
+
+def knot_grid(start, stop, step):
+    """Knots covering [start, stop] at the given spacing."""
+    return ControlGrid(start + step * np.arange(int(round((stop - start) / step)) + 1))

@@ -10,7 +10,10 @@ generators of ``simulation/`` exist for the tests, so they read but are not
 checked.  A reader is matched by name only, so a method whose name another
 reader also uses for something else (``add``, ``replace``, ``zeros``) still
 passes; dunder names and methods are read by the language and are not
-checked, nor is ``from __future__``."""
+checked, nor is ``from __future__``.  Likewise every field of a package
+dataclass whose fields all have defaults (a config or a container such as
+``GlobalMaps``) is read as an attribute somewhere in the package or the
+benchmark, so no option is accepted and then ignored."""
 
 import ast
 import sys
@@ -162,7 +165,8 @@ def test_unreferenced_flags_what_only_its_own_definition_names():
     ]
 
 
-def test_every_module_level_function_and_class_has_a_reader():
+def _sources():
+    """Parsed modules of the package and of the benchmark, by label."""
     package = {
         path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.rglob("*.py"))
@@ -172,8 +176,68 @@ def test_every_module_level_function_and_class_has_a_reader():
         for path in sorted(PERFBENCH.glob("*.py"))
     }
     assert bench
+    return package, bench
+
+
+def test_every_module_level_function_and_class_has_a_reader():
+    package, bench = _sources()
     checked = {k: tree for k, tree in package.items() if not k.startswith("simulation/")}
     # The dense Jacobian is the tests' reference for the banded normal
     # equations that the optimizer builds.
     exempt = [("local_mapping.py", "_WindowSystem.jacobian")]
     assert unreferenced(checked, {**package, **bench}) == exempt
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(checked, readers):
+    """``Class.field`` of each field of a dataclass of the ``checked`` trees
+    whose fields all have defaults, that no tree of ``readers`` reads as an
+    attribute."""
+    read = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for tree in checked:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))):
+                continue
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+            if fields and all(f.value is not None for f in fields):
+                found += [f"{cls.name}.{f.target.id}" for f in fields if f.target.id not in read]
+    return found
+
+
+def test_unread_fields_flags_config_fields_without_an_attribute_read():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    used: int = 1\n"
+        "    unread: float = 2.0\n"
+        "    stored: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    spare: int = 0\n"
+        "@dataclass\n"
+        "class Value:\n"
+        "    needed: int\n"
+        "    optional: int = 0\n"
+        "class Plain:\n"
+        "    ignored: int = 0\n"
+        "def f(cfg):\n"
+        "    cfg.stored = cfg.used\n"
+    )
+    assert unread_fields([tree], [tree]) == ["Config.unread", "Config.stored", "Frozen.spare"]
+
+
+def test_every_config_field_has_a_reader():
+    package, bench = _sources()
+    assert unread_fields(package.values(), [*package.values(), *bench.values()]) == []

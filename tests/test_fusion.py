@@ -1,5 +1,4 @@
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from surfelslam.fusion import (
     beam_noise_batch,
     beam_noise_for_return,
     extract_normal_batch,
-    fuse_colour,
     fuse_surfel,
     icp_point_to_plane,
     incidence_variance,
@@ -33,7 +31,7 @@ from surfelslam.surfel_map import KeyedPoints, SparseSurfelMap, radius_join, vox
 
 
 def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
-                dof=10.0, timestamp=0.0, obs_count=1, colour_sigma=0.5):
+                dof=10.0, timestamp=0.0, obs_count=1):
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     if scatter is None:
@@ -48,7 +46,6 @@ def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
         dof=dof,
         obs_count=obs_count,
         timestamp=timestamp,
-        colour_sigma=colour_sigma,
     )
 
 
@@ -250,23 +247,20 @@ def test_fuse_surfel_requires_defined_extent():
 def test_fold_matches_sequential_fuse_surfel(rng):
     # Forty destinations with one to four measurements each, in shuffled
     # input order.  The round fold must equal fusing one measurement at a
-    # time, in input order, with fuse_surfel and fuse_colour.
+    # time, in input order, with fuse_surfel.
     dests = [
         make_surfel(rng.uniform(-1.0, 1.0, size=3), rng.normal(size=3),
                     cov_scale=rng.uniform(1e-6, 1e-4), scatter=random_spd(rng, scale=1e-4),
-                    dof=rng.uniform(6.0, 40.0), timestamp=rng.uniform(0.0, 5.0),
-                    colour_sigma=rng.uniform(0.1, 1.0))
+                    dof=rng.uniform(6.0, 40.0), timestamp=rng.uniform(0.0, 5.0))
         for _ in range(40)
     ]
     slot = rng.permutation(np.repeat(np.arange(40), rng.integers(1, 5, size=40)))
     sources = DenseSurfels.of([
         make_surfel(dests[k].centroid + rng.normal(scale=0.003, size=3), rng.normal(size=3),
                     cov_scale=1e-6, scatter=random_spd(rng, scale=1e-5),
-                    dof=float(rng.integers(5, 30)), timestamp=rng.uniform(0.0, 10.0),
-                    colour_sigma=rng.uniform(0.1, 1.0))
+                    dof=float(rng.integers(5, 30)), timestamp=rng.uniform(0.0, 10.0))
         for k in slot
     ])
-    sources = replace(sources, colour=rng.uniform(size=(len(slot), 3)))
     noise = np.array([random_spd(rng, scale=1e-6) for _ in slot])
 
     state = DenseSurfels.of(dests)
@@ -276,15 +270,13 @@ def test_fold_matches_sequential_fuse_surfel(rng):
     for m, k in enumerate(slot):
         src = sources[m]
         meas = SurfelMeasurement(src.centroid, src.scatter, src.dof, noise[m], src.timestamp)
-        colour, sigma = fuse_colour(current[k], src)
-        current[k] = replace(fuse_surfel(current[k], meas), colour=colour, colour_sigma=sigma)
+        current[k] = fuse_surfel(current[k], meas)
     assert [s.obs_count for s in current] == state.obs_count.tolist()
     for k, dst in enumerate(dests):
         mine = slot == k
         assert state.obs_count[k] == dst.obs_count + mine.sum()
         assert state.timestamp[k] == max(dst.timestamp, sources.timestamp[mine].max())
-    for name in ("centroid", "normal", "centroid_cov", "scatter", "dof", "timestamp",
-                 "colour", "colour_sigma"):
+    for name in ("centroid", "normal", "centroid_cov", "scatter", "dof", "timestamp"):
         want = np.array([getattr(s, name) for s in current])
         got = getattr(state, name)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max()), name
@@ -331,42 +323,6 @@ def test_extract_normal_ambiguous_keeps_previous():
     prev = np.array([1.0, 0.0, 0.0])
     s = make_surfel([0, 0, 0], normal=prev, scatter=np.diag([1.0, 1e-7, 1e-7]))
     assert np.allclose(extract_normal(s), prev)
-
-
-# -- colour -------------------------------------------------------------------
-
-
-def test_fuse_colour_equal_sigmas():
-    a = make_surfel([0, 0, 0])
-    b = make_surfel([0, 0, 0])
-    a = a.__class__(**{**a.__dict__, "colour": np.array([1.0, 0.0, 0.0])})
-    b = b.__class__(**{**b.__dict__, "colour": np.array([0.0, 1.0, 0.0])})
-    colour, sigma = fuse_colour(a, b)
-    assert np.allclose(colour, [0.5, 0.5, 0.0])
-    assert abs(sigma - 0.25) < 1e-12
-
-
-def test_fuse_colour_uninformative_source():
-    a = make_surfel([0, 0, 0], colour_sigma=0.2)
-    b = make_surfel([0, 0, 0], colour_sigma=1e12)
-    colour, sigma = fuse_colour(a, b)
-    assert np.allclose(colour, a.colour, atol=1e-9)
-    assert abs(sigma - 0.2) < 1e-9
-
-
-def test_fuse_colour_matches_kalman_oracle(rng):
-    for _ in range(30):
-        sa, sb = rng.uniform(0.05, 2.0, size=2)
-        ca, cb = rng.uniform(0.0, 1.0, size=(2, 3))
-        a = make_surfel([0, 0, 0], colour_sigma=sa)
-        b = make_surfel([0, 0, 0], colour_sigma=sb)
-        object.__setattr__(a, "colour", ca)
-        object.__setattr__(b, "colour", cb)
-        colour, sigma = fuse_colour(a, b)
-        # Scalar Bayesian fusion per channel.
-        gain = sa / (sa + sb)
-        assert np.allclose(colour, ca + gain * (cb - ca), atol=1e-12)
-        assert abs(sigma - sa * sb / (sa + sb)) < 1e-12
 
 
 # -- temporal fusion ------------------------------------------------------------

@@ -7,15 +7,13 @@ from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_an
 from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory
 
+from conftest import knot_grid
+
 
 def identity_trajectory(window=1.0, rate=100.0):
     n = int(window * rate) + 1
     times = np.arange(n) / rate
     return Trajectory(times, np.stack([np.eye(3)] * n), np.zeros((n, 3)), rate)
-
-
-def zero_grid(traj, step=0.1):
-    return ControlGrid.zeros(traj.start - step, traj.end + step, step)
 
 
 def small_sim(seed=0, n_features=120, window=2.0):
@@ -30,41 +28,37 @@ def small_sim(seed=0, n_features=120, window=2.0):
 
 def test_pair_residual_same_world_point():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
     c = lm.SurfelPairConstraint(
         u_a=[1.0, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(oracles.residual_surfel_pair(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj)) < 1e-12
 
 
 def test_pair_residual_offset_along_normal():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
     c = lm.SurfelPairConstraint(
         u_a=[1.0, 2.0, 3.001], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(oracles.residual_surfel_pair(c, traj, grid) - 0.001) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj) - 0.001) < 1e-12
 
 
 def test_pair_residual_orthogonal_offset():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
     c = lm.SurfelPairConstraint(
         u_a=[1.5, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
         n_ab=[0.0, 0.0, 1.0],
     )
-    assert abs(oracles.residual_surfel_pair(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_surfel_pair(c, traj)) < 1e-12
 
 
 def test_map_prior_residual_zero_when_consistent():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
     c = lm.MapPriorConstraint(
         u_m=[0.3, -0.2, 1.0], u_c=[0.3, -0.2, 1.0], tau_c=0.4, n_mc=[1.0, 0.0, 0.0]
     )
-    assert abs(oracles.residual_map_prior(c, traj, grid)) < 1e-12
+    assert abs(oracles.residual_map_prior(c, traj)) < 1e-12
 
 
 def test_map_prior_residual_sign():
@@ -75,59 +69,49 @@ def test_map_prior_residual_sign():
     traj = Trajectory(
         times, np.stack([np.eye(3)] * n), np.tile([delta, 0.0, 0.0], (n, 1))
     )
-    grid = zero_grid(traj)
     c = lm.MapPriorConstraint(
         u_m=[0.3, -0.2, 1.0], u_c=[0.3, -0.2, 1.0], tau_c=0.4, n_mc=[1.0, 0.0, 0.0]
     )
-    assert abs(oracles.residual_map_prior(c, traj, grid) + delta) < 1e-12
+    assert abs(oracles.residual_map_prior(c, traj) + delta) < 1e-12
 
 
 def test_map_prior_residual_matches_direct_formula(rng):
     cfg, truth, imu, init, scene = small_sim(seed=3, n_features=20)
-    grid = zero_grid(truth)
     for c in scene.map_prior_constraints()[:10]:
         rot, t = truth.sample_batch(np.array([c.tau_c]))
         expected = float(c.n_mc @ (c.u_m - (rot[0] @ c.u_c + t[0])))
-        assert abs(oracles.residual_map_prior(c, truth, grid) - expected) < 1e-12
+        assert abs(oracles.residual_map_prior(c, truth) - expected) < 1e-12
 
 
 def test_imu_residual_gravity_at_rest():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
-    state = lm.OptState(grid)
     sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    res = oracles.residual_imu(sample, traj, grid, state)
+    res = oracles.residual_imu(sample, traj)
     assert np.max(np.abs(res)) < 1e-9
 
 
 def test_imu_residual_reports_gyro_bias():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
-    state = lm.OptState(grid, gyro_bias=np.array([0.01, 0.0, 0.0]))
     sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    res = oracles.residual_imu(sample, traj, grid, state)
+    res = oracles.residual_imu(sample, traj, gyro_bias=np.array([0.01, 0.0, 0.0]))
     assert np.allclose(res[3:], [0.01, 0.0, 0.0], atol=1e-12)
     assert np.max(np.abs(res[:3])) < 1e-9
 
 
 def test_imu_residual_stencil_out_of_support():
     traj = identity_trajectory()
-    grid = zero_grid(traj)
-    state = lm.OptState(grid)
     sample = lm.ImuSample(0.0, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
     with pytest.raises(OutOfRangeError):
-        oracles.residual_imu(sample, traj, grid, state)
+        oracles.residual_imu(sample, traj)
 
 
 def test_imu_residuals_self_consistent_on_simulated_truth():
     cfg = SimConfig(seed=1, window=2.0, accel_noise_std=0.0, gyro_noise_std=0.0,
                     accel_bias=np.zeros(3), gyro_bias=np.zeros(3), n_features=5)
     truth, imu, init = gen_trajectory_and_imu(cfg)
-    grid = zero_grid(truth)
-    state = lm.OptState(grid)
     worst = 0.0
     for sample in imu[:: len(imu) // 40]:
-        res = oracles.residual_imu(sample, truth, grid, state)
+        res = oracles.residual_imu(sample, truth)
         worst = max(worst, float(np.max(np.abs(res))))
     assert worst < 1e-3
 
@@ -160,8 +144,8 @@ def test_ground_truth_is_fixed_point():
     assert report.converged
     assert len(report.records) <= 3
     assert report.final_cost < 1e-16
-    assert np.max(np.abs(state.grid.c_t)) < 1e-9
-    assert np.max(np.abs(state.grid.c_r)) < 1e-9
+    assert np.max(np.abs(state.accel_bias)) < 1e-9
+    assert np.max(np.abs(state.gyro_bias)) < 1e-9
     t_rms, r_rms = trajectory_errors(est, truth)
     assert t_rms < 1e-9 and r_rms < 1e-9
 
@@ -179,10 +163,31 @@ def test_optimizer_recovers_drifted_trajectory():
     assert r1 < 0.003
 
 
+def test_window_without_imu_estimates_no_biases():
+    # Map priors alone pin every knot; with no IMU samples the biases are
+    # unobservable, so the window has no bias parameters and converges.
+    cfg = SimConfig(seed=5, window=2.0, n_features=300)
+    truth, _, init = gen_trajectory_and_imu(cfg)
+    scene = gen_surfel_scene(cfg, truth)
+    system = lm._WindowSystem(
+        [], scene.map_prior_constraints(), [], init,
+        lm.OptState(ControlGrid.for_window(init.start, init.end, 8)), lm.OptimizerConfig(),
+    )
+    assert system.n_params() == 6 * system.n_knots
+    t0, _ = trajectory_errors(init, truth)
+    state, est, report = run_window(truth, [], init, scene)
+    t1, r1 = trajectory_errors(est, truth)
+    assert report.converged
+    assert t1 < 0.2 * t0
+    assert t1 < 0.01
+    assert r1 < 0.003
+    assert not np.any(state.accel_bias) and not np.any(state.gyro_bias)
+
+
 def test_observability_guard():
     cfg, truth, imu, init, scene = small_sim(seed=7, n_features=120, window=2.0)
     constraints = scene.map_prior_constraints()[:3]
-    grid = ControlGrid.zeros(init.start, init.end, 0.5)
+    grid = knot_grid(init.start, init.end, 0.5)
     with pytest.raises(InvalidArgumentError):
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
 
@@ -194,12 +199,19 @@ def test_observability_guard():
         {"update_method": "so3r3"},
         {"interpolation": "linear"},
         {"jacobian": "centre"},
+        {"estimate_time_lag": True},
+        {"max_time_lag": 0.05},
+        {"fd_step": 1e-6},
+        {"estimate_biases": False},
+        {"max_bias": 1.0},
     ],
     ids=lambda option: next(iter(option)),
 )
 def test_unknown_string_option_is_rejected(option):
-    # The window optimizer has one model, update, interpolation and Jacobian;
-    # a config that names any of them is refused, not silently ignored.
+    # The window optimizer has one model, update, interpolation and Jacobian,
+    # estimates no time lag and estimates the biases exactly when the window
+    # has IMU samples; a config that names any other choice is refused, not
+    # silently ignored.
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     with pytest.raises(TypeError, match=next(iter(option))):
         run_window(truth, imu, init, scene, option)
@@ -215,10 +227,9 @@ def test_degenerate_geometry_reports_null_space():
         lm.MapPriorConstraint(c.u_m, c.u_c, c.tau_c, normal)
         for c in scene.map_prior_constraints()
     ]
-    grid = ControlGrid.zeros(init.start, init.end, 0.5)
-    opt_cfg = lm.OptimizerConfig(estimate_biases=False)
+    grid = knot_grid(init.start, init.end, 0.5)
     with pytest.raises(DegenerateGeometryError) as err:
-        lm.optimize_window(constraints, [], init, lm.OptState(grid), opt_cfg)
+        lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
     assert err.value.null_dimension >= 1
 
 
@@ -230,8 +241,7 @@ def test_cost_non_increasing():
 
 
 def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
-    base = system.weighted(system.residuals(x, state))
-    analytic = system.jacobian(x, state, base)
+    analytic = system.jacobian(x, state)
     dense = np.zeros_like(analytic)
     for p in range(system.n_params()):
         step = np.zeros(system.n_params())
@@ -247,15 +257,10 @@ def test_analytic_jacobian_at_zero_correction_priors_only():
     # The analytic Jacobian at x = 0 (zero correction, zero biases), with map
     # priors and IMU but no surfel pairs and unit robust weights, must match
     # dense central differencing; the test below covers random non-zero x
-    # with pairs.  The lag sits off the sample grid, where the residuals are
-    # smooth in every parameter.
-    cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
-    opt_cfg = lm.OptimizerConfig(estimate_biases=True, estimate_time_lag=True)
-    grid = ControlGrid.zeros(init.start, init.end, 0.25)
-    state = lm.OptState(grid, time_lag=0.0037)
-    pairs = []
-    priors = scene.map_prior_constraints()
-    system = lm._WindowSystem(pairs, priors, imu, init, state, opt_cfg)
+    # with pairs.
+    pairs, priors, imu, init = window_inputs(pairs=[])
+    state = lm.OptState(knot_grid(init.start, init.end, 0.25))
+    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
     x = np.zeros(system.n_params())
     assert_jacobian_matches_central_fd(system, x, state)
 
@@ -268,68 +273,67 @@ SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
 @SE3_PATH
 def test_analytic_jacobian_matches_dense_central_fd():
     # A random correction folded into the samples, with surfel pairs, map
-    # priors, IMU, biases, non-trivial robust weights and a time lag between
-    # samples.
+    # priors, IMU samples between trajectory samples, biases and non-trivial
+    # robust weights.
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
     assert_jacobian_matches_central_fd(system, x, state)
 
 
-def test_batch_residuals_match_single_evaluators(rng):
+def test_batch_residuals_match_single_evaluators():
+    # At a random correction and bias step, each batch residual equals its
+    # oracle on the trajectory corrected by the oracle spline.
     cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
     opt_cfg = lm.OptimizerConfig()
-    grid = ControlGrid.zeros(init.start, init.end, 0.25)
+    grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     priors = scene.map_prior_constraints()
     usable_imu = imu[5:-5:7]
     system = lm._WindowSystem([], priors, usable_imu, init, state, opt_cfg)
-    res = system.residuals(np.zeros(system.n_params()), state)
+    x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
+    res = system.residuals(x, state)
+    k = system.n_knots
+    corrected = oracles.apply_correction(
+        init, grid, x[: 3 * k].reshape(k, 3), x[3 * k : 6 * k].reshape(k, 3)
+    )
+    accel_bias = state.accel_bias + x[6 * k : 6 * k + 3]
+    gyro_bias = state.gyro_bias + x[6 * k + 3 :]
     for i, c in enumerate(priors[:8]):
-        single = oracles.residual_map_prior(c, init, grid)
+        single = oracles.residual_map_prior(c, corrected)
         assert abs(res[system.sl_prior][i] * opt_cfg.sigma_prior - single) < 1e-10
     accel = res[system.sl_accel].reshape(-1, 3) * opt_cfg.sigma_accel
     gyro = res[system.sl_gyro].reshape(-1, 3) * opt_cfg.sigma_gyro
     for i, s in enumerate(usable_imu[:6]):
-        single = oracles.residual_imu(s, init, grid, state)
+        single = oracles.residual_imu(s, corrected, accel_bias, gyro_bias)
         assert np.max(np.abs(accel[i] - single[:3])) < 1e-9
         assert np.max(np.abs(gyro[i] - single[3:])) < 1e-9
 
 
-def test_time_lag_estimation():
-    cfg = SimConfig(seed=13, window=2.0, n_features=250, time_lag=0.02,
-                    accel_noise_std=0.01, gyro_noise_std=0.001)
-    truth, imu, init = gen_trajectory_and_imu(cfg)
-    scene = gen_surfel_scene(cfg, truth)
-    opt_cfg = {"estimate_time_lag": True}
-    state, est, report = run_window(truth, imu, init, scene, opt_cfg)
-    assert abs(state.time_lag - 0.02) < 0.005
-
-
 def window_inputs(pairs=None, with_imu=True):
-    """Pairs, priors, IMU samples and initial trajectory of a 1 s window."""
+    """Pairs, priors, IMU samples and initial trajectory of a 1 s window.
+    The IMU samples are shifted 3.7 ms off the 10 ms sample grid, so their
+    stencils read poses between samples."""
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     if pairs is None:
         pairs = pair_constraints_from_scene(cfg, truth, 40)
     if not with_imu:
         return pairs, [], [], init
+    imu = [lm.ImuSample(s.tau + 0.0037, s.accel, s.gyro) for s in imu]
     return pairs, scene.map_prior_constraints(), imu, init
 
 
-def random_iterate(pairs=None, with_imu=True, knot_step=0.25, time_lag=0.0037):
+def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
     """A window system at a random non-zero x with pairs, priors, IMU,
-    biases, robust weights below one and a time lag, by default 3.7 ms, off
-    the 10 ms sample grid, on a ``ControlGrid.zeros`` grid whose end samples
-    read clamped knots."""
+    biases and robust weights below one, on a grid whose end samples read
+    clamped knots."""
     pairs, priors, imu, init = window_inputs(pairs, with_imu)
-    opt_cfg = lm.OptimizerConfig(estimate_biases=True, estimate_time_lag=True)
-    grid = ControlGrid.zeros(init.start, init.end, knot_step)
+    grid = knot_grid(init.start, init.end, knot_step)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
-                        gyro_bias=np.array([0.001, 0.002, 0.0]), time_lag=time_lag)
-    system = lm._WindowSystem(pairs, priors, imu, init, state, opt_cfg)
+                        gyro_bias=np.array([0.001, 0.002, 0.0]))
+    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
-    x[-1] = 0.0  # keep the lag where it is
     system.update_robust_weights(system.residuals(x, state))
     return system, x, state
 
@@ -342,13 +346,11 @@ def folded_iterate(**kwargs):
     return system, folded.x, folded.state
 
 
-def assert_normal_equations_match_dense(system, x, state, dense=None):
-    # ``dense`` is the system whose dense Jacobian is the reference, by
-    # default ``system`` itself.
+def assert_normal_equations_match_dense(system, x, state):
     it = system.evaluate(x, state)
     weighted = system.weighted(it.residuals)
     hess, grad = system.normal_equations(it, weighted)
-    jac = (dense or system).jacobian(x, state, weighted)
+    jac = system.jacobian(x, state)
     dense_hess, dense_grad = jac.T @ jac, jac.T @ weighted
     assert np.max(np.abs(hess - dense_hess)) <= 1e-12 * np.max(np.abs(dense_hess))
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
@@ -359,6 +361,9 @@ def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
+    # Every IMU stencil read lies between two samples.
+    w = system.where[1][system.q_stencil[0].start :]
+    assert np.all((w > 0.0) & (w < 1.0))
     # The first and last samples read the clamped boundary knots.
     first, last = system.grid.knot_indices_and_weights(system.traj_times[[0, -1]])[0]
     assert first[0] == first[1] and last[2] == last[3]
@@ -394,34 +399,10 @@ def test_linearization_refuses_a_non_zero_correction():
         with pytest.raises(InvalidArgumentError):
             system.normal_equations(system.evaluate(one, state), weighted)
         with pytest.raises(InvalidArgumentError):
-            system.jacobian(one, state, weighted)
-    # Bias and lag steps are not a correction.
+            system.jacobian(one, state)
+    # Bias steps are not a correction.
     x[: 6 * system.n_knots] = 0.0
     assert_normal_equations_match_dense(system, x, state)
-
-
-def test_row_structure_follows_the_time_lag():
-    # At lag 0 every IMU stencil read snaps to a sample; a folded lag step
-    # of 3.7 ms moves them all between samples, so their rows take two
-    # slots.  The normal equations at each lag must match the dense
-    # Jacobian of a system built afresh on the same samples.
-    system, x, state = folded_iterate(time_lag=0.0)
-    pairs, priors, imu, _ = window_inputs()
-    stencil = slice(system.q_stencil[0].start, None)
-    lag = np.zeros(system.n_params())
-    lag[-1] = 0.0037
-    for blended in (False, True):
-        if blended:
-            state = system.fold(system.evaluate(lag, state)).state
-        w = system.evaluate(x, state).where[1][stencil]
-        assert np.all((w > 0.0) & (w < 1.0)) if blended else np.all((w == 0.0) | (w == 1.0))
-        # Built at lag 0, as the system was, so it keeps the same IMU samples.
-        fresh = lm._WindowSystem(
-            pairs, priors, imu, lm._trajectory_from(system),
-            lm.OptState(state.grid), system.cfg,
-        )
-        fresh.robust_weights = system.robust_weights
-        assert_normal_equations_match_dense(system, x, state, dense=fresh)
 
 
 @SE3_PATH
@@ -430,29 +411,12 @@ def test_folded_iterate_reproduces_candidate_residuals():
     # folding an accepted correction into the samples; evaluating x = 0
     # afresh must read the same poses.
     system, x, state = random_iterate()
-    x[-1] = 1e-4
     candidate = system.evaluate(x, state)
     folded = system.fold(candidate)
-    assert folded.state.time_lag == pytest.approx(0.0038)
+    k = system.n_knots
+    assert np.array_equal(folded.state.accel_bias, state.accel_bias + x[6 * k : 6 * k + 3])
+    assert np.array_equal(folded.state.gyro_bias, state.gyro_bias + x[6 * k + 3 :])
     fresh = system.evaluate(np.zeros(system.n_params()), folded.state)
     assert np.array_equal(fresh.residuals, candidate.residuals)
     assert np.array_equal(fresh.residuals, folded.residuals)
     assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
-
-
-@SE3_PATH
-def test_where_reuses_brackets_only_at_the_same_lag():
-    system, _, state = random_iterate()
-
-    def fresh(d):
-        taus = system.imu_taus + d
-        idx, w = system._locate(np.concatenate([taus - system.h, taus, taus + system.h]))
-        return (np.concatenate([system.fixed_where[0], idx]),
-                np.concatenate([system.fixed_where[1], w]))
-
-    cached = system._where(state.time_lag)
-    assert system._where(state.time_lag) is cached
-    for d in (0.0041, -0.002, state.time_lag):
-        got, want = system._where(d), fresh(d)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert not np.array_equal(system._where(0.0041)[1], cached[1])

@@ -220,23 +220,23 @@ def test_extract_dense_matches_bruteforce_oracle(rng):
     t_obs = rng.uniform(0.0, 0.5, size=len(deskewed))
     sensor = deskewed - np.outer(t_obs, np.array([1.0, 0.0, 0.0]))
     cases = [
-        (plane, None, None, 0.02),
-        (azimuth, None, None, 0.02),
-        (repeated, None, None, 0.02),
-        (lattice, None, None, 0.125),
-        (sensor, constant_velocity_trajectory(), rng.uniform(size=(len(sensor), 3)), 0.02),
+        (plane, None, 0.02),
+        (azimuth, None, 0.02),
+        (repeated, None, 0.02),
+        (lattice, None, 0.125),
+        (sensor, constant_velocity_trajectory(), 0.02),
     ]
-    for points, traj, colours, radius in cases:
+    for points, traj, radius in cases:
         times = t_obs if traj is not None else rng.uniform(0.0, 1.0, size=len(points))
         cfg = DenseExtractionConfig(radius=radius)
-        got = extract_dense(points, times, traj=traj, cfg=cfg, colours=colours)
+        got = extract_dense(points, times, traj=traj, cfg=cfg)
         want = oracles.dense_surfels_bruteforce(
-            points, times, radius, cfg.min_points, cfg.beam_sigma, traj=traj, colours=colours
+            points, times, radius, cfg.min_points, cfg.beam_sigma, traj=traj
         )
         assert len(got) == len(want) > 10
         assert [s.dof for s in got] == [w["dof"] for w in want]
         assert all(s.obs_count == 1 and s.radius == radius for s in got)
-        for field in ("centroid", "normal", "centroid_cov", "scatter", "timestamp", "colour"):
+        for field in ("centroid", "normal", "centroid_cov", "scatter", "timestamp"):
             g = np.array([getattr(s, field) for s in got])
             w = np.array([s[field] for s in want])
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), field
@@ -285,25 +285,19 @@ def test_extract_dense_coincident_cluster():
 def test_extract_dense_rejects_non_finite_input(rng):
     pts = plane_points(rng, n=200)
     times = np.zeros(200)
-    colours = np.full((200, 3), 0.5)
-    for which, value in enumerate((np.nan, np.inf, np.nan)):
-        args = [pts, times, colours]
+    for which, value in enumerate((np.nan, np.inf)):
+        args = [pts, times]
         args[which] = args[which].copy()
         args[which].flat[7] = value
         with pytest.raises(InvalidArgumentError):
-            extract_dense(args[0], args[1], colours=args[2])
+            extract_dense(*args)
 
 
 def test_extract_dense_rejects_length_mismatch(rng):
     pts = plane_points(rng, n=200)
-    for times, colours in (
-        (np.zeros(199), None),
-        (np.zeros(201), None),
-        (np.zeros(200), np.full((199, 3), 0.5)),
-        (np.zeros(200), np.full(200, 0.5)),
-    ):
+    for times in (np.zeros(199), np.zeros(201)):
         with pytest.raises(InvalidArgumentError):
-            extract_dense(pts, times, colours=colours)
+            extract_dense(pts, times)
 
 
 def test_extract_dense_rejects_non_positive_radius(rng):
@@ -354,8 +348,6 @@ def test_extract_dense_rejects_extent_beyond_cell_keys():
         ("timestamp", np.inf),
         ("obs_count", [1, 2]),
         ("radius", np.nan),
-        ("colour", [0.5, 0.5]),
-        ("colour_sigma", np.inf),
     ],
 )
 def test_dense_surfel_check_rejects_invalid_fields(name, value):
@@ -391,8 +383,6 @@ def _random_surfel(rng):
         obs_count=int(rng.integers(1, 9)),
         timestamp=rng.uniform(0.0, 100.0),
         radius=rng.uniform(0.01, 0.3),
-        colour=rng.uniform(size=3),
-        colour_sigma=rng.uniform(0.1, 1.0),
     )
 
 
@@ -400,7 +390,7 @@ def test_dense_map_matches_a_dict_shadow(rng):
     # Random adds, replaces and removes against a dict of the same values,
     # through several capacity doublings, then every surfel removed.
     names = ("centroid", "normal", "centroid_cov", "scatter", "dof", "obs_count",
-             "timestamp", "radius", "colour", "colour_sigma")
+             "timestamp", "radius")
     m = DenseSurfelMap()
     shadow = {}
 

@@ -4,7 +4,9 @@ import pytest
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
 from surfelslam.simulation.oracles import apply_correction, correction_batch, interp_pose
-from surfelslam.trajectory import ControlGrid, Trajectory, spline_weights
+from surfelslam.trajectory import Trajectory, spline_weights
+
+from conftest import knot_grid
 
 
 def make_trajectory(rng, n=101, rate=100.0, rot_scale=0.2, t_scale=0.5):
@@ -139,49 +141,56 @@ def test_spline_weights_at_zero():
     assert np.allclose(w, [1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0, 0.0], atol=1e-15)
 
 
+def zero_controls(grid):
+    """Translational and rotational control points, all zero, of ``grid``."""
+    return np.zeros((len(grid), 3)), np.zeros((len(grid), 3))
+
+
 def test_zero_grid_identity_correction(rng):
-    grid = ControlGrid.zeros(0.0, 1.0, 0.1)
-    rot, t = correction_batch(grid, rng.uniform(0.0, 1.0, size=20))
+    grid = knot_grid(0.0, 1.0, 0.1)
+    rot, t = correction_batch(grid, *zero_controls(grid), rng.uniform(0.0, 1.0, size=20))
     assert np.allclose(rot, np.eye(3))
     assert np.allclose(t, 0.0)
 
 
 def test_constant_translation_controls(rng):
-    grid = ControlGrid.zeros(0.0, 1.0, 0.1)
-    grid.c_t[:] = np.array([0.1, 0.0, 0.0])
-    rot, t = correction_batch(grid, rng.uniform(0.0, 1.0, size=20))
+    grid = knot_grid(0.0, 1.0, 0.1)
+    c_t, c_r = zero_controls(grid)
+    c_t[:] = np.array([0.1, 0.0, 0.0])
+    rot, t = correction_batch(grid, c_t, c_r, rng.uniform(0.0, 1.0, size=20))
     assert np.allclose(t, [0.1, 0.0, 0.0], atol=1e-14)
     assert np.allclose(rot, np.eye(3))
 
 
 def test_single_knot_weight():
     # One nonzero knot k evaluated at the segment start: weight must be 4/6.
-    grid = ControlGrid.zeros(0.0, 1.0, 0.1)
+    grid = knot_grid(0.0, 1.0, 0.1)
+    c_t, c_r = zero_controls(grid)
     k = 5
-    grid.c_t[k] = np.array([1.0, 0.0, 0.0])
-    _, t = correction_batch(grid, grid.times[[k]])
+    c_t[k] = np.array([1.0, 0.0, 0.0])
+    _, t = correction_batch(grid, c_t, c_r, grid.times[[k]])
     assert np.allclose(t[0], [4.0 / 6.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_correction_outside_support():
-    grid = ControlGrid.zeros(0.0, 1.0, 0.1)
+    grid = knot_grid(0.0, 1.0, 0.1)
     with pytest.raises(MissingSupportError):
-        correction_batch(grid, [1.5])
+        correction_batch(grid, *zero_controls(grid), [1.5])
 
 
 def test_correction_is_c2_continuous(rng):
     # One-sided 4-point stencils are exact for the cubic segments, so any
     # residual disagreement measures the derivative jump at the boundary.
-    grid = ControlGrid.zeros(0.0, 2.0, 0.2)
-    grid.c_t[:] = rng.normal(scale=0.1, size=grid.c_t.shape)
-    grid.c_r[:] = rng.normal(scale=0.05, size=grid.c_r.shape)
+    grid = knot_grid(0.0, 2.0, 0.2)
+    c_t = rng.normal(scale=0.1, size=(len(grid), 3))
+    c_r = rng.normal(scale=0.05, size=(len(grid), 3))
     h = 1e-3
     for boundary in grid.times[2:-2]:
         for which in ("t", "r"):
 
             def value(tau):
                 idx, w = grid.knot_indices_and_weights(np.array([tau]))
-                c = grid.c_t if which == "t" else grid.c_r
+                c = c_t if which == "t" else c_r
                 return (w[0][:, None] * c[idx[0]]).sum(axis=0)
 
             def one_sided(sign):
@@ -199,8 +208,8 @@ def test_correction_is_c2_continuous(rng):
 
 def test_apply_correction_zero_grid(rng):
     traj = make_trajectory(rng)
-    grid = ControlGrid.zeros(-0.1, traj.end + 0.1, 0.1)
-    out = apply_correction(traj, grid)
+    grid = knot_grid(-0.1, traj.end + 0.1, 0.1)
+    out = apply_correction(traj, grid, *zero_controls(grid))
     assert np.allclose(out.rotations, traj.rotations)
     assert np.allclose(out.translations, traj.translations)
 
@@ -210,20 +219,21 @@ def test_apply_correction_constant_translation(rng):
     times = np.arange(n) / 100.0
     eye = np.stack([np.eye(3)] * n)
     traj = Trajectory(times, eye, np.zeros((n, 3)))
-    grid = ControlGrid.zeros(-0.1, 1.1, 0.1)
-    grid.c_t[:] = np.array([0.05, 0.0, 0.0])
-    out = apply_correction(traj, grid)
+    grid = knot_grid(-0.1, 1.1, 0.1)
+    c_t, c_r = zero_controls(grid)
+    c_t[:] = np.array([0.05, 0.0, 0.0])
+    out = apply_correction(traj, grid, c_t, c_r)
     assert np.allclose(out.translations, np.array([0.05, 0.0, 0.0]), atol=1e-14)
 
 
 def test_apply_correction_matches_pointwise_composition(rng):
     traj = make_trajectory(rng)
-    grid = ControlGrid.zeros(-0.1, traj.end + 0.1, 0.1)
-    grid.c_t[:] = rng.normal(scale=0.05, size=grid.c_t.shape)
-    grid.c_r[:] = rng.normal(scale=0.02, size=grid.c_r.shape)
-    out = apply_correction(traj, grid)
+    grid = knot_grid(-0.1, traj.end + 0.1, 0.1)
+    c_t = rng.normal(scale=0.05, size=(len(grid), 3))
+    c_r = rng.normal(scale=0.02, size=(len(grid), 3))
+    out = apply_correction(traj, grid, c_t, c_r)
     picks = rng.integers(0, len(traj), size=25)
-    rot_c, t_c = correction_batch(grid, traj.times[picks])
+    rot_c, t_c = correction_batch(grid, c_t, c_r, traj.times[picks])
     for k, rot, t in zip(picks, rot_c, t_c):
         expected = homogeneous(rot, t) @ homogeneous(traj.rotations[k], traj.translations[k])
         assert np.linalg.norm(homogeneous(out.rotations[k], out.translations[k]) - expected) < 1e-9
@@ -231,8 +241,8 @@ def test_apply_correction_matches_pointwise_composition(rng):
 
 def test_apply_correction_missing_support(rng):
     traj = make_trajectory(rng)
-    grid = ControlGrid.zeros(0.2, 0.6, 0.1)
+    grid = knot_grid(0.2, 0.6, 0.1)
     with pytest.raises(MissingSupportError) as err:
-        apply_correction(traj, grid)
+        apply_correction(traj, grid, *zero_controls(grid))
     assert len(err.value.timestamps) > 0
 
