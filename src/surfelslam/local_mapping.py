@@ -121,10 +121,18 @@ class OptState:
 
 @dataclass
 class OptimizerConfig:
+    """Window optimizer settings.
+
+    ``chi2_tol`` is the stopping tolerance, in the units of the window cost:
+    a sum of squared whitened residuals, so one unit is one χ² unit.  A
+    window stops once the decrease its Gauss-Newton model predicts for the
+    next step, or the decrease an accepted step achieved, is below it (see
+    :func:`optimize_window`).
+    """
+
     window: float = 5.0
     max_iterations: int = 50
-    step_tol: float = 1e-8
-    cost_tol: float = 1e-10
+    chi2_tol: float = 1e-3
     damping_init: float = 1e-6
     damping_retries: int = 5
     sigma_surfel: float = 0.02
@@ -147,9 +155,18 @@ class IterationRecord:
 
 @dataclass
 class OptimizationReport:
+    """Per-iteration records and why the window stopped.
+
+    ``stop_decrease`` is the decrease, in χ² units, that ended the window:
+    the model's prediction for a ``"predicted_decrease"`` stop, the accepted
+    step's actual decrease for a ``"cost_decrease"`` stop, NaN for any other
+    reason.
+    """
+
     records: list
     converged: bool
     reason: str
+    stop_decrease: float
 
     @property
     def final_cost(self):
@@ -328,8 +345,8 @@ class _WindowSystem:
         # The bias columns, one per bias component, when there are IMU rows.
         comp = np.arange(3 * m)
         self.border = np.zeros((self.n_residuals, 6 if m else 0))
-        self.border[self.sl_accel.start + comp, comp % 3] = 1.0 / cfg.sigma_accel
-        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = 1.0 / cfg.sigma_gyro
+        self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / cfg.sigma_accel
+        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / cfg.sigma_gyro
 
         self.w_samples = self.grid.weight_matrix(self.traj_times)
         # Knot weights of the two samples of every interval between samples,
@@ -410,10 +427,11 @@ class _WindowSystem:
             rot_mid, rot_plus = rot[q_mid], rot[q_plus]
             accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
             body = np.einsum("nji,nj->ni", rot_mid, accel_world - GRAVITY)
-            accel_res = self.imu_accel - body + b_a
+            # The sensor adds its biases to what it measures.
+            accel_res = self.imu_accel - body - b_a
             rel = rot_mid.transpose(0, 2, 1) @ rot_plus
             omega = lie.so3_log_batch(rel) / self.h
-            gyro_res = self.imu_gyro - omega + b_g
+            gyro_res = self.imu_gyro - omega - b_g
             out[self.sl_accel] = accel_res.reshape(-1) / cfg.sigma_accel
             out[self.sl_gyro] = gyro_res.reshape(-1) / cfg.sigma_gyro
         return out
@@ -648,6 +666,25 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     ``constraints`` mixes :class:`SurfelPairConstraint` and
     :class:`MapPriorConstraint` instances.  Returns the final state, the
     corrected trajectory, and a per-iteration report.
+
+    The cost is the sum of squared whitened residuals, Cauchy-robust on the
+    surfel and prior rows, so its unit is one χ² unit.  Each iteration solves
+    the damped normal equations for a step ``delta`` and takes its model
+    decrease ``-2 delta.g - delta.H delta`` in the same units.  The window
+    stops, converged, with reason
+
+    - ``"predicted_decrease"`` when that model decrease is below
+      ``cfg.chi2_tol``; the step is then not evaluated;
+    - ``"cost_decrease"`` when an accepted step lowered the cost by less
+      than ``cfg.chi2_tol``;
+    - ``"zero_cost"`` when the cost is below 1e-16.
+
+    A rejected step is solved again with ten times the damping, up to
+    ``cfg.damping_retries`` times; the damping falls by three after an
+    accepted step.  When every retry fails to lower the cost while the model
+    still predicts at least ``cfg.chi2_tol``, :class:`NoProgressError` is
+    raised.  After ``cfg.max_iterations`` accepted steps the window stops
+    unconverged (``"max_iterations"``).
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -671,11 +708,9 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     records = [IterationRecord(0, cost, *system.family_rms(it.residuals), 0.0)]
 
     lam = cfg.damping_init
-    converged = False
-    reason = "max_iterations"
+    reason, stop_decrease = "max_iterations", np.nan
     for iteration in range(1, cfg.max_iterations + 1):
         if cost < 1e-16:
-            converged = True
             reason = "zero_cost"
             break
         weighted = system.weighted(it.residuals)
@@ -691,56 +726,47 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1.0
 
-        accepted = False
-        predicted = np.inf
         for _ in range(cfg.damping_retries + 1):
             try:
                 delta = np.linalg.solve(hess + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            # The Gauss-Newton model's decrease of the cost, in its units.
+            decrease = -2.0 * (delta @ grad) - delta @ (hess @ delta)
+            if decrease < cfg.chi2_tol:
+                break
             candidate = system.evaluate(it.x + delta, it.state)
-            candidate_cost = system.cost(candidate.residuals)
-            if candidate_cost < cost:
-                accepted = True
+            if system.cost(candidate.residuals) < cost:
                 break
-            predicted = -(delta @ grad) - 0.5 * delta @ (hess @ delta)
             lam *= 10.0
-        if not accepted:
-            # The most damped step's own model predicts no usable decrease:
-            # numerically stationary.  Anything else is a genuine failure.
-            if predicted < cfg.cost_tol * max(cost, 1e-30):
-                converged = True
-                reason = "stationary"
-                break
+        else:
             raise NoProgressError(
                 "cost failed to decrease after damping retries",
                 best_state=it.state,
                 best_trajectory=_trajectory_from(system),
-                report=OptimizationReport(records, False, "no_progress"),
+                report=OptimizationReport(records, False, "no_progress", np.nan),
             )
+        if decrease < cfg.chi2_tol:
+            reason, stop_decrease = "predicted_decrease", decrease
+            break
 
         lam = max(lam / 3.0, 1e-12)
-        step_norm = float(np.linalg.norm(delta))
-        prev_cost = cost
         # Fold the accepted correction into the trajectory and restart it
         # from zero; the next iteration linearizes at the candidate's poses.
         it = system.fold(candidate)
         system.update_robust_weights(it.residuals)
-        cost = system.cost(it.residuals)
-        records.append(
-            IterationRecord(iteration, cost, *system.family_rms(it.residuals), step_norm)
-        )
-        if step_norm < cfg.step_tol:
-            converged = True
-            reason = "step_norm"
-            break
-        if prev_cost - cost < cfg.cost_tol * max(prev_cost, 1e-30):
-            converged = True
-            reason = "cost_decrease"
+        new_cost = system.cost(it.residuals)
+        decrease, cost = cost - new_cost, new_cost
+        records.append(IterationRecord(
+            iteration, cost, *system.family_rms(it.residuals), float(np.linalg.norm(delta))
+        ))
+        if decrease < cfg.chi2_tol:
+            reason, stop_decrease = "cost_decrease", decrease
             break
 
-    return it.state, _trajectory_from(system), OptimizationReport(records, converged, reason)
+    report = OptimizationReport(records, reason != "max_iterations", reason, float(stop_decrease))
+    return it.state, _trajectory_from(system), report
 
 
 def _trajectory_from(system):

@@ -120,7 +120,8 @@ def residual_map_prior(constraint, traj):
 
 
 def residual_imu(sample, traj, accel_bias=0.0, gyro_bias=0.0):
-    """Six IMU residuals (accel m/s^2, gyro rad/s) of ``sample`` on ``traj``.
+    """Six IMU residuals (accel m/s^2, gyro rad/s) of ``sample`` on ``traj``:
+    measured minus predicted minus the bias, which the sensor adds.
 
     The acceleration uses central differences of the interpolated translation
     at the trajectory sample interval; the body rate uses the forward
@@ -132,9 +133,9 @@ def residual_imu(sample, traj, accel_bias=0.0, gyro_bias=0.0):
         raise OutOfRangeError("IMU finite-difference stencil outside support")
     rot, t = traj.sample_batch(taus)
     accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
-    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) + accel_bias
+    accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) - accel_bias
     omega = lie.so3_log_batch((rot[1].T @ rot[2])[None])[0] / h
-    gyro_res = sample.gyro - omega + gyro_bias
+    gyro_res = sample.gyro - omega - gyro_bias
     return np.concatenate([accel_res, gyro_res])
 
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from surfelslam import lie, local_mapping as lm
-from surfelslam.errors import DegenerateGeometryError, InvalidArgumentError, OutOfRangeError
+from surfelslam.errors import (
+    DegenerateGeometryError,
+    InvalidArgumentError,
+    NoProgressError,
+    OutOfRangeError,
+)
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
 from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory
@@ -91,11 +96,15 @@ def test_imu_residual_gravity_at_rest():
 
 
 def test_imu_residual_reports_gyro_bias():
+    # The sensor adds its bias to the measurement: at rest, a gyro that
+    # reads the bias leaves a residual of the bias, and no residual once the
+    # same bias is estimated.
     traj = identity_trajectory()
-    sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    res = oracles.residual_imu(sample, traj, gyro_bias=np.array([0.01, 0.0, 0.0]))
-    assert np.allclose(res[3:], [0.01, 0.0, 0.0], atol=1e-12)
-    assert np.max(np.abs(res[:3])) < 1e-9
+    bias = np.array([0.01, 0.0, 0.0])
+    sample = lm.ImuSample(0.5, [0.0, 0.0, 9.80665], bias)
+    assert np.allclose(oracles.residual_imu(sample, traj)[3:], bias, atol=1e-12)
+    res = oracles.residual_imu(sample, traj, gyro_bias=bias)
+    assert np.max(np.abs(res)) < 1e-9
 
 
 def test_imu_residual_stencil_out_of_support():
@@ -161,6 +170,18 @@ def test_optimizer_recovers_drifted_trajectory():
     assert t1 < 0.2 * t0
     assert t1 < 0.01
     assert r1 < 0.003
+
+
+def test_estimated_biases_take_the_simulated_sign():
+    # The simulated IMU adds accel_bias and gyro_bias to its measurements;
+    # the window estimates them with the same sign.
+    cfg = SimConfig(seed=5, window=2.0, n_features=300)
+    truth, imu, init = gen_trajectory_and_imu(cfg)
+    scene = gen_surfel_scene(cfg, truth)
+    state, _, report = run_window(truth, imu, init, scene)
+    assert report.converged
+    assert np.all(np.sign(state.accel_bias) == np.sign(cfg.accel_bias))
+    assert np.all(np.sign(state.gyro_bias) == np.sign(cfg.gyro_bias))
 
 
 def test_window_without_imu_estimates_no_biases():
@@ -238,6 +259,76 @@ def test_cost_non_increasing():
     state, est, report = run_window(truth, imu, init, scene)
     costs = [r.cost for r in report.records]
     assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+# -- stopping rule ------------------------------------------------------------
+
+
+def test_chi2_stop_agrees_with_a_tight_tolerance():
+    # A window stopped at the default chi2_tol lies within 1e-4 m and 1e-4
+    # (rotation matrix entries) of the same window run to the rounding
+    # floor, and its cost lies above the tight run's by less than chi2_tol.
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    chi2_tol = lm.OptimizerConfig().chi2_tol
+    _, est, report = run_window(truth, imu, init, scene)
+    _, tight, tight_report = run_window(truth, imu, init, scene, {"chi2_tol": 1e-9})
+    assert report.converged and tight_report.converged
+    assert len(tight_report.records) > len(report.records)
+    assert np.max(np.linalg.norm(est.translations - tight.translations, axis=1)) < 1e-4
+    assert np.max(np.abs(est.rotations - tight.rotations)) < 1e-4
+    assert 0.0 <= report.final_cost - tight_report.final_cost < chi2_tol
+
+
+def test_predicted_decrease_stop_evaluates_no_candidate(monkeypatch):
+    # evaluate runs for the initial iterate and once per accepted step: the
+    # step whose model decrease ends the window is never evaluated.
+    calls = []
+    evaluate = lm._WindowSystem.evaluate
+
+    def counted(self, x, state):
+        calls.append(1)
+        return evaluate(self, x, state)
+
+    monkeypatch.setattr(lm._WindowSystem, "evaluate", counted)
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    _, _, report = run_window(truth, imu, init, scene)
+    assert report.converged and report.reason == "predicted_decrease"
+    assert 0.0 <= report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert len(calls) == len(report.records)
+
+
+def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
+    # A cost scaled by 1e-6 leaves the model's predicted decrease as it is,
+    # so the first step is evaluated and accepted; its actual decrease is
+    # then below chi2_tol, ends the window and is reported.
+    cost = lm._WindowSystem.cost
+    monkeypatch.setattr(
+        lm._WindowSystem, "cost", lambda self, residuals: 1e-6 * cost(self, residuals)
+    )
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    _, _, report = run_window(truth, imu, init, scene)
+    assert report.converged and report.reason == "cost_decrease"
+    assert len(report.records) == 2
+    assert report.stop_decrease == report.records[0].cost - report.records[1].cost
+    assert 0.0 < report.stop_decrease < lm.OptimizerConfig().chi2_tol
+
+
+def test_cost_that_never_decreases_raises_no_progress(monkeypatch):
+    monkeypatch.setattr(lm._WindowSystem, "cost", lambda self, residuals: 1.0)
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    with pytest.raises(NoProgressError) as err:
+        run_window(truth, imu, init, scene)
+    report = err.value.report
+    assert not report.converged and report.reason == "no_progress"
+    assert len(report.records) == 1
+
+
+def test_max_iterations_ends_a_capped_run():
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    _, _, report = run_window(truth, imu, init, scene, {"max_iterations": 1})
+    assert not report.converged and report.reason == "max_iterations"
+    assert len(report.records) == 2
+    assert np.isnan(report.stop_decrease)
 
 
 def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
