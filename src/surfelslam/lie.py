@@ -7,6 +7,13 @@ twist is a 6-vector ``xi = [rx, ry, rz, tx, ty, tz]`` with the rotational
 part in radians (rotation vector) and the translational part in meters.  All
 updates in this package are left perturbations, ``T <- exp(xi) * T``.
 
+Geodesic interpolation is written once, in :func:`se3_geodesic_batch`: each
+bracket (a lower pose and a twist) gets one basis of seven terms, and each
+query weights them with three coefficients of its own angle, so queries that
+share a bracket share its basis and form no 3x3 product or exponential of
+their own.  :func:`se3_interp_batch` is the same kernel with every pose pair
+its own bracket.
+
 A pose is a rotation matrix (3, 3) and a translation (3,), stored as
 separate stacks.  Poses are composed without re-orthonormalization: the
 rounding of 10,000 compositions leaves a rotation within 1e-12 of
@@ -224,16 +231,53 @@ def se3_exp_batch(xi):
     return _so3_exp(*hats), np.einsum("nij,nj->ni", _so3_left_jacobian(*hats), t)
 
 
-def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha, twist=None):
+def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
+    """Poses ``T_a exp(alpha (phi, rho))`` on the geodesics of M brackets,
+    read from each bracket's basis: rotations (N, 3, 3) and translations
+    (N, 3).
+
+    Bracket m has lower pose ``(rot_a[m], t_a[m])`` and twist
+    ``(phi[m], rho[m])``; query n reads bracket ``at[n]`` at ``alpha[n]``.
+    With ``K = hat(phi)`` and ``theta = |phi|``, the pose at alpha is
+
+        R = R_a + s1 R_a K + s2 R_a K^2
+        t = t_a + alpha R_a rho + s2 R_a K rho + s3 R_a K^2 rho
+
+    with ``s1 = alpha sinc(alpha theta)``, ``s2 = alpha^2 (1 - cos(alpha
+    theta)) / (alpha theta)^2`` and ``s3 = alpha^3 (alpha theta - sin(alpha
+    theta)) / (alpha theta)^3``, the Rodrigues and left-Jacobian
+    coefficients at the query's own angle, each with its own series switch.
+    The seven basis terms are formed once per bracket, stored bracket along
+    the last axis, so a query costs three coefficients and a weighted sum of
+    gathered columns.
+    """
+    theta, k, kk = _so3_hats(phi)
+    rot_basis = np.stack([rot_a, rot_a @ k, rot_a @ kk])
+    t_basis = np.concatenate([t_a[None], (rot_basis @ rho[:, :, None])[..., 0]])
+    rot_cols = np.ascontiguousarray(rot_basis.reshape(3, len(rot_a), 9).transpose(0, 2, 1))
+    t_cols = np.ascontiguousarray(t_basis.transpose(0, 2, 1))
+    angle = alpha * theta[at]
+    alpha_sq = alpha * alpha
+    s1 = alpha * _sinc(angle)
+    s2 = alpha_sq * _cos_coeff(angle)
+    s3 = alpha_sq * alpha * _one_minus_sinc_coeff(angle)
+    # Each query's terms are weighted and summed in place, in order.
+    r = rot_cols.take(at, axis=2)
+    t = t_cols.take(at, axis=2)
+    r[1:] *= np.stack([s1, s2])[:, None]
+    t[1:] *= np.stack([alpha, s2, s3])[:, None]
+    for terms in (r, t):
+        for term in terms[1:]:
+            terms[0] += term
+    return np.ascontiguousarray(r[0].T).reshape(len(at), 3, 3), np.ascontiguousarray(t[0].T)
+
+
+def se3_interp_batch(rot_a, t_a, rot_b, t_b, alpha):
     """Vectorized ``Ta * exp(alpha * log(Ta^-1 Tb))`` for pose arrays.
 
     alpha is (N,) in [0, 1]; bracketing pairs are given as rotation stacks
-    (N, 3, 3) and translation stacks (N, 3).  ``twist`` is the pairs'
-    :func:`se3_relative_log_batch`, computed when not given.
+    (N, 3, 3) and translation stacks (N, 3).  Each pair is its own bracket
+    of :func:`se3_geodesic_batch`.
     """
-    if twist is None:
-        twist = se3_relative_log_batch(rot_a, t_a, rot_b, t_b)
-    rot_d, t_d = se3_exp_batch(np.concatenate(twist, axis=1) * alpha[:, None])
-    rot = rot_a @ rot_d
-    t = np.einsum("nij,nj->ni", rot_a, t_d) + t_a
-    return rot, t
+    phi, rho = se3_relative_log_batch(rot_a, t_a, rot_b, t_b)
+    return se3_geodesic_batch(rot_a, t_a, phi, rho, np.arange(len(alpha)), alpha)

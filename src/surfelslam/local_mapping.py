@@ -306,6 +306,12 @@ class _WindowSystem:
         self.prior_taus = np.array([c.tau_c for c in prior_constraints])
 
         taus = np.array([s.tau for s in imu], dtype=float)
+        # One check per window over every array converted above; the
+        # constraint classes do not check their fields and times.
+        converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
+                     self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus)
+        if not all(np.isfinite(a).all() for a in converted):
+            raise InvalidArgumentError("constraint fields and times must be finite")
         keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
         usable = [s for s, k in zip(imu, keep) if k]
         self.imu_taus = taus[keep]

@@ -778,11 +778,19 @@ def _radius_pairs(points, radius):
     Each point takes the positions after it in its own column run and the
     four column runs of the (x, y) offsets that follow (0, 0) in
     lexicographic order, (0, 1), (1, -1), (1, 0) and (1, 1): every pair of
-    points at most one cell apart is tested once.
+    points at most one cell apart is tested once.  The keys are sorted, so
+    the runs are searched once per occupied cell and repeated for its
+    points.
     """
     grid = KeyedPoints(points, radius)
     n = len(grid.keys)
-    lo, hi = grid._column_runs(grid.keys, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
+    new_cell = np.ones(n, dtype=bool)
+    new_cell[1:] = grid.keys[1:] != grid.keys[:-1]
+    cell = np.cumsum(new_cell) - 1
+    lo, hi = grid._column_runs(
+        grid.keys[new_cell], np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1])
+    )
+    lo, hi = (runs.reshape(5, -1)[:, cell].ravel() for runs in (lo, hi))
     lo[:n] = np.arange(1, n + 1)
     a, b = _runs(np.tile(np.arange(n), 5), lo, hi)
     d_sq = grid._sq_dist(b, grid.columns.take(a, axis=1))
@@ -848,7 +856,9 @@ def extract_dense(points, times, traj=None,
     the centroid uncertainty (scatter over ``n (n-1)`` plus the beam noise
     floor), and the initial Wishart count.  Seeds with fewer than
     ``min_points`` neighbors yield no surfel; surfels follow seed order.
-    Normals point toward the observing sensor.  One ``eigh`` of the
+    Each normal points toward the mean of its neighbourhood's sensor
+    origins: the sample translations ``T(t_i)`` through ``traj``, and the
+    world origin without it.  One ``eigh`` of the
     scatters gives the normals, the PSD clamp (``psd_eigh``) and the
     scatter half of the check; a clamped row's normal still comes from its
     unclamped scatter, whose eigenspace the clamp can make degenerate.

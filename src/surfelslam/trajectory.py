@@ -5,8 +5,10 @@ The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
 default), stored as rotation and translation stacks.  Its one query,
 :meth:`Trajectory.sample_batch`, takes a stack of times; between samples it
 follows the SE(3) geodesic between the bracketing pair.  :func:`interpolate`
-serves it and the window optimizer alike, and takes each bracket's twist
-once however many queries fall in it.  :class:`ControlGrid` holds the knot
+serves it and the window optimizer alike: each bracket that holds a query
+gets one twist and one geodesic basis (``lie.se3_geodesic_batch``), however
+many queries fall in it, and each query reads the basis through three
+coefficients of its own angle.  :class:`ControlGrid` holds the knot
 times and gives each time its spline weights on the knots; the optimizer
 estimates small per-knot corrections from zero at every iteration and
 :func:`compose_correction` composes them onto the stored poses by left
@@ -57,9 +59,12 @@ def brackets(times, taus, tol):
 
     A query within ``tol`` of a sample snaps to it (``alpha`` exactly 0 or
     1), so it returns the stored pose; one more than ``tol`` outside
-    ``[times[0], times[-1]]`` raises :class:`OutOfRangeError`.
+    ``[times[0], times[-1]]`` raises :class:`OutOfRangeError`, and a
+    non-finite one :class:`InvalidArgumentError`.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if not np.isfinite(taus).all():
+        raise InvalidArgumentError("query times must be finite")
     if np.any(taus < times[0] - tol) or np.any(taus > times[-1] + tol):
         raise OutOfRangeError("query time outside the trajectory span")
     idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, len(times) - 2)
@@ -74,36 +79,30 @@ def interpolate(rotations, translations, idx, alpha):
     they were read in.
 
     Snapped queries copy the stored sample; the rest follow the SE(3)
-    geodesic.  One ``lie.se3_relative_log_batch`` twist is taken per
-    distinct bracket of the interior queries and shared by all of its
-    queries.  The chart is ``(lo, at, phi, rho)``: the lower samples of
-    those brackets, each interior query's bracket among them, and the
-    brackets' twists.
+    geodesic.  The distinct brackets of the interior queries are found with
+    a presence mask over the sample indices.  Each takes one
+    ``lie.se3_relative_log_batch`` twist and one geodesic basis
+    (:func:`lie.se3_geodesic_batch`), which all of its queries read, each
+    with three coefficients at its own angle.  The chart is
+    ``(lo, at, phi, rho)``: the lower samples of those brackets, each
+    interior query's bracket among them, and the brackets' twists.
     """
     interior = (alpha > 0.0) & (alpha < 1.0)
-    lo, at = np.unique(idx[interior], return_inverse=True)
-    phi, rho = lie.se3_relative_log_batch(
-        rotations[lo], translations[lo], rotations[lo + 1], translations[lo + 1]
-    )
+    inner_idx, inner_alpha = idx[interior], alpha[interior]
+    present = np.zeros(len(rotations) - 1, dtype=bool)
+    present[inner_idx] = True
+    lo = np.flatnonzero(present)
+    at = np.cumsum(present)[inner_idx] - 1
+    rot_lo, t_lo = rotations[lo], translations[lo]
+    phi, rho = lie.se3_relative_log_batch(rot_lo, t_lo, rotations[lo + 1], translations[lo + 1])
     chart = lo, at, phi, rho
-    twists = phi[at], rho[at]
+    inner = lie.se3_geodesic_batch(rot_lo, t_lo, phi, rho, at, inner_alpha)
     if interior.all():
-        return (*_between(rotations, translations, idx, alpha, twists), chart)
+        return (*inner, chart)
     gather = np.where(alpha == 1.0, idx + 1, idx)
     rot, t = rotations[gather], translations[gather]
-    if interior.any():
-        rot[interior], t[interior] = _between(
-            rotations, translations, idx[interior], alpha[interior], twists
-        )
+    rot[interior], t[interior] = inner
     return rot, t, chart
-
-
-def _between(rotations, translations, lo, alpha, twists):
-    # Interpolation between samples lo and lo + 1 at 0 < alpha < 1.
-    hi = lo + 1
-    return lie.se3_interp_batch(
-        rotations[lo], translations[lo], rotations[hi], translations[hi], alpha, twists
-    )
 
 
 @dataclass
@@ -147,7 +146,8 @@ class Trajectory:
     def sample_batch(self, taus):
         """Rotations (N,3,3) and translations (N,3) at ``taus``, on the SE(3)
         geodesic between the bracketing samples; queries in one bracket share
-        its twist (see :func:`interpolate`)."""
+        its twist and basis (see :func:`interpolate`).  Non-finite times
+        raise :class:`InvalidArgumentError`."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
         return interpolate(self.rotations, self.translations, idx, alpha)[:2]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,25 @@ def test_unknown_string_option_is_rejected(option):
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     with pytest.raises(TypeError, match=next(iter(option))):
         run_window(truth, imu, init, scene, option)
+
+
+@pytest.mark.parametrize("bad", ["tau_c", "u_c", "imu_tau"])
+def test_non_finite_input_is_rejected(bad):
+    # A NaN time used to read the pose of sample n - 2 (prior) or be dropped
+    # (IMU); a NaN observation passed into the residuals.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    constraints = scene.map_prior_constraints()
+    c = constraints[3]
+    if bad == "tau_c":
+        constraints[3] = dataclasses.replace(c, tau_c=np.nan)
+    elif bad == "u_c":
+        constraints[3] = dataclasses.replace(c, u_c=c.u_c + np.array([0.0, np.nan, 0.0]))
+    else:
+        imu = list(imu)
+        imu[5] = dataclasses.replace(imu[5], tau=np.nan)
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    with pytest.raises(InvalidArgumentError):
+        lm.optimize_window(constraints, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
 def test_degenerate_geometry_reports_null_space():

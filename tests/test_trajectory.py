@@ -4,7 +4,7 @@ import pytest
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
 from surfelslam.simulation.oracles import apply_correction, correction_batch, interp_pose
-from surfelslam.trajectory import Trajectory, spline_weights
+from surfelslam.trajectory import Trajectory, brackets, interpolate, spline_weights
 
 from conftest import knot_grid
 
@@ -14,6 +14,18 @@ def make_trajectory(rng, n=101, rate=100.0, rot_scale=0.2, t_scale=0.5):
     rotvecs = np.cumsum(rng.normal(scale=rot_scale / n, size=(n, 3)), axis=0)
     translations = np.cumsum(rng.normal(scale=t_scale / n, size=(n, 3)), axis=0)
     return Trajectory(times, lie.so3_exp_batch(rotvecs), translations, rate)
+
+
+def chain_trajectory(rng, angles, t_scale=0.05):
+    """Trajectory at 100 Hz whose consecutive samples differ by rotations of
+    the given angles about random axes, and by random translations."""
+    axes = rng.normal(size=(len(angles), 3))
+    steps = lie.so3_exp_batch(axes * (np.asarray(angles) / np.linalg.norm(axes, axis=1))[:, None])
+    rotations = [lie.so3_exp_batch(rng.normal(size=(1, 3)))[0]]
+    for step in steps:
+        rotations.append(rotations[-1] @ step)
+    translations = np.cumsum(rng.normal(scale=t_scale, size=(len(angles) + 1, 3)), axis=0)
+    return Trajectory(np.arange(len(angles) + 1) / 100.0, np.stack(rotations), translations)
 
 
 def homogeneous(rot, t):
@@ -93,6 +105,48 @@ def test_sample_batch_shares_bracket_twists_exactly(rng):
         assert np.max(np.abs(homogeneous(r, tr) - want)) < 1e-12
 
 
+def test_sample_batch_matches_series_across_coefficient_switches(rng):
+    # Query angles alpha * theta on both sides of SERIES_ANGLE (theta = 0.03)
+    # and of SMALL_ANGLE (theta = 3e-8) inside one bracket each, many queries
+    # in a bracket of about 1 rad, and a bracket with a single query.
+    traj = chain_trajectory(rng, [0.03, 3e-8, 1.0, 0.4])
+    fractions = [1e-3, 0.2, 1 / 3 - 1e-3, 1 / 3 + 1e-3, 0.5, 2 / 3 - 1e-3, 2 / 3 + 1e-3, 0.999]
+    k = np.r_[np.repeat([0, 1, 2], len(fractions)), 3]
+    taus = traj.times[k] + np.r_[np.tile(fractions, 3), 0.37] * 0.01
+    idx, alpha = brackets(traj.times, taus, 1e-11)
+    assert np.array_equal(idx, k)
+    phi, _ = lie.se3_relative_log_batch(
+        traj.rotations[:-1], traj.translations[:-1], traj.rotations[1:], traj.translations[1:]
+    )
+    angle = alpha * np.linalg.norm(phi, axis=1)[k]
+    for bracket, switch in ((0, lie.SERIES_ANGLE), (1, lie.SMALL_ANGLE)):
+        assert angle[k == bracket].min() < switch < angle[k == bracket].max()
+    rot, t = traj.sample_batch(taus)
+    for i in range(len(taus)):
+        want = interp_pose(homogeneous(traj.rotations[k[i]], traj.translations[k[i]]),
+                           homogeneous(traj.rotations[k[i] + 1], traj.translations[k[i] + 1]),
+                           alpha[i])
+        assert np.max(np.abs(homogeneous(rot[i], t[i]) - want)) < 1e-12
+
+
+def test_interpolated_rotations_stay_orthonormal(rng):
+    traj = chain_trajectory(rng, rng.uniform(0.0, 1.5, size=100))
+    rot, _ = traj.sample_batch(rng.uniform(traj.start, traj.end, size=10_000))
+    assert np.max(np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3))) < 1e-12
+
+
+def test_se3_interp_batch_is_interpolate_row_for_row(rng):
+    # Both read one geodesic kernel: a pair as its own bracket gives the
+    # same bits as the bracket shared with other queries.
+    traj = chain_trajectory(rng, rng.uniform(0.0, 1.5, size=20))
+    k = rng.integers(0, len(traj) - 1, size=500)
+    alpha = rng.uniform(1e-6, 1.0 - 1e-6, size=500)
+    rot, t, _ = interpolate(traj.rotations, traj.translations, k, alpha)
+    rot_p, t_p = lie.se3_interp_batch(traj.rotations[k], traj.translations[k],
+                                      traj.rotations[k + 1], traj.translations[k + 1], alpha)
+    assert np.array_equal(rot, rot_p) and np.array_equal(t, t_p)
+
+
 def test_sample_batch_takes_one_twist_per_bracket(rng, monkeypatch):
     # A regression guard: the relative log runs over the distinct brackets
     # of the interior queries, not once per query.
@@ -114,6 +168,13 @@ def test_sample_out_of_range(rng):
     traj = make_trajectory(rng)
     with pytest.raises(OutOfRangeError):
         traj.sample_batch([traj.end + 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_rejects_non_finite_times(rng, bad):
+    traj = make_trajectory(rng)
+    with pytest.raises(InvalidArgumentError):
+        traj.sample_batch([traj.start + 0.005, bad])
 
 
 def test_rejects_non_increasing_times():
