@@ -249,13 +249,18 @@ def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
     coefficients at the query's own angle, each with its own series switch.
     The seven basis terms are formed once per bracket, stored bracket along
     the last axis, so a query costs three coefficients and a weighted sum of
-    gathered columns.
+    gathered columns.  Row i of ``R_a K`` is ``r_i x phi`` for row ``r_i`` of
+    ``R_a``, so the basis takes cross products, not 3x3 products.
     """
-    theta, k, kk = _so3_hats(phi)
-    rot_basis = np.stack([rot_a, rot_a @ k, rot_a @ kk])
-    t_basis = np.concatenate([t_a[None], (rot_basis @ rho[:, :, None])[..., 0]])
-    rot_cols = np.ascontiguousarray(rot_basis.reshape(3, len(rot_a), 9).transpose(0, 2, 1))
-    t_cols = np.ascontiguousarray(t_basis.transpose(0, 2, 1))
+    theta = np.linalg.norm(phi, axis=1)
+    # rows[term, l, i, m]: entry (i, l) of R_a, R_a K and R_a K^2 of bracket m.
+    axis = phi.T[:, None]
+    rows = np.empty((3, 3, 3, len(phi)))
+    rows[0] = rot_a.transpose(2, 1, 0)
+    rows[1] = np.cross(rows[0], axis, axis=0)
+    rows[2] = np.cross(rows[1], axis, axis=0)
+    rot_cols = rows.transpose(0, 2, 1, 3).reshape(3, 9, len(phi))
+    t_cols = np.concatenate([t_a.T[None], (rows * rho.T[:, None]).sum(axis=1)])
     angle = alpha * theta[at]
     alpha_sq = alpha * alpha
     s1 = alpha * _sinc(angle)

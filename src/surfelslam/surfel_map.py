@@ -787,10 +787,9 @@ def _radius_pairs(points, radius):
     new_cell = np.ones(n, dtype=bool)
     new_cell[1:] = grid.keys[1:] != grid.keys[:-1]
     cell = np.cumsum(new_cell) - 1
-    lo, hi = grid._column_runs(
-        grid.keys[new_cell], np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1])
-    )
-    lo, hi = (runs.reshape(5, -1)[:, cell].ravel() for runs in (lo, hi))
+    cells = grid.keys[new_cell]
+    lo, hi = grid._column_runs(cells, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
+    lo, hi = (runs.reshape(5, len(cells))[:, cell].ravel() for runs in (lo, hi))
     lo[:n] = np.arange(1, n + 1)
     a, b = _runs(np.tile(np.arange(n), 5), lo, hi)
     d_sq = grid._sq_dist(b, grid.columns.take(a, axis=1))
