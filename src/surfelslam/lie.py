@@ -254,11 +254,11 @@ def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
     """
     theta = np.linalg.norm(phi, axis=1)
     # rows[term, l, i, m]: entry (i, l) of R_a, R_a K and R_a K^2 of bracket m.
-    axis = phi.T[:, None]
+    phi_cols = phi.T[:, None]
     rows = np.empty((3, 3, 3, len(phi)))
     rows[0] = rot_a.transpose(2, 1, 0)
-    rows[1] = np.cross(rows[0], axis, axis=0)
-    rows[2] = np.cross(rows[1], axis, axis=0)
+    rows[1] = np.cross(rows[0], phi_cols, axis=0)
+    rows[2] = np.cross(rows[1], phi_cols, axis=0)
     rot_cols = rows.transpose(0, 2, 1, 3).reshape(3, 9, len(phi))
     t_cols = np.concatenate([t_a.T[None], (rows * rho.T[:, None]).sum(axis=1)])
     angle = alpha * theta[at]

@@ -307,7 +307,7 @@ class _WindowSystem:
 
         taus = np.array([s.tau for s in imu], dtype=float)
         # One check per window over every array converted above; the
-        # constraint classes do not check their fields and times.
+        # constraint classes do not check their fields and times for finiteness.
         converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
                      self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus)
         if not all(np.isfinite(a).all() for a in converted):
