@@ -6,7 +6,8 @@ Each stage works on stacks: the beam noise of every return, the gates of
 every candidate pair, and the Wishart and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
-``fuse_surfel``) are the batch functions on a batch of one.  A fusion step
+``fuse_surfel``) are the batch functions on a batch of one; a surfel record
+enters through ``DenseSurfels.of``, which checks it.  A fusion step
 folds its measurements into their destinations in rounds, each round fusing
 the next pending measurement of every destination, and checks the fused rows
 once, with the eigenvalues of the update's PSD clamps.  The sparse ICP reads
@@ -140,9 +141,10 @@ def _gate_arrays(surfels: DenseSurfels):
 
 def match_pairs(sources, targets, params: MatchParams | None = None):
     """Every (source, target) pair of dense surfels passing both matching
-    gates: index arrays into ``sources`` and ``targets`` (batches or lists
-    of surfels) and the source centroid's signed distance along the target
-    normal, in no particular order.
+    gates: index arrays into ``sources`` and ``targets`` (batches, or lists
+    of surfel records that ``DenseSurfels.of`` checks) and the source
+    centroid's signed distance along the target normal, in no particular
+    order.
 
     A pair passes when the source centroid lies within ``theta_r`` of the
     target's normal line and within ``theta_d`` standard deviations of its
@@ -287,7 +289,8 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
 
 
 def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
-    """``fuse_batch`` for one surfel, checked."""
+    """``fuse_batch`` for one surfel record, checked as it enters and as it
+    leaves."""
     one = SurfelMeasurement(
         meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None],
         None if meas.timestamp is None else [meas.timestamp],
@@ -311,9 +314,10 @@ MIN_NORMAL_EIGEN_RATIO = 1e-3
 class IcpResult:
     rotation: np.ndarray
     translation: np.ndarray
-    inlier_fraction: float
-    converged: bool
-    pairs: list
+    inlier_fraction: float = 0.0
+    converged: bool = False
+    # Source and destination centroids of the inlier pairs, each (m, 3).
+    pairs: tuple = field(default_factory=lambda: (np.zeros((0, 3)), np.zeros((0, 3))))
     normal_eigen_ratio: float = 0.0  # of sum(w n n^T) at the final association
 
 
@@ -362,15 +366,17 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     counts).
 
     Returns the transform mapping source centroids onto the destination map,
-    that inlier fraction, the inlier pairs, and the smallest/largest
+    that inlier fraction, the inlier pairs as two (m, 3) arrays of the paired
+    source and destination centroids (empty when the ICP did not converge),
+    and the smallest/largest
     eigenvalue ratio of the planarity-weighted normal matrix ``sum(w n n^T)``
     of the final pairs, which is near 0 when the pairs leave a translation
     direction free.  Either set is a ``SparseSurfels`` batch or a list of
-    ``SparseSurfel`` values.
+    ``SparseSurfel`` records, checked once (``SparseSurfels.of``).
     """
     src, dst = SparseSurfels.of(src_surfels), SparseSurfels.of(dst_surfels)
     if len(src) == 0 or len(dst) == 0:
-        return IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
+        return IcpResult(np.eye(3), np.zeros(3))
     src_pts, src_normals = src.centroid, src.normal
     dst_pts, dst_normals = dst.centroid, dst.normal
     keyed = KeyedPoints(dst_pts, max_pair_distance)
@@ -382,7 +388,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                          keyed, dst_normals)
         if src_idx.size < 6:
-            return IcpResult(rotation, translation, 0.0, False, [])
+            return IcpResult(rotation, translation)
         q = dst_pts[dst_idx]
         n = dst_normals[dst_idx]
         w = weights_dst[dst_idx]
@@ -394,7 +400,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         try:
             delta = np.linalg.solve(hess + 1e-12 * np.eye(6), -grad)
         except np.linalg.LinAlgError:
-            return IcpResult(rotation, translation, 0.0, False, [])
+            return IcpResult(rotation, translation)
         (step_rot,), (step_t,) = lie.se3_exp_batch(delta[None])
         rotation = step_rot @ rotation
         translation = step_rot @ translation + step_t
@@ -404,18 +410,14 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                      keyed, dst_normals)
     if src_idx.size < 6:
-        return IcpResult(rotation, translation, 0.0, False, [])
+        return IcpResult(rotation, translation)
     n = dst_normals[dst_idx]
     q = dst_pts[dst_idx]
     eigenvalues = np.linalg.eigvalsh((n * weights_dst[dst_idx][:, None]).T @ n)
     plane_d = np.abs(np.sum(n * (p - q), axis=1))
     inliers = plane_d < inlier_distance
-    inlier_fraction = float(np.mean(inliers))
-    pairs = [
-        (src_pts[i].copy(), dst_pts[j].copy())
-        for i, j in zip(src_idx[inliers], dst_idx[inliers])
-    ]
-    return IcpResult(rotation, translation, inlier_fraction, True, pairs,
+    pairs = src_pts[src_idx[inliers]], q[inliers]
+    return IcpResult(rotation, translation, float(np.mean(inliers)), True, pairs,
                      float(eigenvalues[0] / eigenvalues[-1]))
 
 
@@ -427,7 +429,7 @@ class LocalMaps:
     """One window's output: local sparse/dense maps plus the sensor origin.
 
     ``sparse`` and ``dense`` are ``SparseSurfels`` and ``DenseSurfels``
-    batches; a list of surfel values is converted to one.
+    batches; a list of surfel records is stacked and checked into one.
     """
 
     sparse: SparseSurfels
@@ -447,7 +449,7 @@ class LocalMaps:
 class DeformationTrigger:
     rotation: np.ndarray
     translation: np.ndarray
-    inlier_pairs: list
+    inlier_pairs: tuple  # IcpResult.pairs
 
 
 @dataclass
@@ -561,7 +563,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     global_maps.sparse.fuse(local.sparse)
 
     trigger = None
-    icp = IcpResult(np.eye(3), np.zeros(3), 0.0, False, [])
+    icp = IcpResult(np.eye(3), np.zeros(3))
     if (
         len(local.sparse) >= cfg.icp_min_surfels
         and len(inactive_sparse) >= cfg.icp_min_surfels

@@ -9,6 +9,11 @@ correction at the knots, and the IMU biases when the window has IMU samples.
 Its Jacobian is analytic (chain rule through the SE(3) geodesic
 interpolation, in the manner of Sommer et al., CVPR 2020).
 
+The constraint and IMU records are plain values that check nothing.  A
+window checks its inputs once, where ``_WindowSystem`` stacks them into
+arrays: every field and time finite (of the IMU samples, those the window
+reads), the normals of unit length, and the two times of each pair distinct.
+
 A cubic B-spline value reads four consecutive knots, so every residual row
 depends on a short run of knots, its band.  Each iteration builds the normal
 equations ``H = J^T J`` and ``g = J^T r`` from these bands, one small block per
@@ -51,16 +56,10 @@ log = logging.getLogger(__name__)
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
 
-def _unit(v, what):
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"{what} must be a unit vector")
-    return v
-
-
 @dataclass(frozen=True)
 class SurfelPairConstraint:
-    """Two observations of the same surface, tied along their averaged normal."""
+    """Two observations of the same surface, tied along their averaged unit
+    normal ``n_ab``, at two distinct times."""
 
     u_a: np.ndarray
     u_b: np.ndarray
@@ -68,27 +67,16 @@ class SurfelPairConstraint:
     tau_b: float
     n_ab: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "u_a", np.asarray(self.u_a, dtype=float))
-        object.__setattr__(self, "u_b", np.asarray(self.u_b, dtype=float))
-        object.__setattr__(self, "n_ab", _unit(self.n_ab, "n_ab"))
-        if self.tau_a == self.tau_b:
-            raise InvalidArgumentError("pair constraint needs two distinct times")
-
 
 @dataclass(frozen=True)
 class MapPriorConstraint:
-    """A sensor-frame observation tied to a world-frame map point."""
+    """A sensor-frame observation tied to a world-frame map point along the
+    map's unit normal ``n_mc``."""
 
     u_m: np.ndarray
     u_c: np.ndarray
     tau_c: float
     n_mc: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_m", np.asarray(self.u_m, dtype=float))
-        object.__setattr__(self, "u_c", np.asarray(self.u_c, dtype=float))
-        object.__setattr__(self, "n_mc", _unit(self.n_mc, "n_mc"))
 
 
 @dataclass(frozen=True)
@@ -96,14 +84,6 @@ class ImuSample:
     tau: float
     accel: np.ndarray
     gyro: np.ndarray
-
-    def __post_init__(self):
-        accel = np.asarray(self.accel, dtype=float)
-        gyro = np.asarray(self.gyro, dtype=float)
-        if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
-            raise InvalidArgumentError("IMU sample must be finite")
-        object.__setattr__(self, "accel", accel)
-        object.__setattr__(self, "gyro", gyro)
 
 
 @dataclass
@@ -293,30 +273,36 @@ class _WindowSystem:
         self.rate = traj.nominal_rate
         self.h = 1.0 / self.rate
 
-        self.pair_u_a = np.array([c.u_a for c in pair_constraints]).reshape(-1, 3)
-        self.pair_u_b = np.array([c.u_b for c in pair_constraints]).reshape(-1, 3)
-        self.pair_n = np.array([c.n_ab for c in pair_constraints]).reshape(-1, 3)
+        self.pair_u_a = np.array([c.u_a for c in pair_constraints], dtype=float).reshape(-1, 3)
+        self.pair_u_b = np.array([c.u_b for c in pair_constraints], dtype=float).reshape(-1, 3)
+        self.pair_n = np.array([c.n_ab for c in pair_constraints], dtype=float).reshape(-1, 3)
         self.pair_taus = np.array(
-            [[c.tau_a, c.tau_b] for c in pair_constraints]
+            [[c.tau_a, c.tau_b] for c in pair_constraints], dtype=float
         ).reshape(-1, 2)
 
-        self.prior_u_m = np.array([c.u_m for c in prior_constraints]).reshape(-1, 3)
-        self.prior_u_c = np.array([c.u_c for c in prior_constraints]).reshape(-1, 3)
-        self.prior_n = np.array([c.n_mc for c in prior_constraints]).reshape(-1, 3)
-        self.prior_taus = np.array([c.tau_c for c in prior_constraints])
+        self.prior_u_m = np.array([c.u_m for c in prior_constraints], dtype=float).reshape(-1, 3)
+        self.prior_u_c = np.array([c.u_c for c in prior_constraints], dtype=float).reshape(-1, 3)
+        self.prior_n = np.array([c.n_mc for c in prior_constraints], dtype=float).reshape(-1, 3)
+        self.prior_taus = np.array([c.tau_c for c in prior_constraints], dtype=float)
 
         taus = np.array([s.tau for s in imu], dtype=float)
-        # One check per window over every array converted above; the
-        # constraint classes do not check their fields and times for finiteness.
-        converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
-                     self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus)
-        if not all(np.isfinite(a).all() for a in converted):
-            raise InvalidArgumentError("constraint fields and times must be finite")
         keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
         usable = [s for s, k in zip(imu, keep) if k]
         self.imu_taus = taus[keep]
-        self.imu_accel = np.array([s.accel for s in usable]).reshape(-1, 3)
-        self.imu_gyro = np.array([s.gyro for s in usable]).reshape(-1, 3)
+        self.imu_accel = np.array([s.accel for s in usable], dtype=float).reshape(-1, 3)
+        self.imu_gyro = np.array([s.gyro for s in usable], dtype=float).reshape(-1, 3)
+        # The one check of the window's inputs, over every array converted
+        # above: the records themselves check nothing.
+        converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
+                     self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus,
+                     self.imu_accel, self.imu_gyro)
+        if not all(np.isfinite(a).all() for a in converted):
+            raise InvalidArgumentError("constraint fields, times and IMU samples must be finite")
+        for normal in (self.pair_n, self.prior_n):
+            if (np.abs(np.linalg.norm(normal, axis=1) - 1.0) > 1e-9).any():
+                raise InvalidArgumentError("constraint normals must be unit vectors")
+        if (self.pair_taus[:, 0] == self.pair_taus[:, 1]).any():
+            raise InvalidArgumentError("pair constraint needs two distinct times")
 
         self.n_pair = len(self.pair_taus)
         self.n_prior = len(self.prior_taus)
@@ -407,10 +393,6 @@ class _WindowSystem:
         rot, t, chart = interpolate(*samples, *self.where)
         residuals = self._residuals_at(rot, t, b_a, b_g)
         return _Iterate(x, state, samples, rot, t, chart, residuals)
-
-    def residuals(self, x, state):
-        """Whitened residual vector (no robust weighting)."""
-        return self.evaluate(x, state).residuals
 
     def _residuals_at(self, rot, t, b_a, b_g):
         cfg = self.cfg

@@ -10,17 +10,20 @@ one such batch whose row ``k`` is key ``k``, grown by doubling.
 voxel is the integer index ``voxelize_sparse`` computed, in the order the
 keys were first fused; a fuse matches the keys of a whole batch by one sort
 and pools every revisited voxel in stacked rounds of ``merge_moments``.  A
-surfel is a value: a batch hands one out as a read view of a row, copied
-and not re-checked.
+surfel is a value: ``DenseSurfel`` and ``SparseSurfel`` are plain records
+that check nothing, and a batch hands one out as a read view of a row, a
+record of copies.
 
-One function per kind validates surfel fields over a whole batch.
-``check_dense`` requires finite values of the right shapes, symmetrized
-positive semidefinite covariances, unit normals and ``dof`` of at least
-one; ``_check_sparse`` requires finite values of the right shapes, positive
-resolutions and symmetrized positive semidefinite covariances, and derives
-each normal and planarity from the covariance.  Each runs once per batch
-where a batch is made (extraction, a fusion step's fused rows, a sparse
-fuse's pooled rows) and on a batch of one where a single surfel is built.
+Records carry data; batches carry the checks.  One function per kind
+validates surfel fields over a whole batch.  ``check_dense`` requires
+finite values of the right shapes, symmetrized positive semidefinite
+covariances, unit normals and ``dof`` of at least one; ``_check_sparse``
+requires finite values of the right shapes, positive resolutions and
+symmetrized positive semidefinite covariances, and derives each normal and
+planarity from the covariance.  Each runs once per batch where a batch is
+made: extraction, a fusion step's fused rows, a sparse fuse's pooled rows,
+and ``DenseSurfels.of`` or ``SparseSurfels.of`` over a list of records.  A
+batch passes through ``of`` unchanged.
 
 Each covariance stack the pipeline makes is eigendecomposed once, by the
 PSD clamp ``psd_eigh``, and its eigenpairs are shared: extraction takes its
@@ -29,7 +32,7 @@ the scatters; voxelization and the sparse fuse hand the clamp's eigenpairs
 to ``_check_sparse`` for the normals, planarities and PSD check; and
 fusion's Wishart update (``fusion.fuse_batch``) hands them to the normal
 extraction and to ``check_dense``.  The checks decompose only what they are
-not given eigenvalues for: single surfels, direct calls and the centroid
+not given eigenvalues for: lists of records, direct calls and the centroid
 covariances of an extraction.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
@@ -120,14 +123,6 @@ def psd_eigh(m, decomposed=None):
     return sym, (eigenvalues, vectors)
 
 
-def _unchecked(cls, values):
-    """An instance of a frozen surfel dataclass from fields a batch check has
-    already passed."""
-    surfel = object.__new__(cls)
-    surfel.__dict__.update(values)
-    return surfel
-
-
 # Per-surfel shape and dtype of each field of a surfel class, in field order.
 _SPARSE_LAYOUT = {
     "centroid": ((3,), float),
@@ -153,11 +148,12 @@ _DENSE_LAYOUT = {
 
 class _Batch:
     """Rows of a surfel batch: ``_LAYOUT`` gives each field's per-surfel
-    shape and dtype, ``_VALUE`` the surfel class a row is viewed as.
+    shape and dtype, ``_VALUE`` the record class a row is viewed as, and
+    ``_check`` the kind's check of the stacked fields of a list of records.
 
-    An integer index (a numpy integer too) gives a view of that row, copied
-    and not re-checked, any other index the sub-batch it selects; iteration
-    yields views.
+    An integer index (a numpy integer too) gives a view of that row, a record
+    of copies, any other index the sub-batch it selects; iteration yields
+    views.
     """
 
     def __len__(self):
@@ -165,7 +161,7 @@ class _Batch:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _unchecked(self._VALUE, _row(self, index))
+            return self._VALUE(**_row(self, index))
         return type(self)(*(getattr(self, f)[index] for f in self._LAYOUT))
 
     def __iter__(self):
@@ -178,16 +174,19 @@ class _Batch:
 
     @classmethod
     def of(cls, surfels):
-        """The batch of checked surfel values, or ``surfels`` itself when it
-        is a batch."""
+        """The batch of a list of surfel records, stacked field by field and
+        checked once by the kind's check, or ``surfels`` itself when it is a
+        batch."""
         if isinstance(surfels, cls):
             return surfels
         surfels = list(surfels)
-        n = len(surfels)
-        return cls(*(
-            np.array([getattr(s, f) for s in surfels], dtype=dtype).reshape((n,) + shape)
-            for f, (shape, dtype) in cls._LAYOUT.items()
-        ))
+        if not surfels:
+            return cls.empty()
+        try:
+            fields = {f: np.array([getattr(s, f) for s in surfels]) for f in cls._LAYOUT}
+        except ValueError:
+            raise InvalidArgumentError("surfel fields of one name must share one shape") from None
+        return cls._check(**fields)
 
 
 def _row(batch, k):
@@ -205,22 +204,20 @@ def _put(batch, rows, values):
         getattr(batch, f)[rows] = getattr(values, f)
 
 
-def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None,
-                  eigh=None):
+def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eigh=None):
     """The one check of sparse surfel fields, over a stack of surfels.
 
     Every field must have its per-surfel shape, with one common length, and
     finite values, and resolutions must be positive.  Covariances are
     symmetrized and must be positive semidefinite within tolerance.  Returns
     the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
-    eigenvector of its covariance and each planarity ``(l1 - l0) / l2``;
-    ``voxel`` defaults to the voxels of the centroids.  ``eigh`` is the
-    covariances' ascending eigenpairs when the caller has them (from
-    ``psd_eigh``, whose covariances are exactly symmetric); otherwise the
-    covariances are decomposed here.
+    eigenvector of its covariance and each planarity ``(l1 - l0) / l2``.
+    ``eigh`` is the covariances' ascending eigenpairs when the caller has
+    them (from ``psd_eigh``, whose covariances are exactly symmetric);
+    otherwise the covariances are decomposed here.
     """
     values = {"centroid": centroid, "covariance": covariance, "count": count,
-              "resolution": resolution, "timestamp": timestamp}
+              "resolution": resolution, "timestamp": timestamp, "voxel": voxel}
     n = len(np.reshape(timestamp, -1))
     for f, v in values.items():
         shape, dtype = _SPARSE_LAYOUT[f]
@@ -233,12 +230,9 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None
     values["covariance"] = _symmetrize(values["covariance"])
     eigenvalues, vectors = np.linalg.eigh(values["covariance"]) if eigh is None else eigh
     _require_psd(eigenvalues, "sparse surfel covariance")
-    if voxel is None:
-        voxel = np.floor(values["centroid"] / values["resolution"][:, None])
     scale = np.maximum(eigenvalues[:, 2], 1e-30)
     return SparseSurfels(
         **values,
-        voxel=np.asarray(voxel).astype(np.int64),
         normal=vectors[:, :, 0].copy(),
         planarity=(eigenvalues[:, 1] - eigenvalues[:, 0]) / scale,
     )
@@ -247,12 +241,12 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel=None
 @dataclass(frozen=True)
 class SparseSurfel:
     """Ellipsoid surfel: the point statistics of one voxel at one
-    resolution.
+    resolution, a record that checks nothing.
 
-    ``normal`` (the covariance's smallest-eigenvalue eigenvector) and
-    ``planarity`` are derived from the covariance, and ``voxel`` is the
-    voxel's integer index, by default the one that holds the centroid.
-    Building one runs ``_check_sparse`` on a batch of one.
+    ``voxel`` is the voxel's integer index.  ``normal`` (the covariance's
+    smallest-eigenvalue eigenvector) and ``planarity`` are derived from the
+    covariance: a view carries its batch's, and ``SparseSurfels.of`` derives
+    them afresh from each record's covariance.
     """
 
     centroid: np.ndarray
@@ -260,21 +254,16 @@ class SparseSurfel:
     count: int
     resolution: float
     timestamp: float
-    voxel: np.ndarray = None
-    normal: np.ndarray = field(default=None, init=False)
-    planarity: float = field(default=0.0, init=False)
-
-    def __post_init__(self):
-        fields = (self.centroid, self.covariance, self.count, self.resolution, self.timestamp)
-        voxel = None if self.voxel is None else np.asarray(self.voxel)[None]
-        self.__dict__.update(_row(_check_sparse(*(np.asarray(v)[None] for v in fields), voxel), 0))
+    voxel: np.ndarray
+    normal: np.ndarray
+    planarity: float
 
 
 @dataclass(frozen=True, eq=False)
 class SparseSurfels(_Batch):
     """A batch of sparse surfels: one array per ``SparseSurfel`` field, the
     surfels along the first axis.  Batches come from ``_check_sparse``, from
-    ``SparseSurfels.of`` over checked surfels, or from rows of either."""
+    ``SparseSurfels.of`` over records, or from rows of either."""
 
     centroid: np.ndarray
     covariance: np.ndarray
@@ -288,6 +277,11 @@ class SparseSurfels(_Batch):
     _LAYOUT = _SPARSE_LAYOUT
     _VALUE = SparseSurfel
 
+    @staticmethod
+    def _check(normal, planarity, **fields):
+        # The check derives the normals and planarities from the covariances.
+        return _check_sparse(**fields)
+
 
 @dataclass(frozen=True)
 class DenseSurfel:
@@ -296,8 +290,8 @@ class DenseSurfel:
     ``scatter`` is the accrued (unnormalized) second-moment matrix whose
     smallest-eigenvalue eigenvector is the surface normal; ``centroid_cov``
     is the uncertainty of the centroid estimate; ``dof`` counts the points
-    accrued into the scatter.  Building one runs ``check_dense`` on a batch
-    of one.
+    accrued into the scatter.  A record checks nothing; ``DenseSurfels.of``
+    checks a list of them.
     """
 
     centroid: np.ndarray
@@ -309,16 +303,12 @@ class DenseSurfel:
     timestamp: float
     radius: float = DEFAULT_SURFEL_RADIUS
 
-    def __post_init__(self):
-        one = DenseSurfels(*(np.asarray(getattr(self, f))[None] for f in _DENSE_LAYOUT))
-        self.__dict__.update(_row(check_dense(one), 0))
-
 
 @dataclass(frozen=True, eq=False)
 class DenseSurfels(_Batch):
     """A batch of dense surfels: one array per ``DenseSurfel`` field, the
     surfels along the first axis.  Batches come from ``check_dense``, from
-    ``DenseSurfels.of`` over checked surfels, or from rows of either."""
+    ``DenseSurfels.of`` over records, or from rows of either."""
 
     centroid: np.ndarray
     normal: np.ndarray
@@ -331,6 +321,10 @@ class DenseSurfels(_Batch):
 
     _LAYOUT = _DENSE_LAYOUT
     _VALUE = DenseSurfel
+
+    @staticmethod
+    def _check(**fields):
+        return check_dense(DenseSurfels(**fields))
 
 
 def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
@@ -392,10 +386,10 @@ class DenseSurfelMap:
     readers.
 
     Row ``k`` of one ``DenseSurfels`` batch holds key ``k``.  The batch
-    doubles its capacity when it fills, so ``add`` is amortized O(1); a
-    removed key's row stays unused, since keys are never reused.  ``get``
-    and ``surfels`` give ``DenseSurfel`` views, ``rows`` and ``write`` move
-    whole batches.
+    doubles its capacity when it fills, so ``extend`` is amortized O(1) per
+    surfel; a removed key's row stays unused, since keys are never reused.
+    ``get`` and ``surfels`` give ``DenseSurfel`` views; ``extend``, ``rows``
+    and ``write`` move whole batches.
     """
 
     def __init__(self):
@@ -445,9 +439,6 @@ class DenseSurfelMap:
         """A copy of the surfels at ``keys``."""
         return self._rows[self._stored(keys)]
 
-    def add(self, surfel: DenseSurfel) -> int:
-        return int(self.extend(DenseSurfels.of([surfel]))[0])
-
     def extend(self, batch: DenseSurfels):
         """Store every surfel of a checked batch, in order; returns their
         keys."""
@@ -464,9 +455,6 @@ class DenseSurfelMap:
         self._next += len(keys)
         self._count += len(keys)
         return keys
-
-    def replace(self, key, surfel: DenseSurfel):
-        _put(self._rows, [self._one(key)], DenseSurfels.of([surfel]))
 
     def write(self, keys, batch: DenseSurfels):
         """Overwrite the surfels at ``keys`` with the rows of a checked

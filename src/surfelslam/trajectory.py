@@ -107,7 +107,11 @@ def interpolate(rotations, translations, idx, alpha):
 
 @dataclass
 class Trajectory:
-    """Timestamped pose sequence; treated as an immutable value."""
+    """Timestamped pose sequence; treated as an immutable value.
+
+    Times, rotations and translations must be finite, the times strictly
+    increasing at the finite, positive ``nominal_rate`` within 1%.
+    """
 
     times: np.ndarray
     rotations: np.ndarray
@@ -123,6 +127,10 @@ class Trajectory:
             raise InvalidArgumentError("trajectory needs at least two samples")
         if self.rotations.shape != (n, 3, 3) or self.translations.shape != (n, 3):
             raise InvalidArgumentError("trajectory array shapes are inconsistent")
+        if not all(np.isfinite(a).all() for a in (self.times, self.rotations, self.translations)):
+            raise InvalidArgumentError("trajectory times and poses must be finite")
+        if not 0.0 < self.nominal_rate < np.inf:
+            raise InvalidArgumentError("nominal rate must be finite and positive")
         dt = np.diff(self.times)
         if np.any(dt <= 0):
             raise InvalidArgumentError("timestamps must be strictly increasing")
@@ -154,7 +162,8 @@ class Trajectory:
 
 @dataclass
 class ControlGrid:
-    """Uniformly spaced knot times of the B-spline correction.
+    """Uniformly spaced knot times of the B-spline correction: finite and
+    strictly increasing.
 
     Boundary access is index-clamped, which replicates the boundary knots.
     """
@@ -165,7 +174,11 @@ class ControlGrid:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.shape[0] < 2:
             raise InvalidArgumentError("control grid needs at least two knots")
+        if not np.isfinite(self.times).all():
+            raise InvalidArgumentError("knot times must be finite")
         dt = np.diff(self.times)
+        if not (dt > 0.0).all():
+            raise InvalidArgumentError("knot times must be strictly increasing")
         if np.any(np.abs(dt - dt[0]) > 1e-9 * dt[0]):
             raise InvalidArgumentError("knot spacing must be uniform")
 
@@ -180,6 +193,8 @@ class ControlGrid:
         """
         if knots < 4:
             raise InvalidArgumentError("window grid needs at least four knots")
+        if not stop > start:
+            raise InvalidArgumentError("window grid needs its stop after its start")
         step = (stop - start) / (knots - 3)
         return ControlGrid((start - step) + step * np.arange(knots))
 

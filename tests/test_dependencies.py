@@ -7,9 +7,12 @@ would pass every other test; this reads the imports from the source.  Code
 that only the tests read would pass every test as well; this reads the
 references from the package's modules and the benchmark's.  The oracles and
 generators of ``simulation/`` exist for the tests, so they read but are not
-checked.  A reader is matched by name only, so a method whose name another
-reader also uses for something else (``add``, ``replace``, ``zeros``) still
-passes; dunder names and methods are read by the language and are not
+checked.  A reader is matched by name.  A method counts as read only where
+a reader takes it as an attribute of something other than a module, so
+neither a bare or imported name (``from dataclasses import replace``) nor
+an attribute of a module (``add`` in ``np.add.at``) reads a method of that
+name; an attribute of another object of the same name (``x.zeros``) still
+does.  Dunder names and methods are read by the language and are not
 checked, nor is ``from __future__``.  Likewise every field of a package
 dataclass whose fields all have defaults (a config or a container such as
 ``GlobalMaps``) is read as an attribute somewhere in the package or the
@@ -67,10 +70,24 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert found == []
 
 
-def _names(node, skip=None):
-    """Names that ``node`` reads, imports or takes as an attribute, outside
-    the subtree ``skip``."""
-    found, stack = set(), [node]
+def _modules(tree, stems):
+    """Names that ``tree`` binds to modules: each name an ``import``
+    statement binds, and each name in ``stems`` that a ``from`` import takes
+    (``from . import lie``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.asname or alias.name for alias in node.names if alias.name in stems}
+    return found
+
+
+def _names(node, modules, skip=None):
+    """Names that ``node`` reads, imports or takes as an attribute, and the
+    attributes it takes of anything but a name in ``modules``, outside the
+    subtree ``skip``."""
+    found, attributes, stack = set(), set(), [node]
     while stack:
         node = stack.pop()
         if node is skip:
@@ -79,10 +96,12 @@ def _names(node, skip=None):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.rpartition(".")[2])
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return found, attributes
 
 
 def _dunder(name):
@@ -117,13 +136,21 @@ def unreferenced(checked, readers):
     """``(module, name)`` of each definition of the ``checked`` modules (see
     :func:`_definitions`) that no other module of ``readers`` names, and its
     own module names only inside its definition.  Both map module labels to
-    parsed trees; a string, a docstring too, names nothing."""
+    parsed trees; a string, a docstring too, names nothing.  A method is
+    named only as an attribute of something other than a module (see
+    :func:`_modules`; the module names are the stems of the labels)."""
+    stems = {Path(label).stem for label in readers}
+    modules = {label: _modules(tree, stems) for label, tree in readers.items()}
+    read = {label: _names(tree, modules[label]) for label, tree in readers.items()}
     found = []
     for label, tree in checked.items():
-        elsewhere = set().union(*(_names(t) for other, t in readers.items() if other != label))
+        names, attributes = (
+            set().union(*kind) for kind in zip(*(read[o] for o in readers if o != label))
+        )
         for name, node in _definitions(tree):
-            bound = name.rpartition(".")[2]
-            if bound not in elsewhere and bound not in _names(tree, skip=node):
+            own_names, own_attributes = _names(tree, modules[label], skip=node)
+            read_as = attributes | own_attributes if "." in name else names | own_names
+            if name.rpartition(".")[2] not in read_as:
                 found.append((label, name))
     return found
 
@@ -154,14 +181,30 @@ def test_unreferenced_flags_what_only_its_own_definition_names():
             "        return self.unused()\n"
             "    def elsewhere(self):\n"
             "        pass\n"
+            "    def made(self):\n"
+            "        pass\n"
+            "    def add(self):\n"
+            "        pass\n"
+            "    def replace(self):\n"
+            "        pass\n"
             "def _h(c: C):\n"
             "    pass\n"
         ),
-        "b": ast.parse("import a\nfrom a import _h\na.g()\nx.elsewhere\n"),
+        "b": ast.parse(
+            "import a\n"
+            "import numpy as np\n"
+            "from a import _h, C\n"
+            "from dataclasses import replace\n"
+            "a.g()\n"
+            "x.elsewhere\n"
+            "C.made()\n"
+            "np.add.at(x, 0, 1)\n"
+            "replace(x)\n"
+        ),
     }
     assert unreferenced({"a": readers["a"]}, readers) == [
         ("a", "itertools"), ("a", "PI"), ("a", "TABLE"), ("a", "SPARE"), ("a", "ANNOTATED"),
-        ("a", "f"), ("a", "C.unused"),
+        ("a", "f"), ("a", "C.unused"), ("a", "C.add"), ("a", "C.replace"),
     ]
 
 

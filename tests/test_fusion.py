@@ -49,6 +49,13 @@ def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
     )
 
 
+def mapped(surfels, dense_map=None):
+    """``dense_map`` (a new one by default) with ``surfels`` stored in order,
+    and their keys."""
+    dense_map = DenseSurfelMap() if dense_map is None else dense_map
+    return dense_map, dense_map.extend(DenseSurfels.of(surfels)).tolist()
+
+
 # -- beam noise ---------------------------------------------------------------
 
 
@@ -103,16 +110,14 @@ def test_incidence_variance_grazing_clamp():
 
 
 def test_match_coincident_surfel():
-    m = DenseSurfelMap()
-    key = m.add(make_surfel([0.0, 0.0, 0.0]))
+    m, keys = mapped([make_surfel([0.0, 0.0, 0.0])])
     src = make_surfel([0.0, 0.0, 0.001])
-    assert match_surfel(src, m) == [key]
+    assert match_surfel(src, m) == keys
 
 
 def test_match_rejects_in_plane_offset():
     params = MatchParams()
-    m = DenseSurfelMap()
-    m.add(make_surfel([0.0, 0.0, 0.0]))
+    m, _ = mapped([make_surfel([0.0, 0.0, 0.0])])
     src = make_surfel([1.5 * params.resolution_threshold, 0.0, 0.0])
     assert match_surfel(src, m, params) == []
 
@@ -121,26 +126,26 @@ def test_match_reaches_past_theta_r_along_an_uncertain_normal():
     # 2.5 standard deviations of the map surfel's centroid off its plane,
     # beyond theta_r = 0.02 of it: the candidate radius must include the map
     # side's uncertainty, not only the source's.
-    m = DenseSurfelMap()
-    key = m.add(make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4))
+    m, keys = mapped([make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4)])
     src = make_surfel([0.0, 0.0, 0.025], cov_scale=1e-8)
-    assert match_surfel(src, m) == [key]
+    assert match_surfel(src, m) == keys
 
 
 def test_match_equals_bruteforce(rng):
     for _ in range(5):
-        m = DenseSurfelMap()
         params = MatchParams(resolution_threshold=0.05, depth_threshold=3.0)
+        stored = []
         for _ in range(500):
             normal = rng.normal(size=3)
             normal /= np.linalg.norm(normal)
-            m.add(
+            stored.append(
                 make_surfel(
                     rng.uniform(-1.0, 1.0, size=3),
                     normal,
                     cov_scale=rng.uniform(1e-8, 4e-4),
                 )
             )
+        m, _ = mapped(stored)
         for _ in range(50):
             normal = rng.normal(size=3)
             normal /= np.linalg.norm(normal)
@@ -452,7 +457,7 @@ def test_temporal_fusion_matches_against_the_active_map_before_the_step():
     # surfel's centroid covariance far enough that the second would fail
     # against the updated state; it still fuses, into that updated state.
     global_maps = GlobalMaps()
-    key = global_maps.dense.add(make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4))
+    _, (key,) = mapped([make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4)], global_maps.dense)
     local = [make_surfel([0.0, 0.0, z], cov_scale=1e-8, timestamp=1.0) for z in (0.0, 0.02)]
     r = temporal_fusion_step(LocalMaps([], local), global_maps)
     assert (r.metrics.n_fused, r.metrics.n_new) == (2, 0)
@@ -466,8 +471,8 @@ def test_temporal_fusion_picks_the_nearest_plane_then_the_lowest_key():
     # second lies on the plane of keys 0 and 1, which coincide, and fuses
     # into the lower key.
     global_maps = GlobalMaps()
-    for c in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.004]):
-        global_maps.dense.add(make_surfel(c, cov_scale=1e-4))
+    corners = ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.004])
+    mapped([make_surfel(c, cov_scale=1e-4) for c in corners], global_maps.dense)
     local = [make_surfel(c, timestamp=1.0) for c in ([0.0, 0.0, 0.003], [0.015, 0.0, 0.0])]
     m = global_maps.dense
     temporal_fusion_step(LocalMaps([], local[:1]), global_maps)
@@ -492,10 +497,8 @@ def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold,
     inactive = [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (10.0, 0.0, 0.0),
                 (15.0, 0.0, 0.0), (15.125, 0.0, 0.0)]
     active = [(0.25, 0.0, 0.0), (0.0, -0.5, 0.0), (5.0, 0.375, 0.0)]
-    for c in inactive:
-        global_maps.dense.add(make_surfel(c, timestamp=0.0))
-    for c in active:
-        global_maps.dense.add(make_surfel(c, timestamp=90.0))
+    mapped([make_surfel(c, timestamp=0.0) for c in inactive]
+           + [make_surfel(c, timestamp=90.0) for c in active], global_maps.dense)
     r = temporal_fusion_step(LocalMaps([], [], timestamp=100.0), global_maps, cfg)
     now = [k for k in range(len(inactive)) if global_maps.dense.get(k).timestamp == 100.0]
     assert now == reactivated
@@ -513,6 +516,27 @@ def test_icp_recovers_synthetic_shift(rng):
     assert out.converged
     assert np.allclose(out.translation, [0.15, 0.05, 0.0], atol=0.01)
     assert out.inlier_fraction > 0.8
+
+
+def test_icp_inlier_pairs_are_centroid_arrays(rng):
+    # The pairs are two (m, 3) arrays: source centroids and the destination
+    # centroids they pair with, each moved source on its destination's plane
+    # within the inlier distance; an ICP that did not converge has none.
+    pts = corner_scene_points(rng)
+    src = voxelize_sparse(pts - np.array([0.15, 0.05, 0.0]), np.zeros(len(pts)), [0.5])
+    dst = voxelize_sparse(pts, np.zeros(len(pts)), [0.5])
+    out = icp_point_to_plane(src, dst)
+    src_pairs, dst_pairs = out.pairs
+    assert out.converged and src_pairs.shape == dst_pairs.shape and src_pairs.shape[1:] == (3,)
+    assert len(src_pairs) >= 6
+    assert (src_pairs[:, None] == src.centroid[None]).all(axis=2).any(axis=1).all()
+    j = np.argmax((dst_pairs[:, None] == dst.centroid[None]).all(axis=2), axis=1)
+    assert np.array_equal(dst_pairs, dst.centroid[j])
+    moved = src_pairs @ out.rotation.T + out.translation
+    assert (np.abs(np.sum(dst.normal[j] * (moved - dst_pairs), axis=1)) < 0.05).all()
+    for failed in (icp_point_to_plane(src[:0], dst), icp_point_to_plane(src[:3], dst)):
+        assert not failed.converged
+        assert [p.shape for p in failed.pairs] == [(0, 3), (0, 3)]
 
 
 def floor_ceiling_wall_points(rng, n=4500, noise=0.003):
@@ -629,6 +653,6 @@ def test_icp_takes_a_list_or_a_batch(rng):
     assert np.array_equal(batch.translation, listed.translation)
     assert batch.inlier_fraction == listed.inlier_fraction
     assert batch.normal_eigen_ratio == listed.normal_eigen_ratio
-    assert len(batch.pairs) == len(listed.pairs) > 0
-    for (a, b), (c, d) in zip(batch.pairs, listed.pairs):
-        assert np.array_equal(a, c) and np.array_equal(b, d)
+    (src_pairs, dst_pairs), (src_listed, dst_listed) = batch.pairs, listed.pairs
+    assert src_pairs.shape == dst_pairs.shape and len(src_pairs) > 0
+    assert np.array_equal(src_pairs, src_listed) and np.array_equal(dst_pairs, dst_listed)

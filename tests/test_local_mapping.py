@@ -259,6 +259,41 @@ def test_non_finite_input_is_rejected(bad):
         lm.optimize_window(constraints, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+@pytest.mark.parametrize("bad", ["n_mc", "n_ab", "tau_b", "accel", "gyro"])
+def test_window_checks_what_its_records_do_not(bad):
+    # The records check nothing; the window checks unit normals, distinct
+    # pair times and finite IMU readings once, as it stacks them.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    priors = scene.map_prior_constraints()
+    pairs = pair_constraints_from_scene(cfg, truth, 10)
+    imu = list(imu)
+    if bad == "n_mc":
+        priors[3] = dataclasses.replace(priors[3], n_mc=1.001 * priors[3].n_mc)
+    elif bad == "n_ab":
+        pairs[3] = dataclasses.replace(pairs[3], n_ab=0.999 * pairs[3].n_ab)
+    elif bad == "tau_b":
+        pairs[3] = dataclasses.replace(pairs[3], tau_b=pairs[3].tau_a)
+    else:
+        reading = getattr(imu[5], bad).copy()
+        reading[1] = np.nan
+        imu[5] = dataclasses.replace(imu[5], **{bad: reading})
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    with pytest.raises(InvalidArgumentError):
+        lm.optimize_window(priors + pairs, imu, init, lm.OptState(grid), lm.OptimizerConfig())
+
+
+def test_window_reads_no_imu_sample_it_drops():
+    # A sample whose stencil leaves the window is dropped unread, so a NaN
+    # reading there is no error.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    args = (scene.map_prior_constraints(), init, lm.OptState(grid), lm.OptimizerConfig())
+    dropped = lm.ImuSample(init.end, np.full(3, np.nan), np.full(3, np.nan))
+    kept = lm.optimize_window(args[0], imu, *args[1:])
+    with_dropped = lm.optimize_window(args[0], list(imu) + [dropped], *args[1:])
+    assert np.array_equal(with_dropped[1].translations, kept[1].translations)
+
+
 def test_degenerate_geometry_reports_null_space():
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
@@ -358,8 +393,8 @@ def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
     for p in range(system.n_params()):
         step = np.zeros(system.n_params())
         step[p] = eps
-        plus = system.weighted(system.residuals(x + step, state))
-        minus = system.weighted(system.residuals(x - step, state))
+        plus = system.weighted(system.evaluate(x + step, state).residuals)
+        minus = system.weighted(system.evaluate(x - step, state).residuals)
         dense[:, p] = (plus - minus) / (2.0 * eps)
     scale = np.max(np.abs(dense)) + 1e-12
     assert np.max(np.abs(analytic - dense)) / scale < 1e-5
@@ -405,7 +440,7 @@ def test_batch_residuals_match_single_evaluators():
     usable_imu = imu[5:-5:7]
     system = lm._WindowSystem([], priors, usable_imu, init, state, opt_cfg)
     x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
-    res = system.residuals(x, state)
+    res = system.evaluate(x, state).residuals
     k = system.n_knots
     corrected = oracles.apply_correction(
         init, grid, x[: 3 * k].reshape(k, 3), x[3 * k : 6 * k].reshape(k, 3)
@@ -446,7 +481,7 @@ def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
-    system.update_robust_weights(system.residuals(x, state))
+    system.update_robust_weights(system.evaluate(x, state).residuals)
     return system, x, state
 
 
@@ -504,7 +539,7 @@ def test_linearization_refuses_a_non_zero_correction():
     # The window is linearized at the folded samples only; a correction
     # that was not folded would take bands that ignore it.
     system, x, state = random_iterate()
-    weighted = system.weighted(system.residuals(x, state))
+    weighted = system.weighted(system.evaluate(x, state).residuals)
     for p in (0, 6 * system.n_knots - 1):
         one = np.zeros(system.n_params())
         one[p] = 1e-6

@@ -12,8 +12,8 @@ from surfelslam.surfel_map import (
     DenseSurfelMap,
     DenseSurfels,
     KeyedPoints,
-    SparseSurfel,
     SparseSurfelMap,
+    SparseSurfels,
     _check_sparse,
     _radius_pairs,
     check_dense,
@@ -354,10 +354,13 @@ def test_dense_surfel_check_rejects_invalid_fields(name, value):
     # The parent accepted a NaN centroid (it warned later inside the radius
     # join), a NaN timestamp (fused silently), dof = -3 (it failed only in
     # SurfelMeasurement) and a 4-vector centroid (a ValueError deep in
-    # matching).  One check serves a single surfel and a batch.
+    # matching).  One check serves a list of records, alone or among good
+    # ones, and a batch.
     proto = _surfel_at(np.zeros(3))
-    with pytest.raises(InvalidArgumentError):
-        replace(proto, **{name: value})
+    bad = replace(proto, **{name: value})
+    for records in ([bad], [proto, bad]):
+        with pytest.raises(InvalidArgumentError):
+            DenseSurfels.of(records)
     batch = DenseSurfels.of([proto, proto])
     if np.shape(value) == np.shape(getattr(proto, name)):
         # One bad row among good ones.
@@ -411,19 +414,21 @@ def test_dense_map_matches_a_dict_shadow(rng):
     for step in range(1500):
         op = rng.uniform()
         if op < 0.5 or not shadow:
-            surfel = _random_surfel(rng)
-            assert m.add(surfel) == issued
-            shadow[issued] = surfel
+            surfel = DenseSurfels.of([_random_surfel(rng)])
+            assert m.extend(surfel).tolist() == [issued]
+            shadow[issued] = surfel[0]
             issued += 1
         elif op < 0.75:
             key = int(rng.choice(sorted(shadow)))
-            shadow[key] = _random_surfel(rng)
-            m.replace(key, shadow[key])
+            surfel = DenseSurfels.of([_random_surfel(rng)])
+            m.write([key], surfel)
+            shadow[key] = surfel[0]
         else:
             key = int(rng.choice(sorted(shadow)))
             del shadow[key]
             m.remove(key)
-            for call in (m.get, m.remove, lambda k: m.replace(k, _random_surfel(rng))):
+            rewrite = DenseSurfels.of([_random_surfel(rng)])
+            for call in (m.get, m.remove, lambda k: m.write([k], rewrite)):
                 with pytest.raises(KeyError):
                     call(key)
         if step % 250 == 0:
@@ -441,7 +446,7 @@ def test_dense_map_matches_a_dict_shadow(rng):
     shadow.clear()
     check()
     assert m.query_radius([0.0, 0.0, 0.0], 100.0) == []
-    assert m.add(_surfel_at([1.0, 0.0, 0.0])) == issued
+    assert m.extend(DenseSurfels.of([_surfel_at([1.0, 0.0, 0.0])])).tolist() == [issued]
     assert m.query_radius([0.0, 0.0, 0.0], 1.0) == [issued]
 
 
@@ -472,8 +477,9 @@ def _mapped(points):
     m = DenseSurfelMap()
     shadow = oracles.LinearScanIndex()
     proto = _surfel_at(np.zeros(3))
-    for p in points:
-        shadow.insert(m.add(replace(proto, centroid=p)), p)
+    keys = m.extend(DenseSurfels.of([replace(proto, centroid=p) for p in points]))
+    for key, p in zip(keys.tolist(), points):
+        shadow.insert(key, p)
     return m, shadow
 
 
@@ -503,7 +509,7 @@ def test_index_randomized_insert_remove_query(rng):
         op = rng.uniform()
         if op < 0.5 or not alive:
             p = rng.uniform(-50.0, 50.0, size=3)
-            key = m.add(replace(proto, centroid=p))
+            (key,) = m.extend(DenseSurfels.of([replace(proto, centroid=p)])).tolist()
             shadow.insert(key, p)
             alive.append(key)
         elif op < 0.8:
@@ -545,12 +551,12 @@ def test_index_matches_linear_scan_on_cell_faces(rng):
     # point, by a move, then refill it by an insert and empty it again by a
     # removal.
     corner = len(pts) - 1
-    m.replace(corner, _surfel_at([-0.625, -0.625, -0.625]))
+    m.write([corner], DenseSurfels.of([_surfel_at([-0.625, -0.625, -0.625])]))
     shadow.remove(corner)
     shadow.insert(corner, [-0.625, -0.625, -0.625])
     assert m.query_radius([0.5, 0.5, 0.5], 0.1) == []
     check()
-    key = m.add(_surfel_at([0.625, 0.5, 0.75]))
+    (key,) = m.extend(DenseSurfels.of([_surfel_at([0.625, 0.5, 0.75])])).tolist()
     shadow.insert(key, [0.625, 0.5, 0.75])
     check()
     m.remove(key)
@@ -599,10 +605,11 @@ def test_radius_join_matches_bruteforce(rng):
         radius_join(cluster, wide, -1.0)
 
 
-def test_dense_map_replace_moves_index(rng):
+def test_dense_map_write_moves_index(rng):
     m = DenseSurfelMap()
-    key = m.add(_surfel_at([0.0, 0.0, 0.0]))
-    m.replace(key, replace(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0))
+    (key,) = m.extend(DenseSurfels.of([_surfel_at([0.0, 0.0, 0.0])])).tolist()
+    moved = replace(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0)
+    m.write([key], DenseSurfels.of([moved]))
     assert m.query_radius([5.0, 0.0, 0.0], 0.1) == [key]
     assert m.query_radius([0.0, 0.0, 0.0], 0.1) == []
 
@@ -838,16 +845,17 @@ def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
         fields = {f: getattr(proto, f) for f in ("centroid", "normal", "centroid_cov",
                                                   "scatter", "dof", "obs_count", "timestamp")}
         with pytest.raises(InvalidArgumentError):
-            DenseSurfel(**{**fields, name: bad})
+            DenseSurfels.of([DenseSurfel(**{**fields, name: bad})])
     sparse = voxelize_sparse(rng.normal(scale=0.1, size=(200, 3)), np.zeros(200), [0.5, 1.0])
     covariance = sparse.covariance.copy()
     covariance[1] = bad
-    fields = (sparse.centroid, covariance, sparse.count, sparse.resolution, sparse.timestamp)
+    fields = (sparse.centroid, covariance, sparse.count, sparse.resolution, sparse.timestamp,
+              sparse.voxel)
     for eigh in (None, np.linalg.eigh(covariance)):
         with pytest.raises(InvalidArgumentError):
             _check_sparse(*fields, eigh=eigh)
     with pytest.raises(InvalidArgumentError):
-        SparseSurfel(sparse.centroid[1], bad, 20, 1.0, 0.0)
+        SparseSurfels.of([sparse[0], replace(sparse[1], covariance=bad)])
 
 
 def _count_decompositions(monkeypatch):

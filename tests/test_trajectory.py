@@ -4,7 +4,7 @@ import pytest
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
 from surfelslam.simulation.oracles import apply_correction, correction_batch, interp_pose
-from surfelslam.trajectory import Trajectory, brackets, interpolate, spline_weights
+from surfelslam.trajectory import ControlGrid, Trajectory, brackets, interpolate, spline_weights
 
 from conftest import knot_grid
 
@@ -189,6 +189,43 @@ def test_rejects_irregular_spacing():
     eye = np.stack([np.eye(3)] * 3)
     with pytest.raises(InvalidArgumentError):
         Trajectory(times, eye, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("times", np.nan), ("translations", np.inf), ("rotations", np.nan),
+    ("nominal_rate", np.nan), ("nominal_rate", np.inf), ("nominal_rate", 0.0),
+    ("nominal_rate", -100.0),
+])
+def test_rejects_non_finite_samples_and_rates(field, value):
+    # A NaN time, an inf translation, a NaN rotation entry and a NaN rate
+    # used to be accepted; a query at 0.025 s then returned a pose or NaN.
+    args = {"times": np.arange(5) / 100.0, "rotations": np.stack([np.eye(3)] * 5),
+            "translations": np.zeros((5, 3)), "nominal_rate": 100.0}
+    if field == "nominal_rate":
+        args[field] = value
+    else:
+        args[field].flat[3] = value
+    with pytest.raises(InvalidArgumentError):
+        Trajectory(**args)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 0.0, 0.0, 0.0], "strictly increasing"),
+    ([0.3, 0.2, 0.1, 0.0], "strictly increasing"),
+    ([0.0, np.nan, 0.2, 0.3], "finite"),
+    ([0.0, 0.1, 0.2, np.inf], "finite"),
+])
+def test_control_grid_rejects_knots_that_do_not_increase(times, message):
+    # Equal knots used to be accepted and divided by a zero step at the
+    # first weight query; descending knots were called non-uniform.
+    with pytest.raises(InvalidArgumentError, match=message):
+        ControlGrid(times)
+
+
+@pytest.mark.parametrize("stop", [1.0, 0.5, np.nan])
+def test_window_grid_needs_stop_after_start(stop):
+    with pytest.raises(InvalidArgumentError, match="stop after its start"):
+        ControlGrid.for_window(1.0, stop, 8)
 
 
 def test_partition_of_unity(rng):
