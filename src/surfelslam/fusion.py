@@ -7,10 +7,12 @@ every candidate pair, and the Wishart and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
 ``fuse_surfel``) are the batch functions on a batch of one; a surfel record
-enters through ``DenseSurfels.of``, which checks it.  A fusion step
-folds its measurements into their destinations in rounds, each round fusing
-the next pending measurement of every destination, and checks the fused rows
-once, with the eigenvalues of the update's PSD clamps.  The sparse ICP reads
+enters through ``DenseSurfels.of``, which checks it.  A fusion step reads
+the global dense map's one batch and builds the next one, which replaces
+it: it folds its measurements into their destinations in rounds, each
+round fusing the next pending measurement of every destination, and checks
+the fused rows once, with the eigenvalues of the update's PSD clamps.
+``match_surfel`` reads the stored batch as it is.  The sparse ICP reads
 the arrays of ``SparseSurfels`` batches, keys its destinations once per call
 and pairs its surfels through one join with them per iteration.
 
@@ -35,8 +37,8 @@ from .surfel_map import (
     GlobalMaps,
     KeyedPoints,
     SparseSurfels,
+    _concat,
     _put,
-    _rounds,
     _row_dot,
     check_dense,
     psd_eigh,
@@ -179,9 +181,8 @@ def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
                  params: MatchParams | None = None):
     """Keys of the map surfels that ``src`` matches (see ``match_pairs``),
     sorted."""
-    keys = dense_map.keys()
-    _, found, _ = match_pairs([src], dense_map.rows(keys), params)
-    return sorted(keys[found].tolist())
+    _, found, _ = match_pairs([src], dense_map.batch, params)
+    return sorted(found.tolist())
 
 
 # -- Wishart fusion -----------------------------------------------------------
@@ -484,6 +485,17 @@ class TemporalFusionResult:
     trigger: DeformationTrigger | None
 
 
+def _rounds(slot):
+    """The positions of ``slot`` in rounds: round ``r`` holds the ``r``-th
+    position of every value, so folding the rounds in order visits each
+    value's positions in input order and no round holds a value twice."""
+    order = np.argsort(slot, kind="stable")
+    starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
+    return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
+
+
 def _fold(state: DenseSurfels, slot, sources: DenseSurfels, noise):
     """Fuse each local surfel ``sources[m]``, with beam noise ``noise[m]``,
     into row ``slot[m]`` of ``state``, in place; every row must have a
@@ -517,9 +529,11 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     ones are inserted as they are, in input order, and count as active.
     Matching sees that snapshot too: every local surfel's gates and best
     match are evaluated against the active surfels before any of them is
-    updated.  The matched surfels are then fused in input order, each into
-    its destination's current state; this is folded in rounds (see
-    ``_fold``), and the fused rows are checked once.  The inactive sparse
+    updated; a local surfel's best match is the one nearest it along the
+    map normal, and of equally near ones the earliest stored row.  The
+    matched surfels are then fused in input order, each into its
+    destination's current state; this is folded in rounds (see ``_fold``),
+    and the fused rows are checked once.  The inactive sparse
     set is taken before the local sparse surfels are pooled into the global
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
@@ -531,32 +545,38 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     otherwise inactive surfels that overlap the active map may be merged
     back.  Surfels observed fewer than ``cfg.stable_obs`` times whose last
     observation is older than ``cfg.cull_age`` are deleted.
+
+    The step reads the dense map's batch as its snapshot and stores the next
+    batch once, at the end: the stored rows, in their order, with the fused
+    rows and the re-activated timestamps written in, then the new surfels
+    in input order, less the culled rows.
     """
     if cfg is None:
         cfg = TemporalFusionConfig()
-    dense = global_maps.dense
     now = local.timestamp
-    keys = dense.keys()
-    before = dense.rows(keys)
+    before = global_maps.dense.batch
     inactive = now - before.timestamp > cfg.active_window
-    targets = keys[~inactive]
+    active = np.flatnonzero(~inactive)
 
     # Each local surfel's best match in the active set from before the step:
-    # the smallest |n . delta|, then the lowest key.
-    src_idx, dst_idx, along = match_pairs(local.dense, before[~inactive], cfg.match)
+    # the smallest |n . delta|, then the earliest row.
+    src_idx, dst_idx, along = match_pairs(local.dense, before[active], cfg.match)
     order = np.lexsort((dst_idx, np.abs(along), src_idx))
     src_idx, dst_idx = src_idx[order], dst_idx[order]
     first = np.diff(src_idx, prepend=-1) != 0
     matched = src_idx[first]
-    if matched.size:
-        fused_keys, slot = np.unique(targets[dst_idx[first]], return_inverse=True)
-        state = dense.rows(fused_keys)
-        sources = local.dense[matched]
-        noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal, cfg.beam)
-        dense.write(fused_keys, check_dense(state, _fold(state, slot, sources, noise)))
     unmatched = np.ones(len(local.dense), dtype=bool)
     unmatched[matched] = False
-    new_keys = dense.extend(local.dense[unmatched])
+    new = local.dense[unmatched]
+    # The next map: the stored rows, then the new surfels, in a new batch.
+    state = _concat(before, new)
+    if matched.size:
+        fused_rows, slot = np.unique(active[dst_idx[first]], return_inverse=True)
+        fused = state[fused_rows]
+        sources = local.dense[matched]
+        noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal, cfg.beam)
+        _put(state, fused_rows, check_dense(fused, _fold(fused, slot, sources, noise)))
+    inactive = np.concatenate([inactive, np.zeros(len(new), dtype=bool)])
 
     sparse = global_maps.sparse.all()
     inactive_sparse = sparse[now - sparse.timestamp > cfg.active_window]
@@ -593,28 +613,23 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         theta_r = cfg.match.resolution_threshold
         asleep = np.flatnonzero(inactive)
         near, _, d_sq = radius_join(
-            before.centroid[asleep],
-            dense.rows(np.concatenate([targets, new_keys])).centroid,
-            3.0 * theta_r,
+            state.centroid[asleep], state.centroid[~inactive], 3.0 * theta_r
         )
         overlapping = np.unique(near[d_sq <= theta_r * theta_r])
         gaps = len(np.unique(near)) - len(overlapping)
         if len(overlapping) and gaps < cfg.gap_threshold:
             woken = asleep[overlapping]
-            dense.write(keys[woken], replace(before[woken], timestamp=np.full(len(woken), now)))
+            state.timestamp[woken] = now
             inactive[woken] = False
 
-    keys = np.concatenate([keys, new_keys])
-    inactive = np.concatenate([inactive, np.zeros(len(new_keys), dtype=bool)])
-    state = dense.rows(keys)
     culled = (state.obs_count < cfg.stable_obs) & (now - state.timestamp > cfg.cull_age)
-    dense.remove(keys[culled])
+    global_maps.dense.batch = state[~culled]
 
     metrics = FusionStepMetrics(
         step=step,
         n_active=int(np.count_nonzero(~inactive & ~culled)),
         n_inactive=int(np.count_nonzero(inactive & ~culled)),
-        n_new=len(new_keys),
+        n_new=len(new),
         n_fused=len(matched),
         n_culled=int(np.count_nonzero(culled)),
         icp_inlier=icp.inlier_fraction,

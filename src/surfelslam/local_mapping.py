@@ -224,6 +224,20 @@ def _row_band(spread, grads, slots, blend):
     return spread @ np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
 
 
+def _vectors(values):
+    """A list of 3-vectors stacked into an (n, 3) array; any other shape
+    raises ``InvalidArgumentError``."""
+    if not values:
+        return np.zeros((0, 3))
+    try:
+        stacked = np.array(values, dtype=float)
+    except ValueError:
+        stacked = None
+    if stacked is None or stacked.shape != (len(values), 3):
+        raise InvalidArgumentError("constraint and IMU vectors must have three entries")
+    return stacked
+
+
 class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
@@ -273,24 +287,24 @@ class _WindowSystem:
         self.rate = traj.nominal_rate
         self.h = 1.0 / self.rate
 
-        self.pair_u_a = np.array([c.u_a for c in pair_constraints], dtype=float).reshape(-1, 3)
-        self.pair_u_b = np.array([c.u_b for c in pair_constraints], dtype=float).reshape(-1, 3)
-        self.pair_n = np.array([c.n_ab for c in pair_constraints], dtype=float).reshape(-1, 3)
+        self.pair_u_a = _vectors([c.u_a for c in pair_constraints])
+        self.pair_u_b = _vectors([c.u_b for c in pair_constraints])
+        self.pair_n = _vectors([c.n_ab for c in pair_constraints])
         self.pair_taus = np.array(
             [[c.tau_a, c.tau_b] for c in pair_constraints], dtype=float
         ).reshape(-1, 2)
 
-        self.prior_u_m = np.array([c.u_m for c in prior_constraints], dtype=float).reshape(-1, 3)
-        self.prior_u_c = np.array([c.u_c for c in prior_constraints], dtype=float).reshape(-1, 3)
-        self.prior_n = np.array([c.n_mc for c in prior_constraints], dtype=float).reshape(-1, 3)
+        self.prior_u_m = _vectors([c.u_m for c in prior_constraints])
+        self.prior_u_c = _vectors([c.u_c for c in prior_constraints])
+        self.prior_n = _vectors([c.n_mc for c in prior_constraints])
         self.prior_taus = np.array([c.tau_c for c in prior_constraints], dtype=float)
 
         taus = np.array([s.tau for s in imu], dtype=float)
         keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
         usable = [s for s, k in zip(imu, keep) if k]
         self.imu_taus = taus[keep]
-        self.imu_accel = np.array([s.accel for s in usable], dtype=float).reshape(-1, 3)
-        self.imu_gyro = np.array([s.gyro for s in usable], dtype=float).reshape(-1, 3)
+        self.imu_accel = _vectors([s.accel for s in usable])
+        self.imu_gyro = _vectors([s.gyro for s in usable])
         # The one check of the window's inputs, over every array converted
         # above: the records themselves check nothing.
         converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,

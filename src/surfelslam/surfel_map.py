@@ -4,15 +4,15 @@ one fixed-radius lookup every caller shares.
 
 Surfels are stored as arrays.  A ``DenseSurfels`` or ``SparseSurfels``
 batch holds one array per field of ``DenseSurfel`` or ``SparseSurfel`` with
-the surfels along the first axis.  ``DenseSurfelMap`` keeps its surfels in
-one such batch whose row ``k`` is key ``k``, grown by doubling.
-``SparseSurfelMap`` keeps one row per (resolution, voxel) key, where the
-voxel is the integer index ``voxelize_sparse`` computed, in the order the
-keys were first fused; a fuse matches the keys of a whole batch by one sort
-and pools every revisited voxel in stacked rounds of ``merge_moments``.  A
-surfel is a value: ``DenseSurfel`` and ``SparseSurfel`` are plain records
-that check nothing, and a batch hands one out as a read view of a row, a
-record of copies.
+the surfels along the first axis.  ``DenseSurfelMap`` holds one such
+batch in insertion order, which each fusion step replaces; a surfel's key
+is its row.  ``SparseSurfelMap`` keeps one row per (resolution, voxel) key,
+where the voxel is the integer index ``voxelize_sparse`` computed, in the
+order the keys were first fused; a fuse matches the keys of a whole batch,
+each key at most once, by one sort and pools every revisited voxel by one
+stacked ``merge_moments``.  A surfel is a value: ``DenseSurfel`` and
+``SparseSurfel`` are plain records that check nothing, and a batch hands
+one out as a read view of a row, a record of copies.
 
 Records carry data; batches carry the checks.  One function per kind
 validates surfel fields over a whole batch.  ``check_dense`` requires
@@ -59,7 +59,6 @@ key, and each voxel's moments are segment sums over that order.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -202,6 +201,11 @@ def _put(batch, rows, values):
     """Write the rows of ``values`` into ``batch`` at ``rows``."""
     for f in batch._LAYOUT:
         getattr(batch, f)[rows] = getattr(values, f)
+
+
+def _concat(a, b):
+    """A new batch of the rows of ``a`` followed by the rows of ``b``."""
+    return type(a)(*(np.concatenate([getattr(a, f), getattr(b, f)]) for f in a._LAYOUT))
 
 
 def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eigh=None):
@@ -375,104 +379,43 @@ class _SurfelsByKey(Mapping):
         return self._map.get(key)
 
     def __iter__(self):
-        return iter(self._map.keys().tolist())
+        return iter(range(len(self._map)))
 
     def __len__(self):
         return len(self._map)
 
 
 class DenseSurfelMap:
-    """Dense surfel store keyed by insertion order; single writer, many
-    readers.
+    """The global dense map: one ``DenseSurfels`` batch, ``batch``, in
+    insertion order, which each fusion step replaces as a whole.
 
-    Row ``k`` of one ``DenseSurfels`` batch holds key ``k``.  The batch
-    doubles its capacity when it fills, so ``extend`` is amortized O(1) per
-    surfel; a removed key's row stays unused, since keys are never reused.
-    ``get`` and ``surfels`` give ``DenseSurfel`` views; ``extend``, ``rows``
-    and ``write`` move whole batches.
+    A surfel's key is its row, valid until the next step: a step keeps the
+    surviving rows in their order and appends its new surfels, so an earlier
+    key is an earlier insertion.  ``get`` and ``surfels`` give
+    ``DenseSurfel`` views of rows.
     """
 
     def __init__(self):
-        self._rows = DenseSurfels.empty()
-        self._alive = np.zeros(0, dtype=bool)
-        self._next = 0
-        self._count = 0
+        self.batch = DenseSurfels.empty()
 
     def __len__(self):
-        return self._count
+        return len(self.batch)
 
     @property
     def surfels(self):
         """The stored surfels as a key → ``DenseSurfel`` mapping."""
         return _SurfelsByKey(self)
 
-    def keys(self):
-        """The stored keys, ascending, as an array."""
-        return np.flatnonzero(self._alive[: self._next])
-
-    def _stored(self, keys):
-        """``keys`` as an index array, or ``KeyError`` unless all are stored."""
-        index = np.asarray(keys)
-        if index.size == 0:
-            return index.astype(np.intp)
-        if (
-            index.dtype.kind not in "iu"
-            or np.any((index < 0) | (index >= self._next))
-            or not self._alive[index].all()
-        ):
-            raise KeyError(keys)
-        return index
-
-    def _one(self, key):
-        try:
-            index = operator.index(key)
-        except TypeError:
-            raise KeyError(key) from None
-        if not (0 <= index < self._next and self._alive[index]):
-            raise KeyError(key)
-        return index
-
     def get(self, key) -> DenseSurfel:
-        return self._rows[self._one(key)]
-
-    def rows(self, keys) -> DenseSurfels:
-        """A copy of the surfels at ``keys``."""
-        return self._rows[self._stored(keys)]
-
-    def extend(self, batch: DenseSurfels):
-        """Store every surfel of a checked batch, in order; returns their
-        keys."""
-        keys = np.arange(self._next, self._next + len(batch))
-        if keys.size and keys[-1] >= len(self._alive):
-            capacity = max(2 * len(self._alive), keys[-1] + 1, 16)
-            grown = DenseSurfels.empty(capacity)
-            _put(grown, slice(0, self._next), self._rows[: self._next])
-            alive = np.zeros(capacity, dtype=bool)
-            alive[: self._next] = self._alive[: self._next]
-            self._rows, self._alive = grown, alive
-        _put(self._rows, keys, batch)
-        self._alive[keys] = True
-        self._next += len(keys)
-        self._count += len(keys)
-        return keys
-
-    def write(self, keys, batch: DenseSurfels):
-        """Overwrite the surfels at ``keys`` with the rows of a checked
-        batch."""
-        _put(self._rows, self._stored(keys), batch)
-
-    def remove(self, keys):
-        """Delete one key or an array of keys."""
-        index = np.unique(self._stored(keys))
-        self._alive[index] = False
-        self._count -= index.size
+        if not (isinstance(key, (int, np.integer)) and 0 <= key < len(self.batch)):
+            raise KeyError(key)
+        return self.batch[key]
 
     def query_radius(self, center, radius):
         """Keys of the surfels whose centroid lies within ``radius`` of
         ``center``, sorted."""
-        keys = self.keys()
-        _, found, _ = radius_join(center, self._rows.centroid[keys], radius)
-        return sorted(keys[found].tolist())
+        _, found, _ = radius_join(center, self.batch.centroid, radius)
+        return sorted(found.tolist())
 
 
 def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
@@ -490,17 +433,6 @@ def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
     )
     cov, eigh = psd_eigh(scatter / np.maximum(n - 1, 1)[..., None, None])
     return mean, cov, n, eigh
-
-
-def _rounds(slot):
-    """The positions of ``slot`` in rounds: round ``r`` holds the ``r``-th
-    position of every value, so folding the rounds in order visits each
-    value's positions in input order and no round holds a value twice."""
-    order = np.argsort(slot, kind="stable")
-    starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))
-    return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
 
 
 class SparseSurfelMap:
@@ -523,16 +455,15 @@ class SparseSurfelMap:
         return self._rows
 
     def fuse(self, surfels):
-        """Pool each of ``surfels`` (a batch or a list), in input order, into
-        the row of its key.
+        """Pool each of ``surfels`` (a batch or a list) into the row of its
+        key; no two of them may share a key.
 
-        Equal to one ``merge_moments`` per surfel into its row's current
-        state, the row taking the later timestamp; a surfel with a new key
-        adds a row that later ones with its key pool into.  Keys are matched
-        by one sort of the stored and the new keys together, the merges are
-        stacked in rounds (round ``r`` pools the ``r``-th pending surfel of
-        every row), and the pooled rows are checked once, with the
-        eigenpairs of their last merge.
+        Equal to one ``merge_moments`` of each surfel into its stored row,
+        the row taking the later timestamp; a surfel with a new key adds a
+        row, in input order.  Keys are matched by one sort of the stored and
+        the new keys together, the revisited rows are pooled by one stacked
+        ``merge_moments``, and the pooled rows are checked once, with the
+        merge's eigenpairs.
         """
         batch = SparseSurfels.of(surfels)
         stored = self._rows
@@ -543,35 +474,25 @@ class SparseSurfelMap:
         step = np.ones(n + m, dtype=bool)
         step[1:] = (np.diff(voxel[order], axis=0) != 0).any(axis=1)
         step[1:] |= np.diff(resolution[order]) != 0
-        # The owner of each new surfel's key is the key's first holder in
-        # stored-then-input order: its stored row, or the first new surfel
-        # with that key, which adds a row.
+        # The stable sort puts a key's stored row before the new surfels
+        # with that key, so a new surfel that follows another one of its
+        # key repeats a key of the call.
+        if (~step[1:] & (order[:-1] >= n)).any():
+            raise InvalidArgumentError("a sparse fuse holds each (resolution, voxel) key once")
+        # The owner of each new surfel's key: its stored row, or itself.
         owner = np.empty(n + m, dtype=np.intp)
         owner[order] = order[np.flatnonzero(step)][np.cumsum(step) - 1]
         owner = owner[n:]
-        first = owner == np.arange(n, n + m)
-        new = np.flatnonzero(first)
-        row = np.arange(n + m)
-        row[n + new] = n + np.arange(len(new))
-        rows = SparseSurfels(*(
-            np.concatenate([getattr(stored, f), getattr(batch, f)[new]]) for f in _SPARSE_LAYOUT
-        ))
-        slot, pending = row[owner[~first]], batch[~first]
-        eigenvalues, vectors = np.empty((len(rows), 3)), np.empty((len(rows), 3, 3))
-        for pick in _rounds(slot):
-            at, src = slot[pick], pending[pick]
-            mean, cov, count, (eigenvalues[at], vectors[at]) = merge_moments(
-                rows.centroid[at], rows.covariance[at], rows.count[at],
-                src.centroid, src.covariance, src.count,
-            )
-            rows.centroid[at], rows.covariance[at], rows.count[at] = mean, cov, count
-            rows.timestamp[at] = np.maximum(rows.timestamp[at], src.timestamp)
-        pooled = np.unique(slot)
-        _put(rows, pooled, _check_sparse(
-            *(getattr(rows, f)[pooled]
-              for f in ("centroid", "covariance", "count", "resolution", "timestamp", "voxel")),
-            eigh=(eigenvalues[pooled], vectors[pooled]),
-        ))
+        revisit = owner < n
+        rows = _concat(stored, batch[~revisit])
+        at, src = owner[revisit], batch[revisit]
+        mean, cov, count, eigh = merge_moments(
+            stored.centroid[at], stored.covariance[at], stored.count[at],
+            src.centroid, src.covariance, src.count,
+        )
+        timestamp = np.maximum(stored.timestamp[at], src.timestamp)
+        _put(rows, at, _check_sparse(mean, cov, count, stored.resolution[at], timestamp,
+                                     stored.voxel[at], eigh))
         self._rows = rows
 
 
@@ -605,8 +526,9 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
     One surfel per occupied voxel per resolution when the voxel holds at
     least ``min_points`` points (two or more): centroid is the mean,
     covariance the sample covariance, timestamp the mean time, and
-    ``voxel`` the voxel's integer index.  Surfels follow the resolutions and,
-    within one, the voxels in lexicographic order.  Per resolution, one
+    ``voxel`` the voxel's integer index.  The resolutions must be distinct,
+    so no two surfels share a (resolution, voxel) key.  Surfels follow the
+    resolutions and, within one, the voxels in lexicographic order.  Per resolution, one
     stable sort of a linearized voxel key groups the points, and the moments
     are segment sums over that order; the clamp and the sparse check run
     once over the stack and share one eigendecomposition.
@@ -624,6 +546,8 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
         raise InvalidArgumentError(
             "voxel resolutions must be positive, finite and large enough for int64 voxel keys"
         )
+    if len(set(resolutions)) < len(resolutions):
+        raise InvalidArgumentError("voxel resolutions must be distinct")
     if min_points < 2:
         raise InvalidArgumentError("a voxel covariance needs at least two points")
     if len(points) == 0:
@@ -842,7 +766,8 @@ def extract_dense(points, times, traj=None,
     included, in input order) provides the centroid, the accrued scatter,
     the centroid uncertainty (scatter over ``n (n-1)`` plus the beam noise
     floor), and the initial Wishart count.  Seeds with fewer than
-    ``min_points`` neighbors yield no surfel; surfels follow seed order.
+    ``min_points`` neighbors (at least five, so that fusion can take each
+    surfel's Wishart extent) yield no surfel; surfels follow seed order.
     Each normal points toward the mean of its neighbourhood's sensor
     origins: the sample translations ``T(t_i)`` through ``traj``, and the
     world origin without it.  One ``eigh`` of the
@@ -861,8 +786,10 @@ def extract_dense(points, times, traj=None,
         raise InvalidArgumentError("points and times must be finite")
     if not (math.isfinite(cfg.radius) and cfg.radius > 0.0):
         raise InvalidArgumentError("surfel radius must be positive and finite")
-    if cfg.min_points < 2:
-        raise InvalidArgumentError("a neighborhood needs at least two points")
+    if cfg.min_points < 5:
+        raise InvalidArgumentError(
+            "a surfel needs at least five points: its Wishart extent divides by dof - 4"
+        )
     if n == 0:
         return DenseSurfels.empty()
     if traj is not None:

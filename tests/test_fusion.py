@@ -50,10 +50,11 @@ def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
 
 
 def mapped(surfels, dense_map=None):
-    """``dense_map`` (a new one by default) with ``surfels`` stored in order,
-    and their keys."""
+    """``dense_map`` (a new one by default) holding ``surfels`` in order, and
+    their keys."""
     dense_map = DenseSurfelMap() if dense_map is None else dense_map
-    return dense_map, dense_map.extend(DenseSurfels.of(surfels)).tolist()
+    dense_map.batch = DenseSurfels.of(surfels)
+    return dense_map, list(range(len(surfels)))
 
 
 # -- beam noise ---------------------------------------------------------------
@@ -505,6 +506,40 @@ def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold,
     assert r.metrics.n_inactive == len(inactive) - len(reactivated)
     assert r.metrics.n_active == len(active) + len(reactivated)
     assert r.trigger is None
+
+
+def test_temporal_fusion_keeps_the_row_order():
+    # One step fuses into row 2, wakes row 0 (its active neighbour, row 5,
+    # lies within theta_r), culls rows 1 and 4 (old, seen once) and inserts
+    # two new surfels.  The next map holds the survivors in their old order,
+    # with the fused and woken rows updated in place, then the new surfels
+    # in input order.
+    cfg = TemporalFusionConfig(active_window=30.0, cull_age=60.0, stable_obs=3)
+    global_maps = GlobalMaps()
+    stored = [
+        make_surfel([5.0, 0.0, 0.0], timestamp=0.0),
+        make_surfel([30.0, 0.0, 0.0], timestamp=0.0),
+        make_surfel([0.0, 0.0, 0.0], timestamp=90.0),
+        make_surfel([0.0, 10.0, 0.0], timestamp=90.0),
+        make_surfel([0.0, -30.0, 0.0], timestamp=0.0),
+        make_surfel([5.0, 0.015625, 0.0], timestamp=95.0),
+    ]
+    mapped(stored, global_maps.dense)
+    local = [make_surfel(c, timestamp=100.0)
+             for c in ([0.0, 0.0, 0.001], [20.0, 0.0, 0.0], [-20.0, 0.0, 0.0])]
+    r = temporal_fusion_step(LocalMaps([], local), global_maps, cfg)
+    assert (r.metrics.n_fused, r.metrics.n_new, r.metrics.n_culled) == (1, 2, 2)
+    assert (r.metrics.n_active, r.metrics.n_inactive) == (6, 0)
+    m = global_maps.dense
+    want = [stored[0], stored[2], stored[3], stored[5], local[1], local[2]]
+    assert len(m) == len(want)
+    assert [m.get(k).obs_count for k in range(6)] == [1, 2, 1, 1, 1, 1]
+    assert [m.get(k).timestamp for k in range(6)] == [100.0, 100.0, 90.0, 95.0, 100.0, 100.0]
+    for k, surfel in enumerate(want):
+        if k != 1:
+            assert np.array_equal(m.get(k).centroid, surfel.centroid)
+            assert np.array_equal(m.get(k).scatter, surfel.scatter)
+    assert 0.0 < m.get(1).centroid[2] < 0.001
 
 
 def test_icp_recovers_synthetic_shift(rng):

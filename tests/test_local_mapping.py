@@ -282,6 +282,27 @@ def test_window_checks_what_its_records_do_not(bad):
         lm.optimize_window(priors + pairs, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+@pytest.mark.parametrize("bad", ["u_c4", "n_mc2", "accel2", "every_u_c6"])
+def test_window_rejects_mis_shaped_vectors(bad):
+    # One 4-entry u_c, one 2-entry n_mc or one 2-entry accel raised numpy's
+    # ValueError as the window stacked them; six entries in every u_c
+    # reshaped into twice the rows and failed later, in a broadcast.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    priors = scene.map_prior_constraints()
+    imu = list(imu)
+    if bad == "u_c4":
+        priors[3] = dataclasses.replace(priors[3], u_c=np.r_[priors[3].u_c, 0.0])
+    elif bad == "n_mc2":
+        priors[3] = dataclasses.replace(priors[3], n_mc=np.array([0.6, 0.8]))
+    elif bad == "accel2":
+        imu[5] = dataclasses.replace(imu[5], accel=imu[5].accel[:2])
+    else:
+        priors = [dataclasses.replace(c, u_c=np.r_[c.u_c, c.u_c]) for c in priors]
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    with pytest.raises(InvalidArgumentError, match="three entries"):
+        lm.optimize_window(priors, imu, init, lm.OptState(grid), lm.OptimizerConfig())
+
+
 def test_window_reads_no_imu_sample_it_drops():
     # A sample whose stencil leaves the window is dropped unread, so a NaN
     # reading there is no error.

@@ -90,12 +90,14 @@ def test_voxelize_requires_resolution():
         {"times": np.r_[np.zeros(7), np.nan]},
         {"points": np.r_[np.ones((7, 3)), [[np.nan, 0.0, 0.0]]]},
         {"points": np.r_[np.ones((7, 3)), [[np.inf, 0.0, 0.0]]]},
+        {"resolutions": [1.0, 0.5, 1.0]},
     ],
 )
 def test_voxelize_rejects_invalid_input(case):
     # Each case alone: a zero, NaN or tiny resolution warned on division or
     # cast, a negative or infinite one and mismatched or NaN times passed
-    # silently, and a one-point voxel gave a 0/0 covariance.
+    # silently, a one-point voxel gave a 0/0 covariance, and a repeated
+    # resolution made two surfels of one (resolution, voxel) key.
     args = {"points": np.ones((8, 3)), "times": np.zeros(8), "resolutions": [1.0],
             "min_points": 5}
     args.update(case)
@@ -307,9 +309,12 @@ def test_extract_dense_rejects_non_positive_radius(rng):
             extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(radius=radius))
 
 
-def test_extract_dense_rejects_min_points_below_two(rng):
+def test_extract_dense_rejects_min_points_below_five(rng):
+    # Fusion divides a surfel's scatter by dof - 4, so the parent's surfels
+    # of two to four points entered the map and a later step that matched
+    # one raised inside the Wishart update.
     pts = plane_points(rng, n=200)
-    for min_points in (1, 0):
+    for min_points in (4, 3, 2, 1, 0):
         with pytest.raises(InvalidArgumentError):
             extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(min_points=min_points))
 
@@ -389,65 +394,37 @@ def _random_surfel(rng):
     )
 
 
-def test_dense_map_matches_a_dict_shadow(rng):
-    # Random adds, replaces and removes against a dict of the same values,
-    # through several capacity doublings, then every surfel removed.
+def test_dense_map_keys_are_rows(rng):
+    # A key is a row of the stored batch: keys run over [0, len) in row
+    # order, a view carries its row's values and types, and every other key
+    # is missing.
     names = ("centroid", "normal", "centroid_cov", "scatter", "dof", "obs_count",
              "timestamp", "radius")
+    records = [_random_surfel(rng) for _ in range(40)]
     m = DenseSurfelMap()
-    shadow = {}
-
-    def check():
-        assert len(m) == len(shadow)
-        assert list(m.surfels) == sorted(shadow) == m.keys().tolist()
-        keys = sorted(shadow)
-        rows = m.rows(keys)
-        for k, key in enumerate(keys):
-            got = m.get(key)
+    m.batch = DenseSurfels.of(records)
+    assert len(m) == len(m.surfels) == 40 and list(m.surfels) == list(range(40))
+    for key, record in enumerate(records):
+        for got in (m.get(key), m.surfels[np.int64(key)]):
             for name in names:
-                want = getattr(shadow[key], name)
+                want = getattr(m.batch[key], name)
                 assert np.array_equal(getattr(got, name), want), name
-                assert np.array_equal(getattr(rows, name)[k], want), name
                 assert type(getattr(got, name)) is type(want), name
-
-    issued = 0
-    for step in range(1500):
-        op = rng.uniform()
-        if op < 0.5 or not shadow:
-            surfel = DenseSurfels.of([_random_surfel(rng)])
-            assert m.extend(surfel).tolist() == [issued]
-            shadow[issued] = surfel[0]
-            issued += 1
-        elif op < 0.75:
-            key = int(rng.choice(sorted(shadow)))
-            surfel = DenseSurfels.of([_random_surfel(rng)])
-            m.write([key], surfel)
-            shadow[key] = surfel[0]
-        else:
-            key = int(rng.choice(sorted(shadow)))
-            del shadow[key]
-            m.remove(key)
-            rewrite = DenseSurfels.of([_random_surfel(rng)])
-            for call in (m.get, m.remove, lambda k: m.write([k], rewrite)):
-                with pytest.raises(KeyError):
-                    call(key)
-        if step % 250 == 0:
-            check()
-    check()
+            assert np.array_equal(got.centroid, record.centroid)
     # A view is a copy: writing into it leaves the map as it was.
-    key = sorted(shadow)[0]
-    m.get(key).centroid[:] = 1e9
-    assert np.array_equal(m.get(key).centroid, shadow[key].centroid)
-    for key in (-1, issued, 2.0, "0"):
+    m.get(3).centroid[:] = 1e9
+    assert np.array_equal(m.get(3).centroid, records[3].centroid)
+    for key in (-1, 40, np.int64(40), 2.0, "0"):
         with pytest.raises(KeyError):
             m.get(key)
+        with pytest.raises(KeyError):
+            m.surfels[key]
         assert key not in m.surfels
-    m.remove(np.array(sorted(shadow)))
-    shadow.clear()
-    check()
+    m.batch = DenseSurfels.empty()
+    assert len(m) == 0 and list(m.surfels) == []
+    with pytest.raises(KeyError):
+        m.get(0)
     assert m.query_radius([0.0, 0.0, 0.0], 100.0) == []
-    assert m.extend(DenseSurfels.of([_surfel_at([1.0, 0.0, 0.0])])).tolist() == [issued]
-    assert m.query_radius([0.0, 0.0, 0.0], 1.0) == [issued]
 
 
 def test_linear_scan_distance_rounds_as_norm(rng):
@@ -472,13 +449,13 @@ def _surfel_at(point):
 
 
 def _mapped(points):
-    """A dense map with one surfel at each point, keyed in order, and the
-    linear-scan shadow of its centroids."""
+    """A dense map holding one surfel at each point, in order, and the
+    linear-scan shadow of its centroids, keyed by row."""
     m = DenseSurfelMap()
-    shadow = oracles.LinearScanIndex()
     proto = _surfel_at(np.zeros(3))
-    keys = m.extend(DenseSurfels.of([replace(proto, centroid=p) for p in points]))
-    for key, p in zip(keys.tolist(), points):
+    m.batch = DenseSurfels.of([replace(proto, centroid=p) for p in points])
+    shadow = oracles.LinearScanIndex()
+    for key, p in enumerate(points):
         shadow.insert(key, p)
     return m, shadow
 
@@ -501,26 +478,23 @@ def test_index_matches_linear_scan_bulk(rng):
 
 
 def test_index_randomized_insert_remove_query(rng):
+    # A sequence of maps, each a random sub-batch of one pool of surfels in
+    # pool order, as fusion steps leave them: rows dropped, rows appended.
     m = DenseSurfelMap()
-    shadow = oracles.LinearScanIndex()
     proto = _surfel_at(np.zeros(3))
-    alive = []
-    for _ in range(10_000):
-        op = rng.uniform()
-        if op < 0.5 or not alive:
-            p = rng.uniform(-50.0, 50.0, size=3)
-            (key,) = m.extend(DenseSurfels.of([replace(proto, centroid=p)])).tolist()
+    pool = rng.uniform(-50.0, 50.0, size=(4000, 3))
+    batch = DenseSurfels.of([replace(proto, centroid=p) for p in pool])
+    for _ in range(40):
+        kept = np.flatnonzero(rng.uniform(size=len(pool)) < rng.uniform(0.0, 0.5))
+        m.batch = batch[kept]
+        shadow = oracles.LinearScanIndex()
+        for key, p in enumerate(pool[kept]):
             shadow.insert(key, p)
-            alive.append(key)
-        elif op < 0.8:
-            key = alive.pop(rng.integers(0, len(alive)))
-            m.remove(key)
-            shadow.remove(key)
-        else:
+        for _ in range(50):
             center = rng.uniform(-55.0, 55.0, size=3)
             radius = rng.uniform(0.5, 10.0)
             assert m.query_radius(center, radius) == shadow.query_radius(center, radius)
-    assert sorted(m.surfels) == sorted(shadow.points)
+        assert sorted(m.surfels) == sorted(shadow.points)
 
 
 def test_index_grows_beyond_initial_bounds():
@@ -537,40 +511,29 @@ def test_index_matches_linear_scan_on_cell_faces(rng):
     # points.
     coords = -0.5 + 0.125 * np.arange(9)
     pts = np.array([[x, y, z] for x in coords for y in coords for z in coords])
-    m, shadow = _mapped(pts)
 
-    def check():
-        centers = [pts[i] for i in rng.choice(len(pts), 12)]
+    def check(points):
+        m, shadow = _mapped(points)
+        centers = [points[i] for i in rng.choice(len(points), 12)]
         centers += [[0.0, 0.0, 0.0], [-0.25, 0.25, -0.5], [0.0625, -0.1875, 0.3125]]
         for radius in (0.0, 0.125, 0.25, 0.625, 2.0):
             for center in centers:
                 assert m.query_radius(center, radius) == shadow.query_radius(center, radius)
+        assert sorted(m.surfels) == sorted(shadow.points)
+        return m
 
-    check()
+    check(pts)
     # Empty the 0.25 m cell [0.5, 0.75)^3, which holds only the corner
-    # point, by a move, then refill it by an insert and empty it again by a
-    # removal.
-    corner = len(pts) - 1
-    m.write([corner], DenseSurfels.of([_surfel_at([-0.625, -0.625, -0.625])]))
-    shadow.remove(corner)
-    shadow.insert(corner, [-0.625, -0.625, -0.625])
-    assert m.query_radius([0.5, 0.5, 0.5], 0.1) == []
-    check()
-    (key,) = m.extend(DenseSurfels.of([_surfel_at([0.625, 0.5, 0.75])])).tolist()
-    shadow.insert(key, [0.625, 0.5, 0.75])
-    check()
-    m.remove(key)
-    shadow.remove(key)
+    # point, by a move, then refill it by an insert.
+    moved = pts.copy()
+    moved[-1] = [-0.625, -0.625, -0.625]
+    assert check(moved).query_radius([0.5, 0.5, 0.5], 0.1) == []
+    check(np.r_[moved, [[0.625, 0.5, 0.75]]])
     # Empty a whole interior cell, [0, 0.25)^3, whose eight points sit on
     # its lower faces.
-    inner = [k for k, p in enumerate(pts) if np.all((p >= 0.0) & (p < 0.25))]
-    assert len(inner) == 8
-    for k in inner:
-        m.remove(k)
-        shadow.remove(k)
-    assert m.query_radius([0.1, 0.1, 0.1], 0.1) == []
-    check()
-    assert sorted(m.surfels) == sorted(shadow.points)
+    inner = np.all((moved >= 0.0) & (moved < 0.25), axis=1)
+    assert np.count_nonzero(inner) == 8
+    assert check(moved[~inner]).query_radius([0.1, 0.1, 0.1], 0.1) == []
 
 
 def test_radius_join_matches_bruteforce(rng):
@@ -606,11 +569,14 @@ def test_radius_join_matches_bruteforce(rng):
 
 
 def test_dense_map_write_moves_index(rng):
+    # A step that moves a surfel stores a batch with its row moved; queries
+    # read the stored batch.
     m = DenseSurfelMap()
-    (key,) = m.extend(DenseSurfels.of([_surfel_at([0.0, 0.0, 0.0])])).tolist()
+    m.batch = DenseSurfels.of([_surfel_at([0.0, 0.0, 0.0])])
+    assert m.query_radius([0.0, 0.0, 0.0], 0.1) == [0]
     moved = replace(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0)
-    m.write([key], DenseSurfels.of([moved]))
-    assert m.query_radius([5.0, 0.0, 0.0], 0.1) == [key]
+    m.batch = DenseSurfels.of([moved])
+    assert m.query_radius([5.0, 0.0, 0.0], 0.1) == [0]
     assert m.query_radius([0.0, 0.0, 0.0], 0.1) == []
 
 
@@ -664,18 +630,18 @@ def test_sparse_map_fuse_matches_sequential_merges(rng):
         pts = rng.uniform(-1.5, 1.5, size=(n, 3)) + shift
         return voxelize_sparse(pts, rng.uniform(t, t + 0.1, size=n), resolutions)
 
-    # The second call revisits voxels of the first and adds new ones, each
-    # of them twice, the second time earlier.
+    # The second scan revisits voxels of the first and adds new ones; the
+    # third revisits both, and stamps its voxels earlier than the second.
     first = scan(np.zeros(3), 3000, 0.0)
-    second = list(scan([1.0, -0.5, 0.0], 3000, 2.0)) + list(scan([1.0, -0.5, 0.0], 2000, 1.0))
+    second, third = scan([1.0, -0.5, 0.0], 3000, 2.0), scan([1.0, -0.5, 0.0], 2000, 1.0)
     m, want = SparseSurfelMap(), {}
-    for call in (first, second):
+    for call in (first, second, list(third)):
         m.fuse(call)
         pool_sequentially(want, call)
     got = m.all()
     assert len(m) == len(want) > len(first)
     assert [(s.resolution, tuple(s.voxel.tolist())) for s in got] == list(want)
-    assert sum(s.count for s in got) == sum(s.count for s in first) + sum(s.count for s in second)
+    assert sum(got.count) == sum(first.count) + sum(second.count) + sum(third.count)
     for s, (mean, cov, count, t) in zip(got, want.values()):
         assert s.count == count and s.timestamp == t
         assert np.max(np.abs(s.centroid - mean)) <= 1e-12 * np.max(np.abs(mean))
@@ -684,6 +650,12 @@ def test_sparse_map_fuse_matches_sequential_merges(rng):
     revisited = {(s.resolution, tuple(s.voxel.tolist())) for s in first}
     keys = [(s.resolution, tuple(s.voxel.tolist())) for s in second]
     assert any(key in revisited for key in keys) and any(key not in revisited for key in keys)
+    # One call holds each key once, stored or new; the map stays as it was.
+    for repeated in (list(second[:2]) * 2, [second[0], third[0], second[0]],
+                     [scan(np.full(3, 9.0), 500, 3.0)[0]] * 2):
+        with pytest.raises(InvalidArgumentError):
+            m.fuse(repeated)
+        assert m.all() is got
 
 
 def test_sparse_map_keeps_the_latest_timestamp(rng):
