@@ -14,6 +14,16 @@ share a bracket share its basis and form no 3x3 product or exponential of
 their own.  :func:`se3_interp_batch` is the same kernel with every pose pair
 its own bracket.
 
+The left Jacobians are applied to vectors, never formed as matrices, each in
+one place: every SO(3) block is ``I + b K + c K^2`` with ``K = hat(phi)``,
+applied as ``v + b phi x v + c phi x (phi x v)`` (``_so3_apply``), and the
+SE(3) coupling block ``Q`` likewise (``_q_transpose_apply``).
+:func:`so3_left_jacobian_inv_apply` serves the logarithm and the gyro rows,
+:func:`se3_left_jacobian_vjp` pulls row gradients through ``Jl`` or
+``Jl^-1``, and ``se3_exp_batch`` applies ``Jl`` to the translation.  These
+kernels store vectors component first, ``(3, ...)``, so that a product
+broadcasts over any trailing axes.
+
 A pose is a rotation matrix (3, 3) and a translation (3,), stored as
 separate stacks.  Poses are composed without re-orthonormalization: the
 rounding of 10,000 compositions leaves a rotation within 1e-12 of
@@ -41,13 +51,16 @@ def _series_below(threshold, series):
     that angles below ``threshold`` take ``series(theta)`` instead.
 
     The coefficient takes an array of angles and evaluates the closed form
-    only at the angles it is valid for.
+    only at the angles it is valid for, and not at all when every angle is
+    below the threshold.
     """
 
     def decorate(closed):
         @functools.wraps(closed)
         def coeff(theta):
             small = theta < threshold
+            if small.all():
+                return series(theta)
             out = closed(np.where(small, 1.0, theta))
             if np.any(small):
                 out = np.where(small, series(theta), out)
@@ -101,31 +114,6 @@ def _q_c3(t):
     return -0.5 * (a - 3.0 * (t - np.sin(t) - t**3 / 6.0) / t**5)
 
 
-def _q_from_hats(rx, tx, c1, c2, c3):
-    # Coupling block of the SE(3) left Jacobian (Baker-Campbell-Hausdorff
-    # terms) from (N, 3, 3) hat stacks and coefficients shaped (N, 1, 1).
-    # Four products suffice: for skew-symmetric rx and tx, tx rx = (rx tx)^T,
-    # tx rx rx = -(rx rx tx)^T and rx rx tx rx = (rx tx rx rx)^T.
-    rxtx = rx @ tx
-    rxtxrx = rxtx @ rx
-    rxrxtx = rx @ rxtx
-    rxtxrxrx = rxtxrx @ rx
-    q = 0.5 * tx
-    q = q + c1 * (rxtx + rxtx.transpose(0, 2, 1) + rxtxrx)
-    q = q + c2 * (rxrxtx - rxrxtx.transpose(0, 2, 1) - 3.0 * rxtxrx)
-    q = q + c3 * (rxtxrxrx + rxtxrxrx.transpose(0, 2, 1))
-    return q
-
-
-def _se3_blocks(diagonal, lower):
-    """Stacked 6x6 matrices ``[[D, 0], [L, D]]``."""
-    out = np.zeros(diagonal.shape[:-2] + (6, 6))
-    out[..., :3, :3] = diagonal
-    out[..., 3:, 3:] = diagonal
-    out[..., 3:, :3] = lower
-    return out
-
-
 def hat_batch(v):
     """(N, 3) -> (N, 3, 3)."""
     n = v.shape[0]
@@ -141,8 +129,7 @@ def hat_batch(v):
 
 def _so3_hats(r):
     """Angles (N,), hats (N, 3, 3) and squared hats of (N, 3) rotation
-    vectors: what the exponential, the left Jacobian, its inverse and the
-    SE(3) Q block share, computed once where a caller needs several."""
+    vectors, what the Rodrigues formula reads."""
     k = hat_batch(r)
     return np.linalg.norm(r, axis=1), k, k @ k
 
@@ -151,14 +138,99 @@ def _so3_exp(theta, k, kk):
     return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
 
 
-def _so3_left_jacobian(theta, k, kk):
-    b = _cos_coeff(theta)[:, None, None]
-    c = _one_minus_sinc_coeff(theta)[:, None, None]
-    return np.eye(3) + b * k + c * kk
+def _cross(a, b):
+    """Cross products of vectors stored component first, ``(3, ...)``, with
+    the trailing axes broadcast."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
 
 
-def _so3_left_jacobian_inv(theta, k, kk):
-    return np.eye(3) - 0.5 * k + _jl_inv_coeff(theta)[:, None, None] * kk
+def _so3_apply(phi, v, b, c):
+    """``(I + b K + c K^2) v`` with ``K = hat(phi)``, component first: the
+    form of the SO(3) left Jacobian (b, c), its inverse (-1/2, jl_inv) and
+    their transposes (-b, c)."""
+    phi_v = _cross(phi, v)
+    return v + b * phi_v + c * _cross(phi, phi_v)
+
+
+def _q_transpose_apply(phi, rho, v, c1, c2, c3, phi_v, phi_phi_v):
+    """``Q(phi, rho)^T v``, component first, given ``phi x v`` and ``phi x
+    (phi x v)``.  ``Q`` is the coupling block of the SE(3) left Jacobian
+    (Barfoot's Baker-Campbell-Hausdorff terms):
+
+        Q = rho^/2 + c1 (K P + P K + K P K) + c2 (K K P + P K K - 3 K P K)
+            + c3 (K P K K + K K P K)
+
+    with ``K = hat(phi)``, ``P = hat(rho)``.  Since ``K P K = -(phi . rho) K``,
+    its transpose is
+
+        Q^T = -P/2 + c1 (K P + P K) - c2 (K K P + P K K)
+              - (phi . rho) ((3 c2 - c1) K + 2 c3 K K).
+    """
+    rho_v = _cross(rho, v)
+    k_rho_v = _cross(phi, rho_v)
+    dot = np.einsum("i...,i...->...", phi, rho)
+    return (
+        c1 * (k_rho_v + _cross(rho, phi_v))
+        - c2 * (_cross(phi, k_rho_v) + _cross(rho, phi_phi_v))
+        - 0.5 * rho_v
+        - dot * ((3.0 * c2 - c1) * phi_v + 2.0 * c3 * phi_phi_v)
+    )
+
+
+def so3_left_jacobian_inv_apply(phi, v):
+    """``Jl^-1(phi) v = v - phi x v / 2 + jl_inv(|phi|) phi x (phi x v)`` of
+    rotation vectors and vectors stored component first, ``(3, ...)``, with
+    the trailing axes broadcast."""
+    return _so3_apply(phi, v, -0.5, _jl_inv_coeff(np.linalg.norm(phi, axis=0)))
+
+
+def se3_jacobian_coeffs(theta):
+    """Coefficients (5, ...) at rotation angles ``theta`` of the SE(3) left
+    Jacobian and its inverse, what :func:`se3_left_jacobian_vjp` reads:
+    ``(1 - cos) / theta^2``, ``(theta - sin) / theta^3`` (which is also Q's
+    c1), Q's c2 and c3, and the inverse's ``jl_inv``.  Twists that share an
+    angle take them once and gather them."""
+    return np.stack([
+        _cos_coeff(theta), _one_minus_sinc_coeff(theta), _q_c2(theta), _q_c3(theta),
+        _jl_inv_coeff(theta),
+    ])
+
+
+def se3_left_jacobian_vjp(phi, rho, g, coeffs, inverse=False):
+    """Row vectors ``g`` times the SE(3) left Jacobian ``Jl(xi)`` of twists
+    ``xi = (phi, rho)``, or with ``inverse`` times ``Jl(xi)^-1``, by cross
+    products: no 6x6 matrix is formed.
+
+    Every array is stored component first and the trailing axes broadcast:
+    ``phi`` and ``rho`` (3, ...), ``g`` (6, ...) in (rotational,
+    translational) order, and ``coeffs`` (5, ...) from
+    :func:`se3_jacobian_coeffs` at ``|phi|``.  With ``J`` the SO(3) left
+    Jacobian of phi and ``Q`` its coupling block,
+
+        Jl = [[J, 0], [Q, J]],    Jl^-1 = [[J^-1, 0], [-J^-1 Q J^-1, J^-1]],
+
+    so ``g Jl = (J^T g_r + Q^T g_t, J^T g_t)`` and ``g Jl^-1 = (J^-T (g_r -
+    Q^T J^-T g_t), J^-T g_t)`` as columns.  Returns (6, ...).
+    """
+    b, c1, c2, c3, jl_inv = coeffs
+    g_r, g_t = g[:3], g[3:]
+    if inverse:
+        # J^-T = I + K / 2 + jl_inv K^2.
+        g_t = _so3_apply(phi, g_t, 0.5, jl_inv)
+        phi_v = _cross(phi, g_t)
+        q_t = _q_transpose_apply(phi, rho, g_t, c1, c2, c3, phi_v, _cross(phi, phi_v))
+        return np.concatenate([_so3_apply(phi, g_r - q_t, 0.5, jl_inv), g_t])
+    # J^T = I - b K + c1 K^2; its products with g_t are Q^T's too.
+    phi_v = _cross(phi, g_t)
+    phi_phi_v = _cross(phi, phi_v)
+    q_t = _q_transpose_apply(phi, rho, g_t, c1, c2, c3, phi_v, phi_phi_v)
+    return np.concatenate([
+        _so3_apply(phi, g_r, -b, c1) + q_t, g_t - b * phi_v + c1 * phi_phi_v
+    ])
 
 
 def so3_exp_batch(r):
@@ -185,39 +257,12 @@ def so3_log_batch(rotations):
     return w * scale[:, None]
 
 
-def so3_left_jacobian_inv_batch(r):
-    return _so3_left_jacobian_inv(*_so3_hats(r))
-
-
-def _se3_q(theta, k, t):
-    # The Q block from the rotational part's angles and hats (see _so3_hats)
-    # and the translational parts (N, 3).
-    c1, c2, c3 = (c(theta)[:, None, None] for c in (_one_minus_sinc_coeff, _q_c2, _q_c3))
-    return _q_from_hats(k, hat_batch(t), c1, c2, c3)
-
-
-def se3_left_jacobian_batch(xi):
-    """(N, 6) twists -> (N, 6, 6) left Jacobians of SE(3) in (rotational,
-    translational) ordering."""
-    theta, k, kk = _so3_hats(xi[:, :3])
-    return _se3_blocks(_so3_left_jacobian(theta, k, kk), _se3_q(theta, k, xi[:, 3:]))
-
-
-def se3_left_jacobian_inv_batch(xi):
-    """(N, 6) twists -> (N, 6, 6) inverse left Jacobians: to second order in
-    ``d``, ``exp(Jl^-1(xi) d + xi) = exp(d) exp(xi)``."""
-    theta, k, kk = _so3_hats(xi[:, :3])
-    jl_inv = _so3_left_jacobian_inv(theta, k, kk)
-    return _se3_blocks(jl_inv, -jl_inv @ _se3_q(theta, k, xi[:, 3:]) @ jl_inv)
-
-
 def se3_relative_log_batch(rot_a, t_a, rot_b, t_b):
     """Twists (rotational (N, 3), translational (N, 3)) of ``Ta^-1 Tb``."""
     rot_rel = rot_a.transpose(0, 2, 1) @ rot_b
     t_rel = np.einsum("nji,nj->ni", rot_a, t_b - t_a)
     phi = so3_log_batch(rot_rel)
-    rho = np.einsum("nij,nj->ni", so3_left_jacobian_inv_batch(phi), t_rel)
-    return phi, rho
+    return phi, so3_left_jacobian_inv_apply(phi.T, t_rel.T).T
 
 
 def se3_exp_batch(xi):
@@ -226,9 +271,9 @@ def se3_exp_batch(xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 6 or not np.all(np.isfinite(xi)):
         raise InvalidArgumentError("twists must be finite and shaped (N, 6)")
-    r, t = xi[:, :3], xi[:, 3:]
-    hats = _so3_hats(r)
-    return _so3_exp(*hats), np.einsum("nij,nj->ni", _so3_left_jacobian(*hats), t)
+    theta, k, kk = _so3_hats(xi[:, :3])
+    t = _so3_apply(xi[:, :3].T, xi[:, 3:].T, _cos_coeff(theta), _one_minus_sinc_coeff(theta))
+    return _so3_exp(theta, k, kk), t.T
 
 
 def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
@@ -257,8 +302,8 @@ def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
     phi_cols = phi.T[:, None]
     rows = np.empty((3, 3, 3, len(phi)))
     rows[0] = rot_a.transpose(2, 1, 0)
-    rows[1] = np.cross(rows[0], phi_cols, axis=0)
-    rows[2] = np.cross(rows[1], phi_cols, axis=0)
+    rows[1] = _cross(rows[0], phi_cols)
+    rows[2] = _cross(rows[1], phi_cols)
     rot_cols = rows.transpose(0, 2, 1, 3).reshape(3, 9, len(phi))
     t_cols = np.concatenate([t_a.T[None], (rows * rho.T[:, None]).sum(axis=1)])
     angle = alpha * theta[at]

@@ -138,9 +138,10 @@ class OptimizationReport:
     """Per-iteration records and why the window stopped.
 
     ``stop_decrease`` is the decrease, in χ² units, that ended the window:
-    the model's prediction for a ``"predicted_decrease"`` stop, the accepted
-    step's actual decrease for a ``"cost_decrease"`` stop, NaN for any other
-    reason.
+    the model's prediction for a ``"predicted_decrease"`` stop (the chord
+    model's after an accepted step, the freshly built model's otherwise; see
+    :func:`optimize_window`), the accepted step's actual decrease for a
+    ``"cost_decrease"`` stop, NaN for any other reason.
     """
 
     records: list
@@ -205,13 +206,46 @@ def _row_spread(reads, first, weights, blended):
     return row_first, spread[:, None, :width], slots
 
 
-def _row_band(spread, grads, slots, blend):
+def _blend(rot_s, t_s, w, chart):
+    """``pull(g, queries) = g M`` for row gradients ``g`` (k, a, 6) on the
+    interior queries ``queries``, a slice of all interior ones, where ``I - M``
+    and ``M`` map the perturbations of a query's two samples to its own, in the
+    chart ``trajectory.interpolate`` read.  ``g M`` is two vector-Jacobian
+    products by cross products (``lie.se3_left_jacobian_vjp``); the
+    coefficients of ``Jl^-1`` are taken once per bracket, those of ``Jl`` at
+    each query's own angle."""
+    # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
+    # delta = (I - M) delta_lo + M delta_hi with
+    # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
+    #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
+    brackets, at, phi, rho = chart
+    alpha = w[(w > 0.0) & (w < 1.0)]
+    rot_lo = rot_s[brackets]
+    phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
+    rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
+    phi_w, rho_w = phi_w.T, rho_w.T
+    theta = np.linalg.norm(phi_w, axis=0)
+    inverse = lie.se3_jacobian_coeffs(theta)
+    forward = lie.se3_jacobian_coeffs(alpha * theta[at])
+
+    def pull(g, queries):
+        bracket, a = at[queries], alpha[queries, None]
+        phi_q, rho_q = phi_w[:, bracket, None], rho_w[:, bracket, None]
+        g = lie.se3_left_jacobian_vjp(
+            a * phi_q, a * rho_q, g.transpose(2, 0, 1), forward[:, queries, None]
+        )
+        g = lie.se3_left_jacobian_vjp(phi_q, rho_q, g, inverse[:, bracket, None], inverse=True)
+        return (a * g).transpose(1, 2, 0)
+
+    return pull
+
+
+def _row_band(spread, grads, slots, pull):
     """Band (m, a, W, 6) of the rows whose queries take the gradients
     ``grads`` [(m, a, 6)], with ``spread`` and ``slots`` (see
     ``_row_spread``).  A snapped query's slot takes the gradient g as it is;
-    an interior query's two take ``g - gM`` and ``gM``, with gM pulled
-    through the factors of ``blend`` (see ``_WindowSystem._blend``), one
-    vector-matrix product each."""
+    an interior query's two take ``g - gM`` and ``gM``, with gM from
+    ``pull`` (see :func:`_blend`), by cross products."""
     coefs = []
     for g, slot in zip(grads, slots):
         if slot is None:
@@ -219,7 +253,7 @@ def _row_band(spread, grads, slots, blend):
             continue
         rows, at = slot
         gm = np.zeros_like(g)
-        gm[rows] = g[rows] @ blend[0][at] @ blend[1][at]
+        gm[rows] = pull(g[rows], at)
         coefs.append(np.stack([g - gm, gm], axis=1))
     return spread @ np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
 
@@ -256,9 +290,12 @@ class _WindowSystem:
     the pose layer needs only the weights, kept as slots: spline weights on
     consecutive knots from the query's first knot.  A query that snaps to a
     sample reads its sample's weights, in one slot; a query between two
-    samples reads both, blended by the interpolation (:func:`_row_band`).
-    The slots of a query read the weights of its interval, on the knots from
-    the lower sample's first one.
+    samples reads both, blended by the interpolation (:func:`_row_band`):
+    its row gradients are pulled through the geodesic's derivative by cross
+    products (:func:`_blend`, ``lie.se3_left_jacobian_vjp``), so no 6x6
+    matrix is formed per query.  The row gradients of the IMU rows are
+    cross products as well.  The slots of a query read the weights of its
+    interval, on the knots from the lower sample's first one.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
     the sum over its queries' slots of the slot's coefficient, spread by the
@@ -267,7 +304,10 @@ class _WindowSystem:
     ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
     border is the constant bias columns, present when the window has IMU
     samples.  The spreads and this order depend on the brackets only and are
-    built once per window (:meth:`_rows`).
+    built once per window (:meth:`_rows`).  The sorted bands stay in the
+    plan's buffers until the next build, so :meth:`chord_gradient` takes the
+    gradient of the last build's Jacobian with new residuals without
+    linearizing again.
     :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
     only the tests read.
 
@@ -500,26 +540,6 @@ class _WindowSystem:
         )
         return first[idx], weights, (w > 0.0) & (w < 1.0)
 
-    def _blend(self, rot_s, t_s, w, chart):
-        """Factors ``alpha Jl(alpha xi_w)`` and ``Jl^-1(xi_w)``, per interior
-        query, of the maps ``I - M`` and ``M`` from the perturbations of its
-        two samples to its own, given the chart ``trajectory.interpolate``
-        read."""
-        # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
-        # delta = (I - M) delta_lo + M delta_hi with
-        # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
-        #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
-        brackets, at, phi, rho = chart
-        alpha = w[(w > 0.0) & (w < 1.0)]
-        rot_lo = rot_s[brackets]
-        phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
-        rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
-        xi_w = np.concatenate([phi_w, rho_w], axis=1)
-        return (
-            alpha[:, None, None] * lie.se3_left_jacobian_batch(alpha[:, None] * xi_w[at]),
-            lie.se3_left_jacobian_inv_batch(xi_w)[at],
-        )
-
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
         left perturbation of each query pose they read: per entry of
@@ -548,25 +568,24 @@ class _WindowSystem:
             rot_mid_t = rot[q_mid].transpose(0, 2, 1)
             # Acceleration: a = (t+ - 2 t0 + t-) / h^2 in the body frame of R0.
             accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
+            # Row i of R0^T hat(v) is (column i of R0) x v.
             grads = []
             for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
                 c /= self.h * self.h * cfg.sigma_accel
-                grad = np.zeros((m, 3, 6))
-                grad[:, :, :3] = c * rot_mid_t @ lie.hat_batch(t[q])
-                grad[:, :, 3:] = -c * rot_mid_t
+                v = c * t[q]
                 if q is q_mid:
-                    grad[:, :, :3] -= (
-                        rot_mid_t @ lie.hat_batch(accel_world - GRAVITY) / cfg.sigma_accel
-                    )
+                    v -= (accel_world - GRAVITY) / cfg.sigma_accel
+                grad = np.empty((m, 3, 6))
+                grad[:, :, :3] = np.cross(rot_mid_t, v[:, None])
+                grad[:, :, 3:] = -c * rot_mid_t
                 grads.append(grad)
             families.append(grads)
-            # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h.
+            # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h;
+            # column j of Jl^-1 R0^T is Jl^-1 applied to row j of R0.
             rel = rot_mid_t @ rot[q_plus]
-            rate = (
-                lie.so3_left_jacobian_inv_batch(lie.so3_log_batch(rel))
-                @ rot_mid_t
-                / (self.h * cfg.sigma_gyro)
-            )
+            rate = lie.so3_left_jacobian_inv_apply(
+                lie.so3_log_batch(rel).T[:, :, None], rot[q_mid].transpose(2, 0, 1)
+            ).transpose(1, 0, 2) / (self.h * cfg.sigma_gyro)
             grads = []
             for sign in (1.0, -1.0):
                 grad = np.zeros((m, 3, 6))
@@ -611,9 +630,9 @@ class _WindowSystem:
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
         # The derivative reads the chart the interpolation read.
-        blend = self._blend(*it.samples, self.where[1], it.chart)
+        pull = _blend(*it.samples, self.where[1], it.chart)
         return [
-            _row_band(spread, grads, slots, blend).reshape(rows.size, -1)
+            _row_band(spread, grads, slots, pull).reshape(rows.size, -1)
             for grads, (rows, _, spread, slots) in zip(
                 self._residual_layer(it.rot, it.t), self.structure[0]
             )
@@ -649,6 +668,19 @@ class _WindowSystem:
         hess[n:, n:] = h_rr[1:, 1:]
         return hess, np.concatenate([h_kr[km, 0], h_rr[1:, 0]])
 
+    def chord_gradient(self, weighted):
+        """``J.T @ weighted`` with the Jacobian ``J`` of the last
+        :meth:`normal_equations` build, read from the row bands that build
+        left in its buffers: one ``block.T @ r`` per first knot, and the bias
+        columns' products."""
+        _, size, plan = self.structure
+        grad = np.zeros(size)
+        for width, _, _, band, rows, spans in plan:
+            r = weighted[rows]
+            for lo, hi, k in spans:
+                grad[k : k + width] += band[lo:hi].T @ r[lo:hi]
+        return np.concatenate([grad[self.knot_major], self.border.T @ weighted])
+
     def jacobian(self, x, state):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
         :meth:`normal_equations` scattered into their columns and the bias
@@ -677,6 +709,13 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     - ``"predicted_decrease"`` when that model decrease is below
       ``cfg.chi2_tol``; the step is then not evaluated;
+    - ``"predicted_decrease"`` as well when, after an accepted step, the
+      chord model predicts less than ``cfg.chi2_tol``: the last build's H at
+      the current damping, with the gradient ``J_k^T w_{k+1}`` of the last
+      build's Jacobian and the accepted step's weighted residuals
+      (:meth:`_WindowSystem.chord_gradient`).  The window then stops without
+      building the normal equations again; otherwise they are built and
+      tested as above;
     - ``"cost_decrease"`` when an accepted step lowered the cost by less
       than ``cfg.chi2_tol``;
     - ``"zero_cost"`` when the cost is below 1e-16.
@@ -711,11 +750,23 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     lam = cfg.damping_init
     reason, stop_decrease = "max_iterations", np.nan
+    hess = None
     for iteration in range(1, cfg.max_iterations + 1):
         if cost < 1e-16:
             reason = "zero_cost"
             break
         weighted = system.weighted(it.residuals)
+        if hess is not None:
+            # The chord test: the last build's H and Jacobian with the new
+            # residuals, at the current damping.
+            chord_grad = system.chord_gradient(weighted)
+            try:
+                _, chord = _model_step(hess, chord_grad, lam * np.diag(diag))
+            except np.linalg.LinAlgError:
+                chord = np.inf
+            if chord < cfg.chi2_tol:
+                reason, stop_decrease = "predicted_decrease", chord
+                break
         hess, grad = system.normal_equations(it, weighted)
         if iteration == 1:
             eigvals = np.linalg.eigvalsh(hess)
@@ -730,12 +781,10 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
         for _ in range(cfg.damping_retries + 1):
             try:
-                delta = np.linalg.solve(hess + lam * np.diag(diag), -grad)
+                delta, decrease = _model_step(hess, grad, lam * np.diag(diag))
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            # The Gauss-Newton model's decrease of the cost, in its units.
-            decrease = -2.0 * (delta @ grad) - delta @ (hess @ delta)
             if decrease < cfg.chi2_tol:
                 break
             candidate = system.evaluate(it.x + delta, it.state)
@@ -769,6 +818,15 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     report = OptimizationReport(records, reason != "max_iterations", reason, float(stop_decrease))
     return it.state, _trajectory_from(system), report
+
+
+def _model_step(hess, grad, damping):
+    """The step ``delta`` of the normal equations ``hess``, ``grad`` damped
+    by the matrix ``damping``, and the decrease of the cost that the
+    Gauss-Newton model predicts for it, ``-2 delta.g - delta.H delta``, in
+    χ² units."""
+    delta = np.linalg.solve(hess + damping, -grad)
+    return delta, -2.0 * (delta @ grad) - delta @ (hess @ delta)
 
 
 def _trajectory_from(system):

@@ -46,6 +46,23 @@ def twists_at(rng, angles):
     return xi
 
 
+def se3_jacobians(xi, inverse=False):
+    """(N, 6, 6) SE(3) left Jacobians of (N, 6) twists, or their inverses,
+    rebuilt row by row from ``lie.se3_left_jacobian_vjp`` applied to the six
+    unit row vectors."""
+    phi, rho = xi[:, :3].T[:, None], xi[:, 3:].T[:, None]
+    coeffs = lie.se3_jacobian_coeffs(np.linalg.norm(xi[:, :3], axis=1))[:, None]
+    rows = lie.se3_left_jacobian_vjp(phi, rho, np.eye(6)[:, :, None], coeffs, inverse)
+    return rows.transpose(2, 1, 0)
+
+
+def so3_left_jacobian_inv_matrices(r):
+    """(N, 3, 3) inverse SO(3) left Jacobians of (N, 3) rotation vectors,
+    rebuilt column by column from ``lie.so3_left_jacobian_inv_apply``
+    applied to the three unit vectors."""
+    return lie.so3_left_jacobian_inv_apply(r.T[:, None], np.eye(3)[:, :, None]).transpose(2, 0, 1)
+
+
 def rotation_about_x(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -145,13 +162,14 @@ def test_log_rejects_angle_at_pi():
 def test_batch_helpers_match_scalar(rng):
     # A single value is a batch of one.  Each row takes its own series
     # branch, so a row's result does not depend on the other angles in its
-    # batch.  The SE(3) Jacobians are checked the same way below.
+    # batch.  The SE(3) Jacobians are checked the same way below; the inverse
+    # SO(3) Jacobian is rebuilt from its application to unit vectors.
     xi = twists_at(rng, np.concatenate([ALL_SWITCH_ANGLES, rng.uniform(0.0, 3.0, 16)]))
     r = xi[:, :3]
     for fn, batch in (
         (lie.so3_exp_batch, r),
         (lie.so3_log_batch, lie.so3_exp_batch(r)),
-        (lie.so3_left_jacobian_inv_batch, r),
+        (so3_left_jacobian_inv_matrices, r),
     ):
         out = fn(batch)
         for i in range(len(batch)):
@@ -163,14 +181,14 @@ def test_batch_helpers_match_scalar(rng):
 
 
 def test_left_jacobian_inv_identity_at_zero():
-    assert np.allclose(lie.se3_left_jacobian_inv_batch(np.zeros((1, 6)))[0], np.eye(6))
+    assert np.allclose(se3_jacobians(np.zeros((1, 6)), inverse=True)[0], np.eye(6))
 
 
 def test_left_jacobian_composition_defect(rng):
     xi = rng.normal(scale=0.8, size=(50, 6))
     small = rng.normal(size=(50, 6))
     small *= (1e-4 / np.linalg.norm(small, axis=1))[:, None]
-    moved = (lie.se3_left_jacobian_inv_batch(xi) @ small[:, :, None])[:, :, 0] + xi
+    moved = (se3_jacobians(xi, inverse=True) @ small[:, :, None])[:, :, 0] + xi
     for i in range(50):
         lhs = oracles.se3_exp_series(moved[i], terms=40)
         rhs = oracles.se3_exp_series(small[i]) @ oracles.se3_exp_series(xi[i], terms=40)
@@ -181,7 +199,7 @@ def test_left_jacobian_inverse_against_numeric(rng):
     for scale in (1e-6, 0.01, 0.5, 1.5):
         xi = rng.normal(size=(10, 6))
         xi *= (scale / np.linalg.norm(xi, axis=1))[:, None]
-        jl_inv = lie.se3_left_jacobian_inv_batch(xi)
+        jl_inv = se3_jacobians(xi, inverse=True)
         for i in range(10):
             product = jl_inv[i] @ oracles.numeric_left_jacobian(xi[i])
             assert np.linalg.norm(product - np.eye(6)) < 1e-9
@@ -189,7 +207,7 @@ def test_left_jacobian_inverse_against_numeric(rng):
 
 def test_left_jacobian_pair_is_inverse(rng):
     xi = rng.normal(scale=1.0, size=(20, 6))
-    product = lie.se3_left_jacobian_inv_batch(xi) @ lie.se3_left_jacobian_batch(xi)
+    product = se3_jacobians(xi, inverse=True) @ se3_jacobians(xi)
     assert np.max(np.linalg.norm(product - np.eye(6), axis=(1, 2))) < 1e-12
 
 
@@ -258,7 +276,7 @@ def test_series_coefficients_match_taylor_reference():
         assert np.all(np.abs(coeff(angles) - expected) < 1e-10 * expected)
 
 
-def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
+def test_se3_left_jacobian_vjp_matches_scalar_and_numeric(rng):
     # Rotation angles on both sides of every series switch.
     switch = lie.Q_SERIES_ANGLE
     angles = np.concatenate([
@@ -269,16 +287,19 @@ def test_se3_left_jacobian_batch_matches_scalar_and_numeric(rng):
         rng.uniform(switch, 2.5, 6),
     ])
     xi = twists_at(rng, angles)
-    jl = lie.se3_left_jacobian_batch(xi)
-    jl_inv = lie.se3_left_jacobian_inv_batch(xi)
+    jl = se3_jacobians(xi)
+    jl_inv = se3_jacobians(xi, inverse=True)
+    so3_inv = so3_left_jacobian_inv_matrices(xi[:, :3])
     for i in range(angles.size):
         # One twist at a time gives the same rows as the mixed batch.
-        assert np.array_equal(jl[i], lie.se3_left_jacobian_batch(xi[i : i + 1])[0])
-        assert np.array_equal(jl_inv[i], lie.se3_left_jacobian_inv_batch(xi[i : i + 1])[0])
+        assert np.array_equal(jl[i], se3_jacobians(xi[i : i + 1])[0])
+        assert np.array_equal(jl_inv[i], se3_jacobians(xi[i : i + 1], inverse=True)[0])
         numeric = oracles.numeric_left_jacobian(xi[i])
         assert np.allclose(jl[i], numeric, atol=1e-8)
         assert np.allclose(jl_inv[i] @ numeric, np.eye(6), atol=1e-8)
         assert np.linalg.norm(jl_inv[i] @ jl[i] - np.eye(6)) < 1e-12
+        # The SO(3) inverse is the rotation block of the SE(3) one.
+        assert np.allclose(so3_inv[i], jl_inv[i][:3, :3], rtol=0.0, atol=1e-15)
 
 
 def test_se3_interp_batch_matches_interp_pose(rng):

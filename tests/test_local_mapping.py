@@ -12,7 +12,7 @@ from surfelslam.errors import (
 )
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
 from surfelslam.simulation.generators import pair_constraints_from_scene
-from surfelslam.trajectory import ControlGrid, Trajectory
+from surfelslam.trajectory import ControlGrid, Trajectory, interpolate
 
 from conftest import knot_grid
 
@@ -374,6 +374,67 @@ def test_predicted_decrease_stop_evaluates_no_candidate(monkeypatch):
     assert len(calls) == len(report.records)
 
 
+def count_builds(monkeypatch):
+    """A list that gains one entry per ``normal_equations`` build."""
+    calls = []
+    build = lm._WindowSystem.normal_equations
+
+    def counted(self, it, weighted):
+        calls.append(1)
+        return build(self, it, weighted)
+
+    monkeypatch.setattr(lm._WindowSystem, "normal_equations", counted)
+    return calls
+
+
+def test_chord_stop_builds_once_per_accepted_step(monkeypatch):
+    # The last build's Jacobian and H, with the accepted step's residuals,
+    # predict the next decrease; below chi2_tol the window stops without
+    # linearizing again.
+    builds = count_builds(monkeypatch)
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    _, _, report = run_window(truth, imu, init, scene)
+    assert report.converged and report.reason == "predicted_decrease"
+    assert 0.0 <= report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert len(builds) == len(report.records) - 1
+
+
+def test_chord_stop_holds_far_from_the_optimum():
+    # An initial rotation error of up to 0.2 rad, a bump over the window:
+    # the window takes more steps, and the chord stops it no earlier than
+    # within chi2_tol of the cost that a tight tolerance reaches.
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    s = (init.times - init.start) / (init.end - init.start)
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    error = lie.so3_exp_batch(0.2 * np.sin(np.pi * s)[:, None] * axis)
+    far = Trajectory(init.times, error @ init.rotations, init.translations, init.nominal_rate)
+    _, _, report = run_window(truth, imu, far, scene)
+    _, _, tight = run_window(truth, imu, far, scene, {"chi2_tol": 1e-9})
+    assert report.converged and report.reason == "predicted_decrease"
+    assert tight.converged and len(report.records) > 3
+    assert 0.0 <= report.final_cost - tight.final_cost < lm.OptimizerConfig().chi2_tol
+
+
+def test_a_large_chord_decrease_builds_again(monkeypatch):
+    # A chord gradient scaled by 1e3 predicts 1e6 times the decrease, so the
+    # chord test passes the window on and the full build stops it; the
+    # chord changes the trajectory in no way.
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    _, est, report = run_window(truth, imu, init, scene)
+    chord = lm._WindowSystem.chord_gradient
+    monkeypatch.setattr(
+        lm._WindowSystem, "chord_gradient", lambda self, weighted: 1e3 * chord(self, weighted)
+    )
+    builds = count_builds(monkeypatch)
+    _, full, full_report = run_window(truth, imu, init, scene)
+    assert full_report.converged and full_report.reason == "predicted_decrease"
+    assert len(builds) == len(full_report.records) == len(report.records)
+    assert 0.0 <= full_report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert full_report.stop_decrease != report.stop_decrease
+    assert np.array_equal(full.rotations, est.rotations)
+    assert np.array_equal(full.translations, est.translations)
+
+
 def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
     # A cost scaled by 1e-6 leaves the model's predicted decrease as it is,
     # so the first step is evaluated and accepted; its actual decrease is
@@ -522,6 +583,12 @@ def assert_normal_equations_match_dense(system, x, state):
     dense_hess, dense_grad = jac.T @ jac, jac.T @ weighted
     assert np.max(np.abs(hess - dense_hess)) <= 1e-12 * np.max(np.abs(dense_hess))
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
+    # The chord gradient reads the bands that build left: J.T times any
+    # residuals.
+    other = np.random.default_rng(9).normal(size=weighted.size)
+    for r in (weighted, other):
+        chord, dense = system.chord_gradient(r), jac.T @ r
+        assert np.max(np.abs(chord - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @SE3_PATH
@@ -554,6 +621,36 @@ def test_normal_equations_match_dense_jacobian_far_pairs():
     assert system.n_prior == 0 and system.n_imu == 0
     assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
     assert_normal_equations_match_dense(system, x, state)
+
+
+def test_blend_pulls_gradients_through_the_geodesic():
+    # Queries between samples 2.0-2.6 rad apart: g M against central
+    # differences of the oracle interpolation in a left perturbation
+    # (phi, rho) of the upper sample, R <- exp(phi) R, t <- exp(phi) t + rho.
+    rng = np.random.default_rng(4)
+    rot = lie.so3_exp_batch(rng.normal(scale=0.8, size=(4, 3)))
+    t = rng.normal(size=(4, 3))
+    idx, alpha = np.array([0, 0, 1, 2, 2]), np.array([0.3, 0.8, 0.5, 0.1, 0.95])
+    q_rot, q_t, chart = interpolate(rot, t, idx, alpha)
+    g = rng.normal(size=(5, 1, 6))
+    got = lm._blend(rot, t, alpha, chart)(g, slice(0, 5))[:, 0]
+
+    def perturbed(n, delta):
+        step = lie.so3_exp_batch(delta[None, :3])[0]
+        upper = np.eye(4)
+        upper[:3, :3], upper[:3, 3] = step @ rot[idx[n] + 1], step @ t[idx[n] + 1] + delta[3:]
+        lower = np.eye(4)
+        lower[:3, :3], lower[:3, 3] = rot[idx[n]], t[idx[n]]
+        pose = oracles.interp_pose(lower, upper, alpha[n])
+        phi = lie.so3_log_batch((pose[:3, :3] @ q_rot[n].T)[None])[0]
+        return np.r_[phi, pose[:3, 3] - lie.so3_exp_batch(phi[None])[0] @ q_t[n]]
+
+    eps = 1e-6
+    for n in range(5):
+        m = np.column_stack([
+            (perturbed(n, eps * e) - perturbed(n, -eps * e)) / (2.0 * eps) for e in np.eye(6)
+        ])
+        assert np.allclose(got[n], g[n, 0] @ m, rtol=0.0, atol=1e-8)
 
 
 def test_linearization_refuses_a_non_zero_correction():

@@ -1,0 +1,59 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "pipeline_digest.py"
+
+
+@pytest.fixture(scope="module")
+def digest():
+    spec = importlib.util.spec_from_file_location("pipeline_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, monkeypatch, capsys):
+    # One episode of two short windows of the map-bound workload.
+    tiny = dataclasses.replace(
+        digest.workloads.SPECS["revisit"], episodes=1, n_windows=2, n_priors=100, n_scan=1500
+    )
+    monkeypatch.setitem(digest.workloads.SPECS, "tiny", tiny)
+    args = ["--workloads", "tiny", "--seeds", "1", "--episodes", "1"]
+    dump = tmp_path / "tiny.npz"
+    digest.main(args + ["--dump", str(dump)])
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and all(line.startswith("tiny seed 1 episode 0") for line in printed)
+    digest.main(args + ["--against", str(dump)])
+    *again, summary = capsys.readouterr().out.splitlines()
+    assert again == printed
+    assert summary == (
+        "tiny: 2 windows, largest translation difference 0 m, rotation entry 0, "
+        "accuracy metric 0 relative; 0 windows differ in stop reason or record count"
+    )
+
+
+def test_compare_sizes_each_difference(digest):
+    # Arrays of two windows and an episode, one window moved by 1e-6 m and
+    # stopped for another reason, the map error 1% larger.
+    reference = {
+        "w.s1.e0.w0.rotations": np.eye(3)[None], "w.s1.e0.w0.translations": np.zeros((1, 3)),
+        "w.s1.e0.w0.records": np.array(3), "w.s1.e0.w0.reason": np.array("predicted_decrease"),
+        "w.s1.e0.w1.rotations": np.eye(3)[None], "w.s1.e0.w1.translations": np.ones((1, 3)),
+        "w.s1.e0.w1.records": np.array(3), "w.s1.e0.w1.reason": np.array("predicted_decrease"),
+        "w.s1.e0.accuracy": np.ones(5),
+    }
+    current = dict(reference)
+    current["w.s1.e0.w1.translations"] = np.ones((1, 3)) + [0.0, 1e-6, 0.0]
+    current["w.s1.e0.w1.reason"] = np.array("cost_decrease")
+    current["w.s1.e0.accuracy"] = np.array([1.0, 1.0, 1.0, 1.01, 1.0])
+    assert digest.compare(reference, current) == [
+        "w: 2 windows, largest translation difference 1e-06 m, rotation entry 0, "
+        "accuracy metric 0.01 relative; 1 windows differ in stop reason or record count"
+    ]
+    del reference["w.s1.e0.w1.reason"]
+    with pytest.raises(SystemExit, match="w.s1.e0.w1.reason"):
+        digest.compare(reference, current)

@@ -1,28 +1,43 @@
 """Digests of the pipeline's outputs, window by window and episode by
-episode, for showing that two commits compute the same thing.
+episode, for showing that two commits compute the same thing, and the size
+of the differences where they do not.
 
     python3 tools/pipeline_digest.py --seeds 1 2 --episodes 2
     python3 tools/pipeline_digest.py --workloads loop --seeds 7 --episodes 1
+    python3 tools/pipeline_digest.py --seeds 1 --episodes 1 --dump parent.npz
+    python3 tools/pipeline_digest.py --seeds 1 --episodes 1 --against parent.npz
 
 Run from the root of a source checkout: the package is imported from its
-``src`` directory and the benchmark's ``run_pass`` and ``generate`` from
-``perfbench``, neither of them changed.  For each workload, seed and the
-first ``--episodes`` episodes, one line per window hashes the estimated
-trajectory, every iteration record, the stop reason, every
+``src`` directory and the benchmark's ``run_pass``, ``generate`` and
+``metrics`` from ``perfbench``, none of them changed.  For each workload,
+seed and the first ``--episodes`` episodes, one line per window hashes the
+estimated trajectory, every iteration record, the stop reason, every
 ``FusionStepMetrics`` field and the trigger's arrays, and one line per
 episode hashes every field of the final dense and sparse maps.  Two
 checkouts give identical output exactly when their outputs are bit-identical,
-so compare them with ``diff``.  BLAS runs one thread, as in the benchmark,
-so the rounding does not depend on the machine's core count.
+so compare them with ``diff``.
+
+``--dump PATH`` also writes, to one ``.npz``, each window's estimated
+trajectory, record count and stop reason and each episode's accuracy metrics
+(``metrics.accuracy``).  ``--against PATH`` compares this run with such a
+dump and prints, per workload, the largest translation difference (m), the
+largest rotation-matrix entry difference, the largest relative difference of
+an accuracy metric and the number of windows whose stop reason or record
+count differs.  Run the dump in one checkout and the comparison in the
+other, with the same workloads, seeds and episodes.
+
+BLAS runs one thread, as in the benchmark, so the rounding does not depend
+on the machine's core count.
 """
 
 import os
 import sys
 
-# One BLAS thread, pinned before numpy loads.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    # One BLAS thread, pinned before numpy loads.
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
@@ -35,6 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import harness  # noqa: E402
+import metrics  # noqa: E402
 import workloads  # noqa: E402
 from surfelslam.surfel_map import DenseSurfel, SparseSurfel  # noqa: E402
 
@@ -91,13 +107,66 @@ def maps_digest(global_maps):
     return d.hex()
 
 
+ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
+
+
+def episode_arrays(key, episode, results, global_maps):
+    """What a dump keeps of one episode's pass, by name under ``key``: per
+    window its trajectory, record count (0 for a failed window) and stop
+    reason (the failure's class name for a failed window), and the episode's
+    accuracy metrics in ``ACCURACY`` order."""
+    out = {}
+    for r in results:
+        w = f"{key}.w{r.index}"
+        out[f"{w}.rotations"] = r.estimate.rotations
+        out[f"{w}.translations"] = r.estimate.translations
+        out[f"{w}.records"] = np.array(0 if r.report is None else len(r.report.records))
+        out[f"{w}.reason"] = np.array(r.failed if r.report is None else r.report.reason)
+    accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
+    out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
+    return out
+
+
+def compare(reference, current):
+    """Per workload, the sizes of the differences between two sets of
+    ``episode_arrays``, as printable lines; a name missing from
+    ``reference`` raises ``SystemExit``."""
+    missing = sorted(set(current) - set(reference))
+    if missing:
+        raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
+    lines = []
+    for name in dict.fromkeys(k.split(".")[0] for k in current):
+        keys = [k for k in current if k.startswith(f"{name}.")]
+
+        def largest(suffix, relative=False):
+            diffs = [np.abs(current[k] - reference[k]) / (np.abs(reference[k]) if relative else 1.0)
+                     for k in keys if k.endswith(suffix)]
+            return max(float(d.max()) for d in diffs)
+
+        windows = [k[: -len(".reason")] for k in keys if k.endswith(".reason")]
+        changed = sum(
+            any(reference[f"{w}.{f}"] != current[f"{w}.{f}"] for f in ("reason", "records"))
+            for w in windows
+        )
+        lines.append(
+            f"{name}: {len(windows)} windows, largest translation difference "
+            f"{largest('.translations'):.3g} m, rotation entry {largest('.rotations'):.3g}, "
+            f"accuracy metric {largest('.accuracy', relative=True):.3g} relative; "
+            f"{changed} windows differ in stop reason or record count"
+        )
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", default=list(workloads.SPECS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--episodes", type=int, required=True,
                         help="digest the first this many episodes of each seed")
+    parser.add_argument("--dump", type=Path, help="write the arrays to this .npz")
+    parser.add_argument("--against", type=Path, help="compare with a dump at this path")
     args = parser.parse_args(argv)
+    arrays = {}
     for name in args.workloads:
         for seed in args.seeds:
             inputs = workloads.generate(name, seed)
@@ -108,6 +177,13 @@ def main(argv=None):
                 print(f"{name} seed {seed} episode {e} maps "
                       f"{len(global_maps.dense)} {len(global_maps.sparse)} "
                       f"{maps_digest(global_maps)}")
+                arrays.update(episode_arrays(f"{name}.s{seed}.e{e}", episode, results, global_maps))
+    if args.dump:
+        np.savez(args.dump, **arrays)
+    if args.against:
+        with np.load(args.against) as reference:
+            for line in compare(reference, arrays):
+                print(line)
 
 
 if __name__ == "__main__":
