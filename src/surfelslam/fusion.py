@@ -77,16 +77,6 @@ def incidence_variance(angle, range_m, cfg: BeamModel | None = None):
     return (range_m * np.tan(np.minimum(angle, cfg.grazing_cutoff)) * cfg.beam_divergence) ** 2
 
 
-def _align_z_to(direction):
-    """Rotations whose third columns are the unit rows of ``direction``."""
-    z = direction / np.sqrt(_row_dot(direction, direction))[:, None]
-    seed = np.where((np.abs(z[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    x = np.cross(seed, z)
-    x /= np.sqrt(_row_dot(x, x))[:, None]
-    y = np.cross(z, x)
-    return np.stack([x, y, z], axis=2)
-
-
 def beam_noise_batch(sensor_origin, points, surface_normals=None,
                      cfg: BeamModel | None = None):
     """World-frame measurement noise of each return in ``points`` seen from
@@ -97,24 +87,22 @@ def beam_noise_batch(sensor_origin, points, surface_normals=None,
     range_m = np.sqrt(_row_dot(beam, beam))
     # A return at the sensor has no beam direction: isotropic range noise.
     at_sensor = range_m < 1e-9
-    beam[at_sensor] = [0.0, 0.0, 1.0]
+    beam[at_sensor] = 0.0
     range_m[at_sensor] = 1.0
+    unit = beam / range_m[:, None]
     sigma_d = cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m
     sigma_i_sq = np.zeros(len(beam))
     if surface_normals is not None:
         normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
-        cos_i = np.abs(_row_dot(normals, beam / range_m[:, None]))
+        cos_i = np.abs(_row_dot(normals, unit))
         angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
         sigma_i_sq = incidence_variance(angle, range_m, cfg)
-    # Range noise across the beam, depth plus incidence noise along it,
-    # rotated from the beam frame into the world.
-    cov = np.zeros((len(beam), 3, 3))
-    cov[:, 0, 0] = cov[:, 1, 1] = cfg.sigma_r**2
-    cov[:, 2, 2] = sigma_i_sq + sigma_d**2
-    rot = _align_z_to(beam)
-    q = rot @ cov @ _transpose(rot)
-    q = 0.5 * (q + _transpose(q))
-    return np.where(at_sensor[:, None, None], cfg.sigma_r**2 * np.eye(3), q)
+    # Range noise across the beam, depth plus incidence noise along it:
+    # sigma_r^2 I + (sigma_d^2 + sigma_i^2 - sigma_r^2) b b^T for the unit
+    # beam b, symmetric as computed.
+    along = sigma_d**2 + sigma_i_sq - cfg.sigma_r**2
+    outer = unit[:, :, None] * unit[:, None, :]
+    return cfg.sigma_r**2 * np.eye(3) + along[:, None, None] * outer
 
 
 def beam_noise_for_return(sensor_origin, point, surface_normal=None,

@@ -12,13 +12,18 @@ interpolation, in the manner of Sommer et al., CVPR 2020).
 The constraint and IMU records are plain values that check nothing.  A
 window checks its inputs once, where ``_WindowSystem`` stacks them into
 arrays: every field and time finite (of the IMU samples, those the window
-reads), the normals of unit length, and the two times of each pair distinct.
+reads), the state's biases finite 3-vectors, the normals of unit length, and
+the two times of each pair distinct.  A constraint of any other type is
+refused.
 
 A cubic B-spline value reads four consecutive knots, so every residual row
-depends on a short run of knots, its band.  Each iteration builds the normal
-equations ``H = J^T J`` and ``g = J^T r`` from these bands, one small block per
-first knot, and never forms the dense Jacobian; only the tests build it, from
-the same bands, to pin them against finite differences.
+depends on a short run of knots, its band.  The parameter vector is
+knot-major: knot k's correction ``(du_r, du_t)`` sits at ``6k..6k+5``, then
+the biases.  Each iteration builds the normal equations ``H = J^T J`` and
+``g = J^T r`` from these bands, one small block per first knot, straight into
+that layout, so H is a band of 6x6 knot blocks plus a bias border.  It never
+forms the dense Jacobian; only the tests build it, from the same bands, to pin
+them against finite differences.
 
 The trajectory stays densely sampled (Park et al., ICRA 2018): the optimizer
 estimates spline *corrections*, composes each accepted one onto the samples
@@ -186,20 +191,22 @@ class _Iterate(NamedTuple):
 def _row_spread(reads, first, weights, blended):
     """First knot (m,) and spread (m, 1, W, S) of the rows that read the
     query slices ``reads``, the slot weights of the pose layer's ``first``,
-    ``weights`` and ``blended`` shifted to the row's first knot, and per read
-    its blended queries and their range among all blended ones, or None."""
+    ``weights`` and ``blended``, each slot's shifted by its own first knot's
+    offset from the row's, and per read its blended queries and their range
+    among all blended ones, or None."""
     q_firsts = [first[q] for q in reads]
-    row_first = np.minimum.reduce(q_firsts)
-    width = weights.shape[2] + max(int((f - row_first).max()) for f in q_firsts)
+    row_first = np.minimum.reduce([f[:, 0] for f in q_firsts])
+    offsets = [f - row_first[:, None] for f in q_firsts]
+    width = weights.shape[2] + max(int(o.max()) for o in offsets)
     spread, slots = [], []
-    for q, q_first in zip(reads, q_firsts):
+    for q, offset in zip(reads, offsets):
         inside, lo = np.flatnonzero(blended[q]), np.count_nonzero(blended[: q.start])
         slots.append((inside, slice(lo, lo + inside.size)) if inside.size else None)
         # A read of snapped queries only has one slot.
-        q_weights = weights[q] if inside.size else weights[q][:, :1]
-        at = (q_first - row_first)[:, None, None] + np.arange(q_weights.shape[2])
-        spread.append(np.zeros(q_weights.shape[:2] + (width,)))
-        np.put_along_axis(spread[-1], at, q_weights, axis=2)
+        n_slots = 2 if inside.size else 1
+        at = offset[:, :n_slots, None] + np.arange(weights.shape[2])
+        spread.append(np.zeros((len(at), n_slots, width)))
+        np.put_along_axis(spread[-1], at, weights[q][:, :n_slots], axis=2)
     spread = np.concatenate(spread, axis=1).transpose(0, 2, 1)
     # Drop the trailing knots that no row reads.
     width = np.flatnonzero(spread.any(axis=(0, 2)))[-1] + 1
@@ -287,19 +294,21 @@ class _WindowSystem:
     (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  At zero correction the
     increment ``(du_r, du_t)`` of a knot moves a sample by
     ``(phi, rho) = (du_r, du_t)`` times the sample's spline weight on it, so
-    the pose layer needs only the weights, kept as slots: spline weights on
-    consecutive knots from the query's first knot.  A query that snaps to a
-    sample reads its sample's weights, in one slot; a query between two
-    samples reads both, blended by the interpolation (:func:`_row_band`):
-    its row gradients are pulled through the geodesic's derivative by cross
-    products (:func:`_blend`, ``lie.se3_left_jacobian_vjp``), so no 6x6
-    matrix is formed per query.  The row gradients of the IMU rows are
-    cross products as well.  The slots of a query read the weights of its
-    interval, on the knots from the lower sample's first one.
+    the pose layer needs only the weights.  They have one form, the sample
+    band: a sample's first knot and its four spline weights on the knots
+    from it (``sample_bands``), which also corrects the samples.  A query
+    reads them in slots: a query that snaps to a sample reads its sample's
+    band, in one slot; a query between two samples reads both samples'
+    bands, blended by the interpolation (:func:`_row_band`): its row
+    gradients are pulled through the geodesic's derivative by cross products
+    (:func:`_blend`, ``lie.se3_left_jacobian_vjp``), so no 6x6 matrix is
+    formed per query.  The row gradients of the IMU rows are cross products
+    as well.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
     the sum over its queries' slots of the slot's coefficient, spread by the
-    slot's weights at the query's knot offset from the row's first knot.
+    slot's weights at its sample's first-knot offset from the row's first
+    knot, so its columns are the parameters of consecutive knots.
     :meth:`normal_equations` sorts the rows by first knot and adds one
     ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
     border is the constant bias columns, present when the window has IMU
@@ -346,12 +355,17 @@ class _WindowSystem:
         self.imu_accel = _vectors([s.accel for s in usable])
         self.imu_gyro = _vectors([s.gyro for s in usable])
         # The one check of the window's inputs, over every array converted
-        # above: the records themselves check nothing.
+        # above and the state's biases: the records themselves check nothing.
+        biases = (state.accel_bias, state.gyro_bias)
+        if any(b.shape != (3,) for b in biases):
+            raise InvalidArgumentError("IMU biases must have three entries")
         converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
                      self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus,
-                     self.imu_accel, self.imu_gyro)
+                     self.imu_accel, self.imu_gyro, *biases)
         if not all(np.isfinite(a).all() for a in converted):
-            raise InvalidArgumentError("constraint fields, times and IMU samples must be finite")
+            raise InvalidArgumentError(
+                "constraint fields, times, IMU samples and biases must be finite"
+            )
         for normal in (self.pair_n, self.prior_n):
             if (np.abs(np.linalg.norm(normal, axis=1) - 1.0) > 1e-9).any():
                 raise InvalidArgumentError("constraint normals must be unit vectors")
@@ -394,56 +408,53 @@ class _WindowSystem:
         self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / cfg.sigma_accel
         self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / cfg.sigma_gyro
 
-        self.w_samples = self.grid.weight_matrix(self.traj_times)
-        # Knot weights of the two samples of every interval between samples,
-        # on the knots from the lower sample's first one.
-        first, band = _knot_band(*self.grid.knot_indices_and_weights(self.traj_times))
-        shift = first[1:] - first[:-1]
-        lower = np.zeros((len(shift), 4 + int(shift.max())))
-        upper = np.zeros_like(lower)
-        lower[:, :4] = band[:-1]
-        upper[np.arange(len(shift))[:, None], shift[:, None] + np.arange(4)] = band[1:]
-        self.interval_bands = first[:-1], lower, upper
-        # Position of each parameter (c_t, then c_r) in the knot-major
-        # layout of the bands, where knot k holds (du_r, du_t) at 6k.
-        k3 = np.arange(3 * self.n_knots)
-        self.knot_major = np.concatenate([6 * (k3 // 3) + 3 + k3 % 3, 6 * (k3 // 3) + k3 % 3])
+        # Each sample's first knot and spline weights on four knots from it.
+        self.sample_bands = _knot_band(*self.grid.knot_indices_and_weights(self.traj_times))
         self.structure = self._rows()
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
 
-    # -- parameter vector layout: [c_t (3K), c_r (3K), b_a, b_g when IMU] --
+    # -- parameter vector layout ------------------------------------------
+    #
+    # Knot k's correction (du_r, du_t) sits at 6k..6k+5, as in the row bands,
+    # and the IMU biases b_a, b_g follow when the window has IMU samples.
 
     def n_params(self):
         return 6 * self.n_knots + self.border.shape[1]
 
     def split_params(self, x, state):
+        """Knot corrections (K, 6), ``(du_r, du_t)`` per knot, and the biases."""
         k = self.n_knots
-        c_t = x[: 3 * k].reshape(k, 3)
-        c_r = x[3 * k : 6 * k].reshape(k, 3)
+        knots = x[: 6 * k].reshape(k, 6)
         if self.n_imu:
             b = x[6 * k :]
-            return c_t, c_r, state.accel_bias + b[:3], state.gyro_bias + b[3:]
-        return c_t, c_r, state.accel_bias, state.gyro_bias
+            return knots, state.accel_bias + b[:3], state.gyro_bias + b[3:]
+        return knots, state.accel_bias, state.gyro_bias
 
-    def _corrected_samples(self, c_t, c_r):
-        rot_c = lie.so3_exp_batch(self.w_samples @ c_r)
-        return compose_correction(rot_c, self.w_samples @ c_t, self.base_rot, self.base_t)
+    def _corrected_samples(self, knots):
+        first, band = self.sample_bands
+        # A band's trailing weights may fall past the last knot, where they
+        # are zero; they read zero rows.
+        knots = np.concatenate([knots, np.zeros((3, 6))])
+        corr = np.einsum("nj,njc->nc", band, knots[first[:, None] + np.arange(4)])
+        return compose_correction(
+            lie.so3_exp_batch(corr[:, :3]), corr[:, 3:], self.base_rot, self.base_t
+        )
 
     def fold(self, it):
         """Compose the correction of iterate ``it`` into the samples.  The
         returned iterate is ``x = 0`` of a state with ``it``'s biases, which
         reads ``it``'s poses, so its residuals are ``it``'s."""
-        _, _, b_a, b_g = self.split_params(it.x, it.state)
+        _, b_a, b_g = self.split_params(it.x, it.state)
         self.base_rot, self.base_t = it.samples
         return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g))
 
     def evaluate(self, x, state):
         """The iterate at ``x``: the query poses it reads and its whitened
         residuals (no robust weighting)."""
-        c_t, c_r, b_a, b_g = self.split_params(x, state)
-        samples = self._corrected_samples(c_t, c_r)
+        knots, b_a, b_g = self.split_params(x, state)
+        samples = self._corrected_samples(knots)
         rot, t, chart = interpolate(*samples, *self.where)
         residuals = self._residuals_at(rot, t, b_a, b_g)
         return _Iterate(x, state, samples, rot, t, chart, residuals)
@@ -527,18 +538,14 @@ class _WindowSystem:
     # -- linearization ------------------------------------------------------
 
     def _pose_layer(self):
-        """First knot (Q,), slot weights (Q, 2, W) on W knots from it, and
-        whether the query is blended (Q,), of every query.  A snapped query
-        reads its sample's weights in its first slot; an interior one reads
-        its lower sample's there and its upper sample's in the second, both
-        on the knots from the lower's first."""
+        """First knots (Q, 2) and spline weights (Q, 2, 4) of the samples in
+        each query's two slots, and whether the query is blended (Q,).  A
+        snapped query reads its own sample in its first slot; an interior one
+        reads its lower sample there and its upper sample in the second."""
         idx, w = self.where
-        first, lower, upper = self.interval_bands
-        snapped_up = w == 1.0
-        weights = np.stack(
-            [np.where(snapped_up[:, None], upper[idx], lower[idx]), upper[idx]], axis=1
-        )
-        return first[idx], weights, (w > 0.0) & (w < 1.0)
+        first, band = self.sample_bands
+        samples = np.stack([idx + (w == 1.0), idx + 1], axis=1)
+        return first[samples], band[samples], (w > 0.0) & (w < 1.0)
 
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
@@ -658,15 +665,10 @@ class _WindowSystem:
                 h_kk[k : k + width, k : k + width] += block.T @ block
                 h_kr[k : k + width] += block.T @ r[lo:hi]
 
-        km = self.knot_major
-        n = km.size
+        n = 6 * self.n_knots
         h_rr = rhs.T @ rhs
-        hess = np.empty((self.n_params(), self.n_params()))
-        hess[:n, :n] = h_kk[np.ix_(km, km)]
-        hess[:n, n:] = h_kr[km, 1:]
-        hess[n:, :n] = hess[:n, n:].T
-        hess[n:, n:] = h_rr[1:, 1:]
-        return hess, np.concatenate([h_kr[km, 0], h_rr[1:, 0]])
+        hess = np.block([[h_kk[:n, :n], h_kr[:n, 1:]], [h_kr[:n, 1:].T, h_rr[1:, 1:]]])
+        return hess, np.concatenate([h_kr[:n, 0], h_rr[1:, 0]])
 
     def chord_gradient(self, weighted):
         """``J.T @ weighted`` with the Jacobian ``J`` of the last
@@ -679,7 +681,7 @@ class _WindowSystem:
             r = weighted[rows]
             for lo, hi, k in spans:
                 grad[k : k + width] += band[lo:hi].T @ r[lo:hi]
-        return np.concatenate([grad[self.knot_major], self.border.T @ weighted])
+        return np.concatenate([grad[: 6 * self.n_knots], self.border.T @ weighted])
 
     def jacobian(self, x, state):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
@@ -690,7 +692,7 @@ class _WindowSystem:
         knots = np.zeros((self.n_residuals, size))
         for (rows, first, _, _), band in zip(fams, bands):
             knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
-        return np.hstack([knots[:, self.knot_major], self.border])
+        return np.hstack([knots[:, : 6 * self.n_knots], self.border])
 
 
 def optimize_window(constraints, imu, traj, init, cfg=None):
@@ -698,7 +700,8 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     when the window has IMU samples.
 
     ``constraints`` mixes :class:`SurfelPairConstraint` and
-    :class:`MapPriorConstraint` instances.  Returns the final state, the
+    :class:`MapPriorConstraint` instances; any other object raises
+    :class:`InvalidArgumentError`.  Returns the final state, the
     corrected trajectory, and a per-iteration report.
 
     The cost is the sum of squared whitened residuals, Cauchy-robust on the
@@ -736,6 +739,10 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     pairs = [c for c in constraints if isinstance(c, SurfelPairConstraint)]
     priors = [c for c in constraints if isinstance(c, MapPriorConstraint)]
+    if len(pairs) + len(priors) != len(constraints):
+        raise InvalidArgumentError(
+            "constraints must be SurfelPairConstraint or MapPriorConstraint records"
+        )
     system = _WindowSystem(pairs, priors, imu, traj, init, cfg)
     if system.n_residuals < 6 * system.n_knots:
         raise InvalidArgumentError(

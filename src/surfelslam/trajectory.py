@@ -193,8 +193,10 @@ class ControlGrid:
         """
         if knots < 4:
             raise InvalidArgumentError("window grid needs at least four knots")
-        if not stop > start:
-            raise InvalidArgumentError("window grid needs its stop after its start")
+        if not (np.isfinite(start) and np.isfinite(stop) and stop > start):
+            raise InvalidArgumentError(
+                "window grid needs a finite start and a finite stop after its start"
+            )
         step = (stop - start) / (knots - 3)
         return ControlGrid((start - step) + step * np.arange(knots))
 
@@ -225,10 +227,3 @@ class ControlGrid:
         weights = spline_weights(u)
         idx = np.clip(k[:, None] + np.arange(-1, 3)[None, :], 0, len(self) - 1)
         return idx, weights
-
-    def weight_matrix(self, taus):
-        """Dense (N, K) matrix W with correction = W @ per-knot values."""
-        idx, weights = self.knot_indices_and_weights(taus)
-        out = np.zeros((idx.shape[0], len(self)))
-        np.add.at(out, (np.arange(idx.shape[0])[:, None], idx), weights)
-        return out

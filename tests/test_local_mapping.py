@@ -303,6 +303,37 @@ def test_window_rejects_mis_shaped_vectors(bad):
         lm.optimize_window(priors, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+@pytest.mark.parametrize("stray", ["object", "tuples"])
+def test_window_rejects_constraints_of_another_type(stray):
+    # Constraints of any other type used to be dropped unread: a stray
+    # object among the priors was ignored, and tuples in place of the
+    # priors ran an IMU-only window.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    priors = scene.map_prior_constraints()
+    if stray == "object":
+        constraints = priors + [object()]
+    else:
+        constraints = [dataclasses.astuple(c) for c in priors]
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    with pytest.raises(InvalidArgumentError, match="MapPriorConstraint"):
+        lm.optimize_window(constraints, imu, init, lm.OptState(grid), lm.OptimizerConfig())
+
+
+@pytest.mark.parametrize("bias, value", [
+    ("accel_bias", np.zeros(2)),
+    ("accel_bias", np.array([0.0, np.nan, 0.0])),
+    ("gyro_bias", np.zeros(4)),
+    ("gyro_bias", np.array([np.inf, 0.0, 0.0])),
+], ids=["accel_bias2", "accel_bias_nan", "gyro_bias4", "gyro_bias_inf"])
+def test_window_checks_the_state_biases(bias, value):
+    # A 2-entry bias used to raise numpy's broadcast ValueError in the
+    # residuals, and a NaN bias to end in NoProgressError.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    state = lm.OptState(ControlGrid.for_window(init.start, init.end, 8), **{bias: value})
+    with pytest.raises(InvalidArgumentError, match="bias"):
+        lm.optimize_window(scene.map_prior_constraints(), imu, init, state, lm.OptimizerConfig())
+
+
 def test_window_reads_no_imu_sample_it_drops():
     # A sample whose stencil leaves the window is dropped unread, so a NaN
     # reading there is no error.
@@ -524,9 +555,8 @@ def test_batch_residuals_match_single_evaluators():
     x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
     res = system.evaluate(x, state).residuals
     k = system.n_knots
-    corrected = oracles.apply_correction(
-        init, grid, x[: 3 * k].reshape(k, 3), x[3 * k : 6 * k].reshape(k, 3)
-    )
+    knots = x[: 6 * k].reshape(k, 6)
+    corrected = oracles.apply_correction(init, grid, knots[:, 3:], knots[:, :3])
     accel_bias = state.accel_bias + x[6 * k : 6 * k + 3]
     gyro_bias = state.gyro_bias + x[6 * k + 3 :]
     for i, c in enumerate(priors[:8]):
@@ -538,6 +568,33 @@ def test_batch_residuals_match_single_evaluators():
         single = oracles.residual_imu(s, corrected, accel_bias, gyro_bias)
         assert np.max(np.abs(accel[i] - single[:3])) < 1e-9
         assert np.max(np.abs(gyro[i] - single[3:])) < 1e-9
+
+
+def test_parameter_entry_moves_samples_by_its_knot_weight():
+    # The parameters are knot-major: x[6k + j] turns every sample by knot k's
+    # spline weight about axis j for j < 3, and shifts it along axis j - 3
+    # by that weight for j >= 3.
+    pairs, priors, imu, init = window_inputs()
+    grid = knot_grid(init.start, init.end, 0.25)
+    state = lm.OptState(grid)
+    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
+    idx, weights = grid.knot_indices_and_weights(init.times)
+    for k in (0, 2, system.n_knots - 1):
+        weight = np.where(idx == k, weights, 0.0).sum(axis=1)
+        assert np.any(weight > 0.0)
+        for j in range(6):
+            x = np.zeros(system.n_params())
+            x[6 * k + j] = 1.0
+            rot, t = system.evaluate(x, state).samples
+            move = weight[:, None] * np.eye(3)[j % 3]
+            if j < 3:
+                turn = lie.so3_exp_batch(move)
+                want_rot = turn @ init.rotations
+                want_t = np.einsum("nij,nj->ni", turn, init.translations)
+            else:
+                want_rot, want_t = init.rotations, init.translations + move
+            assert np.allclose(rot, want_rot, rtol=0.0, atol=1e-12)
+            assert np.allclose(t, want_t, rtol=0.0, atol=1e-12)
 
 
 def window_inputs(pairs=None, with_imu=True):

@@ -228,6 +228,15 @@ def test_window_grid_needs_stop_after_start(stop):
         ControlGrid.for_window(1.0, stop, 8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start, stop", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+def test_window_grid_checks_its_ends_before_computing(start, stop):
+    # An infinite end used to compute NaN knot times, warning "invalid
+    # value", before the knot check raised.
+    with pytest.raises(InvalidArgumentError, match="finite start and a finite stop"):
+        ControlGrid.for_window(start, stop, 8)
+
+
 def test_partition_of_unity(rng):
     u = rng.uniform(0.0, 1.0, size=1000)
     w = spline_weights(u)
