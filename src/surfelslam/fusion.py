@@ -1,6 +1,7 @@
 """Probabilistic surfel fusion: beam noise model, resolution-preserving
 two-stage matching, normal-inverse-Wishart centroid/extent updates, and the
-temporal active/inactive map step.
+temporal active/inactive map step.  The beam noise model, the ICP's limits
+and the loop-closure thresholds are fixed model values, module constants.
 
 Each stage works on stacks: the beam noise of every return, the gates of
 every candidate pair, and the Wishart and normal updates of every
@@ -54,35 +55,29 @@ def _transpose(m):
     return np.swapaxes(m, -1, -2)
 
 
-@dataclass
-class BeamModel:
-    """Range- and incidence-dependent beam noise defaults."""
+# Beam noise: range noise across the beam (m), depth noise along it of
+# SIGMA_D_BASE plus SIGMA_D_PER_METER of range, and the beam divergence (rad)
+# whose footprint adds depth noise at oblique incidence, up to GRAZING_CUTOFF.
+SIGMA_R = 0.003
+SIGMA_D_BASE = 0.008
+SIGMA_D_PER_METER = 0.0005
+BEAM_DIVERGENCE = 0.003
+GRAZING_CUTOFF = np.pi / 2 - 1e-3
 
-    sigma_r: float = 0.003
-    sigma_d_base: float = 0.008
-    sigma_d_per_meter: float = 0.0005
-    beam_divergence: float = 0.003
-    grazing_cutoff: float = np.pi / 2 - 1e-3
 
-
-def incidence_variance(angle, range_m, cfg: BeamModel | None = None):
+def incidence_variance(angle, range_m):
     """Extra depth variance from the beam footprint at oblique incidence, for
     one angle and range or elementwise over arrays; angles at or past the
     grazing cutoff are clamped to it."""
-    if cfg is None:
-        cfg = BeamModel()
     angle = np.asarray(angle, dtype=float)
     if np.any(angle < 0.0):
         raise InvalidArgumentError("incidence angle must be non-negative")
-    return (range_m * np.tan(np.minimum(angle, cfg.grazing_cutoff)) * cfg.beam_divergence) ** 2
+    return (range_m * np.tan(np.minimum(angle, GRAZING_CUTOFF)) * BEAM_DIVERGENCE) ** 2
 
 
-def beam_noise_batch(sensor_origin, points, surface_normals=None,
-                     cfg: BeamModel | None = None):
+def beam_noise_batch(sensor_origin, points, surface_normals=None):
     """World-frame measurement noise of each return in ``points`` seen from
     ``sensor_origin``, given the surface normals when known."""
-    if cfg is None:
-        cfg = BeamModel()
     beam = np.asarray(points, dtype=float).reshape(-1, 3) - np.asarray(sensor_origin, dtype=float)
     range_m = np.sqrt(_row_dot(beam, beam))
     # A return at the sensor has no beam direction: isotropic range noise.
@@ -90,26 +85,25 @@ def beam_noise_batch(sensor_origin, points, surface_normals=None,
     beam[at_sensor] = 0.0
     range_m[at_sensor] = 1.0
     unit = beam / range_m[:, None]
-    sigma_d = cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m
+    sigma_d = SIGMA_D_BASE + SIGMA_D_PER_METER * range_m
     sigma_i_sq = np.zeros(len(beam))
     if surface_normals is not None:
         normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
         cos_i = np.abs(_row_dot(normals, unit))
         angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
-        sigma_i_sq = incidence_variance(angle, range_m, cfg)
+        sigma_i_sq = incidence_variance(angle, range_m)
     # Range noise across the beam, depth plus incidence noise along it:
     # sigma_r^2 I + (sigma_d^2 + sigma_i^2 - sigma_r^2) b b^T for the unit
     # beam b, symmetric as computed.
-    along = sigma_d**2 + sigma_i_sq - cfg.sigma_r**2
+    along = sigma_d**2 + sigma_i_sq - SIGMA_R**2
     outer = unit[:, :, None] * unit[:, None, :]
-    return cfg.sigma_r**2 * np.eye(3) + along[:, None, None] * outer
+    return SIGMA_R**2 * np.eye(3) + along[:, None, None] * outer
 
 
-def beam_noise_for_return(sensor_origin, point, surface_normal=None,
-                          cfg: BeamModel | None = None):
+def beam_noise_for_return(sensor_origin, point, surface_normal=None):
     """World-frame measurement noise for one return given the scan geometry."""
     normals = None if surface_normal is None else [surface_normal]
-    return beam_noise_batch(sensor_origin, [point], normals, cfg)[0]
+    return beam_noise_batch(sensor_origin, [point], normals)[0]
 
 
 # -- matching ---------------------------------------------------------------
@@ -289,6 +283,11 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
 
 # -- point-to-plane ICP on sparse surfels -------------------------------------
 
+# The ICP's iteration cap, the radius within which it pairs centroids and
+# the plane distance within which a pair is an inlier, in meters.
+ICP_MAX_ITERATIONS = 20
+MAX_PAIR_DISTANCE = 0.5
+INLIER_DISTANCE = 0.05
 # Minimum |n_s . n_d| for an ICP pair; sparse normals carry no sign.
 NORMAL_COMPATIBILITY = 0.9
 
@@ -312,7 +311,7 @@ class IcpResult:
 
 def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, dst_normals):
     """ICP pairs at one pose: each moved source centroid with its nearest
-    destination centroid closer than ``max_pair_distance`` (the radius
+    destination centroid closer than ``MAX_PAIR_DISTANCE`` (the radius
     ``dst`` is keyed at) whose normal is compatible,
     ``|R n_s . n_d| > NORMAL_COMPATIBILITY``; of equally near ones, the
     lowest index.
@@ -335,20 +334,20 @@ def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, ds
     return moved[i[paired]], i[paired], j[paired]
 
 
-def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
-                       max_pair_distance=0.5, inlier_distance=0.05):
-    """Weighted point-to-plane alignment of sparse surfel centroids.
+def icp_point_to_plane(src_surfels, dst_surfels):
+    """Weighted point-to-plane alignment of sparse surfel centroids, in at
+    most ``ICP_MAX_ITERATIONS`` solves.
 
     Each source surfel pairs with its nearest destination centroid closer
-    than ``max_pair_distance`` whose normal is compatible with the rotated
+    than ``MAX_PAIR_DISTANCE`` whose normal is compatible with the rotated
     source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
     different planes never pair; of equally near ones it takes the lowest
     destination index.  The destination centroids are keyed once at
-    ``max_pair_distance`` (``KeyedPoints``), and each association is one
+    ``MAX_PAIR_DISTANCE`` (``KeyedPoints``), and each association is one
     join of the moved source centroids with them, not a full distance
     matrix.  The same
     association drives every solve and the final count.  A pair is an
-    inlier when the moved source centroid lies within ``inlier_distance`` of
+    inlier when the moved source centroid lies within ``INLIER_DISTANCE`` of
     the destination surfel's plane; the inlier fraction is taken over the
     pairs formed at the final pose, since overlap itself is required
     separately (at least six pairs, and the caller's minimum surfel
@@ -368,12 +367,12 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
         return IcpResult(np.eye(3), np.zeros(3))
     src_pts, src_normals = src.centroid, src.normal
     dst_pts, dst_normals = dst.centroid, dst.normal
-    keyed = KeyedPoints(dst_pts, max_pair_distance)
+    keyed = KeyedPoints(dst_pts, MAX_PAIR_DISTANCE)
     weights_dst = np.maximum(dst.planarity, 0.05)
 
     rotation = np.eye(3)
     translation = np.zeros(3)
-    for _ in range(max_iterations):
+    for _ in range(ICP_MAX_ITERATIONS):
         p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                          keyed, dst_normals)
         if src_idx.size < 6:
@@ -404,7 +403,7 @@ def icp_point_to_plane(src_surfels, dst_surfels, max_iterations=20,
     q = dst_pts[dst_idx]
     eigenvalues = np.linalg.eigvalsh((n * weights_dst[dst_idx][:, None]).T @ n)
     plane_d = np.abs(np.sum(n * (p - q), axis=1))
-    inliers = plane_d < inlier_distance
+    inliers = plane_d < INLIER_DISTANCE
     pairs = src_pts[src_idx[inliers]], q[inliers]
     return IcpResult(rotation, translation, float(np.mean(inliers)), True, pairs,
                      float(eigenvalues[0] / eigenvalues[-1]))
@@ -418,7 +417,8 @@ class LocalMaps:
     """One window's output: local sparse/dense maps plus the sensor origin.
 
     ``sparse`` and ``dense`` are ``SparseSurfels`` and ``DenseSurfels``
-    batches; a list of surfel records is stacked and checked into one.
+    batches; a list of surfel records is stacked and checked into one.  The
+    sensor origin must be a finite 3-vector and the timestamp finite.
     """
 
     sparse: SparseSurfels
@@ -428,10 +428,14 @@ class LocalMaps:
 
     def __post_init__(self):
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float)
+        if self.sensor_origin.shape != (3,) or not np.isfinite(self.sensor_origin).all():
+            raise InvalidArgumentError("sensor origin must be a finite 3-vector")
         self.sparse = SparseSurfels.of(self.sparse)
         self.dense = DenseSurfels.of(self.dense)
         if self.timestamp is None:
             self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
+        if not np.isfinite(self.timestamp):
+            raise InvalidArgumentError("local map timestamp must be finite")
 
 
 @dataclass
@@ -441,17 +445,22 @@ class DeformationTrigger:
     inlier_pairs: tuple  # IcpResult.pairs
 
 
+# Loop-closure trigger thresholds: the ICP's inlier fraction (theta_in) and
+# misalignment (theta_dist, meters), and the fewest sparse surfels on either
+# side for the ICP to run.
+INLIER_THRESHOLD = 0.35
+DISTANCE_THRESHOLD = 0.05
+ICP_MIN_SURFELS = 10
+# A surfel observed fewer times than this is culled once it is old enough.
+STABLE_OBS = 3
+
+
 @dataclass
 class TemporalFusionConfig:
     active_window: float = 30.0
     cull_age: float = 60.0
-    inlier_threshold: float = 0.35  # theta_in, fraction of ICP pairs
-    distance_threshold: float = 0.05  # theta_dist, meters
     gap_threshold: int = 20  # theta_n
-    stable_obs: int = 3
     match: MatchParams = field(default_factory=MatchParams)
-    beam: BeamModel = field(default_factory=BeamModel)
-    icp_min_surfels: int = 10
 
 
 @dataclass
@@ -526,12 +535,12 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     sparse map, since pooling stamps every revisited voxel with the current
     time.  A weighted sparse-surfel ICP of the local sparse map against that
     inactive set raises a deformation trigger when its inlier fraction
-    exceeds ``cfg.inlier_threshold``, its translation exceeds
-    ``cfg.distance_threshold`` (see ``icp_point_to_plane`` for the inlier
+    exceeds ``INLIER_THRESHOLD``, its translation exceeds
+    ``DISTANCE_THRESHOLD`` (see ``icp_point_to_plane`` for the inlier
     definition) and its pairs constrain every translation direction
     (normal eigenvalue ratio at least ``MIN_NORMAL_EIGEN_RATIO``);
     otherwise inactive surfels that overlap the active map may be merged
-    back.  Surfels observed fewer than ``cfg.stable_obs`` times whose last
+    back.  Surfels observed fewer than ``STABLE_OBS`` times whose last
     observation is older than ``cfg.cull_age`` are deleted.
 
     The step reads the dense map's batch as its snapshot and stores the next
@@ -562,7 +571,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         fused_rows, slot = np.unique(active[dst_idx[first]], return_inverse=True)
         fused = state[fused_rows]
         sources = local.dense[matched]
-        noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal, cfg.beam)
+        noise = beam_noise_batch(local.sensor_origin, sources.centroid, sources.normal)
         _put(state, fused_rows, check_dense(fused, _fold(fused, slot, sources, noise)))
     inactive = np.concatenate([inactive, np.zeros(len(new), dtype=bool)])
 
@@ -573,8 +582,8 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     trigger = None
     icp = IcpResult(np.eye(3), np.zeros(3))
     if (
-        len(local.sparse) >= cfg.icp_min_surfels
-        and len(inactive_sparse) >= cfg.icp_min_surfels
+        len(local.sparse) >= ICP_MIN_SURFELS
+        and len(inactive_sparse) >= ICP_MIN_SURFELS
     ):
         icp = icp_point_to_plane(local.sparse, inactive_sparse)
         if not icp.converged:
@@ -589,8 +598,8 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     if (
         icp.converged
         and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO
-        and icp.inlier_fraction > cfg.inlier_threshold
-        and misalignment > cfg.distance_threshold
+        and icp.inlier_fraction > INLIER_THRESHOLD
+        and misalignment > DISTANCE_THRESHOLD
     ):
         trigger = DeformationTrigger(icp.rotation, icp.translation, icp.pairs)
     elif inactive.any():
@@ -610,7 +619,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
             state.timestamp[woken] = now
             inactive[woken] = False
 
-    culled = (state.obs_count < cfg.stable_obs) & (now - state.timestamp > cfg.cull_age)
+    culled = (state.obs_count < STABLE_OBS) & (now - state.timestamp > cfg.cull_age)
     global_maps.dense.batch = state[~culled]
 
     metrics = FusionStepMetrics(

@@ -60,6 +60,12 @@ log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
+# Standard deviation of each residual family: m, m, m/s^2 and rad/s.
+SIGMA_SURFEL, SIGMA_PRIOR, SIGMA_ACCEL, SIGMA_GYRO = 0.02, 0.02, 0.05, 0.005
+CAUCHY_SCALE = 3.0  # floor of the annealed Cauchy scale, whitened, i.e. 3 sigma
+# Damping of the first solve; retries of a rejected step, each damped ten times more.
+DAMPING_INIT, DAMPING_RETRIES = 1e-6, 5
+
 
 @dataclass(frozen=True)
 class SurfelPairConstraint:
@@ -106,7 +112,8 @@ class OptState:
 
 @dataclass
 class OptimizerConfig:
-    """Window optimizer settings.
+    """Window optimizer settings; the residual whitening (``SIGMA_*``), the
+    Cauchy floor and the damping are module constants.
 
     ``chi2_tol`` is the stopping tolerance, in the units of the window cost:
     a sum of squared whitened residuals, so one unit is one χ² unit.  A
@@ -118,13 +125,6 @@ class OptimizerConfig:
     window: float = 5.0
     max_iterations: int = 50
     chi2_tol: float = 1e-3
-    damping_init: float = 1e-6
-    damping_retries: int = 5
-    sigma_surfel: float = 0.02
-    sigma_prior: float = 0.02
-    sigma_accel: float = 0.05
-    sigma_gyro: float = 0.005
-    cauchy_scale: float = 3.0  # in whitened units, i.e. 3 sigma
 
 
 @dataclass
@@ -326,8 +326,7 @@ class _WindowSystem:
     iterate as it stands, so no iterate is evaluated twice.
     """
 
-    def __init__(self, pair_constraints, prior_constraints, imu, traj, state, cfg):
-        self.cfg = cfg
+    def __init__(self, pair_constraints, prior_constraints, imu, traj, state):
         self.grid = state.grid
         self.n_knots = len(state.grid)
         self.traj_times = traj.times
@@ -405,8 +404,8 @@ class _WindowSystem:
         # The bias columns, one per bias component, when there are IMU rows.
         comp = np.arange(3 * m)
         self.border = np.zeros((self.n_residuals, 6 if m else 0))
-        self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / cfg.sigma_accel
-        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / cfg.sigma_gyro
+        self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / SIGMA_ACCEL
+        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / SIGMA_GYRO
 
         # Each sample's first knot and spline weights on four knots from it.
         self.sample_bands = _knot_band(*self.grid.knot_indices_and_weights(self.traj_times))
@@ -460,20 +459,19 @@ class _WindowSystem:
         return _Iterate(x, state, samples, rot, t, chart, residuals)
 
     def _residuals_at(self, rot, t, b_a, b_g):
-        cfg = self.cfg
         out = np.empty(self.n_residuals)
         if self.n_pair:
             qa, qb = self.q_a, self.q_b
             world_a = np.einsum("nij,nj->ni", rot[qa], self.pair_u_a) + t[qa]
             world_b = np.einsum("nij,nj->ni", rot[qb], self.pair_u_b) + t[qb]
             out[self.sl_pair] = (
-                np.sum(self.pair_n * (world_a - world_b), axis=1) / cfg.sigma_surfel
+                np.sum(self.pair_n * (world_a - world_b), axis=1) / SIGMA_SURFEL
             )
         if self.n_prior:
             q = self.q_prior
             world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
             out[self.sl_prior] = (
-                np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / cfg.sigma_prior
+                np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / SIGMA_PRIOR
             )
         if self.n_imu:
             q_minus, q_mid, q_plus = self.q_stencil
@@ -485,15 +483,15 @@ class _WindowSystem:
             rel = rot_mid.transpose(0, 2, 1) @ rot_plus
             omega = lie.so3_log_batch(rel) / self.h
             gyro_res = self.imu_gyro - omega - b_g
-            out[self.sl_accel] = accel_res.reshape(-1) / cfg.sigma_accel
-            out[self.sl_gyro] = gyro_res.reshape(-1) / cfg.sigma_gyro
+            out[self.sl_accel] = accel_res.reshape(-1) / SIGMA_ACCEL
+            out[self.sl_gyro] = gyro_res.reshape(-1) / SIGMA_GYRO
         return out
 
     # -- robust kernel ----------------------------------------------------
     #
     # The Cauchy scale is annealed: it starts at the spread of the current
-    # residuals and tightens monotonically to the configured 3-sigma floor as
-    # the fit improves.  A fixed small scale would let the solver park badly
+    # residuals and tightens monotonically to the 3-sigma floor CAUCHY_SCALE
+    # as the fit improves.  A fixed small scale would let the solver park badly
     # initialized stretches of the window behind the kernel.  Because the
     # Cauchy cost is increasing in the scale, a non-increasing scale keeps
     # the recorded cost non-increasing across accepted iterations.
@@ -504,7 +502,7 @@ class _WindowSystem:
             spread = 3.0 * np.median(np.abs(r)) / 0.6745
         else:
             spread = 0.0
-        scale = max(self.cfg.cauchy_scale, spread)
+        scale = max(CAUCHY_SCALE, spread)
         self.cauchy_eff = min(self.cauchy_eff, scale)
         self.robust_weights = 1.0 / np.sqrt(1.0 + (r / self.cauchy_eff) ** 2)
 
@@ -529,10 +527,10 @@ class _WindowSystem:
             return float(np.sqrt(np.mean(r * r)) * sigma) if r.size else 0.0
 
         return (
-            rms(self.sl_pair, self.cfg.sigma_surfel),
-            rms(self.sl_prior, self.cfg.sigma_prior),
-            rms(self.sl_accel, self.cfg.sigma_accel),
-            rms(self.sl_gyro, self.cfg.sigma_gyro),
+            rms(self.sl_pair, SIGMA_SURFEL),
+            rms(self.sl_prior, SIGMA_PRIOR),
+            rms(self.sl_accel, SIGMA_ACCEL),
+            rms(self.sl_gyro, SIGMA_GYRO),
         )
 
     # -- linearization ------------------------------------------------------
@@ -551,7 +549,6 @@ class _WindowSystem:
         """Derivatives of the whitened, robust-weighted rows with respect to a
         left perturbation of each query pose they read: per entry of
         ``families``, one gradient (n, a, 6) per query slice it reads."""
-        cfg = self.cfg
         families = []
 
         def plane(q, u, normal, coef):
@@ -561,13 +558,13 @@ class _WindowSystem:
             return (coef[:, None] * grad)[:, None]
 
         if self.n_pair:
-            coef = self.robust_weights[self.sl_pair] / cfg.sigma_surfel
+            coef = self.robust_weights[self.sl_pair] / SIGMA_SURFEL
             families.append([
                 plane(self.q_a, self.pair_u_a, self.pair_n, coef),
                 plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
             ])
         if self.n_prior:
-            coef = self.robust_weights[self.sl_prior] / cfg.sigma_prior
+            coef = self.robust_weights[self.sl_prior] / SIGMA_PRIOR
             families.append([plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)])
         if self.n_imu:
             m = self.n_imu
@@ -578,10 +575,10 @@ class _WindowSystem:
             # Row i of R0^T hat(v) is (column i of R0) x v.
             grads = []
             for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
-                c /= self.h * self.h * cfg.sigma_accel
+                c /= self.h * self.h * SIGMA_ACCEL
                 v = c * t[q]
                 if q is q_mid:
-                    v -= (accel_world - GRAVITY) / cfg.sigma_accel
+                    v -= (accel_world - GRAVITY) / SIGMA_ACCEL
                 grad = np.empty((m, 3, 6))
                 grad[:, :, :3] = np.cross(rot_mid_t, v[:, None])
                 grad[:, :, 3:] = -c * rot_mid_t
@@ -592,7 +589,7 @@ class _WindowSystem:
             rel = rot_mid_t @ rot[q_plus]
             rate = lie.so3_left_jacobian_inv_apply(
                 lie.so3_log_batch(rel).T[:, :, None], rot[q_mid].transpose(2, 0, 1)
-            ).transpose(1, 0, 2) / (self.h * cfg.sigma_gyro)
+            ).transpose(1, 0, 2) / (self.h * SIGMA_GYRO)
             grads = []
             for sign in (1.0, -1.0):
                 grad = np.zeros((m, 3, 6))
@@ -724,7 +721,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     - ``"zero_cost"`` when the cost is below 1e-16.
 
     A rejected step is solved again with ten times the damping, up to
-    ``cfg.damping_retries`` times; the damping falls by three after an
+    ``DAMPING_RETRIES`` times; the damping falls by three after an
     accepted step.  When every retry fails to lower the cost while the model
     still predicts at least ``cfg.chi2_tol``, :class:`NoProgressError` is
     raised.  After ``cfg.max_iterations`` accepted steps the window stops
@@ -743,7 +740,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         raise InvalidArgumentError(
             "constraints must be SurfelPairConstraint or MapPriorConstraint records"
         )
-    system = _WindowSystem(pairs, priors, imu, traj, init, cfg)
+    system = _WindowSystem(pairs, priors, imu, traj, init)
     if system.n_residuals < 6 * system.n_knots:
         raise InvalidArgumentError(
             f"{system.n_residuals} residuals cannot observe {6 * system.n_knots} knot states"
@@ -755,7 +752,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     cost = system.cost(it.residuals)
     records = [IterationRecord(0, cost, *system.family_rms(it.residuals), 0.0)]
 
-    lam = cfg.damping_init
+    lam = DAMPING_INIT
     reason, stop_decrease = "max_iterations", np.nan
     hess = None
     for iteration in range(1, cfg.max_iterations + 1):
@@ -786,7 +783,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1.0
 
-        for _ in range(cfg.damping_retries + 1):
+        for _ in range(DAMPING_RETRIES + 1):
             try:
                 delta, decrease = _model_step(hess, grad, lam * np.diag(diag))
             except np.linalg.LinAlgError:

@@ -67,6 +67,10 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 DEFAULT_SURFEL_RADIUS = 0.02
+# Fewest points of a surfel, dense or sparse: a dense surfel's Wishart extent
+# divides by dof - 4.
+MIN_POINTS = 5
+BEAM_SIGMA = 0.003  # the beam noise floor of a dense centroid, meters
 PSD_TOLERANCE = -1e-12
 UNIT_TOLERANCE = 1e-9
 # Every grid search pads its radius by this factor (the cell edge of the
@@ -519,12 +523,12 @@ def _segment_scatter(points, member, sizes, mean):
     return np.add.reduceat(outer, np.cumsum(sizes) - sizes, axis=0)
 
 
-def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
+def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
     """Sparse ellipsoid surfels from multi-resolution voxels, as one checked
     batch.
 
     One surfel per occupied voxel per resolution when the voxel holds at
-    least ``min_points`` points (two or more): centroid is the mean,
+    least ``MIN_POINTS`` points: centroid is the mean,
     covariance the sample covariance, timestamp the mean time, and
     ``voxel`` the voxel's integer index.  The resolutions must be distinct,
     so no two surfels share a (resolution, voxel) key.  Surfels follow the
@@ -548,8 +552,6 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
         )
     if len(set(resolutions)) < len(resolutions):
         raise InvalidArgumentError("voxel resolutions must be distinct")
-    if min_points < 2:
-        raise InvalidArgumentError("a voxel covariance needs at least two points")
     if len(points) == 0:
         return SparseSurfels.empty()
     parts = []
@@ -563,7 +565,7 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
         order = np.argsort(key, kind="stable")
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         sizes = np.diff(starts, append=len(order))
-        kept = sizes >= min_points
+        kept = sizes >= MIN_POINTS
         if not kept.any():
             continue
         member = order[np.repeat(kept, sizes)]
@@ -582,8 +584,6 @@ def voxelize_sparse(points, times, resolutions, min_points=5) -> SparseSurfels:
 @dataclass
 class DenseExtractionConfig:
     radius: float = DEFAULT_SURFEL_RADIUS
-    min_points: int = 5
-    beam_sigma: float = 0.003
 
 
 def _runs(owner, lo, hi):
@@ -765,9 +765,9 @@ def extract_dense(points, times, traj=None,
     and each seed's neighborhood (the points within the radius, itself
     included, in input order) provides the centroid, the accrued scatter,
     the centroid uncertainty (scatter over ``n (n-1)`` plus the beam noise
-    floor), and the initial Wishart count.  Seeds with fewer than
-    ``min_points`` neighbors (at least five, so that fusion can take each
-    surfel's Wishart extent) yield no surfel; surfels follow seed order.
+    floor ``BEAM_SIGMA``), and the initial Wishart count.  Seeds with fewer
+    than ``MIN_POINTS`` neighbors yield no surfel, so that fusion can take
+    each surfel's Wishart extent; surfels follow seed order.
     Each normal points toward the mean of its neighbourhood's sensor
     origins: the sample translations ``T(t_i)`` through ``traj``, and the
     world origin without it.  One ``eigh`` of the
@@ -786,10 +786,6 @@ def extract_dense(points, times, traj=None,
         raise InvalidArgumentError("points and times must be finite")
     if not (math.isfinite(cfg.radius) and cfg.radius > 0.0):
         raise InvalidArgumentError("surfel radius must be positive and finite")
-    if cfg.min_points < 5:
-        raise InvalidArgumentError(
-            "a surfel needs at least five points: its Wishart extent divides by dof - 4"
-        )
     if n == 0:
         return DenseSurfels.empty()
     if traj is not None:
@@ -805,7 +801,7 @@ def extract_dense(points, times, traj=None,
     seed = _first_independent_set(n, i[conflict], j[conflict])
     # Neighborhood size of every seed: itself and its pairs within the radius.
     gathered = 1 + np.bincount(i[seed[i]], minlength=n) + np.bincount(j[seed[j]], minlength=n)
-    keep = seed & (gathered >= cfg.min_points)
+    keep = seed & (gathered >= MIN_POINTS)
     owners = np.flatnonzero(keep)
     if owners.size == 0:
         return DenseSurfels.empty()
@@ -818,7 +814,7 @@ def extract_dense(points, times, traj=None,
     count = sizes.astype(float)
     mean = _segment_mean(world, member, sizes)
     scatter = _segment_scatter(world, member, sizes, mean)
-    centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + cfg.beam_sigma**2 * np.eye(3)
+    centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
     decomposed = np.linalg.eigh(scatter)
     normal = decomposed[1][:, :, 0].copy()
     toward_sensor = _segment_mean(origins, member, sizes) - mean

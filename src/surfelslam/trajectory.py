@@ -109,8 +109,9 @@ def interpolate(rotations, translations, idx, alpha):
 class Trajectory:
     """Timestamped pose sequence; treated as an immutable value.
 
-    Times, rotations and translations must be finite, the times strictly
-    increasing at the finite, positive ``nominal_rate`` within 1%.
+    Times, rotations and translations must be finite, the rotations proper
+    and orthonormal within 1e-9, and the times strictly increasing at the
+    finite, positive ``nominal_rate`` within 1%.
     """
 
     times: np.ndarray
@@ -129,6 +130,10 @@ class Trajectory:
             raise InvalidArgumentError("trajectory array shapes are inconsistent")
         if not all(np.isfinite(a).all() for a in (self.times, self.rotations, self.translations)):
             raise InvalidArgumentError("trajectory times and poses must be finite")
+        r = self.rotations
+        defect = np.abs(r @ r.transpose(0, 2, 1) - np.eye(3)).max()
+        if defect > 1e-9 or (np.linalg.det(r) <= 0.0).any():
+            raise InvalidArgumentError("trajectory rotations must be orthonormal with det +1")
         if not 0.0 < self.nominal_rate < np.inf:
             raise InvalidArgumentError("nominal rate must be finite and positive")
         dt = np.diff(self.times)
@@ -189,8 +194,11 @@ class ControlGrid:
 
         Knots clamped at the grid boundary leave the spline too stiff right at
         the ends of the data span; one step of margin restores full cubic
-        freedom over [start, stop] while keeping every knot observable.
+        freedom over [start, stop] while keeping every knot observable.  The
+        count must be an integer (a numpy integer too).
         """
+        if not isinstance(knots, (int, np.integer)):
+            raise InvalidArgumentError("knot count must be an integer")
         if knots < 4:
             raise InvalidArgumentError("window grid needs at least four knots")
         if not (np.isfinite(start) and np.isfinite(stop) and stop > start):

@@ -16,7 +16,10 @@ does.  Dunder names and methods are read by the language and are not
 checked, nor is ``from __future__``.  Likewise every field of a package
 dataclass whose fields all have defaults (a config or a container such as
 ``GlobalMaps``) is read as an attribute somewhere in the package or the
-benchmark, so no option is accepted and then ignored."""
+benchmark, so no option is accepted and then ignored.  And every field of
+such a config is passed by name, as a keyword argument or a string dict key,
+somewhere in the package, the benchmark, the tools or the tests, so a value
+that no caller sets is a module constant, not a setting."""
 
 import ast
 import sys
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "surfelslam"
 PERFBENCH = ROOT / "perfbench"
+CALLERS = [ROOT / "tools", ROOT / "tests"]
 ALLOWED = {"numpy", "surfelslam"}
 
 
@@ -236,6 +240,18 @@ def _is_dataclass(decorator):
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
+def _config_fields(trees):
+    """``(class, field)`` names of each field of a dataclass of ``trees``
+    whose fields all have defaults."""
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))):
+                continue
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+            if fields and all(f.value is not None for f in fields):
+                yield from ((cls.name, f.target.id) for f in fields)
+
+
 def unread_fields(checked, readers):
     """``Class.field`` of each field of a dataclass of the ``checked`` trees
     whose fields all have defaults, that no tree of ``readers`` reads as an
@@ -246,15 +262,21 @@ def unread_fields(checked, readers):
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    found = []
-    for tree in checked:
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))):
-                continue
-            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
-            if fields and all(f.value is not None for f in fields):
-                found += [f"{cls.name}.{f.target.id}" for f in fields if f.target.id not in read]
-    return found
+    return [f"{cls}.{name}" for cls, name in _config_fields(checked) if name not in read]
+
+
+def unset_fields(checked, callers):
+    """``Class.field`` of each field of a dataclass of the ``checked`` trees
+    whose fields all have defaults, that no tree of ``callers`` passes by
+    name: as a keyword argument or a string key of a dict display."""
+    named = set()
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword):
+                named.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                named |= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    return [f"{cls}.{name}" for cls, name in _config_fields(checked) if name not in named]
 
 
 def test_unread_fields_flags_config_fields_without_an_attribute_read():
@@ -284,3 +306,32 @@ def test_unread_fields_flags_config_fields_without_an_attribute_read():
 def test_every_config_field_has_a_reader():
     package, bench = _sources()
     assert unread_fields(package.values(), [*package.values(), *bench.values()]) == []
+
+
+def test_unset_fields_flags_config_fields_that_no_caller_passes():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    keyword: int = 1\n"
+        "    key: float = 2.0\n"
+        "    fixed: int = 0\n"
+        "    read: int = 0\n"
+        "@dataclass\n"
+        "class Value:\n"
+        "    needed: int\n"
+        "    optional: int = 0\n"
+        "def f(cfg):\n"
+        "    return Config(keyword=2, **{'key': 3.0}), cfg.read, 'fixed'\n"
+    )
+    assert unset_fields([tree], [tree]) == ["Config.fixed", "Config.read"]
+
+
+def test_every_config_field_is_set_by_some_caller():
+    package, bench = _sources()
+    callers = [ast.parse(path.read_text(), str(path))
+               for folder in CALLERS for path in sorted(folder.glob("*.py"))]
+    checked = [tree for k, tree in package.items() if not k.startswith("simulation/")]
+    # The global maps are the state a run grows, not settings.
+    exempt = ["GlobalMaps.sparse", "GlobalMaps.dense"]
+    assert unset_fields(checked, [*package.values(), *bench.values(), *callers]) == exempt

@@ -11,7 +11,6 @@ from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap, DenseSurfels
 from conftest import random_rotation, random_spd
 
 from surfelslam.fusion import (
-    BeamModel,
     DeformationTrigger,
     GlobalMaps,
     LocalMaps,
@@ -64,26 +63,25 @@ def test_beam_noise_batch_is_the_beam_frame_covariance(rng):
     # Each return's noise has the range variance across the beam and the
     # depth plus incidence variance along it; a return at the sensor gets
     # the isotropic range variance.
-    cfg = BeamModel()
     origin = rng.normal(size=3)
     points = origin + rng.normal(size=(300, 3)) * rng.uniform(0.2, 20.0, size=(300, 1))
     points[7] = origin
     normals = rng.normal(size=(300, 3))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    noise = beam_noise_batch(origin, points, normals, cfg)
-    assert np.array_equal(noise[7], cfg.sigma_r**2 * np.eye(3))
+    noise = beam_noise_batch(origin, points, normals)
+    assert np.array_equal(noise[7], fusion.SIGMA_R**2 * np.eye(3))
     for k in range(300):
-        assert np.array_equal(noise[k], beam_noise_for_return(origin, points[k], normals[k], cfg))
+        assert np.array_equal(noise[k], beam_noise_for_return(origin, points[k], normals[k]))
         if k == 7:
             continue
         beam = points[k] - origin
         range_m = np.linalg.norm(beam)
         angle = np.arccos(abs(normals[k] @ beam) / range_m)
-        along = (cfg.sigma_d_base + cfg.sigma_d_per_meter * range_m) ** 2 + (
-            incidence_variance(angle, range_m, cfg)
+        along = (fusion.SIGMA_D_BASE + fusion.SIGMA_D_PER_METER * range_m) ** 2 + (
+            incidence_variance(angle, range_m)
         )
         eigenvalues, vectors = np.linalg.eigh(noise[k])
-        assert np.allclose(eigenvalues, [cfg.sigma_r**2, cfg.sigma_r**2, along], rtol=1e-9)
+        assert np.allclose(eigenvalues, [fusion.SIGMA_R**2, fusion.SIGMA_R**2, along], rtol=1e-9)
         assert abs(abs(vectors[:, 2] @ beam) / range_m - 1.0) < 1e-9
 
 
@@ -352,12 +350,22 @@ def make_local_maps(rng, points, timestamp, radius=0.05):
     from surfelslam.surfel_map import DenseExtractionConfig, extract_dense
 
     times = np.full(len(points), timestamp)
-    dense = extract_dense(
-        points, times, cfg=DenseExtractionConfig(radius=radius, min_points=5)
-    )
-    sparse = voxelize_sparse(points, times, [0.5], min_points=5)
+    dense = extract_dense(points, times, cfg=DenseExtractionConfig(radius=radius))
+    sparse = voxelize_sparse(points, times, [0.5])
     return LocalMaps(sparse, dense, sensor_origin=np.array([1.0, 1.0, 1.0]),
                      timestamp=timestamp)
+
+
+@pytest.mark.parametrize("args", [
+    {"sensor_origin": [0.0, 0.0]}, {"sensor_origin": np.zeros((1, 3))},
+    {"sensor_origin": [0.0, np.nan, 0.0]}, {"timestamp": np.nan}, {"timestamp": np.inf},
+])
+def test_local_maps_rejects_a_malformed_origin_or_timestamp(args):
+    # A two-entry origin used to raise numpy's broadcast ValueError inside the
+    # beam noise and a NaN one a LinAlgError; a NaN timestamp fused silently,
+    # and an infinite one culled the map on the next step.
+    with pytest.raises(InvalidArgumentError):
+        LocalMaps([], [make_surfel([0.0, 0.0, 0.0])], **args)
 
 
 def test_temporal_fusion_identical_local_map(rng):
@@ -442,8 +450,8 @@ def test_temporal_fusion_reports_no_distance_without_a_converged_icp(rng, caplog
     assert np.isnan(r0.metrics.icp_dist) and not r0.metrics.triggered
     far = make_local_maps(rng, corner_scene_points(rng, shift=np.array([50.0, 0.0, 0.0])),
                           timestamp=100.0)
-    assert len(far.sparse) >= cfg.icp_min_surfels
-    assert len(global_maps.sparse.all()) >= cfg.icp_min_surfels
+    assert len(far.sparse) >= fusion.ICP_MIN_SURFELS
+    assert len(global_maps.sparse.all()) >= fusion.ICP_MIN_SURFELS
     with caplog.at_level(logging.INFO, logger="surfelslam.fusion"):
         r1 = temporal_fusion_step(far, global_maps, cfg, step=1)
     assert "ICP did not converge" in caplog.text
@@ -514,7 +522,7 @@ def test_temporal_fusion_keeps_the_row_order():
     # two new surfels.  The next map holds the survivors in their old order,
     # with the fused and woken rows updated in place, then the new surfels
     # in input order.
-    cfg = TemporalFusionConfig(active_window=30.0, cull_age=60.0, stable_obs=3)
+    cfg = TemporalFusionConfig(active_window=30.0, cull_age=60.0)
     global_maps = GlobalMaps()
     stored = [
         make_surfel([5.0, 0.0, 0.0], timestamp=0.0),

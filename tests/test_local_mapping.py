@@ -194,7 +194,7 @@ def test_window_without_imu_estimates_no_biases():
     scene = gen_surfel_scene(cfg, truth)
     system = lm._WindowSystem(
         [], scene.map_prior_constraints(), [], init,
-        lm.OptState(ControlGrid.for_window(init.start, init.end, 8)), lm.OptimizerConfig(),
+        lm.OptState(ControlGrid.for_window(init.start, init.end, 8)),
     )
     assert system.n_params() == 6 * system.n_knots
     t0, _ = trajectory_errors(init, truth)
@@ -520,7 +520,7 @@ def test_analytic_jacobian_at_zero_correction_priors_only():
     # with pairs.
     pairs, priors, imu, init = window_inputs(pairs=[])
     state = lm.OptState(knot_grid(init.start, init.end, 0.25))
-    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
+    system = lm._WindowSystem(pairs, priors, imu, init, state)
     x = np.zeros(system.n_params())
     assert_jacobian_matches_central_fd(system, x, state)
 
@@ -545,13 +545,12 @@ def test_batch_residuals_match_single_evaluators():
     # At a random correction and bias step, each batch residual equals its
     # oracle on the trajectory corrected by the oracle spline.
     cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
-    opt_cfg = lm.OptimizerConfig()
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     priors = scene.map_prior_constraints()
     usable_imu = imu[5:-5:7]
-    system = lm._WindowSystem([], priors, usable_imu, init, state, opt_cfg)
+    system = lm._WindowSystem([], priors, usable_imu, init, state)
     x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
     res = system.evaluate(x, state).residuals
     k = system.n_knots
@@ -561,9 +560,9 @@ def test_batch_residuals_match_single_evaluators():
     gyro_bias = state.gyro_bias + x[6 * k + 3 :]
     for i, c in enumerate(priors[:8]):
         single = oracles.residual_map_prior(c, corrected)
-        assert abs(res[system.sl_prior][i] * opt_cfg.sigma_prior - single) < 1e-10
-    accel = res[system.sl_accel].reshape(-1, 3) * opt_cfg.sigma_accel
-    gyro = res[system.sl_gyro].reshape(-1, 3) * opt_cfg.sigma_gyro
+        assert abs(res[system.sl_prior][i] * lm.SIGMA_PRIOR - single) < 1e-10
+    accel = res[system.sl_accel].reshape(-1, 3) * lm.SIGMA_ACCEL
+    gyro = res[system.sl_gyro].reshape(-1, 3) * lm.SIGMA_GYRO
     for i, s in enumerate(usable_imu[:6]):
         single = oracles.residual_imu(s, corrected, accel_bias, gyro_bias)
         assert np.max(np.abs(accel[i] - single[:3])) < 1e-9
@@ -577,7 +576,7 @@ def test_parameter_entry_moves_samples_by_its_knot_weight():
     pairs, priors, imu, init = window_inputs()
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid)
-    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
+    system = lm._WindowSystem(pairs, priors, imu, init, state)
     idx, weights = grid.knot_indices_and_weights(init.times)
     for k in (0, 2, system.n_knots - 1):
         weight = np.where(idx == k, weights, 0.0).sum(axis=1)
@@ -618,7 +617,7 @@ def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
     grid = knot_grid(init.start, init.end, knot_step)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
-    system = lm._WindowSystem(pairs, priors, imu, init, state, lm.OptimizerConfig())
+    system = lm._WindowSystem(pairs, priors, imu, init, state)
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
     system.update_robust_weights(system.evaluate(x, state).residuals)
     return system, x, state

@@ -7,6 +7,8 @@ from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
 from surfelslam.surfel_map import (
+    BEAM_SIGMA,
+    MIN_POINTS,
     DenseExtractionConfig,
     DenseSurfel,
     DenseSurfelMap,
@@ -54,7 +56,7 @@ def test_voxelize_matches_bruteforce_moments(rng):
     pts = rng.uniform(-5.0, 5.0, size=(10_000, 3))
     times = rng.uniform(0.0, 10.0, size=10_000)
     for resolution in (1.0, 0.5):
-        surfels = voxelize_sparse(pts, times, [resolution], min_points=5)
+        surfels = voxelize_sparse(pts, times, [resolution])
         expected = {
             k: v
             for k, v in oracles.voxel_moments_bruteforce(pts, times, resolution).items()
@@ -83,8 +85,6 @@ def test_voxelize_requires_resolution():
         {"resolutions": [np.nan]},
         {"resolutions": [np.inf]},
         {"resolutions": [1.0, 1e-300]},
-        {"min_points": 1},
-        {"min_points": 0},
         {"times": np.zeros(7)},
         {"times": np.zeros(9)},
         {"times": np.r_[np.zeros(7), np.nan]},
@@ -96,10 +96,9 @@ def test_voxelize_requires_resolution():
 def test_voxelize_rejects_invalid_input(case):
     # Each case alone: a zero, NaN or tiny resolution warned on division or
     # cast, a negative or infinite one and mismatched or NaN times passed
-    # silently, a one-point voxel gave a 0/0 covariance, and a repeated
-    # resolution made two surfels of one (resolution, voxel) key.
-    args = {"points": np.ones((8, 3)), "times": np.zeros(8), "resolutions": [1.0],
-            "min_points": 5}
+    # silently, and a repeated resolution made two surfels of one
+    # (resolution, voxel) key.
+    args = {"points": np.ones((8, 3)), "times": np.zeros(8), "resolutions": [1.0]}
     args.update(case)
     with pytest.raises(InvalidArgumentError):
         voxelize_sparse(**args)
@@ -142,7 +141,7 @@ def test_extract_dense_matches_greedy_seed_oracle(rng):
     expected = []
     for i in seeds:
         nbrs = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= cfg.radius)
-        if nbrs.size >= cfg.min_points:
+        if nbrs.size >= MIN_POINTS:
             expected.append(pts[nbrs].mean(axis=0))
     got = sorted(map(tuple, (s.centroid for s in surfels)))
     want = sorted(map(tuple, expected))
@@ -157,7 +156,7 @@ def test_extract_dense_tie_rules_on_exact_lattice():
     # each of the 7x7 interior points gathers itself and its four neighbors.
     coords = -1.0 + 0.25 * np.arange(9)
     pts = np.array([[x, y, -1.0] for x in coords for y in coords])
-    cfg = DenseExtractionConfig(radius=0.25, min_points=5)
+    cfg = DenseExtractionConfig(radius=0.25)
     surfels = extract_dense(pts, np.zeros(len(pts)), cfg=cfg)
     assert len(surfels) == 49
     assert all(s.dof == 5 for s in surfels)
@@ -179,7 +178,7 @@ def test_extract_dense_initializes_wishart_state(rng):
     pts = plane_points(rng, noise=0.002)
     surfels = extract_dense(pts, np.zeros(len(pts)))
     for s in surfels:
-        assert s.dof >= DenseExtractionConfig().min_points
+        assert s.dof >= MIN_POINTS
         assert s.obs_count == 1
         eigenvalues = np.linalg.eigvalsh(s.centroid_cov)
         assert eigenvalues[0] > 0.0
@@ -233,7 +232,7 @@ def test_extract_dense_matches_bruteforce_oracle(rng):
         cfg = DenseExtractionConfig(radius=radius)
         got = extract_dense(points, times, traj=traj, cfg=cfg)
         want = oracles.dense_surfels_bruteforce(
-            points, times, radius, cfg.min_points, cfg.beam_sigma, traj=traj
+            points, times, radius, MIN_POINTS, BEAM_SIGMA, traj=traj
         )
         assert len(got) == len(want) > 10
         assert [s.dof for s in got] == [w["dof"] for w in want]
@@ -307,16 +306,6 @@ def test_extract_dense_rejects_non_positive_radius(rng):
     for radius in (0.0, -0.02, np.nan):
         with pytest.raises(InvalidArgumentError):
             extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(radius=radius))
-
-
-def test_extract_dense_rejects_min_points_below_five(rng):
-    # Fusion divides a surfel's scatter by dof - 4, so the parent's surfels
-    # of two to four points entered the map and a later step that matched
-    # one raised inside the Wishart update.
-    pts = plane_points(rng, n=200)
-    for min_points in (4, 3, 2, 1, 0):
-        with pytest.raises(InvalidArgumentError):
-            extract_dense(pts, np.zeros(200), cfg=DenseExtractionConfig(min_points=min_points))
 
 
 def test_extract_dense_rejects_extent_beyond_cell_keys():

@@ -209,6 +209,23 @@ def test_rejects_non_finite_samples_and_rates(field, value):
         Trajectory(**args)
 
 
+@pytest.mark.parametrize("scale, sign, accepted", [
+    (2.0, 1.0, False), (1.0 + 1e-8, 1.0, False), (1.0, -1.0, False), (1.0 + 1e-13, 1.0, True),
+])
+def test_rejects_rotations_that_are_not_rotations(rng, scale, sign, accepted):
+    # A stack holding 2 I, or the reflection diag(1, 1, -1), used to be
+    # accepted, and sample_batch then returned the reflection at its sample.
+    # Rounding far below the 1e-9 bound is accepted.
+    traj = make_trajectory(rng, n=5)
+    rotations = traj.rotations.copy()
+    rotations[3] = scale * rotations[3] @ np.diag([1.0, 1.0, sign])
+    if accepted:
+        Trajectory(traj.times, rotations, traj.translations)
+        return
+    with pytest.raises(InvalidArgumentError, match="orthonormal"):
+        Trajectory(traj.times, rotations, traj.translations)
+
+
 @pytest.mark.parametrize("times, message", [
     ([0.0, 0.0, 0.0, 0.0], "strictly increasing"),
     ([0.3, 0.2, 0.1, 0.0], "strictly increasing"),
@@ -235,6 +252,15 @@ def test_window_grid_checks_its_ends_before_computing(start, stop):
     # value", before the knot check raised.
     with pytest.raises(InvalidArgumentError, match="finite start and a finite stop"):
         ControlGrid.for_window(start, stop, 8)
+
+
+@pytest.mark.parametrize("knots", [8.5, 8.0])
+def test_window_grid_needs_an_integer_knot_count(knots):
+    # 8.5 knots used to build 9, the last at 1.27, where one step past the
+    # stop is 1.18.
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        ControlGrid.for_window(0.0, 1.0, knots)
+    assert len(ControlGrid.for_window(0.0, 1.0, np.int64(8))) == 8
 
 
 def test_partition_of_unity(rng):

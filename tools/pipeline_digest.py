@@ -18,13 +18,14 @@ checkouts give identical output exactly when their outputs are bit-identical,
 so compare them with ``diff``.
 
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
-trajectory, record count and stop reason and each episode's accuracy metrics
-(``metrics.accuracy``).  ``--against PATH`` compares this run with such a
-dump and prints, per workload, the largest translation difference (m), the
-largest rotation-matrix entry difference, the largest relative difference of
-an accuracy metric and the number of windows whose stop reason or record
-count differs.  Run the dump in one checkout and the comparison in the
-other, with the same workloads, seeds and episodes.
+trajectory, record count, stop reason and digest and each episode's accuracy
+metrics (``metrics.accuracy``) and map digest.  ``--against PATH`` compares
+this run with such a dump and prints, per workload, the largest translation
+difference (m), the largest rotation-matrix entry difference, the largest
+relative difference of an accuracy metric, the number of windows whose stop
+reason or record count differs, and how many window digests and map digests
+differ, of those the dump holds.  Run the dump in one checkout and the
+comparison in the other, with the same workloads, seeds and episodes.
 
 BLAS runs one thread, as in the benchmark, so the rounding does not depend
 on the machine's core count.
@@ -112,9 +113,9 @@ ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 
 def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
-    window its trajectory, record count (0 for a failed window) and stop
-    reason (the failure's class name for a failed window), and the episode's
-    accuracy metrics in ``ACCURACY`` order."""
+    window its trajectory, record count (0 for a failed window), stop reason
+    (the failure's class name for a failed window) and digest, and the
+    episode's accuracy metrics in ``ACCURACY`` order and maps digest."""
     out = {}
     for r in results:
         w = f"{key}.w{r.index}"
@@ -122,16 +123,21 @@ def episode_arrays(key, episode, results, global_maps):
         out[f"{w}.translations"] = r.estimate.translations
         out[f"{w}.records"] = np.array(0 if r.report is None else len(r.report.records))
         out[f"{w}.reason"] = np.array(r.failed if r.report is None else r.report.reason)
+        out[f"{w}.digest"] = np.array(window_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
+    out[f"{key}.maps"] = np.array(maps_digest(global_maps))
     return out
 
 
 def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
-    ``episode_arrays``, as printable lines; a name missing from
-    ``reference`` raises ``SystemExit``."""
-    missing = sorted(set(current) - set(reference))
+    ``episode_arrays``, as printable lines.  A name missing from
+    ``reference`` raises ``SystemExit``, unless it is a digest: a dump that
+    holds no digests compares 0 of them."""
+    missing = sorted(
+        k for k in set(current) - set(reference) if not k.endswith((".digest", ".maps"))
+    )
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
     lines = []
@@ -143,6 +149,10 @@ def compare(reference, current):
                      for k in keys if k.endswith(suffix)]
             return max(float(d.max()) for d in diffs)
 
+        def differing(suffix):
+            held = [k for k in keys if k.endswith(suffix) and k in reference]
+            return f"{sum(reference[k] != current[k] for k in held)} of {len(held)}"
+
         windows = [k[: -len(".reason")] for k in keys if k.endswith(".reason")]
         changed = sum(
             any(reference[f"{w}.{f}"] != current[f"{w}.{f}"] for f in ("reason", "records"))
@@ -152,7 +162,8 @@ def compare(reference, current):
             f"{name}: {len(windows)} windows, largest translation difference "
             f"{largest('.translations'):.3g} m, rotation entry {largest('.rotations'):.3g}, "
             f"accuracy metric {largest('.accuracy', relative=True):.3g} relative; "
-            f"{changed} windows differ in stop reason or record count"
+            f"{changed} windows differ in stop reason or record count; "
+            f"{differing('.digest')} window digests and {differing('.maps')} map digests differ"
         )
     return lines
 
@@ -172,12 +183,14 @@ def main(argv=None):
             inputs = workloads.generate(name, seed)
             for e, episode in enumerate(inputs.episodes[: args.episodes]):
                 results, global_maps = harness.run_pass(inputs.spec, episode)
+                key = f"{name}.s{seed}.e{e}"
+                kept = episode_arrays(key, episode, results, global_maps)
                 for r in results:
-                    print(f"{name} seed {seed} episode {e} window {r.index} {window_digest(r)}")
+                    print(f"{name} seed {seed} episode {e} window {r.index} "
+                          f"{kept[f'{key}.w{r.index}.digest']}")
                 print(f"{name} seed {seed} episode {e} maps "
-                      f"{len(global_maps.dense)} {len(global_maps.sparse)} "
-                      f"{maps_digest(global_maps)}")
-                arrays.update(episode_arrays(f"{name}.s{seed}.e{e}", episode, results, global_maps))
+                      f"{len(global_maps.dense)} {len(global_maps.sparse)} {kept[f'{key}.maps']}")
+                arrays.update(kept)
     if args.dump:
         np.savez(args.dump, **arrays)
     if args.against:
