@@ -85,6 +85,8 @@ def test_voxelize_requires_resolution():
         {"resolutions": [np.nan]},
         {"resolutions": [np.inf]},
         {"resolutions": [1.0, 1e-300]},
+        {"times": np.r_[np.zeros(7), np.inf]},
+        {"points": np.r_[np.ones((6, 3)), [[-(2.0**61)] * 3, [2.0**61] * 3]]},
         {"times": np.zeros(7)},
         {"times": np.zeros(9)},
         {"times": np.r_[np.zeros(7), np.nan]},
@@ -96,7 +98,8 @@ def test_voxelize_requires_resolution():
 def test_voxelize_rejects_invalid_input(case):
     # Each case alone: a zero, NaN or tiny resolution warned on division or
     # cast, a negative or infinite one and mismatched or NaN times passed
-    # silently, and a repeated resolution made two surfels of one
+    # silently, a cloud spanning more voxels than an int64 key holds would
+    # overflow the key, and a repeated resolution made two surfels of one
     # (resolution, voxel) key.
     args = {"points": np.ones((8, 3)), "times": np.zeros(8), "resolutions": [1.0]}
     args.update(case)
