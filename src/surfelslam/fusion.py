@@ -336,7 +336,9 @@ def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, ds
 
 def icp_point_to_plane(src_surfels, dst_surfels):
     """Weighted point-to-plane alignment of sparse surfel centroids, in at
-    most ``ICP_MAX_ITERATIONS`` solves.
+    most ``ICP_MAX_ITERATIONS`` solves.  It converges when a step's norm
+    falls below 1e-10; an ICP that runs out of solves first, or whose solve
+    fails, or that forms fewer than six pairs, does not converge.
 
     Each source surfel pairs with its nearest destination centroid closer
     than ``MAX_PAIR_DISTANCE`` whose normal is compatible with the rotated
@@ -394,6 +396,9 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         translation = step_rot @ translation + step_t
         if np.linalg.norm(delta) < 1e-10:
             break
+    else:
+        # Out of iterations with the last step still large: not converged.
+        return IcpResult(rotation, translation)
 
     p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
                                      keyed, dst_normals)

@@ -1,5 +1,5 @@
-"""SO(3)/SE(3) algebra over batches: exponential and logarithm maps, left
-Jacobians and geodesic interpolation, each written once.
+"""SO(3)/SE(3) algebra over batches: exponential and logarithm maps, the
+SO(3) left Jacobian and geodesic interpolation, each written once.
 
 Every map takes a stack of inputs along the first axis, so a single value is
 a batch of one.  Twist ordering is fixed as (rotational, translational): a
@@ -14,15 +14,14 @@ share a bracket share its basis and form no 3x3 product or exponential of
 their own.  :func:`se3_interp_batch` is the same kernel with every pose pair
 its own bracket.
 
-The left Jacobians are applied to vectors, never formed as matrices, each in
-one place: every SO(3) block is ``I + b K + c K^2`` with ``K = hat(phi)``,
-applied as ``v + b phi x v + c phi x (phi x v)`` (``_so3_apply``), and the
-SE(3) coupling block ``Q`` likewise (``_q_transpose_apply``).
-:func:`so3_left_jacobian_inv_apply` serves the logarithm and the gyro rows,
-:func:`se3_left_jacobian_vjp` pulls row gradients through ``Jl`` or
-``Jl^-1``, and ``se3_exp_batch`` applies ``Jl`` to the translation.  These
-kernels store vectors component first, ``(3, ...)``, so that a product
-broadcasts over any trailing axes.
+The SO(3) left Jacobian and its inverse are applied to vectors, never
+formed as matrices, in one place: each is ``I + b K + c K^2`` with
+``K = hat(phi)``, applied as ``v + b phi x v + c phi x (phi x v)``
+(``_so3_apply``).  :func:`so3_left_jacobian_inv_apply` serves the logarithm
+and the gyro rows, and ``se3_exp_batch`` applies the left Jacobian to the
+translation.  These kernels store vectors component first, ``(3, ...)``, so
+that a product broadcasts over any trailing axes.  No SE(3) Jacobian is
+needed: the window optimizer perturbs each pose it reads directly.
 
 A pose is a rotation matrix (3, 3) and a translation (3,), stored as
 separate stacks.  Poses are composed without re-orthonormalization: the
@@ -96,24 +95,6 @@ def _jl_inv_coeff(t):
     return 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
 
 
-# Below this angle the Q-matrix coefficients c2 and c3 switch to their
-# Taylor series.
-Q_SERIES_ANGLE = 0.1
-
-
-@_series_below(Q_SERIES_ANGLE, lambda t: 1.0 / 24.0 - t * t / 720.0 + (t * t) ** 2 / 40320.0)
-def _q_c2(t):
-    # (t^2 / 2 - 1 + cos(t)) / t^4
-    return -(1.0 - t * t / 2.0 - np.cos(t)) / t**4
-
-
-@_series_below(Q_SERIES_ANGLE, lambda t: 1.0 / 120.0 - t * t / 2520.0 + (t * t) ** 2 / 120960.0)
-def _q_c3(t):
-    # (3 (t - sin(t) - t^3 / 6) / t^5 - a) / 2 with a = -c2
-    a = (1.0 - t * t / 2.0 - np.cos(t)) / t**4
-    return -0.5 * (a - 3.0 * (t - np.sin(t) - t**3 / 6.0) / t**5)
-
-
 def hat_batch(v):
     """(N, 3) -> (N, 3, 3)."""
     n = v.shape[0]
@@ -150,35 +131,9 @@ def _cross(a, b):
 
 def _so3_apply(phi, v, b, c):
     """``(I + b K + c K^2) v`` with ``K = hat(phi)``, component first: the
-    form of the SO(3) left Jacobian (b, c), its inverse (-1/2, jl_inv) and
-    their transposes (-b, c)."""
+    form of the SO(3) left Jacobian (b, c) and its inverse (-1/2, jl_inv)."""
     phi_v = _cross(phi, v)
     return v + b * phi_v + c * _cross(phi, phi_v)
-
-
-def _q_transpose_apply(phi, rho, v, c1, c2, c3, phi_v, phi_phi_v):
-    """``Q(phi, rho)^T v``, component first, given ``phi x v`` and ``phi x
-    (phi x v)``.  ``Q`` is the coupling block of the SE(3) left Jacobian
-    (Barfoot's Baker-Campbell-Hausdorff terms):
-
-        Q = rho^/2 + c1 (K P + P K + K P K) + c2 (K K P + P K K - 3 K P K)
-            + c3 (K P K K + K K P K)
-
-    with ``K = hat(phi)``, ``P = hat(rho)``.  Since ``K P K = -(phi . rho) K``,
-    its transpose is
-
-        Q^T = -P/2 + c1 (K P + P K) - c2 (K K P + P K K)
-              - (phi . rho) ((3 c2 - c1) K + 2 c3 K K).
-    """
-    rho_v = _cross(rho, v)
-    k_rho_v = _cross(phi, rho_v)
-    dot = np.einsum("i...,i...->...", phi, rho)
-    return (
-        c1 * (k_rho_v + _cross(rho, phi_v))
-        - c2 * (_cross(phi, k_rho_v) + _cross(rho, phi_phi_v))
-        - 0.5 * rho_v
-        - dot * ((3.0 * c2 - c1) * phi_v + 2.0 * c3 * phi_phi_v)
-    )
 
 
 def so3_left_jacobian_inv_apply(phi, v):
@@ -186,51 +141,6 @@ def so3_left_jacobian_inv_apply(phi, v):
     rotation vectors and vectors stored component first, ``(3, ...)``, with
     the trailing axes broadcast."""
     return _so3_apply(phi, v, -0.5, _jl_inv_coeff(np.linalg.norm(phi, axis=0)))
-
-
-def se3_jacobian_coeffs(theta):
-    """Coefficients (5, ...) at rotation angles ``theta`` of the SE(3) left
-    Jacobian and its inverse, what :func:`se3_left_jacobian_vjp` reads:
-    ``(1 - cos) / theta^2``, ``(theta - sin) / theta^3`` (which is also Q's
-    c1), Q's c2 and c3, and the inverse's ``jl_inv``.  Twists that share an
-    angle take them once and gather them."""
-    return np.stack([
-        _cos_coeff(theta), _one_minus_sinc_coeff(theta), _q_c2(theta), _q_c3(theta),
-        _jl_inv_coeff(theta),
-    ])
-
-
-def se3_left_jacobian_vjp(phi, rho, g, coeffs, inverse=False):
-    """Row vectors ``g`` times the SE(3) left Jacobian ``Jl(xi)`` of twists
-    ``xi = (phi, rho)``, or with ``inverse`` times ``Jl(xi)^-1``, by cross
-    products: no 6x6 matrix is formed.
-
-    Every array is stored component first and the trailing axes broadcast:
-    ``phi`` and ``rho`` (3, ...), ``g`` (6, ...) in (rotational,
-    translational) order, and ``coeffs`` (5, ...) from
-    :func:`se3_jacobian_coeffs` at ``|phi|``.  With ``J`` the SO(3) left
-    Jacobian of phi and ``Q`` its coupling block,
-
-        Jl = [[J, 0], [Q, J]],    Jl^-1 = [[J^-1, 0], [-J^-1 Q J^-1, J^-1]],
-
-    so ``g Jl = (J^T g_r + Q^T g_t, J^T g_t)`` and ``g Jl^-1 = (J^-T (g_r -
-    Q^T J^-T g_t), J^-T g_t)`` as columns.  Returns (6, ...).
-    """
-    b, c1, c2, c3, jl_inv = coeffs
-    g_r, g_t = g[:3], g[3:]
-    if inverse:
-        # J^-T = I + K / 2 + jl_inv K^2.
-        g_t = _so3_apply(phi, g_t, 0.5, jl_inv)
-        phi_v = _cross(phi, g_t)
-        q_t = _q_transpose_apply(phi, rho, g_t, c1, c2, c3, phi_v, _cross(phi, phi_v))
-        return np.concatenate([_so3_apply(phi, g_r - q_t, 0.5, jl_inv), g_t])
-    # J^T = I - b K + c1 K^2; its products with g_t are Q^T's too.
-    phi_v = _cross(phi, g_t)
-    phi_phi_v = _cross(phi, phi_v)
-    q_t = _q_transpose_apply(phi, rho, g_t, c1, c2, c3, phi_v, phi_phi_v)
-    return np.concatenate([
-        _so3_apply(phi, g_r, -b, c1) + q_t, g_t - b * phi_v + c1 * phi_phi_v
-    ])
 
 
 def so3_exp_batch(r):

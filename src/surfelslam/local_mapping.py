@@ -6,8 +6,8 @@ body-rate errors.  They are evaluated as arrays over the whole window; the
 scalar per-constraint evaluators that pin them are test oracles in
 ``simulation.oracles``.  A damped Gauss-Newton solver estimates a spline
 correction at the knots, and the IMU biases when the window has IMU samples.
-Its Jacobian is analytic (chain rule through the SE(3) geodesic
-interpolation, in the manner of Sommer et al., CVPR 2020).
+Its Jacobian is analytic: each residual row reads a few pose points, and a
+knot increment moves a pose point by the point's spline weight on that knot.
 
 The constraint and IMU records are plain values that check nothing.  A
 window checks its inputs once, where ``_WindowSystem`` stacks them into
@@ -28,9 +28,11 @@ them against finite differences.
 The trajectory stays densely sampled (Park et al., ICRA 2018): the optimizer
 estimates spline *corrections*, composes each accepted one onto the samples
 by left multiplication, ``T' = dT T``, and restarts the correction from zero
-at every iteration.  Queries between samples follow the SE(3) geodesic.
-So the window is linearized at the folded samples only, where a knot
-increment moves each sample by its spline weight alone.
+at every iteration.  A query between two samples is a pose point of its own:
+interpolated once from the initial samples, then corrected by the spline at
+its own time, exactly as a sample is.  So the window is linearized at the
+folded pose points only, where a knot increment moves each point by its
+spline weight alone, and no derivative passes through an interpolation.
 """
 
 from __future__ import annotations
@@ -173,96 +175,28 @@ def _knot_band(idx, weights):
 
 
 class _Iterate(NamedTuple):
-    """An evaluated iterate: the query poses it reads and its residuals.
-
-    ``samples`` are the corrected samples; ``chart`` is the brackets' twists
-    the poses were interpolated with (see ``trajectory.interpolate``).
-    """
+    """An evaluated iterate: its corrected pose points, the query poses it
+    reads and its residuals."""
 
     x: np.ndarray
     state: OptState
-    samples: tuple
+    points: tuple
     rot: np.ndarray
     t: np.ndarray
-    chart: object
     residuals: np.ndarray
 
 
-def _row_spread(reads, first, weights, blended):
-    """First knot (m,) and spread (m, 1, W, S) of the rows that read the
-    query slices ``reads``, the slot weights of the pose layer's ``first``,
-    ``weights`` and ``blended``, each slot's shifted by its own first knot's
-    offset from the row's, and per read its blended queries and their range
-    among all blended ones, or None."""
-    q_firsts = [first[q] for q in reads]
-    row_first = np.minimum.reduce([f[:, 0] for f in q_firsts])
-    offsets = [f - row_first[:, None] for f in q_firsts]
-    width = weights.shape[2] + max(int(o.max()) for o in offsets)
-    spread, slots = [], []
-    for q, offset in zip(reads, offsets):
-        inside, lo = np.flatnonzero(blended[q]), np.count_nonzero(blended[: q.start])
-        slots.append((inside, slice(lo, lo + inside.size)) if inside.size else None)
-        # A read of snapped queries only has one slot.
-        n_slots = 2 if inside.size else 1
-        at = offset[:, :n_slots, None] + np.arange(weights.shape[2])
-        spread.append(np.zeros((len(at), n_slots, width)))
-        np.put_along_axis(spread[-1], at, weights[q][:, :n_slots], axis=2)
-    spread = np.concatenate(spread, axis=1).transpose(0, 2, 1)
+def _row_spread(first, band):
+    """First knot (m,) and spread (m, 1, W, S) of rows that read S pose
+    points each, of the points' first knots (m, S) and bands (m, S, 4): each
+    point's weights shifted by its first knot's offset from the row's."""
+    row_first = first.min(axis=1)
+    at = (first - row_first[:, None])[:, :, None] + np.arange(band.shape[2])
+    spread = np.zeros(first.shape + (int(at.max()) + 1,))
+    np.put_along_axis(spread, at, band, axis=2)
     # Drop the trailing knots that no row reads.
-    width = np.flatnonzero(spread.any(axis=(0, 2)))[-1] + 1
-    return row_first, spread[:, None, :width], slots
-
-
-def _blend(rot_s, t_s, w, chart):
-    """``pull(g, queries) = g M`` for row gradients ``g`` (k, a, 6) on the
-    interior queries ``queries``, a slice of all interior ones, where ``I - M``
-    and ``M`` map the perturbations of a query's two samples to its own, in the
-    chart ``trajectory.interpolate`` read.  ``g M`` is two vector-Jacobian
-    products by cross products (``lie.se3_left_jacobian_vjp``); the
-    coefficients of ``Jl^-1`` are taken once per bracket, those of ``Jl`` at
-    each query's own angle."""
-    # T = T_lo exp(alpha xi), xi = log(T_lo^-1 T_hi):
-    # delta = (I - M) delta_lo + M delta_hi with
-    # M = alpha Ad(T_lo) Jl(alpha xi) Jl^-1(xi) Ad(T_lo)^-1
-    #   = alpha Jl(alpha xi_w) Jl^-1(xi_w) at xi_w = Ad(T_lo) xi.
-    brackets, at, phi, rho = chart
-    alpha = w[(w > 0.0) & (w < 1.0)]
-    rot_lo = rot_s[brackets]
-    phi_w = np.einsum("nij,nj->ni", rot_lo, phi)
-    rho_w = np.einsum("nij,nj->ni", rot_lo, rho) + np.cross(t_s[brackets], phi_w)
-    phi_w, rho_w = phi_w.T, rho_w.T
-    theta = np.linalg.norm(phi_w, axis=0)
-    inverse = lie.se3_jacobian_coeffs(theta)
-    forward = lie.se3_jacobian_coeffs(alpha * theta[at])
-
-    def pull(g, queries):
-        bracket, a = at[queries], alpha[queries, None]
-        phi_q, rho_q = phi_w[:, bracket, None], rho_w[:, bracket, None]
-        g = lie.se3_left_jacobian_vjp(
-            a * phi_q, a * rho_q, g.transpose(2, 0, 1), forward[:, queries, None]
-        )
-        g = lie.se3_left_jacobian_vjp(phi_q, rho_q, g, inverse[:, bracket, None], inverse=True)
-        return (a * g).transpose(1, 2, 0)
-
-    return pull
-
-
-def _row_band(spread, grads, slots, pull):
-    """Band (m, a, W, 6) of the rows whose queries take the gradients
-    ``grads`` [(m, a, 6)], with ``spread`` and ``slots`` (see
-    ``_row_spread``).  A snapped query's slot takes the gradient g as it is;
-    an interior query's two take ``g - gM`` and ``gM``, with gM from
-    ``pull`` (see :func:`_blend`), by cross products."""
-    coefs = []
-    for g, slot in zip(grads, slots):
-        if slot is None:
-            coefs.append(g[:, None])
-            continue
-        rows, at = slot
-        gm = np.zeros_like(g)
-        gm[rows] = pull(g[rows], at)
-        coefs.append(np.stack([g - gm, gm], axis=1))
-    return spread @ np.concatenate(coefs, axis=1).transpose(0, 2, 1, 3)
+    width = np.flatnonzero(spread.any(axis=(0, 1)))[-1] + 1
+    return row_first, spread.transpose(0, 2, 1)[:, None, :width]
 
 
 def _vectors(values):
@@ -283,55 +217,49 @@ class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
     Every residual reads poses at query times, laid out as
-    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  The corrections
-    move the samples, never the times, so the queries' sample brackets
-    (``where``) are located once per window.
+    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Each query
+    reads one pose point (``query_points``): a query that snaps to a sample
+    reads that sample, and a query between two samples is a pose point of
+    its own, after the samples, interpolated once from the initial samples
+    at set-up.  The corrections move the pose points, never their times, so
+    every point keeps the spline band of its own time, its first knot and
+    its four spline weights on the knots from it (``point_bands``), for the
+    window.
 
-    The window is linearized at the folded samples only, at zero correction
-    (:meth:`fold`); a non-zero correction is refused.  The residual layer
-    differentiates each whitened, robust-weighted row with respect to a
-    world-frame left perturbation ``(phi, rho)`` of every query pose it reads
-    (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``).  At zero correction the
-    increment ``(du_r, du_t)`` of a knot moves a sample by
-    ``(phi, rho) = (du_r, du_t)`` times the sample's spline weight on it, so
-    the pose layer needs only the weights.  They have one form, the sample
-    band: a sample's first knot and its four spline weights on the knots
-    from it (``sample_bands``), which also corrects the samples.  A query
-    reads them in slots: a query that snaps to a sample reads its sample's
-    band, in one slot; a query between two samples reads both samples'
-    bands, blended by the interpolation (:func:`_row_band`): its row
-    gradients are pulled through the geodesic's derivative by cross products
-    (:func:`_blend`, ``lie.se3_left_jacobian_vjp``), so no 6x6 matrix is
-    formed per query.  The row gradients of the IMU rows are cross products
-    as well.
+    The window is linearized at the folded pose points only, at zero
+    correction (:meth:`fold`); a non-zero correction is refused.  The
+    residual layer differentiates each whitened, robust-weighted row with
+    respect to a world-frame left perturbation ``(phi, rho)`` of every query
+    pose it reads (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``), by cross
+    products.  At zero correction the increment ``(du_r, du_t)`` of a knot
+    moves a pose point by ``(phi, rho) = (du_r, du_t)`` times the point's
+    spline weight on it, so the pose layer is the point bands alone.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
-    the sum over its queries' slots of the slot's coefficient, spread by the
-    slot's weights at its sample's first-knot offset from the row's first
-    knot, so its columns are the parameters of consecutive knots.
+    the sum over the points it reads of the point's gradient, spread by the
+    point's weights at its first-knot offset from the row's first knot, so
+    its columns are the parameters of consecutive knots.
     :meth:`normal_equations` sorts the rows by first knot and adds one
     ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
     border is the constant bias columns, present when the window has IMU
-    samples.  The spreads and this order depend on the brackets only and are
-    built once per window (:meth:`_rows`).  The sorted bands stay in the
+    samples.  The spreads and this order depend on the point bands only and
+    are built once per window (:meth:`_rows`).  The sorted bands stay in the
     plan's buffers until the next build, so :meth:`chord_gradient` takes the
     gradient of the last build's Jacobian with new residuals without
     linearizing again.
     :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
     only the tests read.
 
-    :meth:`evaluate` returns an iterate that carries the poses it read and
-    the chart it read them in, and the linearization reuses both.  An
-    accepted candidate, folded into the samples (:meth:`fold`), is the next
-    iterate as it stands, so no iterate is evaluated twice.
+    :meth:`evaluate` returns an iterate that carries the query poses it
+    read, and the linearization reuses them.  An accepted candidate, folded
+    into the pose points (:meth:`fold`), is the next iterate as it stands,
+    so no iterate is evaluated twice.
     """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state):
         self.grid = state.grid
         self.n_knots = len(state.grid)
         self.traj_times = traj.times
-        self.base_rot = traj.rotations.copy()
-        self.base_t = traj.translations.copy()
         self.rate = traj.nominal_rate
         self.h = 1.0 / self.rate
 
@@ -387,10 +315,19 @@ class _WindowSystem:
         self.q_b = slice(p, 2 * p)
         self.q_prior = slice(2 * p, first)
         self.q_stencil = [slice(first + i * m, first + (i + 1) * m) for i in range(3)]
-        self.where = brackets(traj.times, np.concatenate([
+        query_taus = np.concatenate([
             self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus,
             self.imu_taus - self.h, self.imu_taus, self.imu_taus + self.h,
-        ]), 1e-9 * self.h)
+        ])
+        idx, alpha = brackets(traj.times, query_taus, 1e-9 * self.h)
+        # The pose points: the samples, then one per query between samples.
+        interior = (alpha > 0.0) & (alpha < 1.0)
+        self.query_points = np.where(alpha == 1.0, idx + 1, idx)
+        self.query_points[interior] = len(traj) + np.arange(np.count_nonzero(interior))
+        rot, t = interpolate(traj.rotations, traj.translations, idx[interior], alpha[interior])
+        self.base_rot = np.concatenate([traj.rotations, rot])
+        self.base_t = np.concatenate([traj.translations, t])
+        self.point_times = np.concatenate([traj.times, query_taus[interior]])
         # Per residual family, its rows (n, a) and the queries they read.
         self.families = []
         if p:
@@ -407,8 +344,8 @@ class _WindowSystem:
         self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / SIGMA_ACCEL
         self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / SIGMA_GYRO
 
-        # Each sample's first knot and spline weights on four knots from it.
-        self.sample_bands = _knot_band(*self.grid.knot_indices_and_weights(self.traj_times))
+        # Each pose point's first knot and spline weights on four knots from it.
+        self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
         self.structure = self._rows()
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
@@ -431,8 +368,8 @@ class _WindowSystem:
             return knots, state.accel_bias + b[:3], state.gyro_bias + b[3:]
         return knots, state.accel_bias, state.gyro_bias
 
-    def _corrected_samples(self, knots):
-        first, band = self.sample_bands
+    def _corrected_points(self, knots):
+        first, band = self.point_bands
         # A band's trailing weights may fall past the last knot, where they
         # are zero; they read zero rows.
         knots = np.concatenate([knots, np.zeros((3, 6))])
@@ -442,21 +379,21 @@ class _WindowSystem:
         )
 
     def fold(self, it):
-        """Compose the correction of iterate ``it`` into the samples.  The
-        returned iterate is ``x = 0`` of a state with ``it``'s biases, which
-        reads ``it``'s poses, so its residuals are ``it``'s."""
+        """Compose the correction of iterate ``it`` into the pose points.
+        The returned iterate is ``x = 0`` of a state with ``it``'s biases,
+        which reads ``it``'s poses, so its residuals are ``it``'s."""
         _, b_a, b_g = self.split_params(it.x, it.state)
-        self.base_rot, self.base_t = it.samples
+        self.base_rot, self.base_t = it.points
         return it._replace(x=np.zeros_like(it.x), state=OptState(it.state.grid, b_a, b_g))
 
     def evaluate(self, x, state):
         """The iterate at ``x``: the query poses it reads and its whitened
         residuals (no robust weighting)."""
         knots, b_a, b_g = self.split_params(x, state)
-        samples = self._corrected_samples(knots)
-        rot, t, chart = interpolate(*samples, *self.where)
+        points = self._corrected_points(knots)
+        rot, t = (p[self.query_points] for p in points)
         residuals = self._residuals_at(rot, t, b_a, b_g)
-        return _Iterate(x, state, samples, rot, t, chart, residuals)
+        return _Iterate(x, state, points, rot, t, residuals)
 
     def _residuals_at(self, rot, t, b_a, b_g):
         out = np.empty(self.n_residuals)
@@ -535,16 +472,6 @@ class _WindowSystem:
 
     # -- linearization ------------------------------------------------------
 
-    def _pose_layer(self):
-        """First knots (Q, 2) and spline weights (Q, 2, 4) of the samples in
-        each query's two slots, and whether the query is blended (Q,).  A
-        snapped query reads its own sample in its first slot; an interior one
-        reads its lower sample there and its upper sample in the second."""
-        idx, w = self.where
-        first, band = self.sample_bands
-        samples = np.stack([idx + (w == 1.0), idx + 1], axis=1)
-        return first[samples], band[samples], (w > 0.0) & (w < 1.0)
-
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
         left perturbation of each query pose they read: per entry of
@@ -600,20 +527,21 @@ class _WindowSystem:
 
     def _rows(self):
         """Row structure of ``families``, built once per window: per family
-        its rows, first knots, spread and slots (``_row_spread``); six times
-        the knots the bands reach; and per band width 6W the plan of
+        its rows, first knots and spread (``_row_spread``); six times the
+        knots the bands reach; and per band width 6W the plan of
         :meth:`normal_equations`: the families, where their rows go in stable
         first-knot order, a buffer for their bands in that order, the rows in
         it and the first-knot spans."""
-        layer = self._pose_layer()
+        first, band = self.point_bands
         fams = []
         for rows, reads in self.families:
-            first, spread, slots = _row_spread(reads, *layer)
-            fams.append((rows.reshape(-1), np.repeat(first, rows.shape[1]), spread, slots))
+            points = np.stack([self.query_points[q] for q in reads], axis=1)
+            row_first, spread = _row_spread(first[points], band[points])
+            fams.append((rows.reshape(-1), np.repeat(row_first, rows.shape[1]), spread))
         # Knots the bands reach; past the last knot only zero weights reach.
-        size = 6 * max([self.n_knots] + [int(f.max()) + s.shape[2] for _, f, s, _ in fams])
+        size = 6 * max([self.n_knots] + [int(f.max()) + s.shape[2] for _, f, s in fams])
         plan = []
-        for width in sorted({s.shape[2] for _, _, s, _ in fams}):
+        for width in sorted({s.shape[2] for _, _, s in fams}):
             same = [i for i, f in enumerate(fams) if f[2].shape[2] == width]
             rows, first = (np.concatenate([fams[i][j] for i in same]) for j in (0, 1))
             order = np.argsort(first, kind="stable")
@@ -633,11 +561,9 @@ class _WindowSystem:
         fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        # The derivative reads the chart the interpolation read.
-        pull = _blend(*it.samples, self.where[1], it.chart)
         return [
-            _row_band(spread, grads, slots, pull).reshape(rows.size, -1)
-            for grads, (rows, _, spread, slots) in zip(
+            (spread @ np.stack(grads, axis=2)).reshape(rows.size, -1)
+            for grads, (rows, _, spread) in zip(
                 self._residual_layer(it.rot, it.t), self.structure[0]
             )
         ]
@@ -687,7 +613,7 @@ class _WindowSystem:
         fams, size, _ = self.structure
         bands = self._linearize(self.evaluate(x, state))
         knots = np.zeros((self.n_residuals, size))
-        for (rows, first, _, _), band in zip(fams, bands):
+        for (rows, first, _), band in zip(fams, bands):
             knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
         return np.hstack([knots[:, : 6 * self.n_knots], self.border])
 
@@ -834,6 +760,8 @@ def _model_step(hess, grad, damping):
 
 
 def _trajectory_from(system):
+    n = len(system.traj_times)
     return Trajectory(
-        system.traj_times.copy(), system.base_rot.copy(), system.base_t.copy(), system.rate
+        system.traj_times.copy(), system.base_rot[:n].copy(), system.base_t[:n].copy(),
+        system.rate,
     )

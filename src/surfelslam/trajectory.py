@@ -5,10 +5,11 @@ The trajectory is a discrete pose sequence at a nominal rate (100 Hz by
 default), stored as rotation and translation stacks.  Its one query,
 :meth:`Trajectory.sample_batch`, takes a stack of times; between samples it
 follows the SE(3) geodesic between the bracketing pair.  :func:`interpolate`
-serves it and the window optimizer alike: each bracket that holds a query
-gets one twist and one geodesic basis (``lie.se3_geodesic_batch``), however
-many queries fall in it, and each query reads the basis through three
-coefficients of its own angle.  :class:`ControlGrid` holds the knot
+serves it, and places the window optimizer's pose points between samples
+once per window: each bracket that holds a query gets one twist and one
+geodesic basis (``lie.se3_geodesic_batch``), however many queries fall in
+it, and each query reads the basis through three coefficients of its own
+angle.  :class:`ControlGrid` holds the knot
 times and gives each time its spline weights on the knots; the optimizer
 estimates small per-knot corrections from zero at every iteration and
 :func:`compose_correction` composes them onto the stored poses by left
@@ -75,17 +76,14 @@ def brackets(times, taus, tol):
 
 
 def interpolate(rotations, translations, idx, alpha):
-    """Poses at the brackets ``(idx, alpha)`` of sample arrays, and the chart
-    they were read in.
+    """Poses at the brackets ``(idx, alpha)`` of sample arrays.
 
     Snapped queries copy the stored sample; the rest follow the SE(3)
     geodesic.  The distinct brackets of the interior queries are found with
     a presence mask over the sample indices.  Each takes one
     ``lie.se3_relative_log_batch`` twist and one geodesic basis
     (:func:`lie.se3_geodesic_batch`), which all of its queries read, each
-    with three coefficients at its own angle.  The chart is
-    ``(lo, at, phi, rho)``: the lower samples of those brackets, each
-    interior query's bracket among them, and the brackets' twists.
+    with three coefficients at its own angle.
     """
     interior = (alpha > 0.0) & (alpha < 1.0)
     inner_idx, inner_alpha = idx[interior], alpha[interior]
@@ -95,14 +93,13 @@ def interpolate(rotations, translations, idx, alpha):
     at = np.cumsum(present)[inner_idx] - 1
     rot_lo, t_lo = rotations[lo], translations[lo]
     phi, rho = lie.se3_relative_log_batch(rot_lo, t_lo, rotations[lo + 1], translations[lo + 1])
-    chart = lo, at, phi, rho
     inner = lie.se3_geodesic_batch(rot_lo, t_lo, phi, rho, at, inner_alpha)
     if interior.all():
-        return (*inner, chart)
+        return inner
     gather = np.where(alpha == 1.0, idx + 1, idx)
     rot, t = rotations[gather], translations[gather]
     rot[interior], t[interior] = inner
-    return rot, t, chart
+    return rot, t
 
 
 @dataclass
@@ -123,6 +120,8 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.rotations = np.asarray(self.rotations, dtype=float)
         self.translations = np.asarray(self.translations, dtype=float)
+        if self.times.ndim != 1:
+            raise InvalidArgumentError("trajectory times must be one-dimensional")
         n = self.times.shape[0]
         if n < 2:
             raise InvalidArgumentError("trajectory needs at least two samples")
@@ -162,7 +161,7 @@ class Trajectory:
         its twist and basis (see :func:`interpolate`).  Non-finite times
         raise :class:`InvalidArgumentError`."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
-        return interpolate(self.rotations, self.translations, idx, alpha)[:2]
+        return interpolate(self.rotations, self.translations, idx, alpha)
 
 
 @dataclass
@@ -177,6 +176,8 @@ class ControlGrid:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        if self.times.ndim != 1:
+            raise InvalidArgumentError("knot times must be one-dimensional")
         if self.times.shape[0] < 2:
             raise InvalidArgumentError("control grid needs at least two knots")
         if not np.isfinite(self.times).all():

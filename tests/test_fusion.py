@@ -459,6 +459,24 @@ def test_temporal_fusion_reports_no_distance_without_a_converged_icp(rng, caplog
     assert not r1.metrics.triggered and r1.trigger is None
 
 
+def test_icp_out_of_iterations_is_not_converged(rng, monkeypatch):
+    # A 0.2 m shift takes more than one solve.  Allowed one, the ICP ends
+    # with its last step still large: it has not converged, so the fusion
+    # step measures no misalignment and raises no trigger.
+    cfg = TemporalFusionConfig(active_window=30.0)
+    global_maps = GlobalMaps()
+    base = corner_scene_points(rng, n=4500)
+    temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps, cfg, step=0)
+    local = make_local_maps(rng, base - np.array([0.2, 0.0, 0.0]), timestamp=100.0)
+    inactive = list(global_maps.sparse.all())
+    assert icp_point_to_plane(local.sparse, inactive).converged
+    monkeypatch.setattr(fusion, "ICP_MAX_ITERATIONS", 1)
+    icp = icp_point_to_plane(local.sparse, inactive)
+    assert not icp.converged and [p.shape for p in icp.pairs] == [(0, 3), (0, 3)]
+    r = temporal_fusion_step(local, global_maps, cfg, step=1)
+    assert r.trigger is None and not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
+
+
 def test_temporal_fusion_matches_against_the_active_map_before_the_step():
     # Both local surfels pass the gates against the active surfel as it
     # stood before the step: the one at z = 0.02 lies two standard

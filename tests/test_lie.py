@@ -10,13 +10,9 @@ from surfelslam.trajectory import compose_correction
 
 from conftest import random_poses
 
-# 0, 1e-9 and both sides of each SO(3) series switch.
+# 0, 1e-9 and both sides of each series switch.
 SWITCH_ANGLES = [0.0, 1e-9] + [
     a * f for a in (lie.SMALL_ANGLE, lie.SERIES_ANGLE) for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
-]
-# The same and both sides of the SE(3) Q-matrix series switch.
-ALL_SWITCH_ANGLES = SWITCH_ANGLES + [
-    lie.Q_SERIES_ANGLE * f for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
 ]
 
 
@@ -44,16 +40,6 @@ def twists_at(rng, angles):
     xi = rng.normal(size=(angles.size, 6))
     xi[:, :3] *= (angles / np.linalg.norm(xi[:, :3], axis=1))[:, None]
     return xi
-
-
-def se3_jacobians(xi, inverse=False):
-    """(N, 6, 6) SE(3) left Jacobians of (N, 6) twists, or their inverses,
-    rebuilt row by row from ``lie.se3_left_jacobian_vjp`` applied to the six
-    unit row vectors."""
-    phi, rho = xi[:, :3].T[:, None], xi[:, 3:].T[:, None]
-    coeffs = lie.se3_jacobian_coeffs(np.linalg.norm(xi[:, :3], axis=1))[:, None]
-    rows = lie.se3_left_jacobian_vjp(phi, rho, np.eye(6)[:, :, None], coeffs, inverse)
-    return rows.transpose(2, 1, 0)
 
 
 def so3_left_jacobian_inv_matrices(r):
@@ -99,7 +85,7 @@ def test_exp_matches_series_oracle_random(rng):
 def test_se3_exp_batch_matches_series_at_the_switches(rng):
     # Rotation angles on both sides of every series switch, with unit-scale
     # translations; 30 terms sum the series past these twist norms.
-    xi = twists_at(rng, np.repeat(ALL_SWITCH_ANGLES, 4))
+    xi = twists_at(rng, np.repeat(SWITCH_ANGLES, 4))
     got = matrices(*lie.se3_exp_batch(xi))
     for i in range(len(xi)):
         assert np.allclose(got[i], oracles.se3_exp_series(xi[i], terms=30), rtol=0.0, atol=1e-14)
@@ -162,9 +148,9 @@ def test_log_rejects_angle_at_pi():
 def test_batch_helpers_match_scalar(rng):
     # A single value is a batch of one.  Each row takes its own series
     # branch, so a row's result does not depend on the other angles in its
-    # batch.  The SE(3) Jacobians are checked the same way below; the inverse
-    # SO(3) Jacobian is rebuilt from its application to unit vectors.
-    xi = twists_at(rng, np.concatenate([ALL_SWITCH_ANGLES, rng.uniform(0.0, 3.0, 16)]))
+    # batch.  The inverse SO(3) Jacobian is rebuilt from its application to
+    # unit vectors.
+    xi = twists_at(rng, np.concatenate([SWITCH_ANGLES, rng.uniform(0.0, 3.0, 16)]))
     r = xi[:, :3]
     for fn, batch in (
         (lie.so3_exp_batch, r),
@@ -181,34 +167,33 @@ def test_batch_helpers_match_scalar(rng):
 
 
 def test_left_jacobian_inv_identity_at_zero():
-    assert np.allclose(se3_jacobians(np.zeros((1, 6)), inverse=True)[0], np.eye(6))
+    assert np.array_equal(so3_left_jacobian_inv_matrices(np.zeros((1, 3)))[0], np.eye(3))
 
 
 def test_left_jacobian_composition_defect(rng):
-    xi = rng.normal(scale=0.8, size=(50, 6))
-    small = rng.normal(size=(50, 6))
+    # exp(phi + Jl^-1(phi) d) = exp(d) exp(phi) to first order in d.
+    phi = rng.normal(scale=0.8, size=(50, 3))
+    small = rng.normal(size=(50, 3))
     small *= (1e-4 / np.linalg.norm(small, axis=1))[:, None]
-    moved = (se3_jacobians(xi, inverse=True) @ small[:, :, None])[:, :, 0] + xi
+    moved = (so3_left_jacobian_inv_matrices(phi) @ small[:, :, None])[:, :, 0] + phi
+    zero = np.zeros(3)
     for i in range(50):
-        lhs = oracles.se3_exp_series(moved[i], terms=40)
-        rhs = oracles.se3_exp_series(small[i]) @ oracles.se3_exp_series(xi[i], terms=40)
+        lhs = oracles.se3_exp_series(np.r_[moved[i], zero], terms=40)
+        rhs = oracles.se3_exp_series(np.r_[small[i], zero]) @ oracles.se3_exp_series(
+            np.r_[phi[i], zero], terms=40
+        )
         assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
 def test_left_jacobian_inverse_against_numeric(rng):
-    for scale in (1e-6, 0.01, 0.5, 1.5):
-        xi = rng.normal(size=(10, 6))
-        xi *= (scale / np.linalg.norm(xi, axis=1))[:, None]
-        jl_inv = se3_jacobians(xi, inverse=True)
-        for i in range(10):
-            product = jl_inv[i] @ oracles.numeric_left_jacobian(xi[i])
-            assert np.linalg.norm(product - np.eye(6)) < 1e-9
-
-
-def test_left_jacobian_pair_is_inverse(rng):
-    xi = rng.normal(scale=1.0, size=(20, 6))
-    product = se3_jacobians(xi, inverse=True) @ se3_jacobians(xi)
-    assert np.max(np.linalg.norm(product - np.eye(6), axis=(1, 2))) < 1e-12
+    # The inverse SO(3) Jacobian against the rotation block of the numeric
+    # SE(3) one, at both sides of every series switch and at larger angles.
+    angles = np.concatenate([SWITCH_ANGLES, np.repeat([1e-6, 0.01, 0.5, 1.5, 2.5], 4)])
+    xi = twists_at(rng, angles)
+    jl_inv = so3_left_jacobian_inv_matrices(xi[:, :3])
+    for i in range(len(xi)):
+        product = jl_inv[i] @ oracles.numeric_left_jacobian(xi[i])[:3, :3]
+        assert np.linalg.norm(product - np.eye(3)) < 1e-9
 
 
 def test_interp_endpoints(rng):
@@ -274,32 +259,6 @@ def test_series_coefficients_match_taylor_reference():
     for coeff, reference in references.items():
         expected = np.array([reference(angle) for angle in SWITCH_ANGLES])
         assert np.all(np.abs(coeff(angles) - expected) < 1e-10 * expected)
-
-
-def test_se3_left_jacobian_vjp_matches_scalar_and_numeric(rng):
-    # Rotation angles on both sides of every series switch.
-    switch = lie.Q_SERIES_ANGLE
-    angles = np.concatenate([
-        ALL_SWITCH_ANGLES,
-        [1e-6],
-        rng.uniform(0.01, switch, 6),
-        [switch - 1e-7, switch + 1e-7],
-        rng.uniform(switch, 2.5, 6),
-    ])
-    xi = twists_at(rng, angles)
-    jl = se3_jacobians(xi)
-    jl_inv = se3_jacobians(xi, inverse=True)
-    so3_inv = so3_left_jacobian_inv_matrices(xi[:, :3])
-    for i in range(angles.size):
-        # One twist at a time gives the same rows as the mixed batch.
-        assert np.array_equal(jl[i], se3_jacobians(xi[i : i + 1])[0])
-        assert np.array_equal(jl_inv[i], se3_jacobians(xi[i : i + 1], inverse=True)[0])
-        numeric = oracles.numeric_left_jacobian(xi[i])
-        assert np.allclose(jl[i], numeric, atol=1e-8)
-        assert np.allclose(jl_inv[i] @ numeric, np.eye(6), atol=1e-8)
-        assert np.linalg.norm(jl_inv[i] @ jl[i] - np.eye(6)) < 1e-12
-        # The SO(3) inverse is the rotation block of the SE(3) one.
-        assert np.allclose(so3_inv[i], jl_inv[i][:3, :3], rtol=0.0, atol=1e-15)
 
 
 def test_se3_interp_batch_matches_interp_pose(rng):

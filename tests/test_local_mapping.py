@@ -12,7 +12,7 @@ from surfelslam.errors import (
 )
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
 from surfelslam.simulation.generators import pair_constraints_from_scene
-from surfelslam.trajectory import ControlGrid, Trajectory, interpolate
+from surfelslam.trajectory import ControlGrid, Trajectory, compose_correction
 
 from conftest import knot_grid
 
@@ -526,7 +526,7 @@ def test_analytic_jacobian_at_zero_correction_priors_only():
 
 
 # The window optimizer's one path composes SE(3) corrections ("se3") onto
-# samples blended along the SE(3) geodesic ("se3"); its tests carry that id.
+# pose points placed on the SE(3) geodesic ("se3"); its tests carry that id.
 SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
 
 
@@ -541,9 +541,18 @@ def test_analytic_jacobian_matches_dense_central_fd():
     assert_jacobian_matches_central_fd(system, x, state)
 
 
+def held_pose(rot, t, tau, rate):
+    """A two-sample trajectory that holds one pose from ``tau`` on, so an
+    oracle reads that pose at ``tau``."""
+    return Trajectory([tau, tau + 1.0 / rate], np.stack([rot, rot]), np.stack([t, t]), rate)
+
+
 def test_batch_residuals_match_single_evaluators():
     # At a random correction and bias step, each batch residual equals its
-    # oracle on the trajectory corrected by the oracle spline.
+    # oracle at the pose the oracle spline corrects: a prior, read between
+    # samples, at the initial pose at its time composed with the correction
+    # at its time; an IMU sample, whose stencil reads samples, on the
+    # corrected samples.
     cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
@@ -558,8 +567,12 @@ def test_batch_residuals_match_single_evaluators():
     corrected = oracles.apply_correction(init, grid, knots[:, 3:], knots[:, :3])
     accel_bias = state.accel_bias + x[6 * k : 6 * k + 3]
     gyro_bias = state.gyro_bias + x[6 * k + 3 :]
+    taus = np.array([c.tau_c for c in priors[:8]])
+    rot, t = compose_correction(
+        *oracles.correction_batch(grid, knots[:, 3:], knots[:, :3], taus), *init.sample_batch(taus)
+    )
     for i, c in enumerate(priors[:8]):
-        single = oracles.residual_map_prior(c, corrected)
+        single = oracles.residual_map_prior(c, held_pose(rot[i], t[i], c.tau_c, init.nominal_rate))
         assert abs(res[system.sl_prior][i] * lm.SIGMA_PRIOR - single) < 1e-10
     accel = res[system.sl_accel].reshape(-1, 3) * lm.SIGMA_ACCEL
     gyro = res[system.sl_gyro].reshape(-1, 3) * lm.SIGMA_GYRO
@@ -570,30 +583,69 @@ def test_batch_residuals_match_single_evaluators():
 
 
 def test_parameter_entry_moves_samples_by_its_knot_weight():
-    # The parameters are knot-major: x[6k + j] turns every sample by knot k's
-    # spline weight about axis j for j < 3, and shifts it along axis j - 3
-    # by that weight for j >= 3.
+    # The parameters are knot-major: x[6k + j] turns every pose point, the
+    # samples and the points of the queries between them, by knot k's spline
+    # weight at the point's time about axis j for j < 3, and shifts it along
+    # axis j - 3 by that weight for j >= 3.
     pairs, priors, imu, init = window_inputs()
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid)
     system = lm._WindowSystem(pairs, priors, imu, init, state)
-    idx, weights = grid.knot_indices_and_weights(init.times)
+    times = system.point_times
+    assert np.array_equal(times[: len(init)], init.times) and len(times) > len(init)
+    rot0, t0 = init.sample_batch(times)
+    idx, weights = grid.knot_indices_and_weights(times)
     for k in (0, 2, system.n_knots - 1):
         weight = np.where(idx == k, weights, 0.0).sum(axis=1)
-        assert np.any(weight > 0.0)
+        assert np.any(weight[: len(init)] > 0.0) and np.any(weight[len(init) :] > 0.0)
         for j in range(6):
             x = np.zeros(system.n_params())
             x[6 * k + j] = 1.0
-            rot, t = system.evaluate(x, state).samples
+            rot, t = system.evaluate(x, state).points
             move = weight[:, None] * np.eye(3)[j % 3]
             if j < 3:
                 turn = lie.so3_exp_batch(move)
-                want_rot = turn @ init.rotations
-                want_t = np.einsum("nij,nj->ni", turn, init.translations)
+                want_rot = turn @ rot0
+                want_t = np.einsum("nij,nj->ni", turn, t0)
             else:
-                want_rot, want_t = init.rotations, init.translations + move
+                want_rot, want_t = rot0, t0 + move
             assert np.allclose(rot, want_rot, rtol=0.0, atol=1e-12)
             assert np.allclose(t, want_t, rtol=0.0, atol=1e-12)
+
+
+def test_each_query_reads_its_own_pose_point():
+    # A prior within the snap tolerance of a sample reads that sample's pose
+    # bit for bit; a prior between samples reads the initial pose at its own
+    # time, corrected by the oracle spline at that time, after one folded
+    # correction and after a second one on top.
+    _, priors, _, init = window_inputs(pairs=[])
+    grid = knot_grid(init.start, init.end, 0.25)
+    h = 1.0 / init.nominal_rate
+    snapped = [17, 50, 83]
+    taus = np.r_[init.times[snapped] + [0.0, 1e-13, -1e-13], init.times[[20, 64]] + 0.37 * h]
+    priors = [dataclasses.replace(c, tau_c=tau) for c, tau in zip(priors, taus)] + priors[5:]
+    state = lm.OptState(grid)
+    system = lm._WindowSystem([], priors, [], init, state)
+    q = np.arange(system.q_prior.start, system.q_prior.start + 5)
+    assert np.array_equal(system.query_points[q[:3]], snapped)
+    assert np.all(system.query_points[q[3:]] >= len(init))
+    rng = np.random.default_rng(2)
+    rot0, t0 = init.sample_batch(taus[3:])
+    for _ in range(2):
+        x = rng.normal(scale=1e-2, size=system.n_params())
+        it = system.evaluate(x, state)
+        knots = x.reshape(-1, 6)
+        rot0, t0 = compose_correction(
+            *oracles.correction_batch(grid, knots[:, 3:], knots[:, :3], taus[3:]), rot0, t0
+        )
+        assert np.array_equal(it.rot[q[:3]], it.points[0][snapped])
+        assert np.array_equal(it.t[q[:3]], it.points[1][snapped])
+        assert np.allclose(it.rot[q[3:]], rot0, rtol=0.0, atol=1e-12)
+        assert np.allclose(it.t[q[3:]], t0, rtol=0.0, atol=1e-12)
+        state = system.fold(it).state
+    est = lm._trajectory_from(system)
+    assert np.array_equal(est.rotations[snapped], it.rot[q[:3]])
+    assert np.array_equal(est.translations[snapped], it.t[q[:3]])
 
 
 def window_inputs(pairs=None, with_imu=True):
@@ -652,9 +704,9 @@ def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
-    # Every IMU stencil read lies between two samples.
-    w = system.where[1][system.q_stencil[0].start :]
-    assert np.all((w > 0.0) & (w < 1.0))
+    # Every IMU stencil query lies between two samples: it reads a pose
+    # point of its own.
+    assert np.all(system.query_points[system.q_stencil[0].start :] >= len(system.traj_times))
     # The first and last samples read the clamped boundary knots.
     first, last = system.grid.knot_indices_and_weights(system.traj_times[[0, -1]])[0]
     assert first[0] == first[1] and last[2] == last[3]
@@ -677,36 +729,6 @@ def test_normal_equations_match_dense_jacobian_far_pairs():
     assert system.n_prior == 0 and system.n_imu == 0
     assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
     assert_normal_equations_match_dense(system, x, state)
-
-
-def test_blend_pulls_gradients_through_the_geodesic():
-    # Queries between samples 2.0-2.6 rad apart: g M against central
-    # differences of the oracle interpolation in a left perturbation
-    # (phi, rho) of the upper sample, R <- exp(phi) R, t <- exp(phi) t + rho.
-    rng = np.random.default_rng(4)
-    rot = lie.so3_exp_batch(rng.normal(scale=0.8, size=(4, 3)))
-    t = rng.normal(size=(4, 3))
-    idx, alpha = np.array([0, 0, 1, 2, 2]), np.array([0.3, 0.8, 0.5, 0.1, 0.95])
-    q_rot, q_t, chart = interpolate(rot, t, idx, alpha)
-    g = rng.normal(size=(5, 1, 6))
-    got = lm._blend(rot, t, alpha, chart)(g, slice(0, 5))[:, 0]
-
-    def perturbed(n, delta):
-        step = lie.so3_exp_batch(delta[None, :3])[0]
-        upper = np.eye(4)
-        upper[:3, :3], upper[:3, 3] = step @ rot[idx[n] + 1], step @ t[idx[n] + 1] + delta[3:]
-        lower = np.eye(4)
-        lower[:3, :3], lower[:3, 3] = rot[idx[n]], t[idx[n]]
-        pose = oracles.interp_pose(lower, upper, alpha[n])
-        phi = lie.so3_log_batch((pose[:3, :3] @ q_rot[n].T)[None])[0]
-        return np.r_[phi, pose[:3, 3] - lie.so3_exp_batch(phi[None])[0] @ q_t[n]]
-
-    eps = 1e-6
-    for n in range(5):
-        m = np.column_stack([
-            (perturbed(n, eps * e) - perturbed(n, -eps * e)) / (2.0 * eps) for e in np.eye(6)
-        ])
-        assert np.allclose(got[n], g[n, 0] @ m, rtol=0.0, atol=1e-8)
 
 
 def test_linearization_refuses_a_non_zero_correction():

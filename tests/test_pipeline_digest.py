@@ -32,7 +32,7 @@ def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, mon
     assert again == printed
     assert summary == (
         "tiny: 2 windows, largest translation difference 0 m, rotation entry 0, "
-        "accuracy metric 0 relative; 0 windows differ in stop reason or record count; "
+        "accuracy metric 0 relative (ate_m +0); 0 windows differ in stop reason or record count; "
         "0 of 2 window digests and 0 of 1 map digests differ"
     )
     # The dump holds the printed digests.
@@ -43,8 +43,9 @@ def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, mon
 
 def test_compare_sizes_each_difference(digest):
     # Arrays of two windows and an episode, one window moved by 1e-6 m and
-    # stopped for another reason, the map error 1% larger, and the other
-    # window's digest and the maps digest changed with no other difference.
+    # stopped for another reason, the map error 1% smaller and the map growth
+    # 0.5% larger, and the other window's digest and the maps digest changed
+    # with no other difference.  The largest change is named with its sign.
     reference = {
         "w.s1.e0.w0.rotations": np.eye(3)[None], "w.s1.e0.w0.translations": np.zeros((1, 3)),
         "w.s1.e0.w0.records": np.array(3), "w.s1.e0.w0.reason": np.array("predicted_decrease"),
@@ -57,12 +58,13 @@ def test_compare_sizes_each_difference(digest):
     current = dict(reference)
     current["w.s1.e0.w1.translations"] = np.ones((1, 3)) + [0.0, 1e-6, 0.0]
     current["w.s1.e0.w1.reason"] = np.array("cost_decrease")
-    current["w.s1.e0.accuracy"] = np.array([1.0, 1.0, 1.0, 1.01, 1.0])
+    current["w.s1.e0.accuracy"] = np.array([1.0, 1.0, 1.0, 0.99, 1.005])
     current["w.s1.e0.w0.digest"] = np.array("b0")
     current["w.s1.e0.maps"] = np.array("m1")
     assert digest.compare(reference, current) == [
         "w: 2 windows, largest translation difference 1e-06 m, rotation entry 0, "
-        "accuracy metric 0.01 relative; 1 windows differ in stop reason or record count; "
+        "accuracy metric 0.01 relative (map_rms_m -0.01); "
+        "1 windows differ in stop reason or record count; "
         "1 of 2 window digests and 1 of 1 map digests differ"
     ]
     # A dump that holds no digests compares none.

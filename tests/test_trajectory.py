@@ -141,7 +141,7 @@ def test_se3_interp_batch_is_interpolate_row_for_row(rng):
     traj = chain_trajectory(rng, rng.uniform(0.0, 1.5, size=20))
     k = rng.integers(0, len(traj) - 1, size=500)
     alpha = rng.uniform(1e-6, 1.0 - 1e-6, size=500)
-    rot, t, _ = interpolate(traj.rotations, traj.translations, k, alpha)
+    rot, t = interpolate(traj.rotations, traj.translations, k, alpha)
     rot_p, t_p = lie.se3_interp_batch(traj.rotations[k], traj.translations[k],
                                       traj.rotations[k + 1], traj.translations[k + 1], alpha)
     assert np.array_equal(rot, rot_p) and np.array_equal(t, t_p)
@@ -194,14 +194,16 @@ def test_rejects_irregular_spacing():
 @pytest.mark.parametrize("field, value", [
     ("times", np.nan), ("translations", np.inf), ("rotations", np.nan),
     ("nominal_rate", np.nan), ("nominal_rate", np.inf), ("nominal_rate", 0.0),
-    ("nominal_rate", -100.0),
+    ("nominal_rate", -100.0), ("times", np.arange(5)[:, None] / 100.0),
 ])
 def test_rejects_non_finite_samples_and_rates(field, value):
     # A NaN time, an inf translation, a NaN rotation entry and a NaN rate
     # used to be accepted; a query at 0.025 s then returned a pose or NaN.
+    # Times shaped (5, 1) were accepted and failed with a TypeError in
+    # ``start``.  An array value replaces the whole field.
     args = {"times": np.arange(5) / 100.0, "rotations": np.stack([np.eye(3)] * 5),
             "translations": np.zeros((5, 3)), "nominal_rate": 100.0}
-    if field == "nominal_rate":
+    if field == "nominal_rate" or np.ndim(value):
         args[field] = value
     else:
         args[field].flat[3] = value
@@ -231,10 +233,13 @@ def test_rejects_rotations_that_are_not_rotations(rng, scale, sign, accepted):
     ([0.3, 0.2, 0.1, 0.0], "strictly increasing"),
     ([0.0, np.nan, 0.2, 0.3], "finite"),
     ([0.0, 0.1, 0.2, np.inf], "finite"),
+    ([[0.0], [0.1], [0.2], [0.3]], "one-dimensional"),
 ])
 def test_control_grid_rejects_knots_that_do_not_increase(times, message):
     # Equal knots used to be accepted and divided by a zero step at the
-    # first weight query; descending knots were called non-uniform.
+    # first weight query; descending knots were called non-uniform.  Knot
+    # times shaped (4, 1) were accepted and failed with a TypeError in
+    # ``step``.
     with pytest.raises(InvalidArgumentError, match=message):
         ControlGrid(times)
 

@@ -22,9 +22,10 @@ trajectory, record count, stop reason and digest and each episode's accuracy
 metrics (``metrics.accuracy``) and map digest.  ``--against PATH`` compares
 this run with such a dump and prints, per workload, the largest translation
 difference (m), the largest rotation-matrix entry difference, the largest
-relative difference of an accuracy metric, the number of windows whose stop
-reason or record count differs, and how many window digests and map digests
-differ, of those the dump holds.  Run the dump in one checkout and the
+relative difference of an accuracy metric with that metric's name and its
+signed relative change, the number of windows whose stop reason or record
+count differs, and how many window digests and map digests differ, of those
+the dump holds.  Run the dump in one checkout and the
 comparison in the other, with the same workloads, seeds and episodes.
 
 BLAS runs one thread, as in the benchmark, so the rounding does not depend
@@ -144,10 +145,14 @@ def compare(reference, current):
     for name in dict.fromkeys(k.split(".")[0] for k in current):
         keys = [k for k in current if k.startswith(f"{name}.")]
 
-        def largest(suffix, relative=False):
-            diffs = [np.abs(current[k] - reference[k]) / (np.abs(reference[k]) if relative else 1.0)
-                     for k in keys if k.endswith(suffix)]
-            return max(float(d.max()) for d in diffs)
+        def largest(suffix):
+            return max(float(np.abs(current[k] - reference[k]).max())
+                       for k in keys if k.endswith(suffix))
+
+        # Signed relative changes of the accuracy metrics, one row per episode.
+        change = np.array([(current[k] - reference[k]) / np.abs(reference[k])
+                           for k in keys if k.endswith(".accuracy")])
+        worst = np.unravel_index(np.argmax(np.abs(change)), change.shape)
 
         def differing(suffix):
             held = [k for k in keys if k.endswith(suffix) and k in reference]
@@ -161,7 +166,8 @@ def compare(reference, current):
         lines.append(
             f"{name}: {len(windows)} windows, largest translation difference "
             f"{largest('.translations'):.3g} m, rotation entry {largest('.rotations'):.3g}, "
-            f"accuracy metric {largest('.accuracy', relative=True):.3g} relative; "
+            f"accuracy metric {abs(change[worst]):.3g} relative "
+            f"({ACCURACY[worst[1]]} {change[worst]:+.3g}); "
             f"{changed} windows differ in stop reason or record count; "
             f"{differing('.digest')} window digests and {differing('.maps')} map digests differ"
         )
