@@ -17,6 +17,12 @@ the fused rows once, with the eigenvalues of the update's PSD clamps.
 the arrays of ``SparseSurfels`` batches, keys its destinations once per call
 and pairs its surfels through one join with them per iteration.
 
+Every 3×3 decomposition here is the closed-form kernel of ``surfel_map``:
+``eigh3`` through ``psd_eigh`` for the scatters, whose smallest eigenvectors
+are the normals, and the values-only ``eigvalsh3`` for the extents' and
+centroid covariances' clamps (``psd_eigvalsh``) and the ICP's
+normal-eigenvalue ratio.
+
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
 matrix square roots are lower Cholesky factors throughout.
@@ -42,7 +48,9 @@ from .surfel_map import (
     _put,
     _row_dot,
     check_dense,
+    eigvalsh3,
     psd_eigh,
+    psd_eigvalsh,
     radius_join,
 )
 
@@ -208,19 +216,17 @@ def _chol_or_regularize(m, what):
 
 def extract_normal_batch(eigh, previous):
     """Smallest-eigenvalue eigenvector of each scatter, given the scatters'
-    ascending eigenpairs ``eigh``, sign-continuous with its previous normal;
-    the previous normal is kept where the two smallest eigenvalues are
-    indistinguishable."""
-    eigenvalues, vectors = eigh
+    ``eigh3`` ``(eigenvalues, normals)``, sign-continuous with its previous
+    normal; the previous normal is kept where the two smallest eigenvalues
+    are indistinguishable."""
+    eigenvalues, normals = eigh
     scale = np.maximum(np.abs(eigenvalues[:, 2]), 1e-30)
     ambiguous = eigenvalues[:, 1] - eigenvalues[:, 0] < 1e-9 * scale
     if log.isEnabledFor(logging.DEBUG):
         for _ in range(np.count_nonzero(ambiguous)):
             log.debug("ambiguous surfel normal; keeping previous")
-    normal = np.ascontiguousarray(vectors[:, :, 0])
-    normal[_row_dot(normal, previous) < 0.0] *= -1.0
-    normal /= np.sqrt(_row_dot(normal, normal))[:, None]
-    return np.where(ambiguous[:, None], previous, normal)
+    flip = _row_dot(normals, previous) < 0.0
+    return np.where(ambiguous[:, None], previous, np.where(flip[:, None], -normals, normals))
 
 
 def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
@@ -230,8 +236,10 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
 
     Returns the fused batch, not checked, and the eigenvalues of its
     centroid covariances and scatters as ``check_dense`` takes them: the
-    PSD clamps (``psd_eigh``) give them, and the scatters' eigenpairs give
-    the normals too.
+    PSD clamps give them, ``psd_eigh`` of the scatters, whose eigenvectors
+    give the normals too, and ``psd_eigvalsh`` of the centroid covariances.
+    The extent's clamp reads no eigenvalue it returns, so it is
+    ``psd_eigvalsh`` too.
     """
     if np.any(dst.dof <= MEASUREMENT_DIM + 1):
         raise InvalidArgumentError("surfel extent state not yet well defined")
@@ -246,14 +254,14 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     mean = dst.centroid + (gain @ delta[:, :, None])[:, :, 0]
     centroid_cov = dst.centroid_cov - gain @ dst.centroid_cov
 
-    sqrt_x = np.linalg.cholesky(psd_eigh(extent)[0] + 1e-18 * np.eye(3))
+    sqrt_x = np.linalg.cholesky(psd_eigvalsh(extent)[0] + 1e-18 * np.eye(3))
     innovation = delta[:, :, None] * delta[:, None, :]
     left_s = sqrt_x @ np.linalg.inv(sqrt_s)
     left_y = sqrt_x @ np.linalg.inv(sqrt_y)
     n_bar = left_s @ innovation @ _transpose(left_s)
     y_bar = left_y @ meas.scatter @ _transpose(left_y)
     scatter, scatter_eigh = psd_eigh(dst.scatter + n_bar + y_bar)
-    centroid_cov, (cov_eigenvalues, _) = psd_eigh(centroid_cov)
+    centroid_cov, cov_eigenvalues = psd_eigvalsh(centroid_cov)
 
     timestamp = dst.timestamp
     if meas.timestamp is not None:
@@ -406,7 +414,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         return IcpResult(rotation, translation)
     n = dst_normals[dst_idx]
     q = dst_pts[dst_idx]
-    eigenvalues = np.linalg.eigvalsh((n * weights_dst[dst_idx][:, None]).T @ n)
+    eigenvalues = eigvalsh3((n * weights_dst[dst_idx][:, None]).T @ n)
     plane_d = np.abs(np.sum(n * (p - q), axis=1))
     inliers = plane_d < INLIER_DISTANCE
     pairs = src_pts[src_idx[inliers]], q[inliers]

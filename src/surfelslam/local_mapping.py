@@ -369,6 +369,10 @@ class _WindowSystem:
         return knots, state.accel_bias, state.gyro_bias
 
     def _corrected_points(self, knots):
+        # At zero correction, as at each window's first evaluation, the pose
+        # points are the stored ones, which the correction would give exactly.
+        if not knots.any():
+            return self.base_rot, self.base_t
         first, band = self.point_bands
         # A band's trailing weights may fall past the last knot, where they
         # are zero; they read zero rows.

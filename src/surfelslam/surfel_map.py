@@ -25,15 +25,20 @@ made: extraction, a fusion step's fused rows, a sparse fuse's pooled rows,
 and ``DenseSurfels.of`` or ``SparseSurfels.of`` over a list of records.  A
 batch passes through ``of`` unchanged.
 
-Each covariance stack the pipeline makes is eigendecomposed once, by the
-PSD clamp ``psd_eigh``, and its eigenpairs are shared: extraction takes its
-normals, its clamp and the scatter half of its check from one ``eigh`` of
-the scatters; voxelization and the sparse fuse hand the clamp's eigenpairs
+Every 3×3 eigendecomposition goes through one batched closed-form kernel,
+``eigh3`` (Smith's eigenvalues and the smallest eigenvector from a cross
+product of rows), or its values-only form ``eigvalsh3``; LAPACK runs only
+on the rows whose two smallest eigenvalues the closed form cannot tell
+apart, and to rebuild the rows a PSD clamp changes.  Each covariance stack
+the pipeline makes is decomposed once, by the PSD clamp ``psd_eigh`` (or
+``psd_eigvalsh`` where no vector is read), and the result is shared:
+extraction takes its normals, its clamp and its whole check from one
+``eigh3`` of the scatters, the centroid covariances' spectrum following
+from theirs; voxelization and the sparse fuse hand the clamp's eigenpairs
 to ``_check_sparse`` for the normals, planarities and PSD check; and
 fusion's Wishart update (``fusion.fuse_batch``) hands them to the normal
 extraction and to ``check_dense``.  The checks decompose only what they are
-not given eigenvalues for: lists of records, direct calls and the centroid
-covariances of an extraction.
+not given eigenvalues for: lists of records and direct calls.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
 al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
@@ -98,32 +103,168 @@ def _require_psd(eigenvalues, what):
         raise InvalidArgumentError(f"{what} is not positive semidefinite")
 
 
+# Rows whose two smallest eigenvalues lie within this fraction of their
+# largest magnitude have no well-defined smallest eigenvector for the closed
+# form, and go to LAPACK.
+CLOSE_EIGENVALUES = 1e-6
+_DIAGONAL = (np.arange(3), np.arange(3))
+_THIRD_TURNS = np.array([[0.0], [2.0 * np.pi / 3.0]])
+# Row pairs (0, 1), (0, 2), (1, 2) and the cyclic column shifts of their
+# cross products, as index arrays into a (3, 3, m) stack.
+_ROW_A, _ROW_B = np.array([[0], [0], [1]]), np.array([[1], [2], [2]])
+_NEXT, _AFTER = np.array([[1, 2, 0]]), np.array([[2, 0, 1]])
+
+
+def _entries(a):
+    """A stack of 3×3 matrices, one matrix or many, as a (3, 3, m) array
+    whose ``[i, j]`` is the entry (i, j) of every matrix, and the leading
+    shape."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(-1, 9).T.reshape(3, 3, -1).copy(), a.shape[:-2]
+
+
+def _smith(at):
+    """Ascending eigenvalues of each symmetric matrix of ``at`` by Smith's
+    trigonometric formula (Eigenvalues of a symmetric 3×3 matrix, CACM
+    1961): three arrays."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = at
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    off = a01 * a01 + a02 * a02 + a12 * a12
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * off) / 6.0)
+    det = (b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02)
+           + a02 * (a01 * a12 - b11 * a02))
+    p3 = p * p * p
+    # det((A - qI) / p) / 2; a multiple of the identity has p = 0 and any angle.
+    phi = np.arccos(np.clip(det / (2.0 * np.where(p3 > 0.0, p3, 1.0)), -1.0, 1.0)) / 3.0
+    hi, lo = q + 2.0 * p * np.cos(phi + _THIRD_TURNS)
+    return lo, 3.0 * q - lo - hi, hi
+
+
+def _null_vector(at, lam):
+    """(3, m) unit vectors along the largest cross product of two rows of
+    ``A - lam I``, each matrix's null vector when ``lam`` is its simple
+    eigenvalue."""
+    r = at.copy()
+    r[_DIAGONAL] -= lam
+    c = r[_ROW_A, _NEXT] * r[_ROW_B, _AFTER] - r[_ROW_A, _AFTER] * r[_ROW_B, _NEXT]
+    sq = (c * c).sum(axis=1)
+    best = sq.argmax(axis=0)
+    cols = np.arange(len(best))
+    norm = np.sqrt(sq[best, cols])
+    return (c[best, :, cols] / np.where(norm > 0.0, norm, 1.0)[:, None]).T
+
+
+def _rayleigh(at, v):
+    """``v^T A v`` of each matrix of ``at`` and (3, m) column of ``v``."""
+    return (v * (at * v).sum(axis=1)).sum(axis=0)
+
+
+def _close(lo, mid, hi):
+    """Rows whose two smallest eigenvalues are within ``CLOSE_EIGENVALUES``."""
+    return mid - lo <= CLOSE_EIGENVALUES * np.maximum(np.abs(lo), np.abs(hi))
+
+
+def eigh3(a):
+    """Ascending eigenvalues and the smallest-eigenvalue unit eigenvector of
+    each exactly symmetric 3×3 matrix of a stack (or of one matrix), as
+    arrays of shape ``(..., 3)``, by whole-array closed forms.
+
+    Smith's formula gives the eigenvalues.  The eigenvector is the largest
+    cross product of two rows of ``A - l0 I`` at Smith's ``l0``, refined
+    once with ``l0`` replaced by its Rayleigh quotient; the smallest
+    eigenvalue is that vector's Rayleigh quotient, and the other two are
+    those of the 2×2 problem in its orthogonal complement (basis of Duff et
+    al., Building an orthonormal basis, revisited, JCGT 2017), which stay
+    accurate where Smith's lose digits, on discs (l1 = l2).  The rows whose
+    two smallest eigenvalues lie within ``CLOSE_EIGENVALUES`` of the
+    largest magnitude (zero, multiples of the identity, rank 1) are
+    decomposed by ``np.linalg.eigh``.  The vector's sign is arbitrary.
+    """
+    at, lead = _entries(a)
+    lo, mid, hi = _smith(at)
+    v = _null_vector(at, lo)
+    v = _null_vector(at, _rayleigh(at, v))
+    x, y, z = v
+    s = np.copysign(1.0, z)
+    f = -1.0 / (s + z)
+    g = x * y * f
+    plane = np.empty((2,) + v.shape)
+    plane[0, 0], plane[0, 1], plane[0, 2] = 1.0 + s * x * x * f, s * g, -s * x
+    plane[1, 0], plane[1, 1], plane[1, 2] = g, s + y * y * f, -y
+    # The 2×2 matrix of A on the plane orthogonal to v.
+    image = (at * plane[:, None]).sum(axis=2)
+    (u_u, u_w), (_, w_w) = (plane[:, None] * image[None]).sum(axis=2)
+    centre = 0.5 * (u_u + w_w)
+    half = np.hypot(0.5 * (u_u - w_w), u_w)
+    eigenvalues = np.stack([_rayleigh(at, v), centre - half, centre + half], axis=-1)
+    normals = v.T.copy()
+    close = _close(lo, mid, hi)
+    if close.any():
+        w, vectors = np.linalg.eigh(np.moveaxis(at[:, :, close], -1, 0))
+        eigenvalues[close], normals[close] = w, vectors[:, :, 0]
+    return eigenvalues.reshape(lead + (3,)), normals.reshape(lead + (3,))
+
+
+def eigvalsh3(a):
+    """The eigenvalues of ``eigh3`` without its vectors: Smith's formula
+    alone, with the same rows decomposed by ``np.linalg.eigvalsh``.  Each
+    is within a few ulps of the largest magnitude ``s``, except that two
+    eigenvalues ``d s`` apart are off by about ``1e-16 s / d``, up to
+    ``1e-8 s`` for a double largest eigenvalue (a disc).  Enough for a PSD
+    test, a clamp or a ratio; ``eigh3`` gives every digit."""
+    at, lead = _entries(a)
+    lo, mid, hi = _smith(at)
+    eigenvalues = np.stack([lo, mid, hi], axis=-1)
+    close = _close(lo, mid, hi)
+    if close.any():
+        eigenvalues[close] = np.linalg.eigvalsh(np.moveaxis(at[:, :, close], -1, 0))
+    return eigenvalues.reshape(lead + (3,))
+
+
+def _clamped(sym):
+    """The stack ``sym`` with negative eigenvalues set to zero, rebuilt from
+    ``np.linalg.eigh``'s eigenpairs and symmetrized."""
+    w, v = np.linalg.eigh(sym)
+    return _symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
 def psd_eigh(m, decomposed=None):
     """Symmetrize one matrix or a stack and clamp negative eigenvalues at
-    zero.  Returns the result, exactly symmetric, and its ascending
-    eigenpairs ``(eigenvalues, vectors)``, equal to ``np.linalg.eigh`` of
-    it.
+    zero.  Returns the result, exactly symmetric, and its ``eigh3``:
+    ``(eigenvalues, normals)``, ascending eigenvalues and the
+    smallest-eigenvalue unit eigenvectors.
 
-    This is where a stack's eigendecomposition is shared.  One ``eigh`` of
+    This is where a stack's eigendecomposition is shared.  One ``eigh3`` of
     the symmetrized input serves the rows that are positive semidefinite
-    already; only the rows the clamp changed, which are rare, are
-    decomposed again.  A caller that has decomposed the symmetrized input
-    passes that as ``decomposed``.  The eigenpairs returned serve the
-    caller's normals, planarities and PSD check (``_check_sparse``,
-    ``check_dense``, ``fusion.extract_normal_batch``).
+    already; only the rows the clamp changed, which are rare, are rebuilt
+    by ``np.linalg.eigh`` and decomposed again by ``eigh3``, so a clamped
+    matrix gets the eigenpairs any later ``eigh3`` of it would.  A caller
+    that has decomposed the symmetrized input passes that as
+    ``decomposed``.  The eigenpairs returned serve the caller's normals,
+    planarities and PSD check (``_check_sparse``, ``check_dense``,
+    ``fusion.extract_normal_batch``).
     """
     sym = _symmetrize(m)
-    eigenvalues, vectors = np.linalg.eigh(sym) if decomposed is None else decomposed
-    psd = eigenvalues[..., 0] >= 0.0
-    if psd.all():
-        return sym, (eigenvalues, vectors)
-    changed = ~psd
-    w, v = eigenvalues[changed], vectors[changed]
-    clamped = _symmetrize((v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2))
-    sym[changed] = clamped
-    eigenvalues, vectors = eigenvalues.copy(), vectors.copy()
-    eigenvalues[changed], vectors[changed] = np.linalg.eigh(clamped)
-    return sym, (eigenvalues, vectors)
+    eigenvalues, normals = eigh3(sym) if decomposed is None else decomposed
+    changed = eigenvalues[..., 0] < 0.0
+    if changed.any():
+        sym[changed] = _clamped(sym[changed])
+        eigenvalues, normals = eigenvalues.copy(), normals.copy()
+        eigenvalues[changed], normals[changed] = eigh3(sym[changed])
+    return sym, (eigenvalues, normals)
+
+
+def psd_eigvalsh(m):
+    """``psd_eigh`` for a caller that reads no eigenvector: the clamped,
+    exactly symmetric stack and its ``eigvalsh3`` eigenvalues."""
+    sym = _symmetrize(m)
+    eigenvalues = eigvalsh3(sym)
+    changed = eigenvalues[..., 0] < 0.0
+    if changed.any():
+        sym[changed] = _clamped(sym[changed])
+        eigenvalues[changed] = eigvalsh3(sym[changed])
+    return sym, eigenvalues
 
 
 # Per-surfel shape and dtype of each field of a surfel class, in field order.
@@ -220,9 +361,9 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eig
     symmetrized and must be positive semidefinite within tolerance.  Returns
     the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
     eigenvector of its covariance and each planarity ``(l1 - l0) / l2``.
-    ``eigh`` is the covariances' ascending eigenpairs when the caller has
-    them (from ``psd_eigh``, whose covariances are exactly symmetric);
-    otherwise the covariances are decomposed here.
+    ``eigh`` is the covariances' ``(eigenvalues, normals)`` when the caller
+    has them (from ``psd_eigh``, whose covariances are exactly symmetric);
+    otherwise one ``eigh3`` decomposes the covariances here.
     """
     values = {"centroid": centroid, "covariance": covariance, "count": count,
               "resolution": resolution, "timestamp": timestamp, "voxel": voxel}
@@ -236,12 +377,12 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eig
     if (values["resolution"] <= 0.0).any():
         raise InvalidArgumentError("sparse surfel resolution must be positive")
     values["covariance"] = _symmetrize(values["covariance"])
-    eigenvalues, vectors = np.linalg.eigh(values["covariance"]) if eigh is None else eigh
+    eigenvalues, normals = eigh3(values["covariance"]) if eigh is None else eigh
     _require_psd(eigenvalues, "sparse surfel covariance")
     scale = np.maximum(eigenvalues[:, 2], 1e-30)
     return SparseSurfels(
         **values,
-        normal=vectors[:, :, 0].copy(),
+        normal=normals,
         planarity=(eigenvalues[:, 1] - eigenvalues[:, 0]) / scale,
     )
 
@@ -343,8 +484,9 @@ def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
     symmetrized and must be positive semidefinite within tolerance, and
     normals must have unit length.  ``eigenvalues`` maps ``"centroid_cov"``
     or ``"scatter"`` to that stack's ascending eigenvalues when the caller
-    has them (from ``psd_eigh``, whose stacks are exactly symmetric); one
-    ``eigvalsh`` decomposes the stacks it does not name.  Returns the batch
+    has them (from ``psd_eigh`` or ``psd_eigvalsh``, whose stacks are exactly
+    symmetric, or derived from them); one ``eigvalsh3`` decomposes the
+    stacks it does not name.  Returns the batch
     with float fields, ``int64`` observation counts and the symmetrized
     covariances.
     """
@@ -365,7 +507,7 @@ def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
     parts = list(known.values())
     missing = [values[f] for f in ("centroid_cov", "scatter") if f not in known]
     if missing:
-        parts.append(np.linalg.eigvalsh(np.concatenate(missing)))
+        parts.append(eigvalsh3(np.concatenate(missing)))
     _require_psd(np.concatenate(parts), "dense surfel centroid covariance or scatter")
     normal = values["normal"]
     if (np.abs(np.sqrt(_row_dot(normal, normal)) - 1.0) > UNIT_TOLERANCE).any():
@@ -424,8 +566,8 @@ class DenseSurfelMap:
 
 def merge_moments(mean_a, cov_a, n_a, mean_b, cov_b, n_b):
     """Pooled mean, sample covariance and count of two point groups, or row
-    by row of two stacks of them, and the covariances' eigenpairs;
-    covariances are clamped PSD by ``psd_eigh``."""
+    by row of two stacks of them, and the covariances' ``(eigenvalues,
+    normals)``; covariances are clamped PSD by ``psd_eigh``."""
     n_a, n_b = np.asarray(n_a), np.asarray(n_b)
     n = n_a + n_b
     mean = (n_a[..., None] * mean_a + n_b[..., None] * mean_b) / n[..., None]
@@ -770,10 +912,12 @@ def extract_dense(points, times, traj=None,
     each surfel's Wishart extent; surfels follow seed order.
     Each normal points toward the mean of its neighbourhood's sensor
     origins: the sample translations ``T(t_i)`` through ``traj``, and the
-    world origin without it.  One ``eigh`` of the
-    scatters gives the normals, the PSD clamp (``psd_eigh``) and the
-    scatter half of the check; a clamped row's normal still comes from its
-    unclamped scatter, whose eigenspace the clamp can make degenerate.
+    world origin without it.  One ``eigh3`` of the
+    scatters gives the normals, the PSD clamp (``psd_eigh``) and the whole
+    check: the centroid covariances' eigenvalues are the scatters' over
+    ``n (n-1)`` plus ``BEAM_SIGMA**2``.  A clamped row's normal still comes
+    from its unclamped scatter, whose eigenspace the clamp can make
+    degenerate.
     """
     if cfg is None:
         cfg = DenseExtractionConfig()
@@ -814,12 +958,11 @@ def extract_dense(points, times, traj=None,
     count = sizes.astype(float)
     mean = _segment_mean(world, member, sizes)
     scatter = _segment_scatter(world, member, sizes, mean)
-    centroid_cov = scatter / (count * (count - 1.0))[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
-    decomposed = np.linalg.eigh(scatter)
-    normal = decomposed[1][:, :, 0].copy()
+    n_pairs = count * (count - 1.0)
+    centroid_cov = scatter / n_pairs[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
+    eigenvalues, normals = decomposed = eigh3(scatter)
     toward_sensor = _segment_mean(origins, member, sizes) - mean
-    normal[(normal * toward_sensor).sum(axis=1) < 0] *= -1.0
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    normal = np.where(((normals * toward_sensor).sum(axis=1) < 0)[:, None], -normals, normals)
     m = len(owners)
     # The segment scatters are exactly symmetric, so ``decomposed`` is that
     # of their symmetrization.
@@ -833,4 +976,5 @@ def extract_dense(points, times, traj=None,
         obs_count=np.ones(m, dtype=np.int64),
         timestamp=_segment_mean(times, member, sizes),
         radius=np.full(m, cfg.radius),
-    ), {"scatter": scatter_eigenvalues})
+    ), {"scatter": scatter_eigenvalues,
+        "centroid_cov": eigenvalues / n_pairs[:, None] + BEAM_SIGMA**2})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surfelslam import lie
+from surfelslam import lie, surfel_map
 from surfelslam.trajectory import ControlGrid
 
 
@@ -30,3 +30,28 @@ def random_spd(rng, dim=3, scale=1.0):
 def knot_grid(start, stop, step):
     """Knots covering [start, stop] at the given spacing."""
     return ControlGrid(start + step * np.arange(int(round((stop - start) / step)) + 1))
+
+
+def count_decompositions(monkeypatch, *modules):
+    """Record the number of matrices of every call of the closed-form
+    kernels ``eigh3`` and ``eigvalsh3`` (as ``surfel_map`` and ``modules``
+    call them), and of LAPACK's ``eigh`` and ``eigvalsh``: the kernels'
+    fallback rows and the clamps' rebuilds."""
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(m, *args, **kwargs):
+            calls.append((name, len(np.reshape(m, (-1, 3, 3)))))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("eigh", "eigvalsh"):
+        count(np.linalg, name)
+    for module in (surfel_map,) + modules:
+        for name in ("eigh3", "eigvalsh3"):
+            if hasattr(module, name):
+                count(module, name)
+    return calls

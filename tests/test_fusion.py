@@ -8,7 +8,7 @@ from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
 from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap, DenseSurfels
 
-from conftest import random_rotation, random_spd
+from conftest import count_decompositions, random_rotation, random_spd
 
 from surfelslam.fusion import (
     DeformationTrigger,
@@ -26,7 +26,13 @@ from surfelslam.fusion import (
     match_surfel,
     temporal_fusion_step,
 )
-from surfelslam.surfel_map import KeyedPoints, SparseSurfelMap, radius_join, voxelize_sparse
+from surfelslam.surfel_map import (
+    KeyedPoints,
+    SparseSurfelMap,
+    eigh3,
+    radius_join,
+    voxelize_sparse,
+)
 
 
 def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
@@ -291,7 +297,7 @@ def test_fold_matches_sequential_fuse_surfel(rng):
 
 def extract_normal(surfel):
     """``extract_normal_batch`` on a batch of one surfel."""
-    return extract_normal_batch(np.linalg.eigh(surfel.scatter[None]), surfel.normal[None])[0]
+    return extract_normal_batch(eigh3(surfel.scatter[None]), surfel.normal[None])[0]
 
 
 def test_extract_normal_axis_aligned():
@@ -383,28 +389,27 @@ def test_temporal_fusion_identical_local_map(rng):
 
 def test_temporal_fusion_decomposes_each_covariance_stack_once(rng, monkeypatch):
     # A regression guard: each fold round decomposes its extents, scatters
-    # and centroid covariances once, the scatters' eigenpairs give the
-    # normals, and the clamps' eigenvalues serve the check of the fused
-    # rows, so no eigvalsh runs; the sparse pooling decomposes each merge
-    # once.  Beyond that only the rows a clamp changed are decomposed
-    # again, a few here.  The ICP does not run: nothing is inactive.
+    # and centroid covariances once by the closed-form kernels, the
+    # scatters' eigenvectors give the normals, and the clamps' eigenvalues
+    # serve the check of the fused rows; the sparse pooling decomposes each
+    # merge once.  Beyond that only the rows a clamp changed are rebuilt by
+    # LAPACK and decomposed again, a few here, and LAPACK decomposes only
+    # those and the kernels' fallback rows.  The ICP does not run: nothing
+    # is inactive.
     pts = corner_scene_points(rng)
     global_maps = GlobalMaps()
     temporal_fusion_step(make_local_maps(rng, pts, timestamp=0.0), global_maps, step=0)
     second = make_local_maps(rng, pts, timestamp=5.0)
-    rows = []
-    eigh = np.linalg.eigh
-
-    def counted(m, *args, **kwargs):
-        rows.append(len(m))
-        return eigh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    calls = count_decompositions(monkeypatch, fusion)
     r = temporal_fusion_step(second, global_maps, step=1)
     assert r.metrics.n_fused == len(second.dense) and len(global_maps.sparse) == len(second.sparse)
+    rows = {}
+    for name, n in calls:
+        rows[name] = rows.get(name, 0) + n
     once_each = 3 * r.metrics.n_fused + len(second.sparse)
-    assert once_each <= sum(rows) <= once_each + r.metrics.n_fused // 4
+    again = r.metrics.n_fused // 4
+    assert once_each <= rows.get("eigh3", 0) + rows.get("eigvalsh3", 0) <= once_each + again
+    assert rows.get("eigh", 0) + rows.get("eigvalsh", 0) <= again
 
 
 def test_temporal_fusion_disjoint_region_inserts(rng):

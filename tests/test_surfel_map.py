@@ -19,6 +19,8 @@ from surfelslam.surfel_map import (
     _check_sparse,
     _radius_pairs,
     check_dense,
+    eigh3,
+    eigvalsh3,
     extract_dense,
     merge_moments,
     psd_eigh,
@@ -26,6 +28,8 @@ from surfelslam.surfel_map import (
     voxelize_sparse,
 )
 from surfelslam.trajectory import Trajectory
+
+from conftest import count_decompositions
 
 
 def test_voxelize_cube_corners():
@@ -767,29 +771,108 @@ def _mixed_psd_stack(rng):
     return rows + noise
 
 
+def _with_spectra(rng, spectra):
+    """Exactly symmetric matrices with the rows of ``spectra`` as
+    eigenvalues, in random orthonormal bases."""
+    basis = np.linalg.qr(rng.normal(size=(len(spectra), 3, 3)))[0]
+    m = (basis * np.asarray(spectra, dtype=float)[:, None, :]) @ np.swapaxes(basis, 1, 2)
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
+def _adversarial_stacks(rng, n=200):
+    """Named stacks of exactly symmetric 3×3 matrices that test a
+    closed-form decomposition where it can lose digits."""
+    r = rng.uniform(0.5, 2.0, size=n)
+    zero, one = np.zeros(n), np.ones(n)
+    b = rng.normal(size=(n, 3, 3))
+    spd = b @ np.swapaxes(b, 1, 2)
+    # Points on the plane z = 0 give a scatter with an exact zero eigenvalue.
+    flat = rng.normal(size=(n, 20, 3)) * [1.0, 0.5, 0.0]
+    flat -= flat.mean(axis=1, keepdims=True)
+    stacks = {f"spd at {scale:g}": scale * spd for scale in (1e-12, 1.0, 1e6)}
+    stacks.update({
+        "planar": np.swapaxes(flat, 1, 2) @ flat,
+        "thin plane": _with_spectra(rng, np.stack([2e-4 * r, r, 2.0 * r], axis=1)),
+        "disc": _with_spectra(rng, np.stack([1e-3 * r, r, r], axis=1)),
+        "near disc": _with_spectra(rng, np.stack([1e-3 * r, r, r + 1e-9], axis=1)),
+        "double smallest": _with_spectra(rng, np.stack([r, r, 2.0 * r], axis=1)),
+        "rank 1": _with_spectra(rng, np.stack([zero, zero, r], axis=1)),
+        "diagonal": np.eye(3) * rng.normal(size=(n, 1, 3)),
+        "identity": np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
+        "zero": np.zeros((n, 3, 3)),
+        "negative": _with_spectra(rng, np.stack([-0.1 * r, r, 2.0 * one], axis=1)),
+        "single": spd[0],
+    })
+    return stacks
+
+
+def _assert_matches_eigh(a, eigenvalues, normals):
+    """``eigh3``'s output for the stack ``a`` against ``np.linalg.eigh``:
+    eigenvalues within 1e-14 of the largest magnitude, unit normals, and
+    each normal along the oracle's (1 - |v.v_ref| at most 1e-13) where the
+    two smallest eigenvalues are 1e-6 of it apart, an eigenvector of the
+    smallest (residual at most 1e-14 of it) where they are closer."""
+    a = np.reshape(a, (-1, 3, 3))
+    eigenvalues, normals = np.reshape(eigenvalues, (-1, 3)), np.reshape(normals, (-1, 3))
+    want, vectors = np.linalg.eigh(a)
+    scale = np.abs(want).max(axis=1)
+    assert (np.abs(eigenvalues - want).max(axis=1) <= 1e-14 * scale).all()
+    assert (np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-15).all()
+    apart = want[:, 1] - want[:, 0] > 1e-6 * scale
+    along = np.abs(np.einsum("ni,ni->n", normals, vectors[:, :, 0]))
+    assert (1.0 - along[apart] <= 1e-13).all()
+    residual = np.einsum("nij,nj->ni", a, normals) - eigenvalues[:, :1] * normals
+    assert (np.linalg.norm(residual, axis=1)[~apart] <= 1e-14 * scale[~apart]).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigh3_matches_lapack_on_adversarial_stacks(rng):
+    for name, a in _adversarial_stacks(rng).items():
+        eigenvalues, normals = eigh3(a)
+        assert eigenvalues.shape == normals.shape == a.shape[:-2] + (3,), name
+        _assert_matches_eigh(a, eigenvalues, normals)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigvalsh3_matches_lapack_to_its_stated_accuracy(rng):
+    # Smith's formula alone: within 1e-13 of the largest magnitude where
+    # the eigenvalues are 1e-3 of it apart, 1e-7 at a double eigenvalue.
+    for name, a in _adversarial_stacks(rng).items():
+        got = eigvalsh3(a)
+        assert got.shape == a.shape[:-2] + (3,), name
+        want = np.linalg.eigvalsh(a).reshape(-1, 3)
+        got = got.reshape(-1, 3)
+        scale = np.abs(want).max(axis=1)
+        error = np.abs(got - want).max(axis=1)
+        apart = np.diff(want, axis=1).min(axis=1) > 1e-3 * scale
+        assert (error <= 1e-7 * scale).all(), name
+        assert (error[apart] <= 1e-13 * scale[apart]).all(), name
+
+
 def test_psd_eigh_returns_the_eigenpairs_of_its_output(rng):
     m = _mixed_psd_stack(rng)
     sym = 0.5 * (m + np.swapaxes(m, 1, 2))
     psd = np.linalg.eigvalsh(sym)[:, 0] >= 0.0
     assert psd.any() and not psd.all()
-    out, (eigenvalues, vectors) = psd_eigh(m)
-    want_values, want_vectors = np.linalg.eigh(out)
-    assert np.array_equal(eigenvalues, want_values)
-    assert np.array_equal(vectors, want_vectors)
+    out, (eigenvalues, normals) = psd_eigh(m)
+    _assert_matches_eigh(out, eigenvalues, normals)
     assert np.array_equal(out, np.swapaxes(out, 1, 2))
     assert np.array_equal(out[psd], sym[psd])
     assert np.array_equal(out[4], np.zeros((3, 3)))
     scale = np.maximum(np.abs(eigenvalues[:, 2]), 1.0)
     assert (eigenvalues[:, 0] >= -1e-15 * scale).all()
-    # A decomposition the caller already has gives the same result.
-    given, (given_values, given_vectors) = psd_eigh(m, np.linalg.eigh(sym))
+    # A decomposition the caller already has gives the same result, and so
+    # does decomposing the output again.
+    given, (given_values, given_normals) = psd_eigh(m, eigh3(sym))
     assert np.array_equal(given, out)
-    assert np.array_equal(given_values, eigenvalues) and np.array_equal(given_vectors, vectors)
+    assert np.array_equal(given_values, eigenvalues) and np.array_equal(given_normals, normals)
+    again_values, again_normals = eigh3(out)
+    assert np.array_equal(again_values, eigenvalues) and np.array_equal(again_normals, normals)
     # One matrix is a stack of one.
     for k in (0, 2):
-        one, (one_values, one_vectors) = psd_eigh(m[k])
+        one, (one_values, one_normals) = psd_eigh(m[k])
         assert np.array_equal(one, out[k]) and np.array_equal(one_values, eigenvalues[k])
-        assert np.array_equal(one_vectors, vectors[k])
+        assert np.array_equal(one_normals, normals[k])
 
 
 def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
@@ -815,45 +898,31 @@ def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
     covariance[1] = bad
     fields = (sparse.centroid, covariance, sparse.count, sparse.resolution, sparse.timestamp,
               sparse.voxel)
-    for eigh in (None, np.linalg.eigh(covariance)):
+    for eigh in (None, eigh3(covariance)):
         with pytest.raises(InvalidArgumentError):
             _check_sparse(*fields, eigh=eigh)
     with pytest.raises(InvalidArgumentError):
         SparseSurfels.of([sparse[0], replace(sparse[1], covariance=bad)])
 
 
-def _count_decompositions(monkeypatch):
-    """Record the number of matrices of every ``eigh`` and ``eigvalsh``
-    call."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(m, *args, _original=original, _name=name, **kwargs):
-            calls.append((_name, len(np.reshape(m, (-1, 3, 3)))))
-            return _original(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def test_one_eigendecomposition_per_covariance_stack(rng, monkeypatch):
-    # A regression guard on a small batch whose stacks need no clamping:
-    # extraction decomposes its scatters once (normals, clamp and check)
-    # and its centroid covariances once (check); voxelization and a sparse
-    # fuse decompose each covariance stack once (clamp, normals and check).
+    # A regression guard on a small batch whose stacks need no clamping and
+    # no LAPACK fallback: extraction decomposes its scatters once (normals,
+    # clamp and check) and its centroid covariances never (their spectrum
+    # follows from the scatters'); voxelization and a sparse fuse decompose
+    # each covariance stack once (clamp, normals and check).
     points = 0.25 + rng.normal(scale=0.01, size=(400, 3))
     times = np.zeros(len(points))
     first = voxelize_sparse(points, times, [0.5, 1.0])
     again = voxelize_sparse(points[::2], times[::2], [0.5, 1.0])
     sparse_map = SparseSurfelMap()
     sparse_map.fuse(first)
-    calls = _count_decompositions(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     dense = extract_dense(points, times)
-    assert len(dense) > 1 and sorted(calls) == [("eigh", len(dense)), ("eigvalsh", len(dense))]
+    assert len(dense) > 1 and calls == [("eigh3", len(dense))]
     calls.clear()
     assert len(voxelize_sparse(points, times, [0.5, 1.0])) == 2
-    assert calls == [("eigh", 2)]
+    assert calls == [("eigh3", 2)]
     calls.clear()
     sparse_map.fuse(again)
-    assert calls == [("eigh", 2)]
+    assert calls == [("eigh3", 2)]

@@ -18,14 +18,17 @@ checkouts give identical output exactly when their outputs are bit-identical,
 so compare them with ``diff``.
 
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
-trajectory, record count, stop reason and digest and each episode's accuracy
-metrics (``metrics.accuracy``) and map digest.  ``--against PATH`` compares
-this run with such a dump and prints, per workload, the largest translation
+trajectory, record count, stop reason, fusion counts and trigger
+(``FUSION``) and digest, and each episode's accuracy metrics
+(``metrics.accuracy``) and map digest.  ``--against PATH`` compares this run
+with such a dump and prints, per workload, the largest translation
 difference (m), the largest rotation-matrix entry difference, the largest
 relative difference of an accuracy metric with that metric's name and its
 signed relative change, the number of windows whose stop reason or record
-count differs, and how many window digests and map digests differ, of those
-the dump holds.  Run the dump in one checkout and the
+count differs, and how many windows differ in fusion counts or trigger and
+how many window digests and map digests differ, of those the dump holds.
+A change that moves the maps only by rounding changes their digests but no
+fusion count or trigger.  Run the dump in one checkout and the
 comparison in the other, with the same workloads, seeds and episodes.
 
 BLAS runs one thread, as in the benchmark, so the rounding does not depend
@@ -110,13 +113,18 @@ def maps_digest(global_maps):
 
 
 ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
+# The fields of a window's ``FusionStepMetrics`` that count or decide.
+FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
+# The names a dump may lack: a dump without them compares none.
+OPTIONAL = (".digest", ".maps", ".fusion")
 
 
 def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
     window its trajectory, record count (0 for a failed window), stop reason
-    (the failure's class name for a failed window) and digest, and the
-    episode's accuracy metrics in ``ACCURACY`` order and maps digest."""
+    (the failure's class name for a failed window), fusion counts and
+    trigger in ``FUSION`` order and digest, and the episode's accuracy
+    metrics in ``ACCURACY`` order and maps digest."""
     out = {}
     for r in results:
         w = f"{key}.w{r.index}"
@@ -124,6 +132,7 @@ def episode_arrays(key, episode, results, global_maps):
         out[f"{w}.translations"] = r.estimate.translations
         out[f"{w}.records"] = np.array(0 if r.report is None else len(r.report.records))
         out[f"{w}.reason"] = np.array(r.failed if r.report is None else r.report.reason)
+        out[f"{w}.fusion"] = np.array([getattr(r.fusion.metrics, f) for f in FUSION], dtype=np.int64)
         out[f"{w}.digest"] = np.array(window_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
@@ -134,11 +143,9 @@ def episode_arrays(key, episode, results, global_maps):
 def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
     ``episode_arrays``, as printable lines.  A name missing from
-    ``reference`` raises ``SystemExit``, unless it is a digest: a dump that
-    holds no digests compares 0 of them."""
-    missing = sorted(
-        k for k in set(current) - set(reference) if not k.endswith((".digest", ".maps"))
-    )
+    ``reference`` raises ``SystemExit``, unless it is a digest or fusion
+    counts (``OPTIONAL``): a dump that holds none compares 0 of them."""
+    missing = sorted(k for k in set(current) - set(reference) if not k.endswith(OPTIONAL))
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
     lines = []
@@ -156,7 +163,7 @@ def compare(reference, current):
 
         def differing(suffix):
             held = [k for k in keys if k.endswith(suffix) and k in reference]
-            return f"{sum(reference[k] != current[k] for k in held)} of {len(held)}"
+            return f"{sum(bool(np.any(reference[k] != current[k])) for k in held)} of {len(held)}"
 
         windows = [k[: -len(".reason")] for k in keys if k.endswith(".reason")]
         changed = sum(
@@ -169,6 +176,7 @@ def compare(reference, current):
             f"accuracy metric {abs(change[worst]):.3g} relative "
             f"({ACCURACY[worst[1]]} {change[worst]:+.3g}); "
             f"{changed} windows differ in stop reason or record count; "
+            f"{differing('.fusion')} windows differ in fusion counts or trigger; "
             f"{differing('.digest')} window digests and {differing('.maps')} map digests differ"
         )
     return lines
