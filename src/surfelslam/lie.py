@@ -18,10 +18,12 @@ The SO(3) left Jacobian and its inverse are applied to vectors, never
 formed as matrices, in one place: each is ``I + b K + c K^2`` with
 ``K = hat(phi)``, applied as ``v + b phi x v + c phi x (phi x v)``
 (``_so3_apply``).  :func:`so3_left_jacobian_inv_apply` serves the logarithm
-and the gyro rows, and ``se3_exp_batch`` applies the left Jacobian to the
-translation.  These kernels store vectors component first, ``(3, ...)``, so
-that a product broadcasts over any trailing axes.  No SE(3) Jacobian is
-needed: the window optimizer perturbs each pose it reads directly.
+and the IMU rotation rows; :func:`so3_left_jacobian_apply` serves
+``se3_exp_batch``'s translation and the IMU preintegration's right
+Jacobians (``Jr(phi) = Jl(phi)^T``).  These kernels store vectors component
+first, ``(3, ...)``, so that a product broadcasts over any trailing axes.
+No SE(3) Jacobian is needed: the window optimizer perturbs each pose it
+reads directly.
 
 A pose is a rotation matrix (3, 3) and a translation (3,), stored as
 separate stacks.  Poses are composed without re-orthonormalization: the
@@ -143,6 +145,14 @@ def so3_left_jacobian_inv_apply(phi, v):
     return _so3_apply(phi, v, -0.5, _jl_inv_coeff(np.linalg.norm(phi, axis=0)))
 
 
+def so3_left_jacobian_apply(phi, v):
+    """``Jl(phi) v = v + (1 - cos t) / t^2 phi x v + (t - sin t) / t^3 phi x
+    (phi x v)`` at ``t = |phi|``, of rotation vectors and vectors stored
+    component first, ``(3, ...)``, with the trailing axes broadcast."""
+    theta = np.linalg.norm(phi, axis=0)
+    return _so3_apply(phi, v, _cos_coeff(theta), _one_minus_sinc_coeff(theta))
+
+
 def so3_exp_batch(r):
     """Rodrigues formula over (N, 3) rotation vectors."""
     return _so3_exp(*_so3_hats(r))
@@ -181,9 +191,7 @@ def se3_exp_batch(xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] != 6 or not np.all(np.isfinite(xi)):
         raise InvalidArgumentError("twists must be finite and shaped (N, 6)")
-    theta, k, kk = _so3_hats(xi[:, :3])
-    t = _so3_apply(xi[:, :3].T, xi[:, 3:].T, _cos_coeff(theta), _one_minus_sinc_coeff(theta))
-    return _so3_exp(theta, k, kk), t.T
+    return so3_exp_batch(xi[:, :3]), so3_left_jacobian_apply(xi[:, :3].T, xi[:, 3:].T).T
 
 
 def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):

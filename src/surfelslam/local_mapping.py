@@ -1,9 +1,14 @@
 """Local-window trajectory optimization.
 
-Four residual families constrain the window: surfel-to-surfel point-to-plane
-errors, surfel-to-map-prior point-to-plane errors, and IMU acceleration and
-body-rate errors.  They are evaluated as arrays over the whole window; the
-scalar per-constraint evaluators that pin them are test oracles in
+Three residual families constrain the window: surfel-to-surfel
+point-to-plane errors, surfel-to-map-prior point-to-plane errors, and
+preintegrated IMU factors.  The IMU samples are folded once per window into
+groups, one per run of samples in half a knot interval (Forster et al., T-RO
+2017; Le Gentil et al., RA-L 2020): each group gives a relative rotation and
+two moments of its accelerations, whitened by the group's covariance, with a
+first-order bias Jacobian (:func:`_preintegrate`).  The families are
+evaluated as arrays over the whole window; the scalar evaluators that pin
+them, per constraint and per IMU group, are test oracles in
 ``simulation.oracles``.  A damped Gauss-Newton solver estimates a spline
 correction at the knots, and the IMU biases when the window has IMU samples.
 Its Jacobian is analytic: each residual row reads a few pose points, and a
@@ -131,6 +136,15 @@ class OptimizerConfig:
 
 @dataclass
 class IterationRecord:
+    """One accepted iterate's cost and the RMS of each residual family.
+
+    ``rms_surfel`` and ``rms_prior`` are in meters.  ``rms_accel`` (m/s^2)
+    and ``rms_gyro`` (rad/s) are the RMS of the whitened IMU moment and
+    rotation rows times ``SIGMA_ACCEL`` and ``SIGMA_GYRO``: the size of the
+    errors in units of one sample's noise, which for a group of one sample
+    is that sample's acceleration error.
+    """
+
     iteration: int
     cost: float
     rms_surfel: float
@@ -199,6 +213,107 @@ def _row_spread(first, band):
     return row_first, spread.transpose(0, 2, 1)[:, None, :width]
 
 
+class _ImuGroups(NamedTuple):
+    """IMU samples folded per group at set-up biases ``(b_a, b_g)``.
+
+    Group g holds ``count[g]`` samples ``i = 0..n-1``, each one step ``h``
+    after the one before, the first at ``first[g]`` and the last at
+    ``last[g]``.  ``delta_rot`` is the gyro's rotation from the first
+    sample's frame to one step past the last, ``prod_i exp((w_i - b_g) h)``.
+    ``moments`` are the zeroth and centred first moment, weights ``1`` and
+    ``i - (n - 1) / 2``, of the bias-free accelerations ``a_i - b_a``, each
+    turned into the first sample's frame by the gyro's rotation up to it
+    (m/s^2).
+
+    The moments fold the accelerations as preintegration folds them into a
+    velocity and a position change.  The group's residual has nine rows:
+    the rotation ``log(R_n^T R_0 delta_rot) / h`` (rad/s), then the two
+    moments, measured minus predicted (m/s^2), where moment w predicts
+    ``R_0^T sum_i w_i ((t_{i+1} - 2 t_i + t_{i-1}) / h^2 - g)`` from the
+    poses ``R``, ``t`` at the sample times, ``t_{-1}`` and ``t_n`` one step
+    before the first and after the last.  ``bias_jac`` (G, 9, 6) is its
+    first-order Jacobian with respect to ``(b_a, b_g)`` (Forster et al.,
+    T-RO 2017, Sec. VI), and ``cov`` (G, 9, 9) its covariance under
+    per-sample noise of standard deviation ``SIGMA_ACCEL`` and
+    ``SIGMA_GYRO``.  A group of one sample has a centred moment of zero and
+    no variance there.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    count: np.ndarray
+    delta_rot: np.ndarray
+    moments: np.ndarray
+    bias_jac: np.ndarray
+    cov: np.ndarray
+
+
+def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
+    """Samples sorted by time ``taus`` (m,), with readings (m, 3) and the
+    index of the segment of the knot grid that holds each, folded into
+    groups (:class:`_ImuGroups`).  A group is a maximal run of samples in one
+    segment, each ``h`` after the one before, within ``1e-9 h``.
+
+    To first order the rows are linear in each sample's accelerometer and
+    gyro errors, so the bias Jacobian sums the derivatives by every sample's
+    errors (a bias is the same error at every sample) and the covariance
+    weighs them by the noise variances.  An accelerometer error at sample i
+    moves the moments by ``w_i dR_{0,i}``; those terms of the covariance are
+    ``SIGMA_ACCEL^2 sum_i w_i w'_i I``, as ``dR_{0,i}`` is a rotation.  A
+    gyro error at sample k turns the rotation by ``G_k = dR_{0,k+1}
+    Jr(theta_k) h``, seen from one step past the last sample as
+    ``dR^T G_k``, and every later sample's acceleration with it: the
+    moments move by ``s_k x G_k`` of the weighted accelerations ``s_k``
+    after sample k.
+    """
+    step = np.abs(np.diff(taus) - h) <= 1e-9 * h
+    start = np.r_[True, ~step | (np.diff(segment) != 0)]
+    group = np.cumsum(start) - 1
+    pos = np.arange(taus.size) - np.flatnonzero(start)[group]
+    count = np.bincount(group)
+    n_groups, width = count.size, int(count.max())
+    # Padded to (G, N, ...): a pad sample turns by nothing and weighs nothing.
+    theta = np.zeros((n_groups, width, 3))
+    theta[group, pos] = (gyro - gyro_bias) * h
+    specific = np.zeros((n_groups, width, 3))
+    specific[group, pos] = accel - accel_bias
+    weights = np.zeros((n_groups, width, 2))
+    weights[group, pos, 0] = 1.0
+    weights[group, pos, 1] = pos - 0.5 * (count[group] - 1)
+
+    steps = lie.so3_exp_batch(theta.reshape(-1, 3)).reshape(n_groups, width, 3, 3)
+    rot = np.empty((n_groups, width + 1, 3, 3))  # rot[:, i] = dR_{0,i}
+    rot[:, 0] = np.eye(3)
+    for i in range(width):
+        rot[:, i + 1] = rot[:, i] @ steps[:, i]
+    delta_rot = rot[:, width]
+    weighted = weights[..., None] * (rot[:, :-1] @ specific[..., None]).swapaxes(2, 3)
+    moments = weighted.sum(axis=1)
+    after = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1] - weighted
+
+    # Row r of G_k is Jl(theta_k) applied to row r of dR_{0,k+1}, as
+    # Jr = Jl^T; a pad sample has no gyro error.
+    turn = lie.so3_left_jacobian_apply(
+        theta.transpose(2, 0, 1)[..., None], rot[:, 1:].transpose(3, 0, 1, 2)
+    ).transpose(1, 2, 3, 0) * (h * (weights[:, :, 0, None, None]))
+    gyro_rows = np.empty((n_groups, width, 3, 3, 3))  # (G, N, row block, row, k)
+    gyro_rows[:, :, 0] = -(delta_rot.transpose(0, 2, 1)[:, None] @ turn) / h
+    hats = lie.hat_batch(after.reshape(-1, 3)).reshape(after.shape + (3,))
+    gyro_rows[:, :, 1:] = hats @ turn[:, :, None]
+    gyro_rows = gyro_rows.reshape(n_groups, width, 9, 3)
+
+    bias_jac = np.zeros((n_groups, 9, 6))
+    bias_jac[:, 3:, :3] = -np.einsum("gnw,gnij->gwij", weights, rot[:, :-1]).reshape(-1, 6, 3)
+    bias_jac[:, :, 3:] = gyro_rows.sum(axis=1)
+    scaled = SIGMA_GYRO * gyro_rows.transpose(0, 2, 1, 3).reshape(n_groups, 9, -1)
+    cov = scaled @ scaled.transpose(0, 2, 1)
+    # sum_i w_i w'_i: n, 0 and n (n^2 - 1) / 12.
+    cov[:, 3:6, 3:6] += (SIGMA_ACCEL**2 * count)[:, None, None] * np.eye(3)
+    cov[:, 6:, 6:] += (SIGMA_ACCEL**2 * count * (count**2 - 1) / 12.0)[:, None, None] * np.eye(3)
+    ends = np.r_[np.flatnonzero(start)[1:], taus.size] - 1
+    return _ImuGroups(taus[start], taus[ends], count, delta_rot, moments, bias_jac, cov)
+
+
 def _vectors(values):
     """A list of 3-vectors stacked into an (n, 3) array; any other shape
     raises ``InvalidArgumentError``."""
@@ -217,14 +332,29 @@ class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
     Every residual reads poses at query times, laid out as
-    ``[pair a | pair b | prior | IMU stencil -h | 0 | +h]``.  Each query
-    reads one pose point (``query_points``): a query that snaps to a sample
-    reads that sample, and a query between two samples is a pose point of
-    its own, after the samples, interpolated once from the initial samples
-    at set-up.  The corrections move the pose points, never their times, so
+    ``[pair a | pair b | prior | IMU first - h | first | last | last + h]``,
+    the IMU queries one per group at each of its four times (``q_imu``).
+    Each query reads one pose point (``query_points``): a query that snaps
+    to a sample reads that sample, and a query between two samples is a
+    pose point of its own, after the samples, interpolated once from the
+    initial samples at set-up.  The corrections move the pose points, never their times, so
     every point keeps the spline band of its own time, its first knot and
     its four spline weights on the knots from it (``point_bands``), for the
     window.
+
+    The IMU samples the window reads (the stencil of each, one trajectory
+    step ``h`` either side, inside the window) are sorted by time once and
+    folded into groups (:func:`_preintegrate`): maximal runs in half a knot
+    interval, each sample ``h`` after the one before.  A group's prediction
+    of its moments, a weighted sum of central differences, telescopes onto
+    its four queries, and its rotation reads two of them.  Its nine rows,
+    rotation then moments, are whitened by the Cholesky factor of its
+    covariance, one constant matrix per group (``imu_whiten``); a group of
+    one sample drops its centred moment, which is zero.  Of the kept rows
+    the moment rows come first (``sl_accel``), then the rotation rows
+    (``sl_gyro``).  Groups in whole knot intervals would fix only K - 3
+    rotation increments of the K - 1 that a spline of K knots has, and leave
+    two modes per axis to the priors; groups in halves fix them all.
 
     The window is linearized at the folded pose points only, at zero
     correction (:meth:`fold`); a non-zero correction is refused.  The
@@ -238,12 +368,13 @@ class _WindowSystem:
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
     the sum over the points it reads of the point's gradient, spread by the
     point's weights at its first-knot offset from the row's first knot, so
-    its columns are the parameters of consecutive knots.
-    :meth:`normal_equations` sorts the rows by first knot and adds one
-    ``L.T @ L`` and one ``L.T @ [r | border]`` per first knot, where the
-    border is the constant bias columns, present when the window has IMU
-    samples.  The spreads and this order depend on the point bands only and
-    are built once per window (:meth:`_rows`).  The sorted bands stay in the
+    its columns are the parameters of consecutive knots, as many as the
+    widest band reads.  :meth:`normal_equations` sorts the rows by first
+    knot and adds one ``L.T @ L`` and one ``L.T @ [r | border]`` per first
+    knot, where the border is the constant bias columns, the whitened bias
+    Jacobians of the IMU groups, present when the window has IMU samples.
+    The spreads and this order depend on the point bands only and are built
+    once per window (:meth:`_rows`).  The sorted bands stay in the
     plan's buffers until the next build, so :meth:`chord_gradient` takes the
     gradient of the last build's Jacobian with new residuals without
     linearizing again.
@@ -277,10 +408,13 @@ class _WindowSystem:
 
         taus = np.array([s.tau for s in imu], dtype=float)
         keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
-        usable = [s for s, k in zip(imu, keep) if k]
-        self.imu_taus = taus[keep]
-        self.imu_accel = _vectors([s.accel for s in usable])
-        self.imu_gyro = _vectors([s.gyro for s in usable])
+        # One stable sort by time, so the groups do not depend on the order
+        # of the list.
+        order = np.flatnonzero(keep)[np.argsort(taus[keep], kind="stable")]
+        usable = [imu[i] for i in order]
+        imu_taus = taus[order]
+        imu_accel = _vectors([s.accel for s in usable])
+        imu_gyro = _vectors([s.gyro for s in usable])
         # The one check of the window's inputs, over every array converted
         # above and the state's biases: the records themselves check nothing.
         biases = (state.accel_bias, state.gyro_bias)
@@ -288,7 +422,7 @@ class _WindowSystem:
             raise InvalidArgumentError("IMU biases must have three entries")
         converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
                      self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus,
-                     self.imu_accel, self.imu_gyro, *biases)
+                     imu_accel, imu_gyro, *biases)
         if not all(np.isfinite(a).all() for a in converted):
             raise InvalidArgumentError(
                 "constraint fields, times, IMU samples and biases must be finite"
@@ -301,24 +435,58 @@ class _WindowSystem:
 
         self.n_pair = len(self.pair_taus)
         self.n_prior = len(self.prior_taus)
-        self.n_imu = len(self.imu_taus)
-        self.sl_pair = slice(0, self.n_pair)
-        self.sl_prior = slice(self.n_pair, self.n_pair + self.n_prior)
+        self.n_imu = len(imu_taus)
         base = self.n_pair + self.n_prior
-        self.sl_accel = slice(base, base + 3 * self.n_imu)
-        self.sl_gyro = slice(base + 3 * self.n_imu, base + 6 * self.n_imu)
-        self.n_residuals = base + 6 * self.n_imu
+        self.sl_pair = slice(0, self.n_pair)
+        self.sl_prior = slice(self.n_pair, base)
+        # Per IMU group nine rows, rotation then the two moments (see
+        # _ImuGroups), whitened by the group's covariance.  A group of one
+        # sample drops its centred moment, zero and of no variance, so an
+        # identity stands in for that block.  Of the kept rows, the moment
+        # rows come first, then the rotation rows.
+        n_groups = 0
+        self.imu_rows = np.zeros(0, dtype=int)
+        imu_queries = []
+        if self.n_imu:
+            # The segments are half knot intervals (see the class docstring).
+            segment = np.floor((imu_taus - self.grid.times[0]) / (0.5 * self.grid.step))
+            self.imu = _preintegrate(imu_taus, imu_accel, imu_gyro, segment, self.h, *biases)
+            count = self.imu.count
+            n_groups = count.size
+            comp = np.arange(9)
+            kept = (comp < 6) | (count[:, None] > 1)
+            self.imu_rows = np.r_[
+                np.flatnonzero(kept & (comp >= 3)), np.flatnonzero(kept & (comp < 3))
+            ]
+            cov = self.imu.cov.copy()
+            cov[count == 1, 6:, 6:] = np.eye(3)
+            self.imu_whiten = np.linalg.inv(np.linalg.cholesky(cov))
+            self.imu_bias_ref = np.concatenate(biases)
+            # Each moment's prediction sum_i w_i (t_{i+1} - 2 t_i + t_{i-1})
+            # telescopes onto the group's four queries.
+            mid = 0.5 * (count - 1.0)
+            self.imu_coef = np.stack([
+                np.broadcast_to([1.0, -1.0, -1.0, 1.0], (n_groups, 4)),
+                np.stack([-mid, mid + 1.0, -mid - 1.0, mid], axis=1),
+            ], axis=1)
+            # Per group: one step before its first sample, its first and its
+            # last sample, one step after its last.
+            ends = (self.imu.first, self.imu.last)
+            imu_queries = [ends[0] - self.h, ends[0], ends[1], ends[1] + self.h]
+        n_accel = self.imu_rows.size - 3 * n_groups
+        self.sl_accel = slice(base, base + n_accel)
+        self.sl_gyro = slice(base + n_accel, base + self.imu_rows.size)
+        self.n_residuals = base + self.imu_rows.size
 
-        p, m = self.n_pair, self.n_imu
+        p = self.n_pair
         first = 2 * p + self.n_prior
         self.q_a = slice(0, p)
         self.q_b = slice(p, 2 * p)
         self.q_prior = slice(2 * p, first)
-        self.q_stencil = [slice(first + i * m, first + (i + 1) * m) for i in range(3)]
-        query_taus = np.concatenate([
-            self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus,
-            self.imu_taus - self.h, self.imu_taus, self.imu_taus + self.h,
-        ])
+        self.q_imu = [slice(first + i * n_groups, first + (i + 1) * n_groups) for i in range(4)]
+        query_taus = np.concatenate(
+            [self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus, *imu_queries]
+        )
         idx, alpha = brackets(traj.times, query_taus, 1e-9 * self.h)
         # The pose points: the samples, then one per query between samples.
         interior = (alpha > 0.0) & (alpha < 1.0)
@@ -335,14 +503,15 @@ class _WindowSystem:
         if self.n_prior:
             rows = np.arange(self.sl_prior.start, self.sl_prior.stop)[:, None]
             self.families.append((rows, [self.q_prior]))
-        if m:
-            for sl, reads in ((self.sl_accel, self.q_stencil), (self.sl_gyro, self.q_stencil[1:])):
-                self.families.append((sl.start + np.arange(3 * m).reshape(m, 3), reads))
         # The bias columns, one per bias component, when there are IMU rows.
-        comp = np.arange(3 * m)
-        self.border = np.zeros((self.n_residuals, 6 if m else 0))
-        self.border[self.sl_accel.start + comp, comp % 3] = -1.0 / SIGMA_ACCEL
-        self.border[self.sl_gyro.start + comp, 3 + comp % 3] = -1.0 / SIGMA_GYRO
+        self.border = np.zeros((self.n_residuals, 6 if self.n_imu else 0))
+        if self.n_imu:
+            group = self.imu_rows // 9
+            rows = np.arange(base, self.n_residuals)[:, None]
+            self.families.append((rows, [np.arange(q.start, q.stop)[group] for q in self.q_imu]))
+            self.border[base:] = (self.imu_whiten @ self.imu.bias_jac).reshape(-1, 6)[
+                self.imu_rows
+            ]
 
         # Each pose point's first knot and spline weights on four knots from it.
         self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
@@ -415,18 +584,39 @@ class _WindowSystem:
                 np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / SIGMA_PRIOR
             )
         if self.n_imu:
-            q_minus, q_mid, q_plus = self.q_stencil
-            rot_mid, rot_plus = rot[q_mid], rot[q_plus]
-            accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
-            body = np.einsum("nji,nj->ni", rot_mid, accel_world - GRAVITY)
-            # The sensor adds its biases to what it measures.
-            accel_res = self.imu_accel - body - b_a
-            rel = rot_mid.transpose(0, 2, 1) @ rot_plus
-            omega = lie.so3_log_batch(rel) / self.h
-            gyro_res = self.imu_gyro - omega - b_g
-            out[self.sl_accel] = accel_res.reshape(-1) / SIGMA_ACCEL
-            out[self.sl_gyro] = gyro_res.reshape(-1) / SIGMA_GYRO
+            raw = self._imu_raw(rot, t, b_a, b_g)
+            whitened = np.einsum("gij,gj->gi", self.imu_whiten, raw)
+            out[self.sl_accel.start :] = whitened.reshape(-1)[self.imu_rows]
         return out
+
+    def _imu_span(self, points):
+        """Per IMU group and moment, ``sum_i w_i ((t_{i+1} - 2 t_i +
+        t_{i-1}) / h^2 - g)`` from the group's four query translations
+        ``points`` (G, 4, 3), (G, 2, 3)."""
+        span = np.einsum("gwj,gjc->gwc", self.imu_coef, points) / (self.h * self.h)
+        span[:, 0] -= self.imu.count[:, None] * GRAVITY
+        return span
+
+    def _imu_log(self, rot):
+        """Per IMU group, ``log(R_n^T R_0 dR)`` (G, 3) of the query rotations
+        ``R_0`` at its first sample and ``R_n`` one step past its last, and
+        the gyro's rotation ``dR``."""
+        _, q_first, _, q_after = self.q_imu
+        return lie.so3_log_batch(
+            rot[q_after].transpose(0, 2, 1) @ rot[q_first] @ self.imu.delta_rot
+        )
+
+    def _imu_raw(self, rot, t, b_a, b_g):
+        """The IMU groups' unwhitened residuals (G, 9) at query poses
+        ``rot``, ``t`` and biases ``b_a``, ``b_g``: measured minus predicted,
+        rotation rows in rad/s, then the moment rows in m/s^2, with the
+        bias steps from the set-up biases applied to first order."""
+        span = self._imu_span(np.stack([t[q] for q in self.q_imu], axis=1))
+        predicted = np.einsum("gji,gwj->gwi", rot[self.q_imu[1]], span)
+        moments = (self.imu.moments - predicted).reshape(-1, 6)
+        step = np.concatenate([b_a, b_g]) - self.imu_bias_ref
+        return (np.concatenate([self._imu_log(rot) / self.h, moments], axis=1)
+                + self.imu.bias_jac @ step)
 
     # -- robust kernel ----------------------------------------------------
     #
@@ -461,7 +651,8 @@ class _WindowSystem:
         )
 
     def family_rms(self, residuals):
-        """Unwhitened RMS per family (surfel, prior, accel, gyro)."""
+        """RMS per family (surfel, prior, accel, gyro), each whitened row
+        times its family's sigma (see :class:`IterationRecord`)."""
 
         def rms(sl, sigma):
             r = residuals[sl]
@@ -479,84 +670,84 @@ class _WindowSystem:
     def _residual_layer(self, rot, t):
         """Derivatives of the whitened, robust-weighted rows with respect to a
         left perturbation of each query pose they read: per entry of
-        ``families``, one gradient (n, a, 6) per query slice it reads."""
+        ``families``, the gradients (n, a, S, 6) of its rows by each of the S
+        queries they read."""
         families = []
 
         def plane(q, u, normal, coef):
             # n . (R u + t) moves by (w x n) . phi + n . rho at w = R u + t.
             world = np.einsum("nij,nj->ni", rot[q], u) + t[q]
             grad = np.concatenate([np.cross(world, normal), normal], axis=1)
-            return (coef[:, None] * grad)[:, None]
+            return coef[:, None] * grad
 
         if self.n_pair:
             coef = self.robust_weights[self.sl_pair] / SIGMA_SURFEL
-            families.append([
+            families.append(np.stack([
                 plane(self.q_a, self.pair_u_a, self.pair_n, coef),
                 plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
-            ])
+            ], axis=1)[:, None])
         if self.n_prior:
             coef = self.robust_weights[self.sl_prior] / SIGMA_PRIOR
-            families.append([plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)])
+            grad = plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)
+            families.append(grad[:, None, None])
         if self.n_imu:
-            m = self.n_imu
-            q_minus, q_mid, q_plus = self.q_stencil
-            rot_mid_t = rot[q_mid].transpose(0, 2, 1)
-            # Acceleration: a = (t+ - 2 t0 + t-) / h^2 in the body frame of R0.
-            accel_world = (t[q_plus] - 2.0 * t[q_mid] + t[q_minus]) / (self.h * self.h)
-            # Row i of R0^T hat(v) is (column i of R0) x v.
-            grads = []
-            for q, c in zip(self.q_stencil, (1.0, -2.0, 1.0)):
-                c /= self.h * self.h * SIGMA_ACCEL
-                v = c * t[q]
-                if q is q_mid:
-                    v -= (accel_world - GRAVITY) / SIGMA_ACCEL
-                grad = np.empty((m, 3, 6))
-                grad[:, :, :3] = np.cross(rot_mid_t, v[:, None])
-                grad[:, :, 3:] = -c * rot_mid_t
-                grads.append(grad)
-            families.append(grads)
-            # Body rate: log(R0^T R+) / h moves by Jl^-1 R0^T (phi+ - phi0) / h;
-            # column j of Jl^-1 R0^T is Jl^-1 applied to row j of R0.
-            rel = rot_mid_t @ rot[q_plus]
-            rate = lie.so3_left_jacobian_inv_apply(
-                lie.so3_log_batch(rel).T[:, :, None], rot[q_mid].transpose(2, 0, 1)
-            ).transpose(1, 0, 2) / (self.h * SIGMA_GYRO)
-            grads = []
-            for sign in (1.0, -1.0):
-                grad = np.zeros((m, 3, 6))
-                grad[:, :, :3] = sign * rate
-                grads.append(grad)
-            families.append(grads)
+            q_first, q_after = self.q_imu[1], self.q_imu[3]
+            n_groups = self.imu.count.size
+            rot_first_t = rot[q_first].transpose(0, 2, 1)
+            # Moment w is R_0^T (sum_j c_j t_j / h^2 - g sum_i w_i) over the
+            # four queries j; it moves by R_0^T hat(v) phi_j - c_j R_0^T
+            # rho_j / h^2, v = c_j t_j / h^2 less the bracket at j = 0.
+            coef = (self.imu_coef / (self.h * self.h)).transpose(0, 2, 1)  # (G, 4, 2)
+            points = np.stack([t[q] for q in self.q_imu], axis=1)
+            v = coef[..., None] * points[:, :, None]
+            v[:, 1] -= self._imu_span(points)
+            grad = np.zeros((n_groups, 4, 9, 6))
+            hats = lie.hat_batch(v.reshape(-1, 3)).reshape(n_groups, 8, 3, 3)
+            grad[:, :, 3:, :3] = (rot_first_t[:, None] @ hats).reshape(n_groups, 4, 6, 3)
+            grad[:, :, 3:, 3:] = -(coef[..., None, None] * rot_first_t[:, None, None]).reshape(
+                n_groups, 4, 6, 3
+            )
+            # Rotation: log(R_n^T R_0 dR) / h moves by Jl^-1 R_n^T (phi_0 -
+            # phi_n) / h; column j of Jl^-1 R_n^T is Jl^-1 applied to row j
+            # of R_n.
+            grad[:, 1, :3, :3] = lie.so3_left_jacobian_inv_apply(
+                self._imu_log(rot).T[:, :, None], rot[q_after].transpose(2, 0, 1)
+            ).transpose(1, 0, 2) / self.h
+            grad[:, 3, :3, :3] = -grad[:, 1, :3, :3]
+            whitened = self.imu_whiten[:, None] @ grad
+            rows = whitened.transpose(0, 2, 1, 3).reshape(9 * n_groups, 4, 6)[self.imu_rows]
+            families.append(rows[:, None])
         return families
 
     def _rows(self):
         """Row structure of ``families``, built once per window: per family
-        its rows, first knots and spread (``_row_spread``); six times the
-        knots the bands reach; and per band width 6W the plan of
-        :meth:`normal_equations`: the families, where their rows go in stable
-        first-knot order, a buffer for their bands in that order, the rows in
-        it and the first-knot spans."""
+        its rows, first knots and spread (``_row_spread``), every spread
+        padded to the widest band W; six times the knots the bands reach; and
+        the plan of :meth:`normal_equations`: where each family's rows go in
+        stable first-knot order, a buffer for their bands in that order, the
+        rows in it and the first-knot spans."""
         first, band = self.point_bands
         fams = []
         for rows, reads in self.families:
             points = np.stack([self.query_points[q] for q in reads], axis=1)
             row_first, spread = _row_spread(first[points], band[points])
             fams.append((rows.reshape(-1), np.repeat(row_first, rows.shape[1]), spread))
+        width = max(s.shape[2] for _, _, s in fams)
+        for i, (rows, row_first, spread) in enumerate(fams):
+            padded = np.zeros(spread.shape[:2] + (width,) + spread.shape[3:])
+            padded[:, :, : spread.shape[2]] = spread
+            fams[i] = (rows, row_first, padded)
         # Knots the bands reach; past the last knot only zero weights reach.
-        size = 6 * max([self.n_knots] + [int(f.max()) + s.shape[2] for _, f, s in fams])
-        plan = []
-        for width in sorted({s.shape[2] for _, _, s in fams}):
-            same = [i for i, f in enumerate(fams) if f[2].shape[2] == width]
-            rows, first = (np.concatenate([fams[i][j] for i in same]) for j in (0, 1))
-            order = np.argsort(first, kind="stable")
-            first = first[order]
-            bounds = np.flatnonzero(np.diff(first)) + 1
-            lo = np.r_[0, bounds]
-            spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
-            at = np.split(np.argsort(order), np.cumsum([fams[i][0].size for i in same])[:-1])
-            buffer = np.empty((order.size, 6 * width))  # refilled, not reallocated, per call
-            plan.append((6 * width, same, at, buffer, rows[order], spans))
-        return fams, size, plan
+        size = 6 * max(self.n_knots, max(int(f.max()) for _, f, _ in fams) + width)
+        rows, first = (np.concatenate([f[j] for f in fams]) for j in (0, 1))
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        bounds = np.flatnonzero(np.diff(first)) + 1
+        lo = np.r_[0, bounds]
+        spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
+        at = np.split(np.argsort(order), np.cumsum([f[0].size for f in fams])[:-1])
+        buffer = np.empty((order.size, 6 * width))  # refilled, not reallocated, per call
+        return fams, size, (6 * width, at, buffer, rows[order], spans)
 
     def _linearize(self, it):
         """Row bands ``[(n, 6W)]`` of the robust-weighted residuals at iterate
@@ -566,7 +757,7 @@ class _WindowSystem:
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
         return [
-            (spread @ np.stack(grads, axis=2)).reshape(rows.size, -1)
+            (spread @ grads).reshape(rows.size, -1)
             for grads, (rows, _, spread) in zip(
                 self._residual_layer(it.rot, it.t), self.structure[0]
             )
@@ -576,21 +767,18 @@ class _WindowSystem:
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
         residuals ``weighted`` at iterate ``it`` of zero correction, built
         from the row bands grouped by first knot, without forming J."""
-        _, size, plan = self.structure
-        bands = self._linearize(it)
+        _, size, (width, at, band, rows, spans) = self.structure
+        for a, rows_band in zip(at, self._linearize(it)):
+            band[a] = rows_band
         rhs = np.column_stack([weighted, self.border])
+        r = rhs[rows]
         h_kk = np.zeros((size, size))
         h_kr = np.zeros((size, rhs.shape[1]))
-        # Rows of one band width are sorted together by first knot; each
-        # first knot adds one block.
-        for width, same, at, band, rows, spans in plan:
-            for i, a in zip(same, at):
-                band[a] = bands[i]
-            r = rhs[rows]
-            for lo, hi, k in spans:
-                block = band[lo:hi]
-                h_kk[k : k + width, k : k + width] += block.T @ block
-                h_kr[k : k + width] += block.T @ r[lo:hi]
+        # The rows are sorted by first knot; each first knot adds one block.
+        for lo, hi, k in spans:
+            block = band[lo:hi]
+            h_kk[k : k + width, k : k + width] += block.T @ block
+            h_kr[k : k + width] += block.T @ r[lo:hi]
 
         n = 6 * self.n_knots
         h_rr = rhs.T @ rhs
@@ -602,12 +790,11 @@ class _WindowSystem:
         :meth:`normal_equations` build, read from the row bands that build
         left in its buffers: one ``block.T @ r`` per first knot, and the bias
         columns' products."""
-        _, size, plan = self.structure
+        _, size, (width, _, band, rows, spans) = self.structure
         grad = np.zeros(size)
-        for width, _, _, band, rows, spans in plan:
-            r = weighted[rows]
-            for lo, hi, k in spans:
-                grad[k : k + width] += band[lo:hi].T @ r[lo:hi]
+        r = weighted[rows]
+        for lo, hi, k in spans:
+            grad[k : k + width] += band[lo:hi].T @ r[lo:hi]
         return np.concatenate([grad[: 6 * self.n_knots], self.border.T @ weighted])
 
     def jacobian(self, x, state):

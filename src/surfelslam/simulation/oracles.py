@@ -5,10 +5,11 @@ series of the SE(3) exponential and of the logarithm near the identity, the
 left Jacobian by central differences of those series, the SE(3) geodesic of
 one pose pair through the series exponential, the spline correction
 evaluated from its knot weights and control points, window residuals
-evaluated one constraint at a time on the trajectory they read, linear-scan
-spatial queries, radius joins and ICP association from the full distance
-matrix, exhaustive matching, hash-grouped voxel moments, dense-surfel seeding
-by linear scans, and closed-form 3x3 eigen solves.  None of it is used on the
+evaluated one constraint at a time on the trajectory they read, IMU groups
+integrated one sample at a time, linear-scan spatial queries, radius joins
+and ICP association from the full distance matrix, exhaustive matching,
+hash-grouped voxel moments, dense-surfel seeding by linear scans, and
+closed-form 3x3 eigen solves.  None of it is used on the
 fast paths, and none of the Lie references evaluates the closed form of the
 map it checks.  A pose here is a 4x4 homogeneous matrix.
 """
@@ -137,6 +138,37 @@ def residual_imu(sample, traj, accel_bias=0.0, gyro_bias=0.0):
     omega = lie.so3_log_batch((rot[1].T @ rot[2])[None])[0] / h
     gyro_res = sample.gyro - omega - gyro_bias
     return np.concatenate([accel_res, gyro_res])
+
+
+def residual_imu_group(samples, traj, accel_bias=0.0, gyro_bias=0.0):
+    """Nine residuals of one group of IMU ``samples``, each one trajectory
+    sample interval ``h`` after the one before, on ``traj``: measured minus
+    predicted, integrated one sample at a time at the given biases.
+
+    The first three are ``log(R(tau_n)^T R(tau_0) dR) / h`` (rad/s), with
+    ``dR`` the product of the gyro steps ``exp((w_i - b_g) h)`` and ``tau_n``
+    one step past the last sample.  The other six are the zeroth and the
+    centred first moment, weights ``1`` and ``i - (n - 1) / 2``, of the
+    samples' acceleration residuals (m/s^2), each turned into the first
+    sample's frame by the gyro's rotation up to it, with every sample's
+    central difference read from ``traj``.
+    """
+    h = 1.0 / traj.nominal_rate
+    n = len(samples)
+    taus = np.array([s.tau for s in samples])
+    rot, t = traj.sample_batch(np.r_[taus[0] - h, taus, taus[-1] + h])
+    turn = np.eye(3)
+    moments = np.zeros((2, 3))
+    for i, s in enumerate(samples):
+        accel_world = (t[i + 2] - 2.0 * t[i + 1] + t[i]) / (h * h)
+        # The first sample's frame, seen from the gyro and from traj.
+        measured = turn @ (s.accel - accel_bias)
+        predicted = rot[1].T @ (accel_world - GRAVITY)
+        for w, weight in enumerate((1.0, i - 0.5 * (n - 1))):
+            moments[w] += weight * (measured - predicted)
+        turn = turn @ lie.so3_exp_batch(((s.gyro - gyro_bias) * h)[None])[0]
+    rotation = lie.so3_log_batch((rot[-1].T @ rot[1] @ turn)[None])[0] / h
+    return np.concatenate([rotation, moments.reshape(-1)])
 
 
 class LinearScanIndex:

@@ -62,13 +62,24 @@ def brackets(times, taus, tol):
     1), so it returns the stored pose; one more than ``tol`` outside
     ``[times[0], times[-1]]`` raises :class:`OutOfRangeError`, and a
     non-finite one :class:`InvalidArgumentError`.
+
+    ``idx`` is the last sample at or before the query, clamped to a bracket.
+    The samples are nearly uniform, so it is read off the mean spacing and
+    checked against ``times[idx] <= tau < times[idx + 1]``; only the queries
+    that fail the check (past the last sample, or off by jitter) are
+    searched.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.isfinite(taus).all():
         raise InvalidArgumentError("query times must be finite")
     if np.any(taus < times[0] - tol) or np.any(taus > times[-1] + tol):
         raise OutOfRangeError("query time outside the trajectory span")
-    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, len(times) - 2)
+    last = len(times) - 2
+    rate = (last + 1) / (times[-1] - times[0])
+    idx = np.clip(np.floor((taus - times[0]) * rate).astype(np.intp), 0, last)
+    miss = ~((times[idx] <= taus) & (taus < times[idx + 1]))
+    if miss.any():
+        idx[miss] = np.clip(np.searchsorted(times, taus[miss], side="right") - 1, 0, last)
     alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
     alpha[np.abs(taus - times[idx]) <= tol] = 0.0
     alpha[np.abs(times[idx + 1] - taus) <= tol] = 1.0

@@ -346,6 +346,21 @@ def test_window_reads_no_imu_sample_it_drops():
     assert np.array_equal(with_dropped[1].translations, kept[1].translations)
 
 
+def test_window_does_not_depend_on_the_order_of_the_imu_list():
+    # The samples are grouped after one stable sort by time, so a shuffled
+    # list gives the same trajectory and biases bit for bit.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    args = (init, lm.OptState(grid), lm.OptimizerConfig())
+    shuffled = [imu[i] for i in np.random.default_rng(4).permutation(len(imu))]
+    state, est, _ = lm.optimize_window(scene.map_prior_constraints(), imu, *args)
+    state_s, est_s, _ = lm.optimize_window(scene.map_prior_constraints(), shuffled, *args)
+    assert np.array_equal(est.rotations, est_s.rotations)
+    assert np.array_equal(est.translations, est_s.translations)
+    assert np.array_equal(state.accel_bias, state_s.accel_bias)
+    assert np.array_equal(state.gyro_bias, state_s.gyro_bias)
+
+
 def test_degenerate_geometry_reports_null_space():
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
@@ -533,8 +548,9 @@ SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
 @SE3_PATH
 def test_analytic_jacobian_matches_dense_central_fd():
     # A random correction folded into the samples, with surfel pairs, map
-    # priors, IMU samples between trajectory samples, biases and non-trivial
-    # robust weights.
+    # priors, IMU groups whose ends lie between trajectory samples, biases
+    # and non-trivial robust weights; the columns of the biases are the
+    # groups' constant bias border.
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
@@ -547,26 +563,51 @@ def held_pose(rot, t, tau, rate):
     return Trajectory([tau, tau + 1.0 / rate], np.stack([rot, rot]), np.stack([t, t]), rate)
 
 
+def group_members(system, imu):
+    """The samples of each of ``system``'s IMU groups."""
+    groups = system.imu
+    return [
+        [s for s in imu if first - 1e-12 <= s.tau <= last + 1e-12]
+        for first, last in zip(groups.first, groups.last)
+    ]
+
+
 def test_batch_residuals_match_single_evaluators():
+    # Every seventh sample: each is a group of its own.
+    assert_batch_residuals_match_single_evaluators(slice(5, -5, 7), {1})
+
+
+def test_batch_residuals_match_single_evaluators_on_full_groups():
+    # Every sample: groups of 12 or 13, one per half knot interval.
+    assert_batch_residuals_match_single_evaluators(slice(None), {12, 13})
+
+
+def assert_batch_residuals_match_single_evaluators(taken, sizes):
     # At a random correction and bias step, each batch residual equals its
     # oracle at the pose the oracle spline corrects: a prior, read between
     # samples, at the initial pose at its time composed with the correction
-    # at its time; an IMU sample, whose stencil reads samples, on the
-    # corrected samples.
+    # at its time; an IMU group, whose queries read samples, on the
+    # corrected samples, with the groups of ``sizes``.  The window folds the
+    # gyro once, at the set-up biases, and moves its rows by a constant bias
+    # Jacobian, where the oracle integrates at the stepped biases: with no
+    # bias step the IMU rows agree to rounding, and the step's move misses
+    # the oracle's by less than 1e-3 of it (the Jacobian takes the rotation
+    # residual's Jr^-1 as the identity).
     cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     priors = scene.map_prior_constraints()
-    usable_imu = imu[5:-5:7]
+    usable_imu = imu[taken]
     system = lm._WindowSystem([], priors, usable_imu, init, state)
+    assert set(system.imu.count) == sizes
     x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
-    res = system.evaluate(x, state).residuals
+    it = system.evaluate(x, state)
+    res = it.residuals
     k = system.n_knots
     knots = x[: 6 * k].reshape(k, 6)
     corrected = oracles.apply_correction(init, grid, knots[:, 3:], knots[:, :3])
-    accel_bias = state.accel_bias + x[6 * k : 6 * k + 3]
-    gyro_bias = state.gyro_bias + x[6 * k + 3 :]
+    bias_step = x[6 * k :]
     taus = np.array([c.tau_c for c in priors[:8]])
     rot, t = compose_correction(
         *oracles.correction_batch(grid, knots[:, 3:], knots[:, :3], taus), *init.sample_batch(taus)
@@ -574,12 +615,119 @@ def test_batch_residuals_match_single_evaluators():
     for i, c in enumerate(priors[:8]):
         single = oracles.residual_map_prior(c, held_pose(rot[i], t[i], c.tau_c, init.nominal_rate))
         assert abs(res[system.sl_prior][i] * lm.SIGMA_PRIOR - single) < 1e-10
-    accel = res[system.sl_accel].reshape(-1, 3) * lm.SIGMA_ACCEL
-    gyro = res[system.sl_gyro].reshape(-1, 3) * lm.SIGMA_GYRO
-    for i, s in enumerate(usable_imu[:6]):
-        single = oracles.residual_imu(s, corrected, accel_bias, gyro_bias)
-        assert np.max(np.abs(accel[i] - single[:3])) < 1e-9
-        assert np.max(np.abs(gyro[i] - single[3:])) < 1e-9
+    members = group_members(system, usable_imu)
+    assert sum(len(m) for m in members) == system.n_imu
+
+    def difference(step):
+        b_a, b_g = state.accel_bias + step[:3], state.gyro_bias + step[3:]
+        raw = system._imu_raw(it.rot, it.t, b_a, b_g)
+        single = np.array([oracles.residual_imu_group(m, corrected, b_a, b_g) for m in members])
+        return np.abs(raw - single).max()
+
+    assert difference(np.zeros(6)) < 1e-10
+    move = np.abs(system.imu.bias_jac @ bias_step).max()
+    assert difference(bias_step) < 1e-3 * move
+    # The evaluated IMU rows are the kept rows of the whitened groups.
+    raw = system._imu_raw(it.rot, it.t, *system.split_params(x, state)[1:])
+    whitened = np.einsum("gij,gj->gi", system.imu_whiten, raw).reshape(-1)[system.imu_rows]
+    assert np.array_equal(res[system.sl_accel.start :], whitened)
+
+
+def test_a_group_of_one_sample_is_the_stencil_acceleration_row():
+    # Its zeroth moment is the stencil's acceleration row, to the rounding
+    # of the central difference, at any bias; its centred moment is zero,
+    # has no variance and is not a row of the window.
+    cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
+    grid = knot_grid(init.start, init.end, 0.25)
+    state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
+                        gyro_bias=np.array([0.001, 0.002, 0.0]))
+    sparse = imu[5:-5:7]
+    system = lm._WindowSystem([], scene.map_prior_constraints(), sparse, init, state)
+    it = system.evaluate(np.zeros(system.n_params()), state)
+    b_a, b_g = np.array([0.03, -0.01, 0.0]), np.array([0.0, 0.004, -0.002])
+    raw = system._imu_raw(it.rot, it.t, b_a, b_g)
+    for row, s in zip(raw, sparse):
+        stencil = oracles.residual_imu(s, init, b_a, b_g)
+        assert np.max(np.abs(row[3:6] - stencil[:3])) < 1e-10
+        assert not row[6:].any()
+    assert not system.imu.cov[:, 6:].any() and not system.imu.cov[:, :, 6:].any()
+    assert system.sl_accel.stop - system.sl_accel.start == 3 * len(sparse)
+    assert system.sl_gyro.stop - system.sl_gyro.start == 3 * len(sparse)
+
+
+def test_group_moments_are_weighted_sums_of_stencil_residuals():
+    # With a noise-free gyro the gyro's rotation from a group's first sample
+    # to sample i is the truth's, so on the truth's rotations with perturbed
+    # translations each moment is the weighted sum of the stencil's
+    # acceleration residuals, each turned into the group's first frame.
+    cfg = SimConfig(seed=4, window=1.0, gyro_noise_std=0.0, n_features=5)
+    truth, imu, _ = gen_trajectory_and_imu(cfg)
+    moved = truth.translations + np.random.default_rng(3).normal(scale=1e-3, size=(len(truth), 3))
+    traj = Trajectory(truth.times, truth.rotations, moved, truth.nominal_rate)
+    state = lm.OptState(knot_grid(traj.start, traj.end, 0.25), gyro_bias=cfg.gyro_bias)
+    system = lm._WindowSystem([], [], imu, traj, state)
+    it = system.evaluate(np.zeros(system.n_params()), state)
+    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias)
+    members = group_members(system, imu)
+    assert len(members) == 8 and all(len(m) > 1 for m in members)
+    for row, group in zip(raw, members):
+        n = len(group)
+        first = int(round(group[0].tau * traj.nominal_rate))
+        want = np.zeros((2, 3))
+        for i, s in enumerate(group):
+            turned = traj.rotations[first].T @ traj.rotations[first + i]
+            accel = turned @ oracles.residual_imu(s, traj, gyro_bias=cfg.gyro_bias)[:3]
+            want += np.outer([1.0, i - 0.5 * (n - 1)], accel)
+        assert np.max(np.abs(row[3:] - want.reshape(-1))) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_group_covariance_and_bias_jacobian_match_re_preintegration():
+    # The covariance is the first-order propagation of the per-sample noise
+    # through the group oracle, by central differences of each reading; the
+    # bias Jacobian is the central difference of the preintegration run
+    # again at each perturbed bias: of the rotation in its tangent space,
+    # and of the moments.
+    cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
+    state = lm.OptState(knot_grid(init.start, init.end, 0.25),
+                        accel_bias=np.array([0.01, 0.0, -0.02]),
+                        gyro_bias=np.array([0.001, 0.002, 0.0]))
+    system = lm._WindowSystem([], [], imu, init, state)
+    group = group_members(system, imu)[2]
+    eps = 1e-6
+
+    def readings(i, field, step):
+        moved = list(group)
+        moved[i] = dataclasses.replace(group[i], **{field: getattr(group[i], field) + step})
+        return oracles.residual_imu_group(moved, init, state.accel_bias, state.gyro_bias)
+
+    noise = []
+    for i in range(len(group)):
+        for field, sigma in (("accel", lm.SIGMA_ACCEL), ("gyro", lm.SIGMA_GYRO)):
+            for step in eps * np.eye(3):
+                change = readings(i, field, step) - readings(i, field, -step)
+                noise.append(sigma * change / (2 * eps))
+    noise = np.array(noise).T
+    cov = system.imu.cov[2]
+    assert np.max(np.abs(cov - noise @ noise.T)) < 1e-6 * np.max(np.abs(cov))
+
+    usable = np.array([s.tau for s in imu])
+    usable = (usable - system.h >= init.start) & (usable + system.h <= init.end)
+    args = (np.array([s.tau for s in imu])[usable],
+            np.array([s.accel for s in imu])[usable], np.array([s.gyro for s in imu])[usable])
+    segment = np.floor((args[0] - state.grid.times[0]) / (0.5 * state.grid.step))
+
+    def fold(step):
+        return lm._preintegrate(*args, segment, system.h, state.accel_bias + step[:3],
+                                state.gyro_bias + step[3:])
+
+    base = fold(np.zeros(6))
+    for j, step in enumerate(1e-5 * np.eye(6)):
+        plus, minus = fold(step), fold(-step)
+        turn = lie.so3_log_batch(minus.delta_rot.transpose(0, 2, 1) @ plus.delta_rot)
+        want = np.concatenate([turn / system.h, (plus.moments - minus.moments).reshape(-1, 6)],
+                              axis=1) / 2e-5
+        got = base.bias_jac[:, :, j]
+        assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(got))
 
 
 def test_parameter_entry_moves_samples_by_its_knot_weight():
@@ -704,9 +852,10 @@ def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust_weights) < 1.0
-    # Every IMU stencil query lies between two samples: it reads a pose
-    # point of its own.
-    assert np.all(system.query_points[system.q_stencil[0].start :] >= len(system.traj_times))
+    # The IMU samples are full groups off the sample grid: every end query
+    # of a group lies between two samples and reads a pose point of its own.
+    assert np.all(system.imu.count > 1)
+    assert np.all(system.query_points[system.q_imu[0].start :] >= len(system.traj_times))
     # The first and last samples read the clamped boundary knots.
     first, last = system.grid.knot_indices_and_weights(system.traj_times[[0, -1]])[0]
     assert first[0] == first[1] and last[2] == last[3]

@@ -105,6 +105,43 @@ def test_sample_batch_shares_bracket_twists_exactly(rng):
         assert np.max(np.abs(homogeneous(r, tr) - want)) < 1e-12
 
 
+def searched_brackets(times, taus, tol):
+    """``brackets`` by a search of every query."""
+    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, len(times) - 2)
+    alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    alpha[np.abs(taus - times[idx]) <= tol] = 0.0
+    alpha[np.abs(times[idx + 1] - taus) <= tol] = 1.0
+    return idx, alpha
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "jittered", "drifting"])
+def test_brackets_match_a_search_of_every_query(rng, spacing):
+    # The index read off the mean spacing is checked, and searched again
+    # where the check fails; idx and alpha are bit for bit those of a search
+    # of every query.  The jittered spacing moves each sample by up to 0.4%
+    # of a step; the drifting one is 0.99% long for half the span and 0.99%
+    # short for the other, so the arithmetic index is off by up to five
+    # samples mid-span.  The queries lie anywhere, on every sample, at both
+    # ends and within the tolerance outside them.
+    n, step = 1001, 0.01
+    times = 2.0 + step * np.arange(n)
+    if spacing == "jittered":
+        times[1:-1] += rng.uniform(-0.004, 0.004, n - 2) * step
+    elif spacing == "drifting":
+        steps = step * np.where(np.arange(n - 1) < n // 2, 1.0099, 0.9901)
+        times = 2.0 + np.r_[0.0, np.cumsum(steps)]
+    tol = 1e-9 * step
+    outside = np.r_[times[0] - tol, times[0] - tol / 2, times[-1] + tol / 2, times[-1] + tol]
+    taus = np.r_[rng.uniform(times[0], times[-1], 20_000), times, outside]
+    taus = taus[rng.permutation(taus.size)]
+    idx, alpha = brackets(times, taus, tol)
+    want_idx, want_alpha = searched_brackets(times, taus, tol)
+    assert np.array_equal(idx, want_idx) and np.array_equal(alpha, want_alpha)
+    if spacing == "drifting":
+        read = np.floor((taus - times[0]) * (n - 1) / (times[-1] - times[0]))
+        assert np.max(np.abs(np.clip(read, 0, n - 2) - idx)) >= 4
+
+
 def test_sample_batch_matches_series_across_coefficient_switches(rng):
     # Query angles alpha * theta on both sides of SERIES_ANGLE (theta = 0.03)
     # and of SMALL_ANGLE (theta = 3e-8) inside one bracket each, many queries

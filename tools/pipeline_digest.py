@@ -19,14 +19,17 @@ so compare them with ``diff``.
 
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
 trajectory, record count, stop reason, fusion counts and trigger
-(``FUSION``) and digest, and each episode's accuracy metrics
+(``FUSION``), translation and rotation RMS errors against the window's truth
+(m and rad) and digest, and each episode's accuracy metrics
 (``metrics.accuracy``) and map digest.  ``--against PATH`` compares this run
 with such a dump and prints, per workload, the largest translation
 difference (m), the largest rotation-matrix entry difference, the largest
 relative difference of an accuracy metric with that metric's name and its
 signed relative change, the number of windows whose stop reason or record
 count differs, and how many windows differ in fusion counts or trigger and
-how many window digests and map digests differ, of those the dump holds.
+how many window digests and map digests differ, of those the dump holds,
+and how many windows have a larger translation error than in the dump, with
+the largest relative increase and its window.
 A change that moves the maps only by rounding changes their digests but no
 fusion count or trigger.  Run the dump in one checkout and the
 comparison in the other, with the same workloads, seeds and episodes.
@@ -57,6 +60,7 @@ import numpy as np  # noqa: E402
 import harness  # noqa: E402
 import metrics  # noqa: E402
 import workloads  # noqa: E402
+from surfelslam import lie  # noqa: E402
 from surfelslam.surfel_map import DenseSurfel, SparseSurfel  # noqa: E402
 
 
@@ -116,23 +120,33 @@ ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 # The fields of a window's ``FusionStepMetrics`` that count or decide.
 FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
 # The names a dump may lack: a dump without them compares none.
-OPTIONAL = (".digest", ".maps", ".fusion")
+OPTIONAL = (".digest", ".maps", ".fusion", ".errors")
+
+
+def window_errors(estimate, truth):
+    """Translation (m) and rotation (rad) RMS errors of a window's estimate
+    against its truth, over the samples."""
+    t_sq = np.sum((estimate.translations - truth.translations) ** 2, axis=1)
+    rel = np.einsum("nji,njk->nik", truth.rotations, estimate.rotations)
+    r_sq = np.sum(lie.so3_log_batch(rel) ** 2, axis=1)
+    return np.sqrt([t_sq.mean(), r_sq.mean()])
 
 
 def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
     window its trajectory, record count (0 for a failed window), stop reason
     (the failure's class name for a failed window), fusion counts and
-    trigger in ``FUSION`` order and digest, and the episode's accuracy
-    metrics in ``ACCURACY`` order and maps digest."""
+    trigger in ``FUSION`` order, errors (``window_errors``) and digest, and
+    the episode's accuracy metrics in ``ACCURACY`` order and maps digest."""
     out = {}
-    for r in results:
+    for win, r in zip(episode.windows, results):
         w = f"{key}.w{r.index}"
         out[f"{w}.rotations"] = r.estimate.rotations
         out[f"{w}.translations"] = r.estimate.translations
         out[f"{w}.records"] = np.array(0 if r.report is None else len(r.report.records))
         out[f"{w}.reason"] = np.array(r.failed if r.report is None else r.report.reason)
         out[f"{w}.fusion"] = np.array([getattr(r.fusion.metrics, f) for f in FUSION], dtype=np.int64)
+        out[f"{w}.errors"] = window_errors(r.estimate, win.truth)
         out[f"{w}.digest"] = np.array(window_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
@@ -143,8 +157,9 @@ def episode_arrays(key, episode, results, global_maps):
 def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
     ``episode_arrays``, as printable lines.  A name missing from
-    ``reference`` raises ``SystemExit``, unless it is a digest or fusion
-    counts (``OPTIONAL``): a dump that holds none compares 0 of them."""
+    ``reference`` raises ``SystemExit``, unless it is a digest, fusion
+    counts or window errors (``OPTIONAL``): a dump that holds none compares
+    0 of them."""
     missing = sorted(k for k in set(current) - set(reference) if not k.endswith(OPTIONAL))
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
@@ -166,6 +181,16 @@ def compare(reference, current):
             return f"{sum(bool(np.any(reference[k] != current[k])) for k in held)} of {len(held)}"
 
         windows = [k[: -len(".reason")] for k in keys if k.endswith(".reason")]
+        # Relative change of each window's translation error, of the windows
+        # whose error the dump holds.
+        growth = {w: current[f"{w}.errors"][0] / reference[f"{w}.errors"][0] - 1.0
+                  for w in windows if f"{w}.errors" in reference}
+        larger = [w for w in growth if growth[w] > 0.0]
+        errors = (f"{len(larger)} of {len(growth)} windows have a larger translation error "
+                  "than the dump")
+        if larger:
+            worst_window = max(larger, key=growth.get)
+            errors += f", the largest by {growth[worst_window]:+.3g} relative ({worst_window})"
         changed = sum(
             any(reference[f"{w}.{f}"] != current[f"{w}.{f}"] for f in ("reason", "records"))
             for w in windows
@@ -177,7 +202,8 @@ def compare(reference, current):
             f"({ACCURACY[worst[1]]} {change[worst]:+.3g}); "
             f"{changed} windows differ in stop reason or record count; "
             f"{differing('.fusion')} windows differ in fusion counts or trigger; "
-            f"{differing('.digest')} window digests and {differing('.maps')} map digests differ"
+            f"{differing('.digest')} window digests and {differing('.maps')} map digests differ; "
+            f"{errors}"
         )
     return lines
 
