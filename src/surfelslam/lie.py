@@ -121,7 +121,7 @@ def _so3_exp(theta, k, kk):
     return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
 
 
-def _cross(a, b):
+def cross(a, b):
     """Cross products of vectors stored component first, ``(3, ...)``, with
     the trailing axes broadcast."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
@@ -134,8 +134,8 @@ def _cross(a, b):
 def _so3_apply(phi, v, b, c):
     """``(I + b K + c K^2) v`` with ``K = hat(phi)``, component first: the
     form of the SO(3) left Jacobian (b, c) and its inverse (-1/2, jl_inv)."""
-    phi_v = _cross(phi, v)
-    return v + b * phi_v + c * _cross(phi, phi_v)
+    phi_v = cross(phi, v)
+    return v + b * phi_v + c * cross(phi, phi_v)
 
 
 def so3_left_jacobian_inv_apply(phi, v):
@@ -220,8 +220,8 @@ def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
     phi_cols = phi.T[:, None]
     rows = np.empty((3, 3, 3, len(phi)))
     rows[0] = rot_a.transpose(2, 1, 0)
-    rows[1] = _cross(rows[0], phi_cols)
-    rows[2] = _cross(rows[1], phi_cols)
+    rows[1] = cross(rows[0], phi_cols)
+    rows[2] = cross(rows[1], phi_cols)
     rot_cols = rows.transpose(0, 2, 1, 3).reshape(3, 9, len(phi))
     t_cols = np.concatenate([t_a.T[None], (rows * rho.T[:, None]).sum(axis=1)])
     angle = alpha * theta[at]

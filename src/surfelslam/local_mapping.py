@@ -72,6 +72,8 @@ SIGMA_SURFEL, SIGMA_PRIOR, SIGMA_ACCEL, SIGMA_GYRO = 0.02, 0.02, 0.05, 0.005
 CAUCHY_SCALE = 3.0  # floor of the annealed Cauchy scale, whitened, i.e. 3 sigma
 # Damping of the first solve; retries of a rejected step, each damped ten times more.
 DAMPING_INIT, DAMPING_RETRIES = 1e-6, 5
+# An eigenvalue of H below this fraction of the largest is a null direction.
+RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -766,23 +768,27 @@ class _WindowSystem:
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
         residuals ``weighted`` at iterate ``it`` of zero correction, built
-        from the row bands grouped by first knot, without forming J."""
+        from the row bands grouped by first knot, without forming J.  Each
+        block is added straight into H, cropped to the window's knots."""
         _, size, (width, at, band, rows, spans) = self.structure
         for a, rows_band in zip(at, self._linearize(it)):
             band[a] = rows_band
         rhs = np.column_stack([weighted, self.border])
         r = rhs[rows]
-        h_kk = np.zeros((size, size))
+        n = 6 * self.n_knots
+        hess = np.zeros((self.n_params(), self.n_params()))
         h_kr = np.zeros((size, rhs.shape[1]))
         # The rows are sorted by first knot; each first knot adds one block.
         for lo, hi, k in spans:
             block = band[lo:hi]
-            h_kk[k : k + width, k : k + width] += block.T @ block
+            m = min(width, n - k)
+            hess[k : k + m, k : k + m] += (block.T @ block)[:m, :m]
             h_kr[k : k + width] += block.T @ r[lo:hi]
 
-        n = 6 * self.n_knots
         h_rr = rhs.T @ rhs
-        hess = np.block([[h_kk[:n, :n], h_kr[:n, 1:]], [h_kr[:n, 1:].T, h_rr[1:, 1:]]])
+        hess[:n, n:] = h_kr[:n, 1:]
+        hess[n:, :n] = h_kr[:n, 1:].T
+        hess[n:, n:] = h_rr[1:, 1:]
         return hess, np.concatenate([h_kr[:n, 0], h_rr[1:, 0]])
 
     def chord_gradient(self, weighted):
@@ -843,6 +849,14 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     still predicts at least ``cfg.chi2_tol``, :class:`NoProgressError` is
     raised.  After ``cfg.max_iterations`` accepted steps the window stops
     unconverged (``"max_iterations"``).
+
+    The first build's H is checked for rank before any step: an eigenvalue
+    below ``RANK_TOL`` (1e-12) times the largest is a null direction, and
+    :class:`DegenerateGeometryError` reports their number.  A Cholesky
+    factorization of ``H`` less ``(RANK_TOL + n^2 eps) ||H||_inf`` on its
+    diagonal proves that there are none (``||H||_inf`` bounds the largest
+    eigenvalue, ``n^2 eps`` the factorization's rounding), and only when it
+    fails does ``eigvalsh`` count them (:func:`_null_dimension`).
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -882,7 +896,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             # residuals, at the current damping.
             chord_grad = system.chord_gradient(weighted)
             try:
-                _, chord = _model_step(hess, chord_grad, lam * np.diag(diag))
+                _, chord = _model_step(hess, chord_grad, lam * diag)
             except np.linalg.LinAlgError:
                 chord = np.inf
             if chord < cfg.chi2_tol:
@@ -890,8 +904,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
                 break
         hess, grad = system.normal_equations(it, weighted)
         if iteration == 1:
-            eigvals = np.linalg.eigvalsh(hess)
-            null_dim = int(np.sum(eigvals < max(eigvals[-1], 1e-30) * 1e-12))
+            null_dim = _null_dimension(hess)
             if null_dim > 0:
                 raise DegenerateGeometryError(
                     f"normal equations rank deficient (null space dimension {null_dim})",
@@ -902,7 +915,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
         for _ in range(DAMPING_RETRIES + 1):
             try:
-                delta, decrease = _model_step(hess, grad, lam * np.diag(diag))
+                delta, decrease = _model_step(hess, grad, lam * diag)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -943,11 +956,43 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
 def _model_step(hess, grad, damping):
     """The step ``delta`` of the normal equations ``hess``, ``grad`` damped
-    by the matrix ``damping``, and the decrease of the cost that the
-    Gauss-Newton model predicts for it, ``-2 delta.g - delta.H delta``, in
-    χ² units."""
-    delta = np.linalg.solve(hess + damping, -grad)
+    by the vector ``damping``, added to the diagonal of one copy of
+    ``hess`` (Marquardt: ``lam`` times the diagonal of H), and the decrease
+    of the cost that the Gauss-Newton model predicts for it,
+    ``-2 delta.g - delta.H delta``, in χ² units."""
+    damped = hess.copy()
+    damped.flat[:: len(damped) + 1] += damping
+    delta = np.linalg.solve(damped, -grad)
     return delta, -2.0 * (delta @ grad) - delta @ (hess @ delta)
+
+
+def _null_dimension(hess):
+    """Number of eigenvalues of the symmetric ``hess`` below ``RANK_TOL``
+    times the largest, taken as at least 1e-30.
+
+    A Cholesky factorization of ``hess - tau I`` proves that there are none,
+    so ``eigvalsh`` runs only when it fails.  The shift ``tau`` is
+    ``(RANK_TOL + n^2 eps) max(||H||_inf, 1e-30)``: ``||H||_inf`` bounds the
+    largest eigenvalue from above, and a factorization that completes in
+    floating point is exact for a perturbation of norm below about
+    ``n^2 eps ||H||`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.7 and §10.3).  A factor with a non-finite pivot,
+    as a non-finite H gives, proves nothing either.
+    """
+    n = len(hess)
+    # One n x n buffer: |H| for the norm, then the shifted copy.
+    shifted = np.abs(hess)
+    scale = max(shifted.sum(axis=1).max(), 1e-30)
+    shifted[...] = hess
+    shifted.flat[:: n + 1] -= (RANK_TOL + n * n * np.finfo(float).eps) * scale
+    try:
+        full_rank = np.isfinite(np.linalg.cholesky(shifted).diagonal()).all()
+    except np.linalg.LinAlgError:
+        full_rank = False
+    if full_rank:
+        return 0
+    eigvals = np.linalg.eigvalsh(hess)
+    return int(np.sum(eigvals < max(eigvals[-1], 1e-30) * RANK_TOL))
 
 
 def _trajectory_from(system):

@@ -142,7 +142,10 @@ class Trajectory:
             raise InvalidArgumentError("trajectory times and poses must be finite")
         r = self.rotations
         defect = np.abs(r @ r.transpose(0, 2, 1) - np.eye(3)).max()
-        if defect > 1e-9 or (np.linalg.det(r) <= 0.0).any():
+        # Each determinant as the triple product of its rows, component first.
+        rows = r.transpose(1, 2, 0)
+        det = np.sum(rows[0] * lie.cross(rows[1], rows[2]), axis=0)
+        if defect > 1e-9 or (det <= 0.0).any():
             raise InvalidArgumentError("trajectory rotations must be orthonormal with det +1")
         if not 0.0 < self.nominal_rate < np.inf:
             raise InvalidArgumentError("nominal rate must be finite and positive")

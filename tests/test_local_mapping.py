@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_an
 from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory, compose_correction
 
-from conftest import knot_grid
+from conftest import count_decompositions, knot_grid
 
 
 def identity_trajectory(window=1.0, rate=100.0):
@@ -361,7 +362,14 @@ def test_window_does_not_depend_on_the_order_of_the_imu_list():
     assert np.array_equal(state.gyro_bias, state_s.gyro_bias)
 
 
-def test_degenerate_geometry_reports_null_space():
+def eigenvalue_null_count(hess):
+    """The oracle: eigenvalues below 1e-12 of the largest, taken as at
+    least 1e-30, counted by ``eigvalsh``."""
+    eigvals = np.linalg.eigvalsh(hess)
+    return int(np.sum(eigvals < max(eigvals[-1], 1e-30) * 1e-12))
+
+
+def test_degenerate_geometry_reports_null_space(monkeypatch):
     # All constraints share one normal: translations orthogonal to it are free.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
     truth, imu, init = gen_trajectory_and_imu(cfg)
@@ -372,9 +380,119 @@ def test_degenerate_geometry_reports_null_space():
         for c in scene.map_prior_constraints()
     ]
     grid = knot_grid(init.start, init.end, 0.5)
+    # The window's first H, built as optimize_window builds it, and the
+    # number of its eigenvalues below 1e-12 of the largest.
+    state = lm.OptState(grid)
+    system = lm._WindowSystem([], constraints, [], init, state)
+    it = system.evaluate(np.zeros(system.n_params()), state)
+    system.update_robust_weights(it.residuals)
+    hess, _ = system.normal_equations(it, system.weighted(it.residuals))
+    null_dim = eigenvalue_null_count(hess)
+    assert null_dim >= 1
+    calls = count_decompositions(monkeypatch)
     with pytest.raises(DegenerateGeometryError) as err:
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
-    assert err.value.null_dimension >= 1
+    assert err.value.null_dimension == null_dim
+    # The failed factorization hands the count to eigvalsh.
+    assert [name for name, _ in calls] == ["eigvalsh"]
+
+
+def symmetric_with_spectrum(eigvals, seed=0):
+    """``Q diag(eigvals) Q^T`` for a random orthogonal ``Q``, exactly
+    symmetric."""
+    n = len(eigvals)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    hess = (q * eigvals) @ q.T
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize(
+    "ratio, null_dim",
+    [(0.0, 167), (5e-13, 5), (2e-12, 0), (1e-9, 0), (1.0, 0), (None, 168)],
+    ids=["ratio-0", "ratio-5e-13", "ratio-2e-12", "ratio-1e-9", "ratio-1", "zero"],
+)
+def test_rank_check_counts_as_eigvalsh(monkeypatch, ratio, null_dim):
+    # Eigenvalues spread geometrically from 1 down to lambda_min / lambda_max
+    # = ratio (all but the first zero at ratio 0), and the zero matrix.
+    n = 168
+    if ratio is None:
+        hess = np.zeros((n, n))
+    else:
+        hess = symmetric_with_spectrum(ratio ** np.linspace(0.0, 1.0, n))
+    expected = eigenvalue_null_count(hess)
+    assert expected == null_dim
+    calls = count_decompositions(monkeypatch)
+    assert lm._null_dimension(hess) == expected
+    # A full-rank H is proved so by its factorization alone; near the
+    # threshold the factorization fails and eigvalsh counts.
+    assert len(calls) == (0 if ratio in (1e-9, 1.0) else 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rank_check_leaves_a_non_finite_h_to_eigvalsh(monkeypatch, bad):
+    # A factorization of a non-finite H proves nothing: eigvalsh decides,
+    # returning a count or raising, as it did before the proof.
+    hess = np.eye(168)
+    hess[3, 4] = hess[4, 3] = bad
+
+    def outcome(count):
+        try:
+            return count(hess)
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+
+    expected = outcome(eigenvalue_null_count)
+    calls = count_decompositions(monkeypatch)
+    assert outcome(lm._null_dimension) == expected
+    assert [name for name, _ in calls] == ["eigvalsh"]
+
+
+def test_well_posed_window_runs_no_eigvalsh(monkeypatch):
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
+    calls = count_decompositions(monkeypatch)
+    _, _, report = run_window(truth, imu, init, scene)
+    assert report.converged
+    assert calls == []
+
+
+def test_damping_vector_step_matches_dense_damping():
+    # The damping added in place to a copy of H gives the step and model
+    # decrease, bit for bit, of the dense damped matrix.
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(168, 168))
+    hess = a @ a.T + 1e-3 * np.eye(168)
+    grad = rng.normal(size=168)
+    diag = np.diag(hess).copy()
+    before = hess.copy()
+    for lam in (1e-6, 1e-2, 10.0):
+        delta, decrease = lm._model_step(hess, grad, lam * diag)
+        dense = np.linalg.solve(hess + lam * np.diag(diag), -grad)
+        assert np.array_equal(delta, dense)
+        assert decrease == -2.0 * (dense @ grad) - dense @ (hess @ dense)
+    assert np.array_equal(hess, before)
+
+
+def test_normal_equations_and_step_allocate_no_dense_temporaries():
+    # One build and one damped step of a 26-knot window with IMU biases peak
+    # below 2.5 blocks of n^2 floats under tracemalloc: H itself, the
+    # damped copy, and the row bands.  A dense damping matrix, or a padded
+    # H copied into its layout, adds a block each and fails.
+    cfg, truth, imu, init, scene = small_sim(seed=5)
+    state = lm.OptState(ControlGrid.for_window(init.start, init.end, 26))
+    system = lm._WindowSystem([], scene.map_prior_constraints(), imu, init, state)
+    it = system.evaluate(np.zeros(system.n_params()), state)
+    system.update_robust_weights(it.residuals)
+    weighted = system.weighted(it.residuals)
+    n = system.n_params()
+    assert n == 6 * 26 + 6
+    tracemalloc.start()
+    try:
+        hess, grad = system.normal_equations(it, weighted)
+        lm._model_step(hess, grad, 1e-6 * np.diag(hess))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_cost_non_increasing():
