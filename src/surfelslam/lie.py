@@ -1,5 +1,8 @@
 """SO(3)/SE(3) algebra over batches: exponential and logarithm maps, the
-SO(3) left Jacobian and geodesic interpolation, each written once.
+SO(3) left Jacobian and geodesic interpolation, each written once, and the
+coefficient series they read.  The exponential has a second form, the one
+of :func:`so3_exp_left_jacobian`, for component-first stacks that need the
+left Jacobian too.
 
 Every map takes a stack of inputs along the first axis, so a single value is
 a batch of one.  Twist ordering is fixed as (rotational, translational): a
@@ -14,14 +17,16 @@ share a bracket share its basis and form no 3x3 product or exponential of
 their own.  :func:`se3_interp_batch` is the same kernel with every pose pair
 its own bracket.
 
-The SO(3) left Jacobian and its inverse are applied to vectors, never
-formed as matrices, in one place: each is ``I + b K + c K^2`` with
-``K = hat(phi)``, applied as ``v + b phi x v + c phi x (phi x v)``
-(``_so3_apply``).  :func:`so3_left_jacobian_inv_apply` serves the logarithm
-and the IMU rotation rows; :func:`so3_left_jacobian_apply` serves
-``se3_exp_batch``'s translation and the IMU preintegration's right
-Jacobians (``Jr(phi) = Jl(phi)^T``).  These kernels store vectors component
-first, ``(3, ...)``, so that a product broadcasts over any trailing axes.
+The SO(3) left Jacobian and its inverse are ``I + b K + c K^2`` with
+``K = hat(phi)``.  Applied to vectors they are ``v + b phi x v + c phi x
+(phi x v)`` (``_so3_apply``): :func:`so3_left_jacobian_inv_apply` serves
+the logarithm and :func:`so3_left_jacobian_apply` ``se3_exp_batch``'s
+translation.  These kernels store vectors component first, ``(3, ...)``, so
+that a product broadcasts over any trailing axes.  The IMU factor multiplies
+them into 3x3 products, so it takes them as matrices:
+:func:`so3_exp_left_jacobian` forms each sample's exponential and left
+Jacobian from shared terms, and :func:`so3_left_jacobian_inv` the inverse
+for the rotation rows.
 No SE(3) Jacobian is needed: the window optimizer perturbs each pose it
 reads directly.
 
@@ -45,6 +50,9 @@ SMALL_ANGLE = 1e-8
 SERIES_ANGLE = 0.02
 
 _MAX_LOG_ANGLE = np.pi - 1e-6
+
+# eps[i, j] = e_i x e_j, so that hat(v)[i, j] = -eps[i, j] . v.
+_LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def _series_below(threshold, series):
@@ -145,12 +153,48 @@ def so3_left_jacobian_inv_apply(phi, v):
     return _so3_apply(phi, v, -0.5, _jl_inv_coeff(np.linalg.norm(phi, axis=0)))
 
 
+def so3_left_jacobian_inv(phi):
+    """``Jl^-1(phi) = I - K / 2 + jl_inv(|phi|) K^2`` as matrices (N, 3, 3)
+    of (N, 3) rotation vectors, ``K = hat(phi)``."""
+    k = hat_batch(phi)
+    coeff = _jl_inv_coeff(np.linalg.norm(phi, axis=1))[:, None, None]
+    return np.eye(3) - 0.5 * k + coeff * (k @ k)
+
+
 def so3_left_jacobian_apply(phi, v):
     """``Jl(phi) v = v + (1 - cos t) / t^2 phi x v + (t - sin t) / t^3 phi x
     (phi x v)`` at ``t = |phi|``, of rotation vectors and vectors stored
     component first, ``(3, ...)``, with the trailing axes broadcast."""
     theta = np.linalg.norm(phi, axis=0)
     return _so3_apply(phi, v, _cos_coeff(theta), _one_minus_sinc_coeff(theta))
+
+
+def so3_exp_left_jacobian(phi):
+    """``Exp(phi)`` and ``Jl(phi)`` of rotation vectors stored component
+    first, ``(3, ...)``, as matrices ``(3, 3, ...)``, entry (i, j) on the
+    first two axes.
+
+    As ``K^2 = phi phi^T - t^2 I`` at ``t = |phi|``, both are ``a I + b K +
+    c phi phi^T``: ``Exp`` with ``(cos t, sin t / t, (1 - cos t) / t^2)`` and
+    ``Jl`` with ``(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3)``.  So
+    they share ``K``, the outer products and two coefficient series, as
+    ``cos t = 1 - t^2 (1 - cos t) / t^2`` and ``sin t / t = 1 - t^2 (t -
+    sin t) / t^3``.  The trailing axes are elementwise, so a long last axis
+    keeps every operation a whole-array one.
+    """
+    outer = phi[:, None] * phi[None]
+    theta_sq = outer[0, 0] + outer[1, 1] + outer[2, 2]
+    theta = np.sqrt(theta_sq)
+    k = np.einsum("ijk,k...->ij...", _LEVI_CIVITA, -phi)
+    cos_coeff, one_minus_sinc = _cos_coeff(theta), _one_minus_sinc_coeff(theta)
+    sinc = 1.0 - one_minus_sinc * theta_sq
+    out = []
+    for a, b, c in ((1.0 - cos_coeff * theta_sq, sinc, cos_coeff),
+                    (sinc, cos_coeff, one_minus_sinc)):
+        m = c * outer + b * k
+        np.einsum("ii...->i...", m)[...] += a
+        out.append(m)
+    return tuple(out)
 
 
 def so3_exp_batch(r):

@@ -74,6 +74,12 @@ CAUCHY_SCALE = 3.0  # floor of the annealed Cauchy scale, whitened, i.e. 3 sigma
 DAMPING_INIT, DAMPING_RETRIES = 1e-6, 5
 # An eigenvalue of H below this fraction of the largest is a null direction.
 RANK_TOL = 1e-12
+# An IMU group's moment coefficients on its four queries: the constant part,
+# then the part per (n - 1) / 2 of a group of n samples.
+_MOMENT_COEF = np.array([
+    [[1.0, -1.0, -1.0, 1.0], [0.0, 1.0, -1.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [-1.0, 1.0, -1.0, 1.0]],
+])
 
 
 @dataclass(frozen=True)
@@ -192,27 +198,31 @@ def _knot_band(idx, weights):
 
 class _Iterate(NamedTuple):
     """An evaluated iterate: its corrected pose points, the query poses it
-    reads and its residuals."""
+    reads, the IMU groups' rotation logs there (None without IMU) and its
+    residuals."""
 
     x: np.ndarray
     state: OptState
     points: tuple
     rot: np.ndarray
     t: np.ndarray
+    imu_log: np.ndarray
     residuals: np.ndarray
 
 
 def _row_spread(first, band):
-    """First knot (m,) and spread (m, 1, W, S) of rows that read S pose
-    points each, of the points' first knots (m, S) and bands (m, S, 4): each
+    """First knot (m,) and spread (m, W, S) of rows that read S pose points
+    each, of the points' first knots (m, S) and bands (m, S, 4): each
     point's weights shifted by its first knot's offset from the row's."""
+    m, n_points = first.shape
     row_first = first.min(axis=1)
     at = (first - row_first[:, None])[:, :, None] + np.arange(band.shape[2])
-    spread = np.zeros(first.shape + (int(at.max()) + 1,))
-    np.put_along_axis(spread, at, band, axis=2)
-    # Drop the trailing knots that no row reads.
-    width = np.flatnonzero(spread.any(axis=(0, 1)))[-1] + 1
-    return row_first, spread.transpose(0, 2, 1)[:, None, :width]
+    # The trailing knots that no row reads are dropped.
+    width = int(at[band != 0.0].max()) + 1
+    spread = np.zeros((m, width + band.shape[2], n_points))
+    cells = (np.arange(m)[:, None, None] * spread.shape[1] + at) * n_points
+    np.put(spread, cells + np.arange(n_points)[:, None], band)
+    return row_first, spread[:, :width]
 
 
 class _ImuGroups(NamedTuple):
@@ -238,7 +248,9 @@ class _ImuGroups(NamedTuple):
     T-RO 2017, Sec. VI), and ``cov`` (G, 9, 9) its covariance under
     per-sample noise of standard deviation ``SIGMA_ACCEL`` and
     ``SIGMA_GYRO``.  A group of one sample has a centred moment of zero and
-    no variance there.
+    no variance there.  :func:`_preintegrate` forms all of them over every
+    sample at once, and the window builds what it needs of them once:
+    whitening, bias border and the constants of its rows' bands.
     """
 
     first: np.ndarray
@@ -256,64 +268,84 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
     groups (:class:`_ImuGroups`).  A group is a maximal run of samples in one
     segment, each ``h`` after the one before, within ``1e-9 h``.
 
+    The samples are laid out component first and padded to ``(N, G)``,
+    sample i of group g at ``[..., i, g]`` and ``N`` the largest group: a pad
+    sample turns by nothing and weighs nothing.  So every operation but the
+    rotation chain, one 3x3 product per step, runs once over all the samples.
+
     To first order the rows are linear in each sample's accelerometer and
     gyro errors, so the bias Jacobian sums the derivatives by every sample's
     errors (a bias is the same error at every sample) and the covariance
     weighs them by the noise variances.  An accelerometer error at sample i
     moves the moments by ``w_i dR_{0,i}``; those terms of the covariance are
     ``SIGMA_ACCEL^2 sum_i w_i w'_i I``, as ``dR_{0,i}`` is a rotation.  A
-    gyro error at sample k turns the rotation by ``G_k = dR_{0,k+1}
-    Jr(theta_k) h``, seen from one step past the last sample as
-    ``dR^T G_k``, and every later sample's acceleration with it: the
-    moments move by ``s_k x G_k`` of the weighted accelerations ``s_k``
-    after sample k.
+    gyro error at sample k turns the rotation by ``G_k = dR_{0,k}
+    Jl(theta_k) h`` (``= dR_{0,k+1} Jr(theta_k) h``), seen from one step
+    past the last sample as ``dR^T G_k``, and every later sample's
+    acceleration with it: the moments move by ``s_k x G_k``, column by
+    column, of the weighted accelerations ``s_k`` after sample k.  These
+    nine rows by three of every sample, one stacked error matrix per group,
+    give both the gyro columns of the bias Jacobian (their sum) and the
+    covariance's gyro part (their products); the rotation rows are stacked
+    as ``G_k``, and ``dR^T / h`` turns the sums and products once per group.
     """
     step = np.abs(np.diff(taus) - h) <= 1e-9 * h
-    start = np.r_[True, ~step | (np.diff(segment) != 0)]
-    group = np.cumsum(start) - 1
-    pos = np.arange(taus.size) - np.flatnonzero(start)[group]
-    count = np.bincount(group)
+    heads = np.concatenate([[0], np.flatnonzero(~step | (np.diff(segment) != 0)) + 1])
+    count = np.diff(np.append(heads, taus.size))
+    group = np.repeat(np.arange(count.size), count)
+    pos = np.arange(taus.size) - heads[group]
     n_groups, width = count.size, int(count.max())
-    # Padded to (G, N, ...): a pad sample turns by nothing and weighs nothing.
-    theta = np.zeros((n_groups, width, 3))
-    theta[group, pos] = (gyro - gyro_bias) * h
-    specific = np.zeros((n_groups, width, 3))
-    specific[group, pos] = accel - accel_bias
-    weights = np.zeros((n_groups, width, 2))
-    weights[group, pos, 0] = 1.0
-    weights[group, pos, 1] = pos - 0.5 * (count[group] - 1)
+    # Per padded sample: the gyro's turn, the bias-free acceleration and
+    # the two moment weights, scattered once and turned component first.
+    samples = np.empty((taus.size, 8))
+    np.multiply(gyro - gyro_bias, h, out=samples[:, :3])
+    np.subtract(accel, accel_bias, out=samples[:, 3:6])
+    samples[:, 6] = 1.0
+    samples[:, 7] = pos - 0.5 * (count[group] - 1)
+    padded = np.zeros((width * n_groups, 8))
+    padded[pos * n_groups + group] = samples
+    padded = np.ascontiguousarray(padded.T).reshape(8, width, n_groups)
+    theta, specific, weights = padded[:3], padded[3:6], padded[6:]
 
-    steps = lie.so3_exp_batch(theta.reshape(-1, 3)).reshape(n_groups, width, 3, 3)
-    rot = np.empty((n_groups, width + 1, 3, 3))  # rot[:, i] = dR_{0,i}
-    rot[:, 0] = np.eye(3)
+    steps, jl = lie.so3_exp_left_jacobian(theta)
+    steps = np.ascontiguousarray(steps.transpose(2, 3, 0, 1))
+    rot = np.empty((width + 1, n_groups, 3, 3))  # rot[i] = dR_{0,i}
+    rot[0] = np.eye(3)
     for i in range(width):
-        rot[:, i + 1] = rot[:, i] @ steps[:, i]
-    delta_rot = rot[:, width]
-    weighted = weights[..., None] * (rot[:, :-1] @ specific[..., None]).swapaxes(2, 3)
-    moments = weighted.sum(axis=1)
-    after = np.cumsum(weighted[:, ::-1], axis=1)[:, ::-1] - weighted
+        np.matmul(rot[i], steps[i], out=rot[i + 1])
+    delta_rot = rot[width]
+    before = np.ascontiguousarray(rot[:-1].transpose(2, 3, 0, 1))  # (3, 3, N, G)
+    weighted = weights[:, None] * np.einsum("ijng,jng->ing", before, specific)
+    moments = weighted.sum(axis=2)  # (2, 3, G)
+    after = moments[:, :, None] - np.cumsum(weighted, axis=2)
 
-    # Row r of G_k is Jl(theta_k) applied to row r of dR_{0,k+1}, as
-    # Jr = Jl^T; a pad sample has no gyro error.
-    turn = lie.so3_left_jacobian_apply(
-        theta.transpose(2, 0, 1)[..., None], rot[:, 1:].transpose(3, 0, 1, 2)
-    ).transpose(1, 2, 3, 0) * (h * (weights[:, :, 0, None, None]))
-    gyro_rows = np.empty((n_groups, width, 3, 3, 3))  # (G, N, row block, row, k)
-    gyro_rows[:, :, 0] = -(delta_rot.transpose(0, 2, 1)[:, None] @ turn) / h
-    hats = lie.hat_batch(after.reshape(-1, 3)).reshape(after.shape + (3,))
-    gyro_rows[:, :, 1:] = hats @ turn[:, :, None]
-    gyro_rows = gyro_rows.reshape(n_groups, width, 9, 3)
-
+    # The error matrix, (G, row block, row, column, k): G_k, zero at a pad,
+    # then s_k x G_k of each moment.  The rotation rows are dR^T G_k / h,
+    # one product per group, below.
+    jl *= h * weights[0]
+    turn = np.einsum("ijng,jlng->ilng", before, jl)
+    errors = np.empty((n_groups, 3, 3, 3, width))
+    errors[:, 0] = turn.transpose(3, 0, 1, 2)
+    errors[:, 1:] = lie.cross(
+        after.transpose(1, 0, 2, 3)[:, :, None], turn[:, None]
+    ).transpose(4, 1, 0, 2, 3)
+    flat = errors.reshape(n_groups, 9, -1)
+    cov = SIGMA_GYRO**2 * (flat @ flat.transpose(0, 2, 1))
     bias_jac = np.zeros((n_groups, 9, 6))
-    bias_jac[:, 3:, :3] = -np.einsum("gnw,gnij->gwij", weights, rot[:, :-1]).reshape(-1, 6, 3)
-    bias_jac[:, :, 3:] = gyro_rows.sum(axis=1)
-    scaled = SIGMA_GYRO * gyro_rows.transpose(0, 2, 1, 3).reshape(n_groups, 9, -1)
-    cov = scaled @ scaled.transpose(0, 2, 1)
-    # sum_i w_i w'_i: n, 0 and n (n^2 - 1) / 12.
-    cov[:, 3:6, 3:6] += (SIGMA_ACCEL**2 * count)[:, None, None] * np.eye(3)
-    cov[:, 6:, 6:] += (SIGMA_ACCEL**2 * count * (count**2 - 1) / 12.0)[:, None, None] * np.eye(3)
-    ends = np.r_[np.flatnonzero(start)[1:], taus.size] - 1
-    return _ImuGroups(taus[start], taus[ends], count, delta_rot, moments, bias_jac, cov)
+    bias_jac[:, 3:, :3] = -np.einsum("wng,ijng->gwij", weights, before).reshape(-1, 6, 3)
+    bias_jac[:, :, 3:] = (errors.reshape(-1, width) @ np.ones(width)).reshape(-1, 9, 3)
+    # A bias moves the gyro by minus its error: the rotation rows turn by
+    # -dR^T / h.
+    turn_back = delta_rot.transpose(0, 2, 1) / -h
+    bias_jac[:, :3, 3:] = turn_back @ bias_jac[:, :3, 3:]
+    cov[:, :3] = turn_back @ cov[:, :3]
+    cov[:, :, :3] = cov[:, :, :3] @ turn_back.transpose(0, 2, 1)
+    # sum_i w_i w'_i on the diagonal of the moments: n, then n (n^2 - 1) / 12.
+    diagonal = np.einsum("gii->gi", cov)
+    diagonal[:, 3:6] += (SIGMA_ACCEL**2 * count)[:, None]
+    diagonal[:, 6:] += (SIGMA_ACCEL**2 * count * (count**2 - 1) / 12.0)[:, None]
+    return _ImuGroups(taus[heads], taus[heads + count - 1], count, delta_rot,
+                      moments.transpose(2, 0, 1), bias_jac, cov)
 
 
 def _vectors(values):
@@ -350,36 +382,40 @@ class _WindowSystem:
     interval, each sample ``h`` after the one before.  A group's prediction
     of its moments, a weighted sum of central differences, telescopes onto
     its four queries, and its rotation reads two of them.  Its nine rows,
-    rotation then moments, are whitened by the Cholesky factor of its
-    covariance, one constant matrix per group (``imu_whiten``); a group of
-    one sample drops its centred moment, which is zero.  Of the kept rows
+    rotation then moments, are whitened by the inverse Cholesky factor of
+    its covariance, one constant matrix per group (``imu_whiten``); a group
+    of one sample drops its centred moment, which is zero.  Of the kept rows
     the moment rows come first (``sl_accel``), then the rotation rows
-    (``sl_gyro``).  Groups in whole knot intervals would fix only K - 3
+    (``sl_gyro``); their whitened bias Jacobians are the bias border
+    (``imu_border``).  Groups in whole knot intervals would fix only K - 3
     rotation increments of the K - 1 that a spline of K knots has, and leave
     two modes per axis to the priors; groups in halves fix them all.
 
     The window is linearized at the folded pose points only, at zero
     correction (:meth:`fold`); a non-zero correction is refused.  The
-    residual layer differentiates each whitened, robust-weighted row with
-    respect to a world-frame left perturbation ``(phi, rho)`` of every query
-    pose it reads (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``), by cross
-    products.  At zero correction the increment ``(du_r, du_t)`` of a knot
-    moves a pose point by ``(phi, rho) = (du_r, du_t)`` times the point's
-    spline weight on it, so the pose layer is the point bands alone.
+    residual layer differentiates each whitened, robust-weighted surfel and
+    prior row with respect to a world-frame left perturbation ``(phi,
+    rho)`` of every query pose it reads (``R <- exp(phi) R``, ``t <- exp(phi)
+    t + rho``), by cross products.  The nine rows of an IMU group read the
+    same four queries, so its band is formed per group, not per row, from
+    constants of the window, and whitened by one product per group
+    (:meth:`_imu_band`).  At zero correction the increment ``(du_r, du_t)``
+    of a knot moves a pose point by ``(phi, rho) = (du_r, du_t)`` times the
+    point's spline weight on it, so the pose layer is the point bands alone.
 
     Clamped boundary knots fold onto the knot they repeat.  A row's band is
     the sum over the points it reads of the point's gradient, spread by the
     point's weights at its first-knot offset from the row's first knot, so
     its columns are the parameters of consecutive knots, as many as the
     widest band reads.  :meth:`normal_equations` sorts the rows by first
-    knot and adds one ``L.T @ L`` and one ``L.T @ [r | border]`` per first
-    knot, where the border is the constant bias columns, the whitened bias
-    Jacobians of the IMU groups, present when the window has IMU samples.
-    The spreads and this order depend on the point bands only and are built
-    once per window (:meth:`_rows`).  The sorted bands stay in the
-    plan's buffers until the next build, so :meth:`chord_gradient` takes the
-    gradient of the last build's Jacobian with new residuals without
-    linearizing again.
+    knot and adds one ``L.T @ [L | r | border]`` per first knot, where the
+    border is the constant bias columns, present when the window has IMU
+    samples; the border's own block of H is its constant product.  The
+    spreads and this order depend on the point bands only and are built
+    once per window (:meth:`_rows`), as are the IMU bands' constants.  The
+    sorted bands stay in the plan's buffers until the next build, so
+    :meth:`chord_gradient` takes the gradient of the last build's Jacobian
+    with new residuals without linearizing again.
     :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
     only the tests read.
 
@@ -413,7 +449,7 @@ class _WindowSystem:
         # One stable sort by time, so the groups do not depend on the order
         # of the list.
         order = np.flatnonzero(keep)[np.argsort(taus[keep], kind="stable")]
-        usable = [imu[i] for i in order]
+        usable = [imu[i] for i in order.tolist()]
         imu_taus = taus[order]
         imu_accel = _vectors([s.accel for s in usable])
         imu_gyro = _vectors([s.gyro for s in usable])
@@ -457,20 +493,19 @@ class _WindowSystem:
             n_groups = count.size
             comp = np.arange(9)
             kept = (comp < 6) | (count[:, None] > 1)
-            self.imu_rows = np.r_[
+            self.imu_rows = np.concatenate([
                 np.flatnonzero(kept & (comp >= 3)), np.flatnonzero(kept & (comp < 3))
-            ]
+            ])
             cov = self.imu.cov.copy()
             cov[count == 1, 6:, 6:] = np.eye(3)
             self.imu_whiten = np.linalg.inv(np.linalg.cholesky(cov))
             self.imu_bias_ref = np.concatenate(biases)
+            # The whitened bias Jacobian of each kept row: the bias border.
+            self.imu_border = (self.imu_whiten @ self.imu.bias_jac).reshape(-1, 6)[self.imu_rows]
             # Each moment's prediction sum_i w_i (t_{i+1} - 2 t_i + t_{i-1})
-            # telescopes onto the group's four queries.
-            mid = 0.5 * (count - 1.0)
-            self.imu_coef = np.stack([
-                np.broadcast_to([1.0, -1.0, -1.0, 1.0], (n_groups, 4)),
-                np.stack([-mid, mid + 1.0, -mid - 1.0, mid], axis=1),
-            ], axis=1)
+            # telescopes onto the group's four queries: moment 0 reads
+            # [1, -1, -1, 1], moment 1 [-m, m + 1, -m - 1, m] at m = (n - 1) / 2.
+            self.imu_coef = _MOMENT_COEF[0] + (0.5 * (count - 1.0))[:, None, None] * _MOMENT_COEF[1]
             # Per group: one step before its first sample, its first and its
             # last sample, one step after its last.
             ends = (self.imu.first, self.imu.last)
@@ -498,26 +533,19 @@ class _WindowSystem:
         self.base_rot = np.concatenate([traj.rotations, rot])
         self.base_t = np.concatenate([traj.translations, t])
         self.point_times = np.concatenate([traj.times, query_taus[interior]])
-        # Per residual family, its rows (n, a) and the queries they read.
+        # Per surfel or prior family, its rows and the queries they read.
         self.families = []
         if p:
-            self.families.append((np.arange(p)[:, None], [self.q_a, self.q_b]))
+            self.families.append((np.arange(p), [self.q_a, self.q_b]))
         if self.n_prior:
-            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)[:, None]
+            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)
             self.families.append((rows, [self.q_prior]))
-        # The bias columns, one per bias component, when there are IMU rows.
-        self.border = np.zeros((self.n_residuals, 6 if self.n_imu else 0))
-        if self.n_imu:
-            group = self.imu_rows // 9
-            rows = np.arange(base, self.n_residuals)[:, None]
-            self.families.append((rows, [np.arange(q.start, q.stop)[group] for q in self.q_imu]))
-            self.border[base:] = (self.imu_whiten @ self.imu.bias_jac).reshape(-1, 6)[
-                self.imu_rows
-            ]
 
         # Each pose point's first knot and spline weights on four knots from it.
         self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
         self.structure = self._rows()
+        if self.n_imu:
+            self.imu_layer = self._imu_layer_terms(self.structure[0][-1][2])
 
         self.robust_weights = np.ones(self.n_pair + self.n_prior)
         self.cauchy_eff = np.inf
@@ -528,7 +556,7 @@ class _WindowSystem:
     # and the IMU biases b_a, b_g follow when the window has IMU samples.
 
     def n_params(self):
-        return 6 * self.n_knots + self.border.shape[1]
+        return 6 * self.n_knots + (6 if self.n_imu else 0)
 
     def split_params(self, x, state):
         """Knot corrections (K, 6), ``(du_r, du_t)`` per knot, and the biases."""
@@ -567,10 +595,11 @@ class _WindowSystem:
         knots, b_a, b_g = self.split_params(x, state)
         points = self._corrected_points(knots)
         rot, t = (p[self.query_points] for p in points)
-        residuals = self._residuals_at(rot, t, b_a, b_g)
-        return _Iterate(x, state, points, rot, t, residuals)
+        imu_log = self._imu_log(rot) if self.n_imu else None
+        residuals = self._residuals_at(rot, t, imu_log, b_a, b_g)
+        return _Iterate(x, state, points, rot, t, imu_log, residuals)
 
-    def _residuals_at(self, rot, t, b_a, b_g):
+    def _residuals_at(self, rot, t, imu_log, b_a, b_g):
         out = np.empty(self.n_residuals)
         if self.n_pair:
             qa, qb = self.q_a, self.q_b
@@ -586,18 +615,10 @@ class _WindowSystem:
                 np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / SIGMA_PRIOR
             )
         if self.n_imu:
-            raw = self._imu_raw(rot, t, b_a, b_g)
+            raw = self._imu_raw(rot, t, b_a, b_g, imu_log)
             whitened = np.einsum("gij,gj->gi", self.imu_whiten, raw)
             out[self.sl_accel.start :] = whitened.reshape(-1)[self.imu_rows]
         return out
-
-    def _imu_span(self, points):
-        """Per IMU group and moment, ``sum_i w_i ((t_{i+1} - 2 t_i +
-        t_{i-1}) / h^2 - g)`` from the group's four query translations
-        ``points`` (G, 4, 3), (G, 2, 3)."""
-        span = np.einsum("gwj,gjc->gwc", self.imu_coef, points) / (self.h * self.h)
-        span[:, 0] -= self.imu.count[:, None] * GRAVITY
-        return span
 
     def _imu_log(self, rot):
         """Per IMU group, ``log(R_n^T R_0 dR)`` (G, 3) of the query rotations
@@ -608,16 +629,22 @@ class _WindowSystem:
             rot[q_after].transpose(0, 2, 1) @ rot[q_first] @ self.imu.delta_rot
         )
 
-    def _imu_raw(self, rot, t, b_a, b_g):
+    def _imu_raw(self, rot, t, b_a, b_g, log=None):
         """The IMU groups' unwhitened residuals (G, 9) at query poses
         ``rot``, ``t`` and biases ``b_a``, ``b_g``: measured minus predicted,
         rotation rows in rad/s, then the moment rows in m/s^2, with the
-        bias steps from the set-up biases applied to first order."""
-        span = self._imu_span(np.stack([t[q] for q in self.q_imu], axis=1))
-        predicted = np.einsum("gji,gwj->gwi", rot[self.q_imu[1]], span)
-        moments = (self.imu.moments - predicted).reshape(-1, 6)
+        bias steps from the set-up biases applied to first order.  Moment w
+        predicts ``R_0^T span_w``, ``span_w = sum_i w_i ((t_{i+1} - 2 t_i +
+        t_{i-1}) / h^2 - g)`` from the group's four query translations.
+        ``log`` is :meth:`_imu_log` at ``rot``, taken there when not given."""
+        if log is None:
+            log = self._imu_log(rot)
+        points = t[self.q_imu[0].start :].reshape(4, -1, 3).transpose(1, 0, 2)
+        span = (self.imu_coef @ points) / (self.h * self.h)
+        span[:, 0] -= self.imu.count[:, None] * GRAVITY
+        moments = (self.imu.moments - span @ rot[self.q_imu[1]]).reshape(-1, 6)
         step = np.concatenate([b_a, b_g]) - self.imu_bias_ref
-        return (np.concatenate([self._imu_log(rot) / self.h, moments], axis=1)
+        return (np.concatenate([log / self.h, moments], axis=1)
                 + self.imu.bias_jac @ step)
 
     # -- robust kernel ----------------------------------------------------
@@ -670,10 +697,10 @@ class _WindowSystem:
     # -- linearization ------------------------------------------------------
 
     def _residual_layer(self, rot, t):
-        """Derivatives of the whitened, robust-weighted rows with respect to a
-        left perturbation of each query pose they read: per entry of
-        ``families``, the gradients (n, a, S, 6) of its rows by each of the S
-        queries they read."""
+        """Derivatives of the whitened, robust-weighted surfel and prior rows
+        with respect to a left perturbation of each query pose they read:
+        per entry of ``families``, the gradients (n, S, 6) of its rows by
+        each of the S queries they read."""
         families = []
 
         def plane(q, u, normal, coef):
@@ -687,57 +714,90 @@ class _WindowSystem:
             families.append(np.stack([
                 plane(self.q_a, self.pair_u_a, self.pair_n, coef),
                 plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
-            ], axis=1)[:, None])
+            ], axis=1))
         if self.n_prior:
             coef = self.robust_weights[self.sl_prior] / SIGMA_PRIOR
             grad = plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)
-            families.append(grad[:, None, None])
-        if self.n_imu:
-            q_first, q_after = self.q_imu[1], self.q_imu[3]
-            n_groups = self.imu.count.size
-            rot_first_t = rot[q_first].transpose(0, 2, 1)
-            # Moment w is R_0^T (sum_j c_j t_j / h^2 - g sum_i w_i) over the
-            # four queries j; it moves by R_0^T hat(v) phi_j - c_j R_0^T
-            # rho_j / h^2, v = c_j t_j / h^2 less the bracket at j = 0.
-            coef = (self.imu_coef / (self.h * self.h)).transpose(0, 2, 1)  # (G, 4, 2)
-            points = np.stack([t[q] for q in self.q_imu], axis=1)
-            v = coef[..., None] * points[:, :, None]
-            v[:, 1] -= self._imu_span(points)
-            grad = np.zeros((n_groups, 4, 9, 6))
-            hats = lie.hat_batch(v.reshape(-1, 3)).reshape(n_groups, 8, 3, 3)
-            grad[:, :, 3:, :3] = (rot_first_t[:, None] @ hats).reshape(n_groups, 4, 6, 3)
-            grad[:, :, 3:, 3:] = -(coef[..., None, None] * rot_first_t[:, None, None]).reshape(
-                n_groups, 4, 6, 3
-            )
-            # Rotation: log(R_n^T R_0 dR) / h moves by Jl^-1 R_n^T (phi_0 -
-            # phi_n) / h; column j of Jl^-1 R_n^T is Jl^-1 applied to row j
-            # of R_n.
-            grad[:, 1, :3, :3] = lie.so3_left_jacobian_inv_apply(
-                self._imu_log(rot).T[:, :, None], rot[q_after].transpose(2, 0, 1)
-            ).transpose(1, 0, 2) / self.h
-            grad[:, 3, :3, :3] = -grad[:, 1, :3, :3]
-            whitened = self.imu_whiten[:, None] @ grad
-            rows = whitened.transpose(0, 2, 1, 3).reshape(9 * n_groups, 4, 6)[self.imu_rows]
-            families.append(rows[:, None])
+            families.append(grad[:, None])
         return families
 
+    def _imu_layer_terms(self, spread):
+        """What the IMU bands take from the window alone, of each group's
+        spread (G, W, 4) of its four queries (see :meth:`_imu_band`): the
+        coefficients and offsets of ``V`` in the translations, the rotation
+        rows' knot weights over ``h``, the whitening's moment columns, and
+        two buffers: the whitening with its moment columns turned, and the
+        bands, their translation columns ``-A_kw I`` set."""
+        count = self.imu.count
+        coef = self.imu_coef / (self.h * self.h)
+        n_groups, width = spread.shape[:2]
+        # V = lever @ points + offset, per group, moment and knot.
+        lever = (spread - spread[:, :, 1:2])[:, None] * coef[:, :, None]
+        offset = np.zeros((n_groups, 2, width, 3))
+        offset[:, 0] = (spread[:, :, 1] * count[:, None])[..., None] * GRAVITY
+        turn = (spread[:, :, 1] - spread[:, :, 3])[:, None, :, None] / self.h
+        moment_columns = self.imu_whiten[:, :, 3:].reshape(n_groups, 18, 3)
+        whiten = self.imu_whiten.copy()
+        # (G, row block, row, knot, column): the rotation rows, then the
+        # rows of each moment.
+        band = np.zeros((n_groups, 3, 3, width, 6))
+        shift = -(spread @ coef.transpose(0, 2, 1)).transpose(0, 2, 1)  # -A, (G, 2, W)
+        for i in range(3):
+            band[:, 1:, i, :, 3 + i] = shift
+        return (lever.reshape(n_groups, 2 * width, 4), offset.reshape(n_groups, -1, 3), turn,
+                moment_columns, whiten, band)
+
+    def _imu_band(self, rot, t, log):
+        """Row bands (n, 6W) of the kept IMU rows at query poses ``rot``,
+        ``t`` with rotation logs ``log`` (:meth:`_imu_log`), formed per
+        group: its nine rows read the same four queries, so the spread of the
+        queries' weights is taken before the whitening.
+
+        At knot k of the group's band, with ``S_kj`` the spread of query j
+        and ``c_wj`` its moment coefficients, moment w's rows are ``R_0^T
+        [hat(V_kw), -A_kw I]`` with ``A_kw = sum_j S_kj c_wj / h^2`` and
+        ``V_kw = sum_j S_kj c_wj t_j / h^2 - S_k1 span_w``, and the rotation
+        rows are ``(S_k1 - S_k3) Jl^-1(phi) R_n^T / h``.  ``V`` is linear in
+        the four translations, with the window's coefficients, and ``-A`` is
+        the window's (:meth:`_imu_layer_terms`).  The whitening's moment
+        columns take each ``R_0^T``, so one product per group by the turned
+        whitening gives the group's nine whitened rows."""
+        lever, offset, turn, moment_columns, whiten, band = self.imu_layer
+        n_groups, _, _, width, _ = band.shape
+        points = t[self.q_imu[0].start :].reshape(4, -1, 3).transpose(1, 0, 2)
+        band[:, 1:, :, :, :3] = lie.hat_batch((lever @ points + offset).reshape(-1, 3)).reshape(
+            n_groups, 2, width, 3, 3
+        ).transpose(0, 1, 3, 2, 4)
+        right = lie.so3_left_jacobian_inv(log) @ rot[self.q_imu[3]].transpose(0, 2, 1)
+        np.multiply(turn, right[:, :, None], out=band[:, 0, :, :, :3])
+        turned = moment_columns @ rot[self.q_imu[1]].transpose(0, 2, 1)
+        whiten[:, :, 3:] = turned.reshape(n_groups, 9, 6)
+        whitened = whiten @ band.reshape(n_groups, 9, -1)
+        return whitened.reshape(9 * n_groups, -1)[self.imu_rows]
+
     def _rows(self):
-        """Row structure of ``families``, built once per window: per family
-        its rows, first knots and spread (``_row_spread``), every spread
-        padded to the widest band W; six times the knots the bands reach; and
-        the plan of :meth:`normal_equations`: where each family's rows go in
-        stable first-knot order, a buffer for their bands in that order, the
-        rows in it and the first-knot spans."""
+        """Row structure, built once per window: per family its rows, their
+        first knots and spread (``_row_spread``), every spread padded to the
+        widest band W (the IMU family's rows share one spread per group, in
+        group order); six times the knots the bands reach; and the plan of
+        :meth:`normal_equations`: where each family's rows go in stable
+        first-knot order, a buffer for their bands in that order, the rows
+        in it, with the residuals and the constant bias border after the
+        bands, and the first-knot spans."""
         first, band = self.point_bands
         fams = []
         for rows, reads in self.families:
             points = np.stack([self.query_points[q] for q in reads], axis=1)
-            row_first, spread = _row_spread(first[points], band[points])
-            fams.append((rows.reshape(-1), np.repeat(row_first, rows.shape[1]), spread))
-        width = max(s.shape[2] for _, _, s in fams)
+            fams.append((rows, *_row_spread(first[points], band[points])))
+        if self.n_imu:
+            points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
+            group_first, spread = _row_spread(first[points], band[points])
+            rows = np.arange(self.sl_accel.start, self.n_residuals)
+            fams.append((rows, group_first[self.imu_rows // 9], spread))
+        width = max(s.shape[1] for _, _, s in fams)
         for i, (rows, row_first, spread) in enumerate(fams):
-            padded = np.zeros(spread.shape[:2] + (width,) + spread.shape[3:])
-            padded[:, :, : spread.shape[2]] = spread
+            padded = np.zeros((spread.shape[0], width, spread.shape[2]))
+            padded[:, : spread.shape[1]] = spread
             fams[i] = (rows, row_first, padded)
         # Knots the bands reach; past the last knot only zero weights reach.
         size = 6 * max(self.n_knots, max(int(f.max()) for _, f, _ in fams) + width)
@@ -747,8 +807,14 @@ class _WindowSystem:
         bounds = np.flatnonzero(np.diff(first)) + 1
         lo = np.r_[0, bounds]
         spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
-        at = np.split(np.argsort(order), np.cumsum([f[0].size for f in fams])[:-1])
-        buffer = np.empty((order.size, 6 * width))  # refilled, not reallocated, per call
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        at = np.split(place, np.cumsum([f[0].size for f in fams])[:-1])
+        # The bands, then the residuals, both refilled per call, then the
+        # constant bias border.
+        buffer = np.zeros((order.size, 6 * width + 1 + self.n_params() - 6 * self.n_knots))
+        if self.n_imu:
+            buffer[at[-1], 6 * width + 1 :] = self.imu_border
         return fams, size, (6 * width, at, buffer, rows[order], spans)
 
     def _linearize(self, it):
@@ -758,61 +824,75 @@ class _WindowSystem:
         fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        return [
+        bands = [
             (spread @ grads).reshape(rows.size, -1)
             for grads, (rows, _, spread) in zip(
                 self._residual_layer(it.rot, it.t), self.structure[0]
             )
         ]
+        if self.n_imu:
+            bands.append(self._imu_band(it.rot, it.t, it.imu_log))
+        return bands
 
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
         residuals ``weighted`` at iterate ``it`` of zero correction, built
         from the row bands grouped by first knot, without forming J.  Each
-        block is added straight into H, cropped to the window's knots."""
-        _, size, (width, at, band, rows, spans) = self.structure
+        block is added straight into H, cropped to the window's knots.  The
+        bias border is constant, so its block of H is the border's own
+        product and its gradient reads the IMU rows alone.  One product per
+        first knot, of its rows' bands with their bands, residuals and
+        border, gives both its block of H and its right-hand sides."""
+        _, size, (width, at, buffer, rows, spans) = self.structure
         for a, rows_band in zip(at, self._linearize(it)):
-            band[a] = rows_band
-        rhs = np.column_stack([weighted, self.border])
-        r = rhs[rows]
+            buffer[a, :width] = rows_band
+        buffer[:, width] = weighted[rows]
         n = 6 * self.n_knots
         hess = np.zeros((self.n_params(), self.n_params()))
-        h_kr = np.zeros((size, rhs.shape[1]))
+        h_kr = np.zeros((size, buffer.shape[1] - width))
         # The rows are sorted by first knot; each first knot adds one block.
         for lo, hi, k in spans:
-            block = band[lo:hi]
+            block = buffer[lo:hi]
+            product = block[:, :width].T @ block
             m = min(width, n - k)
-            hess[k : k + m, k : k + m] += (block.T @ block)[:m, :m]
-            h_kr[k : k + width] += block.T @ r[lo:hi]
-
-        h_rr = rhs.T @ rhs
-        hess[:n, n:] = h_kr[:n, 1:]
-        hess[n:, :n] = h_kr[:n, 1:].T
-        hess[n:, n:] = h_rr[1:, 1:]
-        return hess, np.concatenate([h_kr[:n, 0], h_rr[1:, 0]])
+            hess[k : k + m, k : k + m] += product[:m, :m]
+            h_kr[k : k + width] += product[:, width:]
+        grad = [h_kr[:n, 0]]
+        if self.n_imu:
+            hess[:n, n:] = h_kr[:n, 1:]
+            hess[n:, :n] = h_kr[:n, 1:].T
+            hess[n:, n:] = self.imu_border.T @ self.imu_border
+            grad.append(self.imu_border.T @ weighted[self.sl_accel.start :])
+        return hess, np.concatenate(grad)
 
     def chord_gradient(self, weighted):
         """``J.T @ weighted`` with the Jacobian ``J`` of the last
         :meth:`normal_equations` build, read from the row bands that build
         left in its buffers: one ``block.T @ r`` per first knot, and the bias
-        columns' products."""
-        _, size, (width, _, band, rows, spans) = self.structure
+        border's product with the IMU rows."""
+        _, size, (width, _, buffer, rows, spans) = self.structure
         grad = np.zeros(size)
         r = weighted[rows]
         for lo, hi, k in spans:
-            grad[k : k + width] += band[lo:hi].T @ r[lo:hi]
-        return np.concatenate([grad[: 6 * self.n_knots], self.border.T @ weighted])
+            grad[k : k + width] += buffer[lo:hi, :width].T @ r[lo:hi]
+        grad = [grad[: 6 * self.n_knots]]
+        if self.n_imu:
+            grad.append(self.imu_border.T @ weighted[self.sl_accel.start :])
+        return np.concatenate(grad)
 
     def jacobian(self, x, state):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
         :meth:`normal_equations` scattered into their columns and the bias
-        columns, at an ``x`` of zero correction.  Only tests read it."""
+        border, at an ``x`` of zero correction.  Only tests read it."""
         fams, size, _ = self.structure
         bands = self._linearize(self.evaluate(x, state))
         knots = np.zeros((self.n_residuals, size))
         for (rows, first, _), band in zip(fams, bands):
             knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
-        return np.hstack([knots[:, : 6 * self.n_knots], self.border])
+        border = np.zeros((self.n_residuals, self.n_params() - 6 * self.n_knots))
+        if self.n_imu:
+            border[self.sl_accel.start :] = self.imu_border
+        return np.hstack([knots[:, : 6 * self.n_knots], border])
 
 
 def optimize_window(constraints, imu, traj, init, cfg=None):
@@ -872,9 +952,11 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             "constraints must be SurfelPairConstraint or MapPriorConstraint records"
         )
     system = _WindowSystem(pairs, priors, imu, traj, init)
-    if system.n_residuals < 6 * system.n_knots:
+    if system.n_residuals < system.n_params():
+        biases = " and 6 IMU biases" if system.n_imu else ""
         raise InvalidArgumentError(
-            f"{system.n_residuals} residuals cannot observe {6 * system.n_knots} knot states"
+            f"{system.n_residuals} residuals cannot observe {6 * system.n_knots} knot "
+            f"states{biases}"
         )
 
     state = OptState(init.grid, init.accel_bias.copy(), init.gyro_bias.copy())

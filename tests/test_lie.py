@@ -196,6 +196,27 @@ def test_left_jacobian_inverse_against_numeric(rng):
         assert np.linalg.norm(product - np.eye(3)) < 1e-9
 
 
+def test_matrix_forms_match_the_rodrigues_stack_and_the_vector_kernels(rng):
+    # The IMU factor's matrices: the exponential and the left Jacobian of
+    # component-first rotation vectors, and the inverse left Jacobian,
+    # against so3_exp_batch and the vector kernels applied to unit vectors,
+    # at both sides of every series switch and at larger angles.
+    # Entries are at most about 1, so the forms agree to a few roundings.
+    tol = 8 * np.finfo(float).eps
+    angles = np.concatenate([SWITCH_ANGLES, np.repeat([1e-6, 0.01, 0.5, 1.5, 3.0], 4)])
+    r = twists_at(rng, angles)[:, :3]
+    exp, jl = (m.transpose(2, 0, 1) for m in lie.so3_exp_left_jacobian(r.T))
+    assert np.abs(exp - lie.so3_exp_batch(r)).max() < tol
+    unit = np.eye(3)[:, :, None]
+    applied = lie.so3_left_jacobian_apply(r.T[:, None], unit).transpose(2, 0, 1)
+    assert np.abs(jl - applied).max() < tol
+    assert np.abs(lie.so3_left_jacobian_inv(r) - so3_left_jacobian_inv_matrices(r)).max() < tol
+    # Component first, any trailing axes: a (3, 2, n) stack is two stacks.
+    pair = np.stack([r.T, -r.T], axis=1)
+    for whole, one in zip(lie.so3_exp_left_jacobian(pair), lie.so3_exp_left_jacobian(-r.T)):
+        assert np.array_equal(whole[:, :, 1], one)
+
+
 def test_interp_endpoints(rng):
     a = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]
     b = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]

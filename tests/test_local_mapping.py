@@ -216,6 +216,23 @@ def test_observability_guard():
         lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
 
 
+def test_observability_guard_counts_the_biases():
+    # A window with IMU samples has 6K + 6 parameters.  Two single-sample
+    # groups (six rows each) and priors, 6K + 3 rows in all, leave the
+    # biases short of rows: refused before any build, not left to the rank
+    # check.
+    cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
+    grid = knot_grid(init.start, init.end, 0.25)
+    samples = [imu[20], imu[60]]
+    n_knots = len(grid)
+    priors = scene.map_prior_constraints()[: 6 * n_knots - 12 + 3]
+    system = lm._WindowSystem([], priors, samples, init, lm.OptState(grid))
+    assert list(system.imu.count) == [1, 1]
+    assert 6 * n_knots < system.n_residuals < system.n_params() == 6 * n_knots + 6
+    with pytest.raises(InvalidArgumentError, match="6 IMU biases"):
+        lm.optimize_window(priors, samples, init, lm.OptState(grid), lm.OptimizerConfig())
+
+
 @pytest.mark.parametrize(
     "option",
     [
@@ -839,6 +856,83 @@ def test_group_covariance_and_bias_jacobian_match_re_preintegration():
                                 state.gyro_bias + step[3:])
 
     base = fold(np.zeros(6))
+    for j, step in enumerate(1e-5 * np.eye(6)):
+        plus, minus = fold(step), fold(-step)
+        turn = lie.so3_log_batch(minus.delta_rot.transpose(0, 2, 1) @ plus.delta_rot)
+        want = np.concatenate([turn / system.h, (plus.moments - minus.moments).reshape(-1, 6)],
+                              axis=1) / 2e-5
+        got = base.bias_jac[:, :, j]
+        assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(got))
+
+
+def mixed_group_samples(imu, init, grid):
+    """Three stretches of ``imu``: every sample (full groups), every second
+    sample (groups of one, each 2h from the next) and every sample but the
+    fifth of each half knot interval (two partial groups per half)."""
+    taus = np.array([s.tau for s in imu])
+    third = init.start + (init.end - init.start) * np.array([1.0, 2.0]) / 3.0
+    half = np.floor((taus - grid.times[0]) / (0.5 * grid.step))
+    index = np.arange(len(imu))
+    at_half = index - np.searchsorted(half, half)  # position in its half interval
+    keep = np.where(taus < third[0], True, np.where(taus < third[1], index % 2 == 0, at_half != 4))
+    return [s for s, k in zip(imu, keep) if k]
+
+
+def test_groups_of_mixed_sizes_match_the_oracles():
+    # One window whose groups have sizes 1, partial and full: each group's
+    # raw rows equal the group oracle's, its covariance the first-order
+    # propagation of the per-sample noise through the oracle, and its bias
+    # Jacobian the central difference of the preintegration run again, to
+    # the bounds of the single-size tests.
+    cfg, truth, imu, init, scene = small_sim(seed=12, n_features=40, window=1.0)
+    grid = knot_grid(init.start, init.end, 0.25)
+    state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
+                        gyro_bias=np.array([0.001, 0.002, 0.0]))
+    samples = mixed_group_samples(imu, init, grid)
+    system = lm._WindowSystem([], scene.map_prior_constraints(), samples, init, state)
+    groups = system.imu
+    assert len(set(groups.count)) >= 3 and 1 in groups.count and groups.count.max() > 10
+    members = group_members(system, samples)
+    assert [len(m) for m in members] == list(groups.count)
+
+    x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
+    x[6 * system.n_knots :] = 0.0
+    it = system.evaluate(x, state)
+    knots = x[: 6 * system.n_knots].reshape(-1, 6)
+    corrected = oracles.apply_correction(init, grid, knots[:, 3:], knots[:, :3])
+    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias)
+    for row, group in zip(raw, members):
+        single = oracles.residual_imu_group(group, corrected, state.accel_bias, state.gyro_bias)
+        assert np.abs(row - single).max() < 1e-10
+
+    eps = 1e-6
+    for g, group in enumerate(members):
+
+        def readings(i, field, step):
+            moved = list(group)
+            moved[i] = dataclasses.replace(group[i], **{field: getattr(group[i], field) + step})
+            return oracles.residual_imu_group(moved, init, state.accel_bias, state.gyro_bias)
+
+        noise = np.array([
+            sigma * (readings(i, field, step) - readings(i, field, -step)) / (2 * eps)
+            for i in range(len(group))
+            for field, sigma in (("accel", lm.SIGMA_ACCEL), ("gyro", lm.SIGMA_GYRO))
+            for step in eps * np.eye(3)
+        ]).T
+        cov = groups.cov[g]
+        assert np.max(np.abs(cov - noise @ noise.T)) < 1e-6 * np.max(np.abs(cov))
+
+    read = [s for s in samples if init.start + system.h <= s.tau <= init.end - system.h]
+    args = (np.array([s.tau for s in read]), np.array([s.accel for s in read]),
+            np.array([s.gyro for s in read]))
+    segment = np.floor((args[0] - grid.times[0]) / (0.5 * grid.step))
+
+    def fold(step):
+        return lm._preintegrate(*args, segment, system.h, state.accel_bias + step[:3],
+                                state.gyro_bias + step[3:])
+
+    base = fold(np.zeros(6))
+    assert np.array_equal(base.count, groups.count)
     for j, step in enumerate(1e-5 * np.eye(6)):
         plus, minus = fold(step), fold(-step)
         turn = lie.so3_log_batch(minus.delta_rot.transpose(0, 2, 1) @ plus.delta_rot)

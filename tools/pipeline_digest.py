@@ -80,10 +80,13 @@ class Digest:
         else:
             self._h.update(repr(value).encode())
 
-    def fields(self, label, records, record_type):
-        """Every field of ``records``, stacked field by field."""
+    def fields(self, label, batch, record_type):
+        """Every field of a surfel ``batch``, in the order of the fields of
+        its ``record_type``.  An empty field is hashed as an empty float
+        array, the stack of no records."""
         for f in dataclasses.fields(record_type):
-            self.put(f"{label}.{f.name}", np.array([getattr(r, f.name) for r in records]))
+            value = getattr(batch, f.name)
+            self.put(f"{label}.{f.name}", value if len(value) else np.array([]))
 
     def hex(self):
         return self._h.hexdigest()[:24]
@@ -111,8 +114,8 @@ def window_digest(result):
 
 def maps_digest(global_maps):
     d = Digest()
-    d.fields("dense", list(global_maps.dense.surfels.values()), DenseSurfel)
-    d.fields("sparse", list(global_maps.sparse.all()), SparseSurfel)
+    d.fields("dense", global_maps.dense.batch, DenseSurfel)
+    d.fields("sparse", global_maps.sparse.all(), SparseSurfel)
     return d.hex()
 
 
