@@ -15,7 +15,10 @@ round fusing the next pending measurement of every destination, and checks
 the fused rows once, with the eigenvalues of the update's PSD clamps.
 ``match_surfel`` reads the stored batch as it is.  The sparse ICP reads
 the arrays of ``SparseSurfels`` batches, keys its destinations once per call
-and pairs its surfels through one join with them per iteration.
+and pairs its surfels through one join with them per association round; each
+round's point-to-plane fit runs the window optimizer's damped Gauss-Newton
+driver (``local_mapping.solve``), so the window and the ICP share one step,
+one damping schedule, one set of stop rules and one robust kernel.
 
 Every 3×3 decomposition here is the closed-form kernel of ``surfel_map``:
 ``eigh3`` through ``psd_eigh`` for the scatters, whose smallest eigenvectors
@@ -31,12 +34,15 @@ matrix square roots are lower Cholesky factors throughout.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lie
-from .errors import InvalidArgumentError
+from .errors import DegenerateGeometryError, InvalidArgumentError
+from .local_mapping import (SIGMA_PRIOR, IterationRecord, OptimizationReport, OptimizerConfig,
+                            _Cauchy, solve)
 from .surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
@@ -291,13 +297,15 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
 
 # -- point-to-plane ICP on sparse surfels -------------------------------------
 
-# The ICP's iteration cap, the radius within which it pairs centroids and
-# the plane distance within which a pair is an inlier, in meters.
+# The ICP's cap on association rounds, the radius within which it pairs
+# centroids and the plane distance within which a pair is an inlier, in meters.
 ICP_MAX_ITERATIONS = 20
 MAX_PAIR_DISTANCE = 0.5
 INLIER_DISTANCE = 0.05
 # Minimum |n_s . n_d| for an ICP pair; sparse normals carry no sign.
 NORMAL_COMPATIBILITY = 0.9
+# The stop reasons of a converged ICP (see icp_point_to_plane).
+ICP_CONVERGED = ("same_pairs", "cost_decrease")
 
 # Minimum smallest/largest eigenvalue ratio of the ICP's planarity-weighted
 # normal matrix sum(w n n^T) for a loop-closure trigger.  Below it the overlap
@@ -308,13 +316,23 @@ MIN_NORMAL_EIGEN_RATIO = 1e-3
 
 @dataclass
 class IcpResult:
+    """An ICP's transform, mapping source centroids onto the destination
+    map, and why it stopped (``report``, see :func:`icp_point_to_plane`).
+    A converged ICP also gives the inlier fraction of its final pairs, the
+    inlier pairs as source and destination centroids, each (m, 3), and the
+    smallest/largest eigenvalue ratio of ``sum(w n n^T)`` over the final
+    pairs; an unconverged one gives 0, no pairs and 0."""
+
     rotation: np.ndarray
     translation: np.ndarray
+    report: OptimizationReport
     inlier_fraction: float = 0.0
-    converged: bool = False
-    # Source and destination centroids of the inlier pairs, each (m, 3).
     pairs: tuple = field(default_factory=lambda: (np.zeros((0, 3)), np.zeros((0, 3))))
-    normal_eigen_ratio: float = 0.0  # of sum(w n n^T) at the final association
+    normal_eigen_ratio: float = 0.0
+
+    @property
+    def converged(self):
+        return self.report.converged
 
 
 def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, dst_normals):
@@ -342,83 +360,126 @@ def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, ds
     return moved[i[paired]], i[paired], j[paired]
 
 
+# An ICP iterate: the left twist x of the pose state (rotation, translation),
+# the pose exp(x) state, the source centroids moved by it and their residuals.
+_PlaneIterate = namedtuple("_PlaneIterate", "x state pose moved residuals")
+
+
+class _PlaneProblem:
+    """One ICP round's point-to-plane problem for :func:`solve`, its pairs
+    fixed: the source centroids ``src``, moved by the pose, against the
+    destination planes through ``dst`` along ``normal``, each distance
+    whitened by ``sigma`` and all Cauchy-robust, from the annealed
+    ``scale``.  The parameter is a left twist ``x = (phi, rho)`` of the
+    pose, ``T <- exp(x) T``, folded into the pose after each accepted step."""
+
+    def __init__(self, src, dst, normal, sigma, scale):
+        self.src, self.dst, self.normal, self.sigma = src, dst, normal, sigma
+        self.robust = _Cauchy(len(src), scale)
+
+    def evaluate(self, x, state):
+        rotation, translation = state
+        # At zero twist, as at each round's start, exp(x) is the identity.
+        if x.any():
+            (step_rot,), (step_t,) = lie.se3_exp_batch(x[None])
+            rotation, translation = step_rot @ rotation, step_rot @ translation + step_t
+        moved = self.src @ rotation.T + translation
+        residuals = _row_dot(self.normal, moved - self.dst) / self.sigma
+        return _PlaneIterate(x, state, (rotation, translation), moved, residuals)
+
+    def fold(self, it):
+        return it._replace(x=np.zeros(6), state=it.pose)
+
+    def normal_equations(self, it, weighted):
+        coef = (self.robust.weights / self.sigma)[:, None]
+        self.jac = coef * np.hstack([lie.cross(it.moved.T, self.normal.T).T, self.normal])
+        return self.jac.T @ self.jac, self.chord_gradient(weighted)
+
+    def chord_gradient(self, weighted):
+        return self.jac.T @ weighted
+
+    def record(self, iteration, cost, residuals, step_norm):
+        rms = float(np.sqrt(np.mean((residuals * self.sigma) ** 2)))
+        return IterationRecord(iteration, cost, 0.0, rms, 0.0, 0.0, step_norm)
+
+
 def icp_point_to_plane(src_surfels, dst_surfels):
-    """Weighted point-to-plane alignment of sparse surfel centroids, in at
-    most ``ICP_MAX_ITERATIONS`` solves.  It converges when a step's norm
-    falls below 1e-10; an ICP that runs out of solves first, or whose solve
-    fails, or that forms fewer than six pairs, does not converge.
+    """Robust point-to-plane alignment of sparse surfel centroids, in at
+    most ``ICP_MAX_ITERATIONS`` association rounds.
 
-    Each source surfel pairs with its nearest destination centroid closer
-    than ``MAX_PAIR_DISTANCE`` whose normal is compatible with the rotated
-    source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
-    different planes never pair; of equally near ones it takes the lowest
-    destination index.  The destination centroids are keyed once at
-    ``MAX_PAIR_DISTANCE`` (``KeyedPoints``), and each association is one
-    join of the moved source centroids with them, not a full distance
-    matrix.  The same
-    association drives every solve and the final count.  A pair is an
-    inlier when the moved source centroid lies within ``INLIER_DISTANCE`` of
-    the destination surfel's plane; the inlier fraction is taken over the
-    pairs formed at the final pose, since overlap itself is required
-    separately (at least six pairs, and the caller's minimum surfel
-    counts).
+    Each round pairs the sources at the current pose (:func:`_associate`),
+    then runs the window's damped Gauss-Newton driver
+    (``local_mapping.solve``, at the window's default ``chi2_tol`` and
+    ``max_iterations``) on the point-to-plane distances of those pairs,
+    each whitened by ``SIGMA_PRIOR / sqrt(w)`` of its destination's
+    planarity ``w`` (at least 0.05) and all Cauchy-robust; the kernel's
+    annealed scale carries over from round to round.  The report's reason
+    is one of
 
-    Returns the transform mapping source centroids onto the destination map,
-    that inlier fraction, the inlier pairs as two (m, 3) arrays of the paired
-    source and destination centroids (empty when the ICP did not converge),
-    and the smallest/largest
-    eigenvalue ratio of the planarity-weighted normal matrix ``sum(w n n^T)``
-    of the final pairs, which is near 0 when the pairs leave a translation
-    direction free.  Either set is a ``SparseSurfels`` batch or a list of
-    ``SparseSurfel`` records, checked once (``SparseSurfels.of``).
+    - ``"same_pairs"``, converged: a round paired exactly as the one
+      before;
+    - ``"cost_decrease"``, converged: the last round lowered the cost by
+      less than ``chi2_tol``, its ``stop_decrease``;
+    - ``"max_rounds"``: ``ICP_MAX_ITERATIONS`` rounds ran out;
+    - ``"too_few_pairs"``: a round formed fewer than six pairs;
+    - ``"rank_deficient"``: the driver's rank check found a null direction,
+      as an exactly planar overlap gives.
+
+    Its records are every round's, each round's starting from its
+    iteration 0.  Each source surfel pairs with its nearest destination
+    centroid closer than ``MAX_PAIR_DISTANCE`` whose normal is compatible
+    with the rotated source normal (``|R n_s . n_d| >
+    NORMAL_COMPATIBILITY``), so voxels on different planes never pair; of
+    equally near ones it takes the lowest destination index.  The
+    destination centroids are keyed once at ``MAX_PAIR_DISTANCE``
+    (``KeyedPoints``), and each association is one join of the moved source
+    centroids with them, not a full distance matrix.
+
+    A round associates before it solves, so the last association is at the
+    final pose.  Its pairs give a converged ICP's results (see
+    :class:`IcpResult`): a pair is an inlier when the moved source centroid
+    lies within ``INLIER_DISTANCE`` of the destination surfel's plane, and
+    the inlier fraction is taken over all the pairs, since overlap itself
+    is required separately (at least six pairs, and the caller's minimum
+    surfel counts); the eigenvalue ratio of ``sum(w n n^T)`` is near 0 when
+    the pairs leave a translation direction free.  Either set is a
+    ``SparseSurfels`` batch or a list of ``SparseSurfel`` records, checked
+    once (``SparseSurfels.of``).
     """
     src, dst = SparseSurfels.of(src_surfels), SparseSurfels.of(dst_surfels)
-    if len(src) == 0 or len(dst) == 0:
-        return IcpResult(np.eye(3), np.zeros(3))
-    src_pts, src_normals = src.centroid, src.normal
-    dst_pts, dst_normals = dst.centroid, dst.normal
-    keyed = KeyedPoints(dst_pts, MAX_PAIR_DISTANCE)
-    weights_dst = np.maximum(dst.planarity, 0.05)
-
-    rotation = np.eye(3)
-    translation = np.zeros(3)
-    for _ in range(ICP_MAX_ITERATIONS):
-        p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
-                                         keyed, dst_normals)
-        if src_idx.size < 6:
-            return IcpResult(rotation, translation)
-        q = dst_pts[dst_idx]
-        n = dst_normals[dst_idx]
-        w = weights_dst[dst_idx]
-        residual = np.sum(n * (p - q), axis=1)
-        jac = np.concatenate([np.cross(p, n, axis=1), n], axis=1)
-        jw = jac * w[:, None]
-        hess = jw.T @ jac
-        grad = jw.T @ residual
-        try:
-            delta = np.linalg.solve(hess + 1e-12 * np.eye(6), -grad)
-        except np.linalg.LinAlgError:
-            return IcpResult(rotation, translation)
-        (step_rot,), (step_t,) = lie.se3_exp_batch(delta[None])
-        rotation = step_rot @ rotation
-        translation = step_rot @ translation + step_t
-        if np.linalg.norm(delta) < 1e-10:
+    keyed = KeyedPoints(dst.centroid, MAX_PAIR_DISTANCE)
+    weights = np.maximum(dst.planarity, 0.05)
+    pose, records, decrease = (np.eye(3), np.zeros(3)), [], np.inf
+    scale, paired = np.inf, (None, None)
+    for rounds in range(ICP_MAX_ITERATIONS + 1):
+        moved, src_idx, dst_idx = _associate(*pose, src.centroid, src.normal, keyed, dst.normal)
+        same = all(map(np.array_equal, paired, (src_idx, dst_idx)))
+        reason = ("too_few_pairs" if src_idx.size < 6 else "same_pairs" if same
+                  else "cost_decrease" if decrease < OptimizerConfig.chi2_tol
+                  else "max_rounds" if rounds == ICP_MAX_ITERATIONS else None)
+        if reason:
             break
-    else:
-        # Out of iterations with the last step still large: not converged.
-        return IcpResult(rotation, translation)
-
-    p, src_idx, dst_idx = _associate(rotation, translation, src_pts, src_normals,
-                                     keyed, dst_normals)
-    if src_idx.size < 6:
-        return IcpResult(rotation, translation)
-    n = dst_normals[dst_idx]
-    q = dst_pts[dst_idx]
-    eigenvalues = eigvalsh3((n * weights_dst[dst_idx][:, None]).T @ n)
-    plane_d = np.abs(np.sum(n * (p - q), axis=1))
-    inliers = plane_d < INLIER_DISTANCE
-    pairs = src_pts[src_idx[inliers]], q[inliers]
-    return IcpResult(rotation, translation, float(np.mean(inliers)), True, pairs,
+        paired = src_idx, dst_idx
+        problem = _PlaneProblem(src.centroid[src_idx], dst.centroid[dst_idx], dst.normal[dst_idx],
+                                SIGMA_PRIOR / np.sqrt(weights[dst_idx]), scale)
+        try:
+            it, report = solve(problem, problem.evaluate(np.zeros(6), pose),
+                               OptimizerConfig.chi2_tol, OptimizerConfig.max_iterations)
+        except DegenerateGeometryError:
+            reason = "rank_deficient"
+            break
+        pose, scale = it.state, problem.robust.scale
+        records += report.records
+        decrease = report.records[0].cost - report.final_cost
+    report = OptimizationReport(records, reason in ICP_CONVERGED, reason,
+                                decrease if reason == "cost_decrease" else np.nan)
+    if not report.converged:
+        return IcpResult(*pose, report)
+    n, q = dst.normal[dst_idx], dst.centroid[dst_idx]
+    eigenvalues = eigvalsh3((n * weights[dst_idx][:, None]).T @ n)
+    inliers = np.abs(_row_dot(n, moved - q)) < INLIER_DISTANCE
+    pairs = src.centroid[src_idx[inliers]], q[inliers]
+    return IcpResult(*pose, report, float(np.mean(inliers)), pairs,
                      float(eigenvalues[0] / eigenvalues[-1]))
 
 
@@ -449,13 +510,6 @@ class LocalMaps:
             self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
         if not np.isfinite(self.timestamp):
             raise InvalidArgumentError("local map timestamp must be finite")
-
-
-@dataclass
-class DeformationTrigger:
-    rotation: np.ndarray
-    translation: np.ndarray
-    inlier_pairs: tuple  # IcpResult.pairs
 
 
 # Loop-closure trigger thresholds: the ICP's inlier fraction (theta_in) and
@@ -492,7 +546,8 @@ class FusionStepMetrics:
 @dataclass
 class TemporalFusionResult:
     metrics: FusionStepMetrics
-    trigger: DeformationTrigger | None
+    trigger: IcpResult | None  # the ICP, when it raised a loop-closure trigger
+    icp: IcpResult | None  # None when the ICP did not run
 
 
 def _rounds(slot):
@@ -546,14 +601,16 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     and the fused rows are checked once.  The inactive sparse
     set is taken before the local sparse surfels are pooled into the global
     sparse map, since pooling stamps every revisited voxel with the current
-    time.  A weighted sparse-surfel ICP of the local sparse map against that
-    inactive set raises a deformation trigger when its inlier fraction
-    exceeds ``INLIER_THRESHOLD``, its translation exceeds
-    ``DISTANCE_THRESHOLD`` (see ``icp_point_to_plane`` for the inlier
-    definition) and its pairs constrain every translation direction
-    (normal eigenvalue ratio at least ``MIN_NORMAL_EIGEN_RATIO``);
-    otherwise inactive surfels that overlap the active map may be merged
-    back.  Surfels observed fewer than ``STABLE_OBS`` times whose last
+    time.  A robust sparse-surfel ICP of the local sparse map against that
+    inactive set, when both hold at least ``ICP_MIN_SURFELS``, raises a
+    deformation trigger when it converged, its inlier fraction exceeds
+    ``INLIER_THRESHOLD``, its translation exceeds ``DISTANCE_THRESHOLD``
+    (see ``icp_point_to_plane`` for the inlier definition) and its pairs
+    constrain every translation direction (normal eigenvalue ratio at least
+    ``MIN_NORMAL_EIGEN_RATIO``); otherwise inactive surfels that overlap the
+    active map may be merged back.  The result holds the ICP's
+    :class:`IcpResult` (None when it did not run), and as the trigger when
+    it raised one.  Surfels observed fewer than ``STABLE_OBS`` times whose last
     observation is older than ``cfg.cull_age`` are deleted.
 
     The step reads the dense map's batch as its snapshot and stores the next
@@ -592,8 +649,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     inactive_sparse = sparse[now - sparse.timestamp > cfg.active_window]
     global_maps.sparse.fuse(local.sparse)
 
-    trigger = None
-    icp = IcpResult(np.eye(3), np.zeros(3))
+    trigger = icp = None
     if (
         len(local.sparse) >= ICP_MIN_SURFELS
         and len(inactive_sparse) >= ICP_MIN_SURFELS
@@ -607,14 +663,15 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
                 "trigger suppressed",
                 icp.normal_eigen_ratio,
             )
-    misalignment = float(np.linalg.norm(icp.translation)) if icp.converged else np.nan
+    converged = icp is not None and icp.converged
+    misalignment = float(np.linalg.norm(icp.translation)) if converged else np.nan
     if (
-        icp.converged
+        converged
         and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO
         and icp.inlier_fraction > INLIER_THRESHOLD
         and misalignment > DISTANCE_THRESHOLD
     ):
-        trigger = DeformationTrigger(icp.rotation, icp.translation, icp.pairs)
+        trigger = icp
     elif inactive.any():
         # Map coherency: re-activate inactive surfels that already overlap
         # the active map, unless too many gaps remain.  An inactive surfel
@@ -642,8 +699,8 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         n_new=len(new),
         n_fused=len(matched),
         n_culled=int(np.count_nonzero(culled)),
-        icp_inlier=icp.inlier_fraction,
+        icp_inlier=0.0 if icp is None else icp.inlier_fraction,
         icp_dist=misalignment,
         triggered=trigger is not None,
     )
-    return TemporalFusionResult(metrics, trigger)
+    return TemporalFusionResult(metrics, trigger, icp)

@@ -14,6 +14,13 @@ correction at the knots, and the IMU biases when the window has IMU samples.
 Its Jacobian is analytic: each residual row reads a few pose points, and a
 knot increment moves a pose point by the point's spline weight on that knot.
 
+The solver is one driver, :func:`solve`, for any problem that evaluates,
+linearizes and folds its own iterates: the damped step, the damping schedule,
+the chord test, the χ² stop rules, the rank check and the annealed Cauchy
+kernel (:class:`_Cauchy`) over the problem's leading rows.  The window
+(:class:`_WindowSystem`) is one such problem; the sparse-surfel ICP of
+``fusion`` runs each of its association rounds as another.
+
 The constraint and IMU records are plain values that check nothing.  A
 window checks its inputs once, where ``_WindowSystem`` stacks them into
 arrays: every field and time finite (of the IMU samples, those the window
@@ -134,7 +141,7 @@ class OptimizerConfig:
     a sum of squared whitened residuals, so one unit is one χ² unit.  A
     window stops once the decrease its Gauss-Newton model predicts for the
     next step, or the decrease an accepted step achieved, is below it (see
-    :func:`optimize_window`).
+    :func:`solve`).
     """
 
     window: float = 5.0
@@ -150,7 +157,8 @@ class IterationRecord:
     and ``rms_gyro`` (rad/s) are the RMS of the whitened IMU moment and
     rotation rows times ``SIGMA_ACCEL`` and ``SIGMA_GYRO``: the size of the
     errors in units of one sample's noise, which for a group of one sample
-    is that sample's acceleration error.
+    is that sample's acceleration error.  An ICP record holds the RMS of its
+    point-to-plane distances (m) in ``rms_prior`` and zero in the others.
     """
 
     iteration: int
@@ -164,12 +172,13 @@ class IterationRecord:
 
 @dataclass
 class OptimizationReport:
-    """Per-iteration records and why the window stopped.
+    """Per-iteration records and why a window (:func:`solve`) or an ICP
+    (``fusion.icp_point_to_plane``) stopped.
 
     ``stop_decrease`` is the decrease, in χ² units, that ended the window:
     the model's prediction for a ``"predicted_decrease"`` stop (the chord
     model's after an accepted step, the freshly built model's otherwise; see
-    :func:`optimize_window`), the accepted step's actual decrease for a
+    :func:`solve`), the accepted step's actual decrease for a
     ``"cost_decrease"`` stop, NaN for any other reason.
     """
 
@@ -422,7 +431,9 @@ class _WindowSystem:
     :meth:`evaluate` returns an iterate that carries the query poses it
     read, and the linearization reuses them.  An accepted candidate, folded
     into the pose points (:meth:`fold`), is the next iterate as it stands,
-    so no iterate is evaluated twice.
+    so no iterate is evaluated twice.  The window is a problem of
+    :func:`solve`: its Cauchy kernel (``robust``) covers the surfel and
+    prior rows, and :meth:`record` gives each iterate's RMS per family.
     """
 
     def __init__(self, pair_constraints, prior_constraints, imu, traj, state):
@@ -547,8 +558,7 @@ class _WindowSystem:
         if self.n_imu:
             self.imu_layer = self._imu_layer_terms(self.structure[0][-1][2])
 
-        self.robust_weights = np.ones(self.n_pair + self.n_prior)
-        self.cauchy_eff = np.inf
+        self.robust = _Cauchy(self.n_pair + self.n_prior)
 
     # -- parameter vector layout ------------------------------------------
     #
@@ -647,51 +657,18 @@ class _WindowSystem:
         return (np.concatenate([log / self.h, moments], axis=1)
                 + self.imu.bias_jac @ step)
 
-    # -- robust kernel ----------------------------------------------------
-    #
-    # The Cauchy scale is annealed: it starts at the spread of the current
-    # residuals and tightens monotonically to the 3-sigma floor CAUCHY_SCALE
-    # as the fit improves.  A fixed small scale would let the solver park badly
-    # initialized stretches of the window behind the kernel.  Because the
-    # Cauchy cost is increasing in the scale, a non-increasing scale keeps
-    # the recorded cost non-increasing across accepted iterations.
-
-    def update_robust_weights(self, residuals):
-        r = residuals[: self.n_pair + self.n_prior]
-        if r.size:
-            spread = 3.0 * np.median(np.abs(r)) / 0.6745
-        else:
-            spread = 0.0
-        scale = max(CAUCHY_SCALE, spread)
-        self.cauchy_eff = min(self.cauchy_eff, scale)
-        self.robust_weights = 1.0 / np.sqrt(1.0 + (r / self.cauchy_eff) ** 2)
-
-    def weighted(self, residuals):
-        out = residuals.copy()
-        out[: self.n_pair + self.n_prior] *= self.robust_weights
-        return out
-
-    def cost(self, residuals):
-        c = self.cauchy_eff
-        robust = residuals[: self.n_pair + self.n_prior]
-        quad = residuals[self.n_pair + self.n_prior :]
-        return float(
-            np.sum(c * c * np.log1p((robust / c) ** 2)) + np.sum(quad * quad)
-        )
-
-    def family_rms(self, residuals):
-        """RMS per family (surfel, prior, accel, gyro), each whitened row
-        times its family's sigma (see :class:`IterationRecord`)."""
+    def record(self, iteration, cost, residuals, step_norm):
+        """The :class:`IterationRecord` of an iterate of cost ``cost`` and
+        whitened ``residuals``: the RMS per family (surfel, prior, accel,
+        gyro), each whitened row times its family's sigma."""
 
         def rms(sl, sigma):
             r = residuals[sl]
             return float(np.sqrt(np.mean(r * r)) * sigma) if r.size else 0.0
 
-        return (
-            rms(self.sl_pair, SIGMA_SURFEL),
-            rms(self.sl_prior, SIGMA_PRIOR),
-            rms(self.sl_accel, SIGMA_ACCEL),
-            rms(self.sl_gyro, SIGMA_GYRO),
+        return IterationRecord(
+            iteration, cost, rms(self.sl_pair, SIGMA_SURFEL), rms(self.sl_prior, SIGMA_PRIOR),
+            rms(self.sl_accel, SIGMA_ACCEL), rms(self.sl_gyro, SIGMA_GYRO), step_norm,
         )
 
     # -- linearization ------------------------------------------------------
@@ -710,13 +687,13 @@ class _WindowSystem:
             return coef[:, None] * grad
 
         if self.n_pair:
-            coef = self.robust_weights[self.sl_pair] / SIGMA_SURFEL
+            coef = self.robust.weights[self.sl_pair] / SIGMA_SURFEL
             families.append(np.stack([
                 plane(self.q_a, self.pair_u_a, self.pair_n, coef),
                 plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
             ], axis=1))
         if self.n_prior:
-            coef = self.robust_weights[self.sl_prior] / SIGMA_PRIOR
+            coef = self.robust.weights[self.sl_prior] / SIGMA_PRIOR
             grad = plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)
             families.append(grad[:, None])
         return families
@@ -896,47 +873,22 @@ class _WindowSystem:
 
 
 def optimize_window(constraints, imu, traj, init, cfg=None):
-    """Damped Gauss-Newton over the knot corrections, and the IMU biases
-    when the window has IMU samples.
+    """Damped Gauss-Newton (:func:`solve`) over the knot corrections, and
+    the IMU biases when the window has IMU samples.
 
     ``constraints`` mixes :class:`SurfelPairConstraint` and
     :class:`MapPriorConstraint` instances; any other object raises
-    :class:`InvalidArgumentError`.  Returns the final state, the
-    corrected trajectory, and a per-iteration report.
+    :class:`InvalidArgumentError`, as does a window with fewer residuals
+    than parameters.  Returns the final state, the corrected trajectory,
+    and a per-iteration report.
 
     The cost is the sum of squared whitened residuals, Cauchy-robust on the
-    surfel and prior rows, so its unit is one χ² unit.  Each iteration solves
-    the damped normal equations for a step ``delta`` and takes its model
-    decrease ``-2 delta.g - delta.H delta`` in the same units.  The window
-    stops, converged, with reason
-
-    - ``"predicted_decrease"`` when that model decrease is below
-      ``cfg.chi2_tol``; the step is then not evaluated;
-    - ``"predicted_decrease"`` as well when, after an accepted step, the
-      chord model predicts less than ``cfg.chi2_tol``: the last build's H at
-      the current damping, with the gradient ``J_k^T w_{k+1}`` of the last
-      build's Jacobian and the accepted step's weighted residuals
-      (:meth:`_WindowSystem.chord_gradient`).  The window then stops without
-      building the normal equations again; otherwise they are built and
-      tested as above;
-    - ``"cost_decrease"`` when an accepted step lowered the cost by less
-      than ``cfg.chi2_tol``;
-    - ``"zero_cost"`` when the cost is below 1e-16.
-
-    A rejected step is solved again with ten times the damping, up to
-    ``DAMPING_RETRIES`` times; the damping falls by three after an
-    accepted step.  When every retry fails to lower the cost while the model
-    still predicts at least ``cfg.chi2_tol``, :class:`NoProgressError` is
-    raised.  After ``cfg.max_iterations`` accepted steps the window stops
-    unconverged (``"max_iterations"``).
-
-    The first build's H is checked for rank before any step: an eigenvalue
-    below ``RANK_TOL`` (1e-12) times the largest is a null direction, and
-    :class:`DegenerateGeometryError` reports their number.  A Cholesky
-    factorization of ``H`` less ``(RANK_TOL + n^2 eps) ||H||_inf`` on its
-    diagonal proves that there are none (``||H||_inf`` bounds the largest
-    eigenvalue, ``n^2 eps`` the factorization's rounding), and only when it
-    fails does ``eigvalsh`` count them (:func:`_null_dimension`).
+    surfel and prior rows, so its unit is one χ² unit.  The window stops by
+    the rules of :func:`solve`, with ``cfg.chi2_tol`` and
+    ``cfg.max_iterations``; when the cost cannot be lowered
+    (``"no_progress"``), :class:`NoProgressError` carries the last
+    accepted state, trajectory and report.  A rank-deficient window raises
+    :class:`DegenerateGeometryError` before any step.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -961,30 +913,120 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     state = OptState(init.grid, init.accel_bias.copy(), init.gyro_bias.copy())
     it = system.evaluate(np.zeros(system.n_params()), state)
-    system.update_robust_weights(it.residuals)
-    cost = system.cost(it.residuals)
-    records = [IterationRecord(0, cost, *system.family_rms(it.residuals), 0.0)]
+    it, report = solve(system, it, cfg.chi2_tol, cfg.max_iterations)
+    if report.reason == "no_progress":
+        raise NoProgressError("cost failed to decrease after damping retries", best_state=it.state,
+                              best_trajectory=_trajectory_from(system), report=report)
+    return it.state, _trajectory_from(system), report
+
+
+# -- the damped Gauss-Newton driver --------------------------------------------
+
+
+class _Cauchy:
+    """The annealed Cauchy kernel over a problem's leading ``n_robust``
+    rows; the rows after them are quadratic.
+
+    Each :meth:`update` takes the scale to the spread of the current
+    residuals, floored at the 3-sigma ``CAUCHY_SCALE`` and never above the
+    scale before it (``scale``, infinite for a new problem), so it tightens
+    monotonically as the fit improves.  A fixed small scale would let the
+    solver park badly initialized rows behind the kernel.  Because the Cauchy cost
+    is increasing in the scale, a non-increasing scale keeps the recorded
+    cost non-increasing across accepted iterations.  The weights are those
+    of the residuals of the last :meth:`update`, held fixed until the next.
+    """
+
+    def __init__(self, n_robust, scale=np.inf):
+        self.n_robust, self.scale, self.weights = n_robust, scale, np.ones(n_robust)
+
+    def update(self, residuals):
+        r = residuals[: self.n_robust]
+        spread = 3.0 * np.median(np.abs(r)) / 0.6745 if r.size else 0.0
+        self.scale = min(self.scale, max(CAUCHY_SCALE, spread))
+        self.weights = 1.0 / np.sqrt(1.0 + (r / self.scale) ** 2)
+
+    def weighted(self, residuals):
+        out = residuals.copy()
+        out[: self.n_robust] *= self.weights
+        return out
+
+    def cost(self, residuals):
+        c = self.scale
+        robust, quad = residuals[: self.n_robust], residuals[self.n_robust :]
+        return float(np.sum(c * c * np.log1p((robust / c) ** 2)) + np.sum(quad * quad))
+
+
+def solve(problem, it, chi2_tol, max_iterations):
+    """Damped Gauss-Newton on ``problem`` from its iterate ``it`` of zero
+    correction: the final iterate and an :class:`OptimizationReport`.
+
+    A problem has an annealed Cauchy kernel over its leading rows
+    (``robust``, a :class:`_Cauchy`) and five methods: ``evaluate(x,
+    state)``, an iterate with ``x``, ``state`` and whitened ``residuals``;
+    ``normal_equations(it, weighted)``, ``H = J.T @ J`` and ``g = J.T @
+    weighted`` of the robust-weighted rows, linearized at ``it``;
+    ``chord_gradient(weighted)``, ``J.T @ weighted`` with the last build's
+    ``J``; ``fold(it)``, the same poses as an iterate of zero correction;
+    and ``record(iteration, cost, residuals, step_norm)``, an
+    :class:`IterationRecord`.
+
+    The cost is the kernel's, in χ² units.  Each iteration solves the
+    damped normal equations for a step ``delta`` and takes its model
+    decrease ``-2 delta.g - delta.H delta`` in the same units.  The driver
+    stops, converged, with reason
+
+    - ``"predicted_decrease"`` when that model decrease is below
+      ``chi2_tol``; the step is then not evaluated;
+    - ``"predicted_decrease"`` as well when, after an accepted step, the
+      chord model predicts less than ``chi2_tol``: the last build's H at
+      the current damping, with the gradient ``J_k^T w_{k+1}`` of the last
+      build's Jacobian and the accepted step's weighted residuals.  It then
+      stops without building the normal equations again; otherwise they
+      are built and tested as above;
+    - ``"cost_decrease"`` when an accepted step lowered the cost by less
+      than ``chi2_tol``;
+    - ``"zero_cost"`` when the cost is below 1e-16.
+
+    A rejected step is solved again with ten times the damping, up to
+    ``DAMPING_RETRIES`` times; the damping falls by three after an
+    accepted step.  When every retry fails to lower the cost while the model
+    still predicts at least ``chi2_tol``, it stops unconverged with
+    ``"no_progress"`` at the last accepted iterate; after ``max_iterations``
+    accepted steps, with ``"max_iterations"``.
+
+    The first build's H is checked for rank before any step: an eigenvalue
+    below ``RANK_TOL`` (1e-12) times the largest is a null direction, and
+    :class:`DegenerateGeometryError` reports their number.  A Cholesky
+    factorization of ``H`` less ``(RANK_TOL + n^2 eps) ||H||_inf`` on its
+    diagonal proves that there are none (``||H||_inf`` bounds the largest
+    eigenvalue, ``n^2 eps`` the factorization's rounding), and only when it
+    fails does ``eigvalsh`` count them (:func:`_null_dimension`).
+    """
+    problem.robust.update(it.residuals)
+    cost = problem.robust.cost(it.residuals)
+    records = [problem.record(0, cost, it.residuals, 0.0)]
 
     lam = DAMPING_INIT
     reason, stop_decrease = "max_iterations", np.nan
     hess = None
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         if cost < 1e-16:
             reason = "zero_cost"
             break
-        weighted = system.weighted(it.residuals)
+        weighted = problem.robust.weighted(it.residuals)
         if hess is not None:
             # The chord test: the last build's H and Jacobian with the new
             # residuals, at the current damping.
-            chord_grad = system.chord_gradient(weighted)
+            chord_grad = problem.chord_gradient(weighted)
             try:
                 _, chord = _model_step(hess, chord_grad, lam * diag)
             except np.linalg.LinAlgError:
                 chord = np.inf
-            if chord < cfg.chi2_tol:
+            if chord < chi2_tol:
                 reason, stop_decrease = "predicted_decrease", chord
                 break
-        hess, grad = system.normal_equations(it, weighted)
+        hess, grad = problem.normal_equations(it, weighted)
         if iteration == 1:
             null_dim = _null_dimension(hess)
             if null_dim > 0:
@@ -1001,39 +1043,33 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if decrease < cfg.chi2_tol:
+            if decrease < chi2_tol:
                 break
-            candidate = system.evaluate(it.x + delta, it.state)
-            if system.cost(candidate.residuals) < cost:
+            candidate = problem.evaluate(it.x + delta, it.state)
+            if problem.robust.cost(candidate.residuals) < cost:
                 break
             lam *= 10.0
         else:
-            raise NoProgressError(
-                "cost failed to decrease after damping retries",
-                best_state=it.state,
-                best_trajectory=_trajectory_from(system),
-                report=OptimizationReport(records, False, "no_progress", np.nan),
-            )
-        if decrease < cfg.chi2_tol:
+            reason = "no_progress"
+            break
+        if decrease < chi2_tol:
             reason, stop_decrease = "predicted_decrease", decrease
             break
 
         lam = max(lam / 3.0, 1e-12)
-        # Fold the accepted correction into the trajectory and restart it
-        # from zero; the next iteration linearizes at the candidate's poses.
-        it = system.fold(candidate)
-        system.update_robust_weights(it.residuals)
-        new_cost = system.cost(it.residuals)
+        # Fold the accepted correction in and restart it from zero; the
+        # next iteration linearizes at the candidate's poses.
+        it = problem.fold(candidate)
+        problem.robust.update(it.residuals)
+        new_cost = problem.robust.cost(it.residuals)
         decrease, cost = cost - new_cost, new_cost
-        records.append(IterationRecord(
-            iteration, cost, *system.family_rms(it.residuals), float(np.linalg.norm(delta))
-        ))
-        if decrease < cfg.chi2_tol:
+        records.append(problem.record(iteration, cost, it.residuals, float(np.linalg.norm(delta))))
+        if decrease < chi2_tol:
             reason, stop_decrease = "cost_decrease", decrease
             break
 
-    report = OptimizationReport(records, reason != "max_iterations", reason, float(stop_decrease))
-    return it.state, _trajectory_from(system), report
+    converged = reason not in ("max_iterations", "no_progress")
+    return it, OptimizationReport(records, converged, reason, float(stop_decrease))
 
 
 def _model_step(hess, grad, damping):

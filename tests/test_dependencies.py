@@ -335,3 +335,30 @@ def test_every_config_field_is_set_by_some_caller():
     # The global maps are the state a run grows, not settings.
     exempt = ["GlobalMaps.sparse", "GlobalMaps.dense"]
     assert unset_fields(checked, [*package.values(), *bench.values(), *callers]) == exempt
+
+
+def log_formats(tree):
+    """The format strings of the ``log.<level>(...)`` calls of ``tree``."""
+    return [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "log"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    ]
+
+
+def test_every_log_event_the_benchmark_counts_has_a_log_call():
+    # The benchmark counts log records whose message holds a substring of
+    # its LOG_EVENTS, read here from its source; a reworded message would
+    # silently count zero events.
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    events = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets]
+        == ["LOG_EVENTS"]
+    )
+    package, _ = _sources()
+    formats = [f for tree in package.values() for f in log_formats(tree)]
+    assert len(events) >= 3
+    assert [e for e, needle in events.items() if not any(needle in f for f in formats)] == []

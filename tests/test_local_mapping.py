@@ -402,8 +402,8 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
     state = lm.OptState(grid)
     system = lm._WindowSystem([], constraints, [], init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
-    system.update_robust_weights(it.residuals)
-    hess, _ = system.normal_equations(it, system.weighted(it.residuals))
+    system.robust.update(it.residuals)
+    hess, _ = system.normal_equations(it, system.robust.weighted(it.residuals))
     null_dim = eigenvalue_null_count(hess)
     assert null_dim >= 1
     calls = count_decompositions(monkeypatch)
@@ -498,8 +498,8 @@ def test_normal_equations_and_step_allocate_no_dense_temporaries():
     state = lm.OptState(ControlGrid.for_window(init.start, init.end, 26))
     system = lm._WindowSystem([], scene.map_prior_constraints(), imu, init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
-    system.update_robust_weights(it.residuals)
-    weighted = system.weighted(it.residuals)
+    system.robust.update(it.residuals)
+    weighted = system.robust.weighted(it.residuals)
     n = system.n_params()
     assert n == 6 * 26 + 6
     tracemalloc.start()
@@ -620,9 +620,9 @@ def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
     # A cost scaled by 1e-6 leaves the model's predicted decrease as it is,
     # so the first step is evaluated and accepted; its actual decrease is
     # then below chi2_tol, ends the window and is reported.
-    cost = lm._WindowSystem.cost
+    cost = lm._Cauchy.cost
     monkeypatch.setattr(
-        lm._WindowSystem, "cost", lambda self, residuals: 1e-6 * cost(self, residuals)
+        lm._Cauchy, "cost", lambda self, residuals: 1e-6 * cost(self, residuals)
     )
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
     _, _, report = run_window(truth, imu, init, scene)
@@ -633,7 +633,7 @@ def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
 
 
 def test_cost_that_never_decreases_raises_no_progress(monkeypatch):
-    monkeypatch.setattr(lm._WindowSystem, "cost", lambda self, residuals: 1.0)
+    monkeypatch.setattr(lm._Cauchy, "cost", lambda self, residuals: 1.0)
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
     with pytest.raises(NoProgressError) as err:
         run_window(truth, imu, init, scene)
@@ -656,8 +656,8 @@ def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
     for p in range(system.n_params()):
         step = np.zeros(system.n_params())
         step[p] = eps
-        plus = system.weighted(system.evaluate(x + step, state).residuals)
-        minus = system.weighted(system.evaluate(x - step, state).residuals)
+        plus = system.robust.weighted(system.evaluate(x + step, state).residuals)
+        minus = system.robust.weighted(system.evaluate(x - step, state).residuals)
         dense[:, p] = (plus - minus) / (2.0 * eps)
     scale = np.max(np.abs(dense)) + 1e-12
     assert np.max(np.abs(analytic - dense)) / scale < 1e-5
@@ -688,7 +688,7 @@ def test_analytic_jacobian_matches_dense_central_fd():
     # groups' constant bias border.
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
-    assert np.min(system.robust_weights) < 1.0
+    assert np.min(system.robust.weights) < 1.0
     assert_jacobian_matches_central_fd(system, x, state)
 
 
@@ -1031,7 +1031,7 @@ def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     system = lm._WindowSystem(pairs, priors, imu, init, state)
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
-    system.update_robust_weights(system.evaluate(x, state).residuals)
+    system.robust.update(system.evaluate(x, state).residuals)
     return system, x, state
 
 
@@ -1045,7 +1045,7 @@ def folded_iterate(**kwargs):
 
 def assert_normal_equations_match_dense(system, x, state):
     it = system.evaluate(x, state)
-    weighted = system.weighted(it.residuals)
+    weighted = system.robust.weighted(it.residuals)
     hess, grad = system.normal_equations(it, weighted)
     jac = system.jacobian(x, state)
     dense_hess, dense_grad = jac.T @ jac, jac.T @ weighted
@@ -1063,7 +1063,7 @@ def assert_normal_equations_match_dense(system, x, state):
 def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
     assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
-    assert np.min(system.robust_weights) < 1.0
+    assert np.min(system.robust.weights) < 1.0
     # The IMU samples are full groups off the sample grid: every end query
     # of a group lies between two samples and reads a pose point of its own.
     assert np.all(system.imu.count > 1)
@@ -1096,7 +1096,7 @@ def test_linearization_refuses_a_non_zero_correction():
     # The window is linearized at the folded samples only; a correction
     # that was not folded would take bands that ignore it.
     system, x, state = random_iterate()
-    weighted = system.weighted(system.evaluate(x, state).residuals)
+    weighted = system.robust.weighted(system.evaluate(x, state).residuals)
     for p in (0, 6 * system.n_knots - 1):
         one = np.zeros(system.n_params())
         one[p] = 1e-6

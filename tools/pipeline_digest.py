@@ -20,14 +20,16 @@ so compare them with ``diff``.
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
 trajectory, record count, stop reason, fusion counts and trigger
 (``FUSION``), translation and rotation RMS errors against the window's truth
-(m and rad) and digest, and each episode's accuracy metrics
+(m and rad), digest and ICP stop reason, and each episode's accuracy metrics
 (``metrics.accuracy``) and map digest.  ``--against PATH`` compares this run
 with such a dump and prints, per workload, the largest translation
 difference (m), the largest rotation-matrix entry difference, the largest
 relative difference of an accuracy metric with that metric's name and its
 signed relative change, the number of windows whose stop reason or record
-count differs, and how many windows differ in fusion counts or trigger and
-how many window digests and map digests differ, of those the dump holds,
+count differs, how many windows differ in fusion counts or trigger, how
+many ICP calls the run made, how many did not converge and how many raised a
+trigger (and the dump's counts, of what it holds), and how many window
+digests and map digests differ, of those the dump holds,
 and how many windows have a larger translation error than in the dump, with
 the largest relative increase and its window.
 A change that moves the maps only by rounding changes their digests but no
@@ -61,6 +63,7 @@ import harness  # noqa: E402
 import metrics  # noqa: E402
 import workloads  # noqa: E402
 from surfelslam import lie  # noqa: E402
+from surfelslam.fusion import ICP_CONVERGED  # noqa: E402
 from surfelslam.surfel_map import DenseSurfel, SparseSurfel  # noqa: E402
 
 
@@ -107,7 +110,7 @@ def window_digest(result):
     if trigger is not None:
         d.put("trigger.rotation", trigger.rotation)
         d.put("trigger.translation", trigger.translation)
-        for k, pairs in enumerate(trigger.inlier_pairs):
+        for k, pairs in enumerate(trigger.pairs):
             d.put(f"trigger.pairs{k}", pairs)
     return d.hex()
 
@@ -123,7 +126,7 @@ ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 # The fields of a window's ``FusionStepMetrics`` that count or decide.
 FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
 # The names a dump may lack: a dump without them compares none.
-OPTIONAL = (".digest", ".maps", ".fusion", ".errors")
+OPTIONAL = (".digest", ".maps", ".fusion", ".errors", ".icp")
 
 
 def window_errors(estimate, truth):
@@ -139,8 +142,9 @@ def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
     window its trajectory, record count (0 for a failed window), stop reason
     (the failure's class name for a failed window), fusion counts and
-    trigger in ``FUSION`` order, errors (``window_errors``) and digest, and
-    the episode's accuracy metrics in ``ACCURACY`` order and maps digest."""
+    trigger in ``FUSION`` order, errors (``window_errors``), digest and the
+    ICP's stop reason (empty when the ICP did not run), and the episode's
+    accuracy metrics in ``ACCURACY`` order and maps digest."""
     out = {}
     for win, r in zip(episode.windows, results):
         w = f"{key}.w{r.index}"
@@ -150,6 +154,8 @@ def episode_arrays(key, episode, results, global_maps):
         out[f"{w}.reason"] = np.array(r.failed if r.report is None else r.report.reason)
         out[f"{w}.fusion"] = np.array([getattr(r.fusion.metrics, f) for f in FUSION], dtype=np.int64)
         out[f"{w}.errors"] = window_errors(r.estimate, win.truth)
+        icp = r.fusion.icp
+        out[f"{w}.icp"] = np.array("" if icp is None else icp.report.reason)
         out[f"{w}.digest"] = np.array(window_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
@@ -161,8 +167,8 @@ def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
     ``episode_arrays``, as printable lines.  A name missing from
     ``reference`` raises ``SystemExit``, unless it is a digest, fusion
-    counts or window errors (``OPTIONAL``): a dump that holds none compares
-    0 of them."""
+    counts, window errors or an ICP stop reason (``OPTIONAL``): a dump that
+    holds none compares 0 of them."""
     missing = sorted(k for k in set(current) - set(reference) if not k.endswith(OPTIONAL))
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
@@ -183,6 +189,21 @@ def compare(reference, current):
             held = [k for k in keys if k.endswith(suffix) and k in reference]
             return f"{sum(bool(np.any(reference[k] != current[k])) for k in held)} of {len(held)}"
 
+        def icp_counts(arrays):
+            """The ICP calls, those not converged, and the triggers, of the
+            ICP stop reasons and fusion counts that ``arrays`` holds."""
+            held = {s: [arrays[k] for k in keys if k.endswith(s) and k in arrays]
+                    for s in (".icp", ".fusion")}
+            ran = [str(r) for r in held[".icp"] if str(r)]
+            failed = sum(r not in ICP_CONVERGED for r in ran)
+            counts = [f"{len(ran)} ICP calls, {failed} not converged"] if held[".icp"] else []
+            if held[".fusion"]:
+                counts.append(f"{sum(int(f[-1]) for f in held['.fusion'])} triggers")
+            return counts
+
+        icp = ", ".join(icp_counts(current))
+        if icp_counts(reference):
+            icp += f" (the dump: {', '.join(icp_counts(reference))})"
         windows = [k[: -len(".reason")] for k in keys if k.endswith(".reason")]
         # Relative change of each window's translation error, of the windows
         # whose error the dump holds.
@@ -204,7 +225,7 @@ def compare(reference, current):
             f"accuracy metric {abs(change[worst]):.3g} relative "
             f"({ACCURACY[worst[1]]} {change[worst]:+.3g}); "
             f"{changed} windows differ in stop reason or record count; "
-            f"{differing('.fusion')} windows differ in fusion counts or trigger; "
+            f"{differing('.fusion')} windows differ in fusion counts or trigger; {icp}; "
             f"{differing('.digest')} window digests and {differing('.maps')} map digests differ; "
             f"{errors}"
         )
