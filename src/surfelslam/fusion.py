@@ -18,7 +18,10 @@ the arrays of ``SparseSurfels`` batches, keys its destinations once per call
 and pairs its surfels through one join with them per association round; each
 round's point-to-plane fit runs the window optimizer's damped Gauss-Newton
 driver (``local_mapping.solve``), so the window and the ICP share one step,
-one damping schedule, one set of stop rules and one robust kernel.
+one damping schedule, one set of stop rules and one robust kernel.  The ICP
+also moves its pose as the window moves each pose point, ``R <- Exp(phi) R``
+and ``t <- Exp(phi) t + rho`` (``trajectory.compose_correction``), so both
+linearize a plane distance into the same rows (``local_mapping._plane_rows``).
 
 Every 3×3 decomposition here is the closed-form kernel of ``surfel_map``:
 ``eigh3`` through ``psd_eigh`` for the scatters, whose smallest eigenvectors
@@ -42,7 +45,7 @@ import numpy as np
 from . import lie
 from .errors import DegenerateGeometryError, InvalidArgumentError
 from .local_mapping import (SIGMA_PRIOR, IterationRecord, OptimizationReport, OptimizerConfig,
-                            _Cauchy, solve)
+                            _Cauchy, _plane_rows, solve)
 from .surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
@@ -59,6 +62,7 @@ from .surfel_map import (
     psd_eigvalsh,
     radius_join,
 )
+from .trajectory import compose_correction
 
 log = logging.getLogger(__name__)
 
@@ -360,8 +364,9 @@ def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, ds
     return moved[i[paired]], i[paired], j[paired]
 
 
-# An ICP iterate: the left twist x of the pose state (rotation, translation),
-# the pose exp(x) state, the source centroids moved by it and their residuals.
+# An ICP iterate: the left perturbation x of the pose state (rotation,
+# translation), the pose it moves the state to, the source centroids moved
+# by that pose and their residuals.
 _PlaneIterate = namedtuple("_PlaneIterate", "x state pose moved residuals")
 
 
@@ -370,8 +375,11 @@ class _PlaneProblem:
     fixed: the source centroids ``src``, moved by the pose, against the
     destination planes through ``dst`` along ``normal``, each distance
     whitened by ``sigma`` and all Cauchy-robust, from the annealed
-    ``scale``.  The parameter is a left twist ``x = (phi, rho)`` of the
-    pose, ``T <- exp(x) T``, folded into the pose after each accepted step."""
+    ``scale``.  The parameter ``x = (phi, rho)`` steps the pose as the
+    window steps each of its pose points, ``R <- Exp(phi) R`` and ``t <-
+    Exp(phi) t + rho`` (``trajectory.compose_correction``), and is folded
+    into the pose after each accepted step; its rows are the window's
+    point-to-plane rows (``local_mapping._plane_rows``)."""
 
     def __init__(self, src, dst, normal, sigma, scale):
         self.src, self.dst, self.normal, self.sigma = src, dst, normal, sigma
@@ -379,10 +387,11 @@ class _PlaneProblem:
 
     def evaluate(self, x, state):
         rotation, translation = state
-        # At zero twist, as at each round's start, exp(x) is the identity.
+        # At zero, as at each round's start, the step leaves the pose as is.
         if x.any():
-            (step_rot,), (step_t,) = lie.se3_exp_batch(x[None])
-            rotation, translation = step_rot @ rotation, step_rot @ translation + step_t
+            (rotation,), (translation,) = compose_correction(
+                lie.so3_exp_batch(x[None, :3]), x[None, 3:], rotation[None], translation[None]
+            )
         moved = self.src @ rotation.T + translation
         residuals = _row_dot(self.normal, moved - self.dst) / self.sigma
         return _PlaneIterate(x, state, (rotation, translation), moved, residuals)
@@ -391,8 +400,7 @@ class _PlaneProblem:
         return it._replace(x=np.zeros(6), state=it.pose)
 
     def normal_equations(self, it, weighted):
-        coef = (self.robust.weights / self.sigma)[:, None]
-        self.jac = coef * np.hstack([lie.cross(it.moved.T, self.normal.T).T, self.normal])
+        self.jac = _plane_rows(it.moved, self.normal, self.robust.weights / self.sigma)
         return self.jac.T @ self.jac, self.chord_gradient(weighted)
 
     def chord_gradient(self, weighted):

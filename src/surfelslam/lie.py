@@ -1,34 +1,35 @@
 """SO(3)/SE(3) algebra over batches: exponential and logarithm maps, the
 SO(3) left Jacobian and geodesic interpolation, each written once, and the
-coefficient series they read.  The exponential has a second form, the one
-of :func:`so3_exp_left_jacobian`, for component-first stacks that need the
-left Jacobian too.
+coefficient series they read.
 
 Every map takes a stack of inputs along the first axis, so a single value is
 a batch of one.  Twist ordering is fixed as (rotational, translational): a
 twist is a 6-vector ``xi = [rx, ry, rz, tx, ty, tz]`` with the rotational
-part in radians (rotation vector) and the translational part in meters.  All
-updates in this package are left perturbations, ``T <- exp(xi) * T``.
+part in radians (rotation vector) and the translational part in meters.  The
+window optimizer and the ICP update every pose by the same left
+perturbation ``(phi, rho)``: ``R <- Exp(phi) R`` and ``t <- Exp(phi) t +
+rho`` (``trajectory.compose_correction``), whose derivative at zero is read
+off the moved point, so no SE(3) Jacobian is needed.
+
+SO(3) matrices have one kernel, ``a I + b K + c phi phi^T`` over (N, 3)
+rotation vectors with ``K = hat(phi)`` (``_so3_matrices``): as ``K^2 = phi
+phi^T - t^2 I`` at ``t = |phi|``, the exponential, the left Jacobian and its
+inverse are each three coefficients of the angle.  :func:`so3_exp_batch`
+reads it for rotations, :func:`so3_exp_left_jacobian` for each IMU sample's
+exponential and left Jacobian from shared terms, and
+:func:`so3_left_jacobian_inv` for the IMU's rotation rows.  Applied to
+vectors, the inverse left Jacobian is ``v - phi x v / 2 + c phi x (phi x
+v)`` (:func:`so3_left_jacobian_inv_apply`), which the logarithm reads; it
+stores vectors component first, ``(3, ...)``, so that a product broadcasts
+over any trailing axes, as :func:`cross` does.
 
 Geodesic interpolation is written once, in :func:`se3_geodesic_batch`: each
 bracket (a lower pose and a twist) gets one basis of seven terms, and each
 query weights them with three coefficients of its own angle, so queries that
 share a bracket share its basis and form no 3x3 product or exponential of
 their own.  :func:`se3_interp_batch` is the same kernel with every pose pair
-its own bracket.
-
-The SO(3) left Jacobian and its inverse are ``I + b K + c K^2`` with
-``K = hat(phi)``.  Applied to vectors they are ``v + b phi x v + c phi x
-(phi x v)`` (``_so3_apply``): :func:`so3_left_jacobian_inv_apply` serves
-the logarithm and :func:`so3_left_jacobian_apply` ``se3_exp_batch``'s
-translation.  These kernels store vectors component first, ``(3, ...)``, so
-that a product broadcasts over any trailing axes.  The IMU factor multiplies
-them into 3x3 products, so it takes them as matrices:
-:func:`so3_exp_left_jacobian` forms each sample's exponential and left
-Jacobian from shared terms, and :func:`so3_left_jacobian_inv` the inverse
-for the rotation rows.
-No SE(3) Jacobian is needed: the window optimizer perturbs each pose it
-reads directly.
+its own bracket.  From the identity at ``alpha = 1``,
+:func:`se3_geodesic_batch` is the SE(3) exponential, the only one here.
 
 A pose is a rotation matrix (3, 3) and a translation (3,), stored as
 separate stacks.  Poses are composed without re-orthonormalization: the
@@ -42,7 +43,7 @@ import functools
 
 import numpy as np
 
-from .errors import AmbiguousLogarithmError, InvalidArgumentError
+from .errors import AmbiguousLogarithmError
 
 # Taylor-series branch thresholds.  Below SMALL_ANGLE the closed forms are
 # 0/0; below SERIES_ANGLE the closed forms lose digits to cancellation.
@@ -50,9 +51,6 @@ SMALL_ANGLE = 1e-8
 SERIES_ANGLE = 0.02
 
 _MAX_LOG_ANGLE = np.pi - 1e-6
-
-# eps[i, j] = e_i x e_j, so that hat(v)[i, j] = -eps[i, j] . v.
-_LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def _series_below(threshold, series):
@@ -118,15 +116,25 @@ def hat_batch(v):
     return out
 
 
-def _so3_hats(r):
-    """Angles (N,), hats (N, 3, 3) and squared hats of (N, 3) rotation
-    vectors, what the Rodrigues formula reads."""
-    k = hat_batch(r)
-    return np.linalg.norm(r, axis=1), k, k @ k
+def _so3_matrices(phi, *terms):
+    """The SO(3) matrix kernel: ``a I + b K + c phi phi^T`` (N, 3, 3) of (N,
+    3) rotation vectors, ``K = hat(phi)``, one stack per ``(a, b, c)`` of
+    ``terms``, each an (N,) array or a scalar."""
+    k = hat_batch(phi)
+    outer = phi[:, :, None] * phi[:, None]
+    out = []
+    for a, b, c in terms:
+        m = np.reshape(c, (-1, 1, 1)) * outer
+        m += np.reshape(b, (-1, 1, 1)) * k
+        np.einsum("nii->ni", m)[...] += np.reshape(a, (-1, 1))
+        out.append(m)
+    return out
 
 
-def _so3_exp(theta, k, kk):
-    return np.eye(3) + _sinc(theta)[:, None, None] * k + _cos_coeff(theta)[:, None, None] * kk
+def _angles(phi):
+    """Angles and squared angles (N,) of (N, 3) rotation vectors."""
+    theta_sq = np.einsum("ni,ni->n", phi, phi)
+    return np.sqrt(theta_sq), theta_sq
 
 
 def cross(a, b):
@@ -139,67 +147,43 @@ def cross(a, b):
     return out
 
 
-def _so3_apply(phi, v, b, c):
-    """``(I + b K + c K^2) v`` with ``K = hat(phi)``, component first: the
-    form of the SO(3) left Jacobian (b, c) and its inverse (-1/2, jl_inv)."""
-    phi_v = cross(phi, v)
-    return v + b * phi_v + c * cross(phi, phi_v)
-
-
 def so3_left_jacobian_inv_apply(phi, v):
     """``Jl^-1(phi) v = v - phi x v / 2 + jl_inv(|phi|) phi x (phi x v)`` of
     rotation vectors and vectors stored component first, ``(3, ...)``, with
     the trailing axes broadcast."""
-    return _so3_apply(phi, v, -0.5, _jl_inv_coeff(np.linalg.norm(phi, axis=0)))
+    phi_v = cross(phi, v)
+    return v - 0.5 * phi_v + _jl_inv_coeff(np.linalg.norm(phi, axis=0)) * cross(phi, phi_v)
 
 
 def so3_left_jacobian_inv(phi):
-    """``Jl^-1(phi) = I - K / 2 + jl_inv(|phi|) K^2`` as matrices (N, 3, 3)
-    of (N, 3) rotation vectors, ``K = hat(phi)``."""
-    k = hat_batch(phi)
-    coeff = _jl_inv_coeff(np.linalg.norm(phi, axis=1))[:, None, None]
-    return np.eye(3) - 0.5 * k + coeff * (k @ k)
-
-
-def so3_left_jacobian_apply(phi, v):
-    """``Jl(phi) v = v + (1 - cos t) / t^2 phi x v + (t - sin t) / t^3 phi x
-    (phi x v)`` at ``t = |phi|``, of rotation vectors and vectors stored
-    component first, ``(3, ...)``, with the trailing axes broadcast."""
-    theta = np.linalg.norm(phi, axis=0)
-    return _so3_apply(phi, v, _cos_coeff(theta), _one_minus_sinc_coeff(theta))
+    """``Jl^-1(phi) = I - K / 2 + jl_inv(t) K^2`` as matrices (N, 3, 3) of
+    (N, 3) rotation vectors, ``K = hat(phi)``, ``t = |phi|``: the kernel at
+    ``(1 - jl_inv t^2, -1/2, jl_inv)``."""
+    theta, theta_sq = _angles(phi)
+    coeff = _jl_inv_coeff(theta)
+    return _so3_matrices(phi, (1.0 - coeff * theta_sq, -0.5, coeff))[0]
 
 
 def so3_exp_left_jacobian(phi):
-    """``Exp(phi)`` and ``Jl(phi)`` of rotation vectors stored component
-    first, ``(3, ...)``, as matrices ``(3, 3, ...)``, entry (i, j) on the
-    first two axes.
-
-    As ``K^2 = phi phi^T - t^2 I`` at ``t = |phi|``, both are ``a I + b K +
-    c phi phi^T``: ``Exp`` with ``(cos t, sin t / t, (1 - cos t) / t^2)`` and
-    ``Jl`` with ``(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3)``.  So
-    they share ``K``, the outer products and two coefficient series, as
-    ``cos t = 1 - t^2 (1 - cos t) / t^2`` and ``sin t / t = 1 - t^2 (t -
-    sin t) / t^3``.  The trailing axes are elementwise, so a long last axis
-    keeps every operation a whole-array one.
-    """
-    outer = phi[:, None] * phi[None]
-    theta_sq = outer[0, 0] + outer[1, 1] + outer[2, 2]
-    theta = np.sqrt(theta_sq)
-    k = np.einsum("ijk,k...->ij...", _LEVI_CIVITA, -phi)
+    """``Exp(phi)`` and ``Jl(phi)`` as matrices (N, 3, 3) of (N, 3) rotation
+    vectors, from one kernel call: ``Exp`` at ``(cos t, sin t / t, (1 - cos
+    t) / t^2)`` and ``Jl`` at ``(sin t / t, (1 - cos t) / t^2, (t - sin t) /
+    t^3)``, ``t = |phi|``.  They share ``K``, the outer products and two
+    coefficient series, as ``cos t = 1 - t^2 (1 - cos t) / t^2`` and ``sin t
+    / t = 1 - t^2 (t - sin t) / t^3``."""
+    theta, theta_sq = _angles(phi)
     cos_coeff, one_minus_sinc = _cos_coeff(theta), _one_minus_sinc_coeff(theta)
     sinc = 1.0 - one_minus_sinc * theta_sq
-    out = []
-    for a, b, c in ((1.0 - cos_coeff * theta_sq, sinc, cos_coeff),
-                    (sinc, cos_coeff, one_minus_sinc)):
-        m = c * outer + b * k
-        np.einsum("ii...->i...", m)[...] += a
-        out.append(m)
-    return tuple(out)
+    return _so3_matrices(phi, (1.0 - cos_coeff * theta_sq, sinc, cos_coeff),
+                         (sinc, cos_coeff, one_minus_sinc))
 
 
 def so3_exp_batch(r):
-    """Rodrigues formula over (N, 3) rotation vectors."""
-    return _so3_exp(*_so3_hats(r))
+    """``Exp(r)`` (N, 3, 3) of (N, 3) rotation vectors: the kernel at ``(cos
+    t, sin t / t, (1 - cos t) / t^2)``, ``t = |r|``."""
+    theta, theta_sq = _angles(r)
+    cos_coeff = _cos_coeff(theta)
+    return _so3_matrices(r, (1.0 - cos_coeff * theta_sq, _sinc(theta), cos_coeff))[0]
 
 
 def so3_log_batch(rotations):
@@ -227,15 +211,6 @@ def se3_relative_log_batch(rot_a, t_a, rot_b, t_b):
     t_rel = np.einsum("nji,nj->ni", rot_a, t_b - t_a)
     phi = so3_log_batch(rot_rel)
     return phi, so3_left_jacobian_inv_apply(phi.T, t_rel.T).T
-
-
-def se3_exp_batch(xi):
-    """Rotations (N, 3, 3) and translations (N, 3) of the exponentials of
-    (N, 6) twists."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] != 6 or not np.all(np.isfinite(xi)):
-        raise InvalidArgumentError("twists must be finite and shaped (N, 6)")
-    return so3_exp_batch(xi[:, :3]), so3_left_jacobian_apply(xi[:, :3].T, xi[:, 3:].T).T
 
 
 def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):

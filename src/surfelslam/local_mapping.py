@@ -205,6 +205,18 @@ def _knot_band(idx, weights):
     return first, band
 
 
+def _plane_rows(world, normal, coef):
+    """Rows (n, 6) of plane distances ``n . w`` at world points ``w`` (n, 3)
+    that a pose moves, by a left perturbation ``(phi, rho)`` of that pose:
+    ``R <- Exp(phi) R`` and ``t <- Exp(phi) t + rho`` move ``n . w`` by ``(w
+    x n) . phi + n . rho``.  Each row is scaled by its ``coef`` (n,)."""
+    rows = np.empty((len(world), 6))
+    rows[:, :3] = lie.cross(world.T, normal.T).T
+    rows[:, 3:] = normal
+    rows *= coef[:, None]
+    return rows
+
+
 class _Iterate(NamedTuple):
     """An evaluated iterate: its corrected pose points, the query poses it
     reads, the IMU groups' rotation logs there (None without IMU) and its
@@ -277,10 +289,12 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
     groups (:class:`_ImuGroups`).  A group is a maximal run of samples in one
     segment, each ``h`` after the one before, within ``1e-9 h``.
 
-    The samples are laid out component first and padded to ``(N, G)``,
-    sample i of group g at ``[..., i, g]`` and ``N`` the largest group: a pad
-    sample turns by nothing and weighs nothing.  So every operation but the
-    rotation chain, one 3x3 product per step, runs once over all the samples.
+    The samples are padded to ``(N, G)``, sample i of group g at ``[i, g]``
+    and ``N`` the largest group: a pad sample turns by nothing and weighs
+    nothing.  So every operation but the rotation chain, one 3x3 product per
+    step, runs once over all the samples.  The exponentials and left
+    Jacobians are matrix rows ``(N, G, 3, 3)``, as ``lie`` forms them; the
+    vectors are component first, ``(3, N, G)``.
 
     To first order the rows are linear in each sample's accelerometer and
     gyro errors, so the bias Jacobian sums the derivatives by every sample's
@@ -305,7 +319,8 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
     pos = np.arange(taus.size) - heads[group]
     n_groups, width = count.size, int(count.max())
     # Per padded sample: the gyro's turn, the bias-free acceleration and
-    # the two moment weights, scattered once and turned component first.
+    # the two moment weights, scattered once; the turns are read as rows,
+    # the rest turned component first.
     samples = np.empty((taus.size, 8))
     np.multiply(gyro - gyro_bias, h, out=samples[:, :3])
     np.subtract(accel, accel_bias, out=samples[:, 3:6])
@@ -313,11 +328,11 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
     samples[:, 7] = pos - 0.5 * (count[group] - 1)
     padded = np.zeros((width * n_groups, 8))
     padded[pos * n_groups + group] = samples
+    steps, jl = (m.reshape(width, n_groups, 3, 3)
+                 for m in lie.so3_exp_left_jacobian(padded[:, :3]))
     padded = np.ascontiguousarray(padded.T).reshape(8, width, n_groups)
-    theta, specific, weights = padded[:3], padded[3:6], padded[6:]
+    specific, weights = padded[3:6], padded[6:]
 
-    steps, jl = lie.so3_exp_left_jacobian(theta)
-    steps = np.ascontiguousarray(steps.transpose(2, 3, 0, 1))
     rot = np.empty((width + 1, n_groups, 3, 3))  # rot[i] = dR_{0,i}
     rot[0] = np.eye(3)
     for i in range(width):
@@ -331,8 +346,8 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
     # The error matrix, (G, row block, row, column, k): G_k, zero at a pad,
     # then s_k x G_k of each moment.  The rotation rows are dR^T G_k / h,
     # one product per group, below.
-    jl *= h * weights[0]
-    turn = np.einsum("ijng,jlng->ilng", before, jl)
+    jl *= (h * weights[0])[..., None, None]
+    turn = np.ascontiguousarray((rot[:-1] @ jl).transpose(2, 3, 0, 1))
     errors = np.empty((n_groups, 3, 3, 3, width))
     errors[:, 0] = turn.transpose(3, 0, 1, 2)
     errors[:, 1:] = lie.cross(
@@ -681,10 +696,7 @@ class _WindowSystem:
         families = []
 
         def plane(q, u, normal, coef):
-            # n . (R u + t) moves by (w x n) . phi + n . rho at w = R u + t.
-            world = np.einsum("nij,nj->ni", rot[q], u) + t[q]
-            grad = np.concatenate([np.cross(world, normal), normal], axis=1)
-            return coef[:, None] * grad
+            return _plane_rows(np.einsum("nij,nj->ni", rot[q], u) + t[q], normal, coef)
 
         if self.n_pair:
             coef = self.robust.weights[self.sl_pair] / SIGMA_SURFEL

@@ -184,9 +184,6 @@ class LinearScanIndex:
     def insert(self, key, point):
         self.points[key] = np.asarray(point, dtype=float)
 
-    def remove(self, key):
-        del self.points[key]
-
     def query_radius(self, center, radius):
         center = np.asarray(center, dtype=float)
         keys = list(self.points)

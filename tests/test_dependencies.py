@@ -6,13 +6,13 @@ Other packages may be installed where the tests run, so an import of one
 would pass every other test; this reads the imports from the source.  Code
 that only the tests read would pass every test as well; this reads the
 references from the package's modules and the benchmark's.  The oracles and
-generators of ``simulation/`` exist for the tests, so they read but are not
-checked.  A reader is matched by name.  A method counts as read only where
-a reader takes it as an attribute of something other than a module, so
-neither a bare or imported name (``from dataclasses import replace``) nor
-an attribute of a module (``add`` in ``np.add.at``) reads a method of that
-name; an attribute of another object of the same name (``x.zeros``) still
-does.  Dunder names and methods are read by the language and are not
+generators of ``simulation/`` exist for the tests and the tools, so their
+definitions count the tests and the tools as readers as well.  A reader is
+matched by name.  A method counts as read only where a reader takes it as
+an attribute of something other than a module, so neither a bare or
+imported name (``from dataclasses import replace``) nor an attribute of a
+module (``add`` in ``np.add.at``) reads a method of that name; an attribute
+of another object of the same name (``x.zeros``) still does.  Dunder names and methods are read by the language and are not
 checked, nor is ``from __future__``.  Likewise every field of a package
 dataclass whose fields all have defaults (a config or a container such as
 ``GlobalMaps``) is read as an attribute somewhere in the package or the
@@ -226,6 +226,14 @@ def _sources():
     return package, bench
 
 
+def _callers():
+    """Parsed modules of the tools and the tests, by label."""
+    return {
+        f"{folder.name}/{path.name}": ast.parse(path.read_text(), str(path))
+        for folder in CALLERS for path in sorted(folder.glob("*.py"))
+    }
+
+
 def test_every_module_level_function_and_class_has_a_reader():
     package, bench = _sources()
     checked = {k: tree for k, tree in package.items() if not k.startswith("simulation/")}
@@ -233,6 +241,12 @@ def test_every_module_level_function_and_class_has_a_reader():
     # equations that the optimizer builds.
     exempt = [("local_mapping.py", "_WindowSystem.jacobian")]
     assert unreferenced(checked, {**package, **bench}) == exempt
+
+
+def test_every_simulation_function_and_class_has_a_reader():
+    package, bench = _sources()
+    checked = {k: tree for k, tree in package.items() if k.startswith("simulation/")}
+    assert unreferenced(checked, {**package, **bench, **_callers()}) == []
 
 
 def _is_dataclass(decorator):
@@ -329,12 +343,11 @@ def test_unset_fields_flags_config_fields_that_no_caller_passes():
 
 def test_every_config_field_is_set_by_some_caller():
     package, bench = _sources()
-    callers = [ast.parse(path.read_text(), str(path))
-               for folder in CALLERS for path in sorted(folder.glob("*.py"))]
     checked = [tree for k, tree in package.items() if not k.startswith("simulation/")]
     # The global maps are the state a run grows, not settings.
     exempt = ["GlobalMaps.sparse", "GlobalMaps.dense"]
-    assert unset_fields(checked, [*package.values(), *bench.values(), *callers]) == exempt
+    callers = [*package.values(), *bench.values(), *_callers().values()]
+    assert unset_fields(checked, callers) == exempt
 
 
 def log_formats(tree):

@@ -589,6 +589,25 @@ def test_icp_recovers_synthetic_shift(rng):
     assert out.inlier_fraction > 0.8
 
 
+def test_icp_recovers_synthetic_rotation_and_shift(rng):
+    # The destination is the source turned by 4 degrees about a tilted axis
+    # and moved by about 0.1 m.  The voxel centroids of the turned scene are
+    # not the turned centroids, so the transform is recovered to within a
+    # fraction of a degree and a centimetre.
+    pts = corner_scene_points(rng)
+    axis = np.array([1.0, -2.0, 3.0]) / np.sqrt(14.0)
+    rotation = lie.so3_exp_batch(np.radians(4.0) * axis[None])[0]
+    shift = np.array([0.08, -0.05, 0.04])
+    src = voxelize_sparse((pts - shift) @ rotation, np.zeros(len(pts)), [0.5])
+    dst = voxelize_sparse(pts, np.zeros(len(pts)), [0.5])
+    out = icp_point_to_plane(src, dst)
+    assert out.converged
+    error = lie.so3_log_batch((out.rotation.T @ rotation)[None])[0]
+    assert np.degrees(np.linalg.norm(error)) < 0.5
+    assert np.allclose(out.translation, shift, atol=0.01)
+    assert out.inlier_fraction > 0.8
+
+
 def test_icp_inlier_pairs_are_centroid_arrays(rng):
     # The pairs are two (m, 3) arrays: source centroids and the destination
     # centroids they pair with, each moved source on its destination's plane

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfelslam import lie
-from surfelslam.errors import AmbiguousLogarithmError, InvalidArgumentError
+from surfelslam.errors import AmbiguousLogarithmError
 from surfelslam.simulation import oracles
 from surfelslam.trajectory import compose_correction
 
@@ -42,6 +42,24 @@ def twists_at(rng, angles):
     return xi
 
 
+def kernel_exp(xi):
+    """4x4 exponentials of twists (N, 6) from the SO(3) kernel: the rotation
+    ``Exp(phi)`` of ``so3_exp_batch`` and the translation ``Jl(phi) rho`` of
+    the left Jacobian of ``so3_exp_left_jacobian``."""
+    _, jl = lie.so3_exp_left_jacobian(xi[:, :3])
+    return matrices(lie.so3_exp_batch(xi[:, :3]), (jl @ xi[:, 3:, None])[:, :, 0])
+
+
+def geodesic_exp(xi):
+    """4x4 exponentials of twists (N, 6) from ``se3_geodesic_batch``: each
+    twist its own bracket from the identity, read at alpha = 1."""
+    n = len(xi)
+    return matrices(*lie.se3_geodesic_batch(
+        np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3)), xi[:, :3], xi[:, 3:],
+        np.arange(n), np.ones(n),
+    ))
+
+
 def so3_left_jacobian_inv_matrices(r):
     """(N, 3, 3) inverse SO(3) left Jacobians of (N, 3) rotation vectors,
     rebuilt column by column from ``lie.so3_left_jacobian_inv_apply``
@@ -55,50 +73,48 @@ def rotation_about_x(angle):
 
 
 def test_exp_zero_twist_is_identity():
-    rot, t = lie.se3_exp_batch(np.zeros((1, 6)))
-    assert np.array_equal(rot[0], np.eye(3))
-    assert np.array_equal(t[0], np.zeros(3))
+    zero = np.zeros((1, 6))
+    assert np.array_equal(lie.so3_exp_batch(zero[:, :3])[0], np.eye(3))
+    for m in lie.so3_exp_left_jacobian(zero[:, :3]):
+        assert np.array_equal(m[0], np.eye(3))
+    assert np.array_equal(geodesic_exp(zero)[0], np.eye(4))
 
 
 def test_exp_pure_translation():
-    rot, t = lie.se3_exp_batch(np.array([[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]]))
-    assert np.allclose(rot[0], np.eye(3))
-    assert np.allclose(t[0], [1.0, 2.0, 3.0])
+    xi = np.array([[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]])
+    for exp in (kernel_exp, geodesic_exp):
+        got = exp(xi)[0]
+        assert np.allclose(got[:3, :3], np.eye(3))
+        assert np.allclose(got[:3, 3], [1.0, 2.0, 3.0])
 
 
 def test_exp_matches_series_oracle():
-    xi = np.array([np.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0])
+    xi = np.array([np.pi / 2, 0.0, 0.0, 0.3, -0.2, 0.5])
     expected = oracles.se3_exp_series(xi, terms=20)
-    rot, t = lie.se3_exp_batch(xi[None])
-    assert np.allclose(matrices(rot, t)[0], expected, atol=1e-12)
-    # 90 degrees about x.
-    assert np.allclose(rot[0] @ np.array([0.0, 1.0, 0.0]), [0.0, 0.0, 1.0])
+    for exp in (kernel_exp, geodesic_exp):
+        got = exp(xi[None])[0]
+        assert np.allclose(got, expected, atol=1e-12)
+        # 90 degrees about x.
+        assert np.allclose(got[:3, :3] @ np.array([0.0, 1.0, 0.0]), [0.0, 0.0, 1.0])
 
 
 def test_exp_matches_series_oracle_random(rng):
     xi = rng.normal(scale=0.4, size=(50, 6))
-    got = matrices(*lie.se3_exp_batch(xi))
-    for i in range(50):
-        assert np.allclose(got[i], oracles.se3_exp_series(xi[i]), atol=1e-12)
+    for exp in (kernel_exp, geodesic_exp):
+        got = exp(xi)
+        for i in range(50):
+            assert np.allclose(got[i], oracles.se3_exp_series(xi[i]), atol=1e-12)
 
 
-def test_se3_exp_batch_matches_series_at_the_switches(rng):
+def test_exp_matches_series_at_the_switches(rng):
     # Rotation angles on both sides of every series switch, with unit-scale
     # translations; 30 terms sum the series past these twist norms.
     xi = twists_at(rng, np.repeat(SWITCH_ANGLES, 4))
-    got = matrices(*lie.se3_exp_batch(xi))
-    for i in range(len(xi)):
-        assert np.allclose(got[i], oracles.se3_exp_series(xi[i], terms=30), rtol=0.0, atol=1e-14)
-
-
-def test_exp_rejects_non_finite():
-    for bad in (np.nan, np.inf):
-        xi = np.zeros((3, 6))
-        xi[1, 4] = bad
-        with pytest.raises(InvalidArgumentError):
-            lie.se3_exp_batch(xi)
-    with pytest.raises(InvalidArgumentError):
-        lie.se3_exp_batch(np.zeros(6))
+    for exp in (kernel_exp, geodesic_exp):
+        got = exp(xi)
+        for i in range(len(xi)):
+            expected = oracles.se3_exp_series(xi[i], terms=30)
+            assert np.allclose(got[i], expected, rtol=0.0, atol=1e-14), exp.__name__
 
 
 def test_log_identity_is_zero():
@@ -129,8 +145,8 @@ def test_round_trip_near_pi(rng):
     poses = np.stack([oracles.se3_exp_series(x, terms=60) for x in xi])
     back = log_from_identity(poses[:, :3, :3], poses[:, :3, 3])
     assert np.max(np.abs(back - xi)) < 1e-9
-    again = matrices(*lie.se3_exp_batch(back))
-    assert np.max(np.linalg.norm(again - poses, axis=(1, 2))) < 1e-9
+    for exp in (kernel_exp, geodesic_exp):
+        assert np.max(np.linalg.norm(exp(back) - poses, axis=(1, 2))) < 1e-9
 
 
 def test_log_rejects_angle_at_pi():
@@ -154,16 +170,15 @@ def test_batch_helpers_match_scalar(rng):
     r = xi[:, :3]
     for fn, batch in (
         (lie.so3_exp_batch, r),
+        (lambda v: np.stack(lie.so3_exp_left_jacobian(v), axis=1), r),
+        (lie.so3_left_jacobian_inv, r),
         (lie.so3_log_batch, lie.so3_exp_batch(r)),
         (so3_left_jacobian_inv_matrices, r),
+        (geodesic_exp, xi),
     ):
         out = fn(batch)
         for i in range(len(batch)):
             assert np.array_equal(out[i], fn(batch[i : i + 1])[0]), fn.__name__
-    rot, t = lie.se3_exp_batch(xi)
-    for i in range(len(xi)):
-        (rot_i,), (t_i,) = lie.se3_exp_batch(xi[i : i + 1])
-        assert np.array_equal(rot[i], rot_i) and np.array_equal(t[i], t_i)
 
 
 def test_left_jacobian_inv_identity_at_zero():
@@ -196,25 +211,21 @@ def test_left_jacobian_inverse_against_numeric(rng):
         assert np.linalg.norm(product - np.eye(3)) < 1e-9
 
 
-def test_matrix_forms_match_the_rodrigues_stack_and_the_vector_kernels(rng):
-    # The IMU factor's matrices: the exponential and the left Jacobian of
-    # component-first rotation vectors, and the inverse left Jacobian,
-    # against so3_exp_batch and the vector kernels applied to unit vectors,
-    # at both sides of every series switch and at larger angles.
-    # Entries are at most about 1, so the forms agree to a few roundings.
+def test_kernel_matrices_match_each_other_and_the_vector_kernel(rng):
+    # The SO(3) kernel's matrices at both sides of every series switch and
+    # at larger angles: the exponential of so3_exp_left_jacobian against
+    # so3_exp_batch, which takes sin t / t from its own series, the inverse
+    # left Jacobian against the vector kernel applied to unit vectors, and
+    # the left Jacobian against that inverse.  Entries are at most about 1,
+    # so the forms agree to a few roundings.
     tol = 8 * np.finfo(float).eps
     angles = np.concatenate([SWITCH_ANGLES, np.repeat([1e-6, 0.01, 0.5, 1.5, 3.0], 4)])
     r = twists_at(rng, angles)[:, :3]
-    exp, jl = (m.transpose(2, 0, 1) for m in lie.so3_exp_left_jacobian(r.T))
+    exp, jl = lie.so3_exp_left_jacobian(r)
+    jl_inv = lie.so3_left_jacobian_inv(r)
     assert np.abs(exp - lie.so3_exp_batch(r)).max() < tol
-    unit = np.eye(3)[:, :, None]
-    applied = lie.so3_left_jacobian_apply(r.T[:, None], unit).transpose(2, 0, 1)
-    assert np.abs(jl - applied).max() < tol
-    assert np.abs(lie.so3_left_jacobian_inv(r) - so3_left_jacobian_inv_matrices(r)).max() < tol
-    # Component first, any trailing axes: a (3, 2, n) stack is two stacks.
-    pair = np.stack([r.T, -r.T], axis=1)
-    for whole, one in zip(lie.so3_exp_left_jacobian(pair), lie.so3_exp_left_jacobian(-r.T)):
-        assert np.array_equal(whole[:, :, 1], one)
+    assert np.abs(jl_inv - so3_left_jacobian_inv_matrices(r)).max() < tol
+    assert np.abs(jl_inv @ jl - np.eye(3)).max() < tol
 
 
 def test_interp_endpoints(rng):
@@ -251,11 +262,13 @@ def test_interp_symmetry(rng):
 
 def test_composition_chain_stays_orthonormal():
     # Poses are composed without re-orthonormalization; the rounding of
-    # 10,000 compositions stays far below what any consumer notices.
-    step_rot, step_t = lie.se3_exp_batch(np.array([[1e-3, 2e-3, -1e-3, 0.01, 0.0, 0.02]]))
+    # 10,000 compositions stays far below what any consumer notices.  Each
+    # is the step of the window and the ICP, R <- Exp(phi) R and
+    # t <- Exp(phi) t + rho.
+    phi, rho = np.array([[1e-3, 2e-3, -1e-3]]), np.array([[0.01, 0.0, 0.02]])
     rot, t = np.eye(3)[None], np.zeros((1, 3))
     for _ in range(10_000):
-        rot, t = compose_correction(rot, t, step_rot, step_t)
+        rot, t = compose_correction(lie.so3_exp_batch(phi), rho, rot, t)
     defect = np.linalg.norm(rot[0].T @ rot[0] - np.eye(3))
     assert defect < 1e-9
     assert abs(np.linalg.det(rot[0]) - 1.0) < 1e-9

@@ -36,6 +36,7 @@ def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, mon
         "0 of 2 windows differ in fusion counts or trigger; "
         "0 ICP calls, 0 not converged, 0 triggers "
         "(the dump: 0 ICP calls, 0 not converged, 0 triggers); "
+        "0 of 2 windows differ in ICP stop reason; "
         "0 of 2 window digests and 0 of 1 map digests differ; "
         "0 of 2 windows have a larger translation error than the dump"
     )
@@ -63,7 +64,7 @@ def test_compare_sizes_each_difference(digest):
     # change is named with its sign, as is the largest error increase.  The
     # ICP ran in the moved window only: in the dump it converged and
     # triggered, in this run it did neither, so that window's fusion counts
-    # differ as well.  The ICP's stop reasons are counted, not compared.
+    # and ICP stop reason differ as well.
     reference = {
         "w.s1.e0.w0.rotations": np.eye(3)[None], "w.s1.e0.w0.translations": np.zeros((1, 3)),
         "w.s1.e0.w0.records": np.array(3), "w.s1.e0.w0.reason": np.array("predicted_decrease"),
@@ -93,10 +94,18 @@ def test_compare_sizes_each_difference(digest):
         "2 of 2 windows differ in fusion counts or trigger; "
         "1 ICP calls, 1 not converged, 0 triggers "
         "(the dump: 1 ICP calls, 0 not converged, 1 triggers); "
+        "1 of 2 windows differ in ICP stop reason; "
         "1 of 2 window digests and 1 of 1 map digests differ; "
         "1 of 2 windows have a larger translation error than the dump, "
         "the largest by +0.25 relative (w.s1.e0.w1)"
     ]
+    # An ICP that converges and triggers as in the dump, for another reason,
+    # leaves the counts equal; only the stop reasons show it.
+    converged = {**current, "w.s1.e0.w1.icp": np.array("cost_decrease"),
+                 "w.s1.e0.w1.fusion": reference["w.s1.e0.w1.fusion"]}
+    assert ("1 ICP calls, 0 not converged, 1 triggers "
+            "(the dump: 1 ICP calls, 0 not converged, 1 triggers); "
+            "1 of 2 windows differ in ICP stop reason; ") in digest.compare(reference, converged)[0]
     # A dump that holds no digests, fusion counts, window errors or ICP stop
     # reasons compares none and counts only this run's ICP calls.
     older = {k: v for k, v in reference.items()
@@ -104,6 +113,7 @@ def test_compare_sizes_each_difference(digest):
     assert digest.compare(older, current)[0].endswith(
         "0 of 0 windows differ in fusion counts or trigger; "
         "1 ICP calls, 1 not converged, 0 triggers; "
+        "0 of 0 windows differ in ICP stop reason; "
         "0 of 0 window digests and 0 of 0 map digests differ; "
         "0 of 0 windows have a larger translation error than the dump"
     )

@@ -28,8 +28,9 @@ relative difference of an accuracy metric with that metric's name and its
 signed relative change, the number of windows whose stop reason or record
 count differs, how many windows differ in fusion counts or trigger, how
 many ICP calls the run made, how many did not converge and how many raised a
-trigger (and the dump's counts, of what it holds), and how many window
-digests and map digests differ, of those the dump holds,
+trigger (and the dump's counts, of what it holds), how many windows' ICP
+stop reasons differ, and how many window digests and map digests differ, of
+those the dump holds,
 and how many windows have a larger translation error than in the dump, with
 the largest relative increase and its window.
 A change that moves the maps only by rounding changes their digests but no
@@ -226,6 +227,7 @@ def compare(reference, current):
             f"({ACCURACY[worst[1]]} {change[worst]:+.3g}); "
             f"{changed} windows differ in stop reason or record count; "
             f"{differing('.fusion')} windows differ in fusion counts or trigger; {icp}; "
+            f"{differing('.icp')} windows differ in ICP stop reason; "
             f"{differing('.digest')} window digests and {differing('.maps')} map digests differ; "
             f"{errors}"
         )
