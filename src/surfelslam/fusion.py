@@ -44,8 +44,8 @@ import numpy as np
 
 from . import lie
 from .errors import DegenerateGeometryError, InvalidArgumentError
-from .local_mapping import (SIGMA_PRIOR, IterationRecord, OptimizationReport, OptimizerConfig,
-                            _Cauchy, _plane_rows, solve)
+from .local_mapping import (RANK_TOL, SIGMA_PRIOR, IterationRecord, OptimizationReport,
+                            OptimizerConfig, _Cauchy, _plane_rows, solve)
 from .surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
@@ -313,9 +313,16 @@ ICP_CONVERGED = ("same_pairs", "cost_decrease")
 
 # Minimum smallest/largest eigenvalue ratio of the ICP's planarity-weighted
 # normal matrix sum(w n n^T) for a loop-closure trigger.  Below it the overlap
-# leaves a translation direction unconstrained (floor, ceiling and one wall
-# constrain nothing along the wall), so the recovered shift is arbitrary.
+# barely constrains a translation direction (floor, ceiling and one wall
+# constrain nothing along the wall).  The ICP freezes such a direction (see
+# ICP_WEAK_RATIO), so its shift there is not arbitrary but about zero; the
+# gate still raises no trigger, as the overlap cannot measure a misalignment
+# along it.
 MIN_NORMAL_EIGEN_RATIO = 1e-3
+# The ICP's weak directions: eigenvalues of its scaled 6x6 normal matrix
+# (see _PlaneProblem) from RANK_TOL up to this ratio of the largest.  The ICP
+# steps only in the directions above it.
+ICP_WEAK_RATIO = 1e-2
 
 
 @dataclass
@@ -325,7 +332,9 @@ class IcpResult:
     A converged ICP also gives the inlier fraction of its final pairs, the
     inlier pairs as source and destination centroids, each (m, 3), and the
     smallest/largest eigenvalue ratio of ``sum(w n n^T)`` over the final
-    pairs; an unconverged one gives 0, no pairs and 0."""
+    pairs; an unconverged one gives 0, no pairs and 0.  Either gives
+    ``frozen_dim``, the most weak directions that any one normal-equation
+    build of the call froze (see :class:`_PlaneProblem`)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -333,6 +342,7 @@ class IcpResult:
     inlier_fraction: float = 0.0
     pairs: tuple = field(default_factory=lambda: (np.zeros((0, 3)), np.zeros((0, 3))))
     normal_eigen_ratio: float = 0.0
+    frozen_dim: int = 0
 
     @property
     def converged(self):
@@ -379,11 +389,27 @@ class _PlaneProblem:
     window steps each of its pose points, ``R <- Exp(phi) R`` and ``t <-
     Exp(phi) t + rho`` (``trajectory.compose_correction``), and is folded
     into the pose after each accepted step; its rows are the window's
-    point-to-plane rows (``local_mapping._plane_rows``)."""
+    point-to-plane rows (``local_mapping._plane_rows``).
+
+    Each build of the normal equations freezes the directions that the
+    pairs barely observe (Zhang, Kaess & Singh, ICRA 2016).  The test is
+    free of units (Gelfand et al., 3DIM 2003): it takes ``H`` in the
+    coordinates ``y = (L phi, rho + phi x c)``, a turn about the moved
+    sources' mean ``c`` measured as an arc at their RMS spread ``L`` about
+    it, and the move of ``c``, so radians and meters compare and the origin
+    of the world frame does not matter.  An eigenvector ``v`` there whose
+    eigenvalue lies in ``[RANK_TOL, ICP_WEAK_RATIO)`` times the largest is
+    weak: the rows are projected so that they see no step along it, and
+    ``H`` takes the largest eigenvalue there, so the driver steps in the
+    observed directions only and keeps ``v . y`` at zero.  Eigenvalues
+    below ``RANK_TOL`` are left to the driver's rank check, so an exactly
+    planar overlap still ends ``"rank_deficient"``.  ``frozen_dim`` is the
+    most directions that one build froze."""
 
     def __init__(self, src, dst, normal, sigma, scale):
         self.src, self.dst, self.normal, self.sigma = src, dst, normal, sigma
         self.robust = _Cauchy(len(src), scale)
+        self.frozen_dim = 0
 
     def evaluate(self, x, state):
         rotation, translation = state
@@ -400,8 +426,28 @@ class _PlaneProblem:
         return it._replace(x=np.zeros(6), state=it.pose)
 
     def normal_equations(self, it, weighted):
-        self.jac = _plane_rows(it.moved, self.normal, self.robust.weights / self.sigma)
-        return self.jac.T @ self.jac, self.chord_gradient(weighted)
+        jac = _plane_rows(it.moved, self.normal, self.robust.weights / self.sigma)
+        hess = jac.T @ jac
+        # The scaled coordinates y = to_y @ x = (L phi, rho + phi x c).
+        centre = it.moved.mean(axis=0)
+        spread = np.sqrt(np.mean(_row_dot(it.moved - centre, it.moved - centre)))
+        to_y = np.eye(6)
+        to_y[:3, :3] *= max(spread, 1e-12)
+        to_y[3:, :3] = -lie.hat_batch(centre[None])[0]
+        to_x = np.linalg.inv(to_y)
+        eigenvalues, vectors = np.linalg.eigh(to_x.T @ hess @ to_x)
+        largest = eigenvalues[-1]
+        weak = (eigenvalues >= RANK_TOL * largest) & (eigenvalues < ICP_WEAK_RATIO * largest)
+        if weak.any():
+            # The rows J to_x (I - V V^T) to_y see no step along the weak
+            # scaled directions V, and H takes the largest eigenvalue there.
+            frozen = vectors[:, weak]
+            along = to_y.T @ frozen
+            jac = jac - (jac @ (to_x @ frozen)) @ along.T
+            hess = jac.T @ jac + largest * (along @ along.T)
+            self.frozen_dim = max(self.frozen_dim, frozen.shape[1])
+        self.jac = jac
+        return hess, self.chord_gradient(weighted)
 
     def chord_gradient(self, weighted):
         return self.jac.T @ weighted
@@ -428,17 +474,21 @@ def icp_point_to_plane(src_surfels, dst_surfels):
       before;
     - ``"cost_decrease"``, converged: the last round lowered the cost by
       less than ``chi2_tol``, its ``stop_decrease``;
+    - ``"cycle"``: a round paired exactly as a round before the one before
+      it, so the pairings repeat;
     - ``"max_rounds"``: ``ICP_MAX_ITERATIONS`` rounds ran out;
     - ``"too_few_pairs"``: a round formed fewer than six pairs;
     - ``"rank_deficient"``: the driver's rank check found a null direction,
       as an exactly planar overlap gives.
 
     Its records are every round's, each round's starting from its
-    iteration 0.  Each source surfel pairs with its nearest destination
-    centroid closer than ``MAX_PAIR_DISTANCE`` whose normal is compatible
-    with the rotated source normal (``|R n_s . n_d| >
-    NORMAL_COMPATIBILITY``), so voxels on different planes never pair; of
-    equally near ones it takes the lowest destination index.  The
+    iteration 0.  Each round's fit steps only along the directions that its
+    pairs observe, freezing the weak ones (see :class:`_PlaneProblem`).
+    Each source surfel pairs with its nearest destination centroid closer
+    than ``MAX_PAIR_DISTANCE`` whose normal is compatible with the rotated
+    source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
+    different planes never pair; of equally near ones it takes the lowest
+    destination index.  The
     destination centroids are keyed once at ``MAX_PAIR_DISTANCE``
     (``KeyedPoints``), and each association is one join of the moved source
     centroids with them, not a full distance matrix.
@@ -458,16 +508,18 @@ def icp_point_to_plane(src_surfels, dst_surfels):
     keyed = KeyedPoints(dst.centroid, MAX_PAIR_DISTANCE)
     weights = np.maximum(dst.planarity, 0.05)
     pose, records, decrease = (np.eye(3), np.zeros(3)), [], np.inf
-    scale, paired = np.inf, (None, None)
+    scale, frozen, last, seen = np.inf, 0, None, set()
     for rounds in range(ICP_MAX_ITERATIONS + 1):
         moved, src_idx, dst_idx = _associate(*pose, src.centroid, src.normal, keyed, dst.normal)
-        same = all(map(np.array_equal, paired, (src_idx, dst_idx)))
-        reason = ("too_few_pairs" if src_idx.size < 6 else "same_pairs" if same
+        pairing = np.stack([src_idx, dst_idx]).tobytes()
+        reason = ("too_few_pairs" if src_idx.size < 6 else "same_pairs" if pairing == last
+                  else "cycle" if pairing in seen
                   else "cost_decrease" if decrease < OptimizerConfig.chi2_tol
                   else "max_rounds" if rounds == ICP_MAX_ITERATIONS else None)
         if reason:
             break
-        paired = src_idx, dst_idx
+        last = pairing
+        seen.add(pairing)
         problem = _PlaneProblem(src.centroid[src_idx], dst.centroid[dst_idx], dst.normal[dst_idx],
                                 SIGMA_PRIOR / np.sqrt(weights[dst_idx]), scale)
         try:
@@ -476,19 +528,21 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         except DegenerateGeometryError:
             reason = "rank_deficient"
             break
+        finally:
+            frozen = max(frozen, problem.frozen_dim)
         pose, scale = it.state, problem.robust.scale
         records += report.records
         decrease = report.records[0].cost - report.final_cost
     report = OptimizationReport(records, reason in ICP_CONVERGED, reason,
                                 decrease if reason == "cost_decrease" else np.nan)
     if not report.converged:
-        return IcpResult(*pose, report)
+        return IcpResult(*pose, report, frozen_dim=frozen)
     n, q = dst.normal[dst_idx], dst.centroid[dst_idx]
     eigenvalues = eigvalsh3((n * weights[dst_idx][:, None]).T @ n)
     inliers = np.abs(_row_dot(n, moved - q)) < INLIER_DISTANCE
     pairs = src.centroid[src_idx[inliers]], q[inliers]
     return IcpResult(*pose, report, float(np.mean(inliers)), pairs,
-                     float(eigenvalues[0] / eigenvalues[-1]))
+                     float(eigenvalues[0] / eigenvalues[-1]), frozen)
 
 
 # -- temporal fusion ----------------------------------------------------------

@@ -59,19 +59,19 @@ def _series_below(threshold, series):
 
     The coefficient takes an array of angles and evaluates the closed form
     only at the angles it is valid for, and not at all when every angle is
-    below the threshold.
+    below the threshold; when none is, it is the closed form alone, with no
+    selection.
     """
 
     def decorate(closed):
         @functools.wraps(closed)
         def coeff(theta):
             small = theta < threshold
+            if not small.any():
+                return closed(theta)
             if small.all():
                 return series(theta)
-            out = closed(np.where(small, 1.0, theta))
-            if np.any(small):
-                out = np.where(small, series(theta), out)
-            return out
+            return np.where(small, series(theta), closed(np.where(small, 1.0, theta)))
 
         return coeff
 

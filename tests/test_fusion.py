@@ -683,9 +683,9 @@ def floor_ceiling_wall_points(rng, n=4500, noise=0.003):
 
 def test_temporal_fusion_shift_along_wall_raises_no_trigger():
     # The revisit is shifted along the wall, which the overlap cannot
-    # measure; without the degeneracy gate the ICP reported arbitrary shifts
-    # of 0.07-0.19 m with every pair an inlier and triggered at three of
-    # these four seeds.
+    # measure; before the ICP froze its weak directions it reported
+    # arbitrary shifts of 0.07-0.19 m with every pair an inlier, and without
+    # the degeneracy gate it triggered at three of these four seeds.
     cfg = TemporalFusionConfig(active_window=30.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -704,6 +704,81 @@ def test_temporal_fusion_shift_along_wall_raises_no_trigger():
     src = voxelize_sparse(corner - np.array([0.15, 0.05, 0.0]), np.zeros(len(corner)), [0.5])
     dst = voxelize_sparse(corner, np.zeros(len(corner)), [0.5])
     assert icp_point_to_plane(src, dst).normal_eigen_ratio > 0.1
+
+
+def test_icp_freezes_the_shift_along_the_wall():
+    # Nothing constrains a shift along the wall, so the ICP freezes that
+    # direction and stays where it started; before the freeze it slid
+    # 0.005-0.18 m along the wall.  The frozen direction is the move of the
+    # paired sources' mean: the observed turns are about that mean, so the
+    # world origin moves by their lever arm, about 1 mm here.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        global_maps = GlobalMaps()
+        base = floor_ceiling_wall_points(rng)
+        temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps,
+                             TemporalFusionConfig(active_window=30.0), step=0)
+        subset = base[rng.uniform(size=len(base)) < 0.8]
+        local = make_local_maps(rng, subset - np.array([0.0, 0.3, 0.0]), timestamp=100.0)
+        icp = icp_point_to_plane(local.sparse, global_maps.sparse.all())
+        assert icp.converged and icp.frozen_dim >= 1
+        mean = icp.pairs[0].mean(axis=0)
+        shift = icp.rotation @ mean + icp.translation - mean
+        assert abs(shift[1]) < 1e-3
+        assert np.linalg.norm(icp.translation) < fusion.DISTANCE_THRESHOLD
+
+
+@pytest.mark.parametrize("scene, shift, frozen_dim", [
+    (floor_ceiling_wall_points, [0.0, 0.3, 0.0], 1), (corner_scene_points, [0.15, 0.05, 0.0], 0),
+], ids=["wall", "corner"])
+def test_icp_freezes_the_same_directions_at_any_scale_and_place(scene, shift, frozen_dim):
+    # The weak-direction test compares turns and moves without units, about
+    # the overlap's own centre: the scene scaled by 10 (and its voxels with
+    # it) or moved 50 m from the origin freezes what it froze, one direction
+    # along the wall and none in the corner.  The pairing radius is fixed
+    # in meters, so the shift is not scaled.
+    pts = scene(np.random.default_rng(0))
+    frozen = []
+    for scale, offset in ((1.0, 0.0), (10.0, 0.0), (1.0, 50.0)):
+        moved = scale * pts + offset
+        src = voxelize_sparse(moved - shift, np.zeros(len(pts)), [0.5 * scale])
+        dst = voxelize_sparse(moved, np.zeros(len(pts)), [0.5 * scale])
+        icp = icp_point_to_plane(src, dst)
+        assert icp.converged
+        frozen.append(icp.frozen_dim)
+    assert frozen == [frozen_dim] * 3
+
+
+def test_icp_ends_a_cycle_of_pairings_unconverged(rng, monkeypatch, caplog):
+    # The pairings alternate between all the pairs and all but the last:
+    # round 2 pairs as round 0 did, so the ICP ends there, unconverged, after
+    # solving rounds 0 and 1, and the fusion step raises no trigger.
+    pts = corner_scene_points(rng)
+    src = voxelize_sparse(pts - np.array([0.15, 0.05, 0.0]), np.zeros(len(pts)), [0.5])
+    dst = voxelize_sparse(pts, np.zeros(len(pts)), [0.5])
+    associate_at, first, calls = fusion._associate, [], []
+
+    def alternating(rotation, translation, src_pts, *rest):
+        if not calls:
+            first[:] = associate_at(rotation, translation, src_pts, *rest)[1:]
+        i, j = (pairs[: len(pairs) - len(calls) % 2] for pairs in first)
+        calls.append(len(i))
+        return src_pts[i] @ rotation.T + translation, i, j
+
+    monkeypatch.setattr(fusion, "_associate", alternating)
+    icp = icp_point_to_plane(src, dst)
+    assert icp.report.reason == "cycle" and not icp.converged
+    assert len(calls) == 3 and [r.iteration for r in icp.report.records].count(0) == 2
+    assert [p.shape for p in icp.pairs] == [(0, 3), (0, 3)]
+    cfg = TemporalFusionConfig(active_window=30.0)
+    global_maps = GlobalMaps()
+    temporal_fusion_step(make_local_maps(rng, pts, timestamp=0.0), global_maps, cfg, step=0)
+    local = make_local_maps(rng, pts - np.array([0.15, 0.05, 0.0]), timestamp=100.0)
+    calls.clear()
+    with caplog.at_level(logging.INFO, logger="surfelslam.fusion"):
+        r = temporal_fusion_step(local, global_maps, cfg, step=1)
+    assert r.icp.report.reason == "cycle" and "ICP did not converge" in caplog.text
+    assert r.trigger is None and np.isnan(r.metrics.icp_dist)
 
 
 def icp_cloud(rng, n):

@@ -34,20 +34,21 @@ def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, mon
         "tiny: 2 windows, largest translation difference 0 m, rotation entry 0, "
         "accuracy metric 0 relative (ate_m +0); 0 windows differ in stop reason or record count; "
         "0 of 2 windows differ in fusion counts or trigger; "
-        "0 ICP calls, 0 not converged, 0 triggers "
-        "(the dump: 0 ICP calls, 0 not converged, 0 triggers); "
+        "0 ICP calls, 0 not converged, 0 froze a direction, 0 triggers "
+        "(the dump: 0 ICP calls, 0 not converged, 0 froze a direction, 0 triggers); "
         "0 of 2 windows differ in ICP stop reason; "
         "0 of 2 window digests and 0 of 1 map digests differ; "
         "0 of 2 windows have a larger translation error than the dump"
     )
     # The dump holds the printed digests, each window's fusion counts, its
     # translation and rotation errors against the truth and its ICP's stop
-    # reason, empty as nothing is inactive for an ICP to run against.
+    # reason and frozen directions, empty and 0 as nothing is inactive for an
+    # ICP to run against.
     with np.load(dump) as kept:
         for w in ("w0", "w1"):
             errors = kept[f"tiny.s1.e0.{w}.errors"]
             assert errors.shape == (2,) and np.all((errors > 0.0) & (errors < 0.01))
-            assert kept[f"tiny.s1.e0.{w}.icp"] == ""
+            assert kept[f"tiny.s1.e0.{w}.icp"] == "" and kept[f"tiny.s1.e0.{w}.frozen"] == 0
         assert printed[0].endswith(f" {kept['tiny.s1.e0.w0.digest']}")
         assert printed[2].endswith(f" {kept['tiny.s1.e0.maps']}")
         n_new, n_fused, n_culled, n_active, n_inactive, triggered = kept["tiny.s1.e0.w0.fusion"]
@@ -64,7 +65,8 @@ def test_compare_sizes_each_difference(digest):
     # change is named with its sign, as is the largest error increase.  The
     # ICP ran in the moved window only: in the dump it converged and
     # triggered, in this run it did neither, so that window's fusion counts
-    # and ICP stop reason differ as well.
+    # and ICP stop reason differ as well; there it froze a direction in the
+    # dump and none in this run.
     reference = {
         "w.s1.e0.w0.rotations": np.eye(3)[None], "w.s1.e0.w0.translations": np.zeros((1, 3)),
         "w.s1.e0.w0.records": np.array(3), "w.s1.e0.w0.reason": np.array("predicted_decrease"),
@@ -75,6 +77,7 @@ def test_compare_sizes_each_difference(digest):
         "w.s1.e0.accuracy": np.ones(5), "w.s1.e0.maps": np.array("m0"),
         "w.s1.e0.w0.errors": np.array([2e-3, 1e-3]), "w.s1.e0.w1.errors": np.array([4e-3, 1e-3]),
         "w.s1.e0.w0.icp": np.array(""), "w.s1.e0.w1.icp": np.array("same_pairs"),
+        "w.s1.e0.w0.frozen": np.array(0), "w.s1.e0.w1.frozen": np.array(1),
     }
     current = dict(reference)
     current["w.s1.e0.w1.translations"] = np.ones((1, 3)) + [0.0, 1e-6, 0.0]
@@ -87,13 +90,14 @@ def test_compare_sizes_each_difference(digest):
     current["w.s1.e0.w1.errors"] = np.array([5e-3, 1e-3])
     current["w.s1.e0.w1.icp"] = np.array("max_rounds")
     current["w.s1.e0.w1.fusion"] = np.array([1, 4, 0, 6, 0, 0])
+    current["w.s1.e0.w1.frozen"] = np.array(0)
     assert digest.compare(reference, current) == [
         "w: 2 windows, largest translation difference 1e-06 m, rotation entry 0, "
         "accuracy metric 0.01 relative (map_rms_m -0.01); "
         "1 windows differ in stop reason or record count; "
         "2 of 2 windows differ in fusion counts or trigger; "
-        "1 ICP calls, 1 not converged, 0 triggers "
-        "(the dump: 1 ICP calls, 0 not converged, 1 triggers); "
+        "1 ICP calls, 1 not converged, 0 froze a direction, 0 triggers "
+        "(the dump: 1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers); "
         "1 of 2 windows differ in ICP stop reason; "
         "1 of 2 window digests and 1 of 1 map digests differ; "
         "1 of 2 windows have a larger translation error than the dump, "
@@ -102,17 +106,19 @@ def test_compare_sizes_each_difference(digest):
     # An ICP that converges and triggers as in the dump, for another reason,
     # leaves the counts equal; only the stop reasons show it.
     converged = {**current, "w.s1.e0.w1.icp": np.array("cost_decrease"),
-                 "w.s1.e0.w1.fusion": reference["w.s1.e0.w1.fusion"]}
-    assert ("1 ICP calls, 0 not converged, 1 triggers "
-            "(the dump: 1 ICP calls, 0 not converged, 1 triggers); "
+                 "w.s1.e0.w1.fusion": reference["w.s1.e0.w1.fusion"],
+                 "w.s1.e0.w1.frozen": reference["w.s1.e0.w1.frozen"]}
+    assert ("1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers "
+            "(the dump: 1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers); "
             "1 of 2 windows differ in ICP stop reason; ") in digest.compare(reference, converged)[0]
-    # A dump that holds no digests, fusion counts, window errors or ICP stop
-    # reasons compares none and counts only this run's ICP calls.
+    # A dump that holds no digests, fusion counts, window errors, ICP stop
+    # reasons or frozen directions compares none and counts only this run's
+    # ICP calls.
     older = {k: v for k, v in reference.items()
-             if not k.endswith((".digest", ".maps", ".fusion", ".errors", ".icp"))}
+             if not k.endswith((".digest", ".maps", ".fusion", ".errors", ".icp", ".frozen"))}
     assert digest.compare(older, current)[0].endswith(
         "0 of 0 windows differ in fusion counts or trigger; "
-        "1 ICP calls, 1 not converged, 0 triggers; "
+        "1 ICP calls, 1 not converged, 0 froze a direction, 0 triggers; "
         "0 of 0 windows differ in ICP stop reason; "
         "0 of 0 window digests and 0 of 0 map digests differ; "
         "0 of 0 windows have a larger translation error than the dump"

@@ -20,19 +20,20 @@ so compare them with ``diff``.
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
 trajectory, record count, stop reason, fusion counts and trigger
 (``FUSION``), translation and rotation RMS errors against the window's truth
-(m and rad), digest and ICP stop reason, and each episode's accuracy metrics
-(``metrics.accuracy``) and map digest.  ``--against PATH`` compares this run
-with such a dump and prints, per workload, the largest translation
-difference (m), the largest rotation-matrix entry difference, the largest
-relative difference of an accuracy metric with that metric's name and its
-signed relative change, the number of windows whose stop reason or record
-count differs, how many windows differ in fusion counts or trigger, how
-many ICP calls the run made, how many did not converge and how many raised a
-trigger (and the dump's counts, of what it holds), how many windows' ICP
-stop reasons differ, and how many window digests and map digests differ, of
-those the dump holds,
-and how many windows have a larger translation error than in the dump, with
-the largest relative increase and its window.
+(m and rad), digest, ICP stop reason and ICP frozen directions, and each
+episode's accuracy metrics (``metrics.accuracy``) and map digest.
+``--against PATH`` compares this run with such a dump and prints, per
+workload, the largest translation difference (m), the largest
+rotation-matrix entry difference, the largest relative difference of an
+accuracy metric with that metric's name and its signed relative change, the
+number of windows whose stop reason or record count differs, how many
+windows differ in fusion counts or trigger, how many ICP calls the run made,
+how many did not converge, how many froze a weak direction and how many
+raised a trigger (and the dump's counts, of what it holds), how many
+windows' ICP stop reasons differ, how many window digests and map digests
+differ, of those the dump holds, and how many windows have a larger
+translation error than in the dump, with the largest relative increase and
+its window.
 A change that moves the maps only by rounding changes their digests but no
 fusion count or trigger.  Run the dump in one checkout and the
 comparison in the other, with the same workloads, seeds and episodes.
@@ -127,7 +128,7 @@ ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 # The fields of a window's ``FusionStepMetrics`` that count or decide.
 FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
 # The names a dump may lack: a dump without them compares none.
-OPTIONAL = (".digest", ".maps", ".fusion", ".errors", ".icp")
+OPTIONAL = (".digest", ".maps", ".fusion", ".errors", ".icp", ".frozen")
 
 
 def window_errors(estimate, truth):
@@ -143,9 +144,11 @@ def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
     window its trajectory, record count (0 for a failed window), stop reason
     (the failure's class name for a failed window), fusion counts and
-    trigger in ``FUSION`` order, errors (``window_errors``), digest and the
-    ICP's stop reason (empty when the ICP did not run), and the episode's
-    accuracy metrics in ``ACCURACY`` order and maps digest."""
+    trigger in ``FUSION`` order, errors (``window_errors``), digest, the
+    ICP's stop reason (empty when the ICP did not run) and the most
+    directions it froze (``IcpResult.frozen_dim``, 0 when it did not run),
+    and the episode's accuracy metrics in ``ACCURACY`` order and maps
+    digest."""
     out = {}
     for win, r in zip(episode.windows, results):
         w = f"{key}.w{r.index}"
@@ -157,6 +160,7 @@ def episode_arrays(key, episode, results, global_maps):
         out[f"{w}.errors"] = window_errors(r.estimate, win.truth)
         icp = r.fusion.icp
         out[f"{w}.icp"] = np.array("" if icp is None else icp.report.reason)
+        out[f"{w}.frozen"] = np.array(0 if icp is None else icp.frozen_dim)
         out[f"{w}.digest"] = np.array(window_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
@@ -168,8 +172,8 @@ def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
     ``episode_arrays``, as printable lines.  A name missing from
     ``reference`` raises ``SystemExit``, unless it is a digest, fusion
-    counts, window errors or an ICP stop reason (``OPTIONAL``): a dump that
-    holds none compares 0 of them."""
+    counts, window errors, an ICP stop reason or its frozen directions
+    (``OPTIONAL``): a dump that holds none compares 0 of them."""
     missing = sorted(k for k in set(current) - set(reference) if not k.endswith(OPTIONAL))
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
@@ -191,13 +195,16 @@ def compare(reference, current):
             return f"{sum(bool(np.any(reference[k] != current[k])) for k in held)} of {len(held)}"
 
         def icp_counts(arrays):
-            """The ICP calls, those not converged, and the triggers, of the
-            ICP stop reasons and fusion counts that ``arrays`` holds."""
+            """The ICP calls, those not converged, those that froze a
+            direction, and the triggers, of the ICP stop reasons, frozen
+            directions and fusion counts that ``arrays`` holds."""
             held = {s: [arrays[k] for k in keys if k.endswith(s) and k in arrays]
-                    for s in (".icp", ".fusion")}
+                    for s in (".icp", ".frozen", ".fusion")}
             ran = [str(r) for r in held[".icp"] if str(r)]
             failed = sum(r not in ICP_CONVERGED for r in ran)
             counts = [f"{len(ran)} ICP calls, {failed} not converged"] if held[".icp"] else []
+            if held[".frozen"]:
+                counts.append(f"{sum(int(f) > 0 for f in held['.frozen'])} froze a direction")
             if held[".fusion"]:
                 counts.append(f"{sum(int(f[-1]) for f in held['.fusion'])} triggers")
             return counts
