@@ -59,6 +59,20 @@ lexicographically-first maximal independent set of the pairs closer than
 the radius, and each seed's moments are segment sums over its pairs; sparse
 voxelization sorts the points once per resolution by a linearized voxel
 key, and each voxel's moments are segment sums over that order.
+
+Per-point arithmetic is component first.  Points arrive as (n, 3) rows and
+each kernel copies them once to contiguous (3, n) columns with
+``np.ascontiguousarray(points.T)``: numpy reduces and broadcasts slowly
+along a short axis (an (8000, 3) ``min(axis=0)`` costs some forty times the
+same reduction over (3, 8000) columns), and a ufunc applied to the view
+``points.T`` keeps its transposed memory order, so only the copy is fast.
+The grid's cell indices, origin, extent and keys, ``radius_join``'s crop,
+the voxel keys and the segment moments all work on columns; results go
+back to rows where a batch stores them.  The layout moves no bit of any
+output: minima, maxima, comparisons, gathers and elementwise products are
+exact, and ``np.add.reduceat`` sums each segment in order in either
+layout.  A contiguous ``.sum`` is no substitute for a ``reduceat``: over
+eight or more terms it sums pairwise and rounds differently.
 """
 
 from __future__ import annotations
@@ -650,19 +664,34 @@ class GlobalMaps:
     dense: DenseSurfelMap = field(default_factory=DenseSurfelMap)
 
 
-def _segment_mean(values, member, sizes):
-    """Mean of ``values[member]`` over each run of ``sizes`` consecutive
-    entries, as a segment sum."""
-    total = np.add.reduceat(values[member], np.cumsum(sizes) - sizes, axis=0)
-    return total / sizes.reshape((-1,) + (1,) * (total.ndim - 1))
+def _segment_mean(columns, member, sizes):
+    """Mean of ``columns[..., member]`` over each run of ``sizes``
+    consecutive entries, as a segment sum along the last axis: a (k, m)
+    array of the segments' component means for (k, n) columns, or (m,)
+    means for one (n,) column."""
+    total = np.add.reduceat(columns[..., member], np.cumsum(sizes) - sizes, axis=-1)
+    return total / sizes
 
 
-def _segment_scatter(points, member, sizes, mean):
-    """Accrued scatter ``sum (p - m)(p - m)^T`` of ``points[member]`` over
-    each run of ``sizes`` consecutive entries, about its mean ``m``."""
-    centered = points[member] - np.repeat(mean, sizes, axis=0)
-    outer = centered[:, :, None] * centered[:, None, :]
-    return np.add.reduceat(outer, np.cumsum(sizes) - sizes, axis=0)
+# The six distinct entries (i, j), i <= j, of a symmetric 3×3 matrix.
+_UPPER_I, _UPPER_J = np.triu_indices(3)
+
+
+def _segment_scatter(columns, member, sizes, mean):
+    """Accrued scatter ``sum (p - m)(p - m)^T`` of the (3, n) ``columns``
+    at ``member`` over each run of ``sizes`` consecutive entries, about the
+    run's (3, m) mean column ``m``, as an (m, 3, 3) stack.
+
+    The six distinct products ``c_i c_j`` are summed as (6, ·) rows by one
+    ``reduceat`` and mirrored into the lower triangle (``c_i c_j`` equals
+    ``c_j c_i`` bit for bit)."""
+    centered = columns[:, member] - np.repeat(mean, sizes, axis=1)
+    sums = np.add.reduceat(centered[_UPPER_I] * centered[_UPPER_J],
+                           np.cumsum(sizes) - sizes, axis=1).T
+    scatter = np.empty((len(sizes), 3, 3))
+    scatter[:, _UPPER_I, _UPPER_J] = sums
+    scatter[:, _UPPER_J, _UPPER_I] = sums
+    return scatter
 
 
 def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
@@ -696,14 +725,15 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
         raise InvalidArgumentError("voxel resolutions must be distinct")
     if len(points) == 0:
         return SparseSurfels.empty()
+    columns = np.ascontiguousarray(points.T)
     parts = []
     for resolution in resolutions:
-        voxel = np.floor(points / resolution).astype(np.int64)
-        ijk = voxel - voxel.min(axis=0)
-        span = ijk.max(axis=0) + 1
+        voxel = np.floor(columns / resolution).astype(np.int64)
+        ijk = voxel - voxel.min(axis=1)[:, None]
+        span = ijk.max(axis=1) + 1
         if float(np.prod(span, dtype=float)) >= 2.0**62:
             raise InvalidArgumentError("points span too many voxels of the resolution to key")
-        key = (ijk[:, 0] * span[1] + ijk[:, 1]) * span[2] + ijk[:, 2]
+        key = (ijk[0] * span[1] + ijk[1]) * span[2] + ijk[2]
         order = np.argsort(key, kind="stable")
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         sizes = np.diff(starts, append=len(order))
@@ -712,10 +742,10 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
             continue
         member = order[np.repeat(kept, sizes)]
         first, sizes = order[starts[kept]], sizes[kept]
-        mean = _segment_mean(points, member, sizes)
-        cov = _segment_scatter(points, member, sizes, mean) / (sizes - 1.0)[:, None, None]
-        parts.append((mean, cov, sizes, np.full(len(sizes), resolution),
-                      _segment_mean(times, member, sizes), voxel[first]))
+        mean = _segment_mean(columns, member, sizes)
+        cov = _segment_scatter(columns, member, sizes, mean) / (sizes - 1.0)[:, None, None]
+        parts.append((np.ascontiguousarray(mean.T), cov, sizes, np.full(len(sizes), resolution),
+                      _segment_mean(times, member, sizes), np.ascontiguousarray(voxel[:, first].T)))
     if not parts:
         return SparseSurfels.empty()
     centroid, cov, count, resolution, timestamp, voxel = (np.concatenate(f) for f in zip(*parts))
@@ -757,23 +787,23 @@ class KeyedPoints:
     def __init__(self, points, radius):
         if not radius >= 0.0:
             raise InvalidArgumentError("radius must be non-negative")
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        columns = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 3).T)
         self.radius = radius
         self._edge = radius * CELL_REACH or 1.0
-        ijk = np.floor(points / self._edge)
-        self._origin = ijk.min(axis=0) - 2.0 if len(ijk) else np.zeros(3)
-        ijk -= self._origin
-        dims = ijk.max(axis=0, initial=0.0) + 3.0
+        ijk = np.floor(columns / self._edge)
+        self._origin = ijk.min(axis=1) - 2.0 if ijk.shape[1] else np.zeros(3)
+        ijk -= self._origin[:, None]
+        dims = ijk.max(axis=1, initial=0.0) + 3.0
         if float(np.prod(dims)) >= 2.0**62:
             raise InvalidArgumentError("point extent spans too many cells of the radius")
         self._inner = dims - 2.0
         # Linearized key strides of the three cell coordinates.
         dims = dims.astype(np.int64)
         self._stride = np.array([dims[1] * dims[2], dims[2], 1])
-        keys = ijk.astype(np.int64) @ self._stride
+        keys = self._stride @ ijk.astype(np.int64)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
-        self.columns = np.take(points.T, self.order, axis=1)
+        self.columns = columns[:, self.order]
 
     def _column_runs(self, keys, dx, dy):
         """The sorted-position range ``[lo, hi)`` of the points in the three
@@ -809,18 +839,18 @@ class KeyedPoints:
         Each point of ``a`` near the grid takes the nine column runs of its
         27 neighbouring cells, and only those pairs are tested.
         """
-        a = np.asarray(a, dtype=float).reshape(-1, 3)
-        if len(a) == 0 or len(self.keys) == 0:
+        a = np.ascontiguousarray(np.asarray(a, dtype=float).reshape(-1, 3).T)
+        if a.shape[1] == 0 or len(self.keys) == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-        ijk = np.floor(a / self._edge) - self._origin
-        near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner)).all(axis=1))
-        keys = ijk[near].astype(np.int64) @ self._stride
+        ijk = np.floor(a / self._edge) - self._origin[:, None]
+        near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner[:, None])).all(axis=0))
+        keys = self._stride @ ijk[:, near].astype(np.int64)
         # Sorted keys search faster, each search starting from the last.
         by_key = np.argsort(keys, kind="stable")
         near = near[by_key]
         lo, hi = self._column_runs(keys[by_key], np.repeat([-1, 0, 1], 3), np.array([-1, 0, 1] * 3))
         i, pos = _runs(np.tile(near, 9), lo, hi)
-        d_sq = self._sq_dist(pos, a.T.take(i, axis=1))
+        d_sq = self._sq_dist(pos, a[:, i])
         inside = d_sq <= self.radius * self.radius
         return i[inside], self.order[pos[inside]], d_sq[inside]
 
@@ -862,14 +892,16 @@ def radius_join(a, b, radius):
     ``a`` over a wide ``b`` spans few cells.  A caller that joins many sets
     with one ``b`` keys ``b`` once instead.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 3)
-    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    a = np.ascontiguousarray(np.asarray(a, dtype=float).reshape(-1, 3).T)
+    b = np.ascontiguousarray(np.asarray(b, dtype=float).reshape(-1, 3).T)
     near = np.zeros(0, dtype=np.intp)
-    if len(a):
+    if a.shape[1]:
         reach = radius * CELL_REACH
-        inside = np.all((b >= a.min(axis=0) - reach) & (b <= a.max(axis=0) + reach), axis=1)
-        near = np.flatnonzero(inside)
-    i, j, d_sq = KeyedPoints(b[near], radius).join(a)
+        lo, hi = a.min(axis=1) - reach, a.max(axis=1) + reach
+        near = np.flatnonzero(((b >= lo[:, None]) & (b <= hi[:, None])).all(axis=0))
+    # Transposed views of the columns: the grid and the join take them
+    # back without a copy.
+    i, j, d_sq = KeyedPoints(b[:, near].T, radius).join(a.T)
     return i, near[j], d_sq
 
 
@@ -935,12 +967,11 @@ def extract_dense(points, times, traj=None,
     if traj is not None:
         rot, trans = traj.sample_batch(times)
         world = np.einsum("nij,nj->ni", rot, points) + trans
-        origins = trans
     else:
         world = points
-        origins = np.zeros_like(points)
+    columns = np.ascontiguousarray(world.T)
 
-    i, j, d_sq = _radius_pairs(world, cfg.radius)
+    i, j, d_sq = _radius_pairs(columns.T, cfg.radius)
     conflict = d_sq < cfg.radius * cfg.radius
     seed = _first_independent_set(n, i[conflict], j[conflict])
     # Neighborhood size of every seed: itself and its pairs within the radius.
@@ -956,12 +987,17 @@ def extract_dense(points, times, traj=None,
     member = member[np.argsort(owner * n + member)]
     sizes = gathered[owners]
     count = sizes.astype(float)
-    mean = _segment_mean(world, member, sizes)
-    scatter = _segment_scatter(world, member, sizes, mean)
+    mean = _segment_mean(columns, member, sizes)
+    scatter = _segment_scatter(columns, member, sizes, mean)
+    mean = np.ascontiguousarray(mean.T)
     n_pairs = count * (count - 1.0)
     centroid_cov = scatter / n_pairs[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
     eigenvalues, normals = decomposed = eigh3(scatter)
-    toward_sensor = _segment_mean(origins, member, sizes) - mean
+    # The mean sensor origin less the centroid, in rows: -mean + s is s - mean
+    # bit for bit.
+    toward_sensor = -mean
+    if traj is not None:
+        toward_sensor += _segment_mean(trans.T, member, sizes).T
     normal = np.where(((normals * toward_sensor).sum(axis=1) < 0)[:, None], -normals, normals)
     m = len(owners)
     # The segment scatters are exactly symmetric, so ``decomposed`` is that

@@ -18,6 +18,8 @@ from surfelslam.surfel_map import (
     SparseSurfels,
     _check_sparse,
     _radius_pairs,
+    _segment_mean,
+    _segment_scatter,
     check_dense,
     eigh3,
     eigvalsh3,
@@ -64,7 +66,7 @@ def test_voxelize_matches_bruteforce_moments(rng):
         expected = {
             k: v
             for k, v in oracles.voxel_moments_bruteforce(pts, times, resolution).items()
-            if v[2] >= 5
+            if v[2] >= MIN_POINTS
         }
         assert len(surfels) == len(expected)
         for s in surfels:
@@ -74,6 +76,83 @@ def test_voxelize_matches_bruteforce_moments(rng):
             assert np.allclose(s.centroid, mean, atol=1e-12)
             assert np.allclose(s.covariance, cov, atol=1e-10)
             assert abs(s.timestamp - t_mean) < 1e-9
+
+
+def _row_segment_moments(points, member, sizes):
+    """The segment mean and scatter of (n, 3) rows, summed by ``reduceat``
+    down the rows: the row-major form of the segment kernels."""
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(points[member], starts, axis=0) / sizes[:, None]
+    centered = points[member] - np.repeat(mean, sizes, axis=0)
+    scatter = np.add.reduceat(centered[:, :, None] * centered[:, None, :], starts, axis=0)
+    return mean, scatter
+
+
+def _segment_sizes():
+    # Every size from 1 to 12, where a pairwise sum starts to round
+    # differently from an in-order one, and sizes up to 300.
+    return np.r_[np.arange(1, 13), 17, 64, 127, 128, 129, 255, 300]
+
+
+def test_segment_kernels_match_the_row_major_reference(rng):
+    # Component-first columns sum each segment in the order the rows do, so
+    # the moments agree bit for bit; a pairwise ``.sum`` over a segment of 8
+    # or more terms would not.
+    sizes = _segment_sizes()
+    points = 50.0 + rng.normal(size=(sizes.sum() + 40, 3)) * [3.0, 0.5, 0.01]
+    times = rng.uniform(0.0, 10.0, size=len(points))
+    member = rng.permutation(len(points))[: sizes.sum()]
+    columns = np.ascontiguousarray(points.T)
+    mean, scatter = _row_segment_moments(points, member, sizes)
+    got_mean = _segment_mean(columns, member, sizes)
+    assert np.array_equal(got_mean.T, mean)
+    assert np.array_equal(_segment_scatter(columns, member, sizes, got_mean), scatter)
+    assert np.array_equal(_segment_mean(times, member, sizes),
+                          np.add.reduceat(times[member], np.cumsum(sizes) - sizes) / sizes)
+
+
+def test_voxelize_matches_the_row_major_reference(rng):
+    # Voxels of unit edge holding every size of _segment_sizes, shuffled.
+    sizes = _segment_sizes()
+    cells = rng.permutation(np.array([[x, y, z] for x in range(-3, 3) for y in range(3)
+                                      for z in range(2)]))[: len(sizes)]
+    points = np.repeat(cells, sizes, axis=0) + rng.uniform(size=(sizes.sum(), 3))
+    shuffle = rng.permutation(len(points))
+    points = 20.0 + points[shuffle]
+    times = rng.uniform(0.0, 10.0, size=len(points))
+    got = voxelize_sparse(points, times, [1.0])
+    # The reference groups the rows by voxel in lexicographic order, each
+    # voxel's points in input order.
+    voxel = np.floor(points).astype(np.int64)
+    order = np.lexsort(voxel.T[::-1])
+    starts = np.flatnonzero((np.diff(voxel[order], axis=0, prepend=-1) != 0).any(axis=1))
+    counts = np.diff(starts, append=len(order))
+    kept = counts >= MIN_POINTS
+    member, counts = order[np.repeat(kept, counts)], counts[kept]
+    mean, scatter = _row_segment_moments(points, member, counts)
+    assert np.array_equal(got.count, counts)
+    assert np.array_equal(got.voxel, voxel[order[starts[kept]]])
+    assert np.array_equal(got.centroid, mean)
+    assert np.array_equal(got.covariance, psd_eigh(scatter / (counts - 1.0)[:, None, None])[0])
+    assert np.array_equal(got.timestamp,
+                          np.add.reduceat(times[member], np.cumsum(counts) - counts) / counts)
+
+
+def test_grid_kernels_read_any_memory_order(rng):
+    # Row-major (C) and column-major (F) point sets key and join alike.
+    b = rng.uniform(-1.0, 1.0, size=(500, 3))
+    a = b[::3] + rng.normal(scale=0.05, size=(167, 3))
+    for radius in (0.0, 0.1, 0.3):
+        keyed, keyed_f = KeyedPoints(b, radius), KeyedPoints(np.asfortranarray(b), radius)
+        assert np.array_equal(keyed.keys, keyed_f.keys)
+        assert np.array_equal(keyed.order, keyed_f.order)
+        assert np.array_equal(keyed.columns, keyed_f.columns)
+        want = _sorted_pairs(*keyed.join(a))
+        for got in (keyed.join(np.asfortranarray(a)), keyed_f.join(a),
+                    radius_join(a, b, radius), radius_join(np.asfortranarray(a), b, radius),
+                    radius_join(a, np.asfortranarray(b), radius)):
+            for g, w in zip(_sorted_pairs(*got), want):
+                assert np.array_equal(g, w)
 
 
 def test_voxelize_requires_resolution():
