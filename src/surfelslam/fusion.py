@@ -601,7 +601,7 @@ class FusionStepMetrics:
     n_fused: int
     n_culled: int
     icp_inlier: float
-    icp_dist: float  # m; NaN when the ICP did not run or did not converge
+    icp_dist: float  # m; NaN when the ICP did not run, did not converge or kept no inlier
     triggered: bool
 
 
@@ -666,13 +666,15 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     time.  A robust sparse-surfel ICP of the local sparse map against that
     inactive set, when both hold at least ``ICP_MIN_SURFELS``, raises a
     deformation trigger when it converged, its inlier fraction exceeds
-    ``INLIER_THRESHOLD``, its translation exceeds ``DISTANCE_THRESHOLD``
-    (see ``icp_point_to_plane`` for the inlier definition) and its pairs
+    ``INLIER_THRESHOLD`` (see ``icp_point_to_plane`` for the inlier
+    definition), its misalignment exceeds ``DISTANCE_THRESHOLD`` and its pairs
     constrain every translation direction (normal eigenvalue ratio at least
     ``MIN_NORMAL_EIGEN_RATIO``); otherwise inactive surfels that overlap the
-    active map may be merged back.  The result holds the ICP's
-    :class:`IcpResult` (None when it did not run), and as the trigger when
-    it raised one.  Surfels observed fewer than ``STABLE_OBS`` times whose last
+    active map may be merged back.  The misalignment (``icp_dist``) is
+    measured at the overlap: the shift ``|R c + t - c|`` the ICP's pose
+    applies to the mean ``c`` of its inlier source centroids.  The result
+    holds the ICP's :class:`IcpResult` (None when it did not run), and as
+    the trigger when it raised one.  Surfels observed fewer than ``STABLE_OBS`` times whose last
     observation is older than ``cfg.cull_age`` are deleted.
 
     The step reads the dense map's batch as its snapshot and stores the next
@@ -726,7 +728,13 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
                 icp.normal_eigen_ratio,
             )
     converged = icp is not None and icp.converged
-    misalignment = float(np.linalg.norm(icp.translation)) if converged else np.nan
+    misalignment = np.nan
+    if converged and len(icp.pairs[0]):
+        # How far the ICP moves the overlap: the shift |R c + t - c| of the
+        # mean c of its inlier sources.  |t| is the shift of the world origin,
+        # which a small turn moves by the overlap's distance from it.
+        c = icp.pairs[0].mean(axis=0)
+        misalignment = float(np.linalg.norm(icp.rotation @ c + icp.translation - c))
     if (
         converged
         and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO

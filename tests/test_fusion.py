@@ -440,10 +440,35 @@ def test_temporal_fusion_shifted_inactive_triggers(seed):
     local = make_local_maps(rng, local_pts, timestamp=100.0)
     r = temporal_fusion_step(local, global_maps, cfg, step=1)
     assert r.trigger is not None and r.icp.converged
-    assert r.metrics.icp_dist == np.linalg.norm(r.trigger.translation)
+    c = r.trigger.pairs[0].mean(axis=0)
+    assert r.metrics.icp_dist == np.linalg.norm(r.trigger.rotation @ c + r.trigger.translation - c)
     assert abs(r.trigger.translation[0] - 0.2) < 0.01
     assert np.linalg.norm(r.trigger.translation[1:]) < 0.01
     assert np.linalg.norm(r.trigger.rotation - np.eye(3)) < 0.02
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_temporal_fusion_measures_the_misalignment_at_the_overlap(seed):
+    # A drift-free corner re-seen with fresh 3 mm noise: the ICP turns it a
+    # little about the overlap, and |t| about the world origin grows with the
+    # corner's distance from it (2-25 mm at 50 m).  The overlap's own shift
+    # does not.  A 0.2 m shift triggers wherever the corner lies.
+    cfg = TemporalFusionConfig(active_window=30.0)
+    for place in (0.0, 20.0, 50.0):
+        for shift, triggers in ((0.0, False), (0.2, True)):
+            rng = np.random.default_rng(seed)
+            base = corner_scene_points(rng, n=4500) + rng.normal(scale=0.003, size=(4500, 3))
+            base += [place, 0.0, 0.0]
+            global_maps = GlobalMaps()
+            temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps, cfg)
+            seen = base[rng.uniform(size=len(base)) < 0.8] - [shift, 0.0, 0.0]
+            r = temporal_fusion_step(make_local_maps(rng, seen, timestamp=100.0), global_maps,
+                                     cfg, step=1)
+            assert r.icp.converged and r.metrics.triggered == triggers
+            if triggers:
+                assert abs(r.metrics.icp_dist - shift) < 0.02
+            else:
+                assert r.metrics.icp_dist < 0.005
 
 
 def test_temporal_fusion_reports_no_distance_without_a_converged_icp(rng, caplog):
