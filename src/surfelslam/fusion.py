@@ -674,8 +674,9 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     measured at the overlap: the shift ``|R c + t - c|`` the ICP's pose
     applies to the mean ``c`` of its inlier source centroids.  The result
     holds the ICP's :class:`IcpResult` (None when it did not run), and as
-    the trigger when it raised one.  Surfels observed fewer than ``STABLE_OBS`` times whose last
-    observation is older than ``cfg.cull_age`` are deleted.
+    the trigger when it raised one.  Surfels observed fewer than
+    ``STABLE_OBS`` times whose last observation is older than
+    ``cfg.cull_age`` are deleted.
 
     The step reads the dense map's batch as its snapshot and stores the next
     batch once, at the end: the stored rows, in their order, with the fused

@@ -680,7 +680,8 @@ _UPPER_I, _UPPER_J = np.triu_indices(3)
 def _segment_scatter(columns, member, sizes, mean):
     """Accrued scatter ``sum (p - m)(p - m)^T`` of the (3, n) ``columns``
     at ``member`` over each run of ``sizes`` consecutive entries, about the
-    run's (3, m) mean column ``m``, as an (m, 3, 3) stack.
+    run's mean ``m`` (a column of the (3, m) ``mean``), as an (m, 3, 3)
+    stack.
 
     The six distinct products ``c_i c_j`` are summed as (6, ·) rows by one
     ``reduceat`` and mirrored into the lower triangle (``c_i c_j`` equals
