@@ -7,8 +7,9 @@ Each stage works on stacks: the beam noise of every return, the gates of
 every candidate pair, and the Wishart and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
-``fuse_surfel``) are the batch functions on a batch of one; a surfel record
-enters through ``DenseSurfels.of``, which checks it.  A fusion step reads
+``fuse_surfel``) are the batch functions on a batch of one; a dense surfel
+record enters through ``DenseSurfels.of``, which checks it.  Sparse surfels
+enter only as ``SparseSurfels`` batches.  A fusion step reads
 the global dense map's one batch and builds the next one, which replaces
 it: it folds its measurements into their destinations in rounds, each
 round fusing the next pending measurement of every destination, and checks
@@ -44,8 +45,8 @@ import numpy as np
 
 from . import lie
 from .errors import DegenerateGeometryError, InvalidArgumentError
-from .local_mapping import (RANK_TOL, SIGMA_PRIOR, IterationRecord, OptimizationReport,
-                            OptimizerConfig, _Cauchy, _plane_rows, solve)
+from .local_mapping import (CHI2_TOL, RANK_TOL, SIGMA_PRIOR, IterationRecord,
+                            OptimizationReport, _Cauchy, _plane_rows, solve)
 from .surfel_map import (
     DenseSurfel,
     DenseSurfelMap,
@@ -55,6 +56,7 @@ from .surfel_map import (
     SparseSurfels,
     _concat,
     _put,
+    _require_sparse,
     _row_dot,
     check_dense,
     eigvalsh3,
@@ -93,9 +95,9 @@ def incidence_variance(angle, range_m):
     return (range_m * np.tan(np.minimum(angle, GRAZING_CUTOFF)) * BEAM_DIVERGENCE) ** 2
 
 
-def beam_noise_batch(sensor_origin, points, surface_normals=None):
+def beam_noise_batch(sensor_origin, points, surface_normals):
     """World-frame measurement noise of each return in ``points`` seen from
-    ``sensor_origin``, given the surface normals when known."""
+    ``sensor_origin``, on surfaces of the given normals."""
     beam = np.asarray(points, dtype=float).reshape(-1, 3) - np.asarray(sensor_origin, dtype=float)
     range_m = np.sqrt(_row_dot(beam, beam))
     # A return at the sensor has no beam direction: isotropic range noise.
@@ -104,12 +106,10 @@ def beam_noise_batch(sensor_origin, points, surface_normals=None):
     range_m[at_sensor] = 1.0
     unit = beam / range_m[:, None]
     sigma_d = SIGMA_D_BASE + SIGMA_D_PER_METER * range_m
-    sigma_i_sq = np.zeros(len(beam))
-    if surface_normals is not None:
-        normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
-        cos_i = np.abs(_row_dot(normals, unit))
-        angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
-        sigma_i_sq = incidence_variance(angle, range_m)
+    normals = np.asarray(surface_normals, dtype=float).reshape(-1, 3)
+    cos_i = np.abs(_row_dot(normals, unit))
+    angle = np.arccos(np.clip(cos_i, 0.0, 1.0))
+    sigma_i_sq = incidence_variance(angle, range_m)
     # Range noise across the beam, depth plus incidence noise along it:
     # sigma_r^2 I + (sigma_d^2 + sigma_i^2 - sigma_r^2) b b^T for the unit
     # beam b, symmetric as computed.
@@ -118,10 +118,9 @@ def beam_noise_batch(sensor_origin, points, surface_normals=None):
     return SIGMA_R**2 * np.eye(3) + along[:, None, None] * outer
 
 
-def beam_noise_for_return(sensor_origin, point, surface_normal=None):
+def beam_noise_for_return(sensor_origin, point, surface_normal):
     """World-frame measurement noise for one return given the scan geometry."""
-    normals = None if surface_normal is None else [surface_normal]
-    return beam_noise_batch(sensor_origin, [point], normals)[0]
+    return beam_noise_batch(sensor_origin, [point], [surface_normal])[0]
 
 
 # -- matching ---------------------------------------------------------------
@@ -463,8 +462,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
 
     Each round pairs the sources at the current pose (:func:`_associate`),
     then runs the window's damped Gauss-Newton driver
-    (``local_mapping.solve``, at the window's default ``chi2_tol`` and
-    ``max_iterations``) on the point-to-plane distances of those pairs,
+    (``local_mapping.solve``) on the point-to-plane distances of those pairs,
     each whitened by ``SIGMA_PRIOR / sqrt(w)`` of its destination's
     planarity ``w`` (at least 0.05) and all Cauchy-robust; the kernel's
     annealed scale carries over from round to round.  The report's reason
@@ -473,7 +471,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
     - ``"same_pairs"``, converged: a round paired exactly as the one
       before;
     - ``"cost_decrease"``, converged: the last round lowered the cost by
-      less than ``chi2_tol``, its ``stop_decrease``;
+      less than ``CHI2_TOL``, its ``stop_decrease``;
     - ``"cycle"``: a round paired exactly as a round before the one before
       it, so the pairings repeat;
     - ``"max_rounds"``: ``ICP_MAX_ITERATIONS`` rounds ran out;
@@ -482,8 +480,9 @@ def icp_point_to_plane(src_surfels, dst_surfels):
       as an exactly planar overlap gives.
 
     Its records are every round's, each round's starting from its
-    iteration 0.  Each round's fit steps only along the directions that its
-    pairs observe, freezing the weak ones (see :class:`_PlaneProblem`).
+    iteration 0; a call that stops before its first round has none.  Each
+    round's fit steps only along the directions that its pairs observe,
+    freezing the weak ones (see :class:`_PlaneProblem`).
     Each source surfel pairs with its nearest destination centroid closer
     than ``MAX_PAIR_DISTANCE`` whose normal is compatible with the rotated
     source normal (``|R n_s . n_d| > NORMAL_COMPATIBILITY``), so voxels on
@@ -500,11 +499,10 @@ def icp_point_to_plane(src_surfels, dst_surfels):
     the inlier fraction is taken over all the pairs, since overlap itself
     is required separately (at least six pairs, and the caller's minimum
     surfel counts); the eigenvalue ratio of ``sum(w n n^T)`` is near 0 when
-    the pairs leave a translation direction free.  Either set is a
-    ``SparseSurfels`` batch or a list of ``SparseSurfel`` records, checked
-    once (``SparseSurfels.of``).
+    the pairs leave a translation direction free.  Either set must be a
+    ``SparseSurfels`` batch; anything else raises ``InvalidArgumentError``.
     """
-    src, dst = SparseSurfels.of(src_surfels), SparseSurfels.of(dst_surfels)
+    src, dst = _require_sparse(src_surfels), _require_sparse(dst_surfels)
     keyed = KeyedPoints(dst.centroid, MAX_PAIR_DISTANCE)
     weights = np.maximum(dst.planarity, 0.05)
     pose, records, decrease = (np.eye(3), np.zeros(3)), [], np.inf
@@ -514,7 +512,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         pairing = np.stack([src_idx, dst_idx]).tobytes()
         reason = ("too_few_pairs" if src_idx.size < 6 else "same_pairs" if pairing == last
                   else "cycle" if pairing in seen
-                  else "cost_decrease" if decrease < OptimizerConfig.chi2_tol
+                  else "cost_decrease" if decrease < CHI2_TOL
                   else "max_rounds" if rounds == ICP_MAX_ITERATIONS else None)
         if reason:
             break
@@ -523,8 +521,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         problem = _PlaneProblem(src.centroid[src_idx], dst.centroid[dst_idx], dst.normal[dst_idx],
                                 SIGMA_PRIOR / np.sqrt(weights[dst_idx]), scale)
         try:
-            it, report = solve(problem, problem.evaluate(np.zeros(6), pose),
-                               OptimizerConfig.chi2_tol, OptimizerConfig.max_iterations)
+            it, report = solve(problem, problem.evaluate(np.zeros(6), pose))
         except DegenerateGeometryError:
             reason = "rank_deficient"
             break
@@ -552,9 +549,10 @@ def icp_point_to_plane(src_surfels, dst_surfels):
 class LocalMaps:
     """One window's output: local sparse/dense maps plus the sensor origin.
 
-    ``sparse`` and ``dense`` are ``SparseSurfels`` and ``DenseSurfels``
-    batches; a list of surfel records is stacked and checked into one.  The
-    sensor origin must be a finite 3-vector and the timestamp finite.
+    ``sparse`` must be a ``SparseSurfels`` batch.  ``dense`` is a
+    ``DenseSurfels`` batch; a list of ``DenseSurfel`` records is stacked and
+    checked into one.  The sensor origin must be a finite 3-vector and the
+    timestamp finite.
     """
 
     sparse: SparseSurfels
@@ -566,7 +564,7 @@ class LocalMaps:
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float)
         if self.sensor_origin.shape != (3,) or not np.isfinite(self.sensor_origin).all():
             raise InvalidArgumentError("sensor origin must be a finite 3-vector")
-        self.sparse = SparseSurfels.of(self.sparse)
+        self.sparse = _require_sparse(self.sparse)
         self.dense = DenseSurfels.of(self.dense)
         if self.timestamp is None:
             self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
@@ -580,15 +578,18 @@ class LocalMaps:
 INLIER_THRESHOLD = 0.35
 DISTANCE_THRESHOLD = 0.05
 ICP_MIN_SURFELS = 10
-# A surfel observed fewer times than this is culled once it is old enough.
+# A surfel observed fewer times than this is culled once its last
+# observation is older than CULL_AGE seconds.
 STABLE_OBS = 3
+CULL_AGE = 60.0
+# Inactive surfels are re-activated only while fewer than this many gaps
+# remain (theta_n).
+GAP_THRESHOLD = 20
 
 
 @dataclass
 class TemporalFusionConfig:
     active_window: float = 30.0
-    cull_age: float = 60.0
-    gap_threshold: int = 20  # theta_n
     match: MatchParams = field(default_factory=MatchParams)
 
 
@@ -607,9 +608,11 @@ class FusionStepMetrics:
 
 @dataclass
 class TemporalFusionResult:
+    """A step's counts, and its ICP (None when the ICP did not run), which
+    raised a loop-closure trigger when ``metrics.triggered``."""
+
     metrics: FusionStepMetrics
-    trigger: IcpResult | None  # the ICP, when it raised a loop-closure trigger
-    icp: IcpResult | None  # None when the ICP did not run
+    icp: IcpResult | None
 
 
 def _rounds(slot):
@@ -673,10 +676,10 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     active map may be merged back.  The misalignment (``icp_dist``) is
     measured at the overlap: the shift ``|R c + t - c|`` the ICP's pose
     applies to the mean ``c`` of its inlier source centroids.  The result
-    holds the ICP's :class:`IcpResult` (None when it did not run), and as
-    the trigger when it raised one.  Surfels observed fewer than
-    ``STABLE_OBS`` times whose last observation is older than
-    ``cfg.cull_age`` are deleted.
+    holds the ICP's :class:`IcpResult` (None when it did not run), and
+    ``metrics.triggered`` tells whether it raised a trigger.  Surfels
+    observed fewer than ``STABLE_OBS`` times whose last observation is older
+    than ``CULL_AGE`` are deleted.
 
     The step reads the dense map's batch as its snapshot and stores the next
     batch once, at the end: the stored rows, in their order, with the fused
@@ -714,7 +717,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
     inactive_sparse = sparse[now - sparse.timestamp > cfg.active_window]
     global_maps.sparse.fuse(local.sparse)
 
-    trigger = icp = None
+    icp = None
     if (
         len(local.sparse) >= ICP_MIN_SURFELS
         and len(inactive_sparse) >= ICP_MIN_SURFELS
@@ -736,14 +739,13 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         # which a small turn moves by the overlap's distance from it.
         c = icp.pairs[0].mean(axis=0)
         misalignment = float(np.linalg.norm(icp.rotation @ c + icp.translation - c))
-    if (
+    triggered = (
         converged
         and icp.normal_eigen_ratio >= MIN_NORMAL_EIGEN_RATIO
         and icp.inlier_fraction > INLIER_THRESHOLD
         and misalignment > DISTANCE_THRESHOLD
-    ):
-        trigger = icp
-    elif inactive.any():
+    )
+    if not triggered and inactive.any():
         # Map coherency: re-activate inactive surfels that already overlap
         # the active map, unless too many gaps remain.  An inactive surfel
         # overlaps when an active one lies within theta_r, and is a gap when
@@ -755,12 +757,12 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         )
         overlapping = np.unique(near[d_sq <= theta_r * theta_r])
         gaps = len(np.unique(near)) - len(overlapping)
-        if len(overlapping) and gaps < cfg.gap_threshold:
+        if len(overlapping) and gaps < GAP_THRESHOLD:
             woken = asleep[overlapping]
             state.timestamp[woken] = now
             inactive[woken] = False
 
-    culled = (state.obs_count < STABLE_OBS) & (now - state.timestamp > cfg.cull_age)
+    culled = (state.obs_count < STABLE_OBS) & (now - state.timestamp > CULL_AGE)
     global_maps.dense.batch = state[~culled]
 
     metrics = FusionStepMetrics(
@@ -772,6 +774,6 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
         n_culled=int(np.count_nonzero(culled)),
         icp_inlier=0.0 if icp is None else icp.inlier_fraction,
         icp_dist=misalignment,
-        triggered=trigger is not None,
+        triggered=triggered,
     )
-    return TemporalFusionResult(metrics, trigger, icp)
+    return TemporalFusionResult(metrics, icp)

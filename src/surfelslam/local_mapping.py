@@ -81,6 +81,10 @@ CAUCHY_SCALE = 3.0  # floor of the annealed Cauchy scale, whitened, i.e. 3 sigma
 DAMPING_INIT, DAMPING_RETRIES = 1e-6, 5
 # An eigenvalue of H below this fraction of the largest is a null direction.
 RANK_TOL = 1e-12
+# The driver's stopping tolerance, in χ² units (see solve), and its cap on
+# accepted steps.
+CHI2_TOL = 1e-3
+MAX_ITERATIONS = 50
 # An IMU group's moment coefficients on its four queries: the constant part,
 # then the part per (n - 1) / 2 of a group of n samples.
 _MOMENT_COEF = np.array([
@@ -134,19 +138,11 @@ class OptState:
 
 @dataclass
 class OptimizerConfig:
-    """Window optimizer settings; the residual whitening (``SIGMA_*``), the
-    Cauchy floor and the damping are module constants.
-
-    ``chi2_tol`` is the stopping tolerance, in the units of the window cost:
-    a sum of squared whitened residuals, so one unit is one χ² unit.  A
-    window stops once the decrease its Gauss-Newton model predicts for the
-    next step, or the decrease an accepted step achieved, is below it (see
-    :func:`solve`).
-    """
+    """Window optimizer settings: the window's length.  The residual
+    whitening (``SIGMA_*``), the Cauchy floor, the damping and the stop
+    rules (``CHI2_TOL``, ``MAX_ITERATIONS``) are module constants."""
 
     window: float = 5.0
-    max_iterations: int = 50
-    chi2_tol: float = 1e-3
 
 
 @dataclass
@@ -179,7 +175,9 @@ class OptimizationReport:
     the model's prediction for a ``"predicted_decrease"`` stop (the chord
     model's after an accepted step, the freshly built model's otherwise; see
     :func:`solve`), the accepted step's actual decrease for a
-    ``"cost_decrease"`` stop, NaN for any other reason.
+    ``"cost_decrease"`` stop, NaN for any other reason.  ``final_cost`` is
+    the last record's cost, NaN for a report without records (an ICP that
+    stopped before its first round).
     """
 
     records: list
@@ -189,7 +187,7 @@ class OptimizationReport:
 
     @property
     def final_cost(self):
-        return self.records[-1].cost
+        return self.records[-1].cost if self.records else np.nan
 
 
 def _knot_band(idx, weights):
@@ -896,8 +894,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     The cost is the sum of squared whitened residuals, Cauchy-robust on the
     surfel and prior rows, so its unit is one χ² unit.  The window stops by
-    the rules of :func:`solve`, with ``cfg.chi2_tol`` and
-    ``cfg.max_iterations``; when the cost cannot be lowered
+    the rules of :func:`solve`; when the cost cannot be lowered
     (``"no_progress"``), :class:`NoProgressError` carries the last
     accepted state, trajectory and report.  A rank-deficient window raises
     :class:`DegenerateGeometryError` before any step.
@@ -925,7 +922,7 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
 
     state = OptState(init.grid, init.accel_bias.copy(), init.gyro_bias.copy())
     it = system.evaluate(np.zeros(system.n_params()), state)
-    it, report = solve(system, it, cfg.chi2_tol, cfg.max_iterations)
+    it, report = solve(system, it)
     if report.reason == "no_progress":
         raise NoProgressError("cost failed to decrease after damping retries", best_state=it.state,
                               best_trajectory=_trajectory_from(system), report=report)
@@ -969,7 +966,7 @@ class _Cauchy:
         return float(np.sum(c * c * np.log1p((robust / c) ** 2)) + np.sum(quad * quad))
 
 
-def solve(problem, it, chi2_tol, max_iterations):
+def solve(problem, it):
     """Damped Gauss-Newton on ``problem`` from its iterate ``it`` of zero
     correction: the final iterate and an :class:`OptimizationReport`.
 
@@ -983,28 +980,29 @@ def solve(problem, it, chi2_tol, max_iterations):
     and ``record(iteration, cost, residuals, step_norm)``, an
     :class:`IterationRecord`.
 
-    The cost is the kernel's, in χ² units.  Each iteration solves the
+    The cost is the kernel's, in χ² units: a sum of squared whitened
+    residuals, so one unit is one χ² unit.  Each iteration solves the
     damped normal equations for a step ``delta`` and takes its model
     decrease ``-2 delta.g - delta.H delta`` in the same units.  The driver
     stops, converged, with reason
 
     - ``"predicted_decrease"`` when that model decrease is below
-      ``chi2_tol``; the step is then not evaluated;
+      ``CHI2_TOL``; the step is then not evaluated;
     - ``"predicted_decrease"`` as well when, after an accepted step, the
-      chord model predicts less than ``chi2_tol``: the last build's H at
+      chord model predicts less than ``CHI2_TOL``: the last build's H at
       the current damping, with the gradient ``J_k^T w_{k+1}`` of the last
       build's Jacobian and the accepted step's weighted residuals.  It then
       stops without building the normal equations again; otherwise they
       are built and tested as above;
     - ``"cost_decrease"`` when an accepted step lowered the cost by less
-      than ``chi2_tol``;
+      than ``CHI2_TOL``;
     - ``"zero_cost"`` when the cost is below 1e-16.
 
     A rejected step is solved again with ten times the damping, up to
     ``DAMPING_RETRIES`` times; the damping falls by three after an
     accepted step.  When every retry fails to lower the cost while the model
-    still predicts at least ``chi2_tol``, it stops unconverged with
-    ``"no_progress"`` at the last accepted iterate; after ``max_iterations``
+    still predicts at least ``CHI2_TOL``, it stops unconverged with
+    ``"no_progress"`` at the last accepted iterate; after ``MAX_ITERATIONS``
     accepted steps, with ``"max_iterations"``.
 
     The first build's H is checked for rank before any step: an eigenvalue
@@ -1022,7 +1020,7 @@ def solve(problem, it, chi2_tol, max_iterations):
     lam = DAMPING_INIT
     reason, stop_decrease = "max_iterations", np.nan
     hess = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if cost < 1e-16:
             reason = "zero_cost"
             break
@@ -1035,7 +1033,7 @@ def solve(problem, it, chi2_tol, max_iterations):
                 _, chord = _model_step(hess, chord_grad, lam * diag)
             except np.linalg.LinAlgError:
                 chord = np.inf
-            if chord < chi2_tol:
+            if chord < CHI2_TOL:
                 reason, stop_decrease = "predicted_decrease", chord
                 break
         hess, grad = problem.normal_equations(it, weighted)
@@ -1055,7 +1053,7 @@ def solve(problem, it, chi2_tol, max_iterations):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            if decrease < chi2_tol:
+            if decrease < CHI2_TOL:
                 break
             candidate = problem.evaluate(it.x + delta, it.state)
             if problem.robust.cost(candidate.residuals) < cost:
@@ -1064,7 +1062,7 @@ def solve(problem, it, chi2_tol, max_iterations):
         else:
             reason = "no_progress"
             break
-        if decrease < chi2_tol:
+        if decrease < CHI2_TOL:
             reason, stop_decrease = "predicted_decrease", decrease
             break
 
@@ -1076,7 +1074,7 @@ def solve(problem, it, chi2_tol, max_iterations):
         new_cost = problem.robust.cost(it.residuals)
         decrease, cost = cost - new_cost, new_cost
         records.append(problem.record(iteration, cost, it.residuals, float(np.linalg.norm(delta))))
-        if decrease < chi2_tol:
+        if decrease < CHI2_TOL:
             reason, stop_decrease = "cost_decrease", decrease
             break
 

@@ -3,27 +3,30 @@ disc surfels with Wishart state, the global sparse/dense map pair, and the
 one fixed-radius lookup every caller shares.
 
 Surfels are stored as arrays.  A ``DenseSurfels`` or ``SparseSurfels``
-batch holds one array per field of ``DenseSurfel`` or ``SparseSurfel`` with
-the surfels along the first axis.  ``DenseSurfelMap`` holds one such
-batch in insertion order, which each fusion step replaces; a surfel's key
-is its row.  ``SparseSurfelMap`` keeps one row per (resolution, voxel) key,
-where the voxel is the integer index ``voxelize_sparse`` computed, in the
-order the keys were first fused; a fuse matches the keys of a whole batch,
-each key at most once, by one sort and pools every revisited voxel by one
-stacked ``merge_moments``.  A surfel is a value: ``DenseSurfel`` and
-``SparseSurfel`` are plain records that check nothing, and a batch hands
-one out as a read view of a row, a record of copies.
+batch holds one array per field, in the order of its ``_LAYOUT``, with the
+surfels along the first axis.  ``DenseSurfelMap`` holds one such batch in
+insertion order, which each fusion step replaces; a surfel's key is its
+row.  ``SparseSurfelMap`` keeps one row per (resolution, voxel) key, where
+the voxel is the integer index ``voxelize_sparse`` computed, in the order
+the keys were first fused; a fuse matches the keys of a whole batch, each
+key at most once, by one sort and pools every revisited voxel by one
+stacked ``merge_moments``.  Sparse surfels exist only as batches: the sparse
+fuse, the ICP and ``fusion.LocalMaps`` refuse anything else
+(``_require_sparse``).  A dense surfel may also be a ``DenseSurfel``
+record, which checks nothing; ``DenseSurfels.of`` stacks and checks a list
+of them.  A batch hands out a row as a read view of copies: a
+``DenseSurfel``, or a namespace of a sparse row's fields.
 
-Records carry data; batches carry the checks.  One function per kind
-validates surfel fields over a whole batch.  ``check_dense`` requires
-finite values of the right shapes, symmetrized positive semidefinite
-covariances, unit normals and ``dof`` of at least one; ``_check_sparse``
-requires finite values of the right shapes, positive resolutions and
-symmetrized positive semidefinite covariances, and derives each normal and
-planarity from the covariance.  Each runs once per batch where a batch is
-made: extraction, a fusion step's fused rows, a sparse fuse's pooled rows,
-and ``DenseSurfels.of`` or ``SparseSurfels.of`` over a list of records.  A
-batch passes through ``of`` unchanged.
+Batches carry the checks.  One function per kind validates surfel fields
+over a whole batch.  ``check_dense`` requires finite values of the right
+shapes, symmetrized positive semidefinite covariances, unit normals and
+``dof`` of at least one; ``_check_sparse`` requires finite values of the
+right shapes, positive resolutions and symmetrized positive semidefinite
+covariances, and derives each normal and planarity from the covariances'
+eigenpairs.  Each runs once per batch where a batch is made: extraction, a
+fusion step's fused rows, voxelization, a sparse fuse's pooled rows, and
+``DenseSurfels.of`` over a list of records.  A batch passes through ``of``
+unchanged.
 
 Every 3×3 eigendecomposition goes through one batched closed-form kernel,
 ``eigh3`` (Smith's eigenvalues and the smallest eigenvector from a cross
@@ -37,8 +40,8 @@ extraction takes its normals, its clamp and its whole check from one
 from theirs; voxelization and the sparse fuse hand the clamp's eigenpairs
 to ``_check_sparse`` for the normals, planarities and PSD check; and
 fusion's Wishart update (``fusion.fuse_batch``) hands them to the normal
-extraction and to ``check_dense``.  The checks decompose only what they are
-not given eigenvalues for: lists of records and direct calls.
+extraction and to ``check_dense``.  ``check_dense`` decomposes only what
+it is not given eigenvalues for: lists of records and direct calls.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
 al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
@@ -80,6 +83,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -306,12 +310,12 @@ _DENSE_LAYOUT = {
 
 class _Batch:
     """Rows of a surfel batch: ``_LAYOUT`` gives each field's per-surfel
-    shape and dtype, ``_VALUE`` the record class a row is viewed as, and
-    ``_check`` the kind's check of the stacked fields of a list of records.
+    shape and dtype, in field order, and ``_VALUE`` the type a row is viewed
+    as.
 
-    An integer index (a numpy integer too) gives a view of that row, a record
-    of copies, any other index the sub-batch it selects; iteration yields
-    views.
+    An integer index (a numpy integer too) gives a view of that row, its
+    fields copied, any other index the sub-batch it selects; iteration
+    yields views.
     """
 
     def __len__(self):
@@ -329,22 +333,6 @@ class _Batch:
     def empty(cls, n=0):
         """``n`` zero rows, to be filled."""
         return cls(*(np.zeros((n,) + shape, dtype) for shape, dtype in cls._LAYOUT.values()))
-
-    @classmethod
-    def of(cls, surfels):
-        """The batch of a list of surfel records, stacked field by field and
-        checked once by the kind's check, or ``surfels`` itself when it is a
-        batch."""
-        if isinstance(surfels, cls):
-            return surfels
-        surfels = list(surfels)
-        if not surfels:
-            return cls.empty()
-        try:
-            fields = {f: np.array([getattr(s, f) for s in surfels]) for f in cls._LAYOUT}
-        except ValueError:
-            raise InvalidArgumentError("surfel fields of one name must share one shape") from None
-        return cls._check(**fields)
 
 
 def _row(batch, k):
@@ -367,17 +355,16 @@ def _concat(a, b):
     return type(a)(*(np.concatenate([getattr(a, f), getattr(b, f)]) for f in a._LAYOUT))
 
 
-def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eigh=None):
+def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eigh):
     """The one check of sparse surfel fields, over a stack of surfels.
 
     Every field must have its per-surfel shape, with one common length, and
     finite values, and resolutions must be positive.  Covariances are
-    symmetrized and must be positive semidefinite within tolerance.  Returns
+    symmetrized and must be positive semidefinite within tolerance, by their
+    eigenvalues in ``eigh``, the covariances' ``(eigenvalues, normals)``
+    (from ``psd_eigh``, whose covariances are exactly symmetric).  Returns
     the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
     eigenvector of its covariance and each planarity ``(l1 - l0) / l2``.
-    ``eigh`` is the covariances' ``(eigenvalues, normals)`` when the caller
-    has them (from ``psd_eigh``, whose covariances are exactly symmetric);
-    otherwise one ``eigh3`` decomposes the covariances here.
     """
     values = {"centroid": centroid, "covariance": covariance, "count": count,
               "resolution": resolution, "timestamp": timestamp, "voxel": voxel}
@@ -391,7 +378,7 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eig
     if (values["resolution"] <= 0.0).any():
         raise InvalidArgumentError("sparse surfel resolution must be positive")
     values["covariance"] = _symmetrize(values["covariance"])
-    eigenvalues, normals = eigh3(values["covariance"]) if eigh is None else eigh
+    eigenvalues, normals = eigh
     _require_psd(eigenvalues, "sparse surfel covariance")
     scale = np.maximum(eigenvalues[:, 2], 1e-30)
     return SparseSurfels(
@@ -401,32 +388,15 @@ def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eig
     )
 
 
-@dataclass(frozen=True)
-class SparseSurfel:
-    """Ellipsoid surfel: the point statistics of one voxel at one
-    resolution, a record that checks nothing.
+@dataclass(frozen=True, eq=False)
+class SparseSurfels(_Batch):
+    """A batch of ellipsoid surfels, each the point statistics of one voxel
+    at one resolution, along the first axis of every field.
 
     ``voxel`` is the voxel's integer index.  ``normal`` (the covariance's
     smallest-eigenvalue eigenvector) and ``planarity`` are derived from the
-    covariance: a view carries its batch's, and ``SparseSurfels.of`` derives
-    them afresh from each record's covariance.
+    covariance.  Batches come from ``_check_sparse``, or are rows of one.
     """
-
-    centroid: np.ndarray
-    covariance: np.ndarray
-    count: int
-    resolution: float
-    timestamp: float
-    voxel: np.ndarray
-    normal: np.ndarray
-    planarity: float
-
-
-@dataclass(frozen=True, eq=False)
-class SparseSurfels(_Batch):
-    """A batch of sparse surfels: one array per ``SparseSurfel`` field, the
-    surfels along the first axis.  Batches come from ``_check_sparse``, from
-    ``SparseSurfels.of`` over records, or from rows of either."""
 
     centroid: np.ndarray
     covariance: np.ndarray
@@ -438,12 +408,17 @@ class SparseSurfels(_Batch):
     planarity: np.ndarray
 
     _LAYOUT = _SPARSE_LAYOUT
-    _VALUE = SparseSurfel
+    # A row view only: the benchmark's voxel spot check iterates the rows of
+    # a batch.
+    _VALUE = SimpleNamespace
 
-    @staticmethod
-    def _check(normal, planarity, **fields):
-        # The check derives the normals and planarities from the covariances.
-        return _check_sparse(**fields)
+
+def _require_sparse(surfels):
+    """``surfels`` when it is a ``SparseSurfels`` batch; anything else
+    raises ``InvalidArgumentError``."""
+    if not isinstance(surfels, SparseSurfels):
+        raise InvalidArgumentError("sparse surfels must be a SparseSurfels batch")
+    return surfels
 
 
 @dataclass(frozen=True)
@@ -469,9 +444,10 @@ class DenseSurfel:
 
 @dataclass(frozen=True, eq=False)
 class DenseSurfels(_Batch):
-    """A batch of dense surfels: one array per ``DenseSurfel`` field, the
-    surfels along the first axis.  Batches come from ``check_dense``, from
-    ``DenseSurfels.of`` over records, or from rows of either."""
+    """A batch of dense surfels: one array per ``DenseSurfel`` field, in its
+    order, the surfels along the first axis.  Batches come from
+    ``check_dense``, from ``DenseSurfels.of`` over records, or from rows of
+    either."""
 
     centroid: np.ndarray
     normal: np.ndarray
@@ -485,9 +461,21 @@ class DenseSurfels(_Batch):
     _LAYOUT = _DENSE_LAYOUT
     _VALUE = DenseSurfel
 
-    @staticmethod
-    def _check(**fields):
-        return check_dense(DenseSurfels(**fields))
+    @classmethod
+    def of(cls, surfels):
+        """The batch of a list of ``DenseSurfel`` records, stacked field by
+        field and checked once by ``check_dense``, or ``surfels`` itself
+        when it is a batch."""
+        if isinstance(surfels, cls):
+            return surfels
+        surfels = list(surfels)
+        if not surfels:
+            return cls.empty()
+        try:
+            fields = {f: np.array([getattr(s, f) for s in surfels]) for f in cls._LAYOUT}
+        except ValueError:
+            raise InvalidArgumentError("surfel fields of one name must share one shape") from None
+        return check_dense(cls(**fields))
 
 
 def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
@@ -615,8 +603,8 @@ class SparseSurfelMap:
         return self._rows
 
     def fuse(self, surfels):
-        """Pool each of ``surfels`` (a batch or a list) into the row of its
-        key; no two of them may share a key.
+        """Pool each of ``surfels``, a ``SparseSurfels`` batch, into the row
+        of its key; no two of them may share a key.
 
         Equal to one ``merge_moments`` of each surfel into its stored row,
         the row taking the later timestamp; a surfel with a new key adds a
@@ -625,7 +613,7 @@ class SparseSurfelMap:
         ``merge_moments``, and the pooled rows are checked once, with the
         merge's eigenpairs.
         """
-        batch = SparseSurfels.of(surfels)
+        batch = _require_sparse(surfels)
         stored = self._rows
         n, m = len(stored), len(batch)
         resolution = np.concatenate([stored.resolution, batch.resolution])

@@ -18,8 +18,9 @@ dataclass whose fields all have defaults (a config or a container such as
 ``GlobalMaps``) is read as an attribute somewhere in the package or the
 benchmark, so no option is accepted and then ignored.  And every field of
 such a config is passed by name, as a keyword argument or a string dict key,
-somewhere in the package, the benchmark, the tools or the tests, so a value
-that no caller sets is a module constant, not a setting."""
+somewhere in the package, the benchmark or the tools, so a value that only
+the tests set is a module constant, which a test can patch, not a
+setting."""
 
 import ast
 import sys
@@ -226,11 +227,12 @@ def _sources():
     return package, bench
 
 
-def _callers():
-    """Parsed modules of the tools and the tests, by label."""
+def _callers(folders=CALLERS):
+    """Parsed modules of ``folders``, the tools and the tests by default, by
+    label."""
     return {
         f"{folder.name}/{path.name}": ast.parse(path.read_text(), str(path))
-        for folder in CALLERS for path in sorted(folder.glob("*.py"))
+        for folder in folders for path in sorted(folder.glob("*.py"))
     }
 
 
@@ -344,9 +346,12 @@ def test_unset_fields_flags_config_fields_that_no_caller_passes():
 def test_every_config_field_is_set_by_some_caller():
     package, bench = _sources()
     checked = [tree for k, tree in package.items() if not k.startswith("simulation/")]
-    # The global maps are the state a run grows, not settings.
-    exempt = ["GlobalMaps.sparse", "GlobalMaps.dense"]
-    callers = [*package.values(), *bench.values(), *_callers().values()]
+    # The matching gates are settings that no caller sets yet: the benchmark
+    # reads MatchParams, and ROADMAP item 7 ties theta_r to the surfel
+    # radius.  The global maps are the state a run grows, not settings.
+    exempt = ["MatchParams.resolution_threshold", "MatchParams.depth_threshold",
+              "TemporalFusionConfig.match", "GlobalMaps.sparse", "GlobalMaps.dense"]
+    callers = [*package.values(), *bench.values(), *_callers([ROOT / "tools"]).values()]
     assert unset_fields(checked, callers) == exempt
 
 

@@ -28,6 +28,7 @@ from surfelslam.fusion import (
 from surfelslam.surfel_map import (
     KeyedPoints,
     SparseSurfelMap,
+    SparseSurfels,
     eigh3,
     radius_join,
     voxelize_sparse,
@@ -370,7 +371,7 @@ def test_local_maps_rejects_a_malformed_origin_or_timestamp(args):
     # beam noise and a NaN one a LinAlgError; a NaN timestamp fused silently,
     # and an infinite one culled the map on the next step.
     with pytest.raises(InvalidArgumentError):
-        LocalMaps([], [make_surfel([0.0, 0.0, 0.0])], **args)
+        LocalMaps(SparseSurfels.empty(), [make_surfel([0.0, 0.0, 0.0])], **args)
 
 
 def test_temporal_fusion_identical_local_map(rng):
@@ -383,7 +384,7 @@ def test_temporal_fusion_identical_local_map(rng):
     r1 = temporal_fusion_step(second, global_maps, step=1)
     assert r1.metrics.n_fused == len(second.dense)
     assert r1.metrics.n_new == 0
-    assert r1.trigger is None
+    assert not r1.metrics.triggered
 
 
 def test_temporal_fusion_decomposes_each_covariance_stack_once(rng, monkeypatch):
@@ -439,12 +440,12 @@ def test_temporal_fusion_shifted_inactive_triggers(seed):
     local_pts = subset - np.array([0.2, 0.0, 0.0])
     local = make_local_maps(rng, local_pts, timestamp=100.0)
     r = temporal_fusion_step(local, global_maps, cfg, step=1)
-    assert r.trigger is not None and r.icp.converged
-    c = r.trigger.pairs[0].mean(axis=0)
-    assert r.metrics.icp_dist == np.linalg.norm(r.trigger.rotation @ c + r.trigger.translation - c)
-    assert abs(r.trigger.translation[0] - 0.2) < 0.01
-    assert np.linalg.norm(r.trigger.translation[1:]) < 0.01
-    assert np.linalg.norm(r.trigger.rotation - np.eye(3)) < 0.02
+    assert r.metrics.triggered and r.icp.converged
+    c = r.icp.pairs[0].mean(axis=0)
+    assert r.metrics.icp_dist == np.linalg.norm(r.icp.rotation @ c + r.icp.translation - c)
+    assert abs(r.icp.translation[0] - 0.2) < 0.01
+    assert np.linalg.norm(r.icp.translation[1:]) < 0.01
+    assert np.linalg.norm(r.icp.rotation - np.eye(3)) < 0.02
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -490,7 +491,7 @@ def test_temporal_fusion_reports_no_distance_without_a_converged_icp(rng, caplog
     assert "ICP did not converge" in caplog.text
     assert r1.icp.report.reason == "too_few_pairs" and not r1.icp.converged
     assert np.isnan(r1.metrics.icp_dist) and r1.metrics.icp_inlier == 0.0
-    assert not r1.metrics.triggered and r1.trigger is None
+    assert not r1.metrics.triggered
 
 
 def test_icp_out_of_iterations_is_not_converged(rng, monkeypatch):
@@ -502,14 +503,14 @@ def test_icp_out_of_iterations_is_not_converged(rng, monkeypatch):
     base = corner_scene_points(rng, n=4500)
     temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps, cfg, step=0)
     local = make_local_maps(rng, base - np.array([0.2, 0.0, 0.0]), timestamp=100.0)
-    inactive = list(global_maps.sparse.all())
+    inactive = global_maps.sparse.all()
     assert icp_point_to_plane(local.sparse, inactive).converged
     monkeypatch.setattr(fusion, "ICP_MAX_ITERATIONS", 1)
     icp = icp_point_to_plane(local.sparse, inactive)
     assert not icp.converged and [p.shape for p in icp.pairs] == [(0, 3), (0, 3)]
     assert icp.report.reason == "max_rounds"
     r = temporal_fusion_step(local, global_maps, cfg, step=1)
-    assert r.trigger is None and not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
+    assert not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
 
 
 def test_temporal_fusion_matches_against_the_active_map_before_the_step():
@@ -521,7 +522,7 @@ def test_temporal_fusion_matches_against_the_active_map_before_the_step():
     global_maps = GlobalMaps()
     _, (key,) = mapped([make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4)], global_maps.dense)
     local = [make_surfel([0.0, 0.0, z], cov_scale=1e-8, timestamp=1.0) for z in (0.0, 0.02)]
-    r = temporal_fusion_step(LocalMaps([], local), global_maps)
+    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local), global_maps)
     assert (r.metrics.n_fused, r.metrics.n_new) == (2, 0)
     assert len(global_maps.dense) == 1
     assert global_maps.dense.get(key).obs_count == 3
@@ -537,45 +538,46 @@ def test_temporal_fusion_picks_the_nearest_plane_then_the_lowest_key():
     mapped([make_surfel(c, cov_scale=1e-4) for c in corners], global_maps.dense)
     local = [make_surfel(c, timestamp=1.0) for c in ([0.0, 0.0, 0.003], [0.015, 0.0, 0.0])]
     m = global_maps.dense
-    temporal_fusion_step(LocalMaps([], local[:1]), global_maps)
+    temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local[:1]), global_maps)
     assert [m.get(k).obs_count for k in range(3)] == [1, 1, 2]
-    temporal_fusion_step(LocalMaps([], local[1:]), global_maps)
+    temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local[1:]), global_maps)
     assert [m.get(k).obs_count for k in range(3)] == [2, 1, 2]
 
 
 @pytest.mark.parametrize("gap_threshold, reactivated", [(20, [0]), (1, [])])
-def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold, reactivated):
+def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold, reactivated,
+                                                                  monkeypatch):
     # theta_r = 0.25 and a dyadic lattice make every distance exact.  Inactive
     # surfel 0 has active ones at exactly theta_r and at 2 theta_r (it
     # overlaps), surfel 1 its nearest active one at 1.5 theta_r (a gap),
     # surfel 2 no active one within 3 theta_r, and surfels 3 and 4 only each
     # other.  Overlapping surfels come back unless gap_threshold or more gaps
     # remain.
-    cfg = TemporalFusionConfig(
-        active_window=30.0, cull_age=1e9, gap_threshold=gap_threshold,
-        match=MatchParams(resolution_threshold=0.25),
-    )
+    monkeypatch.setattr(fusion, "CULL_AGE", 1e9)
+    monkeypatch.setattr(fusion, "GAP_THRESHOLD", gap_threshold)
+    cfg = TemporalFusionConfig(active_window=30.0, match=MatchParams(resolution_threshold=0.25))
     global_maps = GlobalMaps()
     inactive = [(0.0, 0.0, 0.0), (5.0, 0.0, 0.0), (10.0, 0.0, 0.0),
                 (15.0, 0.0, 0.0), (15.125, 0.0, 0.0)]
     active = [(0.25, 0.0, 0.0), (0.0, -0.5, 0.0), (5.0, 0.375, 0.0)]
     mapped([make_surfel(c, timestamp=0.0) for c in inactive]
            + [make_surfel(c, timestamp=90.0) for c in active], global_maps.dense)
-    r = temporal_fusion_step(LocalMaps([], [], timestamp=100.0), global_maps, cfg)
+    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), [], timestamp=100.0), global_maps, cfg)
     now = [k for k in range(len(inactive)) if global_maps.dense.get(k).timestamp == 100.0]
     assert now == reactivated
     assert r.metrics.n_inactive == len(inactive) - len(reactivated)
     assert r.metrics.n_active == len(active) + len(reactivated)
-    assert r.trigger is None
+    assert not r.metrics.triggered
 
 
-def test_temporal_fusion_keeps_the_row_order():
+def test_temporal_fusion_keeps_the_row_order(monkeypatch):
     # One step fuses into row 2, wakes row 0 (its active neighbour, row 5,
     # lies within theta_r), culls rows 1 and 4 (old, seen once) and inserts
     # two new surfels.  The next map holds the survivors in their old order,
     # with the fused and woken rows updated in place, then the new surfels
     # in input order.
-    cfg = TemporalFusionConfig(active_window=30.0, cull_age=60.0)
+    monkeypatch.setattr(fusion, "CULL_AGE", 60.0)
+    cfg = TemporalFusionConfig(active_window=30.0)
     global_maps = GlobalMaps()
     stored = [
         make_surfel([5.0, 0.0, 0.0], timestamp=0.0),
@@ -588,7 +590,7 @@ def test_temporal_fusion_keeps_the_row_order():
     mapped(stored, global_maps.dense)
     local = [make_surfel(c, timestamp=100.0)
              for c in ([0.0, 0.0, 0.001], [20.0, 0.0, 0.0], [-20.0, 0.0, 0.0])]
-    r = temporal_fusion_step(LocalMaps([], local), global_maps, cfg)
+    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local), global_maps, cfg)
     assert (r.metrics.n_fused, r.metrics.n_new, r.metrics.n_culled) == (1, 2, 2)
     assert (r.metrics.n_active, r.metrics.n_inactive) == (6, 0)
     m = global_maps.dense
@@ -691,7 +693,7 @@ def test_icp_on_an_exactly_planar_overlap_is_not_converged():
     r = temporal_fusion_step(make_local_maps(rng, pts - shift, timestamp=100.0), global_maps,
                              cfg, step=1)
     assert r.icp.report.reason == "rank_deficient"
-    assert r.trigger is None and not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
+    assert not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
 
 
 def floor_ceiling_wall_points(rng, n=4500, noise=0.003):
@@ -717,14 +719,14 @@ def test_temporal_fusion_shift_along_wall_raises_no_trigger():
         global_maps = GlobalMaps()
         base = floor_ceiling_wall_points(rng)
         temporal_fusion_step(make_local_maps(rng, base, timestamp=0.0), global_maps, cfg, step=0)
-        inactive = list(global_maps.sparse.all())
+        inactive = global_maps.sparse.all()
         subset = base[rng.uniform(size=len(base)) < 0.8]
         local = make_local_maps(rng, subset - np.array([0.0, 0.3, 0.0]), timestamp=100.0)
         icp = icp_point_to_plane(local.sparse, inactive)
         assert icp.converged and icp.inlier_fraction > 0.9
         assert icp.normal_eigen_ratio < fusion.MIN_NORMAL_EIGEN_RATIO
         r = temporal_fusion_step(local, global_maps, cfg, step=1)
-        assert r.trigger is None
+        assert not r.metrics.triggered
     corner = corner_scene_points(np.random.default_rng(0))
     src = voxelize_sparse(corner - np.array([0.15, 0.05, 0.0]), np.zeros(len(corner)), [0.5])
     dst = voxelize_sparse(corner, np.zeros(len(corner)), [0.5])
@@ -803,7 +805,7 @@ def test_icp_ends_a_cycle_of_pairings_unconverged(rng, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="surfelslam.fusion"):
         r = temporal_fusion_step(local, global_maps, cfg, step=1)
     assert r.icp.report.reason == "cycle" and "ICP did not converge" in caplog.text
-    assert r.trigger is None and np.isnan(r.metrics.icp_dist)
+    assert not r.metrics.triggered and np.isnan(r.metrics.icp_dist)
 
 
 def icp_cloud(rng, n):
@@ -872,17 +874,38 @@ def test_icp_association_boundaries():
         assert dst_idx.tolist() == [1, 3, 5, 7]
 
 
-def test_icp_takes_a_list_or_a_batch(rng):
+def test_sparse_surfels_are_refused_unless_a_batch(rng):
+    # The ICP, a local map and the sparse fuse take sparse surfels as one
+    # SparseSurfels batch only: a list of its rows, the rows' fields as a
+    # dict or a dense batch is refused, and the sparse map stays as it was.
     pts = corner_scene_points(rng)
     src = voxelize_sparse(pts - np.array([0.15, 0.05, 0.0]), np.zeros(len(pts)), [0.5])
     dst = voxelize_sparse(pts, np.zeros(len(pts)), [0.5])
-    batch = icp_point_to_plane(src, dst)
-    listed = icp_point_to_plane(list(src), list(dst))
-    assert batch.converged and listed.converged
-    assert np.array_equal(batch.rotation, listed.rotation)
-    assert np.array_equal(batch.translation, listed.translation)
-    assert batch.inlier_fraction == listed.inlier_fraction
-    assert batch.normal_eigen_ratio == listed.normal_eigen_ratio
-    (src_pairs, dst_pairs), (src_listed, dst_listed) = batch.pairs, listed.pairs
-    assert src_pairs.shape == dst_pairs.shape and len(src_pairs) > 0
-    assert np.array_equal(src_pairs, src_listed) and np.array_equal(dst_pairs, dst_listed)
+    assert icp_point_to_plane(src, dst).converged
+    dense = DenseSurfels.of([make_surfel([0.0, 0.0, 0.0])])
+    sparse_map = SparseSurfelMap()
+    sparse_map.fuse(dst)
+    stored = sparse_map.all()
+    for other in (list(src), [], {f: getattr(src, f) for f in src._LAYOUT}, dense):
+        with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
+            icp_point_to_plane(other, dst)
+        with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
+            icp_point_to_plane(src, other)
+        with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
+            LocalMaps(other, dense)
+        with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
+            sparse_map.fuse(other)
+        assert sparse_map.all() is stored
+
+
+def test_an_icp_that_stops_before_its_first_round_has_no_final_cost():
+    # Two 2x2 m planes 5 m apart: no source centroid has a destination
+    # within MAX_PAIR_DISTANCE, so the ICP stops before its first round,
+    # with no records, and its final cost is NaN.
+    u, v = np.meshgrid(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 2.0, 41))
+    plane = np.column_stack([u.ravel(), v.ravel(), np.zeros(u.size)])
+    src = voxelize_sparse(plane, np.zeros(len(plane)), [0.5])
+    dst = voxelize_sparse(plane + [0.0, 0.0, 5.0], np.zeros(len(plane)), [0.5])
+    icp = icp_point_to_plane(src, dst)
+    assert not icp.converged and icp.report.reason == "too_few_pairs"
+    assert icp.report.records == [] and np.isnan(icp.report.final_cost)

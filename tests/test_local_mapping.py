@@ -245,6 +245,8 @@ def test_observability_guard_counts_the_biases():
         {"fd_step": 1e-6},
         {"estimate_biases": False},
         {"max_bias": 1.0},
+        {"max_iterations": 1},
+        {"chi2_tol": 1e-9},
     ],
     ids=lambda option: next(iter(option)),
 )
@@ -522,14 +524,15 @@ def test_cost_non_increasing():
 # -- stopping rule ------------------------------------------------------------
 
 
-def test_chi2_stop_agrees_with_a_tight_tolerance():
-    # A window stopped at the default chi2_tol lies within 1e-4 m and 1e-4
+def test_chi2_stop_agrees_with_a_tight_tolerance(monkeypatch):
+    # A window stopped at the default CHI2_TOL lies within 1e-4 m and 1e-4
     # (rotation matrix entries) of the same window run to the rounding
-    # floor, and its cost lies above the tight run's by less than chi2_tol.
+    # floor, and its cost lies above the tight run's by less than CHI2_TOL.
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
-    chi2_tol = lm.OptimizerConfig().chi2_tol
+    chi2_tol = lm.CHI2_TOL
     _, est, report = run_window(truth, imu, init, scene)
-    _, tight, tight_report = run_window(truth, imu, init, scene, {"chi2_tol": 1e-9})
+    monkeypatch.setattr(lm, "CHI2_TOL", 1e-9)
+    _, tight, tight_report = run_window(truth, imu, init, scene)
     assert report.converged and tight_report.converged
     assert len(tight_report.records) > len(report.records)
     assert np.max(np.linalg.norm(est.translations - tight.translations, axis=1)) < 1e-4
@@ -551,7 +554,7 @@ def test_predicted_decrease_stop_evaluates_no_candidate(monkeypatch):
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
     _, _, report = run_window(truth, imu, init, scene)
     assert report.converged and report.reason == "predicted_decrease"
-    assert 0.0 <= report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert 0.0 <= report.stop_decrease < lm.CHI2_TOL
     assert len(calls) == len(report.records)
 
 
@@ -570,30 +573,32 @@ def count_builds(monkeypatch):
 
 def test_chord_stop_builds_once_per_accepted_step(monkeypatch):
     # The last build's Jacobian and H, with the accepted step's residuals,
-    # predict the next decrease; below chi2_tol the window stops without
+    # predict the next decrease; below CHI2_TOL the window stops without
     # linearizing again.
     builds = count_builds(monkeypatch)
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
     _, _, report = run_window(truth, imu, init, scene)
     assert report.converged and report.reason == "predicted_decrease"
-    assert 0.0 <= report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert 0.0 <= report.stop_decrease < lm.CHI2_TOL
     assert len(builds) == len(report.records) - 1
 
 
-def test_chord_stop_holds_far_from_the_optimum():
+def test_chord_stop_holds_far_from_the_optimum(monkeypatch):
     # An initial rotation error of up to 0.2 rad, a bump over the window:
     # the window takes more steps, and the chord stops it no earlier than
-    # within chi2_tol of the cost that a tight tolerance reaches.
+    # within CHI2_TOL of the cost that a tight tolerance reaches.
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
     s = (init.times - init.start) / (init.end - init.start)
     axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
     error = lie.so3_exp_batch(0.2 * np.sin(np.pi * s)[:, None] * axis)
     far = Trajectory(init.times, error @ init.rotations, init.translations, init.nominal_rate)
+    chi2_tol = lm.CHI2_TOL
     _, _, report = run_window(truth, imu, far, scene)
-    _, _, tight = run_window(truth, imu, far, scene, {"chi2_tol": 1e-9})
+    monkeypatch.setattr(lm, "CHI2_TOL", 1e-9)
+    _, _, tight = run_window(truth, imu, far, scene)
     assert report.converged and report.reason == "predicted_decrease"
     assert tight.converged and len(report.records) > 3
-    assert 0.0 <= report.final_cost - tight.final_cost < lm.OptimizerConfig().chi2_tol
+    assert 0.0 <= report.final_cost - tight.final_cost < chi2_tol
 
 
 def test_a_large_chord_decrease_builds_again(monkeypatch):
@@ -610,7 +615,7 @@ def test_a_large_chord_decrease_builds_again(monkeypatch):
     _, full, full_report = run_window(truth, imu, init, scene)
     assert full_report.converged and full_report.reason == "predicted_decrease"
     assert len(builds) == len(full_report.records) == len(report.records)
-    assert 0.0 <= full_report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert 0.0 <= full_report.stop_decrease < lm.CHI2_TOL
     assert full_report.stop_decrease != report.stop_decrease
     assert np.array_equal(full.rotations, est.rotations)
     assert np.array_equal(full.translations, est.translations)
@@ -619,7 +624,7 @@ def test_a_large_chord_decrease_builds_again(monkeypatch):
 def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
     # A cost scaled by 1e-6 leaves the model's predicted decrease as it is,
     # so the first step is evaluated and accepted; its actual decrease is
-    # then below chi2_tol, ends the window and is reported.
+    # then below CHI2_TOL, ends the window and is reported.
     cost = lm._Cauchy.cost
     monkeypatch.setattr(
         lm._Cauchy, "cost", lambda self, residuals: 1e-6 * cost(self, residuals)
@@ -629,7 +634,7 @@ def test_cost_decrease_stop_reports_the_accepted_decrease(monkeypatch):
     assert report.converged and report.reason == "cost_decrease"
     assert len(report.records) == 2
     assert report.stop_decrease == report.records[0].cost - report.records[1].cost
-    assert 0.0 < report.stop_decrease < lm.OptimizerConfig().chi2_tol
+    assert 0.0 < report.stop_decrease < lm.CHI2_TOL
 
 
 def test_cost_that_never_decreases_raises_no_progress(monkeypatch):
@@ -642,9 +647,10 @@ def test_cost_that_never_decreases_raises_no_progress(monkeypatch):
     assert len(report.records) == 1
 
 
-def test_max_iterations_ends_a_capped_run():
+def test_max_iterations_ends_a_capped_run(monkeypatch):
     cfg, truth, imu, init, scene = small_sim(seed=5, n_features=300)
-    _, _, report = run_window(truth, imu, init, scene, {"max_iterations": 1})
+    monkeypatch.setattr(lm, "MAX_ITERATIONS", 1)
+    _, _, report = run_window(truth, imu, init, scene)
     assert not report.converged and report.reason == "max_iterations"
     assert len(report.records) == 2
     assert np.isnan(report.stop_decrease)

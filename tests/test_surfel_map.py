@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,10 @@ from surfelslam.surfel_map import (
     KeyedPoints,
     SparseSurfelMap,
     SparseSurfels,
+    _DENSE_LAYOUT,
+    _SPARSE_LAYOUT,
     _check_sparse,
+    _concat,
     _radius_pairs,
     _segment_mean,
     _segment_scatter,
@@ -40,8 +44,8 @@ def test_voxelize_cube_corners():
     )
     surfels = voxelize_sparse(pts, np.zeros(8), [10.0])
     assert len(surfels) == 1
-    assert np.allclose(surfels[0].centroid, [5.0, 5.0, 5.0])
-    assert surfels[0].count == 8
+    assert np.allclose(surfels.centroid[0], [5.0, 5.0, 5.0])
+    assert surfels.count[0] == 8
 
 
 def test_voxelize_coplanar_points(rng):
@@ -49,13 +53,22 @@ def test_voxelize_coplanar_points(rng):
     pts[:, 2] = 0.5
     surfels = voxelize_sparse(pts, np.zeros(50), [2.0])
     assert len(surfels) == 1
-    eigenvalues = np.linalg.eigvalsh(surfels[0].covariance)
+    eigenvalues = np.linalg.eigvalsh(surfels.covariance[0])
     assert eigenvalues[0] < 1e-12 * eigenvalues[2]
-    assert abs(abs(surfels[0].normal[2]) - 1.0) < 1e-9
+    assert abs(abs(surfels.normal[0, 2]) - 1.0) < 1e-9
 
 
 def test_voxelize_empty_input():
     assert len(voxelize_sparse(np.zeros((0, 3)), np.zeros(0), [1.0])) == 0
+
+
+def test_batch_fields_follow_their_layout():
+    # empty, _put, _concat, the sub-batch index and the digest tool read a
+    # batch's fields positionally or in dataclass order, which must be the
+    # order of its _LAYOUT.
+    for cls, layout in ((DenseSurfels, _DENSE_LAYOUT), (SparseSurfels, _SPARSE_LAYOUT)):
+        assert cls._LAYOUT is layout
+        assert [f.name for f in dataclasses.fields(cls)] == list(layout)
 
 
 def test_voxelize_matches_bruteforce_moments(rng):
@@ -658,17 +671,18 @@ def test_dense_map_write_moves_index(rng):
 def test_sparse_map_fusion_pools_moments(rng):
     pts_a = rng.normal(size=(40, 3)) * 0.1 + 0.5
     pts_b = rng.normal(size=(60, 3)) * 0.1 + 0.5
-    sa = voxelize_sparse(pts_a, np.zeros(40), [4.0])[0]
-    sb = voxelize_sparse(pts_b, np.ones(60), [4.0])[0]
+    sa = voxelize_sparse(pts_a, np.zeros(40), [4.0])
+    sb = voxelize_sparse(pts_b, np.ones(60), [4.0])
+    assert len(sa) == len(sb) == 1
     m = SparseSurfelMap()
-    m.fuse([sa])
-    m.fuse([sb])
+    m.fuse(sa)
+    m.fuse(sb)
     assert len(m) == 1
-    fused = m.all()[0]
-    both = voxelize_sparse(np.vstack([pts_a, pts_b]), np.zeros(100), [4.0])[0]
+    fused = m.all()
+    both = voxelize_sparse(np.vstack([pts_a, pts_b]), np.zeros(100), [4.0])
     assert np.allclose(fused.centroid, both.centroid, atol=1e-12)
     assert np.allclose(fused.covariance, both.covariance, atol=1e-10)
-    assert fused.count == 100
+    assert fused.count.tolist() == [100]
 
 
 def test_covariances_stay_psd_through_merges(rng):
@@ -710,7 +724,7 @@ def test_sparse_map_fuse_matches_sequential_merges(rng):
     first = scan(np.zeros(3), 3000, 0.0)
     second, third = scan([1.0, -0.5, 0.0], 3000, 2.0), scan([1.0, -0.5, 0.0], 2000, 1.0)
     m, want = SparseSurfelMap(), {}
-    for call in (first, second, list(third)):
+    for call in (first, second, third):
         m.fuse(call)
         pool_sequentially(want, call)
     got = m.all()
@@ -726,8 +740,9 @@ def test_sparse_map_fuse_matches_sequential_merges(rng):
     keys = [(s.resolution, tuple(s.voxel.tolist())) for s in second]
     assert any(key in revisited for key in keys) and any(key not in revisited for key in keys)
     # One call holds each key once, stored or new; the map stays as it was.
-    for repeated in (list(second[:2]) * 2, [second[0], third[0], second[0]],
-                     [scan(np.full(3, 9.0), 500, 3.0)[0]] * 2):
+    rows = _concat(second, third)
+    for repeated in (second[[0, 1, 0, 1]], rows[[0, len(second), 0]],
+                     scan(np.full(3, 9.0), 500, 3.0)[[0, 0]]):
         with pytest.raises(InvalidArgumentError):
             m.fuse(repeated)
         assert m.all() is got
@@ -738,8 +753,8 @@ def test_sparse_map_keeps_the_latest_timestamp(rng):
     m = SparseSurfelMap()
     for t, want in ((5.0, 5.0), (3.0, 5.0), (7.0, 7.0)):
         m.fuse(voxelize_sparse(pts, np.full(30, t), [4.0]))
-        assert len(m) == 1 and m.all()[0].timestamp == want
-    assert m.all()[0].count == 90
+        assert len(m) == 1 and m.all().timestamp.tolist() == [want]
+    assert m.all().count.tolist() == [90]
 
 
 def test_voxelize_orders_by_resolution_then_voxel(rng):
@@ -977,11 +992,8 @@ def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
     covariance[1] = bad
     fields = (sparse.centroid, covariance, sparse.count, sparse.resolution, sparse.timestamp,
               sparse.voxel)
-    for eigh in (None, eigh3(covariance)):
-        with pytest.raises(InvalidArgumentError):
-            _check_sparse(*fields, eigh=eigh)
     with pytest.raises(InvalidArgumentError):
-        SparseSurfels.of([sparse[0], replace(sparse[1], covariance=bad)])
+        _check_sparse(*fields, eigh3(covariance))
 
 
 def test_one_eigendecomposition_per_covariance_stack(rng, monkeypatch):

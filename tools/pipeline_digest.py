@@ -66,7 +66,6 @@ import metrics  # noqa: E402
 import workloads  # noqa: E402
 from surfelslam import lie  # noqa: E402
 from surfelslam.fusion import ICP_CONVERGED  # noqa: E402
-from surfelslam.surfel_map import DenseSurfel, SparseSurfel  # noqa: E402
 
 
 class Digest:
@@ -85,11 +84,12 @@ class Digest:
         else:
             self._h.update(repr(value).encode())
 
-    def fields(self, label, batch, record_type):
-        """Every field of a surfel ``batch``, in the order of the fields of
-        its ``record_type``.  An empty field is hashed as an empty float
-        array, the stack of no records."""
-        for f in dataclasses.fields(record_type):
+    def fields(self, label, batch):
+        """Every field of a surfel ``batch``, in the order of its class's
+        fields, which is that of the surfel records the digests were first
+        taken over.  An empty field is hashed as an empty float array, the
+        stack of no records."""
+        for f in dataclasses.fields(batch):
             value = getattr(batch, f.name)
             self.put(f"{label}.{f.name}", value if len(value) else np.array([]))
 
@@ -108,7 +108,8 @@ def window_digest(result):
                        result.report.stop_decrease))
     d.put("map_size", (result.map_size_before, result.map_size_after))
     d.put("metrics", dataclasses.astuple(result.fusion.metrics))
-    trigger = result.fusion.trigger
+    fusion = result.fusion
+    trigger = fusion.icp if fusion.metrics.triggered else None
     if trigger is not None:
         d.put("trigger.rotation", trigger.rotation)
         d.put("trigger.translation", trigger.translation)
@@ -119,8 +120,8 @@ def window_digest(result):
 
 def maps_digest(global_maps):
     d = Digest()
-    d.fields("dense", global_maps.dense.batch, DenseSurfel)
-    d.fields("sparse", global_maps.sparse.all(), SparseSurfel)
+    d.fields("dense", global_maps.dense.batch)
+    d.fields("sparse", global_maps.sparse.all())
     return d.hex()
 
 
