@@ -63,6 +63,7 @@ from .surfel_map import (
     psd_eigh,
     psd_eigvalsh,
     radius_join,
+    stable_order,
 )
 from .trajectory import compose_correction
 
@@ -133,11 +134,16 @@ class MatchParams:
 
 
 def _gate_arrays(surfels: DenseSurfels):
-    """Centroids, normals, normal variances ``n^T C n`` of the centroid
-    covariances, and covariance traces."""
+    """Centroids, normals and normal variances ``n^T C n`` of the centroid
+    covariances."""
     normal, cov = surfels.normal, surfels.centroid_cov
-    normal_var = _row_dot((normal[:, None, :] @ cov)[:, 0], normal)
-    return surfels.centroid, normal, normal_var, np.trace(cov, axis1=1, axis2=2)
+    return surfels.centroid, normal, _row_dot((normal[:, None, :] @ cov)[:, 0], normal)
+
+
+# The match join's relative pad on the farthest centroid the gates pass: it
+# covers 2 - |n|^2 up to 1 + 2 UNIT_TOLERANCE, for normals unit within
+# UNIT_TOLERANCE, and the rounding of the gates.
+MATCH_REACH = 1.0 + 1e-6
 
 
 def match_pairs(sources, targets, params: MatchParams | None = None):
@@ -150,18 +156,24 @@ def match_pairs(sources, targets, params: MatchParams | None = None):
     A pair passes when the source centroid lies within ``theta_r`` of the
     target's normal line and within ``theta_d`` standard deviations of its
     plane, the variance being the sum of both centroid covariances along
-    their normals.  One radius join gathers the candidates.  Its radius
-    bounds the farthest centroid that could pass both gates, since a
-    covariance's trace bounds its largest eigenvalue, so the result equals
-    exhaustive evaluation.
+    their normals.  One radius join gathers the candidates, with a radius
+    that bounds the farthest centroid that could pass both gates, so the
+    result equals exhaustive evaluation.  The gates read each covariance
+    only through ``n^T C n``, so a passing pair's variance is at most
+    ``V = max(src n^T C n) + max(dst n^T C n)``, and its offset
+    ``delta = along n + off`` has ``|delta|^2 = in_plane^2 + along^2 (2 -
+    |n|^2) < theta_r^2 + theta_d^2 V (2 - |n|^2)``.  Normals are unit within
+    ``UNIT_TOLERANCE``, so ``MATCH_REACH`` times ``sqrt(theta_r^2 +
+    theta_d^2 V)`` bounds ``|delta|`` with room for the gates' rounding.
+    A covariance wide in the plane of its disc does not widen the join.
     """
     if params is None:
         params = MatchParams()
-    src_c, _, src_var, src_trace = _gate_arrays(DenseSurfels.of(sources))
-    dst_c, dst_n, dst_var, dst_trace = _gate_arrays(DenseSurfels.of(targets))
-    radius = np.sqrt(
+    src_c, _, src_var = _gate_arrays(DenseSurfels.of(sources))
+    dst_c, dst_n, dst_var = _gate_arrays(DenseSurfels.of(targets))
+    radius = MATCH_REACH * np.sqrt(
         params.resolution_threshold**2
-        + params.depth_threshold**2 * (src_trace.max(initial=0.0) + dst_trace.max(initial=0.0))
+        + params.depth_threshold**2 * (src_var.max(initial=0.0) + dst_var.max(initial=0.0))
     )
     i, j, _ = radius_join(src_c, dst_c, radius)
     delta = src_c[i] - dst_c[j]
@@ -619,7 +631,7 @@ def _rounds(slot):
     """The positions of ``slot`` in rounds: round ``r`` holds the ``r``-th
     position of every value, so folding the rounds in order visits each
     value's positions in input order and no round holds a value twice."""
-    order = np.argsort(slot, kind="stable")
+    order = stable_order(slot)
     starts = np.flatnonzero(np.diff(slot[order], prepend=-1) != 0)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.repeat(starts, np.diff(starts, append=len(order)))

@@ -62,6 +62,7 @@ from .errors import (
     MissingSupportError,
     NoProgressError,
 )
+from .surfel_map import stable_order
 from .trajectory import (
     ControlGrid,
     Trajectory,
@@ -789,7 +790,7 @@ class _WindowSystem:
         # Knots the bands reach; past the last knot only zero weights reach.
         size = 6 * max(self.n_knots, max(int(f.max()) for _, f, _ in fams) + width)
         rows, first = (np.concatenate([f[j] for f in fams]) for j in (0, 1))
-        order = np.argsort(first, kind="stable")
+        order = stable_order(first)
         first = first[order]
         bounds = np.flatnonzero(np.diff(first)) + 1
         lo = np.r_[0, bounds]

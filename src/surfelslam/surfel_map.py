@@ -48,11 +48,13 @@ al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
 set by cell key once.  Keys are linearized with z fastest, so the three
 cells of one (x, y) column step are consecutive keys and their points one
 contiguous range of the sorted order: a cell's 27 neighbours are nine such
-column runs, found by two ``searchsorted`` calls over the sorted keys.
+column runs, found by two ``searchsorted`` calls over the occupied cells,
+whose start offsets give each run's range of points.
 ``KeyedPoints.join`` tests each point of another set against its nine
 runs; ``_radius_pairs`` joins one set with itself, each point with the
 points after it in its own column run and with four half-neighbourhood
-runs, so every pair is tested once.  Both test squared distances on the
+runs, so every pair is tested once, and rejects a candidate on z before it
+gathers x and y.  Both test squared distances on the
 cell-sorted coordinate columns and map only the pairs within the radius
 back to input order.  ``radius_join`` is that join applied once, and
 serves the dense map's queries and fusion's matching; the ICP keys its
@@ -62,6 +64,13 @@ lexicographically-first maximal independent set of the pairs closer than
 the radius, and each seed's moments are segment sums over its pairs; sparse
 voxelization sorts the points once per resolution by a linearized voxel
 key, and each voxel's moments are segment sums over that order.
+
+Every stable integer order of the package (the grid's, the voxels',
+fusion's rounds and the window's row order) is one default sort of the
+unique keys ``key * n + position`` (``stable_order``), which numpy runs
+several times faster than its stable sort of integers.  The grid's and the
+voxels' key guards bound cells (or voxels) times points below 2^62, so
+those keys fit int64.
 
 Per-point arithmetic is component first.  Points arrive as (n, 3) rows and
 each kernel copies them once to contiguous (3, n) columns with
@@ -111,6 +120,20 @@ def _row_dot(a, b):
     """Row-wise dot products of two stacks of vectors, through ``matmul`` so
     each rounds as the scalar ``a @ b`` does."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def stable_order(keys):
+    """The permutation ``np.argsort(keys, kind="stable")`` of the integer
+    ``keys``, by one default ``argsort`` of the unique keys
+    ``key * n + position``, which orders by key and then by position.
+
+    A sort of unique keys has one answer, so any algorithm gives the stable
+    order; numpy's default sort of int64 is its fastest (SIMD where the CPU
+    has it), while its stable sort of integers is a timsort.  The caller
+    keeps every ``|key| * n`` below 2^62, so no product wraps int64.
+    """
+    n = len(keys)
+    return np.argsort(keys * n + np.arange(n))
 
 
 def _require_psd(eigenvalues, what):
@@ -692,10 +715,11 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
     covariance the sample covariance, timestamp the mean time, and
     ``voxel`` the voxel's integer index.  The resolutions must be distinct,
     so no two surfels share a (resolution, voxel) key.  Surfels follow the
-    resolutions and, within one, the voxels in lexicographic order.  Per resolution, one
-    stable sort of a linearized voxel key groups the points, and the moments
-    are segment sums over that order; the clamp and the sparse check run
-    once over the stack and share one eigendecomposition.
+    resolutions and, within one, the voxels in lexicographic order.  Per
+    resolution, one ``stable_order`` of a linearized voxel key groups the
+    points, so the voxels spanned times the points must stay below 2^62, and
+    the moments are segment sums over that order; the clamp and the sparse
+    check run once over the stack and share one eigendecomposition.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -712,7 +736,8 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
         )
     if len(set(resolutions)) < len(resolutions):
         raise InvalidArgumentError("voxel resolutions must be distinct")
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         return SparseSurfels.empty()
     columns = np.ascontiguousarray(points.T)
     parts = []
@@ -720,10 +745,11 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
         voxel = np.floor(columns / resolution).astype(np.int64)
         ijk = voxel - voxel.min(axis=1)[:, None]
         span = ijk.max(axis=1) + 1
-        if float(np.prod(span, dtype=float)) >= 2.0**62:
+        # Voxels times points, so that stable_order's keys fit int64.
+        if float(np.prod(span, dtype=float)) * n >= 2.0**62:
             raise InvalidArgumentError("points span too many voxels of the resolution to key")
         key = (ijk[0] * span[1] + ijk[1]) * span[2] + ijk[2]
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key)
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         sizes = np.diff(starts, append=len(order))
         kept = sizes >= MIN_POINTS
@@ -767,10 +793,12 @@ class KeyedPoints:
     inner layer has no point of the set among its neighbours, and every
     neighbour of a cell inside it keys in range.  Keys are linearized with z
     fastest, so the three cells of one (x, y) column step are consecutive
-    keys.  ``order`` is the stable sort of the set by cell key, ``keys``
-    the sorted keys and ``columns`` the (3, n) coordinates in that order:
-    the points of three consecutive cells are one contiguous range of
-    positions.
+    keys.  ``order`` is the stable sort of the set by cell key
+    (``stable_order``, so the grid's cells times its points must stay below
+    2^62) and ``columns`` the (3, n) coordinates in that order: the points
+    of three consecutive cells are one contiguous range of positions.
+    ``cells`` are the occupied cells' keys, ascending, and ``starts`` the
+    sorted position of each one's first point, followed by n.
     """
 
     def __init__(self, points, radius):
@@ -783,22 +811,30 @@ class KeyedPoints:
         self._origin = ijk.min(axis=1) - 2.0 if ijk.shape[1] else np.zeros(3)
         ijk -= self._origin[:, None]
         dims = ijk.max(axis=1, initial=0.0) + 3.0
-        if float(np.prod(dims)) >= 2.0**62:
+        n = ijk.shape[1]
+        # Cells times points, so that stable_order's keys fit int64.
+        if float(np.prod(dims)) * n >= 2.0**62:
             raise InvalidArgumentError("point extent spans too many cells of the radius")
         self._inner = dims - 2.0
         # Linearized key strides of the three cell coordinates.
         dims = dims.astype(np.int64)
         self._stride = np.array([dims[1] * dims[2], dims[2], 1])
         keys = self._stride @ ijk.astype(np.int64)
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        self.order = stable_order(keys)
+        keys = keys[self.order]
         self.columns = columns[:, self.order]
+        new_cell = np.ones(n, dtype=bool)
+        new_cell[1:] = keys[1:] != keys[:-1]
+        self.starts = np.append(np.flatnonzero(new_cell), n)
+        self.cells = keys[self.starts[:-1]]
 
     def _column_runs(self, keys, dx, dy):
         """The sorted-position range ``[lo, hi)`` of the points in the three
         cells ``key + step - 1``, ``key + step`` and ``key + step + 1`` of
         each (x, y) column offset ``(dx, dy)`` and each cell key, offset by
-        offset, from two ``searchsorted`` calls.
+        offset: two ``searchsorted`` calls over the occupied cells give the
+        first cell at or after the run and the first past it, and their
+        ``starts`` the range.
 
         Every key searched around is that of a cell inside the outer empty
         padding layer (an occupied cell lies inside both, and ``join`` drops
@@ -809,8 +845,8 @@ class KeyedPoints:
         """
         steps = dx * self._stride[0] + dy * self._stride[1]
         targets = (steps[:, None] + keys).ravel()
-        return (np.searchsorted(self.keys, targets - 1, side="left"),
-                np.searchsorted(self.keys, targets + 1, side="right"))
+        return (self.starts[np.searchsorted(self.cells, targets - 1, side="left")],
+                self.starts[np.searchsorted(self.cells, targets + 1, side="right")])
 
     def _sq_dist(self, positions, p):
         """Squared distances of the set's points at sorted ``positions`` from
@@ -829,13 +865,14 @@ class KeyedPoints:
         27 neighbouring cells, and only those pairs are tested.
         """
         a = np.ascontiguousarray(np.asarray(a, dtype=float).reshape(-1, 3).T)
-        if a.shape[1] == 0 or len(self.keys) == 0:
+        if a.shape[1] == 0 or len(self.cells) == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
         ijk = np.floor(a / self._edge) - self._origin[:, None]
         near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner[:, None])).all(axis=0))
         keys = self._stride @ ijk[:, near].astype(np.int64)
-        # Sorted keys search faster, each search starting from the last.
-        by_key = np.argsort(keys, kind="stable")
+        # Sorted keys search faster, each search starting from the last.  Ties
+        # may fall in any order: they order only the output, which has none.
+        by_key = np.argsort(keys)
         near = near[by_key]
         lo, hi = self._column_runs(keys[by_key], np.repeat([-1, 0, 1], 3), np.array([-1, 0, 1] * 3))
         i, pos = _runs(np.tile(near, 9), lo, hi)
@@ -851,24 +888,30 @@ def _radius_pairs(points, radius):
     Each point takes the positions after it in its own column run and the
     four column runs of the (x, y) offsets that follow (0, 0) in
     lexicographic order, (0, 1), (1, -1), (1, 0) and (1, 1): every pair of
-    points at most one cell apart is tested once.  The keys are sorted, so
-    the runs are searched once per occupied cell and repeated for its
-    points.
+    points at most one cell apart is tested once.  The runs are searched
+    once per occupied cell and repeated for its points.  A candidate is
+    rejected on z first: ``dz*dz > r*r`` fails the whole test, as adding
+    non-negative terms never rounds below ``dz*dz``, so x and y are
+    gathered only for the rest.
     """
     grid = KeyedPoints(points, radius)
-    n = len(grid.keys)
-    new_cell = np.ones(n, dtype=bool)
-    new_cell[1:] = grid.keys[1:] != grid.keys[:-1]
-    cell = np.cumsum(new_cell) - 1
-    cells = grid.keys[new_cell]
-    lo, hi = grid._column_runs(cells, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
-    lo, hi = (runs.reshape(5, len(cells))[:, cell].ravel() for runs in (lo, hi))
+    n = len(grid.order)
+    cell = np.repeat(np.arange(len(grid.cells)), np.diff(grid.starts))
+    lo, hi = grid._column_runs(grid.cells, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
+    lo, hi = (runs.reshape(5, len(grid.cells))[:, cell].ravel() for runs in (lo, hi))
     lo[:n] = np.arange(1, n + 1)
     a, b = _runs(np.tile(np.arange(n), 5), lo, hi)
-    d_sq = grid._sq_dist(b, grid.columns.take(a, axis=1))
-    inside = d_sq <= radius * radius
-    i, j = grid.order[a[inside]], grid.order[b[inside]]
-    return np.minimum(i, j), np.maximum(i, j), d_sq[inside]
+    x, y, z = grid.columns
+    r_sq = radius * radius
+    dz = z.take(b) - z.take(a)
+    dz_sq = dz * dz
+    near = np.flatnonzero(dz_sq <= r_sq)
+    a, b = a.take(near), b.take(near)
+    dx, dy = x.take(b) - x.take(a), y.take(b) - y.take(a)
+    d_sq = dx * dx + dy * dy + dz_sq.take(near)
+    inside = np.flatnonzero(d_sq <= r_sq)
+    i, j = grid.order.take(a.take(inside)), grid.order.take(b.take(inside))
+    return np.minimum(i, j), np.maximum(i, j), d_sq.take(inside)
 
 
 def radius_join(a, b, radius):

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from surfelslam.surfel_map import (
 
 
 def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
-                dof=10.0, timestamp=0.0, obs_count=1):
+                dof=10.0, timestamp=0.0, obs_count=1, centroid_cov=None):
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     if scatter is None:
@@ -46,7 +47,7 @@ def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
     return DenseSurfel(
         centroid=np.asarray(centroid, dtype=float),
         normal=normal,
-        centroid_cov=np.eye(3) * cov_scale,
+        centroid_cov=np.eye(3) * cov_scale if centroid_cov is None else centroid_cov,
         scatter=scatter,
         dof=dof,
         obs_count=obs_count,
@@ -136,32 +137,85 @@ def test_match_reaches_past_theta_r_along_an_uncertain_normal():
     assert match_surfel(src, m) == keys
 
 
+def _match_cov(rng, kind, normal):
+    """A centroid covariance: isotropic, a disc of variance up to 4e-4 m^2
+    along the unit ``normal`` and two unequal ones up to 1e-2 m^2 across
+    it, or of no particular shape."""
+    if kind == "isotropic":
+        return np.eye(3) * rng.uniform(1e-8, 4e-4)
+    if kind == "disc":
+        basis = np.linalg.qr(np.c_[normal, rng.normal(size=(3, 2))])[0]
+        spectrum = [rng.uniform(1e-8, 4e-4), rng.uniform(1e-6, 1e-2), rng.uniform(1e-6, 1e-2)]
+        return (basis * spectrum) @ basis.T
+    return random_spd(rng, scale=rng.uniform(1e-8, 1e-4))
+
+
 def test_match_equals_bruteforce(rng):
-    for _ in range(5):
-        params = MatchParams(resolution_threshold=0.05, depth_threshold=3.0)
-        stored = []
-        for _ in range(500):
-            normal = rng.normal(size=3)
-            normal /= np.linalg.norm(normal)
-            stored.append(
-                make_surfel(
-                    rng.uniform(-1.0, 1.0, size=3),
-                    normal,
-                    cov_scale=rng.uniform(1e-8, 4e-4),
+    # Isotropic covariances, whose trace is three times n^T C n, discs wide
+    # across their normal, and covariances of no particular shape.
+    for kind in ("isotropic", "disc", "random"):
+        for _ in range(5):
+            params = MatchParams(resolution_threshold=0.05, depth_threshold=3.0)
+            stored = []
+            for _ in range(500):
+                normal = rng.normal(size=3)
+                normal /= np.linalg.norm(normal)
+                stored.append(make_surfel(rng.uniform(-1.0, 1.0, size=3), normal,
+                                          centroid_cov=_match_cov(rng, kind, normal)))
+            m, _ = mapped(stored)
+            for _ in range(50):
+                normal = rng.normal(size=3)
+                normal /= np.linalg.norm(normal)
+                src = make_surfel(rng.uniform(-1.0, 1.0, size=3), normal,
+                                  centroid_cov=_match_cov(rng, kind, normal))
+                fast = match_surfel(src, m, params)
+                slow = oracles.match_surfels_exhaustive(
+                    src, m.surfels, params.resolution_threshold, params.depth_threshold
                 )
-            )
-        m, _ = mapped(stored)
-        for _ in range(50):
-            normal = rng.normal(size=3)
-            normal /= np.linalg.norm(normal)
-            src = make_surfel(
-                rng.uniform(-1.0, 1.0, size=3), normal, cov_scale=rng.uniform(1e-8, 4e-4)
-            )
-            fast = match_surfel(src, m, params)
-            slow = oracles.match_surfels_exhaustive(
-                src, m.surfels, params.resolution_threshold, params.depth_threshold
-            )
-            assert fast == slow
+                assert fast == slow
+
+
+def test_match_reaches_a_pair_at_both_gates_bounds():
+    # Target 1 has the map's largest normal variance and a normal 0.9e-9
+    # short of unit length, which the check allows.  A source within 1e-10
+    # of theta_r of its normal line and of theta_d standard deviations of
+    # its plane passes both gates, yet lies about 7e-10 (relative) beyond
+    # sqrt(theta_r^2 + theta_d^2 V): the join's pad must reach it.  A source
+    # 1e-9 past theta_d fails the depth gate.
+    params = MatchParams()
+    theta_r, theta_d = params.resolution_threshold, params.depth_threshold
+    shrink = 1.0 - 0.9e-9
+    m, _ = mapped([make_surfel([0.3, 0.0, 0.0], cov_scale=1e-5),
+                   replace(make_surfel([0.0, 0.0, 0.0], cov_scale=2e-4),
+                           normal=np.array([0.0, 0.0, shrink]))])
+    src_var = 1e-4
+    sigma = np.sqrt(src_var + shrink**2 * 2e-4)
+    for depth, found in ((1.0 - 1e-10, [1]), (1.0 + 1e-9, [])):
+        offset = np.array([theta_r * (1.0 - 1e-10), 0.0, theta_d * sigma * depth / shrink])
+        src = make_surfel(offset, cov_scale=src_var)
+        assert match_surfel(src, m, params) == found
+        assert oracles.match_surfels_exhaustive(src, m.surfels, theta_r, theta_d) == found
+        assert np.linalg.norm(offset) > np.sqrt(theta_r**2 + theta_d**2 * sigma**2)
+
+
+def test_match_join_radius_reads_only_the_normal_variances(monkeypatch):
+    # A disc 1 m^2 wide across its normal but 1e-6 m^2 along it widens the
+    # candidate join no more than its normal variance does.
+    radii = []
+
+    def recording(a, b, radius):
+        radii.append(radius)
+        return radius_join(a, b, radius)
+
+    monkeypatch.setattr(fusion, "radius_join", recording)
+    params = MatchParams()
+    m, _ = mapped([make_surfel([0.0, 0.0, 0.0], centroid_cov=np.diag([1.0, 0.5, 1e-6])),
+                   make_surfel([1.0, 0.0, 0.0], cov_scale=1e-7)])
+    src = make_surfel([0.0, 0.0, 0.001], cov_scale=1e-6)
+    assert match_surfel(src, m, params) == [0]
+    bound = np.sqrt(params.resolution_threshold**2 + params.depth_threshold**2 * (1e-6 + 1e-6))
+    assert radii == [pytest.approx(bound, rel=2e-6)]
+    assert radii[0] >= bound
 
 
 # -- Wishart fusion -----------------------------------------------------------

@@ -31,6 +31,7 @@ from surfelslam.surfel_map import (
     merge_moments,
     psd_eigh,
     radius_join,
+    stable_order,
     voxelize_sparse,
 )
 from surfelslam.trajectory import Trajectory
@@ -157,7 +158,7 @@ def test_grid_kernels_read_any_memory_order(rng):
     a = b[::3] + rng.normal(scale=0.05, size=(167, 3))
     for radius in (0.0, 0.1, 0.3):
         keyed, keyed_f = KeyedPoints(b, radius), KeyedPoints(np.asfortranarray(b), radius)
-        assert np.array_equal(keyed.keys, keyed_f.keys)
+        assert np.array_equal(keyed.cells, keyed_f.cells)
         assert np.array_equal(keyed.order, keyed_f.order)
         assert np.array_equal(keyed.columns, keyed_f.columns)
         want = _sorted_pairs(*keyed.join(a))
@@ -412,6 +413,58 @@ def test_extract_dense_rejects_extent_beyond_cell_keys():
     pts = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
     with pytest.raises(InvalidArgumentError):
         extract_dense(pts, np.zeros(2), cfg=DenseExtractionConfig(radius=1e-3))
+
+
+def _spanning_cloud(last_cell):
+    """Eight points: seven in the unit cell at the origin, and one in the
+    cell ``last_cell`` of a grid of unit cells."""
+    near = 0.5 + 0.01 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+                                  [2, 0, 0], [0, 2, 0], [1, 2, 1]], dtype=float)
+    return np.r_[near, [np.asarray(last_cell, dtype=float) + 0.5]]
+
+
+def test_grid_keys_bound_cells_times_points():
+    # The keys of a stable order are cell or voxel keys times the point
+    # count, so cells times points must stay below 2^62.  Eight points over
+    # 2^20 * 2^20 * 2^19 cells reach it exactly and are refused; one cell
+    # fewer along z keys.  extract_dense's grid pads each axis by five cells.
+    z = 2**19
+    for last_z, refused in ((z - 1, True), (z - 2, False)):
+        voxel_cloud = _spanning_cloud([2**20 - 1, 2**20 - 1, last_z])
+        dense_cloud = _spanning_cloud([2**20 - 5, 2**20 - 5, last_z - 4])
+        cfg = DenseExtractionConfig(radius=1.0)
+        if refused:
+            with pytest.raises(InvalidArgumentError):
+                voxelize_sparse(voxel_cloud, np.zeros(8), [1.0])
+            with pytest.raises(InvalidArgumentError):
+                extract_dense(dense_cloud, np.zeros(8), cfg=cfg)
+        else:
+            sparse = voxelize_sparse(voxel_cloud, np.zeros(8), [1.0])
+            assert sparse.count.tolist() == [7]
+            dense = extract_dense(dense_cloud, np.zeros(8), cfg=cfg)
+            assert dense.dof.tolist() == [7.0]
+
+
+def test_stable_order_is_the_stable_argsort_of_tied_keys(rng):
+    # Cell keys that mostly tie: an exact lattice on the cell faces, a
+    # coincident cluster, every point in one cell, and no point.  The grid's
+    # order, rebuilt into its input keys, and stable_order of those keys are
+    # both numpy's stable sort.
+    lattice = 0.125 * np.array([[x, y, z] for x in range(9) for y in range(9) for z in range(9)],
+                               dtype=float)
+    cluster = np.repeat(rng.uniform(-1.0, 1.0, size=(3, 3)), [200, 1, 99], axis=0)
+    one_cell = rng.uniform(0.3, 0.4, size=(500, 3))
+    for points in (lattice, cluster, one_cell, np.zeros((0, 3))):
+        for radius in (0.125, 0.5, 0.0):
+            grid = KeyedPoints(points, radius)
+            keys = np.empty(len(points), dtype=np.int64)
+            keys[grid.order] = np.repeat(grid.cells, np.diff(grid.starts))
+            want = np.argsort(keys, kind="stable")
+            assert np.array_equal(grid.order, want)
+            assert np.array_equal(stable_order(keys), want)
+    for keys in (rng.integers(-3, 4, size=1000), np.zeros(1000, dtype=np.int64),
+                 np.arange(1000)[::-1] // 7, np.zeros(0, dtype=np.int64)):
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
 
 
 # -- dense surfel check and store ----------------------------------------------
@@ -798,10 +851,10 @@ def test_keyed_points_join_matches_bruteforce(rng):
 
 
 # Two close pairs at opposite corners of a grid of radius-1 cells of
-# 1664509 cells an axis, padding included: 1664509^3 is just under the 2^62
-# cells the keys allow.
+# 2^20 - 1 cells an axis, padding included: (2^20 - 1)^3 cells times 4 points
+# is just under the 2^62 the keys allow.
 _CORNERS = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
-                     [1664505.0, 1664505.0, 1664505.0], [1664504.5, 1664505.0, 1664504.5]])
+                     [1048571.0, 1048571.0, 1048571.0], [1048570.5, 1048571.0, 1048570.5]])
 
 
 def _pair_sets(rng):
