@@ -208,7 +208,7 @@ class SurfelMeasurement:
     scatter: np.ndarray
     count: float
     noise: np.ndarray
-    timestamp: float = None
+    timestamp: float
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -284,9 +284,6 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     scatter, scatter_eigh = psd_eigh(dst.scatter + n_bar + y_bar)
     centroid_cov, cov_eigenvalues = psd_eigvalsh(centroid_cov)
 
-    timestamp = dst.timestamp
-    if meas.timestamp is not None:
-        timestamp = np.maximum(timestamp, meas.timestamp)
     fused = replace(
         dst,
         centroid=mean,
@@ -295,7 +292,7 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
         scatter=scatter,
         dof=dst.dof + count,
         obs_count=dst.obs_count + 1,
-        timestamp=timestamp,
+        timestamp=np.maximum(dst.timestamp, meas.timestamp),
     )
     return fused, {"centroid_cov": cov_eigenvalues, "scatter": scatter_eigh[0]}
 
@@ -304,8 +301,7 @@ def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
     """``fuse_batch`` for one surfel record, checked as it enters and as it
     leaves."""
     one = SurfelMeasurement(
-        meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None],
-        None if meas.timestamp is None else [meas.timestamp],
+        meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None], [meas.timestamp]
     )
     return check_dense(*fuse_batch(DenseSurfels.of([dst]), one))[0]
 
@@ -465,7 +461,7 @@ class _PlaneProblem:
 
     def record(self, iteration, cost, residuals, step_norm):
         rms = float(np.sqrt(np.mean((residuals * self.sigma) ** 2)))
-        return IterationRecord(iteration, cost, 0.0, rms, 0.0, 0.0, step_norm)
+        return IterationRecord(iteration, cost, rms, 0.0, 0.0, step_norm)
 
 
 def icp_point_to_plane(src_surfels, dst_surfels):
@@ -559,7 +555,9 @@ def icp_point_to_plane(src_surfels, dst_surfels):
 
 @dataclass
 class LocalMaps:
-    """One window's output: local sparse/dense maps plus the sensor origin.
+    """One window's output: local sparse/dense maps, the sensor origin the
+    beam noise is taken from, and the window's time, which splits the
+    global map into active and inactive surfels.
 
     ``sparse`` must be a ``SparseSurfels`` batch.  ``dense`` is a
     ``DenseSurfels`` batch; a list of ``DenseSurfel`` records is stacked and
@@ -569,8 +567,8 @@ class LocalMaps:
 
     sparse: SparseSurfels
     dense: DenseSurfels
-    sensor_origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    timestamp: float = None
+    sensor_origin: np.ndarray
+    timestamp: float
 
     def __post_init__(self):
         self.sensor_origin = np.asarray(self.sensor_origin, dtype=float)
@@ -578,8 +576,6 @@ class LocalMaps:
             raise InvalidArgumentError("sensor origin must be a finite 3-vector")
         self.sparse = _require_sparse(self.sparse)
         self.dense = DenseSurfels.of(self.dense)
-        if self.timestamp is None:
-            self.timestamp = float(self.dense.timestamp.max()) if len(self.dense) else 0.0
         if not np.isfinite(self.timestamp):
             raise InvalidArgumentError("local map timestamp must be finite")
 

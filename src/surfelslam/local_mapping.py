@@ -1,12 +1,12 @@
 """Local-window trajectory optimization.
 
-Three residual families constrain the window: surfel-to-surfel
-point-to-plane errors, surfel-to-map-prior point-to-plane errors, and
-preintegrated IMU factors.  The IMU samples are folded once per window into
-groups, one per run of samples in half a knot interval (Forster et al., T-RO
-2017; Le Gentil et al., RA-L 2020): each group gives a relative rotation and
-two moments of its accelerations, whitened by the group's covariance, with a
-first-order bias Jacobian (:func:`_preintegrate`).  The families are
+Two residual families constrain the window: surfel-to-map-prior
+point-to-plane errors and preintegrated IMU factors.  The IMU samples are
+folded once per window into groups, one per run of samples in half a knot
+interval (Forster et al., T-RO 2017; Le Gentil et al., RA-L 2020): each
+group gives a relative rotation and two moments of its accelerations,
+whitened by the group's covariance, with a first-order bias Jacobian
+(:func:`_preintegrate`).  The families are
 evaluated as arrays over the whole window; the scalar evaluators that pin
 them, per constraint and per IMU group, are test oracles in
 ``simulation.oracles``.  A damped Gauss-Newton solver estimates a spline
@@ -24,9 +24,8 @@ kernel (:class:`_Cauchy`) over the problem's leading rows.  The window
 The constraint and IMU records are plain values that check nothing.  A
 window checks its inputs once, where ``_WindowSystem`` stacks them into
 arrays: every field and time finite (of the IMU samples, those the window
-reads), the state's biases finite 3-vectors, the normals of unit length, and
-the two times of each pair distinct.  A constraint of any other type is
-refused.
+reads), the state's biases finite 3-vectors and the normals of unit length.
+A constraint of any other type is refused.
 
 A cubic B-spline value reads four consecutive knots, so every residual row
 depends on a short run of knots, its band.  The parameter vector is
@@ -75,8 +74,8 @@ log = logging.getLogger(__name__)
 
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
-# Standard deviation of each residual family: m, m, m/s^2 and rad/s.
-SIGMA_SURFEL, SIGMA_PRIOR, SIGMA_ACCEL, SIGMA_GYRO = 0.02, 0.02, 0.05, 0.005
+# Standard deviation of each residual family: m, m/s^2 and rad/s.
+SIGMA_PRIOR, SIGMA_ACCEL, SIGMA_GYRO = 0.02, 0.05, 0.005
 CAUCHY_SCALE = 3.0  # floor of the annealed Cauchy scale, whitened, i.e. 3 sigma
 # Damping of the first solve; retries of a rejected step, each damped ten times more.
 DAMPING_INIT, DAMPING_RETRIES = 1e-6, 5
@@ -92,18 +91,6 @@ _MOMENT_COEF = np.array([
     [[1.0, -1.0, -1.0, 1.0], [0.0, 1.0, -1.0, 0.0]],
     [[0.0, 0.0, 0.0, 0.0], [-1.0, 1.0, -1.0, 1.0]],
 ])
-
-
-@dataclass(frozen=True)
-class SurfelPairConstraint:
-    """Two observations of the same surface, tied along their averaged unit
-    normal ``n_ab``, at two distinct times."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-    tau_a: float
-    tau_b: float
-    n_ab: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,7 @@ class OptimizerConfig:
 class IterationRecord:
     """One accepted iterate's cost and the RMS of each residual family.
 
-    ``rms_surfel`` and ``rms_prior`` are in meters.  ``rms_accel`` (m/s^2)
+    ``rms_prior`` is in meters.  ``rms_accel`` (m/s^2)
     and ``rms_gyro`` (rad/s) are the RMS of the whitened IMU moment and
     rotation rows times ``SIGMA_ACCEL`` and ``SIGMA_GYRO``: the size of the
     errors in units of one sample's noise, which for a group of one sample
@@ -160,7 +147,6 @@ class IterationRecord:
 
     iteration: int
     cost: float
-    rms_surfel: float
     rms_prior: float
     rms_accel: float
     rms_gyro: float
@@ -388,9 +374,9 @@ def _vectors(values):
 class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
-    Every residual reads poses at query times, laid out as
-    ``[pair a | pair b | prior | IMU first - h | first | last | last + h]``,
-    the IMU queries one per group at each of its four times (``q_imu``).
+    Every residual reads poses at query times, laid out as ``[prior | IMU
+    first - h | first | last | last + h]``, the IMU queries one per group at
+    each of its four times (``q_imu``).
     Each query reads one pose point (``query_points``): a query that snaps
     to a sample reads that sample, and a query between two samples is a
     pose point of its own, after the samples, interpolated once from the
@@ -416,10 +402,10 @@ class _WindowSystem:
 
     The window is linearized at the folded pose points only, at zero
     correction (:meth:`fold`); a non-zero correction is refused.  The
-    residual layer differentiates each whitened, robust-weighted surfel and
-    prior row with respect to a world-frame left perturbation ``(phi,
-    rho)`` of every query pose it reads (``R <- exp(phi) R``, ``t <- exp(phi)
-    t + rho``), by cross products.  The nine rows of an IMU group read the
+    residual layer differentiates each whitened, robust-weighted prior row
+    with respect to a world-frame left perturbation ``(phi, rho)`` of the
+    query pose it reads (``R <- exp(phi) R``, ``t <- exp(phi) t + rho``), by
+    cross products.  The nine rows of an IMU group read the
     same four queries, so its band is formed per group, not per row, from
     constants of the window, and whitened by one product per group
     (:meth:`_imu_band`).  At zero correction the increment ``(du_r, du_t)``
@@ -446,23 +432,16 @@ class _WindowSystem:
     read, and the linearization reuses them.  An accepted candidate, folded
     into the pose points (:meth:`fold`), is the next iterate as it stands,
     so no iterate is evaluated twice.  The window is a problem of
-    :func:`solve`: its Cauchy kernel (``robust``) covers the surfel and
-    prior rows, and :meth:`record` gives each iterate's RMS per family.
+    :func:`solve`: its Cauchy kernel (``robust``) covers the prior rows,
+    and :meth:`record` gives each iterate's RMS per family.
     """
 
-    def __init__(self, pair_constraints, prior_constraints, imu, traj, state):
+    def __init__(self, prior_constraints, imu, traj, state):
         self.grid = state.grid
         self.n_knots = len(state.grid)
         self.traj_times = traj.times
         self.rate = traj.nominal_rate
         self.h = 1.0 / self.rate
-
-        self.pair_u_a = _vectors([c.u_a for c in pair_constraints])
-        self.pair_u_b = _vectors([c.u_b for c in pair_constraints])
-        self.pair_n = _vectors([c.n_ab for c in pair_constraints])
-        self.pair_taus = np.array(
-            [[c.tau_a, c.tau_b] for c in pair_constraints], dtype=float
-        ).reshape(-1, 2)
 
         self.prior_u_m = _vectors([c.u_m for c in prior_constraints])
         self.prior_u_c = _vectors([c.u_c for c in prior_constraints])
@@ -483,25 +462,18 @@ class _WindowSystem:
         biases = (state.accel_bias, state.gyro_bias)
         if any(b.shape != (3,) for b in biases):
             raise InvalidArgumentError("IMU biases must have three entries")
-        converted = (self.pair_u_a, self.pair_u_b, self.pair_n, self.pair_taus,
-                     self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus,
+        converted = (self.prior_u_m, self.prior_u_c, self.prior_n, self.prior_taus, taus,
                      imu_accel, imu_gyro, *biases)
         if not all(np.isfinite(a).all() for a in converted):
             raise InvalidArgumentError(
                 "constraint fields, times, IMU samples and biases must be finite"
             )
-        for normal in (self.pair_n, self.prior_n):
-            if (np.abs(np.linalg.norm(normal, axis=1) - 1.0) > 1e-9).any():
-                raise InvalidArgumentError("constraint normals must be unit vectors")
-        if (self.pair_taus[:, 0] == self.pair_taus[:, 1]).any():
-            raise InvalidArgumentError("pair constraint needs two distinct times")
+        if (np.abs(np.linalg.norm(self.prior_n, axis=1) - 1.0) > 1e-9).any():
+            raise InvalidArgumentError("constraint normals must be unit vectors")
 
-        self.n_pair = len(self.pair_taus)
-        self.n_prior = len(self.prior_taus)
+        self.n_prior = base = len(self.prior_taus)
         self.n_imu = len(imu_taus)
-        base = self.n_pair + self.n_prior
-        self.sl_pair = slice(0, self.n_pair)
-        self.sl_prior = slice(self.n_pair, base)
+        self.sl_prior = slice(0, base)
         # Per IMU group nine rows, rotation then the two moments (see
         # _ImuGroups), whitened by the group's covariance.  A group of one
         # sample drops its centred moment, zero and of no variance, so an
@@ -540,15 +512,9 @@ class _WindowSystem:
         self.sl_gyro = slice(base + n_accel, base + self.imu_rows.size)
         self.n_residuals = base + self.imu_rows.size
 
-        p = self.n_pair
-        first = 2 * p + self.n_prior
-        self.q_a = slice(0, p)
-        self.q_b = slice(p, 2 * p)
-        self.q_prior = slice(2 * p, first)
-        self.q_imu = [slice(first + i * n_groups, first + (i + 1) * n_groups) for i in range(4)]
-        query_taus = np.concatenate(
-            [self.pair_taus[:, 0], self.pair_taus[:, 1], self.prior_taus, *imu_queries]
-        )
+        self.q_prior = slice(0, base)
+        self.q_imu = [slice(base + i * n_groups, base + (i + 1) * n_groups) for i in range(4)]
+        query_taus = np.concatenate([self.prior_taus, *imu_queries])
         idx, alpha = brackets(traj.times, query_taus, 1e-9 * self.h)
         # The pose points: the samples, then one per query between samples.
         interior = (alpha > 0.0) & (alpha < 1.0)
@@ -558,13 +524,6 @@ class _WindowSystem:
         self.base_rot = np.concatenate([traj.rotations, rot])
         self.base_t = np.concatenate([traj.translations, t])
         self.point_times = np.concatenate([traj.times, query_taus[interior]])
-        # Per surfel or prior family, its rows and the queries they read.
-        self.families = []
-        if p:
-            self.families.append((np.arange(p), [self.q_a, self.q_b]))
-        if self.n_prior:
-            rows = np.arange(self.sl_prior.start, self.sl_prior.stop)
-            self.families.append((rows, [self.q_prior]))
 
         # Each pose point's first knot and spline weights on four knots from it.
         self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
@@ -572,7 +531,7 @@ class _WindowSystem:
         if self.n_imu:
             self.imu_layer = self._imu_layer_terms(self.structure[0][-1][2])
 
-        self.robust = _Cauchy(self.n_pair + self.n_prior)
+        self.robust = _Cauchy(self.n_prior)
 
     # -- parameter vector layout ------------------------------------------
     #
@@ -625,13 +584,6 @@ class _WindowSystem:
 
     def _residuals_at(self, rot, t, imu_log, b_a, b_g):
         out = np.empty(self.n_residuals)
-        if self.n_pair:
-            qa, qb = self.q_a, self.q_b
-            world_a = np.einsum("nij,nj->ni", rot[qa], self.pair_u_a) + t[qa]
-            world_b = np.einsum("nij,nj->ni", rot[qb], self.pair_u_b) + t[qb]
-            out[self.sl_pair] = (
-                np.sum(self.pair_n * (world_a - world_b), axis=1) / SIGMA_SURFEL
-            )
         if self.n_prior:
             q = self.q_prior
             world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
@@ -673,41 +625,27 @@ class _WindowSystem:
 
     def record(self, iteration, cost, residuals, step_norm):
         """The :class:`IterationRecord` of an iterate of cost ``cost`` and
-        whitened ``residuals``: the RMS per family (surfel, prior, accel,
-        gyro), each whitened row times its family's sigma."""
+        whitened ``residuals``: the RMS per family (prior, accel, gyro), each
+        whitened row times its family's sigma."""
 
         def rms(sl, sigma):
             r = residuals[sl]
             return float(np.sqrt(np.mean(r * r)) * sigma) if r.size else 0.0
 
         return IterationRecord(
-            iteration, cost, rms(self.sl_pair, SIGMA_SURFEL), rms(self.sl_prior, SIGMA_PRIOR),
-            rms(self.sl_accel, SIGMA_ACCEL), rms(self.sl_gyro, SIGMA_GYRO), step_norm,
+            iteration, cost, rms(self.sl_prior, SIGMA_PRIOR), rms(self.sl_accel, SIGMA_ACCEL),
+            rms(self.sl_gyro, SIGMA_GYRO), step_norm,
         )
 
     # -- linearization ------------------------------------------------------
 
-    def _residual_layer(self, rot, t):
-        """Derivatives of the whitened, robust-weighted surfel and prior rows
-        with respect to a left perturbation of each query pose they read:
-        per entry of ``families``, the gradients (n, S, 6) of its rows by
-        each of the S queries they read."""
-        families = []
-
-        def plane(q, u, normal, coef):
-            return _plane_rows(np.einsum("nij,nj->ni", rot[q], u) + t[q], normal, coef)
-
-        if self.n_pair:
-            coef = self.robust.weights[self.sl_pair] / SIGMA_SURFEL
-            families.append(np.stack([
-                plane(self.q_a, self.pair_u_a, self.pair_n, coef),
-                plane(self.q_b, self.pair_u_b, self.pair_n, -coef),
-            ], axis=1))
-        if self.n_prior:
-            coef = self.robust.weights[self.sl_prior] / SIGMA_PRIOR
-            grad = plane(self.q_prior, self.prior_u_c, self.prior_n, -coef)
-            families.append(grad[:, None])
-        return families
+    def _prior_layer(self, rot, t):
+        """Derivatives (n, 1, 6) of the whitened, robust-weighted prior rows
+        with respect to a left perturbation of the query pose each reads."""
+        q = self.q_prior
+        world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
+        coef = self.robust.weights[self.sl_prior] / SIGMA_PRIOR
+        return _plane_rows(world, self.prior_n, -coef)[:, None]
 
     def _imu_layer_terms(self, spread):
         """What the IMU bands take from the window alone, of each group's
@@ -764,19 +702,20 @@ class _WindowSystem:
         return whitened.reshape(9 * n_groups, -1)[self.imu_rows]
 
     def _rows(self):
-        """Row structure, built once per window: per family its rows, their
-        first knots and spread (``_row_spread``), every spread padded to the
-        widest band W (the IMU family's rows share one spread per group, in
-        group order); six times the knots the bands reach; and the plan of
+        """Row structure, built once per window: per family present, the
+        priors then the IMU, its rows, their first knots and spread
+        (``_row_spread``), every spread padded to the widest band W (the IMU
+        family's rows share one spread per group, in group order); six times
+        the knots the bands reach; and the plan of
         :meth:`normal_equations`: where each family's rows go in stable
         first-knot order, a buffer for their bands in that order, the rows
         in it, with the residuals and the constant bias border after the
         bands, and the first-knot spans."""
         first, band = self.point_bands
         fams = []
-        for rows, reads in self.families:
-            points = np.stack([self.query_points[q] for q in reads], axis=1)
-            fams.append((rows, *_row_spread(first[points], band[points])))
+        if self.n_prior:
+            points = self.query_points[self.q_prior, None]
+            fams.append((np.arange(self.n_prior), *_row_spread(first[points], band[points])))
         if self.n_imu:
             points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
             group_first, spread = _row_spread(first[points], band[points])
@@ -807,17 +746,15 @@ class _WindowSystem:
 
     def _linearize(self, it):
         """Row bands ``[(n, 6W)]`` of the robust-weighted residuals at iterate
-        ``it``, which must have zero correction, one per residual family,
-        with the knots in the knot-major layout.  The robust weights are held
-        fixed."""
+        ``it``, which must have zero correction, one per residual family
+        present, with the knots in the knot-major layout.  The robust weights
+        are held fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        bands = [
-            (spread @ grads).reshape(rows.size, -1)
-            for grads, (rows, _, spread) in zip(
-                self._residual_layer(it.rot, it.t), self.structure[0]
-            )
-        ]
+        bands = []
+        if self.n_prior:
+            spread = self.structure[0][0][2]
+            bands.append((spread @ self._prior_layer(it.rot, it.t)).reshape(self.n_prior, -1))
         if self.n_imu:
             bands.append(self._imu_band(it.rot, it.t, it.imu_log))
         return bands
@@ -883,18 +820,18 @@ class _WindowSystem:
         return np.hstack([knots[:, : 6 * self.n_knots], border])
 
 
-def optimize_window(constraints, imu, traj, init, cfg=None):
+def optimize_window(priors, imu, traj, init, cfg=None):
     """Damped Gauss-Newton (:func:`solve`) over the knot corrections, and
     the IMU biases when the window has IMU samples.
 
-    ``constraints`` mixes :class:`SurfelPairConstraint` and
-    :class:`MapPriorConstraint` instances; any other object raises
-    :class:`InvalidArgumentError`, as does a window with fewer residuals
-    than parameters.  Returns the final state, the corrected trajectory,
-    and a per-iteration report.
+    ``priors`` are :class:`MapPriorConstraint` instances and ``imu``
+    :class:`ImuSample` instances; an element of ``priors`` of any other type
+    raises :class:`InvalidArgumentError`, as does a window with fewer
+    residuals than parameters.  Returns the final state, the corrected
+    trajectory, and a per-iteration report.
 
     The cost is the sum of squared whitened residuals, Cauchy-robust on the
-    surfel and prior rows, so its unit is one χ² unit.  The window stops by
+    prior rows, so its unit is one χ² unit.  The window stops by
     the rules of :func:`solve`; when the cost cannot be lowered
     (``"no_progress"``), :class:`NoProgressError` carries the last
     accepted state, trajectory and report.  A rank-deficient window raises
@@ -907,13 +844,9 @@ def optimize_window(constraints, imu, traj, init, cfg=None):
     if not init.grid.covers(traj.times).all():
         raise MissingSupportError("grid does not span the window", traj.times)
 
-    pairs = [c for c in constraints if isinstance(c, SurfelPairConstraint)]
-    priors = [c for c in constraints if isinstance(c, MapPriorConstraint)]
-    if len(pairs) + len(priors) != len(constraints):
-        raise InvalidArgumentError(
-            "constraints must be SurfelPairConstraint or MapPriorConstraint records"
-        )
-    system = _WindowSystem(pairs, priors, imu, traj, init)
+    if not all(isinstance(c, MapPriorConstraint) for c in priors):
+        raise InvalidArgumentError("constraints must be MapPriorConstraint records")
+    system = _WindowSystem(priors, imu, traj, init)
     if system.n_residuals < system.n_params():
         biases = " and 6 IMU biases" if system.n_imu else ""
         raise InvalidArgumentError(

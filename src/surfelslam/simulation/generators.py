@@ -4,8 +4,8 @@ feature scenes.
 Every generator is a pure function of (config, seed).  Randomness comes from
 ``numpy.random.Generator(PCG64)`` seeded through ``SeedSequence(seed)``; the
 sequence is split into one child stream per subsystem (trajectory motion,
-scene layout, IMU noise, feature noise, pair sampling), so adding draws to
-one subsystem never perturbs another.
+scene layout, IMU noise, feature noise), so adding draws to one subsystem
+never perturbs another.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import lie
 from ..errors import InvalidArgumentError
-from ..local_mapping import GRAVITY, ImuSample, MapPriorConstraint, SurfelPairConstraint
+from ..local_mapping import GRAVITY, ImuSample, MapPriorConstraint
 from ..trajectory import Trajectory
 
 _STREAM_NAMES = (
@@ -24,7 +24,6 @@ _STREAM_NAMES = (
     "scene",
     "imu_noise",
     "feature_noise",
-    "pairs",
 )
 
 
@@ -214,23 +213,3 @@ def gen_surfel_scene(cfg: SimConfig, truth: Trajectory) -> SurfelScene:
     )
     return SurfelScene(points, plane_n, times, sensor, plane_ids)
 
-
-def pair_constraints_from_scene(cfg: SimConfig, truth: Trajectory, count):
-    """Surfel-pair constraints: the same world point observed at two times."""
-    rng = subsystem_streams(cfg.seed)["pairs"]
-    scene = gen_surfel_scene(cfg, truth)
-    idx = rng.integers(0, cfg.n_features, size=count)
-    tau_b = rng.uniform(truth.start, truth.end, size=count)
-    rot, trans = truth.sample_batch(tau_b)
-    world = scene.points_world[idx]
-    sensor_b = np.einsum("nji,nj->ni", rot, world - trans)
-    out = []
-    for i, j in enumerate(idx):
-        if abs(scene.times[j] - tau_b[i]) < 1e-6:
-            continue
-        out.append(
-            SurfelPairConstraint(
-                scene.points_sensor[j], sensor_b[i], scene.times[j], tau_b[i], scene.normals[j]
-            )
-        )
-    return out

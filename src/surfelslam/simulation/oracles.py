@@ -4,7 +4,7 @@ Everything here is correctness-first and O(n^2) or worse: truncated power
 series of the SE(3) exponential and of the logarithm near the identity, the
 left Jacobian by central differences of those series, the SE(3) geodesic of
 one pose pair through the series exponential, the spline correction
-evaluated from its knot weights and control points, window residuals
+evaluated from its knot weights and control points, map-prior residuals
 evaluated one constraint at a time on the trajectory they read, IMU groups
 integrated one sample at a time, linear-scan spatial queries, radius joins
 and ICP association from the full distance matrix, exhaustive matching,
@@ -101,15 +101,6 @@ def apply_correction(traj, grid, c_t, c_r):
     rot_c, t_c = correction_batch(grid, c_t, c_r, traj.times)
     rotations, translations = compose_correction(rot_c, t_c, traj.rotations, traj.translations)
     return Trajectory(traj.times.copy(), rotations, translations, traj.nominal_rate)
-
-
-def residual_surfel_pair(constraint, traj):
-    """Point-to-plane residual between two timed observations (meters) on
-    ``traj``."""
-    rot, t = traj.sample_batch([constraint.tau_a, constraint.tau_b])
-    world_a = rot[0] @ constraint.u_a + t[0]
-    world_b = rot[1] @ constraint.u_b + t[1]
-    return float(constraint.n_ab @ (world_a - world_b))
 
 
 def residual_map_prior(constraint, traj):

@@ -1022,8 +1022,9 @@ def extract_dense(points, times, traj=None,
     mean = _segment_mean(columns, member, sizes)
     scatter = _segment_scatter(columns, member, sizes, mean)
     mean = np.ascontiguousarray(mean.T)
-    n_pairs = count * (count - 1.0)
-    centroid_cov = scatter / n_pairs[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
+    # The centroid's covariance, the sample covariance over n, scatter / (n (n - 1)).
+    denominator = count * (count - 1.0)
+    centroid_cov = scatter / denominator[:, None, None] + BEAM_SIGMA**2 * np.eye(3)
     eigenvalues, normals = decomposed = eigh3(scatter)
     # The mean sensor origin less the centroid, in rows: -mean + s is s - mean
     # bit for bit.
@@ -1045,4 +1046,4 @@ def extract_dense(points, times, traj=None,
         timestamp=_segment_mean(times, member, sizes),
         radius=np.full(m, cfg.radius),
     ), {"scatter": scatter_eigenvalues,
-        "centroid_cov": eigenvalues / n_pairs[:, None] + BEAM_SIGMA**2})
+        "centroid_cov": eigenvalues / denominator[:, None] + BEAM_SIGMA**2})

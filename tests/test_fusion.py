@@ -233,7 +233,7 @@ def test_fuse_surfel_hand_example():
     )
     meas = SurfelMeasurement(
         mean=np.array([1.0, 0.0, 0.0]), scatter=np.zeros((3, 3)), count=1,
-        noise=np.eye(3),
+        noise=np.eye(3), timestamp=0.0,
     )
     out = fuse_surfel(dst, meas)
     assert np.allclose(out.centroid, [1.0 / 3.0, 0.0, 0.0], atol=1e-12)
@@ -248,7 +248,7 @@ def test_fuse_surfel_hand_example():
 def test_fuse_surfel_zero_innovation_still_contracts():
     dst = make_surfel([1.0, 2.0, 3.0], cov_scale=1e-4, dof=20.0)
     meas = SurfelMeasurement(dst.centroid.copy(), np.zeros((3, 3)), 5,
-                             np.eye(3) * 1e-6)
+                             np.eye(3) * 1e-6, 0.0)
     out = fuse_surfel(dst, meas)
     assert np.allclose(out.centroid, dst.centroid, atol=1e-15)
     assert np.trace(out.centroid_cov) < np.trace(dst.centroid_cov)
@@ -262,6 +262,7 @@ def test_fuse_surfel_trace_strictly_decreases(rng):
             random_spd(rng, scale=1e-5),
             rng.integers(3, 30),
             random_spd(rng, scale=1e-6),
+            0.0,
         )
         out = fuse_surfel(surfel, meas)
         assert np.trace(out.centroid_cov) < np.trace(surfel.centroid_cov)
@@ -294,7 +295,7 @@ def test_fuse_surfel_monte_carlo_consistency(rng):
     for _ in range(200):
         mean, scatter, n = draw_batch(30)
         surfel = fuse_surfel(
-            surfel, SurfelMeasurement(mean, scatter, n, noise)
+            surfel, SurfelMeasurement(mean, scatter, n, noise, 0.0)
         )
     assert np.linalg.norm(surfel.centroid - true_mean) < 1e-3
     angle = np.arccos(np.clip(abs(surfel.normal @ true_normal), 0.0, 1.0))
@@ -303,7 +304,7 @@ def test_fuse_surfel_monte_carlo_consistency(rng):
 
 def test_fuse_surfel_requires_defined_extent():
     dst = make_surfel([0.0, 0.0, 0.0], dof=3.0)
-    meas = SurfelMeasurement(np.zeros(3), np.zeros((3, 3)), 1, np.eye(3) * 1e-6)
+    meas = SurfelMeasurement(np.zeros(3), np.zeros((3, 3)), 1, np.eye(3) * 1e-6, 0.0)
     with pytest.raises(InvalidArgumentError):
         fuse_surfel(dst, meas)
 
@@ -416,6 +417,13 @@ def make_local_maps(rng, points, timestamp, radius=0.05):
                      timestamp=timestamp)
 
 
+def dense_local_maps(dense, timestamp):
+    """Local maps of ``dense`` surfels alone, seen from the origin at
+    ``timestamp``."""
+    return LocalMaps(SparseSurfels.empty(), dense, sensor_origin=np.zeros(3),
+                     timestamp=timestamp)
+
+
 @pytest.mark.parametrize("args", [
     {"sensor_origin": [0.0, 0.0]}, {"sensor_origin": np.zeros((1, 3))},
     {"sensor_origin": [0.0, np.nan, 0.0]}, {"timestamp": np.nan}, {"timestamp": np.inf},
@@ -424,8 +432,22 @@ def test_local_maps_rejects_a_malformed_origin_or_timestamp(args):
     # A two-entry origin used to raise numpy's broadcast ValueError inside the
     # beam noise and a NaN one a LinAlgError; a NaN timestamp fused silently,
     # and an infinite one culled the map on the next step.
+    args = {"sensor_origin": np.zeros(3), "timestamp": 0.0, **args}
     with pytest.raises(InvalidArgumentError):
         LocalMaps(SparseSurfels.empty(), [make_surfel([0.0, 0.0, 0.0])], **args)
+
+
+def test_local_maps_needs_its_origin_and_timestamp():
+    # A local map without a timestamp used to read it from its dense
+    # surfels, 0.0 when it had none: every stored surfel then counted as
+    # active, so no ICP ran and nothing was culled.  One without a sensor
+    # origin took the beam noise from the world origin.
+    with pytest.raises(TypeError):
+        LocalMaps(SparseSurfels.empty(), [make_surfel([0.0, 0.0, 0.0])])
+    with pytest.raises(TypeError):
+        LocalMaps(SparseSurfels.empty(), [], sensor_origin=np.zeros(3))
+    with pytest.raises(TypeError):
+        LocalMaps(SparseSurfels.empty(), [], timestamp=1.0)
 
 
 def test_temporal_fusion_identical_local_map(rng):
@@ -576,7 +598,7 @@ def test_temporal_fusion_matches_against_the_active_map_before_the_step():
     global_maps = GlobalMaps()
     _, (key,) = mapped([make_surfel([0.0, 0.0, 0.0], cov_scale=1e-4)], global_maps.dense)
     local = [make_surfel([0.0, 0.0, z], cov_scale=1e-8, timestamp=1.0) for z in (0.0, 0.02)]
-    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local), global_maps)
+    r = temporal_fusion_step(dense_local_maps(local, 1.0), global_maps)
     assert (r.metrics.n_fused, r.metrics.n_new) == (2, 0)
     assert len(global_maps.dense) == 1
     assert global_maps.dense.get(key).obs_count == 3
@@ -592,9 +614,9 @@ def test_temporal_fusion_picks_the_nearest_plane_then_the_lowest_key():
     mapped([make_surfel(c, cov_scale=1e-4) for c in corners], global_maps.dense)
     local = [make_surfel(c, timestamp=1.0) for c in ([0.0, 0.0, 0.003], [0.015, 0.0, 0.0])]
     m = global_maps.dense
-    temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local[:1]), global_maps)
+    temporal_fusion_step(dense_local_maps(local[:1], 1.0), global_maps)
     assert [m.get(k).obs_count for k in range(3)] == [1, 1, 2]
-    temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local[1:]), global_maps)
+    temporal_fusion_step(dense_local_maps(local[1:], 1.0), global_maps)
     assert [m.get(k).obs_count for k in range(3)] == [2, 1, 2]
 
 
@@ -616,7 +638,7 @@ def test_temporal_fusion_reactivates_overlapping_inactive_surfels(gap_threshold,
     active = [(0.25, 0.0, 0.0), (0.0, -0.5, 0.0), (5.0, 0.375, 0.0)]
     mapped([make_surfel(c, timestamp=0.0) for c in inactive]
            + [make_surfel(c, timestamp=90.0) for c in active], global_maps.dense)
-    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), [], timestamp=100.0), global_maps, cfg)
+    r = temporal_fusion_step(dense_local_maps([], 100.0), global_maps, cfg)
     now = [k for k in range(len(inactive)) if global_maps.dense.get(k).timestamp == 100.0]
     assert now == reactivated
     assert r.metrics.n_inactive == len(inactive) - len(reactivated)
@@ -644,7 +666,7 @@ def test_temporal_fusion_keeps_the_row_order(monkeypatch):
     mapped(stored, global_maps.dense)
     local = [make_surfel(c, timestamp=100.0)
              for c in ([0.0, 0.0, 0.001], [20.0, 0.0, 0.0], [-20.0, 0.0, 0.0])]
-    r = temporal_fusion_step(LocalMaps(SparseSurfels.empty(), local), global_maps, cfg)
+    r = temporal_fusion_step(dense_local_maps(local, 100.0), global_maps, cfg)
     assert (r.metrics.n_fused, r.metrics.n_new, r.metrics.n_culled) == (1, 2, 2)
     assert (r.metrics.n_active, r.metrics.n_inactive) == (6, 0)
     m = global_maps.dense
@@ -722,7 +744,7 @@ def test_icp_reports_its_rounds_as_plane_records(rng):
     records = out.report.records
     assert out.converged and out.report.reason in fusion.ICP_CONVERGED
     assert records[0].iteration == 0 and [r.iteration for r in records].count(0) >= 2
-    assert all(r.rms_surfel == r.rms_accel == r.rms_gyro == 0.0 for r in records)
+    assert all(r.rms_accel == r.rms_gyro == 0.0 for r in records)
     assert records[0].rms_prior > 0.01 > records[-1].rms_prior
     for a, b in zip(records, records[1:]):
         assert b.iteration == 0 or b.cost <= a.cost
@@ -946,7 +968,7 @@ def test_sparse_surfels_are_refused_unless_a_batch(rng):
         with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
             icp_point_to_plane(src, other)
         with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
-            LocalMaps(other, dense)
+            LocalMaps(other, dense, sensor_origin=np.zeros(3), timestamp=0.0)
         with pytest.raises(InvalidArgumentError, match="SparseSurfels batch"):
             sparse_map.fuse(other)
         assert sparse_map.all() is stored

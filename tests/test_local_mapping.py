@@ -12,7 +12,6 @@ from surfelslam.errors import (
     OutOfRangeError,
 )
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
-from surfelslam.simulation.generators import pair_constraints_from_scene
 from surfelslam.trajectory import ControlGrid, Trajectory, compose_correction
 
 from conftest import count_decompositions, knot_grid
@@ -32,33 +31,6 @@ def small_sim(seed=0, n_features=120, window=2.0):
 
 
 # -- residual definitions ---------------------------------------------------
-
-
-def test_pair_residual_same_world_point():
-    traj = identity_trajectory()
-    c = lm.SurfelPairConstraint(
-        u_a=[1.0, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
-        n_ab=[0.0, 0.0, 1.0],
-    )
-    assert abs(oracles.residual_surfel_pair(c, traj)) < 1e-12
-
-
-def test_pair_residual_offset_along_normal():
-    traj = identity_trajectory()
-    c = lm.SurfelPairConstraint(
-        u_a=[1.0, 2.0, 3.001], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
-        n_ab=[0.0, 0.0, 1.0],
-    )
-    assert abs(oracles.residual_surfel_pair(c, traj) - 0.001) < 1e-12
-
-
-def test_pair_residual_orthogonal_offset():
-    traj = identity_trajectory()
-    c = lm.SurfelPairConstraint(
-        u_a=[1.5, 2.0, 3.0], u_b=[1.0, 2.0, 3.0], tau_a=0.1, tau_b=0.7,
-        n_ab=[0.0, 0.0, 1.0],
-    )
-    assert abs(oracles.residual_surfel_pair(c, traj)) < 1e-12
 
 
 def test_map_prior_residual_zero_when_consistent():
@@ -194,7 +166,7 @@ def test_window_without_imu_estimates_no_biases():
     truth, _, init = gen_trajectory_and_imu(cfg)
     scene = gen_surfel_scene(cfg, truth)
     system = lm._WindowSystem(
-        [], scene.map_prior_constraints(), [], init,
+        scene.map_prior_constraints(), [], init,
         lm.OptState(ControlGrid.for_window(init.start, init.end, 8)),
     )
     assert system.n_params() == 6 * system.n_knots
@@ -226,7 +198,7 @@ def test_observability_guard_counts_the_biases():
     samples = [imu[20], imu[60]]
     n_knots = len(grid)
     priors = scene.map_prior_constraints()[: 6 * n_knots - 12 + 3]
-    system = lm._WindowSystem([], priors, samples, init, lm.OptState(grid))
+    system = lm._WindowSystem(priors, samples, init, lm.OptState(grid))
     assert list(system.imu.count) == [1, 1]
     assert 6 * n_knots < system.n_residuals < system.n_params() == 6 * n_knots + 6
     with pytest.raises(InvalidArgumentError, match="6 IMU biases"):
@@ -279,27 +251,22 @@ def test_non_finite_input_is_rejected(bad):
         lm.optimize_window(constraints, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
-@pytest.mark.parametrize("bad", ["n_mc", "n_ab", "tau_b", "accel", "gyro"])
+@pytest.mark.parametrize("bad", ["n_mc", "accel", "gyro"])
 def test_window_checks_what_its_records_do_not(bad):
-    # The records check nothing; the window checks unit normals, distinct
-    # pair times and finite IMU readings once, as it stacks them.
+    # The records check nothing; the window checks unit normals and finite
+    # IMU readings once, as it stacks them.
     cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
     priors = scene.map_prior_constraints()
-    pairs = pair_constraints_from_scene(cfg, truth, 10)
     imu = list(imu)
     if bad == "n_mc":
         priors[3] = dataclasses.replace(priors[3], n_mc=1.001 * priors[3].n_mc)
-    elif bad == "n_ab":
-        pairs[3] = dataclasses.replace(pairs[3], n_ab=0.999 * pairs[3].n_ab)
-    elif bad == "tau_b":
-        pairs[3] = dataclasses.replace(pairs[3], tau_b=pairs[3].tau_a)
     else:
         reading = getattr(imu[5], bad).copy()
         reading[1] = np.nan
         imu[5] = dataclasses.replace(imu[5], **{bad: reading})
     grid = ControlGrid.for_window(init.start, init.end, 8)
     with pytest.raises(InvalidArgumentError):
-        lm.optimize_window(priors + pairs, imu, init, lm.OptState(grid), lm.OptimizerConfig())
+        lm.optimize_window(priors, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
 @pytest.mark.parametrize("bad", ["u_c4", "n_mc2", "accel2", "every_u_c6"])
@@ -402,7 +369,7 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
     # The window's first H, built as optimize_window builds it, and the
     # number of its eigenvalues below 1e-12 of the largest.
     state = lm.OptState(grid)
-    system = lm._WindowSystem([], constraints, [], init, state)
+    system = lm._WindowSystem(constraints, [], init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     system.robust.update(it.residuals)
     hess, _ = system.normal_equations(it, system.robust.weighted(it.residuals))
@@ -498,7 +465,7 @@ def test_normal_equations_and_step_allocate_no_dense_temporaries():
     # H copied into its layout, adds a block each and fails.
     cfg, truth, imu, init, scene = small_sim(seed=5)
     state = lm.OptState(ControlGrid.for_window(init.start, init.end, 26))
-    system = lm._WindowSystem([], scene.map_prior_constraints(), imu, init, state)
+    system = lm._WindowSystem(scene.map_prior_constraints(), imu, init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     system.robust.update(it.residuals)
     weighted = system.robust.weighted(it.residuals)
@@ -671,12 +638,11 @@ def assert_jacobian_matches_central_fd(system, x, state, eps=1e-6):
 
 def test_analytic_jacobian_at_zero_correction_priors_only():
     # The analytic Jacobian at x = 0 (zero correction, zero biases), with map
-    # priors and IMU but no surfel pairs and unit robust weights, must match
-    # dense central differencing; the test below covers random non-zero x
-    # with pairs.
-    pairs, priors, imu, init = window_inputs(pairs=[])
+    # priors and IMU and unit robust weights, must match dense central
+    # differencing; the test below covers a random folded correction.
+    priors, imu, init = window_inputs()
     state = lm.OptState(knot_grid(init.start, init.end, 0.25))
-    system = lm._WindowSystem(pairs, priors, imu, init, state)
+    system = lm._WindowSystem(priors, imu, init, state)
     x = np.zeros(system.n_params())
     assert_jacobian_matches_central_fd(system, x, state)
 
@@ -688,12 +654,12 @@ SE3_PATH = pytest.mark.parametrize((), [pytest.param(id="se3-se3")])
 
 @SE3_PATH
 def test_analytic_jacobian_matches_dense_central_fd():
-    # A random correction folded into the samples, with surfel pairs, map
-    # priors, IMU groups whose ends lie between trajectory samples, biases
+    # A random correction folded into the samples, with map priors, IMU
+    # groups whose ends lie between trajectory samples, biases
     # and non-trivial robust weights; the columns of the biases are the
     # groups' constant bias border.
     system, x, state = folded_iterate()
-    assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
+    assert system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust.weights) < 1.0
     assert_jacobian_matches_central_fd(system, x, state)
 
@@ -740,7 +706,7 @@ def assert_batch_residuals_match_single_evaluators(taken, sizes):
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     priors = scene.map_prior_constraints()
     usable_imu = imu[taken]
-    system = lm._WindowSystem([], priors, usable_imu, init, state)
+    system = lm._WindowSystem(priors, usable_imu, init, state)
     assert set(system.imu.count) == sizes
     x = np.random.default_rng(7).normal(scale=1e-3, size=system.n_params())
     it = system.evaluate(x, state)
@@ -783,7 +749,7 @@ def test_a_group_of_one_sample_is_the_stencil_acceleration_row():
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     sparse = imu[5:-5:7]
-    system = lm._WindowSystem([], scene.map_prior_constraints(), sparse, init, state)
+    system = lm._WindowSystem(scene.map_prior_constraints(), sparse, init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     b_a, b_g = np.array([0.03, -0.01, 0.0]), np.array([0.0, 0.004, -0.002])
     raw = system._imu_raw(it.rot, it.t, b_a, b_g)
@@ -806,7 +772,7 @@ def test_group_moments_are_weighted_sums_of_stencil_residuals():
     moved = truth.translations + np.random.default_rng(3).normal(scale=1e-3, size=(len(truth), 3))
     traj = Trajectory(truth.times, truth.rotations, moved, truth.nominal_rate)
     state = lm.OptState(knot_grid(traj.start, traj.end, 0.25), gyro_bias=cfg.gyro_bias)
-    system = lm._WindowSystem([], [], imu, traj, state)
+    system = lm._WindowSystem([], imu, traj, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias)
     members = group_members(system, imu)
@@ -832,7 +798,7 @@ def test_group_covariance_and_bias_jacobian_match_re_preintegration():
     state = lm.OptState(knot_grid(init.start, init.end, 0.25),
                         accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
-    system = lm._WindowSystem([], [], imu, init, state)
+    system = lm._WindowSystem([], imu, init, state)
     group = group_members(system, imu)[2]
     eps = 1e-6
 
@@ -895,7 +861,7 @@ def test_groups_of_mixed_sizes_match_the_oracles():
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
     samples = mixed_group_samples(imu, init, grid)
-    system = lm._WindowSystem([], scene.map_prior_constraints(), samples, init, state)
+    system = lm._WindowSystem(scene.map_prior_constraints(), samples, init, state)
     groups = system.imu
     assert len(set(groups.count)) >= 3 and 1 in groups.count and groups.count.max() > 10
     members = group_members(system, samples)
@@ -953,10 +919,10 @@ def test_parameter_entry_moves_samples_by_its_knot_weight():
     # samples and the points of the queries between them, by knot k's spline
     # weight at the point's time about axis j for j < 3, and shifts it along
     # axis j - 3 by that weight for j >= 3.
-    pairs, priors, imu, init = window_inputs()
+    priors, imu, init = window_inputs()
     grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid)
-    system = lm._WindowSystem(pairs, priors, imu, init, state)
+    system = lm._WindowSystem(priors, imu, init, state)
     times = system.point_times
     assert np.array_equal(times[: len(init)], init.times) and len(times) > len(init)
     rot0, t0 = init.sample_batch(times)
@@ -984,14 +950,14 @@ def test_each_query_reads_its_own_pose_point():
     # bit for bit; a prior between samples reads the initial pose at its own
     # time, corrected by the oracle spline at that time, after one folded
     # correction and after a second one on top.
-    _, priors, _, init = window_inputs(pairs=[])
+    priors, _, init = window_inputs()
     grid = knot_grid(init.start, init.end, 0.25)
     h = 1.0 / init.nominal_rate
     snapped = [17, 50, 83]
     taus = np.r_[init.times[snapped] + [0.0, 1e-13, -1e-13], init.times[[20, 64]] + 0.37 * h]
     priors = [dataclasses.replace(c, tau_c=tau) for c, tau in zip(priors, taus)] + priors[5:]
     state = lm.OptState(grid)
-    system = lm._WindowSystem([], priors, [], init, state)
+    system = lm._WindowSystem(priors, [], init, state)
     q = np.arange(system.q_prior.start, system.q_prior.start + 5)
     assert np.array_equal(system.query_points[q[:3]], snapped)
     assert np.all(system.query_points[q[3:]] >= len(init))
@@ -1014,37 +980,33 @@ def test_each_query_reads_its_own_pose_point():
     assert np.array_equal(est.translations[snapped], it.t[q[:3]])
 
 
-def window_inputs(pairs=None, with_imu=True):
-    """Pairs, priors, IMU samples and initial trajectory of a 1 s window.
-    The IMU samples are shifted 3.7 ms off the 10 ms sample grid, so their
-    stencils read poses between samples."""
+def window_inputs():
+    """Priors, IMU samples and initial trajectory of a 1 s window.  The IMU
+    samples are shifted 3.7 ms off the 10 ms sample grid, so their stencils
+    read poses between samples."""
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
-    if pairs is None:
-        pairs = pair_constraints_from_scene(cfg, truth, 40)
-    if not with_imu:
-        return pairs, [], [], init
     imu = [lm.ImuSample(s.tau + 0.0037, s.accel, s.gyro) for s in imu]
-    return pairs, scene.map_prior_constraints(), imu, init
+    return scene.map_prior_constraints(), imu, init
 
 
-def random_iterate(pairs=None, with_imu=True, knot_step=0.25):
-    """A window system at a random non-zero x with pairs, priors, IMU,
-    biases and robust weights below one, on a grid whose end samples read
-    clamped knots."""
-    pairs, priors, imu, init = window_inputs(pairs, with_imu)
-    grid = knot_grid(init.start, init.end, knot_step)
+def random_iterate():
+    """A window system at a random non-zero x with priors, IMU, biases and
+    robust weights below one, on a grid whose end samples read clamped
+    knots."""
+    priors, imu, init = window_inputs()
+    grid = knot_grid(init.start, init.end, 0.25)
     state = lm.OptState(grid, accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
-    system = lm._WindowSystem(pairs, priors, imu, init, state)
+    system = lm._WindowSystem(priors, imu, init, state)
     x = np.random.default_rng(5).normal(scale=1e-3, size=system.n_params())
     system.robust.update(system.evaluate(x, state).residuals)
     return system, x, state
 
 
-def folded_iterate(**kwargs):
+def folded_iterate():
     """``random_iterate`` with its random x folded into the samples, where
     the window is linearized: the system, x = 0 and the folded state."""
-    system, x, state = random_iterate(**kwargs)
+    system, x, state = random_iterate()
     folded = system.fold(system.evaluate(x, state))
     return system, folded.x, folded.state
 
@@ -1068,7 +1030,7 @@ def assert_normal_equations_match_dense(system, x, state):
 @SE3_PATH
 def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
-    assert system.n_pair > 0 and system.n_prior > 0 and system.n_imu > 0
+    assert system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust.weights) < 1.0
     # The IMU samples are full groups off the sample grid: every end query
     # of a group lies between two samples and reads a pose point of its own.
@@ -1077,24 +1039,6 @@ def test_normal_equations_match_dense_jacobian():
     # The first and last samples read the clamped boundary knots.
     first, last = system.grid.knot_indices_and_weights(system.traj_times[[0, -1]])[0]
     assert first[0] == first[1] and last[2] == last[3]
-    assert_normal_equations_match_dense(system, x, state)
-
-
-@SE3_PATH
-def test_normal_equations_match_dense_jacobian_far_pairs():
-    # Pairs only, each tying two times at least four knots apart, so one
-    # row reads knots far from its first one.
-    rng = np.random.default_rng(3)
-    pairs = []
-    for tau_a in np.linspace(0.02, 0.3, 40):
-        normal = rng.normal(size=3)
-        pairs.append(lm.SurfelPairConstraint(
-            u_a=rng.normal(size=3), u_b=rng.normal(size=3), tau_a=tau_a,
-            tau_b=tau_a + 0.65, n_ab=normal / np.linalg.norm(normal),
-        ))
-    system, x, state = folded_iterate(pairs=pairs, with_imu=False, knot_step=0.1)
-    assert system.n_prior == 0 and system.n_imu == 0
-    assert np.all(np.diff(system.pair_taus, axis=1) >= 4 * system.grid.step)
     assert_normal_equations_match_dense(system, x, state)
 
 
