@@ -7,8 +7,9 @@ Each stage works on stacks: the beam noise of every return, the gates of
 every candidate pair, and the Wishart and normal updates of every
 destination are whole-array operations over ``DenseSurfels`` batches.  The
 single-surfel functions (``beam_noise_for_return``, ``match_surfel``,
-``fuse_surfel``) are the batch functions on a batch of one; a dense surfel
-record enters through ``DenseSurfels.of``, which checks it.  Sparse surfels
+``fuse_surfel``) are the batch functions on a batch of one; a single dense
+surfel, a row view of a batch or any object with every field, enters
+through ``DenseSurfels.of``, which checks it.  Sparse surfels
 enter only as ``SparseSurfels`` batches.  A fusion step reads
 the global dense map's one batch and builds the next one, which replaces
 it: it folds its measurements into their destinations in rounds, each
@@ -19,10 +20,11 @@ the arrays of ``SparseSurfels`` batches, keys its destinations once per call
 and pairs its surfels through one join with them per association round; each
 round's point-to-plane fit runs the window optimizer's damped Gauss-Newton
 driver (``local_mapping.solve``), so the window and the ICP share one step,
-one damping schedule, one set of stop rules and one robust kernel.  The ICP
-also moves its pose as the window moves each pose point, ``R <- Exp(phi) R``
-and ``t <- Exp(phi) t + rho`` (``trajectory.compose_correction``), so both
-linearize a plane distance into the same rows (``local_mapping._plane_rows``).
+one damping schedule, one set of stop rules and one robust kernel.  Both
+linearize a plane distance into the same rows (``local_mapping._plane_rows``);
+the ICP turns its pose about the centre of each round's pairs, not about the
+world origin (see ``_PlaneProblem``), so its steps and its rank check do not
+depend on where the overlap lies.
 
 Every 3×3 decomposition here is the closed-form kernel of ``surfel_map``:
 ``eigh3`` through ``psd_eigh`` for the scatters, whose smallest eigenvectors
@@ -48,7 +50,6 @@ from .errors import DegenerateGeometryError, InvalidArgumentError
 from .local_mapping import (CHI2_TOL, RANK_TOL, SIGMA_PRIOR, IterationRecord,
                             OptimizationReport, _Cauchy, _plane_rows, solve)
 from .surfel_map import (
-    DenseSurfel,
     DenseSurfelMap,
     DenseSurfels,
     GlobalMaps,
@@ -149,7 +150,7 @@ MATCH_REACH = 1.0 + 1e-6
 def match_pairs(sources, targets, params: MatchParams | None = None):
     """Every (source, target) pair of dense surfels passing both matching
     gates: index arrays into ``sources`` and ``targets`` (batches, or lists
-    of surfel records that ``DenseSurfels.of`` checks) and the source
+    of single surfels that ``DenseSurfels.of`` checks) and the source
     centroid's signed distance along the target normal, in no particular
     order.
 
@@ -188,9 +189,9 @@ def match_pairs(sources, targets, params: MatchParams | None = None):
     return i[passed], j[passed], along[passed]
 
 
-def match_surfel(src: DenseSurfel, dense_map: DenseSurfelMap,
-                 params: MatchParams | None = None):
-    """Keys of the map surfels that ``src`` matches (see ``match_pairs``),
+def match_surfel(src, dense_map: DenseSurfelMap, params: MatchParams | None = None):
+    """Keys of the map surfels that ``src``, one dense surfel (a row view,
+    or any object with every field), matches (see ``match_pairs``),
     sorted."""
     _, found, _ = match_pairs([src], dense_map.batch, params)
     return sorted(found.tolist())
@@ -297,9 +298,10 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     return fused, {"centroid_cov": cov_eigenvalues, "scatter": scatter_eigh[0]}
 
 
-def fuse_surfel(dst: DenseSurfel, meas: SurfelMeasurement) -> DenseSurfel:
-    """``fuse_batch`` for one surfel record, checked as it enters and as it
-    leaves."""
+def fuse_surfel(dst, meas: SurfelMeasurement):
+    """``fuse_batch`` for one dense surfel (a row view, or any object with
+    every field), checked as it enters and as it leaves: the fused surfel's
+    row view."""
     one = SurfelMeasurement(
         meas.mean[None], meas.scatter[None], [meas.count], meas.noise[None], [meas.timestamp]
     )
@@ -381,9 +383,9 @@ def _associate(rotation, translation, src_pts, src_normals, dst: KeyedPoints, ds
     return moved[i[paired]], i[paired], j[paired]
 
 
-# An ICP iterate: the left perturbation x of the pose state (rotation,
-# translation), the pose it moves the state to, the source centroids moved
-# by that pose and their residuals.
+# An ICP iterate: the step y of the pose state (rotation, translation) about
+# the round's centre (see _PlaneProblem), the pose it moves the state to, the
+# source centroids moved by that pose and their residuals.
 _PlaneIterate = namedtuple("_PlaneIterate", "x state pose moved residuals")
 
 
@@ -392,66 +394,66 @@ class _PlaneProblem:
     fixed: the source centroids ``src``, moved by the pose, against the
     destination planes through ``dst`` along ``normal``, each distance
     whitened by ``sigma`` and all Cauchy-robust, from the annealed
-    ``scale``.  The parameter ``x = (phi, rho)`` steps the pose as the
-    window steps each of its pose points, ``R <- Exp(phi) R`` and ``t <-
-    Exp(phi) t + rho`` (``trajectory.compose_correction``), and is folded
-    into the pose after each accepted step; its rows are the window's
-    point-to-plane rows (``local_mapping._plane_rows``).
+    ``scale``.
+
+    The pose steps about a centre fixed for the round, ``c``, the mean of
+    the paired sources as the round's pose moves them (``moved``): the
+    parameter ``y = (L phi, rho)`` moves it as ``R <- Exp(phi) R`` and ``t
+    <- Exp(phi) (t - c) + c + rho``, a turn about ``c`` measured as an arc
+    at the sources' RMS spread ``L`` about it, and the move of ``c``.
+    Radians and meters then compare, and no result depends on where the
+    world origin lies (Gelfand et al., 3DIM 2003; Solà et al., A micro Lie
+    theory, arXiv 1812.01537).  ``y`` is folded into the pose after each
+    accepted step; its rows are the window's point-to-plane rows
+    (``local_mapping._plane_rows``) at the lever arms ``(p - c) / L``.
 
     Each build of the normal equations freezes the directions that the
-    pairs barely observe (Zhang, Kaess & Singh, ICRA 2016).  The test is
-    free of units (Gelfand et al., 3DIM 2003): it takes ``H`` in the
-    coordinates ``y = (L phi, rho + phi x c)``, a turn about the moved
-    sources' mean ``c`` measured as an arc at their RMS spread ``L`` about
-    it, and the move of ``c``, so radians and meters compare and the origin
-    of the world frame does not matter.  An eigenvector ``v`` there whose
-    eigenvalue lies in ``[RANK_TOL, ICP_WEAK_RATIO)`` times the largest is
-    weak: the rows are projected so that they see no step along it, and
-    ``H`` takes the largest eigenvalue there, so the driver steps in the
-    observed directions only and keeps ``v . y`` at zero.  Eigenvalues
-    below ``RANK_TOL`` are left to the driver's rank check, so an exactly
-    planar overlap still ends ``"rank_deficient"``.  ``frozen_dim`` is the
-    most directions that one build froze."""
+    pairs barely observe (Zhang, Kaess & Singh, ICRA 2016).  An eigenvector
+    ``v`` of ``H`` whose eigenvalue lies in ``[RANK_TOL, ICP_WEAK_RATIO)``
+    times the largest is weak: the rows are projected so that they see no
+    step along it, and ``H`` takes the largest eigenvalue there, so the
+    driver steps in the observed directions only and keeps ``v . y`` at
+    zero.  Eigenvalues below ``RANK_TOL`` are left to the driver's rank
+    check, so an exactly planar overlap still ends ``"rank_deficient"``.
+    ``frozen_dim`` is the most directions that one build froze."""
 
-    def __init__(self, src, dst, normal, sigma, scale):
+    def __init__(self, src, dst, normal, sigma, scale, moved):
         self.src, self.dst, self.normal, self.sigma = src, dst, normal, sigma
         self.robust = _Cauchy(len(src), scale)
         self.frozen_dim = 0
+        self.centre = moved.mean(axis=0)
+        arm = moved - self.centre
+        self.spread = max(np.sqrt(np.mean(_row_dot(arm, arm))), 1e-12)
 
-    def evaluate(self, x, state):
+    def evaluate(self, y, state):
         rotation, translation = state
         # At zero, as at each round's start, the step leaves the pose as is.
-        if x.any():
+        if y.any():
             (rotation,), (translation,) = compose_correction(
-                lie.so3_exp_batch(x[None, :3]), x[None, 3:], rotation[None], translation[None]
+                lie.so3_exp_batch(y[None, :3] / self.spread), y[None, 3:], rotation[None],
+                (translation - self.centre)[None]
             )
+            translation = translation + self.centre
         moved = self.src @ rotation.T + translation
         residuals = _row_dot(self.normal, moved - self.dst) / self.sigma
-        return _PlaneIterate(x, state, (rotation, translation), moved, residuals)
+        return _PlaneIterate(y, state, (rotation, translation), moved, residuals)
 
     def fold(self, it):
         return it._replace(x=np.zeros(6), state=it.pose)
 
     def normal_equations(self, it, weighted):
-        jac = _plane_rows(it.moved, self.normal, self.robust.weights / self.sigma)
+        jac = _plane_rows((it.moved - self.centre) / self.spread, self.normal,
+                          self.robust.weights / self.sigma)
         hess = jac.T @ jac
-        # The scaled coordinates y = to_y @ x = (L phi, rho + phi x c).
-        centre = it.moved.mean(axis=0)
-        spread = np.sqrt(np.mean(_row_dot(it.moved - centre, it.moved - centre)))
-        to_y = np.eye(6)
-        to_y[:3, :3] *= max(spread, 1e-12)
-        to_y[3:, :3] = -lie.hat_batch(centre[None])[0]
-        to_x = np.linalg.inv(to_y)
-        eigenvalues, vectors = np.linalg.eigh(to_x.T @ hess @ to_x)
+        eigenvalues, vectors = np.linalg.eigh(hess)
         largest = eigenvalues[-1]
         weak = (eigenvalues >= RANK_TOL * largest) & (eigenvalues < ICP_WEAK_RATIO * largest)
         if weak.any():
-            # The rows J to_x (I - V V^T) to_y see no step along the weak
-            # scaled directions V, and H takes the largest eigenvalue there.
+            # The rows J (I - V V^T) see no step along the weak directions V,
+            # and H takes the largest eigenvalue there.
             frozen = vectors[:, weak]
-            along = to_y.T @ frozen
-            jac = jac - (jac @ (to_x @ frozen)) @ along.T
-            hess = jac.T @ jac + largest * (along @ along.T)
+            jac = jac - (jac @ frozen) @ frozen.T
+            hess = jac.T @ jac + largest * (frozen @ frozen.T)
             self.frozen_dim = max(self.frozen_dim, frozen.shape[1])
         self.jac = jac
         return hess, self.chord_gradient(weighted)
@@ -527,7 +529,7 @@ def icp_point_to_plane(src_surfels, dst_surfels):
         last = pairing
         seen.add(pairing)
         problem = _PlaneProblem(src.centroid[src_idx], dst.centroid[dst_idx], dst.normal[dst_idx],
-                                SIGMA_PRIOR / np.sqrt(weights[dst_idx]), scale)
+                                SIGMA_PRIOR / np.sqrt(weights[dst_idx]), scale, moved)
         try:
             it, report = solve(problem, problem.evaluate(np.zeros(6), pose))
         except DegenerateGeometryError:
@@ -560,8 +562,8 @@ class LocalMaps:
     global map into active and inactive surfels.
 
     ``sparse`` must be a ``SparseSurfels`` batch.  ``dense`` is a
-    ``DenseSurfels`` batch; a list of ``DenseSurfel`` records is stacked and
-    checked into one.  The sensor origin must be a finite 3-vector and the
+    ``DenseSurfels`` batch; a list of single surfels is stacked and checked
+    into one.  The sensor origin must be a finite 3-vector and the
     timestamp finite.
     """
 

@@ -529,7 +529,7 @@ class _WindowSystem:
         self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
         self.structure = self._rows()
         if self.n_imu:
-            self.imu_layer = self._imu_layer_terms(self.structure[0][-1][2])
+            self.imu_layer = self._imu_layer_terms(self.structure[0][-1][1])
 
         self.robust = _Cauchy(self.n_prior)
 
@@ -703,32 +703,34 @@ class _WindowSystem:
 
     def _rows(self):
         """Row structure, built once per window: per family present, the
-        priors then the IMU, its rows, their first knots and spread
+        priors then the IMU, its rows' first knots and spread
         (``_row_spread``), every spread padded to the widest band W (the IMU
         family's rows share one spread per group, in group order); six times
         the knots the bands reach; and the plan of
         :meth:`normal_equations`: where each family's rows go in stable
-        first-knot order, a buffer for their bands in that order, the rows
-        in it, with the residuals and the constant bias border after the
-        bands, and the first-knot spans."""
+        first-knot order, a buffer for their bands in that order, the
+        residual row at each place of it, with the residuals and the
+        constant bias border after the bands, and the first-knot spans.
+        The families' rows are the residual rows in order, the priors' at
+        ``sl_prior`` and the IMU's after them, so the residual row at each
+        place of that order is the order itself."""
         first, band = self.point_bands
         fams = []
         if self.n_prior:
             points = self.query_points[self.q_prior, None]
-            fams.append((np.arange(self.n_prior), *_row_spread(first[points], band[points])))
+            fams.append(_row_spread(first[points], band[points]))
         if self.n_imu:
             points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
             group_first, spread = _row_spread(first[points], band[points])
-            rows = np.arange(self.sl_accel.start, self.n_residuals)
-            fams.append((rows, group_first[self.imu_rows // 9], spread))
-        width = max(s.shape[1] for _, _, s in fams)
-        for i, (rows, row_first, spread) in enumerate(fams):
+            fams.append((group_first[self.imu_rows // 9], spread))
+        width = max(s.shape[1] for _, s in fams)
+        for i, (row_first, spread) in enumerate(fams):
             padded = np.zeros((spread.shape[0], width, spread.shape[2]))
             padded[:, : spread.shape[1]] = spread
-            fams[i] = (rows, row_first, padded)
+            fams[i] = (row_first, padded)
         # Knots the bands reach; past the last knot only zero weights reach.
-        size = 6 * max(self.n_knots, max(int(f.max()) for _, f, _ in fams) + width)
-        rows, first = (np.concatenate([f[j] for f in fams]) for j in (0, 1))
+        size = 6 * max(self.n_knots, max(int(f.max()) for f, _ in fams) + width)
+        first = np.concatenate([f for f, _ in fams])
         order = stable_order(first)
         first = first[order]
         bounds = np.flatnonzero(np.diff(first)) + 1
@@ -736,13 +738,13 @@ class _WindowSystem:
         spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
-        at = np.split(place, np.cumsum([f[0].size for f in fams])[:-1])
+        at = np.split(place, np.cumsum([f.size for f, _ in fams])[:-1])
         # The bands, then the residuals, both refilled per call, then the
         # constant bias border.
         buffer = np.zeros((order.size, 6 * width + 1 + self.n_params() - 6 * self.n_knots))
         if self.n_imu:
             buffer[at[-1], 6 * width + 1 :] = self.imu_border
-        return fams, size, (6 * width, at, buffer, rows[order], spans)
+        return fams, size, (6 * width, at, buffer, order, spans)
 
     def _linearize(self, it):
         """Row bands ``[(n, 6W)]`` of the robust-weighted residuals at iterate
@@ -753,7 +755,7 @@ class _WindowSystem:
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
         bands = []
         if self.n_prior:
-            spread = self.structure[0][0][2]
+            spread = self.structure[0][0][1]
             bands.append((spread @ self._prior_layer(it.rot, it.t)).reshape(self.n_prior, -1))
         if self.n_imu:
             bands.append(self._imu_band(it.rot, it.t, it.imu_log))
@@ -768,10 +770,10 @@ class _WindowSystem:
         product and its gradient reads the IMU rows alone.  One product per
         first knot, of its rows' bands with their bands, residuals and
         border, gives both its block of H and its right-hand sides."""
-        _, size, (width, at, buffer, rows, spans) = self.structure
+        _, size, (width, at, buffer, order, spans) = self.structure
         for a, rows_band in zip(at, self._linearize(it)):
             buffer[a, :width] = rows_band
-        buffer[:, width] = weighted[rows]
+        buffer[:, width] = weighted[order]
         n = 6 * self.n_knots
         hess = np.zeros((self.n_params(), self.n_params()))
         h_kr = np.zeros((size, buffer.shape[1] - width))
@@ -795,9 +797,9 @@ class _WindowSystem:
         :meth:`normal_equations` build, read from the row bands that build
         left in its buffers: one ``block.T @ r`` per first knot, and the bias
         border's product with the IMU rows."""
-        _, size, (width, _, buffer, rows, spans) = self.structure
+        _, size, (width, _, buffer, order, spans) = self.structure
         grad = np.zeros(size)
-        r = weighted[rows]
+        r = weighted[order]
         for lo, hi, k in spans:
             grad[k : k + width] += buffer[lo:hi, :width].T @ r[lo:hi]
         grad = [grad[: 6 * self.n_knots]]
@@ -810,10 +812,11 @@ class _WindowSystem:
         :meth:`normal_equations` scattered into their columns and the bias
         border, at an ``x`` of zero correction.  Only tests read it."""
         fams, size, _ = self.structure
-        bands = self._linearize(self.evaluate(x, state))
+        # The families' rows are the residual rows, in order.
+        band = np.concatenate(self._linearize(self.evaluate(x, state)))
+        first = np.concatenate([f for f, _ in fams])
         knots = np.zeros((self.n_residuals, size))
-        for (rows, first, _), band in zip(fams, bands):
-            knots[rows[:, None], 6 * first[:, None] + np.arange(band.shape[1])] = band
+        np.put_along_axis(knots, 6 * first[:, None] + np.arange(band.shape[1]), band, axis=1)
         border = np.zeros((self.n_residuals, self.n_params() - 6 * self.n_knots))
         if self.n_imu:
             border[self.sl_accel.start :] = self.imu_border

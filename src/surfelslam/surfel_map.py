@@ -3,30 +3,31 @@ disc surfels with Wishart state, the global sparse/dense map pair, and the
 one fixed-radius lookup every caller shares.
 
 Surfels are stored as arrays.  A ``DenseSurfels`` or ``SparseSurfels``
-batch holds one array per field, in the order of its ``_LAYOUT``, with the
-surfels along the first axis.  ``DenseSurfelMap`` holds one such batch in
-insertion order, which each fusion step replaces; a surfel's key is its
-row.  ``SparseSurfelMap`` keeps one row per (resolution, voxel) key, where
-the voxel is the integer index ``voxelize_sparse`` computed, in the order
-the keys were first fused; a fuse matches the keys of a whole batch, each
-key at most once, by one sort and pools every revisited voxel by one
-stacked ``merge_moments``.  Sparse surfels exist only as batches: the sparse
-fuse, the ICP and ``fusion.LocalMaps`` refuse anything else
-(``_require_sparse``).  A dense surfel may also be a ``DenseSurfel``
-record, which checks nothing; ``DenseSurfels.of`` stacks and checks a list
-of them.  A batch hands out a row as a read view of copies: a
-``DenseSurfel``, or a namespace of a sparse row's fields.
+batch holds one array per field, with the surfels along the first axis;
+each field is declared once, annotated with its per-surfel shape and dtype,
+and the batch's ``_LAYOUT`` is read from those declarations.
+``DenseSurfelMap`` holds one such batch in insertion order, which each
+fusion step replaces; a surfel's key is its row.  ``SparseSurfelMap``
+keeps one row per (resolution, voxel) key, where the voxel is the integer
+index ``voxelize_sparse`` computed, in the order the keys were first fused;
+a fuse matches the keys of a whole batch, each key at most once, by one
+sort and pools every revisited voxel by one stacked ``merge_moments``.
+Sparse surfels exist only as batches: the sparse fuse, the ICP and
+``fusion.LocalMaps`` refuse anything else (``_require_sparse``).  A batch
+of either kind hands out a row as a read view of copies, a namespace of the
+row's fields.  ``DenseSurfels.of`` stacks and checks a list of single dense
+surfels: row views, or any objects with every field.
 
-Batches carry the checks.  One function per kind validates surfel fields
-over a whole batch.  ``check_dense`` requires finite values of the right
-shapes, symmetrized positive semidefinite covariances, unit normals and
-``dof`` of at least one; ``_check_sparse`` requires finite values of the
-right shapes, positive resolutions and symmetrized positive semidefinite
-covariances, and derives each normal and planarity from the covariances'
-eigenpairs.  Each runs once per batch where a batch is made: extraction, a
-fusion step's fused rows, voxelization, a sparse fuse's pooled rows, and
-``DenseSurfels.of`` over a list of records.  A batch passes through ``of``
-unchanged.
+Batches carry the checks.  Both kinds share one check, ``_check_fields``,
+of each field's per-surfel shape, common length, finite values and dtype,
+and each adds its own invariants: ``check_dense`` requires symmetrized
+positive semidefinite covariances, unit normals and ``dof`` of at least
+one; ``_check_sparse`` requires positive resolutions and symmetrized
+positive semidefinite covariances, and derives each normal and planarity
+from the covariances' eigenpairs.  Each runs once per batch where a batch
+is made: extraction, a fusion step's fused rows, voxelization, a sparse
+fuse's pooled rows, and ``DenseSurfels.of`` over a list of single surfels.
+A batch passes through ``of`` unchanged.
 
 Every 3×3 eigendecomposition goes through one batched closed-form kernel,
 ``eigh3`` (Smith's eigenvalues and the smallest eigenvector from a cross
@@ -41,7 +42,7 @@ from theirs; voxelization and the sparse fuse hand the clamp's eigenpairs
 to ``_check_sparse`` for the normals, planarities and PSD check; and
 fusion's Wishart update (``fusion.fuse_batch``) hands them to the normal
 extraction and to ``check_dense``.  ``check_dense`` decomposes only what
-it is not given eigenvalues for: lists of records and direct calls.
+it is not given eigenvalues for: lists of single surfels and direct calls.
 
 The lookup is a bulk radius-pair kernel over a uniform grid (Teschner et
 al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
@@ -93,6 +94,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Annotated, get_type_hints
 
 import numpy as np
 
@@ -308,45 +310,40 @@ def psd_eigvalsh(m):
     return sym, eigenvalues
 
 
-# Per-surfel shape and dtype of each field of a surfel class, in field order.
-_SPARSE_LAYOUT = {
-    "centroid": ((3,), float),
-    "covariance": ((3, 3), float),
-    "count": ((), np.int64),
-    "resolution": ((), float),
-    "timestamp": ((), float),
-    "voxel": ((3,), np.int64),
-    "normal": ((3,), float),
-    "planarity": ((), float),
-}
-_DENSE_LAYOUT = {
-    "centroid": ((3,), float),
-    "normal": ((3,), float),
-    "centroid_cov": ((3, 3), float),
-    "scatter": ((3, 3), float),
-    "dof": ((), float),
-    "obs_count": ((), np.int64),
-    "timestamp": ((), float),
-    "radius": ((), float),
-}
+# The per-surfel types of a batch's fields: each annotation carries the
+# shape and dtype of one surfel's value.
+_Vector = Annotated[np.ndarray, (3,), float]
+_Matrix = Annotated[np.ndarray, (3, 3), float]
+_Real = Annotated[np.ndarray, (), float]
+_Count = Annotated[np.ndarray, (), np.int64]
+_Cell = Annotated[np.ndarray, (3,), np.int64]
 
 
 class _Batch:
-    """Rows of a surfel batch: ``_LAYOUT`` gives each field's per-surfel
-    shape and dtype, in field order, and ``_VALUE`` the type a row is viewed
-    as.
+    """Rows of a surfel batch: a dataclass whose fields each hold one array
+    per surfel along the first axis, each declared once with a per-surfel
+    type (``_Vector`` and the like).  ``_LAYOUT`` is read from those
+    declarations: each field's per-surfel shape and dtype, in field order.
 
-    An integer index (a numpy integer too) gives a view of that row, its
-    fields copied, any other index the sub-batch it selects; iteration
-    yields views.
+    An integer index (a numpy integer too) gives a read view of that row, a
+    namespace of its fields, arrays copied and scalars as Python numbers;
+    any other index gives the sub-batch it selects.  Iteration yields views.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        hints = get_type_hints(cls, include_extras=True)
+        cls._LAYOUT = {f: hints[f].__metadata__ for f in cls.__annotations__}
 
     def __len__(self):
         return len(self.timestamp)
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return self._VALUE(**_row(self, index))
+            return SimpleNamespace(**{
+                f: getattr(self, f)[index].copy() if shape else getattr(self, f).item(index)
+                for f, (shape, _) in self._LAYOUT.items()
+            })
         return type(self)(*(getattr(self, f)[index] for f in self._LAYOUT))
 
     def __iter__(self):
@@ -356,15 +353,6 @@ class _Batch:
     def empty(cls, n=0):
         """``n`` zero rows, to be filled."""
         return cls(*(np.zeros((n,) + shape, dtype) for shape, dtype in cls._LAYOUT.values()))
-
-
-def _row(batch, k):
-    """The fields of row ``k``: array fields copied, scalars as Python
-    numbers."""
-    return {
-        f: getattr(batch, f)[k].copy() if shape else getattr(batch, f).item(k)
-        for f, (shape, _) in batch._LAYOUT.items()
-    }
 
 
 def _put(batch, rows, values):
@@ -378,26 +366,35 @@ def _concat(a, b):
     return type(a)(*(np.concatenate([getattr(a, f), getattr(b, f)]) for f in a._LAYOUT))
 
 
+def _check_fields(cls, values):
+    """The check that every surfel batch shares: each of ``values``, fields
+    of ``cls`` by name, must have its per-surfel shape, with the length of
+    ``timestamp``, and finite values.  Returns them as arrays of their
+    dtypes."""
+    n = len(np.reshape(values["timestamp"], -1))
+    for f, v in values.items():
+        shape, dtype = cls._LAYOUT[f]
+        v = np.asarray(v)
+        if v.shape != (n,) + shape or not np.isfinite(v).all():
+            raise InvalidArgumentError(f"{cls.__name__} {f} must be finite, of shape {shape}")
+        values[f] = v.astype(dtype, copy=False)
+    return values
+
+
 def _check_sparse(centroid, covariance, count, resolution, timestamp, voxel, eigh):
     """The one check of sparse surfel fields, over a stack of surfels.
 
-    Every field must have its per-surfel shape, with one common length, and
-    finite values, and resolutions must be positive.  Covariances are
-    symmetrized and must be positive semidefinite within tolerance, by their
-    eigenvalues in ``eigh``, the covariances' ``(eigenvalues, normals)``
-    (from ``psd_eigh``, whose covariances are exactly symmetric).  Returns
-    the checked ``SparseSurfels``: each normal is the smallest-eigenvalue
-    eigenvector of its covariance and each planarity ``(l1 - l0) / l2``.
+    The fields must pass ``_check_fields``, and resolutions must be
+    positive.  Covariances are symmetrized and must be positive
+    semidefinite within tolerance, by their eigenvalues in ``eigh``, the
+    covariances' ``(eigenvalues, normals)`` (from ``psd_eigh``, whose
+    covariances are exactly symmetric).  Returns the checked
+    ``SparseSurfels``: each normal is the smallest-eigenvalue eigenvector of
+    its covariance and each planarity ``(l1 - l0) / l2``.
     """
-    values = {"centroid": centroid, "covariance": covariance, "count": count,
-              "resolution": resolution, "timestamp": timestamp, "voxel": voxel}
-    n = len(np.reshape(timestamp, -1))
-    for f, v in values.items():
-        shape, dtype = _SPARSE_LAYOUT[f]
-        v = np.asarray(v)
-        if v.shape != (n,) + shape or not np.isfinite(v).all():
-            raise InvalidArgumentError(f"sparse surfel {f} must be finite, of shape {shape}")
-        values[f] = v.astype(dtype, copy=False)
+    values = _check_fields(SparseSurfels, {
+        "centroid": centroid, "covariance": covariance, "count": count,
+        "resolution": resolution, "timestamp": timestamp, "voxel": voxel})
     if (values["resolution"] <= 0.0).any():
         raise InvalidArgumentError("sparse surfel resolution must be positive")
     values["covariance"] = _symmetrize(values["covariance"])
@@ -421,19 +418,14 @@ class SparseSurfels(_Batch):
     covariance.  Batches come from ``_check_sparse``, or are rows of one.
     """
 
-    centroid: np.ndarray
-    covariance: np.ndarray
-    count: np.ndarray
-    resolution: np.ndarray
-    timestamp: np.ndarray
-    voxel: np.ndarray
-    normal: np.ndarray
-    planarity: np.ndarray
-
-    _LAYOUT = _SPARSE_LAYOUT
-    # A row view only: the benchmark's voxel spot check iterates the rows of
-    # a batch.
-    _VALUE = SimpleNamespace
+    centroid: _Vector
+    covariance: _Matrix
+    count: _Count
+    resolution: _Real
+    timestamp: _Real
+    voxel: _Cell
+    normal: _Vector
+    planarity: _Real
 
 
 def _require_sparse(surfels):
@@ -444,51 +436,32 @@ def _require_sparse(surfels):
     return surfels
 
 
-@dataclass(frozen=True)
-class DenseSurfel:
-    """Disc surfel with normal-inverse-Wishart state.
+@dataclass(frozen=True, eq=False)
+class DenseSurfels(_Batch):
+    """A batch of disc surfels with normal-inverse-Wishart state, along the
+    first axis of every field.
 
     ``scatter`` is the accrued (unnormalized) second-moment matrix whose
     smallest-eigenvalue eigenvector is the surface normal; ``centroid_cov``
     is the uncertainty of the centroid estimate; ``dof`` counts the points
-    accrued into the scatter.  A record checks nothing; ``DenseSurfels.of``
-    checks a list of them.
+    accrued into the scatter.  Batches come from ``check_dense``, from
+    ``DenseSurfels.of`` over single surfels, or are rows of either.
     """
 
-    centroid: np.ndarray
-    normal: np.ndarray
-    centroid_cov: np.ndarray
-    scatter: np.ndarray
-    dof: float
-    obs_count: int
-    timestamp: float
-    radius: float = DEFAULT_SURFEL_RADIUS
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSurfels(_Batch):
-    """A batch of dense surfels: one array per ``DenseSurfel`` field, in its
-    order, the surfels along the first axis.  Batches come from
-    ``check_dense``, from ``DenseSurfels.of`` over records, or from rows of
-    either."""
-
-    centroid: np.ndarray
-    normal: np.ndarray
-    centroid_cov: np.ndarray
-    scatter: np.ndarray
-    dof: np.ndarray
-    obs_count: np.ndarray
-    timestamp: np.ndarray
-    radius: np.ndarray
-
-    _LAYOUT = _DENSE_LAYOUT
-    _VALUE = DenseSurfel
+    centroid: _Vector
+    normal: _Vector
+    centroid_cov: _Matrix
+    scatter: _Matrix
+    dof: _Real
+    obs_count: _Count
+    timestamp: _Real
+    radius: _Real
 
     @classmethod
     def of(cls, surfels):
-        """The batch of a list of ``DenseSurfel`` records, stacked field by
-        field and checked once by ``check_dense``, or ``surfels`` itself
-        when it is a batch."""
+        """``surfels`` itself when it is a batch; otherwise the batch of a
+        list of single surfels, row views or any objects with every field,
+        stacked field by field and checked once by ``check_dense``."""
         if isinstance(surfels, cls):
             return surfels
         surfels = list(surfels)
@@ -496,34 +469,27 @@ class DenseSurfels(_Batch):
             return cls.empty()
         try:
             fields = {f: np.array([getattr(s, f) for s in surfels]) for f in cls._LAYOUT}
-        except ValueError:
-            raise InvalidArgumentError("surfel fields of one name must share one shape") from None
+        except (AttributeError, ValueError):
+            raise InvalidArgumentError(
+                "dense surfels must each have every field, of one shape per field"
+            ) from None
         return check_dense(cls(**fields))
 
 
 def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
     """The one check of dense surfel fields, over a whole batch.
 
-    Every field must have its per-surfel shape, with one common length, and
-    finite values; ``dof`` must be at least 1.  Both covariance stacks are
-    symmetrized and must be positive semidefinite within tolerance, and
-    normals must have unit length.  ``eigenvalues`` maps ``"centroid_cov"``
-    or ``"scatter"`` to that stack's ascending eigenvalues when the caller
-    has them (from ``psd_eigh`` or ``psd_eigvalsh``, whose stacks are exactly
-    symmetric, or derived from them); one ``eigvalsh3`` decomposes the
-    stacks it does not name.  Returns the batch
-    with float fields, ``int64`` observation counts and the symmetrized
-    covariances.
+    The fields must pass ``_check_fields``, and ``dof`` must be at least 1.
+    Both covariance stacks are symmetrized and must be positive
+    semidefinite within tolerance, and normals must have unit length.
+    ``eigenvalues`` maps ``"centroid_cov"`` or ``"scatter"`` to that stack's
+    ascending eigenvalues when the caller has them (from ``psd_eigh`` or
+    ``psd_eigvalsh``, whose stacks are exactly symmetric, or derived from
+    them); one ``eigvalsh3`` decomposes the stacks it does not name.
+    Returns the batch with float fields, ``int64`` observation counts and
+    the symmetrized covariances.
     """
-    values = {f: np.asarray(getattr(batch, f)) for f in _DENSE_LAYOUT}
-    n = len(values["dof"].reshape(-1))
-    for f, (shape, _) in _DENSE_LAYOUT.items():
-        if values[f].shape != (n,) + shape:
-            raise InvalidArgumentError(f"dense surfel {f} must have shape {shape}")
-    if not np.isfinite(np.concatenate([v.reshape(n, -1) for v in values.values()], axis=1)).all():
-        bad = next(f for f, v in values.items() if not np.isfinite(v).all())
-        raise InvalidArgumentError(f"dense surfel {bad} must be finite")
-    values = {f: values[f].astype(dtype, copy=False) for f, (_, dtype) in _DENSE_LAYOUT.items()}
+    values = _check_fields(DenseSurfels, {f: getattr(batch, f) for f in DenseSurfels._LAYOUT})
     if (values["dof"] < 1.0).any():
         raise InvalidArgumentError("dense surfel dof must be at least 1")
     for f in ("centroid_cov", "scatter"):
@@ -541,7 +507,7 @@ def check_dense(batch: DenseSurfels, eigenvalues=None) -> DenseSurfels:
 
 
 class _SurfelsByKey(Mapping):
-    """Key → ``DenseSurfel`` view of a dense map, in key order."""
+    """Key → row view of a dense map, in key order."""
 
     def __init__(self, dense_map):
         self._map = dense_map
@@ -562,8 +528,8 @@ class DenseSurfelMap:
 
     A surfel's key is its row, valid until the next step: a step keeps the
     surviving rows in their order and appends its new surfels, so an earlier
-    key is an earlier insertion.  ``get`` and ``surfels`` give
-    ``DenseSurfel`` views of rows.
+    key is an earlier insertion.  ``get`` and ``surfels`` give row views
+    (see ``_Batch``).
     """
 
     def __init__(self):
@@ -574,10 +540,10 @@ class DenseSurfelMap:
 
     @property
     def surfels(self):
-        """The stored surfels as a key → ``DenseSurfel`` mapping."""
+        """The stored surfels as a key → row view mapping."""
         return _SurfelsByKey(self)
 
-    def get(self, key) -> DenseSurfel:
+    def get(self, key) -> SimpleNamespace:
         if not (isinstance(key, (int, np.integer)) and 0 <= key < len(self.batch)):
             raise KeyError(key)
         return self.batch[key]

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,21 @@ def random_poses(rng, n, max_angle=np.pi - 0.1, t_scale=1.0):
 def random_spd(rng, dim=3, scale=1.0):
     a = rng.normal(size=(dim, dim))
     return scale * (a @ a.T + 0.1 * np.eye(dim))
+
+
+def dense_surfel(centroid, normal, centroid_cov, scatter, dof, obs_count, timestamp,
+                 radius=surfel_map.DEFAULT_SURFEL_RADIUS):
+    """One dense surfel as a batch's row view holds it: a namespace of every
+    field."""
+    return SimpleNamespace(centroid=centroid, normal=normal, centroid_cov=centroid_cov,
+                           scatter=scatter, dof=dof, obs_count=obs_count,
+                           timestamp=timestamp, radius=radius)
+
+
+def replaced(surfel, **changes):
+    """A copy of the single surfel ``surfel`` with ``changes`` to its
+    fields."""
+    return SimpleNamespace(**{**vars(surfel), **changes})
 
 
 def knot_grid(start, stop, step):

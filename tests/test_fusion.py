@@ -1,5 +1,6 @@
+import dataclasses
 import logging
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from surfelslam import fusion, lie
 from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
-from surfelslam.surfel_map import DenseSurfel, DenseSurfelMap, DenseSurfels
+from surfelslam.surfel_map import DenseSurfelMap, DenseSurfels, check_dense
 
-from conftest import count_decompositions, random_rotation, random_spd
+from conftest import (count_decompositions, dense_surfel, random_rotation, random_spd,
+                      replaced)
 
 from surfelslam.fusion import (
     GlobalMaps,
@@ -44,7 +46,7 @@ def make_surfel(centroid, normal=(0.0, 0.0, 1.0), cov_scale=1e-6, scatter=None,
         basis = np.linalg.svd(np.outer(normal, normal))[0]
         scatter = basis @ np.diag([1e-10, 1e-4, 1e-4]) @ basis.T * dof
         scatter = basis[:, ::-1] @ np.diag([1e-4, 1e-4, 1e-10]) @ basis[:, ::-1].T * dof
-    return DenseSurfel(
+    return dense_surfel(
         centroid=np.asarray(centroid, dtype=float),
         normal=normal,
         centroid_cov=np.eye(3) * cov_scale if centroid_cov is None else centroid_cov,
@@ -186,8 +188,8 @@ def test_match_reaches_a_pair_at_both_gates_bounds():
     theta_r, theta_d = params.resolution_threshold, params.depth_threshold
     shrink = 1.0 - 0.9e-9
     m, _ = mapped([make_surfel([0.3, 0.0, 0.0], cov_scale=1e-5),
-                   replace(make_surfel([0.0, 0.0, 0.0], cov_scale=2e-4),
-                           normal=np.array([0.0, 0.0, shrink]))])
+                   replaced(make_surfel([0.0, 0.0, 0.0], cov_scale=2e-4),
+                            normal=np.array([0.0, 0.0, shrink]))])
     src_var = 1e-4
     sigma = np.sqrt(src_var + shrink**2 * 2e-4)
     for depth, found in ((1.0 - 1e-10, [1]), (1.0 + 1e-9, [])):
@@ -222,7 +224,7 @@ def test_match_join_radius_reads_only_the_normal_variances(monkeypatch):
 
 
 def test_fuse_surfel_hand_example():
-    dst = DenseSurfel(
+    dst = dense_surfel(
         centroid=np.zeros(3),
         normal=np.array([0.0, 0.0, 1.0]),
         centroid_cov=np.eye(3),
@@ -283,7 +285,7 @@ def test_fuse_surfel_monte_carlo_consistency(rng):
         return mean, centered.T @ centered, n
 
     mean0, scatter0, n0 = draw_batch(30)
-    surfel = DenseSurfel(
+    surfel = dense_surfel(
         centroid=mean0,
         normal=np.array([0.0, 0.0, 1.0]),
         centroid_cov=(true_extent + noise) / n0,
@@ -300,6 +302,37 @@ def test_fuse_surfel_monte_carlo_consistency(rng):
     assert np.linalg.norm(surfel.centroid - true_mean) < 1e-3
     angle = np.arccos(np.clip(abs(surfel.normal @ true_normal), 0.0, 1.0))
     assert angle < 0.05
+
+
+def test_a_row_view_is_a_single_surfel_for_every_reader(rng):
+    # Single dense surfels are row views: of a batch, by index or iteration,
+    # and of the dense map, by key.  Each one passes through
+    # DenseSurfels.of, match_surfel, fuse_surfel and the exhaustive match as
+    # its row does, and one that lacks a field is refused.
+    m, _ = mapped([make_surfel([x, 0.0, 0.0], timestamp=x) for x in (0.0, 0.5, 1.0)])
+    params = MatchParams()
+    meas = SurfelMeasurement(np.array([0.5, 0.0, 1e-3]), random_spd(rng, scale=1e-5), 7,
+                             1e-6 * np.eye(3), 2.0)
+    stacked = SurfelMeasurement(meas.mean[None], meas.scatter[None], [meas.count],
+                                meas.noise[None], [meas.timestamp])
+    row = m.batch[[1]]
+    fused_row = check_dense(*fusion.fuse_batch(row, stacked))
+    for view in (m.batch[1], m.batch[np.int64(1)], list(m.batch)[1], m.get(1), m.surfels[1]):
+        one = DenseSurfels.of([view])
+        for f in dataclasses.fields(row):
+            assert np.array_equal(getattr(one, f.name), getattr(row, f.name)), f.name
+        assert match_surfel(view, m, params) == [1] == oracles.match_surfels_exhaustive(
+            view, m.surfels, params.resolution_threshold, params.depth_threshold)
+        fused = fuse_surfel(view, meas)
+        assert list(vars(fused)) == list(vars(view))
+        for f in dataclasses.fields(row):
+            assert np.array_equal(getattr(fused, f.name), getattr(fused_row, f.name)[0]), f.name
+        for name in vars(view):
+            lacking = SimpleNamespace(**{k: v for k, v in vars(view).items() if k != name})
+            for read in (lambda s: DenseSurfels.of([s]), lambda s: match_surfel(s, m, params),
+                         lambda s: fuse_surfel(s, meas)):
+                with pytest.raises(InvalidArgumentError, match="every field"):
+                    read(lacking)
 
 
 def test_fuse_surfel_requires_defined_extent():
@@ -835,21 +868,33 @@ def test_icp_freezes_the_shift_along_the_wall():
     (floor_ceiling_wall_points, [0.0, 0.3, 0.0], 1), (corner_scene_points, [0.15, 0.05, 0.0], 0),
 ], ids=["wall", "corner"])
 def test_icp_freezes_the_same_directions_at_any_scale_and_place(scene, shift, frozen_dim):
-    # The weak-direction test compares turns and moves without units, about
-    # the overlap's own centre: the scene scaled by 10 (and its voxels with
-    # it) or moved 50 m from the origin freezes what it froze, one direction
-    # along the wall and none in the corner.  The pairing radius is fixed
-    # in meters, so the shift is not scaled.
+    # The ICP steps about the overlap's own centre and compares turns and
+    # moves without units: the scene scaled by 10 (and its voxels with it)
+    # or moved 50 m, 1.2 km or 10 km from the origin freezes what it froze,
+    # one direction along the wall and none in the corner.  Moved, it also
+    # stops for the same reason and moves the overlap as it did, to within
+    # 1e-9 m; stepping about the world origin, it ended "rank_deficient"
+    # from 1.2 km on.  The pairing radius is fixed in meters, so the shift is
+    # not scaled.
     pts = scene(np.random.default_rng(0))
-    frozen = []
-    for scale, offset in ((1.0, 0.0), (10.0, 0.0), (1.0, 50.0)):
+    runs = {}
+    for scale, offset in ((1.0, 0.0), (10.0, 0.0), (1.0, 50.0), (1.0, 1.2e3), (1.0, 1e4)):
         moved = scale * pts + offset
         src = voxelize_sparse(moved - shift, np.zeros(len(pts)), [0.5 * scale])
         dst = voxelize_sparse(moved, np.zeros(len(pts)), [0.5 * scale])
-        icp = icp_point_to_plane(src, dst)
-        assert icp.converged
-        frozen.append(icp.frozen_dim)
-    assert frozen == [frozen_dim] * 3
+        runs[scale, offset] = icp_point_to_plane(src, dst)
+    assert [icp.frozen_dim for icp in runs.values()] == [frozen_dim] * len(runs)
+    assert all(icp.converged for icp in runs.values())
+
+    def overlap_move(icp):
+        mean = icp.pairs[0].mean(axis=0)
+        return icp.rotation @ mean + icp.translation - mean
+
+    at_origin = runs.pop((1.0, 0.0))
+    for (scale, _), icp in runs.items():
+        if scale == 1.0:
+            assert icp.report.reason == at_origin.report.reason
+            assert np.abs(overlap_move(icp) - overlap_move(at_origin)).max() < 1e-9
 
 
 def test_icp_ends_a_cycle_of_pairings_unconverged(rng, monkeypatch, caplog):

@@ -37,6 +37,7 @@ def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, mon
         "0 ICP calls, 0 not converged, 0 froze a direction, 0 triggers "
         "(the dump: 0 ICP calls, 0 not converged, 0 froze a direction, 0 triggers); "
         "0 of 2 windows differ in ICP stop reason; "
+        "0 of 2 windows differ in ICP frozen directions; "
         "0 of 2 window digests and 0 of 1 map digests differ; "
         "0 of 2 windows have a larger translation error than the dump"
     )
@@ -99,6 +100,7 @@ def test_compare_sizes_each_difference(digest):
         "1 ICP calls, 1 not converged, 0 froze a direction, 0 triggers "
         "(the dump: 1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers); "
         "1 of 2 windows differ in ICP stop reason; "
+        "1 of 2 windows differ in ICP frozen directions; "
         "1 of 2 window digests and 1 of 1 map digests differ; "
         "1 of 2 windows have a larger translation error than the dump, "
         "the largest by +0.25 relative (w.s1.e0.w1)"
@@ -110,7 +112,16 @@ def test_compare_sizes_each_difference(digest):
                  "w.s1.e0.w1.frozen": reference["w.s1.e0.w1.frozen"]}
     assert ("1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers "
             "(the dump: 1 ICP calls, 0 not converged, 1 froze a direction, 1 triggers); "
-            "1 of 2 windows differ in ICP stop reason; ") in digest.compare(reference, converged)[0]
+            "1 of 2 windows differ in ICP stop reason; "
+            "0 of 2 windows differ in ICP frozen directions; "
+            ) in digest.compare(reference, converged)[0]
+    # A call that freezes two directions where the dump's froze one leaves
+    # the totals equal; only the call-by-call count shows it.
+    refrozen = {**converged, "w.s1.e0.w1.frozen": np.array(2)}
+    assert ("1 froze a direction, 1 triggers (the dump: 1 ICP calls, 0 not converged, "
+            "1 froze a direction, 1 triggers); 1 of 2 windows differ in ICP stop reason; "
+            "1 of 2 windows differ in ICP frozen directions; "
+            ) in digest.compare(reference, refrozen)[0]
     # A dump that holds no digests, fusion counts, window errors, ICP stop
     # reasons or frozen directions compares none and counts only this run's
     # ICP calls.
@@ -120,6 +131,7 @@ def test_compare_sizes_each_difference(digest):
         "0 of 0 windows differ in fusion counts or trigger; "
         "1 ICP calls, 1 not converged, 0 froze a direction, 0 triggers; "
         "0 of 0 windows differ in ICP stop reason; "
+        "0 of 0 windows differ in ICP frozen directions; "
         "0 of 0 window digests and 0 of 0 map digests differ; "
         "0 of 0 windows have a larger translation error than the dump"
     )

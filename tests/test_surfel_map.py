@@ -11,14 +11,11 @@ from surfelslam.surfel_map import (
     BEAM_SIGMA,
     MIN_POINTS,
     DenseExtractionConfig,
-    DenseSurfel,
     DenseSurfelMap,
     DenseSurfels,
     KeyedPoints,
     SparseSurfelMap,
     SparseSurfels,
-    _DENSE_LAYOUT,
-    _SPARSE_LAYOUT,
     _check_sparse,
     _concat,
     _radius_pairs,
@@ -36,7 +33,7 @@ from surfelslam.surfel_map import (
 )
 from surfelslam.trajectory import Trajectory
 
-from conftest import count_decompositions
+from conftest import count_decompositions, dense_surfel, replaced
 
 
 def test_voxelize_cube_corners():
@@ -61,15 +58,6 @@ def test_voxelize_coplanar_points(rng):
 
 def test_voxelize_empty_input():
     assert len(voxelize_sparse(np.zeros((0, 3)), np.zeros(0), [1.0])) == 0
-
-
-def test_batch_fields_follow_their_layout():
-    # empty, _put, _concat, the sub-batch index and the digest tool read a
-    # batch's fields positionally or in dataclass order, which must be the
-    # order of its _LAYOUT.
-    for cls, layout in ((DenseSurfels, _DENSE_LAYOUT), (SparseSurfels, _SPARSE_LAYOUT)):
-        assert cls._LAYOUT is layout
-        assert [f.name for f in dataclasses.fields(cls)] == list(layout)
 
 
 def test_voxelize_matches_bruteforce_moments(rng):
@@ -351,7 +339,7 @@ def test_extract_dense_returns_a_batch_of_views(rng):
     assert len(views) == len(batch)
     for k in (0, np.int64(len(batch) - 1), -1):
         view = batch[k]
-        assert isinstance(view, DenseSurfel)
+        assert list(vars(view)) == [f.name for f in dataclasses.fields(batch)]
         assert np.array_equal(view.centroid, batch.centroid[k])
         assert np.array_equal(view.scatter, batch.scatter[k])
         assert view.dof == batch.dof[k] and view.timestamp == batch.timestamp[k]
@@ -503,7 +491,7 @@ def test_dense_surfel_check_rejects_invalid_fields(name, value):
     # matching).  One check serves a list of records, alone or among good
     # ones, and a batch.
     proto = _surfel_at(np.zeros(3))
-    bad = replace(proto, **{name: value})
+    bad = replaced(proto, **{name: value})
     for records in ([bad], [proto, bad]):
         with pytest.raises(InvalidArgumentError):
             DenseSurfels.of(records)
@@ -523,7 +511,7 @@ def test_dense_surfel_check_rejects_invalid_fields(name, value):
 def _random_surfel(rng):
     normal = rng.normal(size=3)
     a, b = rng.normal(size=(2, 3, 3))
-    return DenseSurfel(
+    return dense_surfel(
         centroid=rng.uniform(-5.0, 5.0, size=3),
         normal=normal / np.linalg.norm(normal),
         centroid_cov=1e-4 * a @ a.T,
@@ -582,7 +570,7 @@ def test_linear_scan_distance_rounds_as_norm(rng):
 
 
 def _surfel_at(point):
-    return DenseSurfel(
+    return dense_surfel(
         centroid=point, normal=[0.0, 0.0, 1.0],
         centroid_cov=np.eye(3) * 1e-6, scatter=np.eye(3) * 1e-4,
         dof=6.0, obs_count=1, timestamp=0.0,
@@ -594,7 +582,7 @@ def _mapped(points):
     linear-scan shadow of its centroids, keyed by row."""
     m = DenseSurfelMap()
     proto = _surfel_at(np.zeros(3))
-    m.batch = DenseSurfels.of([replace(proto, centroid=p) for p in points])
+    m.batch = DenseSurfels.of([replaced(proto, centroid=p) for p in points])
     shadow = oracles.LinearScanIndex()
     for key, p in enumerate(points):
         shadow.insert(key, p)
@@ -624,7 +612,7 @@ def test_index_randomized_insert_remove_query(rng):
     m = DenseSurfelMap()
     proto = _surfel_at(np.zeros(3))
     pool = rng.uniform(-50.0, 50.0, size=(4000, 3))
-    batch = DenseSurfels.of([replace(proto, centroid=p) for p in pool])
+    batch = DenseSurfels.of([replaced(proto, centroid=p) for p in pool])
     for _ in range(40):
         kept = np.flatnonzero(rng.uniform(size=len(pool)) < rng.uniform(0.0, 0.5))
         m.batch = batch[kept]
@@ -715,7 +703,7 @@ def test_dense_map_write_moves_index(rng):
     m = DenseSurfelMap()
     m.batch = DenseSurfels.of([_surfel_at([0.0, 0.0, 0.0])])
     assert m.query_radius([0.0, 0.0, 0.0], 0.1) == [0]
-    moved = replace(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0)
+    moved = replaced(_surfel_at([5.0, 0.0, 0.0]), obs_count=2, timestamp=1.0)
     m.batch = DenseSurfels.of([moved])
     assert m.query_radius([5.0, 0.0, 0.0], 0.1) == [0]
     assert m.query_radius([0.0, 0.0, 0.0], 0.1) == []
@@ -1036,10 +1024,8 @@ def test_psd_checks_reject_non_psd_at_every_entry_point(rng):
         for eigenvalues in (None, known, {name: np.linalg.eigvalsh(values)}):
             with pytest.raises(InvalidArgumentError):
                 check_dense(broken, eigenvalues)
-        fields = {f: getattr(proto, f) for f in ("centroid", "normal", "centroid_cov",
-                                                  "scatter", "dof", "obs_count", "timestamp")}
         with pytest.raises(InvalidArgumentError):
-            DenseSurfels.of([DenseSurfel(**{**fields, name: bad})])
+            DenseSurfels.of([replaced(proto, **{name: bad})])
     sparse = voxelize_sparse(rng.normal(scale=0.1, size=(200, 3)), np.zeros(200), [0.5, 1.0])
     covariance = sparse.covariance.copy()
     covariance[1] = bad

@@ -30,8 +30,10 @@ number of windows whose stop reason or record count differs, how many
 windows differ in fusion counts or trigger, how many ICP calls the run made,
 how many did not converge, how many froze a weak direction and how many
 raised a trigger (and the dump's counts, of what it holds), how many
-windows' ICP stop reasons differ, how many window digests and map digests
-differ, of those the dump holds, and how many windows have a larger
+windows' ICP stop reasons differ and how many windows' ICP froze a different
+number of directions, so that ICP changes compare call by call and not
+only in totals, how many window digests and map digests differ, of those
+the dump holds, and how many windows have a larger
 translation error than in the dump, with the largest relative increase and
 its window.
 A change that moves the maps only by rounding changes their digests but no
@@ -236,6 +238,7 @@ def compare(reference, current):
             f"{changed} windows differ in stop reason or record count; "
             f"{differing('.fusion')} windows differ in fusion counts or trigger; {icp}; "
             f"{differing('.icp')} windows differ in ICP stop reason; "
+            f"{differing('.frozen')} windows differ in ICP frozen directions; "
             f"{differing('.digest')} window digests and {differing('.maps')} map digests differ; "
             f"{errors}"
         )
