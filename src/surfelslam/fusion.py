@@ -26,11 +26,12 @@ the ICP turns its pose about the centre of each round's pairs, not about the
 world origin (see ``_PlaneProblem``), so its steps and its rank check do not
 depend on where the overlap lies.
 
-Every 3×3 decomposition here is the closed-form kernel of ``surfel_map``:
+Every 3×3 decomposition here is a closed-form kernel of ``surfel_map``:
 ``eigh3`` through ``psd_eigh`` for the scatters, whose smallest eigenvectors
-are the normals, and the values-only ``eigvalsh3`` for the extents' and
+are the normals, the values-only ``eigvalsh3`` for the extents' and
 centroid covariances' clamps (``psd_eigvalsh``) and the ICP's
-normal-eigenvalue ratio.
+normal-eigenvalue ratio, and ``cholesky3`` for the Wishart update's
+Cholesky factors and their inverses.
 
 The Wishart update treats each incoming surfel as a batch of ``n`` points
 summarized by their mean, accrued scatter, and world-frame measurement noise;
@@ -55,11 +56,15 @@ from .surfel_map import (
     GlobalMaps,
     KeyedPoints,
     SparseSurfels,
+    _DIAGONAL,
     _concat,
+    _entries,
     _put,
+    _rayleigh,
     _require_sparse,
     _row_dot,
     check_dense,
+    cholesky3,
     eigvalsh3,
     psd_eigh,
     psd_eigvalsh,
@@ -71,10 +76,6 @@ from .trajectory import compose_correction
 log = logging.getLogger(__name__)
 
 MEASUREMENT_DIM = 3
-
-
-def _transpose(m):
-    return np.swapaxes(m, -1, -2)
 
 
 # Beam noise: range noise across the beam (m), depth noise along it of
@@ -137,8 +138,9 @@ class MatchParams:
 def _gate_arrays(surfels: DenseSurfels):
     """Centroids, normals and normal variances ``n^T C n`` of the centroid
     covariances."""
-    normal, cov = surfels.normal, surfels.centroid_cov
-    return surfels.centroid, normal, _row_dot((normal[:, None, :] @ cov)[:, 0], normal)
+    normal = surfels.normal
+    variance = _rayleigh(_entries(surfels.centroid_cov)[0], np.ascontiguousarray(normal.T))
+    return surfels.centroid, normal, variance
 
 
 # The match join's relative pad on the farthest centroid the gates pass: it
@@ -219,21 +221,21 @@ class SurfelMeasurement:
             raise InvalidArgumentError("measurement needs at least one point")
 
 
-def _chol_or_regularize(m, what):
-    """Lower Cholesky factors of a stack; a matrix whose factorization fails
-    is factored again with 1e-12 I added, and logged."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(m)
-    for k, matrix in enumerate(m):
-        try:
-            out[k] = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
+def _chol_or_regularize(at, what):
+    """Lower Cholesky factors of a (3, 3, m) entries stack and their
+    inverses (``cholesky3``).  A matrix whose factorization fails is logged
+    and factored again with 1e-12 I added; one that still fails raises
+    ``InvalidArgumentError`` naming ``what``."""
+    factor, inverse, failed = cholesky3(at)
+    if failed.any():
+        for _ in range(np.count_nonzero(failed)):
             log.warning("%s singular during fusion; regularizing", what)
-            out[k] = np.linalg.cholesky(matrix + 1e-12 * np.eye(3))
-    return out
+        again = at[:, :, failed]
+        again[_DIAGONAL] += 1e-12
+        factor[:, :, failed], inverse[:, :, failed], failed = cholesky3(again)
+        if failed.any():
+            raise InvalidArgumentError(f"{what} is not positive definite, even with 1e-12 I added")
+    return factor, inverse
 
 
 def extract_normal_batch(eigh, previous):
@@ -254,36 +256,53 @@ def extract_normal_batch(eigh, previous):
 def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     """Normal-inverse-Wishart update of centroid, covariance, and extent of
     each destination row by the measurement in the same row of a stacked
-    ``meas``.
+    ``meas`` (Park et al., Elastic LiDAR Fusion, ICRA 2018).
+
+    The update runs on component-first (3, 3, m) entries and calls no
+    LAPACK routine.  ``cholesky3`` gives the lower factors of Y and S and
+    their inverses M_Y and M_S, so S^-1 = M_S^T M_S enters only through
+    M_S: the centroid moves by C M_S^T (M_S delta) and the covariance by
+    (M_S C)^T (M_S C).  The left factors L_X M_S and L_X M_Y, with L_X the
+    factor of the clamped extent, are products of lower-triangular
+    factors; L_X M_S enters only through the one vector L_X (M_S delta),
+    whose outer product is the innovation term.
+    ``oracles.fuse_batch_lapack`` is the same update through LAPACK's
+    stacked inverses.
 
     Returns the fused batch, not checked, and the eigenvalues of its
     centroid covariances and scatters as ``check_dense`` takes them: the
     PSD clamps give them, ``psd_eigh`` of the scatters, whose eigenvectors
-    give the normals too, and ``psd_eigvalsh`` of the centroid covariances.
-    The extent's clamp reads no eigenvalue it returns, so it is
-    ``psd_eigvalsh`` too.
+    give the normals too, and one ``psd_eigvalsh`` of the extents and the
+    centroid covariances together, which works row by row and so equals
+    one call per stack.
     """
     if np.any(dst.dof <= MEASUREMENT_DIM + 1):
         raise InvalidArgumentError("surfel extent state not yet well defined")
     count = np.asarray(meas.count, dtype=float)
-    extent = dst.scatter / (dst.dof - MEASUREMENT_DIM - 1)[:, None, None]
-    y = extent + meas.noise
-    s = dst.centroid_cov + y / count[:, None, None]
-    sqrt_y = _chol_or_regularize(y, "innovation scale Y")
-    sqrt_s = _chol_or_regularize(s, "innovation covariance S")
-    gain = dst.centroid_cov @ np.linalg.inv(s)
-    delta = meas.mean - dst.centroid
-    mean = dst.centroid + (gain @ delta[:, :, None])[:, :, 0]
-    centroid_cov = dst.centroid_cov - gain @ dst.centroid_cov
+    cov, scatter, noise, meas_scatter = (
+        _entries(m)[0] for m in (dst.centroid_cov, dst.scatter, meas.noise, meas.scatter))
+    extent = scatter / (dst.dof - MEASUREMENT_DIM - 1)
+    y = extent + noise
+    _, inv_sqrt_y = _chol_or_regularize(y, "innovation scale Y")
+    _, inv_sqrt_s = _chol_or_regularize(cov + y / count, "innovation covariance S")
+    delta = (meas.mean - dst.centroid).T
+    whitened = np.einsum("ikm,km->im", inv_sqrt_s, delta)
+    step = np.einsum("ikm,lkm,lm->im", cov, inv_sqrt_s, whitened)
+    root_gain = np.einsum("ikm,kjm->ijm", inv_sqrt_s, cov)
+    cov -= np.einsum("kim,kjm->ijm", root_gain, root_gain)
 
-    sqrt_x = np.linalg.cholesky(psd_eigvalsh(extent)[0] + 1e-18 * np.eye(3))
-    innovation = delta[:, :, None] * delta[:, None, :]
-    left_s = sqrt_x @ np.linalg.inv(sqrt_s)
-    left_y = sqrt_x @ np.linalg.inv(sqrt_y)
-    n_bar = left_s @ innovation @ _transpose(left_s)
-    y_bar = left_y @ meas.scatter @ _transpose(left_y)
-    scatter, scatter_eigh = psd_eigh(dst.scatter + n_bar + y_bar)
-    centroid_cov, cov_eigenvalues = psd_eigvalsh(centroid_cov)
+    n = len(count)
+    clamped, eigenvalues = psd_eigvalsh(np.moveaxis(np.concatenate([extent, cov], axis=-1), -1, 0))
+    x = _entries(clamped[:n])[0]
+    x[_DIAGONAL] += 1e-18
+    sqrt_x, _ = _chol_or_regularize(x, "extent X")
+    v = np.einsum("ikm,km->im", sqrt_x, whitened)
+    left_y = np.einsum("ikm,kjm->ijm", sqrt_x, inv_sqrt_y)
+    fused_scatter = (scatter + v[:, None] * v[None]
+                     + np.einsum("ikm,klm,jlm->ijm", left_y, meas_scatter, left_y))
+    scatter, scatter_eigh = psd_eigh(np.moveaxis(fused_scatter, -1, 0))
+    mean = dst.centroid + step.T
+    centroid_cov, cov_eigenvalues = clamped[n:], eigenvalues[n:]
 
     fused = replace(
         dst,
@@ -773,7 +792,7 @@ def temporal_fusion_step(local: LocalMaps, global_maps: GlobalMaps,
             inactive[woken] = False
 
     culled = (state.obs_count < STABLE_OBS) & (now - state.timestamp > CULL_AGE)
-    global_maps.dense.batch = state[~culled]
+    global_maps.dense.batch = state[~culled] if culled.any() else state
 
     metrics = FusionStepMetrics(
         step=step,

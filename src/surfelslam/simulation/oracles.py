@@ -8,20 +8,24 @@ evaluated from its knot weights and control points, map-prior residuals
 evaluated one constraint at a time on the trajectory they read, IMU groups
 integrated one sample at a time, linear-scan spatial queries, radius joins
 and ICP association from the full distance matrix, exhaustive matching,
-hash-grouped voxel moments, dense-surfel seeding by linear scans, and
-closed-form 3x3 eigen solves.  None of it is used on the
+hash-grouped voxel moments, dense-surfel seeding by linear scans,
+closed-form 3x3 eigen solves, and the Wishart update through LAPACK's
+stacked Cholesky factorizations and inverses.  None of it is used on the
 fast paths, and none of the Lie references evaluates the closed form of the
 map it checks.  A pose here is a 4x4 homogeneous matrix.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import lie
-from ..errors import MissingSupportError, OutOfRangeError
-from ..fusion import NORMAL_COMPATIBILITY
+from ..errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
+from ..fusion import MEASUREMENT_DIM, NORMAL_COMPATIBILITY, extract_normal_batch
 from ..local_mapping import GRAVITY
+from ..surfel_map import psd_eigh, psd_eigvalsh
 from ..trajectory import Trajectory, compose_correction
 
 
@@ -333,3 +337,44 @@ def eig3_symmetric_closed_form(matrix):
         best = np.array([0.0, 0.0, 1.0])
         best_norm = 1.0
     return eigenvalues, best / np.linalg.norm(best)
+
+
+def fuse_batch_lapack(dst, meas):
+    """``fusion.fuse_batch`` as (N, 3, 3) row stacks through LAPACK, for
+    stacks whose Cholesky factorizations succeed: the gain from ``inv(S)``,
+    the left factors from the inverses of the stacked Cholesky factors of S
+    and Y, and the innovation term as the congruence of the outer product
+    ``delta delta^T``."""
+    if np.any(dst.dof <= MEASUREMENT_DIM + 1):
+        raise InvalidArgumentError("surfel extent state not yet well defined")
+    count = np.asarray(meas.count, dtype=float)
+    extent = dst.scatter / (dst.dof - MEASUREMENT_DIM - 1)[:, None, None]
+    y = extent + meas.noise
+    s = dst.centroid_cov + y / count[:, None, None]
+    sqrt_y = np.linalg.cholesky(y)
+    sqrt_s = np.linalg.cholesky(s)
+    gain = dst.centroid_cov @ np.linalg.inv(s)
+    delta = meas.mean - dst.centroid
+    mean = dst.centroid + (gain @ delta[:, :, None])[:, :, 0]
+    centroid_cov = dst.centroid_cov - gain @ dst.centroid_cov
+
+    sqrt_x = np.linalg.cholesky(psd_eigvalsh(extent)[0] + 1e-18 * np.eye(3))
+    innovation = delta[:, :, None] * delta[:, None, :]
+    left_s = sqrt_x @ np.linalg.inv(sqrt_s)
+    left_y = sqrt_x @ np.linalg.inv(sqrt_y)
+    n_bar = left_s @ innovation @ np.swapaxes(left_s, -1, -2)
+    y_bar = left_y @ meas.scatter @ np.swapaxes(left_y, -1, -2)
+    scatter, scatter_eigh = psd_eigh(dst.scatter + n_bar + y_bar)
+    centroid_cov, cov_eigenvalues = psd_eigvalsh(centroid_cov)
+
+    fused = replace(
+        dst,
+        centroid=mean,
+        normal=extract_normal_batch(scatter_eigh, dst.normal),
+        centroid_cov=centroid_cov,
+        scatter=scatter,
+        dof=dst.dof + count,
+        obs_count=dst.obs_count + 1,
+        timestamp=np.maximum(dst.timestamp, meas.timestamp),
+    )
+    return fused, {"centroid_cov": cov_eigenvalues, "scatter": scatter_eigh[0]}

@@ -29,6 +29,17 @@ def random_spd(rng, dim=3, scale=1.0):
     return scale * (a @ a.T + 0.1 * np.eye(dim))
 
 
+def spd_stack(rng, n, cond, largest):
+    """``n`` random symmetric positive definite 3×3 matrices, each with
+    eigenvalues ``largest``, ``largest / cond`` and one log-uniform between
+    them, in a random basis."""
+    basis = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    smallest = largest / cond
+    middle = np.exp(rng.uniform(np.log(smallest), np.log(largest), n))
+    w = np.stack([np.full(n, smallest), middle, np.full(n, largest)], axis=1)
+    return np.einsum("nij,nj,nkj->nik", basis, w, basis)
+
+
 def dense_surfel(centroid, normal, centroid_cov, scatter, dof, obs_count, timestamp,
                  radius=surfel_map.DEFAULT_SURFEL_RADIUS):
     """One dense surfel as a batch's row view holds it: a namespace of every

@@ -8,10 +8,11 @@ import pytest
 from surfelslam import fusion, lie
 from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
-from surfelslam.surfel_map import DenseSurfelMap, DenseSurfels, check_dense
+from surfelslam.surfel_map import (BEAM_SIGMA, DenseSurfelMap, DenseSurfels, _entries,
+                                   check_dense, cholesky3)
 
 from conftest import (count_decompositions, dense_surfel, random_rotation, random_spd,
-                      replaced)
+                      replaced, spd_stack)
 
 from surfelslam.fusion import (
     GlobalMaps,
@@ -378,6 +379,92 @@ def test_fold_matches_sequential_fuse_surfel(rng):
         want = np.array([getattr(s, name) for s in current])
         got = getattr(state, name)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max()), name
+
+
+def _wishart_stacks(rng, n, cond, dof_above):
+    """``n`` destinations and a stacked measurement for ``fuse_batch``: the
+    scatters of both with condition number ``cond``, centroid covariances
+    and noise above the beam floor, and dof from ``4 + dof_above`` (the
+    first row's) up."""
+    floor = BEAM_SIGMA**2 * np.eye(3)
+    dof = 4.0 + dof_above + rng.uniform(0.0, 30.0, n)
+    dof[:1] = 4.0 + dof_above
+    dst = DenseSurfels(
+        centroid=rng.normal(size=(n, 3)), normal=np.tile([0.0, 0.0, 1.0], (n, 1)),
+        centroid_cov=spd_stack(rng, n, 1e2, 1e-4) + floor, scatter=spd_stack(rng, n, cond, 1e-2),
+        dof=dof, obs_count=np.ones(n, dtype=np.int64), timestamp=rng.uniform(0.0, 1.0, n),
+        radius=np.full(n, 0.02))
+    meas = SurfelMeasurement(dst.centroid + rng.normal(scale=3e-3, size=(n, 3)),
+                             spd_stack(rng, n, cond, 1e-2), rng.integers(1, 30, n).astype(float),
+                             spd_stack(rng, n, 1e2, 1e-4) + floor, rng.uniform(0.0, 2.0, n))
+    return dst, meas
+
+
+def test_fuse_batch_matches_the_lapack_oracle(rng):
+    # The closed form against LAPACK's stacked inverses, row by row: every
+    # fused matrix and the clamps' eigenvalues within 1e-12 relative, or
+    # 1e-15 sqrt(cond) where the scatters' condition number makes that
+    # larger (the forward error of the extent's Cholesky factor grows so),
+    # and each normal within that over its scatter's relative eigengap.
+    # Counts and times are exact.  One-row and empty stacks too.
+    for cond in (1e2, 1e6, 1e10):
+        tol = max(1e-12, 1e-15 * np.sqrt(cond))
+        for dof_above in (1e-3, 1.0):
+            for n in (300, 1, 0):
+                dst, meas = _wishart_stacks(rng, n, cond, dof_above)
+                got, got_eigenvalues = fusion.fuse_batch(dst, meas)
+                want, want_eigenvalues = oracles.fuse_batch_lapack(dst, meas)
+
+                def close(a, b, sensitivity=1.0):
+                    rows = tuple(range(1, b.ndim))
+                    scale = np.abs(b).max(axis=rows, initial=0.0)
+                    error = np.abs(a - b).max(axis=rows, initial=0.0)
+                    return bool((error <= tol * sensitivity * scale).all())
+
+                for f in ("centroid", "centroid_cov", "scatter"):
+                    assert close(getattr(got, f), getattr(want, f)), (cond, dof_above, n, f)
+                for f, w in want_eigenvalues.items():
+                    assert close(got_eigenvalues[f], w), (cond, dof_above, n, f)
+                w = want_eigenvalues["scatter"]
+                gap = w[:, 2] / (w[:, 1] - w[:, 0])
+                assert close(got.normal, want.normal, gap), (cond, dof_above, n)
+                for f in ("dof", "obs_count", "timestamp", "radius"):
+                    assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def test_only_a_failing_factorization_is_regularized(rng, caplog):
+    # One singular Y (a flat extent and no noise) among healthy rows: that
+    # row alone is factored with 1e-12 I added, and one warning, in the text
+    # the benchmark's trace counts, names it.
+    dst, meas = _wishart_stacks(rng, 5, 1e2, 1.0)
+    extent = np.diag([1e-2, 1e-2, 0.0])
+    dst.scatter[2] = extent * (dst.dof[2] - 4.0)
+    meas.noise[2] = 0.0
+    y = _entries(dst.scatter / (dst.dof - 4.0)[:, None, None] + meas.noise)[0]
+    assert cholesky3(y)[2].tolist() == [False, False, True, False, False]
+    factor, inverse = fusion._chol_or_regularize(y, "innovation scale Y")
+    want_factor, want_inverse, _ = cholesky3(y)
+    regularized = y[:, :, 2:3] + 1e-12 * np.eye(3)[:, :, None]
+    want_factor[:, :, 2:3], want_inverse[:, :, 2:3], failed = cholesky3(regularized)
+    assert not failed.any()
+    assert np.array_equal(factor, want_factor) and np.array_equal(inverse, want_inverse)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="surfelslam.fusion"):
+        fused, _ = fusion.fuse_batch(dst, meas)
+    assert [r.getMessage() for r in caplog.records] == [
+        "innovation scale Y singular during fusion; regularizing"]
+    assert np.isfinite(fused.scatter).all() and np.isfinite(fused.centroid_cov).all()
+
+
+def test_a_factorization_that_fails_regularized_raises_a_typed_error(rng, caplog):
+    # An indefinite Y stays indefinite with 1e-12 I added: the typed
+    # InvalidArgumentError names the matrix, after the one warning.
+    dst, meas = _wishart_stacks(rng, 3, 1e2, 1.0)
+    meas.noise[1] = -np.eye(3)
+    with caplog.at_level(logging.WARNING, logger="surfelslam.fusion"):
+        with pytest.raises(InvalidArgumentError, match="innovation scale Y"):
+            fusion.fuse_batch(dst, meas)
+    assert len(caplog.records) == 1
 
 
 # -- normal extraction ----------------------------------------------------------

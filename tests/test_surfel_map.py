@@ -1,5 +1,6 @@
 import dataclasses
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from surfelslam.surfel_map import (
     SparseSurfels,
     _check_sparse,
     _concat,
+    _entries,
     _radius_pairs,
     _segment_mean,
     _segment_scatter,
     check_dense,
+    cholesky3,
     eigh3,
     eigvalsh3,
     extract_dense,
@@ -33,7 +36,7 @@ from surfelslam.surfel_map import (
 )
 from surfelslam.trajectory import Trajectory
 
-from conftest import count_decompositions, dense_surfel, replaced
+from conftest import count_decompositions, dense_surfel, replaced, spd_stack
 
 
 def test_voxelize_cube_corners():
@@ -506,6 +509,32 @@ def test_dense_surfel_check_rejects_invalid_fields(name, value):
         check_dense(replace(batch, **{name: values}))
     good = check_dense(batch)
     assert len(good) == 2 and np.array_equal(good.scatter, batch.scatter)
+
+
+@pytest.mark.parametrize("kind", [DenseSurfels, SparseSurfels])
+def test_sub_batches_gather_the_rows_numpy_indexing_selects(rng, kind):
+    # A boolean mask, integer positions (negative ones too), a slice or an
+    # empty mask selects the same rows of every field as numpy's indexing of
+    # that field; an out-of-range position still raises IndexError, and an
+    # integer still gives a row view.
+    n = 7
+    batch = kind(*(rng.uniform(size=(n,) + shape).astype(dtype)
+                   for shape, dtype in kind._LAYOUT.values()))
+    mask = rng.uniform(size=n) < 0.5
+    for index in (mask, np.zeros(n, dtype=bool), np.array([4, 0, 4, -1]), [2, 3],
+                  np.array([], dtype=np.int64), slice(1, 6, 2), slice(None, None, -1)):
+        part = batch[index]
+        assert type(part) is kind
+        for f in kind._LAYOUT:
+            want = getattr(batch, f)[index]
+            assert np.array_equal(getattr(part, f), want) and getattr(part, f).dtype == want.dtype
+    for index in (np.array([0, n]), [-n - 1], np.ones(n + 1, dtype=bool)):
+        with pytest.raises(IndexError):
+            batch[index]
+    row = batch[np.int64(3)]
+    assert type(row) is SimpleNamespace and list(vars(row)) == list(kind._LAYOUT)
+    for f in kind._LAYOUT:
+        assert np.array_equal(getattr(row, f), getattr(batch, f)[3])
 
 
 def _random_surfel(rng):
@@ -1056,3 +1085,57 @@ def test_one_eigendecomposition_per_covariance_stack(rng, monkeypatch):
     calls.clear()
     sparse_map.fuse(again)
     assert calls == [("eigh3", 2)]
+
+
+def test_cholesky3_matches_lapack_row_by_row(rng):
+    # Factors within 1e-15 sqrt(cond) relative of np.linalg.cholesky, the
+    # growth of a Cholesky factor's forward error, and inverses of the
+    # kernel's own factors within the same of np.linalg.inv; both zero above
+    # the diagonal.  One matrix is a stack of one, and no stack is empty.
+    for cond in (1.0, 1e2, 1e6, 1e10):
+        for largest in (1e-8, 1.0, 1e4):
+            for n in (200, 1, 0):
+                a = spd_stack(rng, n, cond, largest)
+                factor, inverse, failed = (np.moveaxis(x, -1, 0) for x in cholesky3(_entries(a)[0]))
+                assert factor.shape == inverse.shape == (n, 3, 3) and not failed.any()
+                tol = 1e-15 * np.sqrt(cond)
+                for got, want in ((factor, np.linalg.cholesky(a)), (inverse, np.linalg.inv(factor))):
+                    scale = np.abs(want).max(axis=(1, 2), initial=0.0)
+                    assert (np.abs(got - want).max(axis=(1, 2), initial=0.0) <= tol * scale).all()
+                    assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+
+def test_cholesky3_fails_exactly_where_lapack_raises(rng):
+    # Zero, indefinite and rank-deficient rows, with integer entries so that
+    # every pivot rounds to what LAPACK computes, among positive definite
+    # ones: the mask holds exactly the rows np.linalg.cholesky refuses, and
+    # the other rows still get their factors.  A NaN pivot fails too, where
+    # LAPACK returns NaNs.
+    v = np.array([1.0, 2.0, 3.0])
+    bad = {
+        "zero": np.zeros((3, 3)),
+        "negative definite": -np.eye(3),
+        "indefinite": np.diag([1.0, -1.0, 1.0]),
+        "indefinite last": np.diag([4.0, 1.0, -2.0]),
+        "rank 1": np.outer(v, v),
+        "rank 2": np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+        "zero first": np.diag([0.0, 1.0, 1.0]),
+    }
+    good = spd_stack(rng, len(bad), 1e3, 1.0)
+    a = np.concatenate([np.stack(list(bad.values())), good])[rng.permutation(2 * len(bad))]
+    raises = []
+    for matrix in a:
+        try:
+            np.linalg.cholesky(matrix)
+            raises.append(False)
+        except np.linalg.LinAlgError:
+            raises.append(True)
+    assert sum(raises) == len(bad)
+    factor, _, failed = cholesky3(_entries(a)[0])
+    assert np.array_equal(failed, raises)
+    fine = ~failed
+    assert np.allclose(np.moveaxis(factor, -1, 0)[fine], np.linalg.cholesky(a[fine]),
+                       rtol=0.0, atol=1e-13)
+    nan = np.eye(3)
+    nan[2, 2] = np.nan
+    assert cholesky3(_entries(np.stack([nan, np.eye(3)]))[0])[2].tolist() == [True, False]

@@ -10,18 +10,21 @@ of the differences where they do not.
 Run from the root of a source checkout: the package is imported from its
 ``src`` directory and the benchmark's ``run_pass``, ``generate`` and
 ``metrics`` from ``perfbench``, none of them changed.  For each workload,
-seed and the first ``--episodes`` episodes, one line per window hashes the
-estimated trajectory, every iteration record, the stop reason, every
-``FusionStepMetrics`` field and the trigger's arrays, and one line per
+seed and the first ``--episodes`` episodes, one line per window prints two
+digests: the trajectory digest hashes the estimated trajectory, every
+iteration record and the stop reason, and the fusion digest the map sizes,
+every ``FusionStepMetrics`` field and the trigger's arrays.  One line per
 episode hashes every field of the final dense and sparse maps.  Two
 checkouts give identical output exactly when their outputs are bit-identical,
-so compare them with ``diff``.
+so compare them with ``diff``; a change to the map path alone leaves every
+trajectory digest as it was.
 
 ``--dump PATH`` also writes, to one ``.npz``, each window's estimated
 trajectory, record count, stop reason, fusion counts and trigger
 (``FUSION``), translation and rotation RMS errors against the window's truth
-(m and rad), digest, ICP stop reason and ICP frozen directions, and each
-episode's accuracy metrics (``metrics.accuracy``) and map digest.
+(m and rad), trajectory and fusion digests, ICP stop reason and ICP frozen
+directions, and each episode's accuracy metrics (``metrics.accuracy``), map
+digest and the centroids and scatters of its final dense map.
 ``--against PATH`` compares this run with such a dump and prints, per
 workload, the largest translation difference (m), the largest
 rotation-matrix entry difference, the largest relative difference of an
@@ -32,12 +35,15 @@ how many did not converge, how many froze a weak direction and how many
 raised a trigger (and the dump's counts, of what it holds), how many
 windows' ICP stop reasons differ and how many windows' ICP froze a different
 number of directions, so that ICP changes compare call by call and not
-only in totals, how many window digests and map digests differ, of those
-the dump holds, and how many windows have a larger
+only in totals, how many trajectory, fusion and map digests differ, of
+those the dump holds, the largest dense centroid difference (m) and
+scatter entry difference over the episodes whose dense maps have the
+dump's size, and how many windows have a larger
 translation error than in the dump, with the largest relative increase and
 its window.
 A change that moves the maps only by rounding changes their digests but no
-fusion count or trigger.  Run the dump in one checkout and the
+trajectory digest, fusion count or trigger, and its centroid and scatter
+differences are at rounding level.  Run the dump in one checkout and the
 comparison in the other, with the same workloads, seeds and episodes.
 
 BLAS runs one thread, as in the benchmark, so the rounding does not depend
@@ -99,7 +105,8 @@ class Digest:
         return self._h.hexdigest()[:24]
 
 
-def window_digest(result):
+def trajectory_digest(result):
+    """A window's estimate, iteration records and stop, or its failure."""
     d = Digest()
     d.put("failed", result.failed)
     for name in ("times", "rotations", "translations"):
@@ -108,6 +115,12 @@ def window_digest(result):
         d.put("records", [dataclasses.astuple(r) for r in result.report.records])
         d.put("stop", (result.report.converged, result.report.reason,
                        result.report.stop_decrease))
+    return d.hex()
+
+
+def fusion_digest(result):
+    """A window's map sizes, fusion metrics and trigger arrays."""
+    d = Digest()
     d.put("map_size", (result.map_size_before, result.map_size_after))
     d.put("metrics", dataclasses.astuple(result.fusion.metrics))
     fusion = result.fusion
@@ -131,7 +144,8 @@ ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 # The fields of a window's ``FusionStepMetrics`` that count or decide.
 FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
 # The names a dump may lack: a dump without them compares none.
-OPTIONAL = (".digest", ".maps", ".fusion", ".errors", ".icp", ".frozen")
+OPTIONAL = (".trajectory_digest", ".fusion_digest", ".maps", ".centroids", ".scatters",
+            ".fusion", ".errors", ".icp", ".frozen")
 
 
 def window_errors(estimate, truth):
@@ -147,11 +161,11 @@ def episode_arrays(key, episode, results, global_maps):
     """What a dump keeps of one episode's pass, by name under ``key``: per
     window its trajectory, record count (0 for a failed window), stop reason
     (the failure's class name for a failed window), fusion counts and
-    trigger in ``FUSION`` order, errors (``window_errors``), digest, the
-    ICP's stop reason (empty when the ICP did not run) and the most
-    directions it froze (``IcpResult.frozen_dim``, 0 when it did not run),
-    and the episode's accuracy metrics in ``ACCURACY`` order and maps
-    digest."""
+    trigger in ``FUSION`` order, errors (``window_errors``), trajectory and
+    fusion digests, the ICP's stop reason (empty when the ICP did not run)
+    and the most directions it froze (``IcpResult.frozen_dim``, 0 when it
+    did not run), and the episode's accuracy metrics in ``ACCURACY`` order,
+    maps digest and final dense centroids and scatters."""
     out = {}
     for win, r in zip(episode.windows, results):
         w = f"{key}.w{r.index}"
@@ -164,19 +178,23 @@ def episode_arrays(key, episode, results, global_maps):
         icp = r.fusion.icp
         out[f"{w}.icp"] = np.array("" if icp is None else icp.report.reason)
         out[f"{w}.frozen"] = np.array(0 if icp is None else icp.frozen_dim)
-        out[f"{w}.digest"] = np.array(window_digest(r))
+        out[f"{w}.trajectory_digest"] = np.array(trajectory_digest(r))
+        out[f"{w}.fusion_digest"] = np.array(fusion_digest(r))
     accuracy = metrics.accuracy([metrics.summarize(episode, results, global_maps)])
     out[f"{key}.accuracy"] = np.array([accuracy[m] for m in ACCURACY])
     out[f"{key}.maps"] = np.array(maps_digest(global_maps))
+    out[f"{key}.centroids"] = global_maps.dense.batch.centroid
+    out[f"{key}.scatters"] = global_maps.dense.batch.scatter
     return out
 
 
 def compare(reference, current):
     """Per workload, the sizes of the differences between two sets of
     ``episode_arrays``, as printable lines.  A name missing from
-    ``reference`` raises ``SystemExit``, unless it is a digest, fusion
-    counts, window errors, an ICP stop reason or its frozen directions
-    (``OPTIONAL``): a dump that holds none compares 0 of them."""
+    ``reference`` raises ``SystemExit``, unless it is a digest, a dense
+    map's centroids or scatters, fusion counts, window errors, an ICP stop
+    reason or its frozen directions (``OPTIONAL``): a dump that holds none
+    compares 0 of them."""
     missing = sorted(k for k in set(current) - set(reference) if not k.endswith(OPTIONAL))
     if missing:
         raise SystemExit(f"error: the dump has no {missing[0]} ({len(missing)} missing)")
@@ -226,6 +244,18 @@ def compare(reference, current):
         if larger:
             worst_window = max(larger, key=growth.get)
             errors += f", the largest by {growth[worst_window]:+.3g} relative ({worst_window})"
+        # The dense maps of the episodes whose map has the dump's size.
+        sized = [k[: -len(".centroids")] for k in keys
+                 if k.endswith(".centroids") and k in reference]
+        equal = [e for e in sized
+                 if current[f"{e}.centroids"].shape == reference[f"{e}.centroids"].shape]
+        dense = f"dense maps of the dump's size in {len(equal)} of {len(sized)} episodes"
+        if equal:
+            moved = {f: max(float(np.abs(current[f"{e}.{f}"] - reference[f"{e}.{f}"]).max(initial=0.0))
+                            for e in equal)
+                     for f in ("centroids", "scatters")}
+            dense += (f", largest centroid difference {moved['centroids']:.3g} m, "
+                      f"scatter entry {moved['scatters']:.3g}")
         changed = sum(
             any(reference[f"{w}.{f}"] != current[f"{w}.{f}"] for f in ("reason", "records"))
             for w in windows
@@ -239,8 +269,9 @@ def compare(reference, current):
             f"{differing('.fusion')} windows differ in fusion counts or trigger; {icp}; "
             f"{differing('.icp')} windows differ in ICP stop reason; "
             f"{differing('.frozen')} windows differ in ICP frozen directions; "
-            f"{differing('.digest')} window digests and {differing('.maps')} map digests differ; "
-            f"{errors}"
+            f"{differing('.trajectory_digest')} trajectory digests, "
+            f"{differing('.fusion_digest')} fusion digests and "
+            f"{differing('.maps')} map digests differ; {dense}; {errors}"
         )
     return lines
 
@@ -263,8 +294,10 @@ def main(argv=None):
                 key = f"{name}.s{seed}.e{e}"
                 kept = episode_arrays(key, episode, results, global_maps)
                 for r in results:
+                    w = f"{key}.w{r.index}"
                     print(f"{name} seed {seed} episode {e} window {r.index} "
-                          f"{kept[f'{key}.w{r.index}.digest']}")
+                          f"trajectory {kept[f'{w}.trajectory_digest']} "
+                          f"fusion {kept[f'{w}.fusion_digest']}")
                 print(f"{name} seed {seed} episode {e} maps "
                       f"{len(global_maps.dense)} {len(global_maps.sparse)} {kept[f'{key}.maps']}")
                 arrays.update(kept)
