@@ -221,20 +221,28 @@ class SurfelMeasurement:
             raise InvalidArgumentError("measurement needs at least one point")
 
 
-def _chol_or_regularize(at, what):
+def _chol_or_regularize(at, *what):
     """Lower Cholesky factors of a (3, 3, m) entries stack and their
-    inverses (``cholesky3``).  A matrix whose factorization fails is logged
-    and factored again with 1e-12 I added; one that still fails raises
-    ``InvalidArgumentError`` naming ``what``."""
+    inverses (``cholesky3``), by one kernel call.  The stack is
+    ``len(what)`` equal blocks along the batch axis, block k of the matrices
+    named ``what[k]``.  A matrix whose factorization fails is factored again
+    with 1e-12 I added.  Then, block by block, each such matrix is logged,
+    and one that still fails raises ``InvalidArgumentError`` naming its
+    block: the warnings and the error of one call per block."""
     factor, inverse, failed = cholesky3(at)
     if failed.any():
-        for _ in range(np.count_nonzero(failed)):
-            log.warning("%s singular during fusion; regularizing", what)
-        again = at[:, :, failed]
+        rows = np.flatnonzero(failed)
+        again = at.take(rows, axis=2)
         again[_DIAGONAL] += 1e-12
-        factor[:, :, failed], inverse[:, :, failed], failed = cholesky3(again)
-        if failed.any():
-            raise InvalidArgumentError(f"{what} is not positive definite, even with 1e-12 I added")
+        still = np.zeros_like(failed)
+        factor[:, :, rows], inverse[:, :, rows], still[rows] = cholesky3(again)
+        for name, tried, left in zip(what, failed.reshape(len(what), -1),
+                                     still.reshape(len(what), -1)):
+            for _ in range(np.count_nonzero(tried)):
+                log.warning("%s singular during fusion; regularizing", name)
+            if left.any():
+                raise InvalidArgumentError(
+                    f"{name} is not positive definite, even with 1e-12 I added")
     return factor, inverse
 
 
@@ -259,8 +267,8 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
     ``meas`` (Park et al., Elastic LiDAR Fusion, ICRA 2018).
 
     The update runs on component-first (3, 3, m) entries and calls no
-    LAPACK routine.  ``cholesky3`` gives the lower factors of Y and S and
-    their inverses M_Y and M_S, so S^-1 = M_S^T M_S enters only through
+    LAPACK routine.  One ``cholesky3`` call on Y and S side by side gives
+    their inverse factors M_Y and M_S, so S^-1 = M_S^T M_S enters only through
     M_S: the centroid moves by C M_S^T (M_S delta) and the covariance by
     (M_S C)^T (M_S C).  The left factors L_X M_S and L_X M_Y, with L_X the
     factor of the clamped extent, are products of lower-triangular
@@ -283,15 +291,18 @@ def fuse_batch(dst: DenseSurfels, meas: SurfelMeasurement):
         _entries(m)[0] for m in (dst.centroid_cov, dst.scatter, meas.noise, meas.scatter))
     extent = scatter / (dst.dof - MEASUREMENT_DIM - 1)
     y = extent + noise
-    _, inv_sqrt_y = _chol_or_regularize(y, "innovation scale Y")
-    _, inv_sqrt_s = _chol_or_regularize(cov + y / count, "innovation covariance S")
+    n = len(count)
+    _, inverses = _chol_or_regularize(np.concatenate([y, cov + y / count], axis=-1),
+                                      "innovation scale Y", "innovation covariance S")
+    # Contiguous copies: einsum sums a strided operand in another order.
+    inv_sqrt_y, inv_sqrt_s = (np.ascontiguousarray(m)
+                              for m in (inverses[..., :n], inverses[..., n:]))
     delta = (meas.mean - dst.centroid).T
     whitened = np.einsum("ikm,km->im", inv_sqrt_s, delta)
     step = np.einsum("ikm,lkm,lm->im", cov, inv_sqrt_s, whitened)
     root_gain = np.einsum("ikm,kjm->ijm", inv_sqrt_s, cov)
     cov -= np.einsum("kim,kjm->ijm", root_gain, root_gain)
 
-    n = len(count)
     clamped, eigenvalues = psd_eigvalsh(np.moveaxis(np.concatenate([extent, cov], axis=-1), -1, 0))
     x = _entries(clamped[:n])[0]
     x[_DIAGONAL] += 1e-18

@@ -251,8 +251,11 @@ def se3_geodesic_batch(rot_a, t_a, phi, rho, at, alpha):
     # Each query's terms are weighted and summed in place, in order.
     r = rot_cols.take(at, axis=2)
     t = t_cols.take(at, axis=2)
-    r[1:] *= np.stack([s1, s2])[:, None]
-    t[1:] *= np.stack([alpha, s2, s3])[:, None]
+    r[1] *= s1
+    r[2] *= s2
+    t[1] *= alpha
+    t[2] *= s2
+    t[3] *= s3
     for terms in (r, t):
         for term in terms[1:]:
             terms[0] += term

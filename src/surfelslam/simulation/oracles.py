@@ -3,7 +3,8 @@
 Everything here is correctness-first and O(n^2) or worse: truncated power
 series of the SE(3) exponential and of the logarithm near the identity, the
 left Jacobian by central differences of those series, the SE(3) geodesic of
-one pose pair through the series exponential, the spline correction
+one pose pair through the series exponential, trajectory brackets with
+every sample time gathered afresh where it is read, the spline correction
 evaluated from its knot weights and control points, map-prior residuals
 evaluated one constraint at a time on the trajectory they read, IMU groups
 integrated one sample at a time, linear-scan spatial queries, radius joins
@@ -82,6 +83,24 @@ def interp_pose(pose_a, pose_b, alpha, terms=40):
         pose_a[None, :3, :3], pose_a[None, :3, 3], pose_b[None, :3, :3], pose_b[None, :3, 3]
     )
     return pose_a @ se3_exp_series(alpha * np.concatenate([phi[0], rho[0]]), terms)
+
+
+def brackets_by_repeated_gathers(times, taus, tol):
+    """``trajectory.brackets`` for valid queries as first written: the
+    index read off the mean spacing and searched again where the check
+    fails, with ``times[idx]`` and ``times[idx + 1]`` gathered afresh by
+    every expression that reads them."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    last = len(times) - 2
+    rate = (last + 1) / (times[-1] - times[0])
+    idx = np.clip(np.floor((taus - times[0]) * rate).astype(np.intp), 0, last)
+    miss = ~((times[idx] <= taus) & (taus < times[idx + 1]))
+    if miss.any():
+        idx[miss] = np.clip(np.searchsorted(times, taus[miss], side="right") - 1, 0, last)
+    alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    alpha[np.abs(taus - times[idx]) <= tol] = 0.0
+    alpha[np.abs(times[idx + 1] - taus) <= tol] = 1.0
+    return idx, alpha
 
 
 def correction_batch(grid, c_t, c_r, taus):

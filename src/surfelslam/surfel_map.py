@@ -52,13 +52,16 @@ al., Optimized Spatial Hashing, VMV 2003).  ``KeyedPoints`` sorts a point
 set by cell key once.  Keys are linearized with z fastest, so the three
 cells of one (x, y) column step are consecutive keys and their points one
 contiguous range of the sorted order: a cell's 27 neighbours are nine such
-column runs, found by two ``searchsorted`` calls over the occupied cells,
-whose start offsets give each run's range of points.
-``KeyedPoints.join`` tests each point of another set against its nine
-runs; ``_radius_pairs`` joins one set with itself, each point with the
-points after it in its own column run and with four half-neighbourhood
-runs, so every pair is tested once, and rejects a candidate on z before it
-gathers x and y.  Both test squared distances on the
+column runs.  One ``searchsorted`` over the occupied cells finds each run's
+first cell; the at most three cells of the run follow it, so its end is
+read off the next cells' keys.  The cells' start offsets give each run's
+range of points.  ``KeyedPoints.join`` tests each point of another set
+against its nine runs; ``_radius_pairs`` joins one set with itself, each
+point with the points after it in its own column run and with four
+half-neighbourhood runs, so every pair is tested once.  Its own column run
+needs no search: it ends past the next occupied cell when that cell's key
+is one more, and past its own cell otherwise.  Both test squared distances
+on the
 cell-sorted coordinate columns and map only the pairs within the radius
 back to input order.  ``radius_join`` is that join applied once, and
 serves the dense map's queries and fusion's matching; the ICP keys its
@@ -687,35 +690,42 @@ class GlobalMaps:
     dense: DenseSurfelMap = field(default_factory=DenseSurfelMap)
 
 
-def _segment_mean(columns, member, sizes):
-    """Mean of ``columns[..., member]`` over each run of ``sizes``
+def _segment_mean(values, member, sizes):
+    """Mean of ``values[..., member]`` over each run of ``sizes``
     consecutive entries, as a segment sum along the last axis: a (k, m)
-    array of the segments' component means for (k, n) columns, or (m,)
-    means for one (n,) column."""
-    total = np.add.reduceat(columns[..., member], np.cumsum(sizes) - sizes, axis=-1)
-    return total / sizes
+    array of the segments' component means for (k, n) values, or (m,) means
+    for one (n,) column.  The values are gathered by ``take``, which on a
+    trailing axis costs a fraction of a fancy index."""
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(values.take(member, axis=-1), starts, axis=-1) / sizes
 
 
-# The six distinct entries (i, j), i <= j, of a symmetric 3×3 matrix.
+# The six distinct entries (i, j), i <= j, of a symmetric 3×3 matrix, and
+# the one of them each of the nine entries of the matrix reads, row by row.
 _UPPER_I, _UPPER_J = np.triu_indices(3)
+_MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def _segment_scatter(columns, member, sizes, mean):
-    """Accrued scatter ``sum (p - m)(p - m)^T`` of the (3, n) ``columns``
-    at ``member`` over each run of ``sizes`` consecutive entries, about the
-    run's mean ``m`` (a column of the (3, m) ``mean``), as an (m, 3, 3)
-    stack.
+def _segment_moments(columns, member, sizes):
+    """Mean and accrued scatter ``sum (p - m)(p - m)^T`` of the (3, n)
+    ``columns`` at ``member`` over each run of ``sizes`` consecutive
+    entries: the (3, m) component means and an (m, 3, 3) stack.
 
-    The six distinct products ``c_i c_j`` are summed as (6, ·) rows by one
-    ``reduceat`` and mirrored into the lower triangle (``c_i c_j`` equals
-    ``c_j c_i`` bit for bit)."""
-    centered = columns[:, member] - np.repeat(mean, sizes, axis=1)
-    sums = np.add.reduceat(centered[_UPPER_I] * centered[_UPPER_J],
-                           np.cumsum(sizes) - sizes, axis=1).T
-    scatter = np.empty((len(sizes), 3, 3))
-    scatter[:, _UPPER_I, _UPPER_J] = sums
-    scatter[:, _UPPER_J, _UPPER_I] = sums
-    return scatter
+    The points are gathered once, for both moments.  Each of the six
+    distinct products ``c_i c_j`` of the centered points is written straight
+    into its row of a (6, ·) array, the rows are summed by one ``reduceat``,
+    and a gather of the sums by ``_MIRROR`` fills the lower triangle
+    (``c_i c_j`` equals ``c_j c_i`` bit for bit)."""
+    gathered = columns.take(member, axis=1)
+    starts = np.cumsum(sizes) - sizes
+    mean = np.add.reduceat(gathered, starts, axis=1) / sizes
+    centered = np.repeat(mean, sizes, axis=1)
+    np.subtract(gathered, centered, out=centered)
+    products = np.empty((6, len(member)))
+    for row, i, j in zip(products, _UPPER_I, _UPPER_J):
+        np.multiply(centered[i], centered[j], out=row)
+    sums = np.add.reduceat(products, starts, axis=1)
+    return mean, sums.take(_MIRROR, axis=0).T.reshape(len(sizes), 3, 3)
 
 
 def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
@@ -769,10 +779,11 @@ def voxelize_sparse(points, times, resolutions) -> SparseSurfels:
             continue
         member = order[np.repeat(kept, sizes)]
         first, sizes = order[starts[kept]], sizes[kept]
-        mean = _segment_mean(columns, member, sizes)
-        cov = _segment_scatter(columns, member, sizes, mean) / (sizes - 1.0)[:, None, None]
+        mean, scatter = _segment_moments(columns, member, sizes)
+        cov = scatter / (sizes - 1.0)[:, None, None]
         parts.append((np.ascontiguousarray(mean.T), cov, sizes, np.full(len(sizes), resolution),
-                      _segment_mean(times, member, sizes), np.ascontiguousarray(voxel[:, first].T)))
+                      _segment_mean(times, member, sizes),
+                      np.ascontiguousarray(voxel.take(first, axis=1).T)))
     if not parts:
         return SparseSurfels.empty()
     centroid, cov, count, resolution, timestamp, voxel = (np.concatenate(f) for f in zip(*parts))
@@ -788,10 +799,22 @@ class DenseExtractionConfig:
 def _runs(owner, lo, hi):
     """Each ``owner`` paired with every position of its run ``[lo, hi)``:
     the owners and the positions, run after run, by one ``arange`` shifted
-    run by run."""
+    run by run.  One ``repeat`` numbers each entry's run, and the owners and
+    shifts are gathered by it: a gather costs a fraction of a ``repeat``."""
     sizes = hi - lo
+    run = np.repeat(np.arange(len(sizes)), sizes)
     shift = lo - (np.cumsum(sizes) - sizes)
-    return np.repeat(owner, sizes), np.arange(sizes.sum()) + np.repeat(shift, sizes)
+    return owner.take(run), np.arange(len(run)) + shift.take(run)
+
+
+def _sq_dist(p, at, q, positions):
+    """Squared distances of the points of the (3, ·) columns ``q`` at
+    ``positions`` from those of ``p`` at ``at``, pair by pair, summed as
+    ``dx*dx + dy*dy + dz*dz`` with ``dx = q_x - p_x``."""
+    (px, py, pz), (qx, qy, qz) = p, q
+    dx, dy = qx.take(positions) - px.take(at), qy.take(positions) - py.take(at)
+    dz = qz.take(positions) - pz.take(at)
+    return dx * dx + dy * dy + dz * dz
 
 
 class KeyedPoints:
@@ -831,22 +854,36 @@ class KeyedPoints:
         # Linearized key strides of the three cell coordinates.
         dims = dims.astype(np.int64)
         self._stride = np.array([dims[1] * dims[2], dims[2], 1])
-        keys = self._stride @ ijk.astype(np.int64)
+        keys = self._keys(ijk)
         self.order = stable_order(keys)
-        keys = keys[self.order]
-        self.columns = columns[:, self.order]
+        keys = keys.take(self.order)
+        self.columns = columns.take(self.order, axis=1)
         new_cell = np.ones(n, dtype=bool)
         new_cell[1:] = keys[1:] != keys[:-1]
         self.starts = np.append(np.flatnonzero(new_cell), n)
-        self.cells = keys[self.starts[:-1]]
+        self.cells = keys.take(self.starts[:-1])
+        # The cells followed by three keys past any of the grid's, so that a
+        # column run's last cells are read without a bounds test.
+        self._padded_cells = np.append(self.cells, np.full(3, np.iinfo(np.int64).max))
+
+    def _keys(self, ijk):
+        """The linearized keys of (3, m) float cell coordinates, by an int64
+        multiply-add: numpy has no BLAS path for an int64 matmul."""
+        i, j, k = ijk.astype(np.int64)
+        keys = i * self._stride[0]
+        keys += j * self._stride[1]
+        keys += k
+        return keys
 
     def _column_runs(self, keys, dx, dy):
         """The sorted-position range ``[lo, hi)`` of the points in the three
         cells ``key + step - 1``, ``key + step`` and ``key + step + 1`` of
         each (x, y) column offset ``(dx, dy)`` and each cell key, offset by
-        offset: two ``searchsorted`` calls over the occupied cells give the
-        first cell at or after the run and the first past it, and their
-        ``starts`` the range.
+        offset: one ``searchsorted`` over the occupied cells gives the first
+        cell at or after the run, and the first past it follows from at most
+        three steps over the cells that follow, each a gather and a test of
+        the next key against the run's last, ``key + step + 1``.  Their
+        ``starts`` give the range.
 
         Every key searched around is that of a cell inside the outer empty
         padding layer (an occupied cell lies inside both, and ``join`` drops
@@ -857,16 +894,12 @@ class KeyedPoints:
         """
         steps = dx * self._stride[0] + dy * self._stride[1]
         targets = (steps[:, None] + keys).ravel()
-        return (self.starts[np.searchsorted(self.cells, targets - 1, side="left")],
-                self.starts[np.searchsorted(self.cells, targets + 1, side="right")])
-
-    def _sq_dist(self, positions, p):
-        """Squared distances of the set's points at sorted ``positions`` from
-        the rows of the (3, m) columns ``p``, summed as
-        ``dx*dx + dy*dy + dz*dz``."""
-        x, y, z = self.columns
-        dx, dy, dz = x.take(positions) - p[0], y.take(positions) - p[1], z.take(positions) - p[2]
-        return dx * dx + dy * dy + dz * dz
+        first = np.searchsorted(self.cells, targets - 1)
+        top = targets + 1
+        past = first + (self._padded_cells.take(first) <= top)
+        past += self._padded_cells.take(past) <= top
+        past += self._padded_cells.take(past) <= top
+        return self.starts.take(first), self.starts.take(past)
 
     def join(self, a):
         """Every pair of a point of ``a`` and a point of the set within the
@@ -881,16 +914,17 @@ class KeyedPoints:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
         ijk = np.floor(a / self._edge) - self._origin[:, None]
         near = np.flatnonzero(((ijk >= 1.0) & (ijk <= self._inner[:, None])).all(axis=0))
-        keys = self._stride @ ijk[:, near].astype(np.int64)
+        keys = self._keys(ijk.take(near, axis=1))
         # Sorted keys search faster, each search starting from the last.  Ties
         # may fall in any order: they order only the output, which has none.
         by_key = np.argsort(keys)
-        near = near[by_key]
-        lo, hi = self._column_runs(keys[by_key], np.repeat([-1, 0, 1], 3), np.array([-1, 0, 1] * 3))
+        near = near.take(by_key)
+        lo, hi = self._column_runs(keys.take(by_key), np.repeat([-1, 0, 1], 3),
+                                   np.array([-1, 0, 1] * 3))
         i, pos = _runs(np.tile(near, 9), lo, hi)
-        d_sq = self._sq_dist(pos, a[:, i])
-        inside = d_sq <= self.radius * self.radius
-        return i[inside], self.order[pos[inside]], d_sq[inside]
+        d_sq = _sq_dist(a, i, self.columns, pos)
+        inside = np.flatnonzero(d_sq <= self.radius * self.radius)
+        return i.take(inside), self.order.take(pos.take(inside)), d_sq.take(inside)
 
 
 def _radius_pairs(points, radius):
@@ -900,28 +934,26 @@ def _radius_pairs(points, radius):
     Each point takes the positions after it in its own column run and the
     four column runs of the (x, y) offsets that follow (0, 0) in
     lexicographic order, (0, 1), (1, -1), (1, 0) and (1, 1): every pair of
-    points at most one cell apart is tested once.  The runs are searched
-    once per occupied cell and repeated for its points.  A candidate is
-    rejected on z first: ``dz*dz > r*r`` fails the whole test, as adding
-    non-negative terms never rounds below ``dz*dz``, so x and y are
-    gathered only for the rest.
+    points at most one cell apart is tested once.  The four runs are
+    searched once per occupied cell and repeated for its points.  The own
+    column's run ends past cell key + 1, which is the next occupied cell if
+    any is, so its end is read off the cells without a search.  Every
+    candidate is tested on all three coordinates at once: a test on z first
+    rejects too few of them to pay for its gathers.
     """
     grid = KeyedPoints(points, radius)
-    n = len(grid.order)
-    cell = np.repeat(np.arange(len(grid.cells)), np.diff(grid.starts))
-    lo, hi = grid._column_runs(grid.cells, np.array([0, 0, 1, 1, 1]), np.array([0, 1, -1, 0, 1]))
-    lo, hi = (runs.reshape(5, len(grid.cells))[:, cell].ravel() for runs in (lo, hi))
-    lo[:n] = np.arange(1, n + 1)
+    n, cells = len(grid.order), grid.cells
+    cell = np.repeat(np.arange(len(cells)), np.diff(grid.starts))
+    # The index of the first cell past each own column run.
+    own = np.arange(1, len(cells) + 1)
+    own[:-1] += cells[1:] - cells[:-1] == 1
+    lo, hi = grid._column_runs(cells, np.array([0, 1, 1, 1]), np.array([1, -1, 0, 1]))
+    lo = np.concatenate([np.arange(1, n + 1),
+                         lo.reshape(4, len(cells)).take(cell, axis=1).ravel()])
+    hi = np.concatenate([grid.starts[own], hi]).reshape(5, len(cells)).take(cell, axis=1).ravel()
     a, b = _runs(np.tile(np.arange(n), 5), lo, hi)
-    x, y, z = grid.columns
-    r_sq = radius * radius
-    dz = z.take(b) - z.take(a)
-    dz_sq = dz * dz
-    near = np.flatnonzero(dz_sq <= r_sq)
-    a, b = a.take(near), b.take(near)
-    dx, dy = x.take(b) - x.take(a), y.take(b) - y.take(a)
-    d_sq = dx * dx + dy * dy + dz_sq.take(near)
-    inside = np.flatnonzero(d_sq <= r_sq)
+    d_sq = _sq_dist(grid.columns, a, grid.columns, b)
+    inside = np.flatnonzero(d_sq <= radius * radius)
     i, j = grid.order.take(a.take(inside)), grid.order.take(b.take(inside))
     return np.minimum(i, j), np.maximum(i, j), d_sq.take(inside)
 
@@ -945,7 +977,7 @@ def radius_join(a, b, radius):
         near = np.flatnonzero(((b >= lo[:, None]) & (b <= hi[:, None])).all(axis=0))
     # Transposed views of the columns: the grid and the join take them
     # back without a copy.
-    i, j, d_sq = KeyedPoints(b[:, near].T, radius).join(a.T)
+    i, j, d_sq = KeyedPoints(b.take(near, axis=1).T, radius).join(a.T)
     return i, near[j], d_sq
 
 
@@ -957,19 +989,22 @@ def _first_independent_set(n, lo, hi):
 
     Each round accepts the undecided vertices with no undecided earlier
     neighbour and rejects their later neighbours.  Edges with a decided end
-    are dropped, so a rejected vertex holds back no later one.  The lowest
-    undecided vertex is always accepted, so the rounds end.
+    are then dropped, so a rejected vertex holds back no later one; every
+    vertex starts undecided, so the first round takes every edge as it is.
+    The lowest undecided vertex is always accepted, so the rounds end.
     """
     accepted = np.zeros(n, dtype=bool)
     undecided = np.ones(n, dtype=bool)
     while undecided.any():
-        live = undecided[lo] & undecided[hi]
-        lo, hi = lo[live], hi[live]
         roots = undecided.copy()
         roots[hi] = False
         accepted |= roots
         undecided &= ~roots
-        undecided[hi[roots[lo]]] = False
+        # ``take`` and ``compress``: fancy and boolean indexes cost several
+        # times more on masks as irregular as these.
+        undecided[hi.compress(roots.take(lo))] = False
+        live = np.flatnonzero(undecided.take(lo) & undecided.take(hi))
+        lo, hi = lo.take(live), hi.take(live)
     return accepted
 
 
@@ -1019,20 +1054,24 @@ def extract_dense(points, times, traj=None,
     conflict = d_sq < cfg.radius * cfg.radius
     seed = _first_independent_set(n, i[conflict], j[conflict])
     # Neighborhood size of every seed: itself and its pairs within the radius.
-    gathered = 1 + np.bincount(i[seed[i]], minlength=n) + np.bincount(j[seed[j]], minlength=n)
+    # ``compress`` selects by a mask as irregular as the seeds' several times
+    # faster than a boolean index.
+    gathered = (1 + np.bincount(i.compress(seed.take(i)), minlength=n)
+                + np.bincount(j.compress(seed.take(j)), minlength=n))
     keep = seed & (gathered >= MIN_POINTS)
     owners = np.flatnonzero(keep)
     if owners.size == 0:
         return DenseSurfels.empty()
-    from_i, from_j = keep[i], keep[j]
-    owner = np.concatenate([i[from_i], j[from_j], owners])
-    member = np.concatenate([j[from_i], i[from_j], owners])
-    # Grouped by seed, each neighborhood in input order.
-    member = member[np.argsort(owner * n + member)]
+    # The unique keys seed * n + member of every kept seed's neighborhood,
+    # sorted: grouped by seed, each neighborhood in input order.
+    from_i, from_j = np.flatnonzero(keep[i]), np.flatnonzero(keep[j])
+    keys = np.concatenate([i.take(from_i) * n + j.take(from_i),
+                           j.take(from_j) * n + i.take(from_j), owners * (n + 1)])
+    keys.sort()
+    member = keys % n
     sizes = gathered[owners]
     count = sizes.astype(float)
-    mean = _segment_mean(columns, member, sizes)
-    scatter = _segment_scatter(columns, member, sizes, mean)
+    mean, scatter = _segment_moments(columns, member, sizes)
     mean = np.ascontiguousarray(mean.T)
     # The centroid's covariance, the sample covariance over n, scatter / (n (n - 1)).
     denominator = count * (count - 1.0)

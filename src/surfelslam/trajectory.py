@@ -77,12 +77,15 @@ def brackets(times, taus, tol):
     last = len(times) - 2
     rate = (last + 1) / (times[-1] - times[0])
     idx = np.clip(np.floor((taus - times[0]) * rate).astype(np.intp), 0, last)
-    miss = ~((times[idx] <= taus) & (taus < times[idx + 1]))
+    lo, hi = times.take(idx), times.take(idx + 1)
+    miss = ~((lo <= taus) & (taus < hi))
     if miss.any():
         idx[miss] = np.clip(np.searchsorted(times, taus[miss], side="right") - 1, 0, last)
-    alpha = np.clip((taus - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    alpha[np.abs(taus - times[idx]) <= tol] = 0.0
-    alpha[np.abs(times[idx + 1] - taus) <= tol] = 1.0
+        lo, hi = times.take(idx), times.take(idx + 1)
+    after = taus - lo
+    alpha = np.clip(after / (hi - lo), 0.0, 1.0)
+    alpha[np.abs(after) <= tol] = 0.0
+    alpha[np.abs(hi - taus) <= tol] = 1.0
     return idx, alpha
 
 

@@ -467,6 +467,31 @@ def test_a_factorization_that_fails_regularized_raises_a_typed_error(rng, caplog
     assert len(caplog.records) == 1
 
 
+def test_named_blocks_factor_in_one_call_as_in_one_call_each(rng, caplog):
+    # fuse_batch factors Y and S side by side in one cholesky3 call.  The
+    # factors and inverses equal those of one call per block, the warnings
+    # come block by block, Y's first, and a block that still fails raises
+    # its own error once its warnings are out, before the next block's.
+    names = ("innovation scale Y", "innovation covariance S")
+    y, s = (_entries(spd_stack(rng, 4, 1e3, 1.0))[0] for _ in names)
+    y[:, :, 1] = np.diag([1.0, 1.0, 0.0])
+    s[:, :, [0, 3]] = np.diag([0.0, 1.0, 1.0])[:, :, None]
+    warn_y, warn_s = (f"{name} singular during fusion; regularizing" for name in names)
+    with caplog.at_level(logging.WARNING, logger="surfelslam.fusion"):
+        factor, inverse = fusion._chol_or_regularize(np.concatenate([y, s], axis=-1), *names)
+        separate = [fusion._chol_or_regularize(m, name) for m, name in zip((y, s), names)]
+    assert np.array_equal(factor, np.concatenate([f for f, _ in separate], axis=-1))
+    assert np.array_equal(inverse, np.concatenate([i for _, i in separate], axis=-1))
+    assert [r.getMessage() for r in caplog.records] == [warn_y, warn_s, warn_s] * 2
+    for blocks, name, warned in (((-y, s), names[0], [warn_y] * 4),
+                                 ((y, -s), names[1], [warn_y] + [warn_s] * 4)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="surfelslam.fusion"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                fusion._chol_or_regularize(np.concatenate(blocks, axis=-1), *names)
+        assert [r.getMessage() for r in caplog.records] == warned
+
+
 # -- normal extraction ----------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from surfelslam.errors import InvalidArgumentError
 from surfelslam.simulation import oracles
 from surfelslam.surfel_map import (
     BEAM_SIGMA,
+    CELL_REACH,
     MIN_POINTS,
     DenseExtractionConfig,
     DenseSurfelMap,
@@ -22,7 +23,7 @@ from surfelslam.surfel_map import (
     _entries,
     _radius_pairs,
     _segment_mean,
-    _segment_scatter,
+    _segment_moments,
     check_dense,
     cholesky3,
     eigh3,
@@ -109,9 +110,10 @@ def test_segment_kernels_match_the_row_major_reference(rng):
     member = rng.permutation(len(points))[: sizes.sum()]
     columns = np.ascontiguousarray(points.T)
     mean, scatter = _row_segment_moments(points, member, sizes)
-    got_mean = _segment_mean(columns, member, sizes)
+    got_mean, got_scatter = _segment_moments(columns, member, sizes)
     assert np.array_equal(got_mean.T, mean)
-    assert np.array_equal(_segment_scatter(columns, member, sizes, got_mean), scatter)
+    assert np.array_equal(got_scatter, scatter)
+    assert np.array_equal(_segment_mean(columns, member, sizes), got_mean)
     assert np.array_equal(_segment_mean(times, member, sizes),
                           np.add.reduceat(times[member], np.cumsum(sizes) - sizes) / sizes)
 
@@ -918,6 +920,44 @@ def test_radius_pairs_is_the_upper_half_of_the_self_join(rng):
         got = _sorted_pairs(*_radius_pairs(points, radius))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_grid_keys_equal_the_int64_matmul_form(rng):
+    # The keys are an int64 multiply-add; the order and the cells are those
+    # of keys formed as stride @ ijk, on a random cloud and on the _CORNERS
+    # grid, whose cells times points are just under the 2^62 of the guard.
+    for points, radius in ((rng.uniform(-2.0, 2.0, size=(3000, 3)), 0.1), (_CORNERS, 1.0)):
+        grid = KeyedPoints(points, radius)
+        ijk = np.floor(points.T / grid._edge) - grid._origin[:, None]
+        keys = grid._stride @ ijk.astype(np.int64)
+        assert np.array_equal(grid._keys(ijk), keys)
+        assert np.array_equal(grid.order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(grid.cells, np.unique(keys))
+    assert keys.max() > 2**59
+
+
+def test_radius_pairs_own_column_runs_match_bruteforce():
+    # A point's own column run reaches the cell above it when that cell is
+    # occupied and stops at its own cell when it is empty, whether the cell
+    # above that is occupied or not.  Every point is doubled, and the
+    # lattice puts points on the cells' faces, where a pair is at exactly
+    # the radius or one cell edge.
+    radius = 0.1
+    edge = radius * CELL_REACH
+    stacked = np.array([[0.5, 0.5, 0.9], [0.5, 0.5, 1.05], [0.55, 0.45, 1.8]])  # cells z 0, 1
+    gapped = np.array([[2.5, 0.5, 0.95], [2.5, 0.5, 2.05], [2.45, 0.5, 2.1]])  # cells z 0, 2
+    alone = np.array([[4.5, 4.5, 0.5], [4.5, 4.6, 0.6]])
+    lattice = np.array([[x, y, z] for x in range(6, 9) for y in range(3) for z in range(3)])
+    for faces in (edge, radius):
+        points = np.repeat(np.r_[(np.r_[stacked, gapped, alone] * edge), lattice * faces], 2, axis=0)
+        got = _sorted_pairs(*_radius_pairs(points, radius))
+        want = oracles.radius_pairs_bruteforce(points, radius)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        cells = KeyedPoints(points, radius).cells
+        above = np.isin(cells + 1, cells)
+        assert above.any() and (~above & np.isin(cells + 2, cells)).any()
+    assert np.any(want[2] == radius * radius)
 
 
 def _mixed_psd_stack(rng):

@@ -3,7 +3,8 @@ import pytest
 
 from surfelslam import lie
 from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
-from surfelslam.simulation.oracles import apply_correction, correction_batch, interp_pose
+from surfelslam.simulation.oracles import (apply_correction, brackets_by_repeated_gathers,
+                                          correction_batch, interp_pose)
 from surfelslam.trajectory import ControlGrid, Trajectory, brackets, interpolate, spline_weights
 
 from conftest import knot_grid
@@ -140,6 +141,29 @@ def test_brackets_match_a_search_of_every_query(rng, spacing):
     if spacing == "drifting":
         read = np.floor((taus - times[0]) * (n - 1) / (times[-1] - times[0]))
         assert np.max(np.abs(np.clip(read, 0, n - 2) - idx)) >= 4
+
+
+def test_brackets_equal_the_form_that_gathers_each_time_afresh(rng):
+    # Gathering times[idx] and times[idx + 1] once, and again only after the
+    # searched fix-up, moves no bit of idx or alpha.  Jittered samples; the
+    # queries lie on samples, within the tolerance of one on either side and
+    # just outside it, at the last sample and at the end of the span, and
+    # in brackets the rate-based guess misses.
+    n, step = 401, 0.01
+    times = 3.0 + step * np.arange(n)
+    times[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * step
+    tol = 1e-9 * step
+    near = np.concatenate([times + d for d in (-tol, -tol / 2, tol / 2, tol, 2 * tol)])
+    taus = np.r_[rng.uniform(times[0], times[-1], 5000), times, near, times[-1], times[-1] + tol]
+    taus = np.clip(taus, times[0], times[-1] + tol)
+    idx, alpha = brackets(times, taus, tol)
+    want_idx, want_alpha = brackets_by_repeated_gathers(times, taus, tol)
+    assert np.array_equal(idx, want_idx) and np.array_equal(alpha, want_alpha)
+    guess = np.clip(np.floor((taus - times[0]) * (n - 1) / (times[-1] - times[0])), 0, n - 2)
+    assert np.count_nonzero(guess != idx) > 1000
+    assert np.count_nonzero(alpha == 0.0) > n and np.count_nonzero(alpha == 1.0) > n
+    last = taus >= times[-1]
+    assert np.all(idx[last] == n - 2) and np.all(alpha[last] == 1.0)
 
 
 def test_sample_batch_matches_series_across_coefficient_switches(rng):
