@@ -9,10 +9,6 @@ class InvalidArgumentError(SurfelSlamError):
     """An input violates a documented precondition (non-finite, wrong shape, ...)."""
 
 
-class OutOfRangeError(SurfelSlamError):
-    """A scalar argument lies outside its documented interval."""
-
-
 class AmbiguousLogarithmError(SurfelSlamError):
     """Rotation angle at or near pi; the logarithm is not unique."""
 

@@ -9,10 +9,12 @@ whitened by the group's covariance, with a first-order bias Jacobian
 (:func:`_preintegrate`).  The families are
 evaluated as arrays over the whole window; the scalar evaluators that pin
 them, per constraint and per IMU group, are test oracles in
-``simulation.oracles``.  A damped Gauss-Newton solver estimates a spline
-correction at the knots, and the IMU biases when the window has IMU samples.
-Its Jacobian is analytic: each residual row reads a few pose points, and a
-knot increment moves a pose point by the point's spline weight on that knot.
+``simulation.oracles``.  Every window has both families: a window without
+a map prior, or without an IMU sample inside it, is refused.  A damped
+Gauss-Newton solver estimates a spline correction at the knots and the IMU
+biases.  Its Jacobian is analytic: each residual row reads a few pose
+points, and a knot increment moves a pose point by the point's spline
+weight on that knot.
 
 The solver is one driver, :func:`solve`, for any problem that evaluates,
 linearizes and folds its own iterates: the damped step, the damping schedule,
@@ -204,8 +206,7 @@ def _plane_rows(world, normal, coef):
 
 class _Iterate(NamedTuple):
     """An evaluated iterate: its corrected pose points, the query poses it
-    reads, the IMU groups' rotation logs there (None without IMU) and its
-    residuals."""
+    reads, the IMU groups' rotation logs there and its residuals."""
 
     x: np.ndarray
     state: OptState
@@ -358,10 +359,8 @@ def _preintegrate(taus, accel, gyro, segment, h, accel_bias, gyro_bias):
 
 
 def _vectors(values):
-    """A list of 3-vectors stacked into an (n, 3) array; any other shape
-    raises ``InvalidArgumentError``."""
-    if not values:
-        return np.zeros((0, 3))
+    """A non-empty list of 3-vectors stacked into an (n, 3) array; any other
+    shape raises ``InvalidArgumentError``."""
     try:
         stacked = np.array(values, dtype=float)
     except ValueError:
@@ -374,9 +373,12 @@ def _vectors(values):
 class _WindowSystem:
     """Vectorized residuals over one window and their normal equations.
 
-    Every residual reads poses at query times, laid out as ``[prior | IMU
-    first - h | first | last | last + h]``, the IMU queries one per group at
-    each of its four times (``q_imu``).
+    A window has at least one map prior and one IMU sample whose stencil
+    lies inside it; any other window is refused, so the parameters are
+    always the K knots' corrections and the two biases.  Every residual
+    reads poses at query times, laid out as ``[prior | IMU first - h | first
+    | last | last + h]``, the prior queries at ``sl_prior`` and the IMU
+    queries one per group at each of its four times (``q_imu``).
     Each query reads one pose point (``query_points``): a query that snaps
     to a sample reads that sample, and a query between two samples is a
     pose point of its own, after the samples, interpolated once from the
@@ -418,9 +420,9 @@ class _WindowSystem:
     its columns are the parameters of consecutive knots, as many as the
     widest band reads.  :meth:`normal_equations` sorts the rows by first
     knot and adds one ``L.T @ [L | r | border]`` per first knot, where the
-    border is the constant bias columns, present when the window has IMU
-    samples; the border's own block of H is its constant product.  The
-    spreads and this order depend on the point bands only and are built
+    border is the constant bias columns; the border's own block of H is its
+    constant product.  The spreads (``prior_spread`` and the IMU groups')
+    and this order (``plan``) depend on the point bands only and are built
     once per window (:meth:`_rows`), as are the IMU bands' constants.  The
     sorted bands stay in the plan's buffers until the next build, so
     :meth:`chord_gradient` takes the gradient of the last build's Jacobian
@@ -443,13 +445,17 @@ class _WindowSystem:
         self.rate = traj.nominal_rate
         self.h = 1.0 / self.rate
 
+        taus = np.array([s.tau for s in imu], dtype=float)
+        keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
+        if not prior_constraints or not keep.any():
+            raise InvalidArgumentError(
+                "a window needs map priors and IMU samples whose stencils lie inside it"
+            )
         self.prior_u_m = _vectors([c.u_m for c in prior_constraints])
         self.prior_u_c = _vectors([c.u_c for c in prior_constraints])
         self.prior_n = _vectors([c.n_mc for c in prior_constraints])
         self.prior_taus = np.array([c.tau_c for c in prior_constraints], dtype=float)
 
-        taus = np.array([s.tau for s in imu], dtype=float)
-        keep = (taus - self.h >= traj.start) & (taus + self.h <= traj.end)
         # One stable sort by time, so the groups do not depend on the order
         # of the list.
         order = np.flatnonzero(keep)[np.argsort(taus[keep], kind="stable")]
@@ -472,47 +478,41 @@ class _WindowSystem:
             raise InvalidArgumentError("constraint normals must be unit vectors")
 
         self.n_prior = base = len(self.prior_taus)
-        self.n_imu = len(imu_taus)
         self.sl_prior = slice(0, base)
         # Per IMU group nine rows, rotation then the two moments (see
         # _ImuGroups), whitened by the group's covariance.  A group of one
         # sample drops its centred moment, zero and of no variance, so an
         # identity stands in for that block.  Of the kept rows, the moment
-        # rows come first, then the rotation rows.
-        n_groups = 0
-        self.imu_rows = np.zeros(0, dtype=int)
-        imu_queries = []
-        if self.n_imu:
-            # The segments are half knot intervals (see the class docstring).
-            segment = np.floor((imu_taus - self.grid.times[0]) / (0.5 * self.grid.step))
-            self.imu = _preintegrate(imu_taus, imu_accel, imu_gyro, segment, self.h, *biases)
-            count = self.imu.count
-            n_groups = count.size
-            comp = np.arange(9)
-            kept = (comp < 6) | (count[:, None] > 1)
-            self.imu_rows = np.concatenate([
-                np.flatnonzero(kept & (comp >= 3)), np.flatnonzero(kept & (comp < 3))
-            ])
-            cov = self.imu.cov.copy()
-            cov[count == 1, 6:, 6:] = np.eye(3)
-            self.imu_whiten = np.linalg.inv(np.linalg.cholesky(cov))
-            self.imu_bias_ref = np.concatenate(biases)
-            # The whitened bias Jacobian of each kept row: the bias border.
-            self.imu_border = (self.imu_whiten @ self.imu.bias_jac).reshape(-1, 6)[self.imu_rows]
-            # Each moment's prediction sum_i w_i (t_{i+1} - 2 t_i + t_{i-1})
-            # telescopes onto the group's four queries: moment 0 reads
-            # [1, -1, -1, 1], moment 1 [-m, m + 1, -m - 1, m] at m = (n - 1) / 2.
-            self.imu_coef = _MOMENT_COEF[0] + (0.5 * (count - 1.0))[:, None, None] * _MOMENT_COEF[1]
-            # Per group: one step before its first sample, its first and its
-            # last sample, one step after its last.
-            ends = (self.imu.first, self.imu.last)
-            imu_queries = [ends[0] - self.h, ends[0], ends[1], ends[1] + self.h]
+        # rows come first, then the rotation rows.  The segments are half
+        # knot intervals (see the class docstring).
+        segment = np.floor((imu_taus - self.grid.times[0]) / (0.5 * self.grid.step))
+        self.imu = _preintegrate(imu_taus, imu_accel, imu_gyro, segment, self.h, *biases)
+        count = self.imu.count
+        n_groups = count.size
+        comp = np.arange(9)
+        kept = (comp < 6) | (count[:, None] > 1)
+        self.imu_rows = np.concatenate([
+            np.flatnonzero(kept & (comp >= 3)), np.flatnonzero(kept & (comp < 3))
+        ])
+        cov = self.imu.cov.copy()
+        cov[count == 1, 6:, 6:] = np.eye(3)
+        self.imu_whiten = np.linalg.inv(np.linalg.cholesky(cov))
+        self.imu_bias_ref = np.concatenate(biases)
+        # The whitened bias Jacobian of each kept row: the bias border.
+        self.imu_border = (self.imu_whiten @ self.imu.bias_jac).reshape(-1, 6)[self.imu_rows]
+        # Each moment's prediction sum_i w_i (t_{i+1} - 2 t_i + t_{i-1})
+        # telescopes onto the group's four queries: moment 0 reads
+        # [1, -1, -1, 1], moment 1 [-m, m + 1, -m - 1, m] at m = (n - 1) / 2.
+        self.imu_coef = _MOMENT_COEF[0] + (0.5 * (count - 1.0))[:, None, None] * _MOMENT_COEF[1]
+        # Per group: one step before its first sample, its first and its
+        # last sample, one step after its last.
+        ends = (self.imu.first, self.imu.last)
+        imu_queries = [ends[0] - self.h, ends[0], ends[1], ends[1] + self.h]
         n_accel = self.imu_rows.size - 3 * n_groups
         self.sl_accel = slice(base, base + n_accel)
         self.sl_gyro = slice(base + n_accel, base + self.imu_rows.size)
         self.n_residuals = base + self.imu_rows.size
 
-        self.q_prior = slice(0, base)
         self.q_imu = [slice(base + i * n_groups, base + (i + 1) * n_groups) for i in range(4)]
         query_taus = np.concatenate([self.prior_taus, *imu_queries])
         idx, alpha = brackets(traj.times, query_taus, 1e-9 * self.h)
@@ -527,28 +527,24 @@ class _WindowSystem:
 
         # Each pose point's first knot and spline weights on four knots from it.
         self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
-        self.structure = self._rows()
-        if self.n_imu:
-            self.imu_layer = self._imu_layer_terms(self.structure[0][-1][1])
+        self.prior_spread, imu_spread, self.row_first, self.plan = self._rows()
+        self.imu_layer = self._imu_layer_terms(imu_spread)
 
         self.robust = _Cauchy(self.n_prior)
 
     # -- parameter vector layout ------------------------------------------
     #
     # Knot k's correction (du_r, du_t) sits at 6k..6k+5, as in the row bands,
-    # and the IMU biases b_a, b_g follow when the window has IMU samples.
+    # and the IMU biases b_a, b_g follow.
 
     def n_params(self):
-        return 6 * self.n_knots + (6 if self.n_imu else 0)
+        return 6 * self.n_knots + 6
 
     def split_params(self, x, state):
         """Knot corrections (K, 6), ``(du_r, du_t)`` per knot, and the biases."""
         k = self.n_knots
-        knots = x[: 6 * k].reshape(k, 6)
-        if self.n_imu:
-            b = x[6 * k :]
-            return knots, state.accel_bias + b[:3], state.gyro_bias + b[3:]
-        return knots, state.accel_bias, state.gyro_bias
+        b = x[6 * k :]
+        return x[: 6 * k].reshape(k, 6), state.accel_bias + b[:3], state.gyro_bias + b[3:]
 
     def _corrected_points(self, knots):
         # At zero correction, as at each window's first evaluation, the pose
@@ -578,23 +574,15 @@ class _WindowSystem:
         knots, b_a, b_g = self.split_params(x, state)
         points = self._corrected_points(knots)
         rot, t = (p[self.query_points] for p in points)
-        imu_log = self._imu_log(rot) if self.n_imu else None
-        residuals = self._residuals_at(rot, t, imu_log, b_a, b_g)
+        imu_log = self._imu_log(rot)
+        residuals = np.empty(self.n_residuals)
+        q = self.sl_prior
+        world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
+        residuals[q] = np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / SIGMA_PRIOR
+        raw = self._imu_raw(rot, t, b_a, b_g, imu_log)
+        whitened = np.einsum("gij,gj->gi", self.imu_whiten, raw)
+        residuals[self.sl_accel.start :] = whitened.reshape(-1)[self.imu_rows]
         return _Iterate(x, state, points, rot, t, imu_log, residuals)
-
-    def _residuals_at(self, rot, t, imu_log, b_a, b_g):
-        out = np.empty(self.n_residuals)
-        if self.n_prior:
-            q = self.q_prior
-            world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
-            out[self.sl_prior] = (
-                np.sum(self.prior_n * (self.prior_u_m - world), axis=1) / SIGMA_PRIOR
-            )
-        if self.n_imu:
-            raw = self._imu_raw(rot, t, b_a, b_g, imu_log)
-            whitened = np.einsum("gij,gj->gi", self.imu_whiten, raw)
-            out[self.sl_accel.start :] = whitened.reshape(-1)[self.imu_rows]
-        return out
 
     def _imu_log(self, rot):
         """Per IMU group, ``log(R_n^T R_0 dR)`` (G, 3) of the query rotations
@@ -605,16 +593,14 @@ class _WindowSystem:
             rot[q_after].transpose(0, 2, 1) @ rot[q_first] @ self.imu.delta_rot
         )
 
-    def _imu_raw(self, rot, t, b_a, b_g, log=None):
+    def _imu_raw(self, rot, t, b_a, b_g, log):
         """The IMU groups' unwhitened residuals (G, 9) at query poses
         ``rot``, ``t`` and biases ``b_a``, ``b_g``: measured minus predicted,
         rotation rows in rad/s, then the moment rows in m/s^2, with the
         bias steps from the set-up biases applied to first order.  Moment w
         predicts ``R_0^T span_w``, ``span_w = sum_i w_i ((t_{i+1} - 2 t_i +
         t_{i-1}) / h^2 - g)`` from the group's four query translations.
-        ``log`` is :meth:`_imu_log` at ``rot``, taken there when not given."""
-        if log is None:
-            log = self._imu_log(rot)
+        ``log`` is :meth:`_imu_log` at ``rot``."""
         points = t[self.q_imu[0].start :].reshape(4, -1, 3).transpose(1, 0, 2)
         span = (self.imu_coef @ points) / (self.h * self.h)
         span[:, 0] -= self.imu.count[:, None] * GRAVITY
@@ -630,7 +616,7 @@ class _WindowSystem:
 
         def rms(sl, sigma):
             r = residuals[sl]
-            return float(np.sqrt(np.mean(r * r)) * sigma) if r.size else 0.0
+            return float(np.sqrt(np.mean(r * r)) * sigma)
 
         return IterationRecord(
             iteration, cost, rms(self.sl_prior, SIGMA_PRIOR), rms(self.sl_accel, SIGMA_ACCEL),
@@ -642,7 +628,7 @@ class _WindowSystem:
     def _prior_layer(self, rot, t):
         """Derivatives (n, 1, 6) of the whitened, robust-weighted prior rows
         with respect to a left perturbation of the query pose each reads."""
-        q = self.q_prior
+        q = self.sl_prior
         world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
         coef = self.robust.weights[self.sl_prior] / SIGMA_PRIOR
         return _plane_rows(world, self.prior_n, -coef)[:, None]
@@ -702,64 +688,51 @@ class _WindowSystem:
         return whitened.reshape(9 * n_groups, -1)[self.imu_rows]
 
     def _rows(self):
-        """Row structure, built once per window: per family present, the
-        priors then the IMU, its rows' first knots and spread
-        (``_row_spread``), every spread padded to the widest band W (the IMU
-        family's rows share one spread per group, in group order); six times
-        the knots the bands reach; and the plan of
-        :meth:`normal_equations`: where each family's rows go in stable
-        first-knot order, a buffer for their bands in that order, the
-        residual row at each place of it, with the residuals and the
-        constant bias border after the bands, and the first-knot spans.
-        The families' rows are the residual rows in order, the priors' at
-        ``sl_prior`` and the IMU's after them, so the residual row at each
-        place of that order is the order itself."""
+        """Row structure, built once per window: the spread
+        (``_row_spread``) of the prior rows and that of the IMU groups, one
+        per group in group order, both padded to the widest band W; the first
+        knot of each residual row, the priors' then the IMU's; and the plan
+        of :meth:`normal_equations`: six times the knots the bands reach,
+        where the prior rows and the IMU rows go in stable first-knot order,
+        a buffer for their bands in that order, the residual row at each
+        place of it, with the residuals and the constant bias border after
+        the bands, and the first-knot spans.  The rows are the residual rows
+        in order, so the residual row at each place of that order is the
+        order itself."""
         first, band = self.point_bands
-        fams = []
-        if self.n_prior:
-            points = self.query_points[self.q_prior, None]
-            fams.append(_row_spread(first[points], band[points]))
-        if self.n_imu:
-            points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
-            group_first, spread = _row_spread(first[points], band[points])
-            fams.append((group_first[self.imu_rows // 9], spread))
-        width = max(s.shape[1] for _, s in fams)
-        for i, (row_first, spread) in enumerate(fams):
-            padded = np.zeros((spread.shape[0], width, spread.shape[2]))
-            padded[:, : spread.shape[1]] = spread
-            fams[i] = (row_first, padded)
+        points = self.query_points[self.sl_prior, None]
+        prior_first, prior_spread = _row_spread(first[points], band[points])
+        points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
+        group_first, imu_spread = _row_spread(first[points], band[points])
+        width = max(prior_spread.shape[1], imu_spread.shape[1])
+        prior_spread, imu_spread = (
+            np.pad(s, ((0, 0), (0, width - s.shape[1]), (0, 0))) for s in (prior_spread, imu_spread)
+        )
+        row_first = np.concatenate([prior_first, group_first[self.imu_rows // 9]])
         # Knots the bands reach; past the last knot only zero weights reach.
-        size = 6 * max(self.n_knots, max(int(f.max()) for f, _ in fams) + width)
-        first = np.concatenate([f for f, _ in fams])
-        order = stable_order(first)
-        first = first[order]
+        size = 6 * max(self.n_knots, int(row_first.max()) + width)
+        order = stable_order(row_first)
+        first = row_first[order]
         bounds = np.flatnonzero(np.diff(first)) + 1
         lo = np.r_[0, bounds]
         spans = list(zip(lo, np.r_[bounds, first.size], 6 * first[lo]))
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
-        at = np.split(place, np.cumsum([f.size for f, _ in fams])[:-1])
+        at = (place[self.sl_prior], place[self.n_prior :])
         # The bands, then the residuals, both refilled per call, then the
         # constant bias border.
-        buffer = np.zeros((order.size, 6 * width + 1 + self.n_params() - 6 * self.n_knots))
-        if self.n_imu:
-            buffer[at[-1], 6 * width + 1 :] = self.imu_border
-        return fams, size, (6 * width, at, buffer, order, spans)
+        buffer = np.zeros((order.size, 6 * width + 7))
+        buffer[at[1], 6 * width + 1 :] = self.imu_border
+        return prior_spread, imu_spread, row_first, (size, 6 * width, at, buffer, order, spans)
 
     def _linearize(self, it):
-        """Row bands ``[(n, 6W)]`` of the robust-weighted residuals at iterate
-        ``it``, which must have zero correction, one per residual family
-        present, with the knots in the knot-major layout.  The robust weights
-        are held fixed."""
+        """Row bands (n, 6W) of the robust-weighted prior rows and IMU rows
+        at iterate ``it``, which must have zero correction, with the knots in
+        the knot-major layout.  The robust weights are held fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        bands = []
-        if self.n_prior:
-            spread = self.structure[0][0][1]
-            bands.append((spread @ self._prior_layer(it.rot, it.t)).reshape(self.n_prior, -1))
-        if self.n_imu:
-            bands.append(self._imu_band(it.rot, it.t, it.imu_log))
-        return bands
+        prior = self.prior_spread @ self._prior_layer(it.rot, it.t)
+        return prior.reshape(self.n_prior, -1), self._imu_band(it.rot, it.t, it.imu_log)
 
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
@@ -770,12 +743,12 @@ class _WindowSystem:
         product and its gradient reads the IMU rows alone.  One product per
         first knot, of its rows' bands with their bands, residuals and
         border, gives both its block of H and its right-hand sides."""
-        _, size, (width, at, buffer, order, spans) = self.structure
+        size, width, at, buffer, order, spans = self.plan
         for a, rows_band in zip(at, self._linearize(it)):
             buffer[a, :width] = rows_band
         buffer[:, width] = weighted[order]
         n = 6 * self.n_knots
-        hess = np.zeros((self.n_params(), self.n_params()))
+        hess = np.zeros((n + 6, n + 6))
         h_kr = np.zeros((size, buffer.shape[1] - width))
         # The rows are sorted by first knot; each first knot adds one block.
         for lo, hi, k in spans:
@@ -784,53 +757,49 @@ class _WindowSystem:
             m = min(width, n - k)
             hess[k : k + m, k : k + m] += product[:m, :m]
             h_kr[k : k + width] += product[:, width:]
-        grad = [h_kr[:n, 0]]
-        if self.n_imu:
-            hess[:n, n:] = h_kr[:n, 1:]
-            hess[n:, :n] = h_kr[:n, 1:].T
-            hess[n:, n:] = self.imu_border.T @ self.imu_border
-            grad.append(self.imu_border.T @ weighted[self.sl_accel.start :])
-        return hess, np.concatenate(grad)
+        hess[:n, n:] = h_kr[:n, 1:]
+        hess[n:, :n] = h_kr[:n, 1:].T
+        hess[n:, n:] = self.imu_border.T @ self.imu_border
+        border = self.imu_border.T @ weighted[self.sl_accel.start :]
+        return hess, np.concatenate([h_kr[:n, 0], border])
 
     def chord_gradient(self, weighted):
         """``J.T @ weighted`` with the Jacobian ``J`` of the last
         :meth:`normal_equations` build, read from the row bands that build
         left in its buffers: one ``block.T @ r`` per first knot, and the bias
         border's product with the IMU rows."""
-        _, size, (width, _, buffer, order, spans) = self.structure
+        size, width, _, buffer, order, spans = self.plan
         grad = np.zeros(size)
         r = weighted[order]
         for lo, hi, k in spans:
             grad[k : k + width] += buffer[lo:hi, :width].T @ r[lo:hi]
-        grad = [grad[: 6 * self.n_knots]]
-        if self.n_imu:
-            grad.append(self.imu_border.T @ weighted[self.sl_accel.start :])
-        return np.concatenate(grad)
+        border = self.imu_border.T @ weighted[self.sl_accel.start :]
+        return np.concatenate([grad[: 6 * self.n_knots], border])
 
     def jacobian(self, x, state):
         """Dense Jacobian of the robust-weighted residuals, the row bands of
         :meth:`normal_equations` scattered into their columns and the bias
         border, at an ``x`` of zero correction.  Only tests read it."""
-        fams, size, _ = self.structure
-        # The families' rows are the residual rows, in order.
         band = np.concatenate(self._linearize(self.evaluate(x, state)))
-        first = np.concatenate([f for f, _ in fams])
+        size, *_ = self.plan
         knots = np.zeros((self.n_residuals, size))
-        np.put_along_axis(knots, 6 * first[:, None] + np.arange(band.shape[1]), band, axis=1)
-        border = np.zeros((self.n_residuals, self.n_params() - 6 * self.n_knots))
-        if self.n_imu:
-            border[self.sl_accel.start :] = self.imu_border
+        columns = 6 * self.row_first[:, None] + np.arange(band.shape[1])
+        np.put_along_axis(knots, columns, band, axis=1)
+        border = np.zeros((self.n_residuals, 6))
+        border[self.sl_accel.start :] = self.imu_border
         return np.hstack([knots[:, : 6 * self.n_knots], border])
 
 
 def optimize_window(priors, imu, traj, init, cfg=None):
-    """Damped Gauss-Newton (:func:`solve`) over the knot corrections, and
-    the IMU biases when the window has IMU samples.
+    """Damped Gauss-Newton (:func:`solve`) over the knot corrections and
+    the IMU biases.
 
     ``priors`` are :class:`MapPriorConstraint` instances and ``imu``
     :class:`ImuSample` instances; an element of ``priors`` of any other type
-    raises :class:`InvalidArgumentError`, as does a window with fewer
-    residuals than parameters.  Returns the final state, the corrected
+    raises :class:`InvalidArgumentError`, as does a window without a prior,
+    one without an IMU sample whose stencil (one trajectory step either
+    side) lies inside ``traj``, and one with fewer residuals than
+    parameters.  Returns the final state, the corrected
     trajectory, and a per-iteration report.
 
     The cost is the sum of squared whitened residuals, Cauchy-robust on the
@@ -851,10 +820,9 @@ def optimize_window(priors, imu, traj, init, cfg=None):
         raise InvalidArgumentError("constraints must be MapPriorConstraint records")
     system = _WindowSystem(priors, imu, traj, init)
     if system.n_residuals < system.n_params():
-        biases = " and 6 IMU biases" if system.n_imu else ""
         raise InvalidArgumentError(
             f"{system.n_residuals} residuals cannot observe {6 * system.n_knots} knot "
-            f"states{biases}"
+            "states and 6 IMU biases"
         )
 
     state = OptState(init.grid, init.accel_bias.copy(), init.gyro_bias.copy())

@@ -26,6 +26,14 @@ _STREAM_NAMES = (
     "feature_noise",
 )
 
+# The sinusoid motion's centre (m) and its high-frequency shake: fast enough
+# that a coarse spline cannot represent it, which is what separates the
+# optimization models.  Frequency in Hz, amplitudes in m and rad.
+MOTION_CENTER = np.array([1.2, 0.6, 0.9])
+SHAKE_FREQ, SHAKE_TRANSLATION, SHAKE_ROTATION = 5.0, 0.003, 0.02
+# Half the side of the cube that holds the scene's plane anchors (m).
+SCENE_EXTENT = 5.0
+
 
 def subsystem_streams(seed):
     """Named child RNG streams; see the module docstring for the contract."""
@@ -38,7 +46,9 @@ def subsystem_streams(seed):
 
 @dataclass
 class SimConfig:
-    """Knobs for the synthetic local-mapping studies."""
+    """Knobs for the synthetic local-mapping studies.  The sinusoid motion's
+    centre and shake and the scene's extent, which no caller sets, are
+    module constants (``MOTION_CENTER``, ``SHAKE_*``, ``SCENE_EXTENT``)."""
 
     seed: int = 0
     window: float = 5.0
@@ -50,13 +60,6 @@ class SimConfig:
     gyro_noise_std: float = 0.005
     feature_noise_std: float = 0.005
     motion_profile: str = "sinusoid"
-    motion_center: np.ndarray = field(default_factory=lambda: np.array([1.2, 0.6, 0.9]))
-    # High-frequency component: fast enough that a coarse spline cannot
-    # represent it, which is what separates the optimization models.
-    shake_freq: float = 5.0
-    shake_translation: float = 0.003
-    shake_rotation: float = 0.02
-    scene_extent: float = 5.0
     n_planes: int = 24
     scripted_motion: object = None
 
@@ -65,10 +68,9 @@ class SimConfig:
             raise InvalidArgumentError("rates and window must be positive")
         self.accel_bias = np.asarray(self.accel_bias, dtype=float)
         self.gyro_bias = np.asarray(self.gyro_bias, dtype=float)
-        self.motion_center = np.asarray(self.motion_center, dtype=float)
 
 
-def _sinusoid_motion(cfg: SimConfig, rng):
+def _sinusoid_motion(rng):
     # Base speeds track the handheld-scan envelope (0.9 m/s, 0.7 rad/s).
     freq_t = np.array([0.30, 0.23, 0.17])
     freq_r = np.array([0.25, 0.20, 0.15])
@@ -85,16 +87,12 @@ def _sinusoid_motion(cfg: SimConfig, rng):
 
     def translation(taus):
         base = amp_t * np.sin(two_pi * freq_t * taus[:, None] + phase_t)
-        shake = cfg.shake_translation * np.sin(
-            two_pi * cfg.shake_freq * taus[:, None] + shake_phase[0]
-        )
-        return cfg.motion_center + base + shake * shake_dir_t
+        shake = SHAKE_TRANSLATION * np.sin(two_pi * SHAKE_FREQ * taus[:, None] + shake_phase[0])
+        return MOTION_CENTER + base + shake * shake_dir_t
 
     def rotvec(taus):
         base = amp_r * np.sin(two_pi * freq_r * taus[:, None] + phase_r)
-        shake = cfg.shake_rotation * np.sin(
-            two_pi * cfg.shake_freq * taus[:, None] + shake_phase[1]
-        )
+        shake = SHAKE_ROTATION * np.sin(two_pi * SHAKE_FREQ * taus[:, None] + shake_phase[1])
         return base + shake * shake_dir_r
 
     return translation, rotvec
@@ -102,7 +100,7 @@ def _sinusoid_motion(cfg: SimConfig, rng):
 
 def _motion_functions(cfg: SimConfig, rng):
     if cfg.motion_profile == "sinusoid":
-        return _sinusoid_motion(cfg, rng)
+        return _sinusoid_motion(rng)
     if cfg.motion_profile == "scripted":
         if cfg.scripted_motion is None:
             raise InvalidArgumentError("scripted profile needs cfg.scripted_motion")
@@ -190,15 +188,13 @@ def gen_surfel_scene(cfg: SimConfig, truth: Trajectory) -> SurfelScene:
     """Random plane features observed from the ground-truth trajectory."""
     if cfg.n_features < 1:
         raise InvalidArgumentError("scene needs at least one feature")
-    if cfg.scene_extent <= 0:
-        raise InvalidArgumentError("scene volume is empty")
     rng = subsystem_streams(cfg.seed)["scene"]
     normals = rng.normal(size=(cfg.n_planes, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    anchors = rng.uniform(-cfg.scene_extent, cfg.scene_extent, size=(cfg.n_planes, 3))
+    anchors = rng.uniform(-SCENE_EXTENT, SCENE_EXTENT, size=(cfg.n_planes, 3))
 
     plane_ids = rng.integers(0, cfg.n_planes, size=cfg.n_features)
-    offsets = rng.uniform(-cfg.scene_extent / 2, cfg.scene_extent / 2, size=(cfg.n_features, 3))
+    offsets = rng.uniform(-SCENE_EXTENT / 2, SCENE_EXTENT / 2, size=(cfg.n_features, 3))
     plane_n = normals[plane_ids]
     points = anchors[plane_ids] + offsets
     points -= (np.sum(points * plane_n, axis=1) - np.sum(anchors[plane_ids] * plane_n, axis=1))[

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .. import lie
-from ..errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
+from ..errors import InvalidArgumentError, MissingSupportError
 from ..fusion import MEASUREMENT_DIM, NORMAL_COMPATIBILITY, extract_normal_batch
 from ..local_mapping import GRAVITY
 from ..surfel_map import psd_eigh, psd_eigvalsh
@@ -144,8 +144,9 @@ def residual_imu(sample, traj, accel_bias=0.0, gyro_bias=0.0):
     """
     h = 1.0 / traj.nominal_rate
     taus = np.array([sample.tau - h, sample.tau, sample.tau + h])
-    if np.any(taus < traj.start) or np.any(taus > traj.end):
-        raise OutOfRangeError("IMU finite-difference stencil outside support")
+    outside = (taus < traj.start) | (taus > traj.end)
+    if outside.any():
+        raise MissingSupportError("IMU finite-difference stencil outside support", taus[outside])
     rot, t = traj.sample_batch(taus)
     accel_world = (t[2] - 2.0 * t[1] + t[0]) / (h * h)
     accel_res = sample.accel - rot[1].T @ (accel_world - GRAVITY) - accel_bias

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie
-from .errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
+from .errors import InvalidArgumentError, MissingSupportError
 
 # Uniform cubic B-spline basis for a descending power row [u^3 u^2 u 1];
 # weights apply to knots (k-1, k, k+1, k+2).  Rows sum to (0, 0, 0, 1) so the
@@ -59,9 +59,9 @@ def brackets(times, taus, tol):
     """Bracketing sample index ``idx`` and ratio ``alpha`` per query time.
 
     A query within ``tol`` of a sample snaps to it (``alpha`` exactly 0 or
-    1), so it returns the stored pose; one more than ``tol`` outside
-    ``[times[0], times[-1]]`` raises :class:`OutOfRangeError`, and a
-    non-finite one :class:`InvalidArgumentError`.
+    1), so it returns the stored pose; queries more than ``tol`` outside
+    ``[times[0], times[-1]]`` raise :class:`MissingSupportError`, which
+    carries their times, and a non-finite one :class:`InvalidArgumentError`.
 
     ``idx`` is the last sample at or before the query, clamped to a bracket.
     The samples are nearly uniform, so it is read off the mean spacing and
@@ -72,8 +72,9 @@ def brackets(times, taus, tol):
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.isfinite(taus).all():
         raise InvalidArgumentError("query times must be finite")
-    if np.any(taus < times[0] - tol) or np.any(taus > times[-1] + tol):
-        raise OutOfRangeError("query time outside the trajectory span")
+    outside = (taus < times[0] - tol) | (taus > times[-1] + tol)
+    if outside.any():
+        raise MissingSupportError("query time outside the trajectory span", taus[outside])
     last = len(times) - 2
     rate = (last + 1) / (times[-1] - times[0])
     idx = np.clip(np.floor((taus - times[0]) * rate).astype(np.intp), 0, last)
@@ -176,7 +177,8 @@ class Trajectory:
         """Rotations (N,3,3) and translations (N,3) at ``taus``, on the SE(3)
         geodesic between the bracketing samples; queries in one bracket share
         its twist and basis (see :func:`interpolate`).  Non-finite times
-        raise :class:`InvalidArgumentError`."""
+        raise :class:`InvalidArgumentError`, and times outside the span
+        :class:`MissingSupportError` (see :func:`brackets`)."""
         idx, alpha = brackets(self.times, taus, 1e-9 / self.nominal_rate)
         return interpolate(self.rotations, self.translations, idx, alpha)
 

@@ -20,7 +20,8 @@ benchmark, so no option is accepted and then ignored.  And every field of
 such a config is passed by name, as a keyword argument or a string dict key,
 somewhere in the package, the benchmark or the tools, so a value that only
 the tests set is a module constant, which a test can patch, not a
-setting."""
+setting; a config of ``simulation/`` counts the tests as callers too, and a
+value that no caller sets is a module constant of its generator."""
 
 import ast
 import sys
@@ -346,6 +347,7 @@ def test_unset_fields_flags_config_fields_that_no_caller_passes():
 def test_every_config_field_is_set_by_some_caller():
     package, bench = _sources()
     checked = [tree for k, tree in package.items() if not k.startswith("simulation/")]
+    simulation = [tree for k, tree in package.items() if k.startswith("simulation/")]
     # The matching gates are settings that no caller sets yet: the benchmark
     # reads MatchParams, and ROADMAP item 7 ties theta_r to the surfel
     # radius.  The global maps are the state a run grows, not settings.
@@ -353,6 +355,9 @@ def test_every_config_field_is_set_by_some_caller():
               "TemporalFusionConfig.match", "GlobalMaps.sparse", "GlobalMaps.dense"]
     callers = [*package.values(), *bench.values(), *_callers([ROOT / "tools"]).values()]
     assert unset_fields(checked, callers) == exempt
+    # The simulation's configs exist for the tests and the tools, so the
+    # tests count as their callers too.
+    assert unset_fields(simulation, [*callers, *_callers([ROOT / "tests"]).values()]) == []
 
 
 def log_formats(tree):

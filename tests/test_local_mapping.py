@@ -8,8 +8,8 @@ from surfelslam import lie, local_mapping as lm
 from surfelslam.errors import (
     DegenerateGeometryError,
     InvalidArgumentError,
+    MissingSupportError,
     NoProgressError,
-    OutOfRangeError,
 )
 from surfelslam.simulation import SimConfig, gen_surfel_scene, gen_trajectory_and_imu, oracles
 from surfelslam.trajectory import ControlGrid, Trajectory, compose_correction
@@ -85,7 +85,7 @@ def test_imu_residual_reports_gyro_bias():
 def test_imu_residual_stencil_out_of_support():
     traj = identity_trajectory()
     sample = lm.ImuSample(0.0, [0.0, 0.0, 9.80665], [0.0, 0.0, 0.0])
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(MissingSupportError):
         oracles.residual_imu(sample, traj)
 
 
@@ -159,33 +159,36 @@ def test_estimated_biases_take_the_simulated_sign():
     assert np.all(np.sign(state.gyro_bias) == np.sign(cfg.gyro_bias))
 
 
-def test_window_without_imu_estimates_no_biases():
-    # Map priors alone pin every knot; with no IMU samples the biases are
-    # unobservable, so the window has no bias parameters and converges.
-    cfg = SimConfig(seed=5, window=2.0, n_features=300)
-    truth, _, init = gen_trajectory_and_imu(cfg)
-    scene = gen_surfel_scene(cfg, truth)
-    system = lm._WindowSystem(
-        scene.map_prior_constraints(), [], init,
-        lm.OptState(ControlGrid.for_window(init.start, init.end, 8)),
-    )
-    assert system.n_params() == 6 * system.n_knots
-    t0, _ = trajectory_errors(init, truth)
-    state, est, report = run_window(truth, [], init, scene)
-    t1, r1 = trajectory_errors(est, truth)
-    assert report.converged
-    assert t1 < 0.2 * t0
-    assert t1 < 0.01
-    assert r1 < 0.003
-    assert not np.any(state.accel_bias) and not np.any(state.gyro_bias)
+@pytest.mark.parametrize("missing", ["imu", "imu_outside", "priors"])
+def test_window_needs_priors_and_imu_inside_it(missing):
+    # Every window has both families; one without map priors, or without an
+    # IMU sample whose stencil lies inside it, is refused before any build.
+    cfg, truth, imu, init, scene = small_sim(seed=2, n_features=40)
+    priors = scene.map_prior_constraints()
+    if missing == "imu":
+        imu = []
+    elif missing == "imu_outside":
+        # A stencil reaches one trajectory step either side of its sample.
+        h = 1.0 / init.nominal_rate
+        imu = [dataclasses.replace(imu[5], tau=tau)
+               for tau in (init.start, init.start + 0.5 * h, init.end - 0.5 * h, init.end + h)]
+    else:
+        priors = []
+    grid = ControlGrid.for_window(init.start, init.end, 8)
+    with pytest.raises(InvalidArgumentError, match="needs map priors and IMU samples"):
+        lm.optimize_window(priors, imu, init, lm.OptState(grid), lm.OptimizerConfig())
 
 
 def test_observability_guard():
+    # Three priors and one group of two samples (nine rows) cannot observe
+    # the knots and biases of a 2 s window.
     cfg, truth, imu, init, scene = small_sim(seed=7, n_features=120, window=2.0)
     constraints = scene.map_prior_constraints()[:3]
     grid = knot_grid(init.start, init.end, 0.5)
-    with pytest.raises(InvalidArgumentError):
-        lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
+    system = lm._WindowSystem(constraints, imu[20:22], init, lm.OptState(grid))
+    assert system.n_residuals == 3 + 9 < system.n_params()
+    with pytest.raises(InvalidArgumentError, match="cannot observe"):
+        lm.optimize_window(constraints, imu[20:22], init, lm.OptState(grid), lm.OptimizerConfig())
 
 
 def test_observability_guard_counts_the_biases():
@@ -224,9 +227,8 @@ def test_observability_guard_counts_the_biases():
 )
 def test_unknown_string_option_is_rejected(option):
     # The window optimizer has one model, update, interpolation and Jacobian,
-    # estimates no time lag and estimates the biases exactly when the window
-    # has IMU samples; a config that names any other choice is refused, not
-    # silently ignored.
+    # estimates no time lag and always estimates the biases; a config that
+    # names any other choice is refused, not silently ignored.
     cfg, truth, imu, init, scene = small_sim(seed=11, n_features=60, window=1.0)
     with pytest.raises(TypeError, match=next(iter(option))):
         run_window(truth, imu, init, scene, option)
@@ -356,7 +358,8 @@ def eigenvalue_null_count(hess):
 
 
 def test_degenerate_geometry_reports_null_space(monkeypatch):
-    # All constraints share one normal: translations orthogonal to it are free.
+    # All constraints share one normal: translations orthogonal to it are
+    # free, as the IMU observes only their second differences.
     cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
     truth, imu, init = gen_trajectory_and_imu(cfg)
     scene = gen_surfel_scene(cfg, truth)
@@ -369,7 +372,7 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
     # The window's first H, built as optimize_window builds it, and the
     # number of its eigenvalues below 1e-12 of the largest.
     state = lm.OptState(grid)
-    system = lm._WindowSystem(constraints, [], init, state)
+    system = lm._WindowSystem(constraints, imu, init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     system.robust.update(it.residuals)
     hess, _ = system.normal_equations(it, system.robust.weighted(it.residuals))
@@ -377,7 +380,7 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
     assert null_dim >= 1
     calls = count_decompositions(monkeypatch)
     with pytest.raises(DegenerateGeometryError) as err:
-        lm.optimize_window(constraints, [], init, lm.OptState(grid), lm.OptimizerConfig())
+        lm.optimize_window(constraints, imu, init, lm.OptState(grid), lm.OptimizerConfig())
     assert err.value.null_dimension == null_dim
     # The failed factorization hands the count to eigvalsh.
     assert [name for name, _ in calls] == ["eigvalsh"]
@@ -659,7 +662,6 @@ def test_analytic_jacobian_matches_dense_central_fd():
     # and non-trivial robust weights; the columns of the biases are the
     # groups' constant bias border.
     system, x, state = folded_iterate()
-    assert system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust.weights) < 1.0
     assert_jacobian_matches_central_fd(system, x, state)
 
@@ -723,11 +725,11 @@ def assert_batch_residuals_match_single_evaluators(taken, sizes):
         single = oracles.residual_map_prior(c, held_pose(rot[i], t[i], c.tau_c, init.nominal_rate))
         assert abs(res[system.sl_prior][i] * lm.SIGMA_PRIOR - single) < 1e-10
     members = group_members(system, usable_imu)
-    assert sum(len(m) for m in members) == system.n_imu
+    assert sum(len(m) for m in members) == system.imu.count.sum()
 
     def difference(step):
         b_a, b_g = state.accel_bias + step[:3], state.gyro_bias + step[3:]
-        raw = system._imu_raw(it.rot, it.t, b_a, b_g)
+        raw = system._imu_raw(it.rot, it.t, b_a, b_g, it.imu_log)
         single = np.array([oracles.residual_imu_group(m, corrected, b_a, b_g) for m in members])
         return np.abs(raw - single).max()
 
@@ -735,7 +737,7 @@ def assert_batch_residuals_match_single_evaluators(taken, sizes):
     move = np.abs(system.imu.bias_jac @ bias_step).max()
     assert difference(bias_step) < 1e-3 * move
     # The evaluated IMU rows are the kept rows of the whitened groups.
-    raw = system._imu_raw(it.rot, it.t, *system.split_params(x, state)[1:])
+    raw = system._imu_raw(it.rot, it.t, *system.split_params(x, state)[1:], it.imu_log)
     whitened = np.einsum("gij,gj->gi", system.imu_whiten, raw).reshape(-1)[system.imu_rows]
     assert np.array_equal(res[system.sl_accel.start :], whitened)
 
@@ -752,7 +754,7 @@ def test_a_group_of_one_sample_is_the_stencil_acceleration_row():
     system = lm._WindowSystem(scene.map_prior_constraints(), sparse, init, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
     b_a, b_g = np.array([0.03, -0.01, 0.0]), np.array([0.0, 0.004, -0.002])
-    raw = system._imu_raw(it.rot, it.t, b_a, b_g)
+    raw = system._imu_raw(it.rot, it.t, b_a, b_g, it.imu_log)
     for row, s in zip(raw, sparse):
         stencil = oracles.residual_imu(s, init, b_a, b_g)
         assert np.max(np.abs(row[3:6] - stencil[:3])) < 1e-10
@@ -769,12 +771,13 @@ def test_group_moments_are_weighted_sums_of_stencil_residuals():
     # acceleration residuals, each turned into the group's first frame.
     cfg = SimConfig(seed=4, window=1.0, gyro_noise_std=0.0, n_features=5)
     truth, imu, _ = gen_trajectory_and_imu(cfg)
+    priors = gen_surfel_scene(cfg, truth).map_prior_constraints()
     moved = truth.translations + np.random.default_rng(3).normal(scale=1e-3, size=(len(truth), 3))
     traj = Trajectory(truth.times, truth.rotations, moved, truth.nominal_rate)
     state = lm.OptState(knot_grid(traj.start, traj.end, 0.25), gyro_bias=cfg.gyro_bias)
-    system = lm._WindowSystem([], imu, traj, state)
+    system = lm._WindowSystem(priors, imu, traj, state)
     it = system.evaluate(np.zeros(system.n_params()), state)
-    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias)
+    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias, it.imu_log)
     members = group_members(system, imu)
     assert len(members) == 8 and all(len(m) > 1 for m in members)
     for row, group in zip(raw, members):
@@ -798,7 +801,7 @@ def test_group_covariance_and_bias_jacobian_match_re_preintegration():
     state = lm.OptState(knot_grid(init.start, init.end, 0.25),
                         accel_bias=np.array([0.01, 0.0, -0.02]),
                         gyro_bias=np.array([0.001, 0.002, 0.0]))
-    system = lm._WindowSystem([], imu, init, state)
+    system = lm._WindowSystem(scene.map_prior_constraints(), imu, init, state)
     group = group_members(system, imu)[2]
     eps = 1e-6
 
@@ -872,7 +875,7 @@ def test_groups_of_mixed_sizes_match_the_oracles():
     it = system.evaluate(x, state)
     knots = x[: 6 * system.n_knots].reshape(-1, 6)
     corrected = oracles.apply_correction(init, grid, knots[:, 3:], knots[:, :3])
-    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias)
+    raw = system._imu_raw(it.rot, it.t, state.accel_bias, state.gyro_bias, it.imu_log)
     for row, group in zip(raw, members):
         single = oracles.residual_imu_group(group, corrected, state.accel_bias, state.gyro_bias)
         assert np.abs(row - single).max() < 1e-10
@@ -950,15 +953,15 @@ def test_each_query_reads_its_own_pose_point():
     # bit for bit; a prior between samples reads the initial pose at its own
     # time, corrected by the oracle spline at that time, after one folded
     # correction and after a second one on top.
-    priors, _, init = window_inputs()
+    priors, imu, init = window_inputs()
     grid = knot_grid(init.start, init.end, 0.25)
     h = 1.0 / init.nominal_rate
     snapped = [17, 50, 83]
     taus = np.r_[init.times[snapped] + [0.0, 1e-13, -1e-13], init.times[[20, 64]] + 0.37 * h]
     priors = [dataclasses.replace(c, tau_c=tau) for c, tau in zip(priors, taus)] + priors[5:]
     state = lm.OptState(grid)
-    system = lm._WindowSystem(priors, [], init, state)
-    q = np.arange(system.q_prior.start, system.q_prior.start + 5)
+    system = lm._WindowSystem(priors, imu, init, state)
+    q = np.arange(system.sl_prior.start, system.sl_prior.start + 5)
     assert np.array_equal(system.query_points[q[:3]], snapped)
     assert np.all(system.query_points[q[3:]] >= len(init))
     rng = np.random.default_rng(2)
@@ -966,7 +969,7 @@ def test_each_query_reads_its_own_pose_point():
     for _ in range(2):
         x = rng.normal(scale=1e-2, size=system.n_params())
         it = system.evaluate(x, state)
-        knots = x.reshape(-1, 6)
+        knots = x[: 6 * system.n_knots].reshape(-1, 6)
         rot0, t0 = compose_correction(
             *oracles.correction_batch(grid, knots[:, 3:], knots[:, :3], taus[3:]), rot0, t0
         )
@@ -1030,7 +1033,6 @@ def assert_normal_equations_match_dense(system, x, state):
 @SE3_PATH
 def test_normal_equations_match_dense_jacobian():
     system, x, state = folded_iterate()
-    assert system.n_prior > 0 and system.n_imu > 0
     assert np.min(system.robust.weights) < 1.0
     # The IMU samples are full groups off the sample grid: every end query
     # of a group lies between two samples and reads a pose point of its own.

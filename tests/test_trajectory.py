@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfelslam import lie
-from surfelslam.errors import InvalidArgumentError, MissingSupportError, OutOfRangeError
+from surfelslam.errors import InvalidArgumentError, MissingSupportError
 from surfelslam.simulation.oracles import (apply_correction, brackets_by_repeated_gathers,
                                           correction_batch, interp_pose)
 from surfelslam.trajectory import ControlGrid, Trajectory, brackets, interpolate, spline_weights
@@ -227,8 +227,9 @@ def test_sample_batch_takes_one_twist_per_bracket(rng, monkeypatch):
 
 def test_sample_out_of_range(rng):
     traj = make_trajectory(rng)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(MissingSupportError) as err:
         traj.sample_batch([traj.end + 0.5])
+    assert err.value.timestamps == [traj.end + 0.5]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
