@@ -21,7 +21,7 @@ and pairs its surfels through one join with them per association round; each
 round's point-to-plane fit runs the window optimizer's damped Gauss-Newton
 driver (``local_mapping.solve``), so the window and the ICP share one step,
 one damping schedule, one set of stop rules and one robust kernel.  Both
-linearize a plane distance into the same rows (``local_mapping._plane_rows``);
+linearize a plane distance into the same rows (``local_mapping._plane_columns``);
 the ICP turns its pose about the centre of each round's pairs, not about the
 world origin (see ``_PlaneProblem``), so its steps and its rank check do not
 depend on where the overlap lies.
@@ -49,7 +49,7 @@ import numpy as np
 from . import lie
 from .errors import DegenerateGeometryError, InvalidArgumentError
 from .local_mapping import (CHI2_TOL, RANK_TOL, SIGMA_PRIOR, IterationRecord,
-                            OptimizationReport, _Cauchy, _plane_rows, solve)
+                            OptimizationReport, _Cauchy, _plane_columns, solve)
 from .surfel_map import (
     DenseSurfelMap,
     DenseSurfels,
@@ -435,7 +435,7 @@ class _PlaneProblem:
     world origin lies (Gelfand et al., 3DIM 2003; Solà et al., A micro Lie
     theory, arXiv 1812.01537).  ``y`` is folded into the pose after each
     accepted step; its rows are the window's point-to-plane rows
-    (``local_mapping._plane_rows``) at the lever arms ``(p - c) / L``.
+    (``local_mapping._plane_columns``) at the lever arms ``(p - c) / L``.
 
     Each build of the normal equations freezes the directions that the
     pairs barely observe (Zhang, Kaess & Singh, ICRA 2016).  An eigenvector
@@ -472,8 +472,9 @@ class _PlaneProblem:
         return it._replace(x=np.zeros(6), state=it.pose)
 
     def normal_equations(self, it, weighted):
-        jac = _plane_rows((it.moved - self.centre) / self.spread, self.normal,
-                          self.robust.weights / self.sigma)
+        jac = np.ascontiguousarray(_plane_columns(
+            (it.moved - self.centre) / self.spread, self.normal, self.robust.weights / self.sigma
+        ).T)
         hess = jac.T @ jac
         eigenvalues, vectors = np.linalg.eigh(hess)
         largest = eigenvalues[-1]

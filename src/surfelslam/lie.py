@@ -17,11 +17,20 @@ phi^T - t^2 I`` at ``t = |phi|``, the exponential, the left Jacobian and its
 inverse are each three coefficients of the angle.  :func:`so3_exp_batch`
 reads it for rotations, :func:`so3_exp_left_jacobian` for each IMU sample's
 exponential and left Jacobian from shared terms, and
-:func:`so3_left_jacobian_inv` for the IMU's rotation rows.  Applied to
-vectors, the inverse left Jacobian is ``v - phi x v / 2 + c phi x (phi x
-v)`` (:func:`so3_left_jacobian_inv_apply`), which the logarithm reads; it
-stores vectors component first, ``(3, ...)``, so that a product broadcasts
-over any trailing axes, as :func:`cross` does.
+:func:`so3_left_jacobian_inv` for the IMU's rotation rows.  The kernel forms
+each of the nine entries with one or two operations over the (N,) component
+columns of ``phi``, not over (N, 3, 3) stacks, whose broadcasts loop over
+three entries at a time, and returns C-contiguous (N, 3, 3) stacks.  The
+layout is part of the result: numpy's ``einsum`` takes another inner loop
+over a strided stack than over a contiguous one and rounds its sums
+differently, and ``trajectory.compose_correction`` turns poses by one.
+Returned as transposed views, the kernel's stacks moved the benchmark's
+``odometry`` trajectories by up to 5e-15 m.  For the same reason the angles
+are read from the (N, 3) rows the caller passes, by an ``einsum`` over
+them.  Applied to vectors, the inverse left Jacobian is ``v - phi x v / 2 +
+c phi x (phi x v)`` (:func:`so3_left_jacobian_inv_apply`), which the
+logarithm reads; it stores vectors component first, ``(3, ...)``, so that a
+product broadcasts over any trailing axes, as :func:`cross` does.
 
 Geodesic interpolation is written once, in :func:`se3_geodesic_batch`: each
 bracket (a lower pose and a twist) gets one basis of seven terms, and each
@@ -51,6 +60,12 @@ SMALL_ANGLE = 1e-8
 SERIES_ANGLE = 0.02
 
 _MAX_LOG_ANGLE = np.pi - 1e-6
+
+
+# The cyclic index triples (i, j, k): entry (i, j) of ``K = hat(phi)`` is
+# ``-phi_k`` and entry (j, i) is ``phi_k``, and ``(a x b)_i = a_j b_k - a_k
+# b_j``.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _series_below(threshold, series):
@@ -103,31 +118,32 @@ def _jl_inv_coeff(t):
     return 1.0 / t**2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t))
 
 
-def hat_batch(v):
-    """(N, 3) -> (N, 3, 3)."""
-    n = v.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
-    return out
 
 
 def _so3_matrices(phi, *terms):
     """The SO(3) matrix kernel: ``a I + b K + c phi phi^T`` (N, 3, 3) of (N,
-    3) rotation vectors, ``K = hat(phi)``, one stack per ``(a, b, c)`` of
-    ``terms``, each an (N,) array or a scalar."""
-    k = hat_batch(phi)
-    outer = phi[:, :, None] * phi[:, None]
+    3) rotation vectors, ``K = hat(phi)``, one C-contiguous stack per ``(a,
+    b, c)`` of ``terms``, each an (N,) array or a scalar.
+
+    Each of the nine entries is one or two operations over the (N,)
+    component columns of ``phi``: ``c phi_i^2 + a`` on the diagonal, ``c
+    phi_i phi_j - b phi_k`` at (i, j) and ``c phi_i phi_j + b phi_k`` at (j,
+    i) for each cyclic (i, j, k).  Those are the roundings of the sum
+    ``(c phi phi^T + b K) + a I``, entry by entry."""
+    cols = np.ascontiguousarray(phi.T)
+    squares = cols * cols
+    products = [cols[i] * cols[j] for i, j, _ in _CYCLIC]
     out = []
     for a, b, c in terms:
-        m = np.reshape(c, (-1, 1, 1)) * outer
-        m += np.reshape(b, (-1, 1, 1)) * k
-        np.einsum("nii->ni", m)[...] += np.reshape(a, (-1, 1))
-        out.append(m)
+        m = np.empty((3, 3, len(phi)))
+        for i in range(3):
+            np.multiply(c, squares[i], out=m[i, i])
+            m[i, i] += a
+        for (i, j, k), product in zip(_CYCLIC, products):
+            c_product, b_phi = c * product, b * cols[k]
+            np.subtract(c_product, b_phi, out=m[i, j])
+            np.add(c_product, b_phi, out=m[j, i])
+        out.append(np.ascontiguousarray(m.transpose(2, 0, 1)))
     return out
 
 
@@ -141,7 +157,7 @@ def cross(a, b):
     """Cross products of vectors stored component first, ``(3, ...)``, with
     the trailing axes broadcast."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    for i, j, k in _CYCLIC:
         np.multiply(a[j], b[k], out=out[i])
         out[i] -= a[k] * b[j]
     return out

@@ -183,53 +183,65 @@ def _knot_band(idx, weights):
     """First knot (N,) and weights (N, 4) on four consecutive knots from it,
     of clamped knot indices and weights (N, 4).  A clamped boundary knot
     repeats the index of the knot next to it, so its weight folds onto that
-    knot and the band's last weight may be zero."""
+    knot and the band's last weight may be zero.  One ``bincount`` adds the
+    weights into their cells in knot order."""
     first = idx[:, 0]
-    band = np.zeros(idx.shape)
-    rows = np.arange(idx.shape[0])
-    for j in range(idx.shape[1]):
-        band[rows, idx[:, j] - first] += weights[:, j]
-    return first, band
+    n, m = idx.shape
+    cells = (idx - first[:, None]) + m * np.arange(n)[:, None]
+    return first, np.bincount(cells.ravel(), weights.ravel(), minlength=n * m).reshape(n, m)
 
 
-def _plane_rows(world, normal, coef):
-    """Rows (n, 6) of plane distances ``n . w`` at world points ``w`` (n, 3)
-    that a pose moves, by a left perturbation ``(phi, rho)`` of that pose:
-    ``R <- Exp(phi) R`` and ``t <- Exp(phi) t + rho`` move ``n . w`` by ``(w
-    x n) . phi + n . rho``.  Each row is scaled by its ``coef`` (n,)."""
-    rows = np.empty((len(world), 6))
-    rows[:, :3] = lie.cross(world.T, normal.T).T
-    rows[:, 3:] = normal
-    rows *= coef[:, None]
-    return rows
+def _plane_columns(world, normal, coef):
+    """Columns (6, n) of the rows of plane distances ``n . w`` at world
+    points ``w`` (n, 3) that a pose moves, by a left perturbation ``(phi,
+    rho)`` of that pose: ``R <- Exp(phi) R`` and ``t <- Exp(phi) t + rho``
+    move ``n . w`` by ``(w x n) . phi + n . rho``.  Each row is scaled by its
+    ``coef`` (n,)."""
+    columns = np.empty((6, len(world)))
+    columns[:3] = lie.cross(world.T, normal.T)
+    columns[3:] = normal.T
+    columns *= coef
+    return columns
 
 
 class _Iterate(NamedTuple):
     """An evaluated iterate: its corrected pose points, the query poses it
-    reads, the IMU groups' rotation logs there and its residuals."""
+    reads, the world points of the map priors' observations there (which the
+    linearization reads), the IMU groups' rotation logs there and its
+    residuals."""
 
     x: np.ndarray
     state: OptState
     points: tuple
     rot: np.ndarray
     t: np.ndarray
+    world: np.ndarray
     imu_log: np.ndarray
     residuals: np.ndarray
 
 
-def _row_spread(first, band):
-    """First knot (m,) and spread (m, W, S) of rows that read S pose points
-    each, of the points' first knots (m, S) and bands (m, S, 4): each
-    point's weights shifted by its first knot's offset from the row's."""
-    m, n_points = first.shape
-    row_first = first.min(axis=1)
-    at = (first - row_first[:, None])[:, :, None] + np.arange(band.shape[2])
-    # The trailing knots that no row reads are dropped.
-    width = int(at[band != 0.0].max()) + 1
-    spread = np.zeros((m, width + band.shape[2], n_points))
-    cells = (np.arange(m)[:, None, None] * spread.shape[1] + at) * n_points
-    np.put(spread, cells + np.arange(n_points)[:, None], band)
-    return row_first, spread[:, :width]
+def _row_spreads(*reads):
+    """Of each ``(first, band)`` of ``reads``, the first knots (m, S) and
+    bands (m, S, 4) of the points that m rows read, S points a row: the rows'
+    first knots (m,) and spread (m, W, S), each point's weights shifted by
+    its first knot's offset from its row's.  Every spread has the common
+    width W, the most knots that any row reads with a non-zero weight; the
+    trailing knots that no row reads are dropped."""
+    offsets = []
+    for first, band in reads:
+        row_first = first.min(axis=1)
+        at = (first - row_first[:, None])[:, :, None] + np.arange(band.shape[2])
+        offsets.append((row_first, at))
+    width = max(int(at[band != 0.0].max()) + 1 for (_, at), (_, band) in zip(offsets, reads))
+    spreads = []
+    for (row_first, at), (first, band) in zip(offsets, reads):
+        m, n_points = first.shape
+        spread = np.zeros((m, width, n_points))
+        cells = (np.arange(m)[:, None, None] * width + at) * n_points + np.arange(n_points)[:, None]
+        inside = at < width
+        np.put(spread, cells[inside], band[inside])
+        spreads.append((row_first, spread))
+    return width, spreads
 
 
 class _ImuGroups(NamedTuple):
@@ -382,10 +394,14 @@ class _WindowSystem:
     Each query reads one pose point (``query_points``): a query that snaps
     to a sample reads that sample, and a query between two samples is a
     pose point of its own, after the samples, interpolated once from the
-    initial samples at set-up.  The corrections move the pose points, never their times, so
-    every point keeps the spline band of its own time, its first knot and
-    its four spline weights on the knots from it (``point_bands``), for the
-    window.
+    initial samples at set-up.  The corrections move the pose points, never
+    their times, so every point keeps the spline band of its own time for
+    the window: its four spline weights and the four knots they read from
+    its first knot, stored as columns (``point_weights``, ``point_reads``),
+    so that a correction is four gathers of the knots' columns.  The
+    per-point arithmetic of an iteration runs on (N,) component columns where
+    it can; a composition of poses stays a stacked product of C-contiguous
+    rows (see ``lie``).
 
     The IMU samples the window reads (the stencil of each, one trajectory
     step ``h`` either side, inside the window) are sorted by time once and
@@ -421,21 +437,22 @@ class _WindowSystem:
     widest band reads.  :meth:`normal_equations` sorts the rows by first
     knot and adds one ``L.T @ [L | r | border]`` per first knot, where the
     border is the constant bias columns; the border's own block of H is its
-    constant product.  The spreads (``prior_spread`` and the IMU groups')
-    and this order (``plan``) depend on the point bands only and are built
-    once per window (:meth:`_rows`), as are the IMU bands' constants.  The
-    sorted bands stay in the plan's buffers until the next build, so
-    :meth:`chord_gradient` takes the gradient of the last build's Jacobian
-    with new residuals without linearizing again.
-    :meth:`jacobian` scatters the same row bands into a dense Jacobian, which
-    only the tests read.
+    constant product.  The spreads (``prior_spread``, as columns (W, n), and
+    the IMU groups') and this order (``plan``) depend on the point bands
+    only and are built once per window (:meth:`_rows`), as are the IMU
+    bands' constants.  The sorted bands stay in the plan's buffers until the
+    next build, so :meth:`chord_gradient` takes the gradient of the last
+    build's Jacobian with new residuals without linearizing again.
+    :meth:`jacobian` scatters the same row bands into a dense Jacobian,
+    which only the tests read.
 
     :meth:`evaluate` returns an iterate that carries the query poses it
-    read, and the linearization reuses them.  An accepted candidate, folded
-    into the pose points (:meth:`fold`), is the next iterate as it stands,
-    so no iterate is evaluated twice.  The window is a problem of
-    :func:`solve`: its Cauchy kernel (``robust``) covers the prior rows,
-    and :meth:`record` gives each iterate's RMS per family.
+    read, gathered by ``take``, and the world points of the map priors'
+    observations at those poses, and the linearization reuses both.  An
+    accepted candidate, folded into the pose points (:meth:`fold`), is the
+    next iterate as it stands, so no iterate is evaluated twice.  The window
+    is a problem of :func:`solve`: its Cauchy kernel (``robust``) covers the
+    prior rows, and :meth:`record` gives each iterate's RMS per family.
     """
 
     def __init__(self, prior_constraints, imu, traj, state):
@@ -525,8 +542,11 @@ class _WindowSystem:
         self.base_t = np.concatenate([traj.translations, t])
         self.point_times = np.concatenate([traj.times, query_taus[interior]])
 
-        # Each pose point's first knot and spline weights on four knots from it.
-        self.point_bands = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
+        # Each pose point's spline weights on four knots from its first knot,
+        # and the knots they read, as columns (4, P).
+        first, band = _knot_band(*self.grid.knot_indices_and_weights(self.point_times))
+        self.point_weights = np.ascontiguousarray(band.T)
+        self.point_reads = first + np.arange(4)[:, None]
         self.prior_spread, imu_spread, self.row_first, self.plan = self._rows()
         self.imu_layer = self._imu_layer_terms(imu_spread)
 
@@ -551,13 +571,21 @@ class _WindowSystem:
         # points are the stored ones, which the correction would give exactly.
         if not knots.any():
             return self.base_rot, self.base_t
-        first, band = self.point_bands
-        # A band's trailing weights may fall past the last knot, where they
-        # are zero; they read zero rows.
-        knots = np.concatenate([knots, np.zeros((3, 6))])
-        corr = np.einsum("nj,njc->nc", band, knots[first[:, None] + np.arange(4)])
+        # Each point's correction (6, P), its four weights times the columns
+        # of the knots they read, summed in knot order.  A band's trailing
+        # weights may fall past the last knot, where they are zero; they read
+        # zero columns.
+        columns = np.zeros((6, self.n_knots + 3))
+        columns[:, : self.n_knots] = knots.T
+        weights, reads = self.point_weights, self.point_reads
+        corr = weights[0] * columns.take(reads[0], axis=1)
+        for j in range(1, 4):
+            corr += weights[j] * columns.take(reads[j], axis=1)
+        # The exponential takes contiguous rows, as its angles' rounding
+        # depends on their layout.
         return compose_correction(
-            lie.so3_exp_batch(corr[:, :3]), corr[:, 3:], self.base_rot, self.base_t
+            lie.so3_exp_batch(np.ascontiguousarray(corr[:3].T)), corr[3:].T,
+            self.base_rot, self.base_t,
         )
 
     def fold(self, it):
@@ -573,7 +601,7 @@ class _WindowSystem:
         residuals (no robust weighting)."""
         knots, b_a, b_g = self.split_params(x, state)
         points = self._corrected_points(knots)
-        rot, t = (p[self.query_points] for p in points)
+        rot, t = (p.take(self.query_points, axis=0) for p in points)
         imu_log = self._imu_log(rot)
         residuals = np.empty(self.n_residuals)
         q = self.sl_prior
@@ -582,7 +610,7 @@ class _WindowSystem:
         raw = self._imu_raw(rot, t, b_a, b_g, imu_log)
         whitened = np.einsum("gij,gj->gi", self.imu_whiten, raw)
         residuals[self.sl_accel.start :] = whitened.reshape(-1)[self.imu_rows]
-        return _Iterate(x, state, points, rot, t, imu_log, residuals)
+        return _Iterate(x, state, points, rot, t, world, imu_log, residuals)
 
     def _imu_log(self, rot):
         """Per IMU group, ``log(R_n^T R_0 dR)`` (G, 3) of the query rotations
@@ -625,13 +653,13 @@ class _WindowSystem:
 
     # -- linearization ------------------------------------------------------
 
-    def _prior_layer(self, rot, t):
-        """Derivatives (n, 1, 6) of the whitened, robust-weighted prior rows
-        with respect to a left perturbation of the query pose each reads."""
-        q = self.sl_prior
-        world = np.einsum("nij,nj->ni", rot[q], self.prior_u_c) + t[q]
+    def _prior_layer(self, world):
+        """Derivatives of the whitened, robust-weighted prior rows with
+        respect to a left perturbation of the query pose each reads, as
+        columns (6, n), of the world points ``world`` (n, 3) of their
+        observations."""
         coef = self.robust.weights[self.sl_prior] / SIGMA_PRIOR
-        return _plane_rows(world, self.prior_n, -coef)[:, None]
+        return _plane_columns(world, self.prior_n, -coef)
 
     def _imu_layer_terms(self, spread):
         """What the IMU bands take from the window alone, of each group's
@@ -677,9 +705,12 @@ class _WindowSystem:
         lever, offset, turn, moment_columns, whiten, band = self.imu_layer
         n_groups, _, _, width, _ = band.shape
         points = t[self.q_imu[0].start :].reshape(4, -1, 3).transpose(1, 0, 2)
-        band[:, 1:, :, :, :3] = lie.hat_batch((lever @ points + offset).reshape(-1, 3)).reshape(
-            n_groups, 2, width, 3, 3
-        ).transpose(0, 1, 3, 2, 4)
+        # hat(V) written entry by entry; its zero diagonal stays as set up.
+        v = (lever @ points + offset).reshape(n_groups, 2, width, 3)
+        hat = band[:, 1:, :, :, :3]
+        for i, j, k in lie._CYCLIC:
+            np.negative(v[..., k], out=hat[:, :, i, :, j])
+            hat[:, :, j, :, i] = v[..., k]
         right = lie.so3_left_jacobian_inv(log) @ rot[self.q_imu[3]].transpose(0, 2, 1)
         np.multiply(turn, right[:, :, None], out=band[:, 0, :, :, :3])
         turned = moment_columns @ rot[self.q_imu[1]].transpose(0, 2, 1)
@@ -689,8 +720,8 @@ class _WindowSystem:
 
     def _rows(self):
         """Row structure, built once per window: the spread
-        (``_row_spread``) of the prior rows and that of the IMU groups, one
-        per group in group order, both padded to the widest band W; the first
+        (``_row_spreads``) of the prior rows and that of the IMU groups, one
+        per group in group order, both at the widest band W; the first
         knot of each residual row, the priors' then the IMU's; and the plan
         of :meth:`normal_equations`: six times the knots the bands reach,
         where the prior rows and the IMU rows go in stable first-knot order,
@@ -699,14 +730,11 @@ class _WindowSystem:
         the bands, and the first-knot spans.  The rows are the residual rows
         in order, so the residual row at each place of that order is the
         order itself."""
-        first, band = self.point_bands
-        points = self.query_points[self.sl_prior, None]
-        prior_first, prior_spread = _row_spread(first[points], band[points])
-        points = self.query_points[self.q_imu[0].start :].reshape(4, -1).T
-        group_first, imu_spread = _row_spread(first[points], band[points])
-        width = max(prior_spread.shape[1], imu_spread.shape[1])
-        prior_spread, imu_spread = (
-            np.pad(s, ((0, 0), (0, width - s.shape[1]), (0, 0))) for s in (prior_spread, imu_spread)
+        first, band = self.point_reads[0], self.point_weights.T
+        points = (self.query_points[self.sl_prior, None],
+                  self.query_points[self.q_imu[0].start :].reshape(4, -1).T)
+        width, ((prior_first, prior_spread), (group_first, imu_spread)) = _row_spreads(
+            *((first[p], band[p]) for p in points)
         )
         row_first = np.concatenate([prior_first, group_first[self.imu_rows // 9]])
         # Knots the bands reach; past the last knot only zero weights reach.
@@ -723,6 +751,8 @@ class _WindowSystem:
         # constant bias border.
         buffer = np.zeros((order.size, 6 * width + 7))
         buffer[at[1], 6 * width + 1 :] = self.imu_border
+        # The priors' spread as columns (W, n), one weight per knot and row.
+        prior_spread = np.ascontiguousarray(prior_spread[:, :, 0].T)
         return prior_spread, imu_spread, row_first, (size, 6 * width, at, buffer, order, spans)
 
     def _linearize(self, it):
@@ -731,8 +761,10 @@ class _WindowSystem:
         the knot-major layout.  The robust weights are held fixed."""
         if np.any(it.x[: 6 * self.n_knots]):
             raise InvalidArgumentError("linearized at zero correction only; fold it first")
-        prior = self.prior_spread @ self._prior_layer(it.rot, it.t)
-        return prior.reshape(self.n_prior, -1), self._imu_band(it.rot, it.t, it.imu_log)
+        # Each knot's weight times each derivative column, (W, 6, n).
+        prior = self.prior_spread[:, None] * self._prior_layer(it.world)
+        return (prior.transpose(2, 0, 1).reshape(self.n_prior, -1),
+                self._imu_band(it.rot, it.t, it.imu_log))
 
     def normal_equations(self, it, weighted):
         """``H = J.T @ J`` and ``g = J.T @ weighted`` of the robust-weighted
@@ -910,7 +942,8 @@ def solve(problem, it):
     ``"no_progress"`` at the last accepted iterate; after ``MAX_ITERATIONS``
     accepted steps, with ``"max_iterations"``.
 
-    The first build's H is checked for rank before any step: an eigenvalue
+    The first build's H is checked for rank before any step or stop, so a
+    problem that starts at zero cost is checked too: an eigenvalue
     below ``RANK_TOL`` (1e-12) times the largest is a null direction, and
     :class:`DegenerateGeometryError` reports their number.  A Cholesky
     factorization of ``H`` less ``(RANK_TOL + n^2 eps) ||H||_inf`` on its
@@ -924,13 +957,19 @@ def solve(problem, it):
 
     lam = DAMPING_INIT
     reason, stop_decrease = "max_iterations", np.nan
-    hess = None
+    # The first build and its rank check come before any stop.
+    hess, grad = problem.normal_equations(it, problem.robust.weighted(it.residuals))
+    null_dim = _null_dimension(hess)
+    if null_dim > 0:
+        raise DegenerateGeometryError(
+            f"normal equations rank deficient (null space dimension {null_dim})", null_dim
+        )
     for iteration in range(1, MAX_ITERATIONS + 1):
         if cost < 1e-16:
             reason = "zero_cost"
             break
-        weighted = problem.robust.weighted(it.residuals)
-        if hess is not None:
+        if iteration > 1:
+            weighted = problem.robust.weighted(it.residuals)
             # The chord test: the last build's H and Jacobian with the new
             # residuals, at the current damping.
             chord_grad = problem.chord_gradient(weighted)
@@ -941,14 +980,7 @@ def solve(problem, it):
             if chord < CHI2_TOL:
                 reason, stop_decrease = "predicted_decrease", chord
                 break
-        hess, grad = problem.normal_equations(it, weighted)
-        if iteration == 1:
-            null_dim = _null_dimension(hess)
-            if null_dim > 0:
-                raise DegenerateGeometryError(
-                    f"normal equations rank deficient (null space dimension {null_dim})",
-                    null_dim,
-                )
+            hess, grad = problem.normal_equations(it, weighted)
         diag = np.diag(hess).copy()
         diag[diag <= 0.0] = 1.0
 

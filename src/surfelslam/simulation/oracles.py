@@ -2,18 +2,22 @@
 
 Everything here is correctness-first and O(n^2) or worse: truncated power
 series of the SE(3) exponential and of the logarithm near the identity, the
-left Jacobian by central differences of those series, the SE(3) geodesic of
-one pose pair through the series exponential, trajectory brackets with
-every sample time gathered afresh where it is read, the spline correction
-evaluated from its knot weights and control points, map-prior residuals
-evaluated one constraint at a time on the trajectory they read, IMU groups
-integrated one sample at a time, linear-scan spatial queries, radius joins
-and ICP association from the full distance matrix, exhaustive matching,
-hash-grouped voxel moments, dense-surfel seeding by linear scans,
-closed-form 3x3 eigen solves, and the Wishart update through LAPACK's
-stacked Cholesky factorizations and inverses.  None of it is used on the
-fast paths, and none of the Lie references evaluates the closed form of the
-map it checks.  A pose here is a 4x4 homogeneous matrix.
+left Jacobian by central differences of those series, the SO(3) matrix
+kernel on (N, 3, 3) row stacks as first written, the SE(3) geodesic of one
+pose pair through the series exponential, trajectory brackets with every
+sample time gathered afresh where it is read, the spline correction
+evaluated from its knot weights and control points, the window's knot
+bands scattered knot by knot and its pose points corrected through one
+``einsum`` of them, map-prior residuals evaluated one constraint at a time
+on the trajectory they read, IMU groups integrated one sample at a time,
+linear-scan spatial queries, radius joins and ICP association from the
+full distance matrix, exhaustive matching, hash-grouped voxel moments,
+dense-surfel seeding by linear scans, closed-form 3x3 eigen solves, and the
+Wishart update through LAPACK's stacked Cholesky factorizations and
+inverses.  None of it is used on the fast paths.  None of the Lie
+references evaluates the closed form of the map it checks, but the
+row-stack kernel, which pins the column kernel's layout and rounding, not
+its formula.  A pose here is a 4x4 homogeneous matrix.
 """
 
 from __future__ import annotations
@@ -30,11 +34,25 @@ from ..surfel_map import psd_eigh, psd_eigvalsh
 from ..trajectory import Trajectory, compose_correction
 
 
+def hat_batch(v):
+    """The skew-symmetric matrices (N, 3, 3) of vectors (N, 3), ``hat(v) u
+    = v x u``."""
+    n = v.shape[0]
+    out = np.zeros((n, 3, 3))
+    out[:, 0, 1] = -v[:, 2]
+    out[:, 0, 2] = v[:, 1]
+    out[:, 1, 0] = v[:, 2]
+    out[:, 1, 2] = -v[:, 0]
+    out[:, 2, 0] = -v[:, 1]
+    out[:, 2, 1] = v[:, 0]
+    return out
+
+
 def se3_exp_series(xi, terms=20):
     """Truncated power series of the 4x4 matrix exponential of a twist."""
     xi = np.asarray(xi, dtype=float)
     m = np.zeros((4, 4))
-    m[:3, :3] = lie.hat_batch(xi[None, :3])[0]
+    m[:3, :3] = hat_batch(xi[None, :3])[0]
     m[:3, 3] = xi[3:]
     out = np.eye(4)
     power = np.eye(4)
@@ -85,6 +103,23 @@ def interp_pose(pose_a, pose_b, alpha, terms=40):
     return pose_a @ se3_exp_series(alpha * np.concatenate([phi[0], rho[0]]), terms)
 
 
+def so3_matrices_by_rows(phi, *terms):
+    """``lie._so3_matrices`` as first written, over (N, 3, 3) row stacks:
+    ``a I + b K + c phi phi^T`` of (N, 3) rotation vectors ``phi``, ``K``
+    from :func:`hat_batch`, one stack per ``(a, b, c)`` of ``terms``, each
+    an (N,) array or a scalar; ``c phi phi^T`` first, then ``b K`` added,
+    then ``a`` on the diagonal."""
+    k = hat_batch(phi)
+    outer = phi[:, :, None] * phi[:, None]
+    out = []
+    for a, b, c in terms:
+        m = np.reshape(c, (-1, 1, 1)) * outer
+        m += np.reshape(b, (-1, 1, 1)) * k
+        np.einsum("nii->ni", m)[...] += np.reshape(a, (-1, 1))
+        out.append(m)
+    return out
+
+
 def brackets_by_repeated_gathers(times, taus, tol):
     """``trajectory.brackets`` for valid queries as first written: the
     index read off the mean spacing and searched again where the check
@@ -111,6 +146,31 @@ def correction_batch(grid, c_t, c_r, taus):
     idx, weights = grid.knot_indices_and_weights(taus)
     r = np.einsum("nk,nkj->nj", weights, c_r[idx])
     return lie.so3_exp_batch(r), np.einsum("nk,nkj->nj", weights, c_t[idx])
+
+
+def knot_band_by_scatter(idx, weights):
+    """``local_mapping._knot_band`` as first written: the first knot (N,)
+    and the weights (N, 4) on four consecutive knots from it of clamped knot
+    indices and weights (N, 4), each weight added into its knot's cell by
+    one fancy-indexed scatter per knot, in knot order."""
+    first = idx[:, 0]
+    band = np.zeros(idx.shape)
+    rows = np.arange(idx.shape[0])
+    for j in range(idx.shape[1]):
+        band[rows, idx[:, j] - first] += weights[:, j]
+    return first, band
+
+
+def corrected_points_by_einsum(knots, first, band, rotations, translations):
+    """The window's pose points ``(rotations, translations)`` corrected by
+    the knot corrections ``knots`` (K, 6), ``(du_r, du_t)`` per knot, as
+    first written: each point's correction one ``einsum`` of its band
+    ``band`` (P, 4) with the rows of the four knots from its first knot
+    ``first`` (P,), zero rows past the last knot, composed by
+    ``compose_correction``."""
+    knots = np.concatenate([knots, np.zeros((3, 6))])
+    corr = np.einsum("nj,njc->nc", band, knots[first[:, None] + np.arange(4)])
+    return compose_correction(lie.so3_exp_batch(corr[:, :3]), corr[:, 3:], rotations, translations)
 
 
 def apply_correction(traj, grid, c_t, c_r):

@@ -144,10 +144,12 @@ class Trajectory:
             raise InvalidArgumentError("trajectory array shapes are inconsistent")
         if not all(np.isfinite(a).all() for a in (self.times, self.rotations, self.translations)):
             raise InvalidArgumentError("trajectory times and poses must be finite")
-        r = self.rotations
-        defect = np.abs(r @ r.transpose(0, 2, 1) - np.eye(3)).max()
-        # Each determinant as the triple product of its rows, component first.
-        rows = r.transpose(1, 2, 0)
+        # Every rotation's rows as component columns (3, 3, n): ``R R^T - I``
+        # and the determinant, the triple product of the rows, over them.
+        rows = np.ascontiguousarray(self.rotations.reshape(n, 9).T).reshape(3, 3, n)
+        gram = np.einsum("ikn,jkn->ijn", rows, rows)
+        gram[[0, 1, 2], [0, 1, 2]] -= 1.0
+        defect = np.abs(gram).max()
         det = np.sum(rows[0] * lie.cross(rows[1], rows[2]), axis=0)
         if defect > 1e-9 or (det <= 0.0).any():
             raise InvalidArgumentError("trajectory rotations must be orthonormal with det +1")

@@ -228,6 +228,43 @@ def test_kernel_matrices_match_each_other_and_the_vector_kernel(rng):
     assert np.abs(jl_inv @ jl - np.eye(3)).max() < tol
 
 
+# The column kernel's pinned angles: 0, 1e-9, the small-angle switch, both
+# sides of the series switch, 1 and just below pi.
+KERNEL_ANGLES = [0.0, 1e-9, lie.SMALL_ANGLE, lie.SERIES_ANGLE * (1.0 - 1e-9),
+                 lie.SERIES_ANGLE * (1.0 + 1e-9), 1.0, np.pi - 1e-6]
+
+
+def test_column_kernel_matches_the_row_stack_kernel_bit_for_bit(rng):
+    # Each caller's matrices against the row-stack kernel of
+    # oracles.so3_matrices_by_rows at the caller's coefficients, bit for
+    # bit, and C-contiguous: numpy's einsum rounds over a strided stack
+    # differently from over a contiguous one, so the layout is part of the
+    # result.
+    r = np.ascontiguousarray(twists_at(rng, np.repeat(KERNEL_ANGLES, 3))[:, :3])
+    theta, theta_sq = lie._angles(r)
+    cos_coeff, one_minus_sinc = lie._cos_coeff(theta), lie._one_minus_sinc_coeff(theta)
+    exp_terms = (1.0 - cos_coeff * theta_sq, lie._sinc(theta), cos_coeff)
+    sinc = 1.0 - one_minus_sinc * theta_sq
+    exp_jl_terms = [(1.0 - cos_coeff * theta_sq, sinc, cos_coeff),
+                    (sinc, cos_coeff, one_minus_sinc)]
+    jl_inv = lie._jl_inv_coeff(theta)
+    cases = [
+        ([lie.so3_exp_batch(r)], [exp_terms]),
+        (lie.so3_exp_left_jacobian(r), exp_jl_terms),
+        ([lie.so3_left_jacobian_inv(r)], [(1.0 - jl_inv * theta_sq, -0.5, jl_inv)]),
+    ]
+    # The kernel itself at scalar, array and mixed coefficients.
+    a, b, c = rng.normal(size=(3, len(r)))
+    for terms in ([(0.3, -0.5, 2.0)], [(a, b, c)], [(a, -0.5, 2.0), (1.0, b, c)]):
+        cases.append((lie._so3_matrices(r, *terms), terms))
+    for got, terms in cases:
+        expected = oracles.so3_matrices_by_rows(r, *terms)
+        assert len(got) == len(expected)
+        for m, e in zip(got, expected):
+            assert m.shape == (len(r), 3, 3) and m.flags.c_contiguous
+            assert np.array_equal(m, e)
+
+
 def test_interp_endpoints(rng):
     a = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]
     b = [np.repeat(x, 2, axis=0) for x in random_poses(rng, 1)]

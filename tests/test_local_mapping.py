@@ -357,10 +357,12 @@ def eigenvalue_null_count(hess):
     return int(np.sum(eigvals < max(eigvals[-1], 1e-30) * 1e-12))
 
 
-def test_degenerate_geometry_reports_null_space(monkeypatch):
-    # All constraints share one normal: translations orthogonal to it are
-    # free, as the IMU observes only their second differences.
-    cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0)
+def one_normal_window(**noise):
+    """Truth, IMU samples, dead-reckoned start and map priors of a 2 s
+    window at seed 8, with ``noise`` settings of ``SimConfig``, and every
+    prior's normal set to (0, 0, 1): translations orthogonal to it are free,
+    as the IMU observes only their second differences."""
+    cfg = SimConfig(seed=8, window=2.0, n_features=200, feature_noise_std=0.0, **noise)
     truth, imu, init = gen_trajectory_and_imu(cfg)
     scene = gen_surfel_scene(cfg, truth)
     normal = np.array([0.0, 0.0, 1.0])
@@ -368,6 +370,12 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
         lm.MapPriorConstraint(c.u_m, c.u_c, c.tau_c, normal)
         for c in scene.map_prior_constraints()
     ]
+    return truth, imu, init, constraints
+
+
+def test_degenerate_geometry_reports_null_space(monkeypatch):
+    # All constraints share one normal (see one_normal_window).
+    truth, imu, init, constraints = one_normal_window()
     grid = knot_grid(init.start, init.end, 0.5)
     # The window's first H, built as optimize_window builds it, and the
     # number of its eigenvalues below 1e-12 of the largest.
@@ -384,6 +392,25 @@ def test_degenerate_geometry_reports_null_space(monkeypatch):
     assert err.value.null_dimension == null_dim
     # The failed factorization hands the count to eigvalsh.
     assert [name for name, _ in calls] == ["eigvalsh"]
+
+
+def test_rank_check_runs_before_the_zero_cost_stop():
+    # The window above without any noise or bias starts at zero cost, from
+    # the truth and from the dead-reckoned start alike; its geometry is as
+    # degenerate, so the first build's rank check refuses it before the
+    # driver could stop with "zero_cost".
+    truth, imu, init, constraints = one_normal_window(
+        accel_noise_std=0.0, gyro_noise_std=0.0, accel_bias=np.zeros(3), gyro_bias=np.zeros(3)
+    )
+    grid = knot_grid(init.start, init.end, 0.5)
+    for start in (truth, init):
+        system = lm._WindowSystem(constraints, imu, start, lm.OptState(grid))
+        it = system.evaluate(np.zeros(system.n_params()), lm.OptState(grid))
+        system.robust.update(it.residuals)
+        assert system.robust.cost(it.residuals) < 1e-16
+        with pytest.raises(DegenerateGeometryError) as err:
+            lm.optimize_window(constraints, imu, start, lm.OptState(grid), lm.OptimizerConfig())
+        assert err.value.null_dimension >= 1
 
 
 def symmetric_with_spectrum(eigvals, seed=0):
@@ -1076,3 +1103,33 @@ def test_folded_iterate_reproduces_candidate_residuals():
     assert np.array_equal(fresh.residuals, candidate.residuals)
     assert np.array_equal(fresh.residuals, folded.residuals)
     assert np.array_equal(fresh.rot, folded.rot) and np.array_equal(fresh.t, folded.t)
+
+
+def test_corrected_points_match_the_einsum_spline_bit_for_bit():
+    # The spline correction from four takes of the knot columns, against
+    # the one einsum of oracles.corrected_points_by_einsum, bit for bit, on
+    # a window whose boundary knots are clamped: the points at its end fold
+    # their last weight onto the last knot, so their trailing weight is zero
+    # and reads a zero column past it.  The bands, from one bincount, are
+    # the knot-by-knot scatter's.  Corrections of up to about a radian show
+    # the exponential's rounding, which depends on the layout of its rows.
+    # The iterate keeps the prior world points that the linearization reads.
+    cfg, truth, imu, init, scene = small_sim(seed=5, n_features=60)
+    grid = knot_grid(init.start, init.end, 0.5)
+    state = lm.OptState(grid)
+    system = lm._WindowSystem(scene.map_prior_constraints(), imu, init, state)
+    weights, reads = system.point_weights, system.point_reads
+    assert np.any((weights[3] == 0.0) & (reads[3] == system.n_knots))
+    first, band = oracles.knot_band_by_scatter(*grid.knot_indices_and_weights(system.point_times))
+    assert np.array_equal(reads[0], first) and np.array_equal(weights, band.T)
+    assert np.array_equal(np.signbit(weights), np.signbit(band.T))
+    knots = np.random.default_rng(3).normal(scale=0.5, size=(system.n_knots, 6))
+    expected = oracles.corrected_points_by_einsum(
+        knots, reads[0], np.ascontiguousarray(weights.T), system.base_rot, system.base_t
+    )
+    got = system._corrected_points(knots)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    it = system.evaluate(np.concatenate([knots.ravel(), np.zeros(6)]), state)
+    q = system.sl_prior
+    world = np.einsum("nij,nj->ni", it.rot[q], system.prior_u_c) + it.t[q]
+    assert np.array_equal(it.world, world)

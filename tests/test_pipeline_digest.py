@@ -16,18 +16,23 @@ def digest():
     return module
 
 
-def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, monkeypatch, capsys):
-    # One episode of two short windows of the map-bound workload.
+def tiny_args(digest, monkeypatch):
+    """The arguments that digest one episode of two short windows of the
+    map-bound workload, registered as the workload ``tiny``."""
     tiny = dataclasses.replace(
         digest.workloads.SPECS["revisit"], episodes=1, n_windows=2, n_priors=100, n_scan=1500
     )
     monkeypatch.setitem(digest.workloads.SPECS, "tiny", tiny)
-    args = ["--workloads", "tiny", "--seeds", "1", "--episodes", "1"]
+    return ["--workloads", "tiny", "--seeds", "1", "--episodes", "1"]
+
+
+def test_a_dump_compared_with_itself_reports_no_difference(digest, tmp_path, monkeypatch, capsys):
+    args = tiny_args(digest, monkeypatch)
     dump = tmp_path / "tiny.npz"
     digest.main(args + ["--dump", str(dump)])
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3 and all(line.startswith("tiny seed 1 episode 0") for line in printed)
-    digest.main(args + ["--against", str(dump)])
+    assert digest.main(args + ["--against", str(dump)]) == 0
     *again, summary = capsys.readouterr().out.splitlines()
     assert again == printed
     assert summary == (
@@ -161,3 +166,24 @@ def test_compare_sizes_each_difference(digest):
     del reference["w.s1.e0.w1.reason"]
     with pytest.raises(SystemExit, match="w.s1.e0.w1.reason"):
         digest.compare(reference, current)
+
+
+def test_the_comparison_exits_1_when_a_digest_differs(digest, tmp_path, monkeypatch, capsys):
+    # The status is 0 against the run's own dump.  A dump with any one
+    # trajectory, fusion or map digest changed gives 1; one whose accuracy
+    # metrics alone differ gives 0, as only the digests decide.
+    args = tiny_args(digest, monkeypatch)
+    dump = tmp_path / "tiny.npz"
+    assert digest.main(args + ["--dump", str(dump)]) == 0
+    with np.load(dump) as kept:
+        arrays = dict(kept)
+    assert digest.main(args + ["--against", str(dump)]) == 0
+    for name in ("tiny.s1.e0.w1.trajectory_digest", "tiny.s1.e0.w0.fusion_digest",
+                 "tiny.s1.e0.maps"):
+        altered = tmp_path / "altered.npz"
+        np.savez(altered, **{**arrays, name: np.array("0" * 24)})
+        assert digest.main(args + ["--against", str(altered)]) == 1, name
+    moved = tmp_path / "moved.npz"
+    np.savez(moved, **{**arrays, "tiny.s1.e0.accuracy": 2.0 * arrays["tiny.s1.e0.accuracy"]})
+    assert digest.main(args + ["--against", str(moved)]) == 0
+    capsys.readouterr()

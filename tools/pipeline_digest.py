@@ -40,7 +40,8 @@ those the dump holds, the largest dense centroid difference (m) and
 scatter entry difference over the episodes whose dense maps have the
 dump's size, and how many windows have a larger
 translation error than in the dump, with the largest relative increase and
-its window.
+its window.  It exits with status 1 when any trajectory, fusion or map
+digest differs from the one the dump holds, and 0 otherwise.
 A change that moves the maps only by rounding changes their digests but no
 trajectory digest, fusion count or trigger, and its centroid and scatter
 differences are at rounding level.  Run the dump in one checkout and the
@@ -143,9 +144,9 @@ def maps_digest(global_maps):
 ACCURACY = ("ate_m", "ate_rot_deg", "rpe_m", "map_rms_m", "map_growth")
 # The fields of a window's ``FusionStepMetrics`` that count or decide.
 FUSION = ("n_new", "n_fused", "n_culled", "n_active", "n_inactive", "triggered")
+DIGESTS = (".trajectory_digest", ".fusion_digest", ".maps")
 # The names a dump may lack: a dump without them compares none.
-OPTIONAL = (".trajectory_digest", ".fusion_digest", ".maps", ".centroids", ".scatters",
-            ".fusion", ".errors", ".icp", ".frozen")
+OPTIONAL = (*DIGESTS, ".centroids", ".scatters", ".fusion", ".errors", ".icp", ".frozen")
 
 
 def window_errors(estimate, truth):
@@ -276,7 +277,16 @@ def compare(reference, current):
     return lines
 
 
+def digests_differ(reference, current):
+    """Whether any trajectory, fusion or map digest of ``current`` differs
+    from the one ``reference`` holds under its name."""
+    return any(bool(reference[k] != current[k])
+               for k in current if k.endswith(DIGESTS) and k in reference)
+
+
 def main(argv=None):
+    """Print the digests and return the exit status: 1 when ``--against``
+    finds a differing digest (:func:`digests_differ`), 0 otherwise."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", default=list(workloads.SPECS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
@@ -303,11 +313,14 @@ def main(argv=None):
                 arrays.update(kept)
     if args.dump:
         np.savez(args.dump, **arrays)
+    status = 0
     if args.against:
         with np.load(args.against) as reference:
             for line in compare(reference, arrays):
                 print(line)
+            status = int(digests_differ(reference, arrays))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
